@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check race bench bench-check
+.PHONY: all check race tmobench bench bench-check
 
 all: check
 
@@ -13,9 +13,16 @@ check:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(MAKE) race
+	$(MAKE) tmobench
 
 race:
 	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/metrics ./internal/fleet ./internal/rollout ./internal/tsdb ./internal/slo ./internal/twin ./internal/place ./internal/backend
+
+# The benchmark command is a module of its own that imports core, fleet,
+# rollout and cliutil, so the root ./... patterns never reach it; vet and
+# test it explicitly so an API change cannot break it silently (~20 s).
+tmobench:
+	cd cmd/tmobench && $(GO) vet ./... && $(GO) test ./...
 
 # Reproducible perf baseline: runs the root figure benchmarks once each plus
 # the hot-path microbenchmarks at fixed iteration counts, and writes the

@@ -68,7 +68,7 @@ type fleetReport struct {
 
 func main() {
 	modeStr := flag.String("mode", "zswap", "offload mode: file-only, zswap, ssd, tiered")
-	tiersStr := flag.String("tiers", "", `tier chain for -mode tiered, fastest first, e.g. "lz4:2g,zstd:4g,ssd" (empty = default chain)`)
+	tiersStr := flag.String("tiers", "", `swap tier chain, fastest first, replacing the mode's default layout, e.g. "lz4:2g,zstd:4g,ssd" (a bare ssd gets 4x DRAM)`)
 	warmStr := flag.String("warm", "40m", "virtual warm-up before measuring")
 	measureStr := flag.String("measure", "10m", "virtual measurement window")
 	scale := flag.Float64("scale", 0.5, "workload footprint scale")
@@ -87,8 +87,8 @@ func main() {
 
 	mix := fleet.DefaultMix(mode, *seed)
 	if *tiersStr != "" {
-		if mode != core.ModeTiered {
-			cliutil.Fatal("fleetsim", fmt.Errorf("-tiers requires -mode tiered (got %s)", mode))
+		if mode == core.ModeOff || mode == core.ModeFileOnly {
+			cliutil.Fatal("fleetsim", fmt.Errorf("-tiers requires a swap mode (got %s)", mode))
 		}
 		tiers := cliutil.MustTierSpec("fleetsim", *tiersStr)
 		for i := range mix {

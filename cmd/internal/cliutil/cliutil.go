@@ -165,8 +165,8 @@ func ParseBytes(s string) (int64, error) {
 // chain, fastest tier first: comma-separated segments of the form
 // codec:capacity. Codecs lz4, zstd, and lzo name compressed tiers and
 // require a capacity; "ssd" names the flash swap tier, takes an optional
-// capacity ("ssd" alone is unbounded), and must come last. Capacities take
-// binary suffixes k/m/g/t. Example: "lz4:2g,zstd:4g,ssd".
+// capacity ("ssd" alone is sized by core.New at 4x DRAM), and must come
+// last. Capacities take binary suffixes k/m/g/t. Example: "lz4:2g,zstd:4g,ssd".
 func ParseTierSpec(value string) ([]backend.TierSpec, error) {
 	var tiers []backend.TierSpec
 	for _, part := range strings.Split(value, ",") {

@@ -146,7 +146,7 @@ func TestParseTierSpec(t *testing.T) {
 		t.Fatalf("tier 1 = %+v, want zstd:4g", tiers[1])
 	}
 	if tiers[2].Kind != backend.TierSSD || tiers[2].CapacityBytes != 0 {
-		t.Fatalf("tier 2 = %+v, want unbounded ssd", tiers[2])
+		t.Fatalf("tier 2 = %+v, want an unsized ssd (core.New sizes it)", tiers[2])
 	}
 
 	capped, err := ParseTierSpec("zstd:64m,ssd:8g")

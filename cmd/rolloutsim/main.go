@@ -163,7 +163,7 @@ func main() {
 	tsdbOut := flag.String("tsdb-out", "", "write the observability time-series to this file (.csv for CSV, else JSON Lines)")
 	flightDir := flag.String("flight-dir", "", "write flight-recorder bundles (one per trip/crash/OOM post-mortem) into this directory")
 	dashboard := flag.Bool("dashboard", false, "render per-cohort sparklines of pressure, throughput, and savings over the stages")
-	tiersStr := flag.String("tiers", "", `tier chain the fleet's specs carry for tiered modes, e.g. "lz4:2g,zstd:4g,ssd"`)
+	tiersStr := flag.String("tiers", "", `swap tier chain the fleet's specs carry, replacing the mode's default layout, e.g. "lz4:2g,zstd:4g,ssd" (a bare ssd gets 4x DRAM)`)
 	var crashes crashFlags
 	flag.Var(&crashes, "crash", "schedule host churn as host@at+dur (repeatable), e.g. 3@5m+2m")
 	var guardrails guardrailFlags
@@ -214,10 +214,10 @@ func main() {
 		cands = cands[:0]
 		for i, tc := range tierConfigs {
 			cands = append(cands, rollout.Policy{
-				Name:    fmt.Sprintf("tiers-%d", i+1),
-				Mode:    core.ModeTiered,
-				Config:  c,
-				Backend: &rollout.PolicyBackend{Tiers: tc},
+				Name:   fmt.Sprintf("tiers-%d", i+1),
+				Mode:   core.ModeTiered,
+				Config: c,
+				Tiers:  tc,
 			})
 		}
 	}
@@ -292,20 +292,18 @@ func main() {
 		for _, c := range cands {
 			probes = append(probes, c.Config)
 		}
-		// Candidate backend sizings (tier chains, pool knobs) calibrate their
-		// own signature-keyed surfaces so twin cohorts racing them are judged
-		// on fits measured under the sizing they push.
-		var calBackends []fleet.BackendConfig
+		// Candidate chain layouts calibrate their own signature-keyed
+		// surfaces so twin cohorts racing them are judged on fits measured
+		// under the layout they push.
+		var calTiers [][]backend.TierSpec
 		for _, c := range cands {
-			if c.Backend != nil {
-				calBackends = append(calBackends, *c.Backend)
-			}
+			calTiers = append(calTiers, c.Tiers)
 		}
 		calStart := time.Now()
 		coeffs = twin.Calibrate(twin.CalibrateConfig{
 			Specs:    calSpecs,
 			Modes:    modes,
-			Backends: calBackends,
+			Tiers:    calTiers,
 			Baseline: baseCfg,
 			Probes:   probes,
 			Window:   window,
@@ -353,9 +351,9 @@ func main() {
 		}
 		fmt.Printf(", %d candidate(s) on %s\n", len(cands), candMode)
 		for _, c := range cands {
-			if c.Backend != nil && !c.Backend.IsZero() {
+			if len(c.Tiers) > 0 {
 				fmt.Printf("  %s: ratio %.4f (threshold %.4f), backend %s\n",
-					c.Name, c.Config.ReclaimRatio, c.Config.MemPressureThreshold, c.Backend.Signature())
+					c.Name, c.Config.ReclaimRatio, c.Config.MemPressureThreshold, fleet.TierSignature(c.Tiers))
 				continue
 			}
 			fmt.Printf("  %s: ratio %.4f (threshold %.4f)\n", c.Name, c.Config.ReclaimRatio, c.Config.MemPressureThreshold)

@@ -37,7 +37,7 @@ func main() {
 	appName := flag.String("app", "feed", "workload profile (see -list)")
 	list := flag.Bool("list", false, "list catalog profiles and exit")
 	modeStr := flag.String("mode", "zswap", "offload mode: off, file-only, zswap, ssd, tiered, nvm, cxl")
-	tiersStr := flag.String("tiers", "", `tier chain for -mode tiered, fastest first, e.g. "lz4:2g,zstd:4g,ssd" (empty = default chain)`)
+	tiersStr := flag.String("tiers", "", `swap tier chain, fastest first, replacing the mode's default layout, e.g. "lz4:2g,zstd:4g,ssd" (a bare ssd gets 4x DRAM)`)
 	durStr := flag.String("duration", "30m", "virtual time to simulate")
 	capMiB := flag.Int64("capacity", 0, "host DRAM in MiB (0 = 2x app footprint)")
 	cxlMiB := flag.Int64("cxl-bytes", 0, "CXL far-node size in MiB for -mode cxl (0 = DRAM-sized)")
@@ -84,8 +84,8 @@ func main() {
 	}
 	var tiers []backend.TierSpec
 	if *tiersStr != "" {
-		if mode != core.ModeTiered {
-			fatal(fmt.Errorf("-tiers requires -mode tiered (got %s)", mode))
+		if mode == core.ModeOff || mode == core.ModeFileOnly {
+			fatal(fmt.Errorf("-tiers requires a swap mode (got %s)", mode))
 		}
 		tiers = cliutil.MustTierSpec("tmosim", *tiersStr)
 	}

@@ -45,7 +45,7 @@ func main() {
 			fmt.Printf("-- write regulation enabled at %.0f B/s --\n", budget)
 		}
 		sys.Run(step)
-		written := sys.SSDSwap.Stats().WrittenBytes
+		written := sys.Chain.Stats().WrittenBytes
 		rate := float64(written-lastWritten) / step.Seconds()
 		lastWritten = written
 		phase := "unregulated"

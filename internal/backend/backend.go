@@ -1,16 +1,19 @@
 // Package backend implements TMO's offload backends: the slow-memory tiers
 // that hold memory offloaded from DRAM (§2.5, §3.4.1 of the paper).
 //
-// Two swap backends are provided — a zswap-style compressed memory pool and
-// NVMe SSD swap — plus the filesystem path used to reload evicted file
-// cache. SSD devices are modeled after the fleet heterogeneity of Fig. 5:
-// seven device generations (A-G) spanning a 470us-9.3ms p99 read-latency
-// range, with per-device IOPS ceilings and write-endurance budgets.
+// The swap substrates — a zswap-style compressed memory pool, NVMe SSD
+// swap, and byte-addressable NVM — are stacked by TierChain, which is how
+// every swap mode is assembled: a one-tier chain is a plain pool, swap
+// partition, or NVM device. The filesystem path reloads evicted file cache.
+// SSD devices are modeled after the fleet heterogeneity of Fig. 5: seven
+// device generations (A-G) spanning a 470us-9.3ms p99 read-latency range,
+// with per-device IOPS ceilings and write-endurance budgets.
 //
 // The memory manager stores and loads pages through the SwapBackend
 // interface without knowing which tier it is talking to; the resulting
-// fault latencies feed PSI, which is how Senpai adapts to backend
-// performance without device-specific configuration.
+// fault latencies feed PSI (LoadResult.BlockIO routes a load's stall to IO
+// pressure too), which is how Senpai adapts to backend performance without
+// device-specific configuration.
 package backend
 
 import (
@@ -18,25 +21,6 @@ import (
 
 	"tmo/internal/vclock"
 )
-
-// Kind distinguishes the backend tiers, which matters for PSI accounting: a
-// zswap load is pure decompression (memory stall only) while an SSD load is
-// block IO (memory and IO stall).
-type Kind int
-
-// The supported backend kinds.
-const (
-	KindZswap Kind = iota
-	KindSSD
-)
-
-// String names the backend kind.
-func (k Kind) String() string {
-	if k == KindZswap {
-		return "zswap"
-	}
-	return "ssd"
-}
 
 // Handle identifies a stored page within a backend.
 type Handle uint64
@@ -107,10 +91,6 @@ type Stats struct {
 
 // SwapBackend is a tier that holds offloaded anonymous pages.
 type SwapBackend interface {
-	// Name returns a human-readable backend name for reports.
-	Name() string
-	// Kind reports the tier type.
-	Kind() Kind
 	// Store offloads one page of pageBytes whose content compresses by
 	// compressRatio (uncompressed/compressed, >= 1).
 	Store(now vclock.Time, pageBytes int64, compressRatio float64) (StoreResult, error)

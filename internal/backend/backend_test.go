@@ -2,7 +2,6 @@ package backend
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -105,9 +104,6 @@ func TestQueueFactorBounds(t *testing.T) {
 func TestSSDSwapStoreLoadFree(t *testing.T) {
 	dev := NewSSDDevice(DeviceCatalog[2], 3)
 	sw := NewSSDSwap(dev, 0)
-	if sw.Kind() != KindSSD || !strings.Contains(sw.Name(), "ssd") {
-		t.Fatalf("kind/name wrong: %v %q", sw.Kind(), sw.Name())
-	}
 	res, err := sw.Store(0, pageSize, 4.0)
 	if err != nil {
 		t.Fatal(err)
@@ -201,9 +197,6 @@ func TestFilesystemReads(t *testing.T) {
 
 func TestZswapStoreLoad(t *testing.T) {
 	z := NewZswap(CodecZstd, AllocZsmalloc, 0, 8)
-	if z.Kind() != KindZswap {
-		t.Fatalf("kind = %v", z.Kind())
-	}
 	res, err := z.Store(0, pageSize, 4.0) // Web-like 4x compressibility
 	if err != nil {
 		t.Fatal(err)

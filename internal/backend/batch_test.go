@@ -345,7 +345,7 @@ func TestTieredLoadBatchPartitionsTiers(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	mkChain := func() *TierChain {
 		return NewTierChain(
-			DefaultChainSpecs(256*pageSize, 0),
+			DefaultChainSpecs(256*pageSize, 1<<30),
 			NewSSDDevice(spec, 4), 3)
 	}
 	tr := mkChain()

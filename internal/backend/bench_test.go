@@ -27,7 +27,7 @@ func BenchmarkSSDRead(b *testing.B) {
 }
 
 func BenchmarkTieredStoreLoad(b *testing.B) {
-	tr := NewTierChain(DefaultChainSpecs(64<<20, 0), NewSSDDevice(DeviceCatalog[2], 94), 93)
+	tr := NewTierChain(DefaultChainSpecs(64<<20, 1<<30), NewSSDDevice(DeviceCatalog[2], 94), 93)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ratio := 3.0

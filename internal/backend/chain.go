@@ -2,7 +2,6 @@ package backend
 
 import (
 	"fmt"
-	"strings"
 
 	"tmo/internal/telemetry"
 	"tmo/internal/trace"
@@ -17,8 +16,12 @@ import (
 // headroom, cold pages demote down-chain when a tier crosses its pressure
 // watermark, and refaulting pages promote back up so a page's resting tier
 // tracks its actual reuse distance.
+//
+// Every swap mode is a chain: a one-tier chain is a plain zswap pool, SSD
+// swap partition, or NVM device, and forwards each operation straight to
+// that tier's backend with no indirection.
 
-// TierKind distinguishes the two tier substrates a chain can stack.
+// TierKind distinguishes the tier substrates a chain can stack.
 type TierKind int
 
 // The supported tier kinds.
@@ -28,6 +31,10 @@ const (
 	// TierSSD is uncompressed swap on the host SSD. At most one SSD tier
 	// is allowed and it must be the last (slowest) tier.
 	TierSSD
+	// TierNVM is byte-addressable persistent memory (SpecNVMOptane): no
+	// compression, no block IO, no host DRAM. Like TierSSD it must be the
+	// last tier.
+	TierNVM
 )
 
 // TierSpec describes one tier of a chain: its substrate, capacity, and
@@ -37,13 +44,13 @@ type TierSpec struct {
 	Kind TierKind
 	// Codec is the compression algorithm for TierZswap tiers; its
 	// RatioFactor and latency distributions give the tier its point on the
-	// latency/ratio curve. Ignored for TierSSD.
+	// latency/ratio curve. Ignored for uncompressed tiers.
 	Codec Codec
 	// Alloc is the pool allocator for TierZswap tiers; the zero value
-	// defaults to zsmalloc. Ignored for TierSSD.
+	// defaults to zsmalloc. Ignored for uncompressed tiers.
 	Alloc Allocator
-	// CapacityBytes bounds the tier: the pool's DRAM budget for TierZswap
-	// (must be finite) or the partition size for TierSSD (0 = unbounded).
+	// CapacityBytes bounds the tier and must be positive: the pool's DRAM
+	// budget for TierZswap, the partition or device size otherwise.
 	CapacityBytes int64
 	// MinCompressRatio is the admission threshold for TierZswap tiers: a
 	// page is admitted only when its effective ratio (content ratio x the
@@ -83,10 +90,13 @@ func (ts *TierSpec) normalize() {
 }
 
 // Label names the tier for telemetry and signatures: the codec name for
-// compressed tiers, "ssd" for the swap tier.
+// compressed tiers, "ssd" or "nvm" for the uncompressed last tier.
 func (ts TierSpec) Label() string {
-	if ts.Kind == TierSSD {
+	switch ts.Kind {
+	case TierSSD:
 		return "ssd"
+	case TierNVM:
+		return "nvm"
 	}
 	return ts.Codec.Name
 }
@@ -135,28 +145,26 @@ type chainEntry struct {
 // chainTier is one instantiated tier.
 type chainTier struct {
 	spec TierSpec
-	zs   *Zswap   // TierZswap tiers
-	ssd  *SSDSwap // TierSSD tier (last only)
+	b    SwapBackend // the tier's substrate
+	zs   *Zswap      // b for TierZswap tiers, else nil
+	ssd  *SSDSwap    // b for the TierSSD tier, else nil
 	// inverse maps inner pool handles back to outer handles so watermark
-	// demotion can resolve LRU victims. Compressed tiers only.
+	// demotion can resolve LRU victims. Compressed tiers of multi-tier
+	// chains only.
 	inverse map[Handle]Handle
 
 	// Registry instruments, nil until EnableTelemetry.
 	telStores, telDemotions, telRefaults *telemetry.Counter
 }
 
-func (t *chainTier) backend() SwapBackend {
-	if t.ssd != nil {
-		return t.ssd
-	}
-	return t.zs
-}
-
 // TierChain is an ordered chain of offload tiers implementing SwapBackend.
 // Tier 0 is the fastest; placement walks down-chain until a tier admits the
 // page and has headroom, ErrFull surfaces only when the last tier is full.
 type TierChain struct {
-	tiers   []chainTier
+	tiers []chainTier
+	// single is the only tier's backend in a one-tier chain, which every
+	// operation forwards to directly; nil otherwise.
+	single  SwapBackend
 	entries map[Handle]chainEntry
 	next    Handle
 
@@ -184,58 +192,61 @@ type TierChain struct {
 	trace                                        *trace.Log
 }
 
-// NewTierChain builds a chain from specs. Compressed tiers need a finite
-// CapacityBytes; at most one SSD tier is allowed and it must be last,
-// carved from dev (which the filesystem may share). seed derives each
-// compressed tier's latency-sampling stream.
+// NewTierChain builds a chain from specs. Every tier needs a positive
+// CapacityBytes; at most one uncompressed tier (SSD or NVM) is allowed and
+// it must be last. The SSD tier is carved from dev (which the filesystem may
+// share). seed derives each tier's latency-sampling stream.
 func NewTierChain(specs []TierSpec, dev *SSDDevice, seed uint64) *TierChain {
 	if len(specs) == 0 {
 		panic("backend: tier chain needs at least one tier")
 	}
-	c := &TierChain{
-		entries:      make(map[Handle]chainEntry),
-		loadScratch:  make([][]Handle, len(specs)),
-		storeReqs:    make([][]StoreReq, len(specs)),
-		storeOut:     make([][]StoreResult, len(specs)),
-		storeIdx:     make([][]int, len(specs)),
-		storePending: make([]int64, len(specs)),
-	}
+	c := &TierChain{}
 	for i, ts := range specs {
 		ts.normalize()
+		if ts.CapacityBytes <= 0 {
+			panic(fmt.Sprintf("backend: chain tier %d (%s) needs a positive capacity", i, ts.Label()))
+		}
+		if ts.Kind != TierZswap && i != len(specs)-1 {
+			panic(fmt.Sprintf("backend: chain %s tier must be last (got position %d)", ts.Label(), i))
+		}
+		tierSeed := seed + uint64(i)*0x9e3779b9
+		t := chainTier{spec: ts}
 		switch ts.Kind {
 		case TierZswap:
-			if ts.CapacityBytes <= 0 {
-				panic(fmt.Sprintf("backend: chain tier %d (%s) needs a finite pool budget", i, ts.Label()))
-			}
-			zs := NewZswap(ts.Codec, ts.Alloc, ts.CapacityBytes, seed+uint64(i)*0x9e3779b9)
-			c.tiers = append(c.tiers, chainTier{spec: ts, zs: zs, inverse: make(map[Handle]Handle)})
+			t.zs = NewZswap(ts.Codec, ts.Alloc, ts.CapacityBytes, tierSeed)
+			t.b = t.zs
 		case TierSSD:
-			if i != len(specs)-1 {
-				panic(fmt.Sprintf("backend: chain SSD tier must be last (got position %d)", i))
-			}
 			if dev == nil {
 				panic("backend: chain SSD tier needs a device")
 			}
-			c.tiers = append(c.tiers, chainTier{spec: ts, ssd: NewSSDSwap(dev, ts.CapacityBytes)})
+			t.ssd = NewSSDSwap(dev, ts.CapacityBytes)
+			t.b = t.ssd
+		case TierNVM:
+			nvm := SpecNVMOptane
+			nvm.CapacityBytes = ts.CapacityBytes
+			t.b = NewNVM(nvm, tierSeed)
 		default:
 			panic(fmt.Sprintf("backend: unknown tier kind %d", ts.Kind))
 		}
+		c.tiers = append(c.tiers, t)
 	}
+	if len(c.tiers) == 1 {
+		c.single = c.tiers[0].b
+		return c
+	}
+	c.entries = make(map[Handle]chainEntry)
+	for i := range c.tiers {
+		if c.tiers[i].zs != nil {
+			c.tiers[i].inverse = make(map[Handle]Handle)
+		}
+	}
+	c.loadScratch = make([][]Handle, len(specs))
+	c.storeReqs = make([][]StoreReq, len(specs))
+	c.storeOut = make([][]StoreResult, len(specs))
+	c.storeIdx = make([][]int, len(specs))
+	c.storePending = make([]int64, len(specs))
 	return c
 }
-
-// Name implements SwapBackend.
-func (c *TierChain) Name() string {
-	labels := make([]string, len(c.tiers))
-	for i, t := range c.tiers {
-		labels[i] = t.spec.Label()
-	}
-	return "chain(" + strings.Join(labels, "+") + ")"
-}
-
-// Kind implements SwapBackend; the chain fronts as zswap because fast-tier
-// loads dominate, and Load reports block IO accurately per page.
-func (c *TierChain) Kind() Kind { return KindZswap }
 
 // NumTiers returns the chain length.
 func (c *TierChain) NumTiers() int { return len(c.tiers) }
@@ -250,7 +261,7 @@ func (c *TierChain) TierSpecs() []TierSpec {
 }
 
 // TierStats reports tier i's contents and traffic.
-func (c *TierChain) TierStats(i int) Stats { return c.tiers[i].backend().Stats() }
+func (c *TierChain) TierStats(i int) Stats { return c.tiers[i].b.Stats() }
 
 // Demotions returns how many pages watermark pressure has moved down-chain.
 func (c *TierChain) Demotions() int64 { return c.demotions }
@@ -273,21 +284,17 @@ func (c *TierChain) SSD() *SSDSwap {
 	return last.ssd
 }
 
-// CapacityBytes returns the chain's total capacity across tiers, or 0 if
-// any tier is unbounded.
+// CapacityBytes returns the chain's total capacity across tiers.
 func (c *TierChain) CapacityBytes() int64 {
 	var sum int64
 	for _, t := range c.tiers {
-		if t.spec.CapacityBytes <= 0 {
-			return 0
-		}
 		sum += t.spec.CapacityBytes
 	}
 	return sum
 }
 
 // ConfigureWriteback replaces the SSD tier's async writeback-queue limits;
-// a no-op for all-compressed chains.
+// a no-op for chains without an SSD tier.
 func (c *TierChain) ConfigureWriteback(cfg WritebackConfig) {
 	if s := c.SSD(); s != nil {
 		s.ConfigureWriteback(cfg)
@@ -298,7 +305,7 @@ func (c *TierChain) ConfigureWriteback(cfg WritebackConfig) {
 // compression ratio.
 func (c *TierChain) admissible(t int, ratio float64) bool {
 	tier := &c.tiers[t]
-	if tier.ssd != nil {
+	if tier.zs == nil {
 		return true
 	}
 	return ratio*tier.spec.Codec.RatioFactor >= tier.spec.MinCompressRatio
@@ -308,7 +315,7 @@ func (c *TierChain) admissible(t int, ratio float64) bool {
 // exactly the size the tier's own admission check will use.
 func (c *TierChain) storedSize(t int, pageBytes int64, ratio float64) int64 {
 	tier := &c.tiers[t]
-	if tier.ssd != nil {
+	if tier.zs == nil {
 		return pageBytes
 	}
 	return tier.spec.Alloc.StoredSize(pageBytes, ratio*tier.spec.Codec.RatioFactor)
@@ -326,10 +333,7 @@ func (c *TierChain) storedSize(t int, pageBytes int64, ratio float64) int64 {
 func (c *TierChain) fits(t int, stored, pending int64, refault bool) bool {
 	tier := &c.tiers[t]
 	cap := tier.spec.CapacityBytes
-	if cap <= 0 {
-		return true // unbounded SSD tier
-	}
-	occ := tier.backend().Stats().StoredBytes + pending
+	occ := tier.b.Stats().StoredBytes + pending
 	if occ+stored > cap {
 		return false
 	}
@@ -412,6 +416,9 @@ func (c *TierChain) register(outer Handle, t int, inner Handle, logical int64, r
 // Store implements SwapBackend, a one-page batch (scratch-backed so the
 // single-page reclaim path stays allocation-free).
 func (c *TierChain) Store(now vclock.Time, pageBytes int64, compressRatio float64) (StoreResult, error) {
+	if c.single != nil {
+		return c.single.Store(now, pageBytes, compressRatio)
+	}
 	c.oneReq[0] = StoreReq{PageBytes: pageBytes, CompressRatio: compressRatio}
 	if _, err := c.StoreBatch(now, c.oneReq[:], c.oneOut[:]); err != nil {
 		return StoreResult{}, err
@@ -426,6 +433,9 @@ func (c *TierChain) Store(now vclock.Time, pageBytes int64, compressRatio float6
 // batch stores a prefix: the first page with no destination anywhere in the
 // chain defines n and ErrFull is returned.
 func (c *TierChain) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResult) (int, error) {
+	if c.single != nil {
+		return c.single.StoreBatch(now, reqs, out)
+	}
 	for t := range c.tiers {
 		c.storeReqs[t] = c.storeReqs[t][:0]
 		c.storeIdx[t] = c.storeIdx[t][:0]
@@ -457,7 +467,7 @@ func (c *TierChain) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResu
 			c.storeOut[t] = make([]StoreResult, len(sub))
 		}
 		subOut := c.storeOut[t][:len(sub)]
-		m, err := c.tiers[t].backend().StoreBatch(now, sub, subOut)
+		m, err := c.tiers[t].b.StoreBatch(now, sub, subOut)
 		if err != nil || m != len(sub) {
 			// The projection uses the tiers' exact admission formulas, so a
 			// mismatch means the bookkeeping is out of sync.
@@ -482,23 +492,26 @@ func (c *TierChain) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResu
 
 // Load implements SwapBackend.
 func (c *TierChain) Load(now vclock.Time, h Handle) LoadResult {
+	if c.single != nil {
+		return c.single.Load(now, h)
+	}
 	e, ok := c.entries[h]
 	if !ok {
 		panic(fmt.Sprintf("backend: load of unknown chain handle %d", h))
 	}
 	delete(c.entries, h)
 	tier := &c.tiers[e.tier]
-	if tier.zs != nil {
-		delete(tier.inverse, e.inner)
-		return tier.zs.Load(now, e.inner)
-	}
-	return tier.ssd.Load(now, e.inner)
+	delete(tier.inverse, e.inner)
+	return tier.b.Load(now, e.inner)
 }
 
 // LoadBatch implements SwapBackend: the cluster is partitioned by tier and
 // each tier serves its share as one submission; the latencies sum — fast
 // tiers decompress while the SSD seeks once for all its pages.
 func (c *TierChain) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
+	if c.single != nil {
+		return c.single.LoadBatch(now, hs)
+	}
 	for t := range c.tiers {
 		c.loadScratch[t] = c.loadScratch[t][:0]
 	}
@@ -508,10 +521,7 @@ func (c *TierChain) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
 			panic(fmt.Sprintf("backend: load of unknown chain handle %d", h))
 		}
 		delete(c.entries, h)
-		tier := &c.tiers[e.tier]
-		if tier.zs != nil {
-			delete(tier.inverse, e.inner)
-		}
+		delete(c.tiers[e.tier].inverse, e.inner)
 		c.loadScratch[e.tier] = append(c.loadScratch[e.tier], e.inner)
 	}
 	var res BatchLoadResult
@@ -520,7 +530,7 @@ func (c *TierChain) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
 		if len(part) == 0 {
 			continue
 		}
-		r := c.tiers[t].backend().LoadBatch(now, part)
+		r := c.tiers[t].b.LoadBatch(now, part)
 		res.Latency += r.Latency
 		res.BlockIO = res.BlockIO || r.BlockIO
 	}
@@ -531,6 +541,10 @@ func (c *TierChain) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
 // swap-out writes due by now, then the chain manager runs one watermark
 // pass, demoting LRU entries out of any tier above its HighWater mark.
 func (c *TierChain) DrainWriteback(now vclock.Time) {
+	if c.single != nil {
+		c.single.DrainWriteback(now)
+		return
+	}
 	if s := c.SSD(); s != nil {
 		s.DrainWriteback(now)
 	}
@@ -608,9 +622,9 @@ func (c *TierChain) demoteBatch(now vclock.Time, t int) (moved int, backpressure
 		}
 		delete(tier.inverse, inner)
 
-		if c.tiers[dst].ssd != nil {
-			// SSD-bound victims batch into one submission below. Swap
-			// stores pages uncompressed, so the ratio is irrelevant there.
+		if c.tiers[dst].zs == nil {
+			// Victims bound for the uncompressed last tier batch into one
+			// submission below; the ratio is irrelevant there.
 			c.storePending[dst] += logical
 			c.demoteOuters = append(c.demoteOuters, outer)
 			c.demoteReqs = append(c.demoteReqs, StoreReq{PageBytes: logical, CompressRatio: e.ratio})
@@ -626,19 +640,19 @@ func (c *TierChain) demoteBatch(now vclock.Time, t int) (moved int, backpressure
 	}
 
 	if len(c.demoteReqs) > 0 {
-		ssdTier := len(c.tiers) - 1
+		last := len(c.tiers) - 1
 		if cap(c.demoteOut) < len(c.demoteReqs) {
 			c.demoteOut = make([]StoreResult, len(c.demoteReqs))
 		}
 		subOut := c.demoteOut[:len(c.demoteReqs)]
-		m, err := c.tiers[ssdTier].ssd.StoreBatch(now, c.demoteReqs, subOut)
+		m, err := c.tiers[last].b.StoreBatch(now, c.demoteReqs, subOut)
 		if err != nil || m != len(c.demoteReqs) {
-			panic(fmt.Sprintf("backend: chain SSD tier rejected %d/%d projected demotions: %v",
-				len(c.demoteReqs)-m, len(c.demoteReqs), err))
+			panic(fmt.Sprintf("backend: chain %s tier rejected %d/%d projected demotions: %v",
+				c.tiers[last].spec.Label(), len(c.demoteReqs)-m, len(c.demoteReqs), err))
 		}
 		for j, outer := range c.demoteOuters {
-			c.register(outer, ssdTier, subOut[j].Handle, c.demoteReqs[j].PageBytes, c.demoteReqs[j].CompressRatio)
-			c.noteDemotion(now, tier, t, ssdTier, c.demoteReqs[j].PageBytes)
+			c.register(outer, last, subOut[j].Handle, c.demoteReqs[j].PageBytes, c.demoteReqs[j].CompressRatio)
+			c.noteDemotion(now, tier, t, last, c.demoteReqs[j].PageBytes)
 			moved++
 		}
 		// A nonzero latency on the first page is the writeback queue's
@@ -662,25 +676,25 @@ func (c *TierChain) noteDemotion(now vclock.Time, src *chainTier, from, to int, 
 
 // Free implements SwapBackend.
 func (c *TierChain) Free(h Handle) {
+	if c.single != nil {
+		c.single.Free(h)
+		return
+	}
 	e, ok := c.entries[h]
 	if !ok {
 		return
 	}
 	delete(c.entries, h)
 	tier := &c.tiers[e.tier]
-	if tier.zs != nil {
-		delete(tier.inverse, e.inner)
-		tier.zs.Free(e.inner)
-	} else {
-		tier.ssd.Free(e.inner)
-	}
+	delete(tier.inverse, e.inner)
+	tier.b.Free(e.inner)
 }
 
 // Stats implements SwapBackend, merging every tier.
 func (c *TierChain) Stats() Stats {
 	var sum Stats
 	for i := range c.tiers {
-		s := c.tiers[i].backend().Stats()
+		s := c.tiers[i].b.Stats()
 		sum.StoredPages += s.StoredPages
 		sum.LogicalBytes += s.LogicalBytes
 		sum.StoredBytes += s.StoredBytes
@@ -703,9 +717,7 @@ func (c *TierChain) WriteRate(now vclock.Time) float64 {
 func (c *TierChain) PoolBytes() int64 {
 	var sum int64
 	for i := range c.tiers {
-		if c.tiers[i].zs != nil {
-			sum += c.tiers[i].zs.PoolBytes()
-		}
+		sum += c.tiers[i].b.PoolBytes()
 	}
 	return sum
 }

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"errors"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -9,11 +10,12 @@ import (
 )
 
 // driftChain builds the canonical two-tier test chain: a zstd dense tier
-// with the paper's 1.5x admission threshold over unbounded SSD swap.
+// with the paper's 1.5x admission threshold over an SSD tier far larger
+// than any test fills.
 func driftChain(poolBytes int64) *TierChain {
 	specs := []TierSpec{
 		{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: poolBytes, MinCompressRatio: 1.5},
-		{Kind: TierSSD},
+		{Kind: TierSSD, CapacityBytes: 1 << 30},
 	}
 	return NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 31), 31)
 }
@@ -91,7 +93,7 @@ func TestChainSerialBatchEquivalence(t *testing.T) {
 		specs := []TierSpec{
 			{Kind: TierZswap, Codec: CodecLz4, CapacityBytes: 8 * pageSize, MinCompressRatio: 2.0},
 			{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 48 * pageSize, MinCompressRatio: 1.5},
-			{Kind: TierSSD},
+			{Kind: TierSSD, CapacityBytes: 1 << 30},
 		}
 		return NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 7), 7)
 	}
@@ -320,5 +322,169 @@ func TestChainConcurrentHosts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("host %d: %v", g, err)
 		}
+	}
+}
+
+// TestChainSingleTierForwards: a one-tier chain is its tier's backend. The
+// same seeded op sequence — stores, batches that overrun a small tier,
+// loads, frees, drains — driven into the chain and into the bare backend
+// must produce identical results, handles, ErrFull prefixes and Stats.
+func TestChainSingleTierForwards(t *testing.T) {
+	const capacity = 48 * pageSize
+	const seed = 17
+	nvm := SpecNVMOptane
+	nvm.CapacityBytes = capacity
+	cases := []struct {
+		name string
+		spec TierSpec
+		bare func() SwapBackend
+	}{
+		{"zstd", TierSpec{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: capacity},
+			func() SwapBackend { return NewZswap(CodecZstd, AllocZsmalloc, capacity, seed) }},
+		{"lz4", TierSpec{Kind: TierZswap, Codec: CodecLz4, CapacityBytes: capacity},
+			func() SwapBackend { return NewZswap(CodecLz4, AllocZsmalloc, capacity, seed) }},
+		{"ssd", TierSpec{Kind: TierSSD, CapacityBytes: capacity},
+			func() SwapBackend { return NewSSDSwap(NewSSDDevice(DeviceCatalog[2], seed), capacity) }},
+		{"nvm", TierSpec{Kind: TierNVM, CapacityBytes: capacity},
+			func() SwapBackend { return NewNVM(nvm, seed) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			chain := NewTierChain([]TierSpec{tc.spec}, NewSSDDevice(DeviceCatalog[2], seed), seed)
+			bare := tc.bare()
+			rng := rand.New(rand.NewPCG(seed, uint64(len(tc.name))))
+			now := vclock.Time(vclock.Second)
+			var live []Handle
+			fulls := 0
+			for op := 0; op < 2000; op++ {
+				now += vclock.Time(rng.IntN(int(50 * vclock.Millisecond)))
+				switch k := rng.IntN(10); {
+				case k < 3:
+					ratio := 1 + 3*rng.Float64()
+					a, errA := chain.Store(now, pageSize, ratio)
+					b, errB := bare.Store(now, pageSize, ratio)
+					if a != b || errA != errB {
+						t.Fatalf("op %d Store: chain %+v %v, bare %+v %v", op, a, errA, b, errB)
+					}
+					if errA == nil {
+						live = append(live, a.Handle)
+					} else {
+						fulls++
+					}
+				case k < 5:
+					reqs := make([]StoreReq, 1+rng.IntN(16))
+					for i := range reqs {
+						reqs[i] = StoreReq{PageBytes: pageSize, CompressRatio: 1 + 3*rng.Float64(), Refault: rng.IntN(2) == 0}
+					}
+					outA, outB := make([]StoreResult, len(reqs)), make([]StoreResult, len(reqs))
+					nA, errA := chain.StoreBatch(now, reqs, outA)
+					nB, errB := bare.StoreBatch(now, reqs, outB)
+					if nA != nB || errA != errB {
+						t.Fatalf("op %d StoreBatch: chain %d %v, bare %d %v", op, nA, errA, nB, errB)
+					}
+					for i := 0; i < nA; i++ {
+						if outA[i] != outB[i] {
+							t.Fatalf("op %d StoreBatch page %d: chain %+v, bare %+v", op, i, outA[i], outB[i])
+						}
+						live = append(live, outA[i].Handle)
+					}
+					if errors.Is(errA, ErrFull) {
+						fulls++
+					}
+				case k < 7 && len(live) > 0:
+					i := rng.IntN(len(live))
+					h := live[i]
+					live = append(live[:i], live[i+1:]...)
+					if a, b := chain.Load(now, h), bare.Load(now, h); a != b {
+						t.Fatalf("op %d Load: chain %+v, bare %+v", op, a, b)
+					}
+				case k < 8 && len(live) > 0:
+					n := 1 + rng.IntN(min(8, len(live)))
+					hs := append([]Handle(nil), live[:n]...)
+					live = live[n:]
+					if a, b := chain.LoadBatch(now, hs), bare.LoadBatch(now, hs); a != b {
+						t.Fatalf("op %d LoadBatch: chain %+v, bare %+v", op, a, b)
+					}
+				case k < 9 && len(live) > 0:
+					h := live[len(live)-1]
+					live = live[:len(live)-1]
+					chain.Free(h)
+					bare.Free(h)
+				default:
+					chain.DrainWriteback(now)
+					bare.DrainWriteback(now)
+				}
+				if a, b := chain.Stats(), bare.Stats(); a != b {
+					t.Fatalf("op %d Stats: chain %+v, bare %+v", op, a, b)
+				}
+				if a, b := chain.PoolBytes(), bare.PoolBytes(); a != b {
+					t.Fatalf("op %d PoolBytes: chain %d, bare %d", op, a, b)
+				}
+				if a, b := chain.WriteRate(now), bare.WriteRate(now); a != b {
+					t.Fatalf("op %d WriteRate: chain %v, bare %v", op, a, b)
+				}
+			}
+			if fulls == 0 {
+				t.Fatalf("sequence never filled the %d-byte tier", capacity)
+			}
+		})
+	}
+}
+
+// TestChainRejectsBadLayouts: every tier must be sized (the chain has no
+// unbounded tier — callers size a bare SSD tier themselves), and an
+// uncompressed tier can only be the last one.
+func TestChainRejectsBadLayouts(t *testing.T) {
+	dev := NewSSDDevice(DeviceCatalog[2], 5)
+	for name, specs := range map[string][]TierSpec{
+		"empty":        nil,
+		"unsized pool": {{Kind: TierZswap, Codec: CodecZstd}},
+		"unsized ssd":  {{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 1 << 20}, {Kind: TierSSD}},
+		"nvm not last": {{Kind: TierNVM, CapacityBytes: 1 << 20}, {Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 1 << 20}},
+		"ssd not last": {{Kind: TierSSD, CapacityBytes: 1 << 20}, {Kind: TierNVM, CapacityBytes: 1 << 20}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewTierChain accepted %+v", name, specs)
+				}
+			}()
+			NewTierChain(specs, dev, 5)
+		}()
+	}
+}
+
+// TestChainDemotesIntoNVM: an NVM last tier takes watermark demotions the
+// way an SSD tier does, minus the writeback queue, and costs no host DRAM.
+func TestChainDemotesIntoNVM(t *testing.T) {
+	const poolBytes = 64 * pageSize
+	c := NewTierChain([]TierSpec{
+		{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: poolBytes},
+		{Kind: TierNVM, CapacityBytes: 1 << 30},
+	}, nil, 9)
+	now := vclock.Time(vclock.Second)
+	var handles []Handle
+	for i := 0; i < 300; i++ {
+		res, err := c.Store(now, pageSize, 2.0)
+		if err != nil {
+			t.Fatalf("store %d: %v", i, err)
+		}
+		handles = append(handles, res.Handle)
+		if i%8 == 7 {
+			now += vclock.Time(vclock.Second)
+			c.DrainWriteback(now)
+		}
+	}
+	if c.Demotions() == 0 || c.TierStats(1).StoredPages == 0 {
+		t.Fatalf("nothing demoted into NVM: demotions %d, nvm %+v", c.Demotions(), c.TierStats(1))
+	}
+	if c.PoolBytes() != c.TierStats(0).StoredBytes {
+		t.Fatalf("pool bytes %d != compressed tier bytes %d", c.PoolBytes(), c.TierStats(0).StoredBytes)
+	}
+	if r := c.LoadBatch(now, handles); r.BlockIO {
+		t.Fatalf("NVM/zswap loads reported block IO")
+	}
+	if st := c.Stats(); st.StoredPages != 0 {
+		t.Fatalf("chain not empty after loading every handle: %+v", st)
 	}
 }

@@ -87,9 +87,6 @@ func NewCXLNode(spec CXLNodeSpec) *CXLNode {
 // Spec returns the node description.
 func (n *CXLNode) Spec() CXLNodeSpec { return n.spec }
 
-// Name returns the catalog label.
-func (n *CXLNode) Name() string { return n.spec.Kind }
-
 // CapacityBytes returns the node's size.
 func (n *CXLNode) CapacityBytes() int64 { return n.spec.CapacityBytes }
 

@@ -62,16 +62,6 @@ func NewNVM(spec NVMSpec, seed uint64) *NVM {
 	}
 }
 
-// Spec returns the device description.
-func (n *NVM) Spec() NVMSpec { return n.spec }
-
-// Name implements SwapBackend.
-func (n *NVM) Name() string { return n.spec.Kind }
-
-// Kind implements SwapBackend: NVM/CXL loads are memory stalls without
-// block IO, the same pressure signature as zswap.
-func (n *NVM) Kind() Kind { return KindZswap }
-
 // Store implements SwapBackend. Pages move uncompressed; the store is a
 // memory copy whose cost is negligible at the simulation's resolution.
 func (n *NVM) Store(now vclock.Time, pageBytes int64, _ float64) (StoreResult, error) {

@@ -8,9 +8,6 @@ import (
 
 func TestNVMStoreLoadFree(t *testing.T) {
 	n := NewNVM(SpecNVMOptane, 71)
-	if n.Kind() != KindZswap {
-		t.Fatalf("NVM loads must have the memory-only pressure signature")
-	}
 	res, err := n.Store(0, pageSize, 3.0)
 	if err != nil {
 		t.Fatal(err)

@@ -354,17 +354,8 @@ func (s *SSDSwap) ConfigureWriteback(cfg WritebackConfig) {
 // Device exposes the underlying SSD (shared with the filesystem).
 func (s *SSDSwap) Device() *SSDDevice { return s.dev }
 
-// Capacity returns the partition size in bytes (0 = unbounded).
-func (s *SSDSwap) Capacity() int64 { return s.capacity }
-
 // QueueDepth returns the current async writeback queue depth.
 func (s *SSDSwap) QueueDepth() int { return s.wb.depth() }
-
-// Name implements SwapBackend.
-func (s *SSDSwap) Name() string { return "swap-ssd-" + s.dev.Spec.Model }
-
-// Kind implements SwapBackend.
-func (s *SSDSwap) Kind() Kind { return KindSSD }
 
 // admit reserves space for one page, recording it under a fresh handle.
 func (s *SSDSwap) admit(pageBytes int64) (Handle, bool) {

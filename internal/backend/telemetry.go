@@ -47,15 +47,24 @@ func (z *Zswap) EnableTelemetry(reg *telemetry.Registry) {
 // tier position and substrate (e.g. tier="0-lz4") so stacked compressed
 // pools stay distinguishable — the unlabelled backend.zswap.* series would
 // merge two pools into one stream. The SSD tier additionally wires its
-// writeback-queue instruments.
+// writeback-queue instruments. A one-tier chain has nothing to label apart:
+// it wires its backend's own instruments (backend.zswap.* or backend.wb.*).
 func (c *TierChain) EnableTelemetry(reg *telemetry.Registry) {
+	if c.single != nil {
+		if t := &c.tiers[0]; t.zs != nil {
+			t.zs.EnableTelemetry(reg)
+		} else if t.ssd != nil {
+			t.ssd.EnableTelemetry(reg)
+		}
+		return
+	}
 	for i := range c.tiers {
 		t := &c.tiers[i]
 		lbl := telemetry.Label{Key: "tier", Value: fmt.Sprintf("%d-%s", i, t.spec.Label())}
 		t.telStores = reg.Counter("backend.tier.stores", lbl)
 		t.telDemotions = reg.Counter("backend.tier.demotions", lbl)
 		t.telRefaults = reg.Counter("backend.tier.refaults", lbl)
-		b := t.backend()
+		b := t.b
 		reg.GaugeFunc("backend.tier.pages", func() float64 { return float64(b.Stats().StoredPages) }, lbl)
 		reg.GaugeFunc("backend.tier.stored_bytes", func() float64 { return float64(b.Stats().StoredBytes) }, lbl)
 		reg.GaugeFunc("backend.tier.ratio", func() float64 {

@@ -115,18 +115,6 @@ func NewZswap(codec Codec, alloc Allocator, maxPoolBytes int64, seed uint64) *Zs
 	}
 }
 
-// Name implements SwapBackend.
-func (z *Zswap) Name() string { return "zswap-" + z.codec.Name + "-" + z.alloc.Name }
-
-// Kind implements SwapBackend.
-func (z *Zswap) Kind() Kind { return KindZswap }
-
-// Codec returns the pool's compression algorithm.
-func (z *Zswap) Codec() Codec { return z.codec }
-
-// Allocator returns the pool's allocator.
-func (z *Zswap) Allocator() Allocator { return z.alloc }
-
 // Store implements SwapBackend.
 func (z *Zswap) Store(now vclock.Time, pageBytes int64, compressRatio float64) (StoreResult, error) {
 	eff := compressRatio * z.codec.RatioFactor
@@ -251,9 +239,6 @@ func (z *Zswap) Rejected() int64 { return z.rejected }
 // counts this against host memory: zswap savings are logical minus pool
 // bytes.
 func (z *Zswap) PoolBytes() int64 { return z.stats.StoredBytes }
-
-// MaxPoolBytes returns the pool's configured DRAM budget (0 = unbounded).
-func (z *Zswap) MaxPoolBytes() int64 { return z.maxPoolBytes }
 
 // OldestHandle returns the least-recently-stored live entry, if any. The
 // tiered backend uses it to pick writeback victims, matching zswap's

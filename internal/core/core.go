@@ -2,11 +2,14 @@
 // (memory manager, cgroup hierarchy, PSI), an offload backend, and the
 // Senpai controller into one system, the way Fig. 6 of the paper draws it.
 //
-// A System is created in one of four modes mirroring the deployment stages
-// of §5.1: offloading disabled, file-only (reclaim without swap), zswap
-// (compressed memory pool), or SSD swap. Workloads are added from the
-// catalog and the system is advanced in virtual time; metrics snapshots
-// expose the quantities the paper's evaluation reports.
+// A System is created in one of seven modes: the deployment stages of §5.1
+// (offloading disabled, file-only reclaim without swap, a zswap compressed
+// pool, SSD swap) plus the tiers §2.5/§5.2 anticipate (a multi-tier
+// compressed chain, NVM, and a CXL far-memory node). Every swap mode's
+// backend is one backend.TierChain; the mode only picks its default tier
+// layout. Workloads are added from the catalog and the system is advanced
+// in virtual time; metrics snapshots expose the quantities the paper's
+// evaluation reports.
 package core
 
 import (
@@ -37,10 +40,11 @@ const (
 	// ModeFileOnly runs Senpai without swap: only file cache is
 	// reclaimed, the first production deployment stage (§5.1).
 	ModeFileOnly
-	// ModeZswap offloads anonymous memory to a compressed in-DRAM pool.
+	// ModeZswap offloads anonymous memory to a compressed in-DRAM pool: one
+	// zstd tier of a quarter of DRAM.
 	ModeZswap
 	// ModeSSDSwap offloads anonymous memory to a swap partition on the
-	// host SSD.
+	// host SSD: one SSD tier of 4x DRAM.
 	ModeSSDSwap
 	// ModeTiered runs a multi-tier software-defined compressed-memory
 	// chain (§5.2's future-work hierarchy generalized per arXiv
@@ -50,13 +54,13 @@ const (
 	// refault.
 	ModeTiered
 	// ModeNVM offloads to byte-addressable persistent memory (§2.5's
-	// "upcoming NVM devices").
+	// "upcoming NVM devices"): one NVM tier of 4x DRAM.
 	ModeNVM
 	// ModeCXL places memory on a byte-addressable CXL far-memory node
 	// (§2.5's emerging non-DDR bus technologies): cold pages stay *mapped*
 	// at link latency instead of faulting, a TPP-style placement loop
-	// promotes hot far pages back to local DRAM, and SSD swap remains
-	// underneath as the third rung.
+	// promotes hot far pages back to local DRAM, and a one-tier SSD swap
+	// chain remains underneath as the third rung.
 	ModeCXL
 )
 
@@ -127,19 +131,13 @@ type Options struct {
 	// experiments that attach a different controller (e.g. the g-swap
 	// baseline) to the same plumbing.
 	DisableSenpai bool
-	// ZswapCodec/ZswapAlloc configure the compressed pool; defaults are
-	// the production choices zstd and zsmalloc (§5.1).
-	ZswapCodec *backend.Codec
-	ZswapAlloc *backend.Allocator
-	// ZswapPoolFrac caps the zswap pool at this fraction of DRAM;
-	// default 0.25.
-	ZswapPoolFrac float64
-	// SwapBytes sizes the SSD swap partition; default 4x DRAM.
-	SwapBytes int64
-	// Tiers lays out the ModeTiered chain explicitly (fastest first; see
-	// backend.TierSpec). Empty selects the classic two-tier default: a
-	// zstd pool of ZswapPoolFrac x DRAM over SSD swap of SwapBytes.
-	// Ignored by other modes.
+	// Tiers lays out the swap chain explicitly (fastest first; see
+	// backend.TierSpec), overriding the mode's default layout: one zstd
+	// tier of DefaultPoolFrac x DRAM (ModeZswap), one SSD tier of
+	// DefaultSwapFactor x DRAM (ModeSSDSwap, ModeCXL), one NVM tier of the
+	// same size (ModeNVM), or DefaultChainSpecs over both (ModeTiered). An
+	// unsized SSD or NVM tier gets DefaultSwapFactor x DRAM. Ignored by the
+	// modes without swap (ModeOff, ModeFileOnly).
 	Tiers []backend.TierSpec
 	// CXLBytes sizes the byte-addressable far-memory node in ModeCXL;
 	// default equal to DRAM (a common expander sizing). Ignored by other
@@ -163,18 +161,23 @@ type Options struct {
 	Seed uint64
 }
 
+// Default backend sizing, as fractions and multiples of host DRAM.
+const (
+	// DefaultPoolFrac caps a default zswap pool at a quarter of DRAM.
+	DefaultPoolFrac = 0.25
+	// DefaultSwapFactor sizes default SSD swap and NVM at 4x DRAM.
+	DefaultSwapFactor = 4
+)
+
 // System is one assembled TMO host.
 type System struct {
-	Opts    Options
-	Server  *sim.Server
-	Senpai  *senpai.Controller
-	Device  *backend.SSDDevice
-	Zswap   *backend.Zswap
-	SSDSwap *backend.SSDSwap
-	// Chain is the ModeTiered multi-tier chain (it owns its inner pools
-	// and SSD tier; Zswap/SSDSwap stay nil in that mode).
+	Opts   Options
+	Server *sim.Server
+	Senpai *senpai.Controller
+	Device *backend.SSDDevice
+	// Chain is the swap backend of every swap mode (it owns its pools, SSD
+	// partition, or NVM device); nil in ModeOff and ModeFileOnly.
 	Chain *backend.TierChain
-	NVM   *backend.NVM
 	// CXL is the byte-addressable far-memory node (ModeCXL), with Place
 	// the TPP-style loop migrating pages between it and local DRAM.
 	CXL   *backend.CXLNode
@@ -205,70 +208,25 @@ func New(opts Options) *System {
 	if err != nil {
 		panic("core: " + err.Error())
 	}
-	if opts.ZswapPoolFrac <= 0 {
-		opts.ZswapPoolFrac = 0.25
-	}
-	if opts.SwapBytes <= 0 {
-		opts.SwapBytes = 4 * opts.CapacityBytes
-	}
 
 	sys := &System{Opts: opts, nextAppSeed: opts.Seed*1e6 + 1}
 	sys.Device = backend.NewSSDDevice(spec, opts.Seed^0xdead)
 
 	var swap backend.SwapBackend
-	switch opts.Mode {
-	case ModeZswap:
-		codec := backend.CodecZstd
-		if opts.ZswapCodec != nil {
-			codec = *opts.ZswapCodec
-		}
-		alloc := backend.AllocZsmalloc
-		if opts.ZswapAlloc != nil {
-			alloc = *opts.ZswapAlloc
-		}
-		pool := int64(float64(opts.CapacityBytes) * opts.ZswapPoolFrac)
-		sys.Zswap = backend.NewZswap(codec, alloc, pool, opts.Seed^0xbeef)
-		swap = sys.Zswap
-	case ModeSSDSwap:
-		sys.SSDSwap = backend.NewSSDSwap(sys.Device, opts.SwapBytes)
-		swap = sys.SSDSwap
-	case ModeTiered:
-		specs := opts.Tiers
-		if len(specs) == 0 {
-			pool := int64(float64(opts.CapacityBytes) * opts.ZswapPoolFrac)
-			specs = backend.DefaultChainSpecs(pool, opts.SwapBytes)
-			if opts.ZswapCodec != nil {
-				specs[0].Codec = *opts.ZswapCodec
-			}
-			if opts.ZswapAlloc != nil {
-				specs[0].Alloc = *opts.ZswapAlloc
-			}
-		}
+	if specs := chainSpecs(opts); specs != nil {
 		sys.Chain = backend.NewTierChain(specs, sys.Device, opts.Seed^0xbeef)
+		sys.Chain.ConfigureWriteback(opts.Writeback)
 		swap = sys.Chain
-	case ModeNVM:
-		spec := backend.SpecNVMOptane
-		spec.CapacityBytes = opts.SwapBytes
-		sys.NVM = backend.NewNVM(spec, opts.Seed^0xcafe)
-		swap = sys.NVM
-	case ModeCXL:
+	}
+	if opts.Mode == ModeCXL {
 		// Byte-addressable placement tier: local DRAM over a CXL node,
-		// with SSD swap as the third rung once the node fills.
+		// with the swap chain as the third rung once the node fills.
 		cxlSpec := backend.SpecCXLNode
 		cxlSpec.CapacityBytes = opts.CXLBytes
 		if cxlSpec.CapacityBytes <= 0 {
 			cxlSpec.CapacityBytes = opts.CapacityBytes
 		}
 		sys.CXL = backend.NewCXLNode(cxlSpec)
-		sys.SSDSwap = backend.NewSSDSwap(sys.Device, opts.SwapBytes)
-		swap = sys.SSDSwap
-	}
-
-	if sys.SSDSwap != nil {
-		sys.SSDSwap.ConfigureWriteback(opts.Writeback)
-	}
-	if sys.Chain != nil {
-		sys.Chain.ConfigureWriteback(opts.Writeback)
 	}
 
 	sys.Server = sim.NewServer(sim.Config{
@@ -313,6 +271,37 @@ func New(opts Options) *System {
 	return sys
 }
 
+// chainSpecs resolves the swap chain layout for opts: Options.Tiers, or the
+// mode's default, with unsized SSD/NVM tiers given DefaultSwapFactor x
+// DRAM. It returns nil for the modes without swap.
+func chainSpecs(opts Options) []backend.TierSpec {
+	pool := int64(float64(opts.CapacityBytes) * DefaultPoolFrac)
+	swap := DefaultSwapFactor * opts.CapacityBytes
+	var specs []backend.TierSpec
+	switch opts.Mode {
+	case ModeOff, ModeFileOnly:
+		return nil
+	case ModeZswap:
+		specs = []backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd, CapacityBytes: pool}}
+	case ModeSSDSwap, ModeCXL:
+		specs = []backend.TierSpec{{Kind: backend.TierSSD, CapacityBytes: swap}}
+	case ModeNVM:
+		specs = []backend.TierSpec{{Kind: backend.TierNVM, CapacityBytes: swap}}
+	case ModeTiered:
+		specs = backend.DefaultChainSpecs(pool, swap)
+	}
+	if len(opts.Tiers) > 0 {
+		// Copy: fleets share one layout slice across concurrently built hosts.
+		specs = append([]backend.TierSpec(nil), opts.Tiers...)
+	}
+	for i := range specs {
+		if specs[i].Kind != backend.TierZswap && specs[i].CapacityBytes <= 0 {
+			specs[i].CapacityBytes = swap
+		}
+	}
+	return specs
+}
+
 // wireTelemetry connects every layer to the system's registry and decision
 // logs: the memory manager, the device and offload backends, the simulator's
 // PSI integration, and gauge functions over quantities other layers already
@@ -324,12 +313,6 @@ func (s *System) wireTelemetry() {
 	mgr.SetTrace(s.Trace)
 	s.Server.EnableTelemetry(reg)
 	s.Device.EnableTelemetry(reg)
-	if s.Zswap != nil {
-		s.Zswap.EnableTelemetry(reg)
-	}
-	if s.SSDSwap != nil {
-		s.SSDSwap.EnableTelemetry(reg)
-	}
 	if s.Chain != nil {
 		// The chain wires per-tier instruments (labelled so stacked pools
 		// stay distinguishable) and its SSD tier's writeback queue itself.
@@ -382,23 +365,12 @@ func (s *System) wireTelemetry() {
 // decision log, and span timeline.
 func (s *System) Chaos() *chaos.Engine {
 	if s.chaosEng == nil {
-		var swapCap int64
-		switch {
-		case s.Chain != nil:
-			swapCap = s.Chain.CapacityBytes()
-		case s.SSDSwap != nil:
-			swapCap = s.SSDSwap.Capacity()
-		case s.Zswap != nil:
-			swapCap = s.Zswap.MaxPoolBytes()
-		case s.NVM != nil:
-			swapCap = s.Opts.SwapBytes
-		}
 		s.chaosEng = chaos.NewEngine(chaos.Host{
 			Device:            s.Device,
 			Manager:           s.Server.Manager(),
 			Swap:              s.Server.Swap(),
 			CXL:               s.CXL,
-			SwapCapacityBytes: swapCap,
+			SwapCapacityBytes: s.SwapCapacityBytes(),
 			Apps:              s.Server.Apps,
 			Seed:              s.Opts.Seed ^ 0xc4a05c4a05,
 			Telemetry:         s.Telemetry,
@@ -408,6 +380,15 @@ func (s *System) Chaos() *chaos.Engine {
 		s.Server.OnTickStart(s.chaosEng.Tick)
 	}
 	return s.chaosEng
+}
+
+// SwapCapacityBytes returns the swap chain's total capacity, 0 in the modes
+// without swap.
+func (s *System) SwapCapacityBytes() int64 {
+	if s.Chain == nil {
+		return 0
+	}
+	return s.Chain.CapacityBytes()
 }
 
 // TelemetrySnapshot captures the registry's current state.

@@ -20,21 +20,73 @@ func fastSenpai() *senpai.Config {
 	return &c
 }
 
+// TestSystemModes pins the chain layout each mode builds by default: the
+// swap modes differ only in their TierSpecs.
 func TestSystemModes(t *testing.T) {
-	for _, mode := range []Mode{ModeOff, ModeFileOnly, ModeZswap, ModeSSDSwap} {
-		sys := New(Options{Mode: mode, CapacityBytes: 512 * MiB, Seed: 1})
+	const dram = 512 * MiB
+	zstd := backend.TierSpec{Kind: backend.TierZswap, Codec: backend.CodecZstd, CapacityBytes: dram / 4}
+	ssd := backend.TierSpec{Kind: backend.TierSSD, CapacityBytes: 4 * dram}
+	nvm := backend.TierSpec{Kind: backend.TierNVM, CapacityBytes: 4 * dram}
+	dense := zstd
+	dense.MinCompressRatio = 1.5
+	want := map[Mode][]backend.TierSpec{
+		ModeOff:      nil,
+		ModeFileOnly: nil,
+		ModeZswap:    {zstd},
+		ModeSSDSwap:  {ssd},
+		ModeTiered:   {dense, ssd},
+		ModeNVM:      {nvm},
+		ModeCXL:      {ssd},
+	}
+	for mode, tiers := range want {
+		sys := New(Options{Mode: mode, CapacityBytes: dram, Seed: 1})
 		if mode == ModeOff && sys.Senpai != nil {
 			t.Fatalf("ModeOff must not run senpai")
 		}
 		if mode != ModeOff && sys.Senpai == nil {
 			t.Fatalf("%v: senpai missing", mode)
 		}
-		if mode == ModeZswap && sys.Zswap == nil {
-			t.Fatalf("zswap backend missing")
+		if (mode == ModeCXL) != (sys.CXL != nil) {
+			t.Fatalf("%v: CXL node present = %v", mode, sys.CXL != nil)
 		}
-		if mode == ModeSSDSwap && sys.SSDSwap == nil {
-			t.Fatalf("ssd swap backend missing")
+		if tiers == nil {
+			if sys.Chain != nil || sys.Server.Swap() != nil {
+				t.Fatalf("%v: swap chain built for a mode without swap", mode)
+			}
+			continue
 		}
+		got := sys.Chain.TierSpecs()
+		if len(got) != len(tiers) {
+			t.Fatalf("%v: %d tiers, want %d", mode, len(got), len(tiers))
+		}
+		for i, w := range tiers {
+			g := got[i]
+			if g.Kind != w.Kind || g.Label() != w.Label() || g.CapacityBytes != w.CapacityBytes ||
+				g.MinCompressRatio != max(w.MinCompressRatio, 1) {
+				t.Fatalf("%v tier %d = %+v, want %+v", mode, i, g, w)
+			}
+		}
+		if sys.SwapCapacityBytes() != sys.Chain.CapacityBytes() || sys.SwapCapacityBytes() <= 0 {
+			t.Fatalf("%v: swap capacity %d", mode, sys.SwapCapacityBytes())
+		}
+	}
+}
+
+// TestOptionsTiersOverride: Options.Tiers replaces any swap mode's default
+// layout, an unsized SSD tier gets the default 4x DRAM, and the caller's
+// slice is left untouched.
+func TestOptionsTiersOverride(t *testing.T) {
+	tiers := []backend.TierSpec{
+		{Kind: backend.TierZswap, Codec: backend.CodecLz4, CapacityBytes: 8 * MiB},
+		{Kind: backend.TierSSD},
+	}
+	sys := New(Options{Mode: ModeZswap, CapacityBytes: 512 * MiB, Tiers: tiers, Seed: 1})
+	got := sys.Chain.TierSpecs()
+	if len(got) != 2 || got[0].Label() != "lz4" || got[1].CapacityBytes != DefaultSwapFactor*512*MiB {
+		t.Fatalf("override layout = %+v", got)
+	}
+	if tiers[1].CapacityBytes != 0 {
+		t.Fatalf("core.New sized the caller's tier slice in place")
 	}
 }
 
@@ -200,10 +252,7 @@ func TestNVMMode(t *testing.T) {
 	sys := New(Options{Mode: ModeNVM, CapacityBytes: 512 * MiB, Senpai: fastSenpai(), Seed: 21})
 	app := sys.AddWorkload("feed")
 	sys.Run(10 * vclock.Minute)
-	if sys.NVM == nil {
-		t.Fatal("NVM backend missing")
-	}
-	if sys.NVM.Stats().StoredPages == 0 {
+	if sys.Chain.Stats().StoredPages == 0 {
 		t.Fatal("nothing offloaded")
 	}
 	if sys.Metrics().PoolBytes != 0 {
@@ -228,7 +277,7 @@ func TestCXLMode(t *testing.T) {
 	if sys.Place == nil {
 		t.Fatal("placement controller missing")
 	}
-	if sys.SSDSwap == nil {
+	if sys.Chain == nil || sys.Chain.SSD() == nil {
 		t.Fatal("SSD swap third rung missing")
 	}
 	if sys.Metrics().FarBytes == 0 {
@@ -251,13 +300,15 @@ func TestCXLMode(t *testing.T) {
 }
 
 // TestTieredMode: the multi-tier chain assembles through core with the
-// classic two-tier default, routes incompressible pages past the pool's
-// admission threshold, and offloads into both tiers.
+// classic two-tier layout around a tight pool (its unsized SSD tier gets the
+// default size), routes incompressible pages past the pool's admission
+// threshold, and offloads into both tiers.
 func TestTieredMode(t *testing.T) {
+	capacity := int64(512 * MiB)
 	sys := New(Options{
 		Mode:          ModeTiered,
-		CapacityBytes: 512 * MiB,
-		ZswapPoolFrac: 0.002,
+		CapacityBytes: capacity,
+		Tiers:         backend.DefaultChainSpecs(int64(float64(capacity)*0.002), 0),
 		Senpai:        fastSenpai(),
 		Seed:          22,
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"tmo/internal/backend"
 	"tmo/internal/cgroup"
 	"tmo/internal/core"
 	"tmo/internal/gswap"
@@ -367,12 +368,12 @@ func AblationTiered(cfg Config) AblationTieredResult {
 		return float64(a.Group.MemoryCurrent() + b.Group.MemoryCurrent())
 	}()
 
-	run := func(mode core.Mode, label string, poolFrac float64) TierOutcome {
+	run := func(mode core.Mode, label string, tiers []backend.TierSpec) TierOutcome {
 		sys := core.New(core.Options{
 			Mode:          mode,
 			CapacityBytes: capacity,
 			DeviceModel:   "C",
-			ZswapPoolFrac: poolFrac,
+			Tiers:         tiers,
 			Senpai:        cfg.senpai(senpai.ConfigA()),
 			Seed:          cfg.Seed + 1600,
 		})
@@ -397,20 +398,19 @@ func AblationTiered(cfg Config) AblationTieredResult {
 			MeanMemPressure: psi.WindowedPressure(m0, m1, measure),
 			RPS:             float64(a.Completed()+b.Completed()-c0) / measure.Seconds(),
 		}
-		if sys.Chain != nil {
-			out.Writebacks = sys.Chain.Demotions()
-			out.DirectSSD = sys.Chain.AdmitSkips()
-		}
+		out.Writebacks = sys.Chain.Demotions()
+		out.DirectSSD = sys.Chain.AdmitSkips()
 		return out
 	}
 
 	// zswap-only gets the default generous pool; the tiered hierarchy gets
-	// a deliberately tight pool — the point of the hierarchy is that the
-	// SSD absorbs the overflow, so the DRAM pool can be small.
+	// a deliberately tight pool (0.2% of DRAM) — the point of the hierarchy
+	// is that the SSD absorbs the overflow, so the DRAM pool can be small.
+	tight := backend.DefaultChainSpecs(int64(float64(capacity)*0.002), 0)
 	return AblationTieredResult{
-		Zswap:  run(core.ModeZswap, "zswap-only", 0.25),
-		SSD:    run(core.ModeSSDSwap, "ssd-only", 0.25),
-		Tiered: run(core.ModeTiered, "tiered", 0.002),
+		Zswap:  run(core.ModeZswap, "zswap-only", nil),
+		SSD:    run(core.ModeSSDSwap, "ssd-only", nil),
+		Tiered: run(core.ModeTiered, "tiered", tight),
 	}
 }
 

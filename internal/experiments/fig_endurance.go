@@ -91,7 +91,7 @@ func Figure14(cfg Config) Figure14Result {
 		rates := make([]float64, servers)
 		for i, sys := range systems {
 			sys.Run(day)
-			written := sys.SSDSwap.Stats().WrittenBytes
+			written := sys.Chain.Stats().WrittenBytes
 			rates[i] = float64(written-lastWritten[i]) / day.Seconds()
 			lastWritten[i] = written
 			if d >= regulationDay {

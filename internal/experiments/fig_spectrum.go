@@ -102,27 +102,20 @@ func SweepBackends(cfg Config) SpectrumResult {
 	return res
 }
 
-// medianLoadUs reports the configured backend's typical page-load latency.
-// The CXL branch precedes SSD swap: a ModeCXL host carries both, and the
-// placement tier is what its cold accesses hit.
+// medianLoadUs reports the configured backend's typical page-load latency:
+// that of the fastest tier. The CXL node precedes the swap chain: a ModeCXL
+// host carries both, and the placement tier is what its cold accesses hit.
 func medianLoadUs(sys *core.System) float64 {
-	switch {
-	case sys.CXL != nil:
+	if sys.CXL != nil {
 		return float64(sys.CXL.Spec().AccessLatency)
-	case sys.NVM != nil:
-		return float64(sys.NVM.Spec().ReadMedian)
-	case sys.Chain != nil:
-		specs := sys.Chain.TierSpecs()
-		if specs[0].Kind == backend.TierZswap {
-			return float64(specs[0].Codec.DecompressMedian)
-		}
-		return float64(sys.Chain.SSD().Device().Spec.ReadMedian)
-	case sys.Zswap != nil:
-		return float64(sys.Zswap.Codec().DecompressMedian)
-	case sys.SSDSwap != nil:
-		return float64(sys.SSDSwap.Device().Spec.ReadMedian)
 	}
-	return 0
+	switch fastest := sys.Chain.TierSpecs()[0]; fastest.Kind {
+	case backend.TierZswap:
+		return float64(fastest.Codec.DecompressMedian)
+	case backend.TierNVM:
+		return float64(backend.SpecNVMOptane.ReadMedian)
+	}
+	return float64(sys.Device.Spec.ReadMedian)
 }
 
 // FastestBeatsSlowest reports whether the fastest tier achieved strictly

@@ -100,14 +100,11 @@ func TCO(cfg Config) TCOResult {
 		cost := poolGB*gen.MemoryPct + ssdGB*gen.SSDPct
 		pt := TCOPoint{
 			Label:           label,
-			NumTiers:        len(tiers),
+			NumTiers:        sys.Chain.NumTiers(),
 			SavingsFrac:     1 - netSum/float64(steps)/baseline,
 			MeanMemPressure: psi.WindowedPressure(m0, m1, measure),
 			PoolGB:          poolGB,
 			SSDGB:           ssdGB,
-		}
-		if tiers == nil {
-			pt.NumTiers = 1
 		}
 		if savedGB > 0 {
 			pt.CostPerGBSaved = cost / savedGB
@@ -149,18 +146,13 @@ func tcoSenpai() senpai.Config {
 // substrateBytes splits a host's offloaded footprint into DRAM-resident
 // (compressed pools) and flash-resident bytes.
 func substrateBytes(sys *core.System) (pool, ssd int64) {
-	switch {
-	case sys.Chain != nil:
-		for i, spec := range sys.Chain.TierSpecs() {
-			st := sys.Chain.TierStats(i)
-			if spec.Kind == backend.TierSSD {
-				ssd += st.StoredBytes
-			} else {
-				pool += st.StoredBytes
-			}
+	for i, spec := range sys.Chain.TierSpecs() {
+		st := sys.Chain.TierStats(i)
+		if spec.Kind == backend.TierSSD {
+			ssd += st.StoredBytes
+		} else {
+			pool += st.StoredBytes
 		}
-	case sys.Zswap != nil:
-		pool = sys.Zswap.Stats().StoredBytes
 	}
 	return pool, ssd
 }

@@ -7,73 +7,23 @@ import (
 	"tmo/internal/backend"
 )
 
-// BackendConfig groups every backend-sizing knob a control plane can carry:
-// an explicit multi-tier chain layout, the zswap pool fraction, and the SSD
-// swap partition size. It is the one home for backend configuration —
-// rollout policies embed it (as rollout.PolicyBackend), twin surfaces key
-// on its Signature, and the CLIs parse -tiers into it — replacing the loose
-// per-field knobs that used to ride on Spec and Policy.
-//
-// Backend layout is boot-time state: applying a config rebuilds a host
-// rather than adjusting it live.
-type BackendConfig struct {
-	// Tiers lays out an explicit ModeTiered chain, fastest tier first.
-	Tiers []backend.TierSpec
-	// ZswapPoolFrac caps the zswap pool at this fraction of DRAM; zero
-	// keeps the core default (0.25).
-	ZswapPoolFrac float64
-	// SwapBytes sizes the SSD swap partition; zero keeps the core default
-	// (4x DRAM).
-	SwapBytes int64
-}
-
-// IsZero reports whether the config carries no knob at all.
-func (b BackendConfig) IsZero() bool {
-	return len(b.Tiers) == 0 && b.ZswapPoolFrac == 0 && b.SwapBytes == 0
-}
-
-// ApplyTo copies the config's set knobs onto a host spec.
-func (b BackendConfig) ApplyTo(s *Spec) {
-	if len(b.Tiers) > 0 {
-		s.Tiers = b.Tiers
+// TierSignature returns a deterministic compact key for a swap chain layout,
+// used to select twin calibration surfaces: "" for no layout (the mode's
+// default), otherwise e.g. "tiers=lz4:2g,zstd:4g,ssd".
+func TierSignature(tiers []backend.TierSpec) string {
+	if len(tiers) == 0 {
+		return ""
 	}
-	if b.ZswapPoolFrac > 0 {
-		s.ZswapPoolFrac = b.ZswapPoolFrac
-	}
-	if b.SwapBytes > 0 {
-		s.SwapBytes = b.SwapBytes
-	}
-}
-
-// Signature returns a deterministic compact key for the configuration, used
-// to select twin calibration surfaces: "" for the zero config, otherwise
-// e.g. "tiers=lz4:2g,zstd:4g,ssd" or "pool=0.300;swap=8g".
-func (b BackendConfig) Signature() string {
-	var parts []string
-	if len(b.Tiers) > 0 {
-		segs := make([]string, len(b.Tiers))
-		for i, t := range b.Tiers {
-			segs[i] = TierSegment(t)
+	// Each tier is spelled the way the -tiers flag spells it: "lz4:2g",
+	// "zstd:512m", or a bare "ssd" for a swap tier left at the default size.
+	segs := make([]string, len(tiers))
+	for i, t := range tiers {
+		segs[i] = t.Label()
+		if t.CapacityBytes > 0 {
+			segs[i] += ":" + formatBytesCompact(t.CapacityBytes)
 		}
-		parts = append(parts, "tiers="+strings.Join(segs, ","))
 	}
-	if b.ZswapPoolFrac > 0 {
-		parts = append(parts, fmt.Sprintf("pool=%.3f", b.ZswapPoolFrac))
-	}
-	if b.SwapBytes > 0 {
-		parts = append(parts, "swap="+formatBytesCompact(b.SwapBytes))
-	}
-	return strings.Join(parts, ";")
-}
-
-// TierSegment formats one tier as the -tiers flag spells it: "lz4:2g",
-// "zstd:512m", or a bare "ssd" for an unbounded swap tier.
-func TierSegment(t backend.TierSpec) string {
-	label := t.Label()
-	if t.CapacityBytes <= 0 {
-		return label
-	}
-	return label + ":" + formatBytesCompact(t.CapacityBytes)
+	return "tiers=" + strings.Join(segs, ",")
 }
 
 // formatBytesCompact renders n with the largest clean binary suffix.

@@ -45,17 +45,9 @@ type Spec struct {
 	// Senpai config on every build and push, so a spec-level override
 	// cannot fight a staged rollout (pushed policy wins).
 	Senpai *senpai.Config
-	// ZswapPoolFrac optionally caps the zswap pool at this fraction of
-	// DRAM; zero keeps the core default. Rollout policies may carry this
-	// knob with a mode change.
-	ZswapPoolFrac float64
-	// SwapBytes optionally sizes the SSD swap partition; zero keeps the
-	// core default. Rollout policies may carry this knob with a mode
-	// change.
-	SwapBytes int64
-	// Tiers lays out an explicit ModeTiered chain (fastest first, see
-	// backend.TierSpec); empty keeps the core default two-tier layout.
-	// Rollout policies carry this via their PolicyBackend.
+	// Tiers lays out the host's swap chain explicitly (fastest first, see
+	// core.Options.Tiers); empty keeps the mode's default layout. Rollout
+	// policies may carry a layout of their own (rollout.Policy.Tiers).
 	Tiers []backend.TierSpec
 	// CXLBytes optionally sizes the byte-addressable far-memory node in
 	// ModeCXL; zero keeps the core default (host DRAM size). A positive
@@ -170,8 +162,6 @@ func buildSystem(s Spec, mode core.Mode) (*core.System, *workload.App, *workload
 		CapacityBytes: s.CapacityBytes,
 		DeviceModel:   s.Device,
 		Senpai:        s.Senpai,
-		ZswapPoolFrac: s.ZswapPoolFrac,
-		SwapBytes:     s.SwapBytes,
 		Tiers:         s.Tiers,
 		CXLBytes:      s.CXLBytes,
 		Placement:     s.Placement,

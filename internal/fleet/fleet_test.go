@@ -3,6 +3,7 @@ package fleet
 import (
 	"testing"
 
+	"tmo/internal/backend"
 	"tmo/internal/core"
 	"tmo/internal/senpai"
 	"tmo/internal/vclock"
@@ -116,25 +117,41 @@ func TestDeviceCohortsDegenerateFleets(t *testing.T) {
 	}
 }
 
+// TestSpecBackendKnobs: Spec.Tiers reaches the host's chain in any swap
+// mode, overriding the mode's default layout, and TierSignature keys it in
+// the -tiers spelling.
 func TestSpecBackendKnobs(t *testing.T) {
-	// ZswapPoolFrac caps the compressed pool on a zswap host.
+	layout := func(sys *core.System) string { return TierSignature(sys.Chain.TierSpecs()) }
+
 	base := Spec{App: "feed", Mode: core.ModeZswap, Seed: 7}
-	capped := base
-	capped.ZswapPoolFrac = 0.05
 	sysBase, _ := BuildHost(base)
-	sysCapped, _ := BuildHost(capped)
-	if sysBase.Zswap == nil || sysCapped.Zswap == nil {
-		t.Fatalf("zswap backend missing")
-	}
-	if got, def := sysCapped.Zswap.MaxPoolBytes(), sysBase.Zswap.MaxPoolBytes(); got >= def {
-		t.Fatalf("capped pool %d not below default %d", got, def)
+	dram := sysBase.Opts.CapacityBytes
+	if got, want := sysBase.Chain.CapacityBytes(), int64(float64(dram)*core.DefaultPoolFrac); got != want {
+		t.Fatalf("default zswap pool = %d, want %d", got, want)
 	}
 
-	// SwapBytes sizes the SSD swap partition.
-	ssd := Spec{App: "feed", Mode: core.ModeSSDSwap, SwapBytes: 64 << 20, Seed: 7}
+	capped := base
+	capped.Tiers = []backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd, CapacityBytes: 8 << 20}}
+	sysCapped, _ := BuildHost(capped)
+	if got := layout(sysCapped); got != "tiers=zstd:8m" {
+		t.Fatalf("capped zswap host layout = %q, want tiers=zstd:8m", got)
+	}
+
+	ssd := Spec{App: "feed", Mode: core.ModeSSDSwap, Seed: 7,
+		Tiers: []backend.TierSpec{{Kind: backend.TierSSD, CapacityBytes: 64 << 20}}}
 	sysSSD, _ := BuildHost(ssd)
-	if sysSSD.SSDSwap == nil || sysSSD.SSDSwap.Capacity() != 64<<20 {
-		t.Fatalf("swap capacity not plumbed: %+v", sysSSD.SSDSwap)
+	if got := layout(sysSSD); got != "tiers=ssd:64m" {
+		t.Fatalf("ssd host layout = %q, want tiers=ssd:64m", got)
+	}
+
+	if got := TierSignature(nil); got != "" {
+		t.Fatalf("default-layout signature = %q, want empty", got)
+	}
+	if got := TierSignature([]backend.TierSpec{
+		{Kind: backend.TierZswap, Codec: backend.CodecLz4, CapacityBytes: 2 << 30},
+		{Kind: backend.TierSSD},
+	}); got != "tiers=lz4:2g,ssd" {
+		t.Fatalf("signature = %q, want tiers=lz4:2g,ssd", got)
 	}
 }
 

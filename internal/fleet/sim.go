@@ -68,7 +68,6 @@ type SimHost struct {
 	Sys *core.System
 	App *workload.App
 
-	swapCap       int64
 	lastMem       vclock.Duration
 	lastCompleted int64
 	lastOOMs      int64
@@ -78,23 +77,7 @@ type SimHost struct {
 // the window-sampling adapter.
 func NewSimHost(s Spec) *SimHost {
 	sys, app := BuildHost(s)
-	return &SimHost{Sys: sys, App: app, swapCap: SwapCapacityBytes(sys)}
-}
-
-// SwapCapacityBytes resolves a system's total offload capacity (mirrors
-// core.System.Chaos's sizing).
-func SwapCapacityBytes(sys *core.System) int64 {
-	switch {
-	case sys.Chain != nil:
-		return sys.Chain.CapacityBytes()
-	case sys.SSDSwap != nil:
-		return sys.SSDSwap.Capacity()
-	case sys.Zswap != nil:
-		return sys.Zswap.MaxPoolBytes()
-	case sys.NVM != nil:
-		return sys.Opts.SwapBytes
-	}
-	return 0
+	return &SimHost{Sys: sys, App: app}
 }
 
 // Advance implements HostSim.
@@ -144,7 +127,7 @@ func (h *SimHost) SetPlacementConfig(cfg *place.Config) {
 }
 
 // SwapCapacityBytes implements HostSim.
-func (h *SimHost) SwapCapacityBytes() int64 { return h.swapCap }
+func (h *SimHost) SwapCapacityBytes() int64 { return h.Sys.SwapCapacityBytes() }
 
 // Snapshot implements HostSim.
 func (h *SimHost) Snapshot() telemetry.Snapshot { return h.Sys.TelemetrySnapshot() }

@@ -6,68 +6,30 @@ import (
 
 	"tmo/internal/backend"
 	"tmo/internal/core"
+	"tmo/internal/fleet"
 	"tmo/internal/trace"
 	"tmo/internal/vclock"
 )
 
-// TestPolicyBackendShim pins the deprecation migration: legacy flat knobs
-// fold into Backend at normalize time, an explicit Backend wins over them,
-// and a policy using neither stays Backend-less.
-func TestPolicyBackendShim(t *testing.T) {
-	legacy := Policy{Name: "p", Mode: core.ModeZswap, Config: safeCandidate(),
-		ZswapPoolFrac: 0.25, SwapBytes: 4 << 30}
-	n := legacy.normalized()
-	if n.Backend == nil {
-		t.Fatal("legacy knobs did not migrate into Backend")
-	}
-	if n.Backend.ZswapPoolFrac != 0.25 || n.Backend.SwapBytes != 4<<30 {
-		t.Fatalf("migrated Backend = %+v, want pool=0.25 swap=4g", *n.Backend)
-	}
-	if n.ZswapPoolFrac != 0 || n.SwapBytes != 0 {
-		t.Fatalf("legacy fields not cleared: pool=%v swap=%v", n.ZswapPoolFrac, n.SwapBytes)
-	}
-
-	mixed := legacy
-	mixed.Backend = &PolicyBackend{ZswapPoolFrac: 0.5}
-	n = mixed.normalized()
-	if n.Backend.ZswapPoolFrac != 0.5 {
-		t.Fatalf("explicit Backend.ZswapPoolFrac overridden by legacy knob: %v", n.Backend.ZswapPoolFrac)
-	}
-	if n.Backend.SwapBytes != 4<<30 {
-		t.Fatalf("unset Backend.SwapBytes should inherit the legacy knob: %v", n.Backend.SwapBytes)
-	}
-
-	plain := Policy{Name: "p", Mode: core.ModeZswap, Config: safeCandidate()}
-	if n := plain.normalized(); n.Backend != nil {
-		t.Fatalf("knob-less policy grew a Backend: %+v", *n.Backend)
-	}
-}
-
-// TestLegacyBackendKnobsBuildIdenticalHosts is the shim's regression pin: a
-// rollout whose candidate sizes the backend through the deprecated flat
-// knobs must produce the byte-identical event log of one using the
-// PolicyBackend struct, because both build the same hosts.
-func TestLegacyBackendKnobsBuildIdenticalHosts(t *testing.T) {
-	build := func(pol Policy) Config {
-		cfg := testConfig(pol)
-		cfg.Hosts = testFleet(3)
-		cfg.Plan = []Stage{{Name: "fleet", Frac: 1.0, Bake: 3}}
-		return cfg
-	}
-	old := safePolicy()
-	old.ZswapPoolFrac = 0.18
-	old.SwapBytes = 2 << 30
-	niu := safePolicy()
-	niu.Backend = &PolicyBackend{ZswapPoolFrac: 0.18, SwapBytes: 2 << 30}
-
-	a := New(build(old)).Run()
-	b := New(build(niu)).Run()
-	if a.EventLog() != b.EventLog() {
-		t.Fatalf("legacy-knob rollout diverged from PolicyBackend rollout:\n--- legacy ---\n%s\n--- struct ---\n%s",
-			a.EventLog(), b.EventLog())
-	}
-	if !a.Completed() {
-		t.Fatalf("state = %s, want completed; log:\n%s", a.State, a.EventLog())
+// TestUnsizedSSDTierHasSwapCapacity: a tier chain whose SSD tier carries no size
+// (a bare "ssd" in -tiers or -tier-config) is sized at the core default, so
+// the host reports a nonzero swap capacity and the SwapUtilizationLatch
+// guardrail stays armed for it.
+func TestUnsizedSSDTierHasSwapCapacity(t *testing.T) {
+	const mib = 1 << 20
+	base := tierPolicy("baseline", []backend.TierSpec{
+		{Kind: backend.TierZswap, Codec: backend.CodecLz4, CapacityBytes: 16 * mib},
+		{Kind: backend.TierSSD},
+	})
+	base.Config = idleBaseline()
+	cfg := testConfig(safePolicy())
+	cfg.Baseline = base
+	c := New(cfg)
+	for _, h := range c.hosts {
+		dram := h.sim.(*fleet.SimHost).Sys.Opts.CapacityBytes
+		if want := 16*mib + core.DefaultSwapFactor*dram; h.swapCap != want {
+			t.Fatalf("host %d swap capacity = %d, want lz4 16m + ssd 4x DRAM = %d", h.index, h.swapCap, want)
+		}
 	}
 }
 
@@ -75,10 +37,10 @@ func TestLegacyBackendKnobsBuildIdenticalHosts(t *testing.T) {
 // tier chain.
 func tierPolicy(name string, tiers []backend.TierSpec) Policy {
 	return Policy{
-		Name:    name,
-		Mode:    core.ModeTiered,
-		Config:  safeCandidate(),
-		Backend: &PolicyBackend{Tiers: tiers},
+		Name:   name,
+		Mode:   core.ModeTiered,
+		Config: safeCandidate(),
+		Tiers:  tiers,
 	}
 }
 

@@ -3,22 +3,15 @@ package rollout
 import (
 	"fmt"
 
+	"tmo/internal/backend"
 	"tmo/internal/core"
-	"tmo/internal/fleet"
 	"tmo/internal/place"
 	"tmo/internal/senpai"
 )
 
-// PolicyBackend is the backend sizing a policy pushes: a full tier chain
-// (fleet.BackendConfig.Tiers) or the legacy single-knob sizing
-// (ZswapPoolFrac, SwapBytes). It is an alias of fleet.BackendConfig so the
-// bandit can race tier configurations with the same struct the fleet spec
-// and the twin calibrator consume; its Signature() keys twin surfaces.
-type PolicyBackend = fleet.BackendConfig
-
 // Policy is the artifact a rollout pushes: not just how aggressively Senpai
 // trims, but *what* the host runs — the offload mode plus the controller
-// configuration, with optional backend sizing knobs. Pushing a policy whose
+// configuration, with an optional swap chain layout. Pushing a policy whose
 // mode matches the host's running mode is a live config swap
 // (Senpai.SetConfig); a mode-changing push rebuilds the host through the
 // same fleet.BuildHost path a crash/rejoin uses, at a stage barrier, so
@@ -37,24 +30,11 @@ type Policy struct {
 	Mode core.Mode
 	// Config is the Senpai configuration to run.
 	Config senpai.Config
-	// Backend carries the backend sizing hosts are built with under this
-	// policy — a multi-tier chain, a zswap pool fraction, a swap partition
-	// size, or any combination (see fleet.BackendConfig). Nil keeps the
-	// spec's own sizing. Applied on (re)build only — it cannot change live.
-	Backend *PolicyBackend
-	// ZswapPoolFrac optionally caps the zswap pool fraction on hosts built
-	// under this policy; zero keeps the core default.
-	//
-	// Deprecated: set Backend.ZswapPoolFrac. This field survives as a shim
-	// for pre-chain policies and is folded into Backend when the rollout
-	// config normalizes; an explicit Backend value wins over it.
-	ZswapPoolFrac float64
-	// SwapBytes optionally sizes the SSD swap partition on hosts built
-	// under this policy; zero keeps the core default.
-	//
-	// Deprecated: set Backend.SwapBytes. Same shim semantics as
-	// ZswapPoolFrac.
-	SwapBytes int64
+	// Tiers is the swap chain layout hosts are built with under this policy
+	// (see core.Options.Tiers), so the bandit can race tier configurations;
+	// its fleet.TierSignature keys twin surfaces. Empty keeps the spec's own
+	// layout. Applied on (re)build only — it cannot change live.
+	Tiers []backend.TierSpec
 	// Placement optionally carries ModeCXL placement-loop knobs for the
 	// bandit to race (sampling budgets, watermarks, promote thresholds —
 	// see place.Config). Pushed live on same-mode pushes and applied on
@@ -71,37 +51,6 @@ func (p Policy) validate(who string) {
 	if p.Config.Interval <= 0 {
 		panic(fmt.Sprintf("rollout: %s policy %q needs a senpai config (zero interval)", who, p.Name))
 	}
-}
-
-// normalized migrates the deprecated flat backend knobs into Backend so the
-// rest of the controller only ever consults one struct. An explicit Backend
-// field wins over a legacy knob; a policy using neither stays Backend-less.
-func (p Policy) normalized() Policy {
-	if p.ZswapPoolFrac == 0 && p.SwapBytes == 0 {
-		return p
-	}
-	var b PolicyBackend
-	if p.Backend != nil {
-		b = *p.Backend
-	}
-	if b.ZswapPoolFrac == 0 {
-		b.ZswapPoolFrac = p.ZswapPoolFrac
-	}
-	if b.SwapBytes == 0 {
-		b.SwapBytes = p.SwapBytes
-	}
-	p.Backend = &b
-	p.ZswapPoolFrac, p.SwapBytes = 0, 0
-	return p
-}
-
-// backendSignature keys the policy's backend sizing for twin-surface lookup;
-// "" for a policy that keeps the spec's own sizing.
-func (p Policy) backendSignature() string {
-	if p.Backend == nil {
-		return ""
-	}
-	return p.Backend.Signature()
 }
 
 // Unlimited disables a count guardrail (MaxOOMKills, MaxSwapLatched), whose

@@ -158,7 +158,6 @@ func (cfg Config) normalize() Config {
 	if cfg.Baseline.Name == "" {
 		cfg.Baseline.Name = "baseline"
 	}
-	cfg.Baseline = cfg.Baseline.normalized()
 	cfg.Baseline.validate("baseline")
 	if len(cfg.Candidates) == 0 {
 		panic("rollout: at least one Candidate policy required")
@@ -175,7 +174,6 @@ func (cfg Config) normalize() Config {
 		if cfg.Candidates[i].Name == "" {
 			cfg.Candidates[i].Name = fmt.Sprintf("cand-%d", i+1)
 		}
-		cfg.Candidates[i] = cfg.Candidates[i].normalized()
 		cfg.Candidates[i].validate("candidate")
 		if names[cfg.Candidates[i].Name] {
 			panic(fmt.Sprintf("rollout: duplicate policy name %q", cfg.Candidates[i].Name))
@@ -259,12 +257,13 @@ func (cfg Config) normalize() Config {
 			}
 			d := cfg.Hosts[i].DeviceClass()
 			for _, p := range pols {
-				k := twin.KeyBackend(d, p.Mode, p.backendSignature())
+				sig := fleet.TierSignature(p.Tiers)
+				k := twin.KeyBackend(d, p.Mode, sig)
 				if seen[k] {
 					continue
 				}
 				seen[k] = true
-				if _, ok := t.Coeffs.LookupBackend(d, p.Mode, p.backendSignature()); !ok {
+				if _, ok := t.Coeffs.LookupBackend(d, p.Mode, sig); !ok {
 					panic(fmt.Sprintf("rollout: twin calibration has no surface for %s — recalibrate covering this class and mode", k))
 				}
 			}
@@ -660,8 +659,8 @@ func (c *Controller) applyPriorOutcomes() {
 
 // buildHost assembles (or reassembles, after a crash or a mode-changing
 // push) the host's simulation under the policy its cohort is currently
-// entitled to. The policy supplies the mode, Senpai config, and backend
-// knobs — overriding the spec's own (pushed policy wins over Spec.Senpai).
+// entitled to. The policy supplies the mode, Senpai config, and chain
+// layout — overriding the spec's own (pushed policy wins over Spec.Senpai).
 // Incarnations perturb the seed so a rebooted host does not replay its
 // previous life — twins included: a rebuilt twin gets a fresh splitmix64
 // stream from the same perturbed seed a full host would.
@@ -671,8 +670,8 @@ func (c *Controller) buildHost(h *host) {
 	spec.Mode = pol.Mode
 	cfg := pol.Config
 	spec.Senpai = &cfg
-	if pol.Backend != nil {
-		pol.Backend.ApplyTo(&spec)
+	if len(pol.Tiers) > 0 {
+		spec.Tiers = pol.Tiers
 	}
 	if pol.Placement != nil {
 		spec.Placement = pol.Placement
@@ -680,7 +679,7 @@ func (c *Controller) buildHost(h *host) {
 	spec.Seed = h.spec.Seed + uint64(h.incarnation)*0x9e3779b9
 	if h.fidelity == fleet.FidelityTwin {
 		// Surface presence was validated at construction.
-		sur, _ := c.cfg.Twin.Coeffs.LookupBackend(h.device, pol.Mode, pol.backendSignature())
+		sur, _ := c.cfg.Twin.Coeffs.LookupBackend(h.device, pol.Mode, fleet.TierSignature(pol.Tiers))
 		h.sim = twin.NewHost(spec, sur, spec.Seed)
 	} else {
 		h.sim = fleet.NewSimHost(spec)

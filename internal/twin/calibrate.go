@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"tmo/internal/backend"
 	"tmo/internal/core"
 	"tmo/internal/fleet"
 	"tmo/internal/senpai"
@@ -23,12 +24,12 @@ type CalibrateConfig struct {
 	Specs []fleet.Spec
 	// Modes are the offload modes to fit surfaces for.
 	Modes []core.Mode
-	// Backends optionally extends the cross product with backend sizings
-	// (tier chains, pool fractions, swap sizes): each non-zero entry fits an
-	// extra surface per (class, mode) keyed by its Signature, which
-	// LookupBackend prefers over the plain (class, mode) fit. The sizing-less
-	// base surface is always fitted; zero-value entries are skipped.
-	Backends []fleet.BackendConfig
+	// Tiers optionally extends the cross product with swap chain layouts:
+	// each non-empty layout fits an extra surface per (class, mode) keyed by
+	// its fleet.TierSignature, which LookupBackend prefers over the plain
+	// (class, mode) fit. The default-layout base surface is always fitted;
+	// empty entries are skipped.
+	Tiers [][]backend.TierSpec
 	// Baseline is the config hosts warm under (typically the rollout
 	// baseline: reclaim idle). It also anchors every surface's a≈0 rung.
 	Baseline senpai.Config
@@ -122,25 +123,27 @@ func Calibrate(cfg CalibrateConfig) *CoefficientSet {
 	cfg = cfg.normalize()
 	probes := append([]senpai.Config{cfg.Baseline}, cfg.Probes...)
 
-	// The sizing-less base surface always calibrates; each non-zero backend
-	// sizing adds a signature-keyed surface per (class, mode).
-	backends := []fleet.BackendConfig{{}}
-	for _, b := range cfg.Backends {
-		if !b.IsZero() {
-			backends = append(backends, b)
+	// The default-layout base surface always calibrates; each explicit
+	// layout adds a signature-keyed surface per (class, mode).
+	layouts := [][]backend.TierSpec{nil}
+	for _, tiers := range cfg.Tiers {
+		if len(tiers) > 0 {
+			layouts = append(layouts, tiers)
 		}
 	}
 
 	var points []calPoint
 	for _, spec := range cfg.Specs {
 		for _, mode := range cfg.Modes {
-			for _, b := range backends {
+			for _, tiers := range layouts {
 				for _, p := range probes {
 					for r := 0; r < cfg.Replicas; r++ {
 						s := spec
 						s.Mode = mode
-						b.ApplyTo(&s)
-						points = append(points, calPoint{spec: s, mode: mode, sig: b.Signature(), probe: p})
+						if len(tiers) > 0 {
+							s.Tiers = tiers
+						}
+						points = append(points, calPoint{spec: s, mode: mode, sig: fleet.TierSignature(tiers), probe: p})
 					}
 				}
 			}

@@ -140,10 +140,9 @@ func (s Surface) Eval(a float64) ProbePoint {
 // Key identifies the (device class, mode) a surface was fitted for.
 func Key(device string, mode core.Mode) string { return device + "|" + mode.String() }
 
-// KeyBackend identifies a surface fitted for a specific backend sizing — a
-// tier chain, a pool fraction, a swap partition size (see
-// fleet.BackendConfig.Signature). An empty signature is the plain
-// (device, mode) key, so sizing-less calibrations keep their old keys.
+// KeyBackend identifies a surface fitted for a specific swap chain layout
+// (see fleet.TierSignature). An empty signature is the plain (device, mode)
+// key, so default-layout calibrations keep their old keys.
 func KeyBackend(device string, mode core.Mode, sig string) string {
 	if sig == "" {
 		return Key(device, mode)
@@ -171,8 +170,8 @@ func (cs *CoefficientSet) Lookup(device string, mode core.Mode) (Surface, bool) 
 }
 
 // LookupBackend returns the surface fitted for (device, mode) under a
-// specific backend sizing, falling back to the plain (device, mode) surface
-// when no sizing-specific fit exists. The fallback keeps pre-chain
+// specific chain layout, falling back to the plain (device, mode) surface
+// when no layout-specific fit exists. The fallback keeps pre-chain
 // calibration artifacts usable: a policy racing a new tier configuration
 // rides the class's generic surface until a calibration covering its
 // signature lands.
