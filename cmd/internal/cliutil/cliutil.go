@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -58,7 +59,8 @@ func MustMode(tool, s string) core.Mode {
 
 // ParseStagePlan parses a rollout plan flag: comma-separated stages of the
 // form name=frac/bake, with /bake optional (defaulting per stage to
-// defBake). Example: "canary=0.1/4,stage-2=0.5/4,fleet=1".
+// defBake). frac is a fleet fraction in (0, 1] and bake a non-negative
+// window count. Example: "canary=0.1/4,stage-2=0.5/4,fleet=1".
 func ParseStagePlan(value string, defBake int) ([]rollout.Stage, error) {
 	var plan []rollout.Stage
 	for _, part := range strings.Split(value, ",") {
@@ -71,15 +73,21 @@ func ParseStagePlan(value string, defBake int) ([]rollout.Stage, error) {
 			return nil, fmt.Errorf("bad stage %q: want name=frac[/bake]", part)
 		}
 		fracStr, bakeStr, hasBake := strings.Cut(rest, "/")
-		frac, err := strconv.ParseFloat(fracStr, 64)
+		frac, err := parseFinite(fracStr)
 		if err != nil {
 			return nil, fmt.Errorf("bad stage %q: frac: %w", part, err)
+		}
+		if !(frac > 0 && frac <= 1) {
+			return nil, fmt.Errorf("bad stage %q: frac %v outside (0, 1]", part, frac)
 		}
 		bake := defBake
 		if hasBake {
 			bake, err = strconv.Atoi(bakeStr)
 			if err != nil {
 				return nil, fmt.Errorf("bad stage %q: bake: %w", part, err)
+			}
+			if bake < 0 {
+				return nil, fmt.Errorf("bad stage %q: negative bake", part)
 			}
 		}
 		plan = append(plan, rollout.Stage{Name: name, Frac: frac, Bake: bake})
@@ -94,7 +102,8 @@ func ParseStagePlan(value string, defBake int) ([]rollout.Stage, error) {
 // "device:" prefix selecting a device-class override, then comma-separated
 // key=value pairs over the default bundle. Keys: psi (MaxMemPressure), rps
 // (MaxRPSDip), oom (MaxOOMKills; -1 = unlimited), latch
-// (SwapUtilizationLatch), latched (MaxSwapLatched; -1 = unlimited).
+// (SwapUtilizationLatch), latched (MaxSwapLatched; -1 = unlimited); psi,
+// rps and latch must be finite.
 // Example: "F:psi=0.0002,rps=0.25" or "oom=2,latched=1".
 func ParseGuardrailSpec(value string) (device string, g rollout.Guardrails, err error) {
 	g = rollout.DefaultGuardrails()
@@ -117,13 +126,13 @@ func ParseGuardrailSpec(value string) (device string, g rollout.Guardrails, err 
 		}
 		switch key {
 		case "psi":
-			g.MaxMemPressure, err = strconv.ParseFloat(val, 64)
+			g.MaxMemPressure, err = parseFinite(val)
 		case "rps":
-			g.MaxRPSDip, err = strconv.ParseFloat(val, 64)
+			g.MaxRPSDip, err = parseFinite(val)
 		case "oom":
 			g.MaxOOMKills, err = strconv.ParseInt(val, 10, 64)
 		case "latch":
-			g.SwapUtilizationLatch, err = strconv.ParseFloat(val, 64)
+			g.SwapUtilizationLatch, err = parseFinite(val)
 		case "latched":
 			g.MaxSwapLatched, err = strconv.Atoi(val)
 		default:
@@ -158,7 +167,19 @@ func ParseBytes(s string) (int64, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("bad size %q: negative", s)
 	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("bad size %q: overflows int64 bytes", s)
+	}
 	return n * mult, nil
+}
+
+// parseFinite is strconv.ParseFloat without the NaN and ±Inf it accepts.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("non-finite value %q", s)
+	}
+	return f, err
 }
 
 // ParseTierSpec parses a -tiers flag value into an ordered backend tier

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -40,6 +41,13 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
+// stagePlanBad are plans ParseStagePlan must refuse: malformed stages,
+// non-finite fractions, fractions outside (0, 1], and negative bakes.
+var stagePlanBad = []string{
+	"", "canary", "canary=x", "canary=0.1/x", "=0.5",
+	"canary=NaN,fleet=1", "canary=Inf", "canary=-Inf", "canary=0", "canary=1.5", "canary=0.1/-1",
+}
+
 func TestParseStagePlan(t *testing.T) {
 	plan, err := ParseStagePlan("canary=0.1/4,stage-2=0.5, fleet=1", 3)
 	if err != nil {
@@ -58,11 +66,18 @@ func TestParseStagePlan(t *testing.T) {
 			t.Errorf("stage %d = %+v, want %+v", i, plan[i], want[i])
 		}
 	}
-	for _, bad := range []string{"", "canary", "canary=x", "canary=0.1/x", "=0.5"} {
+	for _, bad := range stagePlanBad {
 		if _, err := ParseStagePlan(bad, 3); err == nil {
 			t.Errorf("ParseStagePlan(%q) accepted", bad)
 		}
 	}
+}
+
+// guardrailBad are specs ParseGuardrailSpec must refuse: malformed pairs and
+// non-finite thresholds (a NaN guardrail never trips).
+var guardrailBad = []string{
+	":psi=1", "psi", "psi=x", "F:banana=1", "oom=1.5",
+	"psi=NaN,rps=Inf", "psi=NaN", "rps=Inf", "latch=-Inf", "F:latch=+Inf",
 }
 
 func TestParseGuardrailSpec(t *testing.T) {
@@ -93,7 +108,7 @@ func TestParseGuardrailSpec(t *testing.T) {
 	if g != def {
 		t.Fatalf("guardrails = %+v, want defaults with oom=3 (%+v)", g, def)
 	}
-	for _, bad := range []string{":psi=1", "psi", "psi=x", "F:banana=1", "oom=1.5"} {
+	for _, bad := range guardrailBad {
 		if _, _, err := ParseGuardrailSpec(bad); err == nil {
 			t.Errorf("ParseGuardrailSpec(%q) accepted", bad)
 		}
@@ -124,7 +139,8 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("ParseBytes(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "-1g", "2.5g", "gig"} {
+	// 16777217t is 2^24+1 TiB: n * mult overflows int64.
+	for _, bad := range []string{"", "-1g", "2.5g", "gig", "16777217t", "8388608t", "9223372036854775807k"} {
 		if _, err := ParseBytes(bad); err == nil {
 			t.Errorf("ParseBytes(%q) accepted", bad)
 		}
@@ -177,4 +193,69 @@ func TestParseTierSpec(t *testing.T) {
 			t.Errorf("ParseTierSpec(%q) error %q does not contain %q", in, err, wantSub)
 		}
 	}
+}
+
+// FuzzParseTierSpec: the tier parser never panics, and an accepted chain
+// has positive-capacity compressed tiers and at most one SSD tier, last,
+// with a non-negative capacity (0 = sized by core.New).
+func FuzzParseTierSpec(f *testing.F) {
+	for _, s := range []string{"lz4:2g, zstd:4g,ssd", "zstd:64m,ssd:8g", "lz4:16777217t,ssd",
+		"lz4:2g,floppy:1g,ssd", "lz4,ssd", "lz4:zebra,ssd", "lz4:0,ssd", "ssd,zstd:1g", "", " , "} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tiers, err := ParseTierSpec(s)
+		if err != nil {
+			return
+		}
+		for i, ts := range tiers {
+			switch {
+			case ts.Kind == backend.TierSSD && (i != len(tiers)-1 || ts.CapacityBytes < 0):
+				t.Fatalf("%q: bad ssd tier %d: %+v", s, i, ts)
+			case ts.Kind == backend.TierZswap && ts.CapacityBytes <= 0:
+				t.Fatalf("%q: compressed tier %d unsized: %+v", s, i, ts)
+			}
+		}
+	})
+}
+
+// FuzzParseStagePlan: the plan parser never panics, and an accepted plan
+// has finite fractions in (0, 1] and non-negative bakes.
+func FuzzParseStagePlan(f *testing.F) {
+	f.Add("canary=0.1/4,stage-2=0.5, fleet=1")
+	for _, s := range stagePlanBad {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		plan, err := ParseStagePlan(s, 3)
+		if err != nil {
+			return
+		}
+		for _, st := range plan {
+			if !(st.Frac > 0 && st.Frac <= 1) || st.Bake < 0 {
+				t.Fatalf("%q: stage out of range: %+v", s, st)
+			}
+		}
+	})
+}
+
+// FuzzParseGuardrailSpec: the guardrail parser never panics, and an
+// accepted bundle's thresholds are finite.
+func FuzzParseGuardrailSpec(f *testing.F) {
+	f.Add("F:psi=0.0002,rps=0.25,oom=-1,latch=0.9,latched=2")
+	f.Add("oom=3")
+	for _, s := range guardrailBad {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		_, g, err := ParseGuardrailSpec(s)
+		if err != nil {
+			return
+		}
+		for _, v := range []float64{g.MaxMemPressure, g.MaxRPSDip, g.SwapUtilizationLatch} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%q: non-finite guardrail: %+v", s, g)
+			}
+		}
+	})
 }

@@ -47,14 +47,14 @@ func main() {
 	withTax := flag.Bool("tax", false, "co-schedule tax sidecar containers")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	controls := flag.Bool("controls", false, "dump cgroup control files at the end")
-	traceN := flag.Int("trace", 0, "dump the last N controller trace events at the end")
+	traceN := flag.Int("trace", 0, "print the last N records of the host's decision stream at the end")
 	chaosScript := flag.String("chaos", "", `fault-injection script, e.g. "t=2m ssd-slow x4 for=5m; t=10m load x2" (see internal/chaos)`)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the simulation to this file")
 	metricsOut := flag.String("metrics-out", "", "write the telemetry registry to this file in Prometheus text format")
 	tsdbOut := flag.String("tsdb-out", "", "scrape telemetry each report interval into a time-series file (.csv for CSV, else JSON Lines)")
-	traceOut := flag.String("trace-out", "", "write the decision-span timeline to this file in Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
-	timelineOut := flag.String("timeline-out", "", "write the decision-span timeline to this file as JSON Lines")
+	traceOut := flag.String("trace-out", "", "write the decision stream to this file in Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
+	timelineOut := flag.String("timeline-out", "", "write the decision stream to this file as JSON Lines")
 	flag.Parse()
 
 	if *list {
@@ -206,7 +206,8 @@ func main() {
 	}
 
 	if *traceN > 0 {
-		fmt.Printf("\ncontroller trace (last %d of %d events):\n%s", *traceN, sys.Trace.Total(), sys.Trace.Tail(*traceN))
+		fmt.Printf("\ndecision trace (last %d of %d records, %d dropped):\n%s",
+			min(*traceN, sys.Trace.Len()), sys.Trace.Len(), sys.Trace.Dropped(), sys.Trace.Tail(*traceN))
 	}
 
 	if *metricsOut != "" {
@@ -221,12 +222,12 @@ func main() {
 			scraper.DB.NumSeries(), scraper.DB.NumSamples(), *tsdbOut)
 	}
 	if *traceOut != "" {
-		writeFile(*traceOut, sys.Tracer.WriteChromeTrace)
+		writeFile(*traceOut, sys.Trace.WriteChromeTrace)
 		fmt.Printf("wrote Chrome trace to %s (%d records, %d dropped)\n",
-			*traceOut, sys.Tracer.Len(), sys.Tracer.Dropped())
+			*traceOut, sys.Trace.Len(), sys.Trace.Dropped())
 	}
 	if *timelineOut != "" {
-		writeFile(*timelineOut, sys.Tracer.WriteJSONL)
+		writeFile(*timelineOut, sys.Trace.WriteJSONL)
 		fmt.Printf("wrote JSONL timeline to %s\n", *timelineOut)
 	}
 }

@@ -187,9 +187,9 @@ type TierChain struct {
 	oneReq       [1]StoreReq
 	oneOut       [1]StoreResult
 
-	// Registry instruments and decision log, nil until enabled.
+	// Registry instruments and decision recorder, nil until enabled.
 	telPromotions, telAdmitSkips, telDemoteStall *telemetry.Counter
-	trace                                        *trace.Log
+	trace                                        *trace.Recorder
 }
 
 // NewTierChain builds a chain from specs. Every tier needs a positive
@@ -571,19 +571,35 @@ func (c *TierChain) manage(now vclock.Time) {
 			continue
 		}
 		target := int64(float64(cap) * tier.spec.LowWater)
+		before := tier.zs.Stats()
+		pages, backpressure := 0, false
 		for tier.zs.Stats().StoredBytes > target {
-			moved, backpressure := c.demoteBatch(now, t)
-			if backpressure {
-				c.demoteStall++
-				if c.telDemoteStall != nil {
-					c.telDemoteStall.Inc()
-				}
-				return // queue full: resume next tick
-			}
-			if moved == 0 {
-				break // nothing evictable or down-chain full
+			var moved int
+			moved, backpressure = c.demoteBatch(now, t)
+			pages += moved
+			if backpressure || moved == 0 {
+				break // queue full, nothing evictable, or down-chain full
 			}
 		}
+		c.noteRound(now, t, pages, before.LogicalBytes-tier.zs.Stats().LogicalBytes, backpressure)
+		if backpressure {
+			return // queue full: resume next tick
+		}
+	}
+}
+
+// noteRound publishes one demotion round out of tier t: a backpressure stall
+// counter, and one instant for a round that moved pages or stalled.
+func (c *TierChain) noteRound(now vclock.Time, t, pages int, logical int64, backpressure bool) {
+	if backpressure {
+		c.demoteStall++
+		if c.telDemoteStall != nil {
+			c.telDemoteStall.Inc()
+		}
+	}
+	if c.trace != nil && (pages > 0 || backpressure) {
+		c.trace.Instant(now, trace.KindBackendDemote, c.tiers[t].spec.Label(),
+			"tier", t, "pages", pages, "logical_bytes", logical, "backpressure", backpressure)
 	}
 }
 
@@ -635,7 +651,7 @@ func (c *TierChain) demoteBatch(now vclock.Time, t int) (moved int, backpressure
 			panic("backend: chain demotion target rejected a projected store: " + err.Error())
 		}
 		c.register(outer, dst, res.Handle, logical, e.ratio)
-		c.noteDemotion(now, tier, t, dst, logical)
+		c.noteDemotion(tier)
 		moved++
 	}
 
@@ -652,7 +668,7 @@ func (c *TierChain) demoteBatch(now vclock.Time, t int) (moved int, backpressure
 		}
 		for j, outer := range c.demoteOuters {
 			c.register(outer, last, subOut[j].Handle, c.demoteReqs[j].PageBytes, c.demoteReqs[j].CompressRatio)
-			c.noteDemotion(now, tier, t, last, c.demoteReqs[j].PageBytes)
+			c.noteDemotion(tier)
 			moved++
 		}
 		// A nonzero latency on the first page is the writeback queue's
@@ -662,15 +678,11 @@ func (c *TierChain) demoteBatch(now vclock.Time, t int) (moved int, backpressure
 	return moved, backpressure
 }
 
-// noteDemotion updates counters and the decision log for one migrated page.
-func (c *TierChain) noteDemotion(now vclock.Time, src *chainTier, from, to int, logical int64) {
+// noteDemotion counts one page migrated down-chain out of src.
+func (c *TierChain) noteDemotion(src *chainTier) {
 	c.demotions++
 	if src.telDemotions != nil {
 		src.telDemotions.Inc()
-	}
-	if c.trace != nil {
-		c.trace.Emit(now, trace.KindBackendWriteback, src.spec.Label(),
-			"demoted %d B LRU entry tier %d -> %d (%s)", logical, from, to, c.tiers[to].spec.Label())
 	}
 }
 

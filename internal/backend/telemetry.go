@@ -83,5 +83,6 @@ func (c *TierChain) EnableTelemetry(reg *telemetry.Registry) {
 	c.telDemoteStall = reg.Counter("backend.chain.demote_backpressure")
 }
 
-// SetTrace attaches an event log the chain reports down-chain demotions to.
-func (c *TierChain) SetTrace(l *trace.Log) { c.trace = l }
+// SetTrace attaches the host's decision recorder; each watermark demotion
+// round becomes one instant.
+func (c *TierChain) SetTrace(r *trace.Recorder) { c.trace = r }

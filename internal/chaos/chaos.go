@@ -122,11 +122,10 @@ type Host struct {
 	Apps func() []*workload.App
 	// Seed derives every event's recurrence stream.
 	Seed uint64
-	// Telemetry, Trace, and Recorder receive injection counters, decision
-	// log lines, and Chrome-trace instant events respectively.
+	// Telemetry receives injection counters and Trace one instant per
+	// activation edge.
 	Telemetry *telemetry.Registry
-	Trace     *trace.Log
-	Recorder  *trace.Recorder
+	Trace     *trace.Recorder
 }
 
 // Engine schedules faults against one host. Drive it by registering Tick as
@@ -213,13 +212,10 @@ func (e *Engine) Tick(now vclock.Time) {
 	}
 }
 
-// note reports an activation edge to the decision log and span timeline.
+// note records an activation edge.
 func (e *Engine) note(now vclock.Time, kind trace.Kind, ev *event, lvl float64) {
 	if e.host.Trace != nil {
-		e.host.Trace.Emit(now, kind, ev.name, "level=%.2f", lvl)
-	}
-	if e.host.Recorder != nil {
-		e.host.Recorder.Instant(now, kind, ev.name, map[string]any{"level": lvl})
+		e.host.Trace.Instant(now, kind, ev.name, "level", lvl)
 	}
 }
 

@@ -50,7 +50,7 @@ func runScriptedWB(t *testing.T, seed uint64, wb backend.WritebackConfig) (strin
 	if err := sys.TelemetrySnapshot().WritePrometheus(&met); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Tracer.WriteChromeTrace(&tr); err != nil {
+	if err := sys.Trace.WriteChromeTrace(&tr); err != nil {
 		t.Fatal(err)
 	}
 	return stripWallClock(met.String()), tr.String()

@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -184,7 +185,7 @@ func (e *Engine) buildFault(name, arg, appName string) (Fault, error) {
 		if err != nil {
 			return nil, err
 		}
-		if factor <= 0 || factor > 1 {
+		if !(factor > 0 && factor <= 1) {
 			return nil, fmt.Errorf("capacity factor must be in (0, 1], got %v", factor)
 		}
 		if e.host.Manager == nil {
@@ -207,26 +208,34 @@ func parseDur(s string) (vclock.Duration, error) {
 	return vclock.FromStd(d), nil
 }
 
-// parseFactor parses an "x4"- or "x0.5"-style multiplier.
+// parseFactor parses an "x4"- or "x0.5"-style multiplier: finite and
+// non-negative.
 func parseFactor(s string) (float64, error) {
 	if !strings.HasPrefix(s, "x") {
 		return 0, fmt.Errorf("want x<factor>, got %q", s)
 	}
-	f, err := strconv.ParseFloat(s[1:], 64)
-	if err != nil || f < 0 {
+	f, ok := parseNonNeg(s[1:])
+	if !ok {
 		return 0, fmt.Errorf("bad factor %q", s)
 	}
 	return f, nil
 }
 
-// parseFrac parses a bare non-negative float (fractions may exceed 1:
-// ssd-wear 1.5 drains one and a half lifetimes).
+// parseFrac parses a bare finite non-negative float (fractions may exceed
+// 1: ssd-wear 1.5 drains one and a half lifetimes).
 func parseFrac(s string) (float64, error) {
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f < 0 {
+	f, ok := parseNonNeg(s)
+	if !ok {
 		return 0, fmt.Errorf("bad fraction %q", s)
 	}
 	return f, nil
+}
+
+// parseNonNeg parses a finite non-negative float; ParseFloat alone would
+// accept NaN and ±Inf.
+func parseNonNeg(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && f >= 0 && !math.IsInf(f, 1)
 }
 
 // sizeSuffixes maps size-literal suffixes to byte multipliers, longest
@@ -241,15 +250,16 @@ var sizeSuffixes = []struct {
 	{"B", 1},
 }
 
-// parseSize parses a byte-size literal like "64MiB" or "1G".
+// parseSize parses a byte-size literal like "64MiB" or "1G" into a
+// non-negative int64 byte count.
 func parseSize(s string) (int64, error) {
 	for _, suf := range sizeSuffixes {
 		if strings.HasSuffix(s, suf.suffix) {
-			f, err := strconv.ParseFloat(strings.TrimSuffix(s, suf.suffix), 64)
-			if err != nil || f < 0 {
-				break
+			f, ok := parseNonNeg(strings.TrimSuffix(s, suf.suffix))
+			if b := f * float64(suf.mult); ok && b < math.MaxInt64 {
+				return int64(b), nil
 			}
-			return int64(f * float64(suf.mult)), nil
+			break
 		}
 	}
 	return 0, fmt.Errorf("bad size %q (want e.g. 64MiB, 1GiB)", s)

@@ -182,15 +182,14 @@ type System struct {
 	// the TPP-style loop migrating pages between it and local DRAM.
 	CXL   *backend.CXLNode
 	Place *place.Controller
-	// Trace collects controller decisions (the fleet-telemetry stand-in);
-	// tmosim -trace dumps it.
-	Trace *trace.Log
+	// Trace is the host's one decision stream (the fleet-telemetry
+	// stand-in): Senpai tick and probe spans plus placement, chain-demotion,
+	// swap-full and chaos instants. tmosim renders it with -trace (text
+	// tail), -trace-out (Chrome trace) and -timeline-out (JSONL).
+	Trace *trace.Recorder
 	// Telemetry is the host's metrics registry; every layer publishes into
 	// it and tmosim -metrics-out dumps it.
 	Telemetry *telemetry.Registry
-	// Tracer records the span timeline (Senpai ticks, probes, kills);
-	// tmosim -trace-out exports it in Chrome trace_event format.
-	Tracer *trace.Recorder
 
 	chaosEng    *chaos.Engine
 	nextAppSeed uint64
@@ -240,9 +239,8 @@ func New(opts Options) *System {
 		SwapReadahead: opts.SwapReadahead,
 	})
 
-	sys.Trace = trace.NewLog(4096)
+	sys.Trace = trace.NewRecorder(1 << 16)
 	sys.Telemetry = telemetry.NewRegistry()
-	sys.Tracer = trace.NewRecorder(1 << 16)
 	if opts.Mode != ModeOff && !opts.DisableSenpai {
 		cfg := senpai.ConfigA()
 		if opts.Senpai != nil {
@@ -250,7 +248,6 @@ func New(opts Options) *System {
 		}
 		sys.Senpai = senpai.New(cfg, swap)
 		sys.Senpai.SetTrace(sys.Trace)
-		sys.Senpai.SetRecorder(sys.Tracer)
 		sys.Senpai.EnableTelemetry(sys.Telemetry)
 		if sys.CXL != nil {
 			sys.Senpai.SetFarNode(sys.CXL)
@@ -303,7 +300,7 @@ func chainSpecs(opts Options) []backend.TierSpec {
 }
 
 // wireTelemetry connects every layer to the system's registry and decision
-// logs: the memory manager, the device and offload backends, the simulator's
+// stream: the memory manager, the device and offload backends, the simulator's
 // PSI integration, and gauge functions over quantities other layers already
 // track (host occupancy, root PSI totals, swap contents).
 func (s *System) wireTelemetry() {
@@ -361,8 +358,8 @@ func (s *System) wireTelemetry() {
 
 // Chaos returns the system's fault-injection engine, creating and
 // registering it on first use: its Tick runs at the start of every
-// simulation tick, and its events land in the system's telemetry registry,
-// decision log, and span timeline.
+// simulation tick, and its events land in the system's telemetry registry
+// and decision stream.
 func (s *System) Chaos() *chaos.Engine {
 	if s.chaosEng == nil {
 		s.chaosEng = chaos.NewEngine(chaos.Host{
@@ -375,7 +372,6 @@ func (s *System) Chaos() *chaos.Engine {
 			Seed:              s.Opts.Seed ^ 0xc4a05c4a05,
 			Telemetry:         s.Telemetry,
 			Trace:             s.Trace,
-			Recorder:          s.Tracer,
 		})
 		s.Server.OnTickStart(s.chaosEng.Tick)
 	}

@@ -6,6 +6,7 @@ import (
 	"tmo/internal/backend"
 	"tmo/internal/psi"
 	"tmo/internal/senpai"
+	"tmo/internal/trace"
 	"tmo/internal/vclock"
 	"tmo/internal/workload"
 )
@@ -296,6 +297,27 @@ func TestCXLMode(t *testing.T) {
 	// The host snapshot's far bytes must agree with the node's occupancy.
 	if got, want := sys.Metrics().FarBytes, sys.CXL.UsedBytes(); got != want {
 		t.Fatalf("far bytes disagree: metrics %d, node %d", got, want)
+	}
+
+	// The decision stream holds one place.promote instant per promotion
+	// outcome and no per-fault records: refaults are counted by the
+	// registry, not traced.
+	if sys.Telemetry.Counter("mm.refaults").Value() == 0 {
+		t.Fatal("run too quiet: no refaults")
+	}
+	var outcomes int64
+	for _, r := range sys.Trace.Records() {
+		switch r.Cat {
+		case trace.KindPlacePromote:
+			outcomes++
+		case "mm.refault":
+			t.Fatalf("per-fault record in the decision stream: %+v", r)
+		}
+	}
+	pst := sys.Place.Stats()
+	if sys.Trace.Dropped() != 0 || outcomes != pst.Promotions+pst.Aborts() {
+		t.Fatalf("%d place.promote instants (%d dropped), want one per outcome (%d)",
+			outcomes, sys.Trace.Dropped(), pst.Promotions+pst.Aborts())
 	}
 }
 

@@ -132,7 +132,7 @@ func RolloutScorecard(c Config) RolloutResult {
 		Aggressive: rollout.New(aggr).Run(),
 	}
 	for _, e := range r.Aggressive.Events {
-		if e.Kind == trace.KindSLOBurn {
+		if e.Cat == trace.KindSLOBurn {
 			r.BurnAlerts++
 		}
 	}

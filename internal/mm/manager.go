@@ -133,10 +133,10 @@ type Manager struct {
 	oomEvents int64
 
 	// tel, when set, publishes event counters and fault latencies into the
-	// host's telemetry registry; trace reports refaults and swap rejections
-	// to the decision log. Both are optional.
+	// host's telemetry registry; trace records the swap-full latch. Both are
+	// optional.
 	tel   *counters
-	trace *trace.Log
+	trace *trace.Recorder
 }
 
 // swapClusterSize matches the kernel's default readahead cluster (2^3).
@@ -435,7 +435,7 @@ func (m *Manager) TouchWrite(now vclock.Time, p *Page) TouchResult {
 		res.DirectReclaimStall = m.tryCharge(now, p.group)
 		m.makeResident(now, p)
 		p.dirty = true
-		m.noteFault(now, p.group, res)
+		m.noteFault(res)
 		return res
 	}
 	res := m.Touch(now, p)
@@ -450,7 +450,7 @@ func (m *Manager) TouchWrite(now vclock.Time, p *Page) TouchResult {
 func (m *Manager) Touch(now vclock.Time, p *Page) TouchResult {
 	res := m.touch(now, p)
 	if res.Fault {
-		m.noteFault(now, p.group, res)
+		m.noteFault(res)
 	}
 	return res
 }

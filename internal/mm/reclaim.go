@@ -184,9 +184,8 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 			var oneRes [1]backend.StoreResult
 			_, err := m.cfg.Swap.StoreBatch(now, oneReq[:], oneRes[:])
 			if err != nil {
-				m.swapExhausted = true
+				m.latchSwapFull(now, g)
 				res.SwapFull = true
-				m.noteSwapReject(now, g)
 				continue
 			}
 			store := oneRes[0]
@@ -404,9 +403,8 @@ func (m *Manager) flushSwapOuts(now vclock.Time, g *Group, res *ReclaimResult) i
 			p := m.storeVictims[i]
 			p.group.lists[Anon][0].pushHead(p)
 		}
-		m.swapExhausted = true
+		m.latchSwapFull(now, g)
 		res.SwapFull = true
-		m.noteSwapReject(now, g)
 	}
 	return int64(stored)
 }

@@ -52,13 +52,14 @@ func (m *Manager) EnableTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// SetTrace attaches an event log; the manager reports refaults and swap
-// rejections into it so controller decisions can be correlated with their
-// kernel-level consequences.
-func (m *Manager) SetTrace(l *trace.Log) { m.trace = l }
+// SetTrace attaches the host's decision recorder; the manager records the
+// swap-full latch into it so controller decisions can be correlated with
+// their kernel-level consequences. Refaults are counted and timed by the
+// registry (mm.refaults, mm.fault_latency_us), not recorded one by one.
+func (m *Manager) SetTrace(r *trace.Recorder) { m.trace = r }
 
 // noteFault publishes one fault's classification and latency.
-func (m *Manager) noteFault(now vclock.Time, g *Group, res TouchResult) {
+func (m *Manager) noteFault(res TouchResult) {
 	if m.tel != nil {
 		m.tel.faultLatency.Record(float64(res.TotalStall()))
 		switch {
@@ -74,19 +75,16 @@ func (m *Manager) noteFault(now vclock.Time, g *Group, res TouchResult) {
 			m.tel.zeroFills.Inc()
 		}
 	}
-	if m.trace != nil && res.Refault {
-		m.trace.Emit(now, trace.KindMMRefault, g.name,
-			"refault stalled %dus (direct reclaim %dus)",
-			int64(res.Latency), int64(res.DirectReclaimStall))
-	}
 }
 
-// noteSwapReject publishes one refused swap store.
-func (m *Manager) noteSwapReject(now vclock.Time, g *Group) {
+// latchSwapFull publishes one refused swap store and latches anon scanning
+// off until swap space frees up; the latch edge is recorded as an instant.
+func (m *Manager) latchSwapFull(now vclock.Time, g *Group) {
 	if m.tel != nil {
 		m.tel.swapRejects.Inc()
 	}
-	if m.trace != nil {
-		m.trace.Emit(now, trace.KindZswapReject, g.name, "swap backend full, anon scan latched off")
+	if !m.swapExhausted && m.trace != nil {
+		m.trace.Instant(now, trace.KindMMSwapFull, g.name)
 	}
+	m.swapExhausted = true
 }

@@ -83,17 +83,13 @@ type Controller struct {
 	hasKilled  bool
 
 	kills    []KillEvent
-	trace    *trace.Log
-	rec      *trace.Recorder
+	trace    *trace.Recorder
 	telKills *telemetry.Counter
 }
 
-// SetTrace attaches an event log the killer reports its decisions to.
-func (c *Controller) SetTrace(l *trace.Log) { c.trace = l }
-
-// SetRecorder attaches a span recorder; kills appear as instant events on
-// the exported timeline.
-func (c *Controller) SetRecorder(r *trace.Recorder) { c.rec = r }
+// SetTrace attaches the host's decision recorder; each kill becomes one
+// instant carrying the pressure that triggered it and the bytes it freed.
+func (c *Controller) SetTrace(r *trace.Recorder) { c.trace = r }
 
 // EnableTelemetry registers the kill counter with reg.
 func (c *Controller) EnableTelemetry(reg *telemetry.Registry) {
@@ -165,15 +161,9 @@ func (c *Controller) Tick(now vclock.Time) {
 		if c.telKills != nil {
 			c.telKills.Inc()
 		}
-		if c.rec != nil {
-			c.rec.Instant(now, trace.KindOOMKill, "kill "+victim.Group.Name(), map[string]any{
-				"pressure":    pressure,
-				"freed_bytes": usage,
-			})
-		}
 		if c.trace != nil {
-			c.trace.Emit(now, trace.KindOOMKill, victim.Group.Name(),
-				"killed at %s pressure %.3f, freeing %d B", c.cfg.Kind, pressure, usage)
+			c.trace.Instant(now, trace.KindOOMKill, "kill "+victim.Group.Name(),
+				"pressure", pressure, "freed_bytes", usage)
 		}
 	}
 }

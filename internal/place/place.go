@@ -148,7 +148,7 @@ type Controller struct {
 	hotTotal            int64
 	interleaveInstalled bool
 
-	trace *trace.Log
+	trace *trace.Recorder
 
 	telPromotions   *telemetry.Counter
 	telAbortChurn   *telemetry.Counter
@@ -193,8 +193,9 @@ func (c *Controller) Stats() Stats { return c.stats }
 // Inflight returns how many promotion copies are currently in flight.
 func (c *Controller) Inflight() int { return len(c.inflight) }
 
-// SetTrace attaches a decision log.
-func (c *Controller) SetTrace(l *trace.Log) { c.trace = l }
+// SetTrace attaches the host's decision recorder: one instant per promotion
+// outcome and per watermark demotion.
+func (c *Controller) SetTrace(r *trace.Recorder) { c.trace = r }
 
 // AddTarget registers a container for placement.
 func (c *Controller) AddTarget(g *cgroup.Group) { c.targets = append(c.targets, g) }
@@ -306,8 +307,8 @@ func (c *Controller) Tick(now vclock.Time) {
 		moved := c.mgr.DemoteCold(now, g.MM(), want)
 		c.stats.DemotedBytes += moved
 		if moved > 0 && c.trace != nil {
-			c.trace.Emit(now, trace.KindPlaceDemote, g.Name(),
-				"demoted %d B to far node (free=%.3f mem=%.4f)", moved, freeFrac, memP)
+			c.trace.Instant(now, trace.KindPlaceDemote, g.Name(),
+				"bytes", moved, "free_frac", freeFrac, "mem_pressure", memP)
 		}
 	}
 }
@@ -338,14 +339,14 @@ func (c *Controller) completePromotions(now vclock.Time) {
 		case mg.p.State() != mm.Resident || !mg.p.Far():
 			c.mgr.AbortPromotion(mg.p)
 			c.stats.AbortsChurn++
-			c.note(now, c.telAbortChurn, mg, "abort (churn)")
+			c.note(now, c.telAbortChurn, mg, "abort-churn")
 		case c.node.StalledDuring(mg.start, mg.done):
 			c.mgr.AbortPromotion(mg.p)
 			c.stats.AbortsStall++
-			c.note(now, c.telAbortStall, mg, "abort (link stall)")
+			c.note(now, c.telAbortStall, mg, "abort-link-stall")
 		case !c.mgr.PromoteFromFar(now, mg.p):
 			c.stats.AbortsPressure++
-			c.note(now, c.telAbortPress, mg, "abort (local pressure)")
+			c.note(now, c.telAbortPress, mg, "abort-pressure")
 		default:
 			c.stats.Promotions++
 			c.note(now, c.telPromotions, mg, "promoted")
@@ -355,11 +356,12 @@ func (c *Controller) completePromotions(now vclock.Time) {
 }
 
 // note publishes one promotion outcome.
-func (c *Controller) note(now vclock.Time, counter *telemetry.Counter, mg migration, what string) {
+func (c *Controller) note(now vclock.Time, counter *telemetry.Counter, mg migration, outcome string) {
 	if counter != nil {
 		counter.Inc()
 	}
 	if c.trace != nil {
-		c.trace.Emit(now, trace.KindPlacePromote, mg.g.Name(), "%s after %dus in flight", what, int64(now.Sub(mg.start)))
+		c.trace.Instant(now, trace.KindPlacePromote, mg.g.Name(),
+			"outcome", outcome, "inflight_us", int64(now.Sub(mg.start)))
 	}
 }

@@ -2,6 +2,7 @@ package rollout
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"tmo/internal/fleet"
@@ -351,7 +352,7 @@ func (c *Controller) dumpFlight(h *host, reason string) {
 		Window:      c.window,
 		Incarnation: h.incarnation,
 		Samples:     c.obs.fr[h.index].Samples(),
-		Events:      tsdb.FlightEventsFromTrace(c.events, c.obs.cfg.FlightEvents),
+		Events:      slices.Clone(trace.Last(c.events, c.obs.cfg.FlightEvents)),
 	}
 	c.flights = append(c.flights, b)
 	c.record(trace.KindFlightDump, c.hostName(h), "%s: %d samples, %d events",

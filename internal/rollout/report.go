@@ -109,7 +109,7 @@ type Result struct {
 	// Hosts summarizes every fleet member in population order.
 	Hosts []HostReport
 	// Events is the deterministic rollout decision log.
-	Events []trace.Event
+	Events []trace.Record
 	// Flights holds the flight-recorder bundles cut during the run
 	// (guardrail trips, OOMs, crashes), in dump order. Requires
 	// Config.Obs; empty otherwise.
@@ -160,14 +160,7 @@ func (r Result) Rebuilds() int {
 
 // EventLog renders the decision log one event per line. Same config and
 // seed produce byte-identical output — the regression tests pin this.
-func (r Result) EventLog() string {
-	var b strings.Builder
-	for _, e := range r.Events {
-		b.WriteString(e.String())
-		b.WriteString("\n")
-	}
-	return b.String()
-}
+func (r Result) EventLog() string { return trace.Lines(r.Events) }
 
 // Render formats the scorecard for terminal output.
 func (r Result) Render() string {

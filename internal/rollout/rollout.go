@@ -114,10 +114,6 @@ type Config struct {
 	Seed uint64
 	// Crashes is the host-churn schedule.
 	Crashes []Crash
-	// TraceCapacity bounds the controller's ring decision log; default
-	// 4096. Long K-candidate races with churn can overflow the default
-	// and silently evict early events — size it to the run.
-	TraceCapacity int
 	// Obs attaches the observability plane (TSDB scraping, SLO burn
 	// monitors, flight recorders); nil runs without one.
 	Obs *ObsConfig
@@ -185,7 +181,7 @@ func (cfg Config) normalize() Config {
 	}
 	prev := 0.0
 	for i, st := range cfg.Plan {
-		if st.Frac <= 0 || st.Frac > 1 {
+		if !(st.Frac > 0 && st.Frac <= 1) {
 			panic(fmt.Sprintf("rollout: stage %d frac %v outside (0, 1]", i, st.Frac))
 		}
 		if st.Frac < prev {
@@ -223,9 +219,6 @@ func (cfg Config) normalize() Config {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
-	}
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = 4096
 	}
 	for _, cr := range cfg.Crashes {
 		if cr.Host < 0 || cr.Host >= len(cfg.Hosts) {
@@ -497,8 +490,6 @@ type Controller struct {
 	eng          *chaos.Engine
 
 	reg *telemetry.Registry
-	log *trace.Log
-	rec *trace.Recorder
 
 	now        vclock.Time
 	window     int
@@ -510,7 +501,9 @@ type Controller struct {
 	// winner is the promoted candidate index; -1 until promotion.
 	winner int
 
-	events  []trace.Event
+	// events is the rollout's one decision log: unbounded, because
+	// EventLog is the whole run.
+	events  []trace.Record
 	reports []StageReport
 
 	// Observability plane; nil when Config.Obs is unset.
@@ -533,8 +526,6 @@ func New(cfg Config) *Controller {
 		cfg:    cfg,
 		winner: -1,
 		reg:    telemetry.NewRegistry(),
-		log:    trace.NewLog(cfg.TraceCapacity),
-		rec:    trace.NewRecorder(1 << 14),
 	}
 	c.obs = newObsState(cfg, c.reg)
 	c.telAdvance = c.reg.Counter("rollout.stage_advances")
@@ -577,8 +568,6 @@ func New(cfg Config) *Controller {
 	c.eng = chaos.NewEngine(chaos.Host{
 		Seed:      cfg.Seed ^ 0x5011011, // distinct stream from any host's own seed
 		Telemetry: c.reg,
-		Trace:     c.log,
-		Recorder:  c.rec,
 	})
 	for _, cr := range cfg.Crashes {
 		h := c.hosts[cr.Host]
@@ -593,10 +582,6 @@ func New(cfg Config) *Controller {
 // Telemetry exposes the control plane's metrics registry (stage gauges,
 // rollback/push/drop/promotion/lifecycle counters, chaos injections).
 func (c *Controller) Telemetry() *telemetry.Registry { return c.reg }
-
-// Recorder exposes the span recorder carrying rollout instants for
-// Chrome-trace export.
-func (c *Controller) Recorder() *trace.Recorder { return c.rec }
 
 // policyFor resolves the policy the host is entitled to right now.
 func (c *Controller) policyFor(h *host) Policy {
@@ -722,13 +707,9 @@ func (c *Controller) hostName(h *host) string {
 	return fmt.Sprintf("host-%d/%s", h.index, h.spec.App)
 }
 
-// record appends to the deterministic rollout event log and mirrors the
-// event into the decision log and span timeline.
+// record appends one decision to the deterministic rollout event log.
 func (c *Controller) record(kind trace.Kind, subject, format string, args ...any) {
-	e := trace.Event{Time: c.now, Kind: kind, Subject: subject, Detail: fmt.Sprintf(format, args...)}
-	c.events = append(c.events, e)
-	c.log.Emit(c.now, kind, subject, "%s", e.Detail)
-	c.rec.Instant(c.now, kind, subject, nil)
+	c.events = append(c.events, trace.Note(c.now, kind, subject, fmt.Sprintf(format, args...)))
 }
 
 // Run executes the whole plan — warm-up, stages, and the settle tail after

@@ -298,7 +298,7 @@ func TestTwinDriftAdvisesRecalibration(t *testing.T) {
 	}
 	found := false
 	for _, e := range r.Events {
-		if e.Kind == trace.KindRolloutRecalib {
+		if e.Cat == trace.KindRolloutRecalib {
 			found = true
 			break
 		}

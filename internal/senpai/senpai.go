@@ -156,8 +156,7 @@ type Controller struct {
 	autoTune AutoTuneConfig
 	tune     map[*cgroup.Group]*tuneState
 
-	trace *trace.Log
-	rec   *trace.Recorder
+	trace *trace.Recorder
 
 	// Registry instruments, nil until EnableTelemetry.
 	telRuns, telReclaims, telBackoffs, telWriteRg *telemetry.Counter
@@ -165,14 +164,12 @@ type Controller struct {
 	telProbe                                      *telemetry.Histogram
 }
 
-// SetTrace attaches an event log the controller reports its decisions to.
-func (c *Controller) SetTrace(l *trace.Log) { c.trace = l }
-
-// SetRecorder attaches a span recorder; each control interval becomes a
-// "senpai tick" span containing one probe span per target cgroup, annotated
-// with the pressures read and the reclaim issued — the exportable decision
-// timeline.
-func (c *Controller) SetRecorder(r *trace.Recorder) { c.rec = r }
+// SetTrace attaches the host's decision recorder: each control interval
+// becomes a "senpai tick" span containing one probe span per target cgroup,
+// annotated with the pressures read and the bytes requested and reclaimed,
+// so a backoff (nothing requested) or a write-regulated probe reads off its
+// args.
+func (c *Controller) SetTrace(r *trace.Recorder) { c.trace = r }
 
 // EnableTelemetry registers the controller's decision counters with reg.
 func (c *Controller) EnableTelemetry(reg *telemetry.Registry) {
@@ -317,8 +314,8 @@ func (c *Controller) Tick(now vclock.Time) {
 	// and Chrome-trace viewers reconstruct the nesting by time containment.
 	var tickSpan *trace.Span
 	cursor := now
-	if c.rec != nil {
-		tickSpan = c.rec.Begin(now, trace.KindSenpaiTick, "senpai tick")
+	if c.trace != nil {
+		tickSpan = c.trace.Begin(now, trace.KindSenpaiTick, "senpai tick")
 		tickSpan.Annotate("targets", len(c.targets))
 		tickSpan.Annotate("write_scale", c.writeScale)
 	}
@@ -364,8 +361,8 @@ func (c *Controller) Tick(now vclock.Time) {
 		}
 
 		var probe *trace.Span
-		if c.rec != nil {
-			probe = c.rec.Begin(cursor, trace.KindSenpaiReclaim, "probe "+g.Name())
+		if c.trace != nil {
+			probe = c.trace.Begin(cursor, trace.KindSenpaiReclaim, "probe "+g.Name())
 			probe.Annotate("mem_pressure", memP)
 			probe.Annotate("io_pressure", ioP)
 		}
@@ -420,21 +417,6 @@ func (c *Controller) Tick(now vclock.Time) {
 			}
 			cursor = cursor.Add(dur)
 			probe.End(cursor)
-		}
-
-		if c.trace != nil {
-			switch {
-			case act.WriteLimited:
-				c.trace.Emit(now, trace.KindSenpaiWriteRg, g.Name(),
-					"reclaim scaled to %d B (scale %.3f)", act.Requested, c.writeScale)
-			case act.Requested == 0:
-				c.trace.Emit(now, trace.KindSenpaiBackoff, g.Name(),
-					"pressure mem=%.4f io=%.4f at/above threshold", act.MemPressure, act.IOPressure)
-			default:
-				c.trace.Emit(now, trace.KindSenpaiReclaim, g.Name(),
-					"requested %d B, reclaimed %d B (mem=%.4f io=%.4f)",
-					act.Requested, act.Reclaimed, act.MemPressure, act.IOPressure)
-			}
 		}
 	}
 

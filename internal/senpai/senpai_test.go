@@ -8,6 +8,7 @@ import (
 	"tmo/internal/cgroup"
 	"tmo/internal/mm"
 	"tmo/internal/psi"
+	"tmo/internal/trace"
 	"tmo/internal/vclock"
 )
 
@@ -134,6 +135,42 @@ func TestZeroPressureReclaimsFullRatio(t *testing.T) {
 	}
 	if c.TotalRequested() != act.Requested || c.TotalReclaimed() != act.Reclaimed {
 		t.Fatalf("cumulative counters wrong")
+	}
+}
+
+// One control interval is one tick span plus one probe span per target —
+// the whole decision: a backoff reads off its probe's args (nothing
+// requested), with no second record beside it.
+func TestOneIntervalRecords(t *testing.T) {
+	e := newEnv("")
+	e.populate(10000)
+	idle := e.h.NewGroup(nil, "idle", cgroup.Workload, 0) // empty: Senpai backs off
+	rec := trace.NewRecorder(64)
+	c := New(ConfigA(), nil)
+	c.SetTrace(rec)
+	c.AddTarget(e.g)
+	c.AddTarget(idle)
+
+	c.Tick(0)
+	c.Tick(vclock.Time(6 * vclock.Second))
+	recs := rec.Records()
+	if len(recs) != 1+len(c.Targets()) {
+		t.Fatalf("one interval left %d records, want 1 + %d targets: %+v", len(recs), len(c.Targets()), recs)
+	}
+	if recs[0].Cat != trace.KindSenpaiTick || recs[0].Depth != 0 {
+		t.Fatalf("first record is not the tick span: %+v", recs[0])
+	}
+	for i, g := range []*cgroup.Group{e.g, idle} {
+		p := recs[1+i]
+		if p.Cat != trace.KindSenpaiReclaim || p.Name != "probe "+g.Name() || p.Depth != 1 {
+			t.Fatalf("record %d is not %s's probe: %+v", 1+i, g.Name(), p)
+		}
+		if p.Args.Map()["requested_bytes"] != c.LastAction(g).Requested {
+			t.Fatalf("probe %s args %+v disagree with action %+v", g.Name(), p.Args, c.LastAction(g))
+		}
+	}
+	if recs[2].Args.Map()["requested_bytes"] != int64(0) {
+		t.Fatalf("idle target's backoff not readable from its probe: %+v", recs[2].Args)
 	}
 }
 

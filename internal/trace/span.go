@@ -10,29 +10,25 @@ import (
 )
 
 // Span is one in-progress timed operation. Spans nest: a Senpai tick span
-// contains one probe span per target cgroup, which in turn contains the
-// reclaim call it issued. End finishes the span and commits it to the
-// recorder.
+// contains one probe span per target cgroup. End finishes the span and
+// commits it to the recorder.
 type Span struct {
 	rec   *Recorder
 	name  string
 	cat   Kind
 	start vclock.Time
 	depth int
-	args  map[string]any
+	args  Args
 	ended bool
 }
 
-// Annotate attaches a key/value argument rendered in the exporters. Calling
-// it after End is a no-op.
+// Annotate attaches a key/value argument rendered in the exporters; a later
+// value under the same key wins. Calling it after End is a no-op.
 func (s *Span) Annotate(key string, value any) {
 	if s == nil || s.ended {
 		return
 	}
-	if s.args == nil {
-		s.args = make(map[string]any)
-	}
-	s.args[key] = value
+	s.args = append(s.args, key, value)
 }
 
 // End finishes the span at instant now. Spans must end in LIFO order
@@ -46,29 +42,9 @@ func (s *Span) End(now vclock.Time) {
 	s.rec.end(s, now)
 }
 
-// Record is one finished span or instant event on the timeline.
-type Record struct {
-	// Name describes the operation ("tick", "probe feed", ...).
-	Name string
-	// Cat is the event category, reusing the ring log's Kind namespace.
-	Cat Kind
-	// Start and End bound the span; instants have End == Start.
-	Start, End vclock.Time
-	// Depth is the span's nesting level at Begin time (0 = top level).
-	Depth int
-	// Instant marks a zero-duration point event.
-	Instant bool
-	// Args carries the span's annotations.
-	Args map[string]any
-}
-
-// Duration returns the span's length.
-func (r Record) Duration() vclock.Duration { return r.End.Sub(r.Start) }
-
-// Recorder collects spans and instant events for one run. Unlike the ring
-// Log — which keeps only the most recent events for interactive debugging —
-// the recorder retains the timeline up to a capacity so a whole run can be
-// exported and opened in a trace viewer; past capacity it counts drops
+// Recorder is a host's one decision store: it collects the spans and
+// instant events of one run up to a capacity so the whole run can be
+// exported and opened in a trace viewer. Past capacity it counts drops
 // rather than evicting, preserving the run's beginning (the transient the
 // paper's figures mostly care about).
 type Recorder struct {
@@ -105,8 +81,9 @@ func (r *Recorder) end(s *Span, now vclock.Time) {
 	r.commit(Record{Name: s.name, Cat: s.cat, Start: s.start, End: now, Depth: s.depth, Args: s.args})
 }
 
-// Instant records a zero-duration point event at the current nesting depth.
-func (r *Recorder) Instant(now vclock.Time, cat Kind, name string, args map[string]any) {
+// Instant records a zero-duration point event at the current nesting depth;
+// args are its alternating key, value annotations.
+func (r *Recorder) Instant(now vclock.Time, cat Kind, name string, args ...any) {
 	r.commit(Record{Name: name, Cat: cat, Start: now, End: now, Depth: len(r.stack), Instant: true, Args: args})
 }
 
@@ -142,18 +119,22 @@ func (r *Recorder) Dropped() int64 { return r.dropped }
 // ignore them, so callers flush by ending spans before exporting.
 func (r *Recorder) OpenSpans() int { return len(r.stack) }
 
+// Tail renders the newest n retained records (all of them when n <= 0),
+// oldest first, one line each.
+func (r *Recorder) Tail(n int) string { return Lines(Last(r.Records(), n)) }
+
 // chromeEvent is one entry of the Chrome trace_event format (the JSON
 // schema chrome://tracing and Perfetto ingest).
 type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"` // microseconds
-	Dur   *int64         `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+	Name  string `json:"name"`
+	Cat   string `json:"cat"`
+	Phase string `json:"ph"`
+	TS    int64  `json:"ts"` // microseconds
+	Dur   *int64 `json:"dur,omitempty"`
+	PID   int    `json:"pid"`
+	TID   int    `json:"tid"`
+	Scope string `json:"s,omitempty"`
+	Args  Args   `json:"args,omitempty"`
 }
 
 // chromeTrace is the top-level trace_event JSON object.
@@ -202,13 +183,13 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 // timelineLine is the JSONL schema: one self-contained object per line, in
 // start-time order, the format downstream log pipelines ingest.
 type timelineLine struct {
-	T     int64          `json:"t"` // start, virtual microseconds
-	Type  string         `json:"type"`
-	Cat   string         `json:"cat"`
-	Name  string         `json:"name"`
-	DurUS int64          `json:"dur_us,omitempty"`
-	Depth int            `json:"depth"`
-	Args  map[string]any `json:"args,omitempty"`
+	T     int64  `json:"t"` // start, virtual microseconds
+	Type  string `json:"type"`
+	Cat   string `json:"cat"`
+	Name  string `json:"name"`
+	DurUS int64  `json:"dur_us,omitempty"`
+	Depth int    `json:"depth"`
+	Args  Args   `json:"args,omitempty"`
 }
 
 // WriteJSONL renders the timeline as JSON Lines, one record per line.
@@ -226,26 +207,6 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		}
 		if rec.Instant {
 			line.Type = "event"
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ExportLogJSONL renders a ring log's retained events in the same JSONL
-// schema, so the bounded decision log and the span timeline can be merged
-// by downstream tooling.
-func ExportLogJSONL(w io.Writer, l *Log) error {
-	enc := json.NewEncoder(w)
-	for _, e := range l.Events() {
-		line := timelineLine{
-			T:    int64(e.Time),
-			Type: "event",
-			Cat:  string(e.Kind),
-			Name: e.Subject,
-			Args: map[string]any{"detail": e.Detail},
 		}
 		if err := enc.Encode(line); err != nil {
 			return err

@@ -14,10 +14,10 @@ func TestSpanNesting(t *testing.T) {
 	tick := r.Begin(0, KindSenpaiTick, "tick")
 	probe := r.Begin(10, KindSenpaiReclaim, "probe web")
 	probe.Annotate("mem_pressure", 0.0004)
-	reclaim := r.Begin(12, KindMMReclaim, "memory.reclaim")
+	reclaim := r.Begin(12, KindSenpaiReclaim, "memory.reclaim")
 	reclaim.End(20)
 	probe.End(25)
-	r.Instant(26, KindZswapReject, "pool full", nil)
+	r.Instant(26, KindMMSwapFull, "pool full")
 	tick.End(30)
 
 	if r.OpenSpans() != 0 {
@@ -42,7 +42,7 @@ func TestSpanNesting(t *testing.T) {
 	if !recs[3].Instant || recs[3].Duration() != 0 {
 		t.Fatalf("instant record wrong: %+v", recs[3])
 	}
-	if recs[1].Args["mem_pressure"] != 0.0004 {
+	if recs[1].Args.Map()["mem_pressure"] != 0.0004 {
 		t.Fatalf("annotation lost: %+v", recs[1].Args)
 	}
 	// Children are contained in their parent's interval — the property
@@ -77,7 +77,7 @@ func TestSpanDoubleEndIsNoop(t *testing.T) {
 func TestRecorderDropsAtCapacity(t *testing.T) {
 	r := NewRecorder(2)
 	for i := 0; i < 5; i++ {
-		r.Instant(vclock.Time(i), KindMMRefault, "e", nil)
+		r.Instant(vclock.Time(i), KindPlaceDemote, "e")
 	}
 	if r.Len() != 2 || r.Dropped() != 3 {
 		t.Fatalf("len=%d dropped=%d", r.Len(), r.Dropped())
@@ -95,7 +95,7 @@ func TestChromeTraceExport(t *testing.T) {
 	probe.Annotate("requested_bytes", int64(4096))
 	probe.End(1400)
 	tick.End(1500)
-	r.Instant(1600, KindOOMKill, "kill", map[string]any{"victim": "cache-a"})
+	r.Instant(1600, KindOOMKill, "kill", "victim", "cache-a")
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -131,7 +131,7 @@ func TestJSONLExport(t *testing.T) {
 	r := NewRecorder(16)
 	s := r.Begin(5, KindSenpaiTick, "tick")
 	s.End(25)
-	r.Instant(30, KindMMRefault, "refault", map[string]any{"group": "web"})
+	r.Instant(30, KindMMSwapFull, "web", "pages", 8)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSONL(&buf); err != nil {
@@ -151,27 +151,25 @@ func TestJSONLExport(t *testing.T) {
 	if first["type"] != "span" || first["dur_us"] != float64(20) || first["t"] != float64(5) {
 		t.Fatalf("span line wrong: %+v", first)
 	}
-	if second["type"] != "event" || second["cat"] != "mm.refault" {
+	if second["type"] != "event" || second["cat"] != "mm.swap-full" {
 		t.Fatalf("event line wrong: %+v", second)
 	}
 }
 
-func TestExportLogJSONL(t *testing.T) {
-	l := NewLog(8)
-	l.Emit(7, KindBackendWriteback, "tiered", "wrote back %d pages", 3)
-	var buf bytes.Buffer
-	if err := ExportLogJSONL(&buf, l); err != nil {
+// Args must encode exactly as a map of the same pairs does — the exported
+// traces stay byte-identical to a map-backed encoding.
+func TestArgsMarshalLikeMap(t *testing.T) {
+	args := Args{"z", 1e-7, "a", int64(4096), "m", "<&>", "b", true, "f", 0.0004}
+	m := map[string]any{}
+	for i := 0; i < len(args); i += 2 {
+		m[args[i].(string)] = args[i+1]
+	}
+	got, err := json.Marshal(args)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var line map[string]any
-	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &line); err != nil {
-		t.Fatal(err)
-	}
-	if line["cat"] != "backend.writeback" || line["name"] != "tiered" {
-		t.Fatalf("line = %+v", line)
-	}
-	args, _ := line["args"].(map[string]any)
-	if args["detail"] != "wrote back 3 pages" {
-		t.Fatalf("detail lost: %+v", line)
+	want, _ := json.Marshal(m)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Args encode as %s, map as %s", got, want)
 	}
 }

@@ -1,36 +1,39 @@
-// Package trace provides a bounded, allocation-light event log for the
-// userspace controllers. Production TMO ships controller decisions to
-// fleet telemetry; here the same role is played by an in-memory ring that
-// tools (tmosim -trace) can dump for debugging a run.
+// Package trace is a host's decision stream: one bounded, typed record store
+// (Recorder) that every controller and layer on the host emits into. Each
+// record is a span or an instant with typed args; emission formats nothing.
+// The exports are views over the same records, rendered only when written:
+// the Chrome trace and the JSONL timeline (span.go), the text tail behind
+// tmosim -trace, and the events of a rollout flight bundle.
 package trace
 
 import (
+	"encoding/json"
 	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 
 	"tmo/internal/vclock"
 )
 
-// Kind classifies an event source.
+// Kind classifies a record's source; it is the record's category in every
+// view.
 type Kind string
 
-// Well-known event kinds.
+// Well-known record kinds.
 const (
-	KindSenpaiReclaim Kind = "senpai.reclaim"
-	KindSenpaiBackoff Kind = "senpai.backoff"
-	KindSenpaiWriteRg Kind = "senpai.write-regulated"
+	// Senpai: one tick span per control interval containing one probe span
+	// per target, whose args carry the pressures read and the bytes
+	// requested and reclaimed.
 	KindSenpaiTick    Kind = "senpai.tick"
+	KindSenpaiReclaim Kind = "senpai.reclaim"
 	KindOOMKill       Kind = "oomd.kill"
-	KindRestart       Kind = "workload.restart"
-	// Memory-management and backend events, promoted from ad-hoc counters
-	// so decision logs can correlate controller actions with their kernel-
-	// and device-level consequences.
-	KindMMRefault        Kind = "mm.refault"
-	KindMMReclaim        Kind = "mm.reclaim"
-	KindBackendWriteback Kind = "backend.writeback"
-	KindZswapReject      Kind = "zswap.reject"
+	// Memory-management and backend events: the swap-full latch (anon scan
+	// turned off after a refused store) and one chain demotion round.
+	KindMMSwapFull    Kind = "mm.swap-full"
+	KindBackendDemote Kind = "backend.demote"
 	// Chaos-engine perturbations: a fault going active and returning to
-	// nominal, logged next to the controller reactions they provoke.
+	// nominal, recorded next to the controller reactions they provoke.
 	KindChaosInject  Kind = "chaos.inject"
 	KindChaosRestore Kind = "chaos.restore"
 	// Fleet control-plane decisions: stage transitions of a staged policy
@@ -60,16 +63,90 @@ const (
 	KindRolloutRecalib Kind = "rollout.recalibrate-advice"
 )
 
-// Event is one recorded decision.
-type Event struct {
-	Time    vclock.Time
-	Kind    Kind
-	Subject string
-	Detail  string
+// Record is one finished span or instant event on the timeline.
+type Record struct {
+	// Name describes the operation ("senpai tick", "probe feed", a cgroup
+	// or policy name, ...).
+	Name string
+	// Cat is the record's kind.
+	Cat Kind
+	// Start and End bound the span; instants have End == Start.
+	Start, End vclock.Time
+	// Depth is the span's nesting level at Begin time (0 = top level).
+	Depth int
+	// Instant marks a zero-duration point event.
+	Instant bool
+	// Args carries the record's typed annotations.
+	Args Args
+}
+
+// Args holds a record's typed annotations as alternating key, value pairs —
+// the log/slog calling convention, Instant(now, kind, name, "bytes", n) —
+// which costs one small slice per record where a map would cost a table.
+// Keys are strings.
+type Args []any
+
+// Map returns the pairs as the map the views render; a later pair wins over
+// an earlier one with the same key.
+func (a Args) Map() map[string]any {
+	m := make(map[string]any, len(a)/2)
+	for i := 0; i+1 < len(a); i += 2 {
+		m[fmt.Sprint(a[i])] = a[i+1]
+	}
+	return m
+}
+
+// MarshalJSON renders the pairs as one JSON object in key order.
+func (a Args) MarshalJSON() ([]byte, error) { return json.Marshal(a.Map()) }
+
+// detailArg is the arg under which Note stores preformatted text.
+const detailArg = "detail"
+
+// Note returns an instant carrying preformatted detail text, the record a
+// control plane that keeps its own unbounded log (the rollout controller's
+// EventLog) appends for each decision.
+func Note(now vclock.Time, kind Kind, subject, detail string) Record {
+	return Record{Name: subject, Cat: kind, Start: now, End: now, Instant: true, Args: Args{detailArg, detail}}
+}
+
+// Duration returns the span's length.
+func (r Record) Duration() vclock.Duration { return r.End.Sub(r.Start) }
+
+// Detail renders the record's args as one line of text: a span's duration
+// first, then a Note's detail text verbatim, then every other arg as
+// key=value in key order.
+func (r Record) Detail() string {
+	var parts []string
+	if !r.Instant {
+		parts = append(parts, "dur="+r.Duration().String())
+	}
+	m := r.Args.Map()
+	if d, ok := m[detailArg].(string); ok {
+		parts = append(parts, d)
+		delete(m, detailArg)
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		parts = append(parts, k+"="+formatValue(m[k]))
+	}
+	return strings.Join(parts, " ")
+}
+
+// formatValue renders one arg value for the text views, floats to four
+// significant digits.
+func formatValue(v any) string {
+	if f, ok := v.(float64); ok {
+		return strconv.FormatFloat(f, 'g', 4, 64)
+	}
+	return fmt.Sprint(v)
 }
 
 // Column widths for the String rendering; over-long fields are truncated so
-// the detail column stays aligned regardless of subject length.
+// the detail column stays aligned regardless of name length.
 const (
 	timeCol    = 10
 	kindCol    = 22
@@ -84,66 +161,29 @@ func clip(s string, width int) string {
 	return s[:width-1] + "~"
 }
 
-// String renders the event as one log line with fixed-width columns.
-func (e Event) String() string {
+// String renders the record as one log line with fixed-width columns:
+// start time, kind, name, detail.
+func (r Record) String() string {
 	return fmt.Sprintf("%-*s %-*s %-*s %s",
-		timeCol, clip(e.Time.String(), timeCol),
-		kindCol, clip(string(e.Kind), kindCol),
-		subjectCol, clip(e.Subject, subjectCol),
-		e.Detail)
+		timeCol, clip(r.Start.String(), timeCol),
+		kindCol, clip(string(r.Cat), kindCol),
+		subjectCol, clip(r.Name, subjectCol),
+		r.Detail())
 }
 
-// Log is a fixed-capacity ring of events. The zero value is unusable; call
-// NewLog.
-type Log struct {
-	ring  []Event
-	next  int
-	total int64
-}
-
-// NewLog returns a log retaining the most recent capacity events.
-func NewLog(capacity int) *Log {
-	if capacity <= 0 {
-		panic("trace: capacity must be positive")
+// Last returns the newest n records of recs (all of them when n <= 0).
+func Last(recs []Record, n int) []Record {
+	if n > 0 && len(recs) > n {
+		return recs[len(recs)-n:]
 	}
-	return &Log{ring: make([]Event, 0, capacity)}
+	return recs
 }
 
-// Emit records an event.
-func (l *Log) Emit(now vclock.Time, kind Kind, subject, format string, args ...any) {
-	e := Event{Time: now, Kind: kind, Subject: subject, Detail: fmt.Sprintf(format, args...)}
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, e)
-	} else {
-		l.ring[l.next] = e
-		l.next = (l.next + 1) % cap(l.ring)
-	}
-	l.total++
-}
-
-// Total returns how many events were ever emitted (including evicted ones).
-func (l *Log) Total() int64 { return l.total }
-
-// Events returns the retained events in chronological order.
-func (l *Log) Events() []Event {
-	if len(l.ring) < cap(l.ring) {
-		return append([]Event(nil), l.ring...)
-	}
-	out := make([]Event, 0, len(l.ring))
-	out = append(out, l.ring[l.next:]...)
-	out = append(out, l.ring[:l.next]...)
-	return out
-}
-
-// Tail renders the last n retained events, oldest first.
-func (l *Log) Tail(n int) string {
-	evs := l.Events()
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
+// Lines renders recs one String line each.
+func Lines(recs []Record) string {
 	var b strings.Builder
-	for _, e := range evs {
-		b.WriteString(e.String())
+	for _, r := range recs {
+		b.WriteString(r.String())
 		b.WriteString("\n")
 	}
 	return b.String()

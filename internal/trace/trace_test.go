@@ -10,46 +10,45 @@ import (
 )
 
 func TestEmitAndEvents(t *testing.T) {
-	l := NewLog(4)
+	r := NewRecorder(4)
 	for i := 0; i < 3; i++ {
-		l.Emit(vclock.Time(i)*vclock.Time(vclock.Second), KindSenpaiReclaim, "web", "reclaim %d", i)
+		r.Instant(vclock.Time(i)*vclock.Time(vclock.Second), KindPlacePromote, "web", "n", i)
 	}
-	evs := l.Events()
-	if len(evs) != 3 || l.Total() != 3 {
-		t.Fatalf("events = %d, total = %d", len(evs), l.Total())
+	recs := r.Records()
+	if len(recs) != 3 || r.Len() != 3 || r.Dropped() != 0 {
+		t.Fatalf("records = %d, len = %d, dropped = %d", len(recs), r.Len(), r.Dropped())
 	}
-	if evs[0].Detail != "reclaim 0" || evs[2].Detail != "reclaim 2" {
-		t.Fatalf("order wrong: %+v", evs)
+	if recs[0].Args.Map()["n"] != 0 || recs[2].Args.Map()["n"] != 2 || !recs[2].Instant {
+		t.Fatalf("order wrong: %+v", recs)
 	}
 }
 
+// Past capacity the recorder keeps the run's beginning, so the tail shows
+// the newest retained records, never the dropped ones.
 func TestRingEviction(t *testing.T) {
-	l := NewLog(3)
+	r := NewRecorder(3)
 	for i := 0; i < 10; i++ {
-		l.Emit(vclock.Time(i), KindOOMKill, "x", "%d", i)
+		r.Instant(vclock.Time(i), KindOOMKill, fmt.Sprintf("x%d", i))
 	}
-	evs := l.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d", len(evs))
+	tail := r.Tail(2)
+	if !strings.Contains(tail, "x1") || !strings.Contains(tail, "x2") || strings.Contains(tail, "x0") {
+		t.Fatalf("tail kept wrong window: %q", tail)
 	}
-	if evs[0].Detail != "7" || evs[2].Detail != "9" {
-		t.Fatalf("ring kept wrong window: %+v", evs)
-	}
-	if l.Total() != 10 {
-		t.Fatalf("total = %d", l.Total())
+	if strings.Contains(tail, "x3") || r.Dropped() != 7 {
+		t.Fatalf("dropped record rendered or miscounted (dropped %d): %q", r.Dropped(), tail)
 	}
 }
 
 func TestTail(t *testing.T) {
-	l := NewLog(10)
+	r := NewRecorder(10)
 	for i := 0; i < 5; i++ {
-		l.Emit(vclock.Time(i), KindRestart, "app", "r%d", i)
+		r.Instant(vclock.Time(i), KindChaosInject, "app", "level", i)
 	}
-	out := l.Tail(2)
-	if !strings.Contains(out, "r3") || !strings.Contains(out, "r4") || strings.Contains(out, "r2") {
+	out := r.Tail(2)
+	if !strings.Contains(out, "level=3") || !strings.Contains(out, "level=4") || strings.Contains(out, "level=2") {
 		t.Fatalf("tail = %q", out)
 	}
-	if got := l.Tail(0); strings.Count(got, "\n") != 5 {
+	if got := r.Tail(0); strings.Count(got, "\n") != 5 {
 		t.Fatalf("tail(0) should render all: %q", got)
 	}
 }
@@ -60,87 +59,86 @@ func TestBadCapacityPanics(t *testing.T) {
 			t.Fatalf("no panic")
 		}
 	}()
-	NewLog(0)
+	NewRecorder(0)
 }
 
 func TestEventString(t *testing.T) {
-	e := Event{Time: vclock.Time(vclock.Second), Kind: KindSenpaiWriteRg, Subject: "ads", Detail: "x"}
-	s := e.String()
-	if !strings.Contains(s, "senpai.write-regulated") || !strings.Contains(s, "ads") {
-		t.Fatalf("event string = %q", s)
+	s := Note(vclock.Time(vclock.Second), KindRolloutTrip, "ads", "psi: 0.02 > 0.01").String()
+	if !strings.Contains(s, "rollout.guardrail-trip") || !strings.Contains(s, "ads") ||
+		!strings.HasSuffix(s, " psi: 0.02 > 0.01") {
+		t.Fatalf("note string = %q", s)
+	}
+	// Typed args render as sorted key=value pairs; spans lead with their
+	// duration.
+	span := Record{Cat: KindSenpaiReclaim, Name: "probe web", Start: 10, End: 25,
+		Args: Args{"requested_bytes", int64(4096), "mem_pressure", 0.5}}
+	if got, want := span.Detail(), "dur=15µs mem_pressure=0.5 requested_bytes=4096"; got != want {
+		t.Fatalf("span detail = %q, want %q", got, want)
 	}
 }
 
-// Total must keep counting across many full ring wraps, not reset or
-// saturate when the ring recycles slots.
+// Len and Dropped together count every record ever committed, however far
+// past capacity a run goes.
 func TestTotalAcrossManyWraps(t *testing.T) {
 	const capacity = 7
-	l := NewLog(capacity)
-	const emits = capacity*100 + 3 // 100+ wraps, deliberately not a multiple
+	r := NewRecorder(capacity)
+	const emits = capacity*100 + 3
 	for i := 0; i < emits; i++ {
-		l.Emit(vclock.Time(i), KindMMRefault, "g", "%d", i)
+		r.Instant(vclock.Time(i), KindMMSwapFull, "g")
 	}
-	if l.Total() != emits {
-		t.Fatalf("total = %d, want %d", l.Total(), emits)
+	if total := int64(r.Len()) + r.Dropped(); total != emits {
+		t.Fatalf("len+dropped = %d, want %d", total, emits)
 	}
-	evs := l.Events()
-	if len(evs) != capacity {
-		t.Fatalf("retained %d, want %d", len(evs), capacity)
-	}
-	for i, e := range evs {
-		if want := emits - capacity + i; e.Detail != fmt.Sprintf("%d", want) {
-			t.Fatalf("event %d = %q, want %d", i, e.Detail, want)
+	for i, rec := range r.Records() {
+		if rec.Start != vclock.Time(i) {
+			t.Fatalf("record %d starts at %v, want the run's beginning", i, rec.Start)
 		}
 	}
 }
 
-// The detail column must start at the same offset whether the subject is
-// short or over-wide; over-wide subjects are clipped, not allowed to shift
-// the columns.
+// The detail column must start at the same offset whether the name is short
+// or over-wide; over-wide names are clipped, not allowed to shift the
+// columns.
 func TestEventStringAlignment(t *testing.T) {
-	short := Event{Time: 0, Kind: KindOOMKill, Subject: "web", Detail: "DETAIL"}
-	long := Event{Time: 0, Kind: KindOOMKill,
-		Subject: "workload-with-an-extremely-long-cgroup-name", Detail: "DETAIL"}
-	si, li := strings.Index(short.String(), "DETAIL"), strings.Index(long.String(), "DETAIL")
+	short := Note(0, KindOOMKill, "web", "DETAIL").String()
+	long := Note(0, KindOOMKill, "workload-with-an-extremely-long-cgroup-name", "DETAIL").String()
+	si, li := strings.Index(short, "DETAIL"), strings.Index(long, "DETAIL")
 	if si < 0 || si != li {
-		t.Fatalf("detail offsets differ: %d vs %d\n%q\n%q", si, li, short.String(), long.String())
+		t.Fatalf("detail offsets differ: %d vs %d\n%q\n%q", si, li, short, long)
 	}
-	if !strings.Contains(long.String(), "~") {
-		t.Fatalf("long subject not clipped: %q", long.String())
+	if !strings.Contains(long, "~") {
+		t.Fatalf("long name not clipped: %q", long)
 	}
-	if strings.Contains(short.String(), "~") {
-		t.Fatalf("short subject clipped: %q", short.String())
+	if strings.Contains(short, "~") {
+		t.Fatalf("short name clipped: %q", short)
 	}
 	// Clipping must also hold for over-wide kinds.
-	wideKind := Event{Time: 0, Kind: Kind("some.very.long.subsystem.kind.name"), Subject: "s", Detail: "DETAIL"}
-	if wi := strings.Index(wideKind.String(), "DETAIL"); wi != si {
-		t.Fatalf("wide kind shifted detail column: %d vs %d\n%q", wi, si, wideKind.String())
+	wide := Note(0, Kind("some.very.long.subsystem.kind.name"), "s", "DETAIL").String()
+	if wi := strings.Index(wide, "DETAIL"); wi != si {
+		t.Fatalf("wide kind shifted detail column: %d vs %d\n%q", wi, si, wide)
 	}
 }
 
-// Property: the ring always keeps exactly the last min(total, cap) events,
-// chronologically ordered.
+// Property: the recorder always keeps exactly the first min(n, cap) records,
+// chronologically ordered, and the tail renders one line per kept record.
 func TestRingInvariant(t *testing.T) {
 	f := func(n uint8, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
-		l := NewLog(capacity)
+		r := NewRecorder(capacity)
 		for i := 0; i < int(n); i++ {
-			l.Emit(vclock.Time(i), KindRestart, "s", "%d", i)
+			r.Instant(vclock.Time(i), KindChaosRestore, "s")
 		}
-		evs := l.Events()
-		want := int(n)
-		if want > capacity {
-			want = capacity
-		}
-		if len(evs) != want {
+		want := min(int(n), capacity)
+		recs := r.Records()
+		if len(recs) != want || r.Dropped() != int64(int(n)-want) {
 			return false
 		}
-		for i := 1; i < len(evs); i++ {
-			if evs[i].Time <= evs[i-1].Time {
+		for i := range recs {
+			if recs[i].Start != vclock.Time(i) {
 				return false
 			}
 		}
-		return true
+		return strings.Count(r.Tail(0), "\n") == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

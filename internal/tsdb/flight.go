@@ -19,14 +19,6 @@ type FlightSample struct {
 	Values map[string]float64 `json:"values"`
 }
 
-// FlightEvent is one trace event captured in a bundle.
-type FlightEvent struct {
-	T       vclock.Time `json:"t_us"`
-	Kind    string      `json:"kind"`
-	Subject string      `json:"subject"`
-	Detail  string      `json:"detail"`
-}
-
 // FlightRecorder keeps a bounded ring of a host's recent samples — the
 // airplane black box of the rollout plane. It is cheap enough to run on
 // every host all the time; a bundle is cut only when something goes wrong
@@ -89,20 +81,15 @@ type FlightBundle struct {
 	Window      int            `json:"window"`
 	Incarnation int            `json:"incarnation"`
 	Samples     []FlightSample `json:"-"`
-	Events      []FlightEvent  `json:"-"`
+	Events      []trace.Record `json:"-"`
 }
 
-// FlightEventsFromTrace converts the tail of a trace event slice (at most
-// n events, the newest) into bundle events.
-func FlightEventsFromTrace(events []trace.Event, n int) []FlightEvent {
-	if n > 0 && len(events) > n {
-		events = events[len(events)-n:]
-	}
-	out := make([]FlightEvent, len(events))
-	for i, e := range events {
-		out[i] = FlightEvent{T: e.Time, Kind: string(e.Kind), Subject: e.Subject, Detail: e.Detail}
-	}
-	return out
+// flightEvent is a bundle's view of one decision record.
+type flightEvent struct {
+	T       vclock.Time `json:"t_us"`
+	Kind    trace.Kind  `json:"kind"`
+	Subject string      `json:"subject"`
+	Detail  string      `json:"detail"`
 }
 
 // flightLine is the JSONL schema of a bundle: a header line, then one line
@@ -112,7 +99,7 @@ type flightLine struct {
 
 	*FlightBundle `json:",omitempty"`
 	Sample        *FlightSample `json:"sample,omitempty"`
-	Event         *FlightEvent  `json:"event,omitempty"`
+	Event         *flightEvent  `json:"event,omitempty"`
 }
 
 // WriteJSONL renders the bundle as JSON Lines: one header line carrying
@@ -127,8 +114,9 @@ func (b FlightBundle) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	for i := range b.Events {
-		if err := enc.Encode(flightLine{Line: "event", Event: &b.Events[i]}); err != nil {
+	for _, r := range b.Events {
+		ev := flightEvent{T: r.Start, Kind: r.Cat, Subject: r.Name, Detail: r.Detail()}
+		if err := enc.Encode(flightLine{Line: "event", Event: &ev}); err != nil {
 			return err
 		}
 	}
