@@ -1,5 +1,5 @@
 // Package cliutil holds the flag-parsing and output helpers shared by the
-// simulator commands (tmosim, fleetsim, rolloutsim): duration flags carrying
+// simulator commands (tmosim, psimon, fleetsim, rolloutsim): duration flags carrying
 // virtual time, the offload-mode vocabulary, rollout stage-plan and
 // guardrail flag grammars, and the JSON report encoder.
 package cliutil
@@ -42,15 +42,11 @@ func MustDuration(tool, name, value string) vclock.Duration {
 	return d
 }
 
-// ParseMode resolves the offload-mode vocabulary used by every command's
-// -mode flag (core.ParseMode owns the name table).
-func ParseMode(s string) (core.Mode, error) {
-	return core.ParseMode(s)
-}
-
-// MustMode is ParseMode with command-line fatal semantics.
+// MustMode resolves the offload-mode vocabulary used by every command's
+// -mode flag (core.ParseMode owns the name table) with command-line fatal
+// semantics.
 func MustMode(tool, s string) core.Mode {
-	m, err := ParseMode(s)
+	m, err := core.ParseMode(s)
 	if err != nil {
 		Fatal(tool, err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tmo/internal/backend"
-	"tmo/internal/core"
 	"tmo/internal/rollout"
 	"tmo/internal/vclock"
 )
@@ -22,22 +21,6 @@ func TestParseDuration(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "-warm") {
 			t.Errorf("error %v does not name the flag", err)
 		}
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	cases := map[string]core.Mode{
-		"off": core.ModeOff, "file-only": core.ModeFileOnly, "zswap": core.ModeZswap,
-		"ssd": core.ModeSSDSwap, "tiered": core.ModeTiered, "nvm": core.ModeNVM, "cxl": core.ModeCXL,
-	}
-	for s, want := range cases {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseMode("floppy"); err == nil {
-		t.Fatalf("unknown mode accepted")
 	}
 }
 

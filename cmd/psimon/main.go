@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	psimon [-apps feed,cache-a] [-tax] [-mode off] [-capacity 512]
+//	psimon [-apps feed,cache-a] [-tax] [-mode off|file-only|zswap|ssd|tiered|nvm|cxl] [-capacity 512]
 //	       [-duration 5m] [-report 1m] [-seed 1]
 package main
 
@@ -15,40 +15,31 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
+	"tmo/cmd/internal/cliutil"
 	"tmo/internal/cgroup"
 	"tmo/internal/core"
 	"tmo/internal/mm"
 	"tmo/internal/psi"
 	"tmo/internal/textplot"
-	"tmo/internal/vclock"
 	"tmo/internal/workload"
 )
 
 func main() {
 	apps := flag.String("apps", "feed,cache-a", "comma-separated catalog workloads")
 	withTax := flag.Bool("tax", true, "co-schedule tax sidecars")
-	modeStr := flag.String("mode", "off", "offload mode: off, file-only, zswap, ssd")
+	modeStr := flag.String("mode", "off", "offload mode: off, file-only, zswap, ssd, tiered, nvm, cxl")
 	capMiB := flag.Int64("capacity", 0, "host DRAM in MiB (0 = sized to fit)")
 	durStr := flag.String("duration", "5m", "virtual time to simulate")
 	reportStr := flag.String("report", "1m", "reporting interval")
 	seed := flag.Uint64("seed", 1, "seed")
 	flag.Parse()
 
-	var mode core.Mode
-	switch *modeStr {
-	case "off":
-		mode = core.ModeOff
-	case "file-only":
-		mode = core.ModeFileOnly
-	case "zswap":
-		mode = core.ModeZswap
-	case "ssd":
-		mode = core.ModeSSDSwap
-	default:
-		fmt.Fprintf(os.Stderr, "psimon: unknown mode %q\n", *modeStr)
-		os.Exit(1)
+	mode := cliutil.MustMode("psimon", *modeStr)
+	dur := cliutil.MustDuration("psimon", "duration", *durStr)
+	report := cliutil.MustDuration("psimon", "report", *reportStr)
+	if report <= 0 {
+		cliutil.Fatal("psimon", fmt.Errorf("bad -report: interval must be positive, got %v", *reportStr))
 	}
 
 	var profiles []workload.Profile
@@ -66,12 +57,6 @@ func main() {
 	if capacity == 0 {
 		capacity = total * 3 / 2
 	}
-	dur, err1 := time.ParseDuration(*durStr)
-	report, err2 := time.ParseDuration(*reportStr)
-	if err1 != nil || err2 != nil {
-		fmt.Fprintln(os.Stderr, "psimon: bad duration flag")
-		os.Exit(1)
-	}
 
 	sys := core.New(core.Options{Mode: mode, CapacityBytes: capacity, Seed: *seed})
 	for _, p := range profiles {
@@ -86,7 +71,7 @@ func main() {
 		steps = 1
 	}
 	for i := 0; i < steps; i++ {
-		sys.Run(vclock.FromStd(report))
+		sys.Run(report)
 		now := sys.Server.Now()
 		fmt.Printf("=== t=%v  host: %s ===\n", now, hostLine(sys))
 		sys.Server.Hierarchy().Root().Walk(func(g *cgroup.Group) {

@@ -9,15 +9,16 @@
 // device generations (A-G) spanning a 470us-9.3ms p99 read-latency range,
 // with per-device IOPS ceilings and write-endurance budgets.
 //
-// The memory manager stores and loads pages through the SwapBackend
-// interface without knowing which tier it is talking to; the resulting
-// fault latencies feed PSI (LoadResult.BlockIO routes a load's stall to IO
-// pressure too), which is how Senpai adapts to backend performance without
-// device-specific configuration.
+// The memory manager stores and loads batches of pages through the
+// SwapBackend interface without knowing which tier it is talking to; the
+// resulting fault latencies feed PSI (BatchLoadResult.BlockIO routes a
+// load's stall to IO pressure too), which is how Senpai adapts to backend
+// performance without device-specific configuration.
 package backend
 
 import (
 	"errors"
+	"fmt"
 
 	"tmo/internal/vclock"
 )
@@ -25,12 +26,12 @@ import (
 // Handle identifies a stored page within a backend.
 type Handle uint64
 
-// ErrFull is returned by Store when the backend has no room: a zswap pool at
-// its size limit or a swap device out of space. The reclaim path treats it
-// as a failed reclaim of that page.
+// ErrFull is returned by StoreBatch when the backend has no room: a zswap
+// pool at its size limit or a swap device out of space. The reclaim path
+// treats it as a failed reclaim of that page.
 var ErrFull = errors.New("backend: no space for offloaded page")
 
-// StoreResult describes a completed page offload.
+// StoreResult describes one page of a completed offload.
 type StoreResult struct {
 	Handle Handle
 	// StoredBytes is the physical space consumed in the backend after
@@ -41,17 +42,8 @@ type StoreResult struct {
 	DeviceWrite int64
 	// Latency is the synchronous cost paid by the reclaimer (compression
 	// time for zswap; SSD swap-out writes are asynchronous writeback, so
-	// this is zero for SSD).
+	// this is zero for SSD unless the writeback queue pushed back).
 	Latency vclock.Duration
-}
-
-// LoadResult describes a completed page load (swap-in).
-type LoadResult struct {
-	// Latency is the synchronous fault cost paid by the faulting task.
-	Latency vclock.Duration
-	// BlockIO reports whether the load performed block IO, in which case
-	// the stall also counts toward IO pressure.
-	BlockIO bool
 }
 
 // StoreReq describes one page of a batched store submission.
@@ -75,7 +67,8 @@ type BatchLoadResult struct {
 	// faulting task waits it out; coalesced faulters on the same batch wait
 	// only the remainder.
 	Latency vclock.Duration
-	// BlockIO reports whether any page in the batch performed block IO.
+	// BlockIO reports whether any page in the batch performed block IO, in
+	// which case the stall also counts toward IO pressure.
 	BlockIO bool
 }
 
@@ -89,24 +82,19 @@ type Stats struct {
 	WrittenBytes int64 // cumulative bytes written to a wear-limited device
 }
 
-// SwapBackend is a tier that holds offloaded anonymous pages.
+// SwapBackend is a tier that holds offloaded anonymous pages. Every data-path
+// operation is a batch; a single page is a one-page batch.
 type SwapBackend interface {
-	// Store offloads one page of pageBytes whose content compresses by
-	// compressRatio (uncompressed/compressed, >= 1).
-	Store(now vclock.Time, pageBytes int64, compressRatio float64) (StoreResult, error)
 	// StoreBatch offloads len(reqs) pages in one submission, filling
 	// out[:n] with per-page results (len(out) must be >= len(reqs)). A
 	// batch stores a prefix: on ErrFull it reports how many pages fit
 	// before the backend ran out of room. Batched tiers pay fixed
-	// per-submission costs once; SerialStoreBatch is the per-page
-	// fallback for backends without a native batch path.
+	// per-submission costs once.
 	StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResult) (int, error)
-	// Load brings a stored page back to DRAM and releases its space.
-	Load(now vclock.Time, h Handle) LoadResult
 	// LoadBatch brings every page in hs back to DRAM in one submission and
 	// releases their space. An SSD batch pays seek/queue/stall cost once
 	// plus a byte-rate transfer term; zswap batches amortise per-op
-	// overhead across the tail. SerialLoadBatch is the per-page fallback.
+	// overhead across the tail. Loading an unknown handle panics.
 	LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult
 	// DrainWriteback completes asynchronous swap-out writeback due by now
 	// (depth-limited queue draining on the virtual clock). Backends
@@ -114,7 +102,8 @@ type SwapBackend interface {
 	// it once per tick; backends also drain lazily on their own
 	// operations, so standalone use without a tick loop stays correct.
 	DrainWriteback(now vclock.Time)
-	// Free releases a stored page without loading it (the owner exited).
+	// Free releases a stored page without loading it (the owner exited);
+	// freeing an unknown handle is a no-op.
 	Free(h Handle)
 	// Stats reports current contents and cumulative traffic.
 	Stats() Stats
@@ -129,29 +118,72 @@ type SwapBackend interface {
 	PoolBytes() int64
 }
 
-// SerialLoadBatch is the default per-page LoadBatch fallback: each page pays
-// its full individual load cost, with no batching benefit. Backends whose
-// per-page loads have no amortisable fixed cost (and external test doubles)
-// implement LoadBatch with it.
-func SerialLoadBatch(s SwapBackend, now vclock.Time, hs []Handle) BatchLoadResult {
-	var res BatchLoadResult
-	for _, h := range hs {
-		r := s.Load(now, h)
-		res.Latency += r.Latency
-		res.BlockIO = res.BlockIO || r.BlockIO
-	}
-	return res
+// slot is one stored page's footprint in a substrate.
+type slot struct {
+	logical, stored int64
 }
 
-// SerialStoreBatch is the default per-page StoreBatch fallback: pages are
-// stored one at a time until the first ErrFull, whose position is reported.
-func SerialStoreBatch(s SwapBackend, now vclock.Time, reqs []StoreReq, out []StoreResult) (int, error) {
-	for i, req := range reqs {
-		r, err := s.Store(now, req.PageBytes, req.CompressRatio)
-		if err != nil {
-			return i, err
-		}
-		out[i] = r
-	}
-	return len(reqs), nil
+// ledger is the slot bookkeeping every swap substrate (Zswap, SSDSwap, NVM)
+// embeds: the handle map, the handle counter, the Stats counters and the
+// capacity bound. Its Free and Stats methods implement the SwapBackend
+// methods of the same name.
+type ledger struct {
+	capacity int64
+	slots    map[Handle]slot
+	next     Handle
+	stats    Stats
 }
+
+// newLedger returns a ledger bounded at capacity bytes, which must be
+// positive: every substrate is sized.
+func newLedger(kind string, capacity int64) ledger {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("backend: %s needs a positive capacity, got %d", kind, capacity))
+	}
+	return ledger{capacity: capacity, slots: make(map[Handle]slot)}
+}
+
+// admit records one page under a fresh handle, or reports false when its
+// stored bytes do not fit under the capacity.
+func (l *ledger) admit(logical, stored int64) (Handle, bool) {
+	if l.stats.StoredBytes+stored > l.capacity {
+		return 0, false
+	}
+	h := l.next
+	l.next++
+	l.slots[h] = slot{logical: logical, stored: stored}
+	l.stats.StoredPages++
+	l.stats.LogicalBytes += logical
+	l.stats.StoredBytes += stored
+	l.stats.TotalWrites++
+	return h, true
+}
+
+// remove releases a live handle's slot, reporting false for an unknown one.
+func (l *ledger) remove(h Handle) (slot, bool) {
+	s, ok := l.slots[h]
+	if ok {
+		delete(l.slots, h)
+		l.stats.StoredPages--
+		l.stats.LogicalBytes -= s.logical
+		l.stats.StoredBytes -= s.stored
+	}
+	return s, ok
+}
+
+// load releases a live handle's slot as a page load, panicking on an
+// unknown handle.
+func (l *ledger) load(h Handle) slot {
+	s, ok := l.remove(h)
+	if !ok {
+		panic(fmt.Sprintf("backend: load of unknown handle %d", h))
+	}
+	l.stats.TotalReads++
+	return s
+}
+
+// Free implements SwapBackend.
+func (l *ledger) Free(h Handle) { l.remove(h) }
+
+// Stats implements SwapBackend.
+func (l *ledger) Stats() Stats { return l.stats }

@@ -10,6 +10,33 @@ import (
 
 const pageSize = 4096
 
+// bigSwap sizes a test backend far beyond anything a test stores.
+const bigSwap = 1 << 30
+
+// storeOne offloads one page as a one-page batch.
+func storeOne(b SwapBackend, now vclock.Time, pageBytes int64, ratio float64) (StoreResult, error) {
+	out := make([]StoreResult, 1)
+	_, err := b.StoreBatch(now, []StoreReq{{PageBytes: pageBytes, CompressRatio: ratio}}, out)
+	return out[0], err
+}
+
+// loadOne loads one page as a one-page batch.
+func loadOne(b SwapBackend, now vclock.Time, h Handle) BatchLoadResult {
+	return b.LoadBatch(now, []Handle{h})
+}
+
+// loadEach loads hs as one-page batches, summing their latencies: the cost
+// of the same pages without any batching benefit.
+func loadEach(b SwapBackend, now vclock.Time, hs []Handle) BatchLoadResult {
+	var res BatchLoadResult
+	for _, h := range hs {
+		r := loadOne(b, now, h)
+		res.Latency += r.Latency
+		res.BlockIO = res.BlockIO || r.BlockIO
+	}
+	return res
+}
+
 func TestDeviceCatalogShape(t *testing.T) {
 	// The catalog must reproduce the Fig. 5 envelope: endurance improves
 	// monotonically across generations, and p99 read latency spans 9.3ms
@@ -103,8 +130,8 @@ func TestQueueFactorBounds(t *testing.T) {
 
 func TestSSDSwapStoreLoadFree(t *testing.T) {
 	dev := NewSSDDevice(DeviceCatalog[2], 3)
-	sw := NewSSDSwap(dev, 0)
-	res, err := sw.Store(0, pageSize, 4.0)
+	sw := NewSSDSwap(dev, bigSwap, WritebackConfig{})
+	res, err := storeOne(sw, 0, pageSize, 4.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +145,7 @@ func TestSSDSwapStoreLoadFree(t *testing.T) {
 	if st.StoredPages != 1 || st.StoredBytes != pageSize || st.WrittenBytes != pageSize {
 		t.Fatalf("stats after store: %+v", st)
 	}
-	lr := sw.Load(vclock.Time(vclock.Second), res.Handle)
+	lr := loadOne(sw, vclock.Time(vclock.Second), res.Handle)
 	if !lr.BlockIO {
 		t.Fatalf("SSD load must be block IO")
 	}
@@ -129,7 +156,7 @@ func TestSSDSwapStoreLoadFree(t *testing.T) {
 		t.Fatalf("stats after load: %+v", st)
 	}
 
-	res2, _ := sw.Store(0, pageSize, 1.0)
+	res2, _ := storeOne(sw, 0, pageSize, 1.0)
 	sw.Free(res2.Handle)
 	if st := sw.Stats(); st.StoredPages != 0 {
 		t.Fatalf("stats after free: %+v", st)
@@ -139,26 +166,26 @@ func TestSSDSwapStoreLoadFree(t *testing.T) {
 
 func TestSSDSwapCapacity(t *testing.T) {
 	dev := NewSSDDevice(DeviceCatalog[2], 4)
-	sw := NewSSDSwap(dev, 2*pageSize)
-	if _, err := sw.Store(0, pageSize, 1); err != nil {
+	sw := NewSSDSwap(dev, 2*pageSize, WritebackConfig{})
+	if _, err := storeOne(sw, 0, pageSize, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.Store(0, pageSize, 1); err != nil {
+	if _, err := storeOne(sw, 0, pageSize, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.Store(0, pageSize, 1); err != ErrFull {
+	if _, err := storeOne(sw, 0, pageSize, 1); err != ErrFull {
 		t.Fatalf("over-capacity store err = %v, want ErrFull", err)
 	}
 }
 
 func TestSSDLoadUnknownHandlePanics(t *testing.T) {
-	sw := NewSSDSwap(NewSSDDevice(DeviceCatalog[0], 5), 0)
+	sw := NewSSDSwap(NewSSDDevice(DeviceCatalog[0], 5), bigSwap, WritebackConfig{})
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("no panic for unknown handle")
 		}
 	}()
-	sw.Load(0, 99)
+	loadOne(sw, 0, 99)
 }
 
 func TestEnduranceAccounting(t *testing.T) {
@@ -196,8 +223,8 @@ func TestFilesystemReads(t *testing.T) {
 }
 
 func TestZswapStoreLoad(t *testing.T) {
-	z := NewZswap(CodecZstd, AllocZsmalloc, 0, 8)
-	res, err := z.Store(0, pageSize, 4.0) // Web-like 4x compressibility
+	z := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 8)
+	res, err := storeOne(z, 0, pageSize, 4.0) // Web-like 4x compressibility
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +242,7 @@ func TestZswapStoreLoad(t *testing.T) {
 	if z.PoolBytes() != want {
 		t.Fatalf("pool bytes = %d, want %d", z.PoolBytes(), want)
 	}
-	lr := z.Load(0, res.Handle)
+	lr := loadOne(z, 0, res.Handle)
 	if lr.BlockIO {
 		t.Fatalf("zswap load must not be block IO")
 	}
@@ -232,10 +259,10 @@ func TestZswapStoreLoad(t *testing.T) {
 
 func TestZswapPoolLimit(t *testing.T) {
 	z := NewZswap(CodecZstd, AllocZsmalloc, 3000, 9)
-	if _, err := z.Store(0, pageSize, 2.0); err != nil { // ~2109 bytes
+	if _, err := storeOne(z, 0, pageSize, 2.0); err != nil { // ~2109 bytes
 		t.Fatal(err)
 	}
-	if _, err := z.Store(0, pageSize, 2.0); err != ErrFull {
+	if _, err := storeOne(z, 0, pageSize, 2.0); err != ErrFull {
 		t.Fatalf("expected ErrFull, got %v", err)
 	}
 	if z.Rejected() != 1 {
@@ -245,8 +272,8 @@ func TestZswapPoolLimit(t *testing.T) {
 
 func TestZswapIncompressiblePage(t *testing.T) {
 	// ML model data at ratio 1.0 should save nothing (stored >= page size).
-	z := NewZswap(CodecZstd, AllocZsmalloc, 0, 10)
-	res, err := z.Store(0, pageSize, 1.0)
+	z := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 10)
+	res, err := storeOne(z, 0, pageSize, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +324,11 @@ func TestCodecRanking(t *testing.T) {
 func TestZswapP90LoadLatencyNear40us(t *testing.T) {
 	// §2.5: "the p90 latency of a 4KB read from compressed memory is about
 	// 40us" — verify the zstd model lands in that ballpark.
-	z := NewZswap(CodecZstd, AllocZsmalloc, 0, 11)
+	z := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 11)
 	var lats []float64
 	for i := 0; i < 4000; i++ {
-		res, _ := z.Store(0, pageSize, 3)
-		lr := z.Load(0, res.Handle)
+		res, _ := storeOne(z, 0, pageSize, 3)
+		lr := loadOne(z, 0, res.Handle)
 		lats = append(lats, float64(lr.Latency))
 	}
 	// Count the fraction under 40us; should be around 0.9.
@@ -361,10 +388,10 @@ func TestBackendStatsInvariant(t *testing.T) {
 			if o.Load && len(handles) > 0 {
 				h := handles[len(handles)-1]
 				handles = handles[:len(handles)-1]
-				b.Load(now, h)
+				loadOne(b, now, h)
 			} else {
 				ratio := 1 + float64(o.Ratio)/64.0
-				res, err := b.Store(now, pageSize, ratio)
+				res, err := storeOne(b, now, pageSize, ratio)
 				if err == nil {
 					handles = append(handles, res.Handle)
 				}
@@ -383,8 +410,8 @@ func TestBackendStatsInvariant(t *testing.T) {
 		return true
 	}
 	f := func(ops []op) bool {
-		z := NewZswap(CodecZstd, AllocZsmalloc, 0, 12)
-		s := NewSSDSwap(NewSSDDevice(DeviceCatalog[3], 13), 0)
+		z := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 12)
+		s := NewSSDSwap(NewSSDDevice(DeviceCatalog[3], 13), bigSwap, WritebackConfig{})
 		return check(z, ops) && check(s, ops)
 	}
 	if err := quick.Check(f, nil); err != nil {

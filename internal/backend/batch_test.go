@@ -91,11 +91,10 @@ func TestBatchPaysInjectedStallOnce(t *testing.T) {
 	now := vclock.Time(vclock.Second)
 	mk := func() (*SSDDevice, *SSDSwap, []Handle) {
 		dev := NewSSDDevice(spec, 11)
-		sw := NewSSDSwap(dev, 0)
-		sw.ConfigureWriteback(WritebackConfig{Disabled: true})
+		sw := NewSSDSwap(dev, bigSwap, WritebackConfig{Disabled: true})
 		hs := make([]Handle, 8)
 		for i := range hs {
-			r, err := sw.Store(0, pageSize, 1)
+			r, err := storeOne(sw, 0, pageSize, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,10 +108,7 @@ func TestBatchPaysInjectedStallOnce(t *testing.T) {
 	batched := swB.LoadBatch(now, hsB).Latency
 
 	_, swS, hsS := mk()
-	var serial vclock.Duration
-	for _, h := range hsS {
-		serial += swS.Load(now, h).Latency
-	}
+	serial := loadEach(swS, now, hsS).Latency
 
 	if serial < 8*stall {
 		t.Fatalf("per-page loads paid %v, expected each of 8 to wait out the %v remainder", serial, stall)
@@ -130,15 +126,13 @@ func TestBatchPaysInjectedStallOnce(t *testing.T) {
 func TestSSDLoadBatchAmortizesFixedCost(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	mk := func() *SSDSwap {
-		sw := NewSSDSwap(NewSSDDevice(spec, 21), 0)
-		sw.ConfigureWriteback(WritebackConfig{Disabled: true})
-		return sw
+		return NewSSDSwap(NewSSDDevice(spec, 21), bigSwap, WritebackConfig{Disabled: true})
 	}
 	swB, swS := mk(), mk()
 	var hsB, hsS []Handle
 	for i := 0; i < 8; i++ {
-		rb, _ := swB.Store(0, pageSize, 1)
-		rs, _ := swS.Store(0, pageSize, 1)
+		rb, _ := storeOne(swB, 0, pageSize, 1)
+		rs, _ := storeOne(swS, 0, pageSize, 1)
 		hsB, hsS = append(hsB, rb.Handle), append(hsS, rs.Handle)
 	}
 	now := vclock.Time(vclock.Second)
@@ -146,7 +140,7 @@ func TestSSDLoadBatchAmortizesFixedCost(t *testing.T) {
 	if !batched.BlockIO {
 		t.Fatalf("SSD batch load must report block IO")
 	}
-	serial := SerialLoadBatch(swS, now, hsS)
+	serial := loadEach(swS, now, hsS)
 	if batched.Latency >= serial.Latency {
 		t.Fatalf("batched cluster load %v not cheaper than serial %v", batched.Latency, serial.Latency)
 	}
@@ -159,16 +153,16 @@ func TestSSDLoadBatchAmortizesFixedCost(t *testing.T) {
 // batched load draws the same per-page samples but discounts the tail, so it
 // is strictly cheaper than the serial sum; store batches likewise.
 func TestZswapBatchAmortizesCodecOverhead(t *testing.T) {
-	mk := func() *Zswap { return NewZswap(CodecZstd, AllocZsmalloc, 0, 5) }
+	mk := func() *Zswap { return NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 5) }
 	zb, zs := mk(), mk()
 	var hsB, hsS []Handle
 	for i := 0; i < 8; i++ {
-		rb, _ := zb.Store(0, pageSize, 2)
-		rs, _ := zs.Store(0, pageSize, 2)
+		rb, _ := storeOne(zb, 0, pageSize, 2)
+		rs, _ := storeOne(zs, 0, pageSize, 2)
 		hsB, hsS = append(hsB, rb.Handle), append(hsS, rs.Handle)
 	}
 	batched := zb.LoadBatch(0, hsB)
-	serial := SerialLoadBatch(zs, 0, hsS)
+	serial := loadEach(zs, 0, hsS)
 	if batched.BlockIO {
 		t.Fatalf("zswap batch load must not report block IO")
 	}
@@ -176,7 +170,7 @@ func TestZswapBatchAmortizesCodecOverhead(t *testing.T) {
 		t.Fatalf("batched zswap load %v not cheaper than serial %v", batched.Latency, serial.Latency)
 	}
 
-	zb2, zs2 := NewZswap(CodecZstd, AllocZsmalloc, 0, 6), NewZswap(CodecZstd, AllocZsmalloc, 0, 6)
+	zb2, zs2 := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 6), NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 6)
 	reqs := make([]StoreReq, 8)
 	for i := range reqs {
 		reqs[i] = StoreReq{PageBytes: pageSize, CompressRatio: 2}
@@ -192,7 +186,7 @@ func TestZswapBatchAmortizesCodecOverhead(t *testing.T) {
 	}
 	var serialStore vclock.Duration
 	for i := 0; i < 8; i++ {
-		r, _ := zs2.Store(0, pageSize, 2)
+		r, _ := storeOne(zs2, 0, pageSize, 2)
 		serialStore += r.Latency
 	}
 	if batchedStore >= serialStore {
@@ -204,7 +198,7 @@ func TestZswapBatchAmortizesCodecOverhead(t *testing.T) {
 // how many pages fit and stores exactly that prefix.
 func TestStoreBatchStoresPrefixOnFull(t *testing.T) {
 	spec, _ := DeviceByModel("C")
-	sw := NewSSDSwap(NewSSDDevice(spec, 13), 5*pageSize)
+	sw := NewSSDSwap(NewSSDDevice(spec, 13), 5*pageSize, WritebackConfig{})
 	reqs := make([]StoreReq, 8)
 	for i := range reqs {
 		reqs[i] = StoreReq{PageBytes: pageSize, CompressRatio: 1}
@@ -229,10 +223,9 @@ func TestStoreBatchStoresPrefixOnFull(t *testing.T) {
 func TestWritebackDeferredUntilDrain(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	dev := NewSSDDevice(spec, 17)
-	sw := NewSSDSwap(dev, 0)
-	sw.ConfigureWriteback(WritebackConfig{MaxIOPS: 100}) // one submission per 10ms
+	sw := NewSSDSwap(dev, bigSwap, WritebackConfig{MaxIOPS: 100}) // one submission per 10ms
 	for i := 0; i < 4; i++ {
-		r, err := sw.Store(0, pageSize, 1)
+		r, err := storeOne(sw, 0, pageSize, 1)
 		if err != nil || r.Latency != 0 {
 			t.Fatalf("store %d within depth: %v, stall %v", i, err, r.Latency)
 		}
@@ -257,11 +250,10 @@ func TestWritebackDeferredUntilDrain(t *testing.T) {
 func TestWritebackBackpressureStallsReclaimer(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	dev := NewSSDDevice(spec, 19)
-	sw := NewSSDSwap(dev, 0)
-	sw.ConfigureWriteback(WritebackConfig{Depth: 2, MaxIOPS: 10}) // 100ms per submission
+	sw := NewSSDSwap(dev, bigSwap, WritebackConfig{Depth: 2, MaxIOPS: 10}) // 100ms per submission
 	var stalled bool
 	for i := 0; i < 6; i++ {
-		r, err := sw.Store(0, pageSize, 1)
+		r, err := storeOne(sw, 0, pageSize, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,13 +271,12 @@ func TestWritebackBackpressureStallsReclaimer(t *testing.T) {
 func TestWritebackStallBacksUpQueue(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	dev := NewSSDDevice(spec, 23)
-	sw := NewSSDSwap(dev, 0)
-	sw.ConfigureWriteback(WritebackConfig{Depth: 2, MaxIOPS: 1000})
+	sw := NewSSDSwap(dev, bigSwap, WritebackConfig{Depth: 2, MaxIOPS: 1000})
 	now := vclock.Time(vclock.Second)
 	dev.InjectStall(now, 500*vclock.Millisecond)
 	var stall vclock.Duration
 	for i := 0; i < 4; i++ {
-		r, err := sw.Store(now, pageSize, 1)
+		r, err := storeOne(sw, now, pageSize, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,35 +290,13 @@ func TestWritebackStallBacksUpQueue(t *testing.T) {
 	}
 }
 
-// TestConfigureWritebackFlushesPending: reconfiguring the queue must not
-// lose queued writes.
-func TestConfigureWritebackFlushesPending(t *testing.T) {
-	spec, _ := DeviceByModel("C")
-	dev := NewSSDDevice(spec, 29)
-	sw := NewSSDSwap(dev, 0)
-	sw.ConfigureWriteback(WritebackConfig{MaxIOPS: 1}) // effectively frozen
-	for i := 0; i < 3; i++ {
-		if _, err := sw.Store(0, pageSize, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sw.ConfigureWriteback(WritebackConfig{})
-	if got := dev.WrittenBytes(); got < 2*pageSize {
-		t.Fatalf("reconfigure lost queued writes: device saw %d bytes", got)
-	}
-	if sw.QueueDepth() != 0 {
-		t.Fatalf("stale entries in replaced queue")
-	}
-}
-
 // TestWritebackDisabledWritesInline: Disabled reverts to the synchronous
 // store-time cost model.
 func TestWritebackDisabledWritesInline(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	dev := NewSSDDevice(spec, 31)
-	sw := NewSSDSwap(dev, 0)
-	sw.ConfigureWriteback(WritebackConfig{Disabled: true})
-	if _, err := sw.Store(0, pageSize, 1); err != nil {
+	sw := NewSSDSwap(dev, bigSwap, WritebackConfig{Disabled: true})
+	if _, err := storeOne(sw, 0, pageSize, 1); err != nil {
 		t.Fatal(err)
 	}
 	if dev.WrittenBytes() != pageSize {
@@ -346,21 +315,21 @@ func TestTieredLoadBatchPartitionsTiers(t *testing.T) {
 	mkChain := func() *TierChain {
 		return NewTierChain(
 			DefaultChainSpecs(256*pageSize, 1<<30),
-			NewSSDDevice(spec, 4), 3)
+			NewSSDDevice(spec, 4), WritebackConfig{}, 3)
 	}
 	tr := mkChain()
 	var hs []Handle
 	// Compressible pages land in the pool; incompressible skip its
 	// admission threshold and go direct to SSD.
 	for i := 0; i < 4; i++ {
-		r, err := tr.Store(0, pageSize, 3)
+		r, err := storeOne(tr, 0, pageSize, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hs = append(hs, r.Handle)
 	}
 	for i := 0; i < 4; i++ {
-		r, err := tr.Store(0, pageSize, 1)
+		r, err := storeOne(tr, 0, pageSize, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +353,7 @@ func TestTieredLoadBatchPartitionsTiers(t *testing.T) {
 	tr2 := mkChain()
 	var warmOnly []Handle
 	for i := 0; i < 4; i++ {
-		r, _ := tr2.Store(0, pageSize, 3)
+		r, _ := storeOne(tr2, 0, pageSize, 3)
 		warmOnly = append(warmOnly, r.Handle)
 	}
 	if res := tr2.LoadBatch(vclock.Time(vclock.Second), warmOnly); res.BlockIO {
@@ -392,24 +361,45 @@ func TestTieredLoadBatchPartitionsTiers(t *testing.T) {
 	}
 }
 
-// TestSerialFallbacksMatchPerPagePaths: the Serial helpers must behave
-// exactly like the per-page methods, for backends that opt out of batching.
-func TestSerialFallbacksMatchPerPagePaths(t *testing.T) {
-	nvmA := NewNVM(SpecCXLDRAM, 8)
-	nvmB := NewNVM(SpecCXLDRAM, 8)
+// TestNVMBatchMatchesOnePageBatches: NVM page moves have no fixed cost to
+// amortise, so a batch must behave exactly like the same pages submitted as
+// one-page batches — same handles, same summed latency.
+func TestNVMBatchMatchesOnePageBatches(t *testing.T) {
+	spec := SpecNVMOptane
+	spec.CapacityBytes = bigSwap
+	nvmA, nvmB := NewNVM(spec, 8), NewNVM(spec, 8)
 	reqs := []StoreReq{{PageBytes: pageSize, CompressRatio: 1}, {PageBytes: pageSize, CompressRatio: 1}}
 	out := make([]StoreResult, 2)
 	if n, err := nvmA.StoreBatch(0, reqs, out); n != 2 || err != nil {
 		t.Fatalf("nvm StoreBatch = %d, %v", n, err)
 	}
-	rb1, _ := nvmB.Store(0, pageSize, 1)
-	rb2, _ := nvmB.Store(0, pageSize, 1)
-	if out[0].Handle != rb1.Handle || out[1].Handle != rb2.Handle {
-		t.Fatalf("serial store batch diverged from per-page stores")
+	rb1, _ := storeOne(nvmB, 0, pageSize, 1)
+	rb2, _ := storeOne(nvmB, 0, pageSize, 1)
+	if out[0] != rb1 || out[1] != rb2 {
+		t.Fatalf("store batch %+v diverged from one-page batches %+v, %+v", out, rb1, rb2)
 	}
 	lb := nvmA.LoadBatch(0, []Handle{out[0].Handle, out[1].Handle})
-	serial := nvmB.Load(0, rb1.Handle).Latency + nvmB.Load(0, rb2.Handle).Latency
-	if lb.Latency != serial {
-		t.Fatalf("nvm batch latency %v != serial sum %v", lb.Latency, serial)
+	if each := loadEach(nvmB, 0, []Handle{rb1.Handle, rb2.Handle}); lb != each {
+		t.Fatalf("nvm batch load %+v != one-page loads %+v", lb, each)
+	}
+}
+
+// TestSubstratesRequirePositiveCapacity: every substrate is sized; none has
+// an unbounded mode.
+func TestSubstratesRequirePositiveCapacity(t *testing.T) {
+	dev := NewSSDDevice(DeviceCatalog[2], 3)
+	for name, mk := range map[string]func(){
+		"zswap": func() { NewZswap(CodecZstd, AllocZsmalloc, 0, 1) },
+		"ssd":   func() { NewSSDSwap(dev, 0, WritebackConfig{}) },
+		"nvm":   func() { NewNVM(SpecNVMOptane, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: zero capacity accepted", name)
+				}
+			}()
+			mk()
+		}()
 	}
 }

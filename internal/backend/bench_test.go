@@ -7,14 +7,17 @@ import (
 )
 
 func BenchmarkZswapStoreLoad(b *testing.B) {
-	z := NewZswap(CodecZstd, AllocZsmalloc, 0, 91)
+	z := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 91)
+	req := []StoreReq{{PageBytes: pageSize, CompressRatio: 3}}
+	out := make([]StoreResult, 1)
+	hs := make([]Handle, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := z.Store(vclock.Time(i), pageSize, 3)
-		if err != nil {
+		if _, err := z.StoreBatch(vclock.Time(i), req, out); err != nil {
 			b.Fatal(err)
 		}
-		z.Load(vclock.Time(i), res.Handle)
+		hs[0] = out[0].Handle
+		z.LoadBatch(vclock.Time(i), hs)
 	}
 }
 
@@ -27,17 +30,21 @@ func BenchmarkSSDRead(b *testing.B) {
 }
 
 func BenchmarkTieredStoreLoad(b *testing.B) {
-	tr := NewTierChain(DefaultChainSpecs(64<<20, 1<<30), NewSSDDevice(DeviceCatalog[2], 94), 93)
+	tr := NewTierChain(DefaultChainSpecs(64<<20, 1<<30), NewSSDDevice(DeviceCatalog[2], 94), WritebackConfig{}, 93)
+	req := make([]StoreReq, 1)
+	out := make([]StoreResult, 1)
+	hs := make([]Handle, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ratio := 3.0
 		if i%3 == 0 {
 			ratio = 1.1 // a third of the traffic routes to flash
 		}
-		res, err := tr.Store(vclock.Time(i), pageSize, ratio)
-		if err != nil {
+		req[0] = StoreReq{PageBytes: pageSize, CompressRatio: ratio}
+		if _, err := tr.StoreBatch(vclock.Time(i), req, out); err != nil {
 			b.Fatal(err)
 		}
-		tr.Load(vclock.Time(i), res.Handle)
+		hs[0] = out[0].Handle
+		tr.LoadBatch(vclock.Time(i), hs)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // tracks its actual reuse distance.
 //
 // Every swap mode is a chain: a one-tier chain is a plain zswap pool, SSD
-// swap partition, or NVM device, and forwards each operation straight to
-// that tier's backend with no indirection.
+// swap partition, or NVM device, and forwards each batch straight to that
+// tier's backend with no indirection.
 
 // TierKind distinguishes the tier substrates a chain can stack.
 type TierKind int
@@ -184,8 +184,6 @@ type TierChain struct {
 	demoteOuters []Handle
 	demoteReqs   []StoreReq
 	demoteOut    []StoreResult
-	oneReq       [1]StoreReq
-	oneOut       [1]StoreResult
 
 	// Registry instruments and decision recorder, nil until enabled.
 	telPromotions, telAdmitSkips, telDemoteStall *telemetry.Counter
@@ -195,8 +193,9 @@ type TierChain struct {
 // NewTierChain builds a chain from specs. Every tier needs a positive
 // CapacityBytes; at most one uncompressed tier (SSD or NVM) is allowed and
 // it must be last. The SSD tier is carved from dev (which the filesystem may
-// share). seed derives each tier's latency-sampling stream.
-func NewTierChain(specs []TierSpec, dev *SSDDevice, seed uint64) *TierChain {
+// share) and its async writeback queue is bounded by wb. seed derives each
+// tier's latency-sampling stream.
+func NewTierChain(specs []TierSpec, dev *SSDDevice, wb WritebackConfig, seed uint64) *TierChain {
 	if len(specs) == 0 {
 		panic("backend: tier chain needs at least one tier")
 	}
@@ -219,7 +218,7 @@ func NewTierChain(specs []TierSpec, dev *SSDDevice, seed uint64) *TierChain {
 			if dev == nil {
 				panic("backend: chain SSD tier needs a device")
 			}
-			t.ssd = NewSSDSwap(dev, ts.CapacityBytes)
+			t.ssd = NewSSDSwap(dev, ts.CapacityBytes, wb)
 			t.b = t.ssd
 		case TierNVM:
 			nvm := SpecNVMOptane
@@ -291,14 +290,6 @@ func (c *TierChain) CapacityBytes() int64 {
 		sum += t.spec.CapacityBytes
 	}
 	return sum
-}
-
-// ConfigureWriteback replaces the SSD tier's async writeback-queue limits;
-// a no-op for chains without an SSD tier.
-func (c *TierChain) ConfigureWriteback(cfg WritebackConfig) {
-	if s := c.SSD(); s != nil {
-		s.ConfigureWriteback(cfg)
-	}
 }
 
 // admissible reports whether tier t admits content with the given intrinsic
@@ -413,19 +404,6 @@ func (c *TierChain) register(outer Handle, t int, inner Handle, logical int64, r
 	}
 }
 
-// Store implements SwapBackend, a one-page batch (scratch-backed so the
-// single-page reclaim path stays allocation-free).
-func (c *TierChain) Store(now vclock.Time, pageBytes int64, compressRatio float64) (StoreResult, error) {
-	if c.single != nil {
-		return c.single.Store(now, pageBytes, compressRatio)
-	}
-	c.oneReq[0] = StoreReq{PageBytes: pageBytes, CompressRatio: compressRatio}
-	if _, err := c.StoreBatch(now, c.oneReq[:], c.oneOut[:]); err != nil {
-		return StoreResult{}, err
-	}
-	return c.oneOut[0], nil
-}
-
 // StoreBatch implements SwapBackend. One pass assigns every page its
 // destination tier using exact occupancy projections (the same formulas the
 // tiers' own admission checks use), then each tier's share goes out as one
@@ -488,21 +466,6 @@ func (c *TierChain) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResu
 		return n, ErrFull
 	}
 	return n, nil
-}
-
-// Load implements SwapBackend.
-func (c *TierChain) Load(now vclock.Time, h Handle) LoadResult {
-	if c.single != nil {
-		return c.single.Load(now, h)
-	}
-	e, ok := c.entries[h]
-	if !ok {
-		panic(fmt.Sprintf("backend: load of unknown chain handle %d", h))
-	}
-	delete(c.entries, h)
-	tier := &c.tiers[e.tier]
-	delete(tier.inverse, e.inner)
-	return tier.b.Load(now, e.inner)
 }
 
 // LoadBatch implements SwapBackend: the cluster is partitioned by tier and
@@ -646,7 +609,7 @@ func (c *TierChain) demoteBatch(now vclock.Time, t int) (moved int, backpressure
 			c.demoteReqs = append(c.demoteReqs, StoreReq{PageBytes: logical, CompressRatio: e.ratio})
 			continue
 		}
-		res, err := c.tiers[dst].zs.Store(now, logical, e.ratio)
+		res, err := c.tiers[dst].zs.store(logical, e.ratio)
 		if err != nil {
 			panic("backend: chain demotion target rejected a projected store: " + err.Error())
 		}

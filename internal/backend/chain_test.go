@@ -11,13 +11,13 @@ import (
 
 // driftChain builds the canonical two-tier test chain: a zstd dense tier
 // with the paper's 1.5x admission threshold over an SSD tier far larger
-// than any test fills.
-func driftChain(poolBytes int64) *TierChain {
+// than any test fills, whose writeback queue is bounded by wb.
+func driftChain(poolBytes int64, wb WritebackConfig) *TierChain {
 	specs := []TierSpec{
 		{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: poolBytes, MinCompressRatio: 1.5},
-		{Kind: TierSSD, CapacityBytes: 1 << 30},
+		{Kind: TierSSD, CapacityBytes: bigSwap},
 	}
-	return NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 31), 31)
+	return NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 31), wb, 31)
 }
 
 // TestChainRetiersDriftedPages: the compress-drift regression. Pages whose
@@ -26,7 +26,7 @@ func driftChain(poolBytes int64) *TierChain {
 // per store, so the refault round-trip lands them on SSD. The reverse drift
 // pulls them back up.
 func TestChainRetiersDriftedPages(t *testing.T) {
-	c := driftChain(64 * pageSize)
+	c := driftChain(64*pageSize, WritebackConfig{})
 	now := vclock.Time(vclock.Second)
 
 	const pages = 20
@@ -85,7 +85,7 @@ func TestChainRetiersDriftedPages(t *testing.T) {
 }
 
 // TestChainSerialBatchEquivalence: placement is identical whether pages
-// arrive one Store at a time or as one StoreBatch — including across tier
+// arrive as one-page batches or as one StoreBatch — including across tier
 // boundaries, where the batch's occupancy projection must agree with the
 // serial path's committed state.
 func TestChainSerialBatchEquivalence(t *testing.T) {
@@ -95,7 +95,7 @@ func TestChainSerialBatchEquivalence(t *testing.T) {
 			{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 48 * pageSize, MinCompressRatio: 1.5},
 			{Kind: TierSSD, CapacityBytes: 1 << 30},
 		}
-		return NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 7), 7)
+		return NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 7), WritebackConfig{}, 7)
 	}
 	batch, serial := build(), build()
 	now := vclock.Time(vclock.Second)
@@ -115,7 +115,7 @@ func TestChainSerialBatchEquivalence(t *testing.T) {
 	}
 	sOut := make([]StoreResult, pages)
 	for i, req := range reqs {
-		res, err := serial.Store(now, req.PageBytes, req.CompressRatio)
+		res, err := storeOne(serial, now, req.PageBytes, req.CompressRatio)
 		if err != nil {
 			t.Fatalf("serial store %d: %v", i, err)
 		}
@@ -145,7 +145,7 @@ func TestChainSerialBatchEquivalence(t *testing.T) {
 	}
 	batch.LoadBatch(now, hs)
 	for i := range sOut {
-		serial.Load(now, sOut[i].Handle)
+		loadOne(serial, now, sOut[i].Handle)
 	}
 	for tier := 0; tier < batch.NumTiers(); tier++ {
 		if b, s := batch.TierStats(tier), serial.TierStats(tier); b.StoredPages != 0 || s.StoredPages != 0 {
@@ -161,7 +161,7 @@ func TestChainErrFullLastTier(t *testing.T) {
 		{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 8 * pageSize},
 		{Kind: TierSSD, CapacityBytes: 4 * pageSize},
 	}
-	c := NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 13), 13)
+	c := NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 13), WritebackConfig{}, 13)
 	now := vclock.Time(vclock.Second)
 
 	// Refault stores fill every tier to full capacity (cold stores stop at
@@ -181,14 +181,14 @@ func TestChainErrFullLastTier(t *testing.T) {
 	if last := c.TierStats(c.NumTiers() - 1); last.StoredPages == 0 {
 		t.Fatalf("ErrFull before the last tier took a page")
 	}
-	if _, err := c.Store(now, pageSize, 1.0); !errors.Is(err, ErrFull) {
+	if _, err := storeOne(c, now, pageSize, 1.0); !errors.Is(err, ErrFull) {
 		t.Fatalf("single store on a full chain err = %v, want ErrFull", err)
 	}
 
 	// The prefix is live: its handles load back, and freeing one page makes
 	// room for exactly one more.
-	c.Load(now, out[0].Handle)
-	if _, err := c.Store(now, pageSize, 1.0); err != nil {
+	loadOne(c, now, out[0].Handle)
+	if _, err := storeOne(c, now, pageSize, 1.0); err != nil {
 		t.Fatalf("store after load: %v", err)
 	}
 }
@@ -198,12 +198,12 @@ func TestChainErrFullLastTier(t *testing.T) {
 // tier is back inside its band, and every migrated page stays loadable.
 func TestChainWatermarkDemotion(t *testing.T) {
 	const poolBytes = 100 * pageSize
-	c := driftChain(poolBytes)
+	c := driftChain(poolBytes, WritebackConfig{})
 	now := vclock.Time(vclock.Second)
 
 	var handles []Handle
 	for i := 0; i < 400; i++ {
-		res, err := c.Store(now, pageSize, 2.0)
+		res, err := storeOne(c, now, pageSize, 2.0)
 		if err != nil {
 			t.Fatalf("store %d: %v", i, err)
 		}
@@ -241,13 +241,12 @@ func TestChainWatermarkDemotion(t *testing.T) {
 // onto a device that is already behind — and resumes on later ticks.
 func TestChainDemotionBackpressure(t *testing.T) {
 	const poolBytes = 80 * pageSize
-	c := driftChain(poolBytes)
-	c.ConfigureWriteback(WritebackConfig{Depth: 1, MaxIOPS: 0.001}) // one drain per ~1000s
+	c := driftChain(poolBytes, WritebackConfig{Depth: 1, MaxIOPS: 0.001}) // one drain per ~1000s
 	now := vclock.Time(vclock.Second)
 
 	// Occupy the queue's only slot with an incompressible store, then pack
 	// the fast tier to capacity with refault stores.
-	if _, err := c.Store(now, pageSize, 1.0); err != nil {
+	if _, err := storeOne(c, now, pageSize, 1.0); err != nil {
 		t.Fatalf("ssd store: %v", err)
 	}
 	reqs := make([]StoreReq, 150)
@@ -290,7 +289,7 @@ func TestChainConcurrentHosts(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := driftChain(32 * pageSize)
+			c := driftChain(32*pageSize, WritebackConfig{})
 			now := vclock.Time(vclock.Second)
 			var handles []Handle
 			for i := 0; i < 200; i++ {
@@ -298,7 +297,7 @@ func TestChainConcurrentHosts(t *testing.T) {
 				if i%3 == 0 {
 					ratio = 1.1
 				}
-				res, err := c.Store(now, pageSize, ratio)
+				res, err := storeOne(c, now, pageSize, ratio)
 				if err != nil {
 					errs[g] = err
 					return
@@ -326,9 +325,10 @@ func TestChainConcurrentHosts(t *testing.T) {
 }
 
 // TestChainSingleTierForwards: a one-tier chain is its tier's backend. The
-// same seeded op sequence — stores, batches that overrun a small tier,
-// loads, frees, drains — driven into the chain and into the bare backend
-// must produce identical results, handles, ErrFull prefixes and Stats.
+// same seeded op sequence — one-page and multi-page store batches that
+// overrun a small tier, one-page and multi-page loads, frees, drains —
+// driven into the chain and into the bare backend must produce identical
+// results, handles, ErrFull prefixes and Stats.
 func TestChainSingleTierForwards(t *testing.T) {
 	const capacity = 48 * pageSize
 	const seed = 17
@@ -344,13 +344,15 @@ func TestChainSingleTierForwards(t *testing.T) {
 		{"lz4", TierSpec{Kind: TierZswap, Codec: CodecLz4, CapacityBytes: capacity},
 			func() SwapBackend { return NewZswap(CodecLz4, AllocZsmalloc, capacity, seed) }},
 		{"ssd", TierSpec{Kind: TierSSD, CapacityBytes: capacity},
-			func() SwapBackend { return NewSSDSwap(NewSSDDevice(DeviceCatalog[2], seed), capacity) }},
+			func() SwapBackend {
+				return NewSSDSwap(NewSSDDevice(DeviceCatalog[2], seed), capacity, WritebackConfig{})
+			}},
 		{"nvm", TierSpec{Kind: TierNVM, CapacityBytes: capacity},
 			func() SwapBackend { return NewNVM(nvm, seed) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			chain := NewTierChain([]TierSpec{tc.spec}, NewSSDDevice(DeviceCatalog[2], seed), seed)
+			chain := NewTierChain([]TierSpec{tc.spec}, NewSSDDevice(DeviceCatalog[2], seed), WritebackConfig{}, seed)
 			bare := tc.bare()
 			rng := rand.New(rand.NewPCG(seed, uint64(len(tc.name))))
 			now := vclock.Time(vclock.Second)
@@ -359,20 +361,12 @@ func TestChainSingleTierForwards(t *testing.T) {
 			for op := 0; op < 2000; op++ {
 				now += vclock.Time(rng.IntN(int(50 * vclock.Millisecond)))
 				switch k := rng.IntN(10); {
-				case k < 3:
-					ratio := 1 + 3*rng.Float64()
-					a, errA := chain.Store(now, pageSize, ratio)
-					b, errB := bare.Store(now, pageSize, ratio)
-					if a != b || errA != errB {
-						t.Fatalf("op %d Store: chain %+v %v, bare %+v %v", op, a, errA, b, errB)
-					}
-					if errA == nil {
-						live = append(live, a.Handle)
-					} else {
-						fulls++
-					}
 				case k < 5:
-					reqs := make([]StoreReq, 1+rng.IntN(16))
+					size := 1 // a third of the stores are one-page batches
+					if k >= 3 {
+						size += rng.IntN(16)
+					}
+					reqs := make([]StoreReq, size)
 					for i := range reqs {
 						reqs[i] = StoreReq{PageBytes: pageSize, CompressRatio: 1 + 3*rng.Float64(), Refault: rng.IntN(2) == 0}
 					}
@@ -391,17 +385,14 @@ func TestChainSingleTierForwards(t *testing.T) {
 					if errors.Is(errA, ErrFull) {
 						fulls++
 					}
-				case k < 7 && len(live) > 0:
-					i := rng.IntN(len(live))
-					h := live[i]
-					live = append(live[:i], live[i+1:]...)
-					if a, b := chain.Load(now, h), bare.Load(now, h); a != b {
-						t.Fatalf("op %d Load: chain %+v, bare %+v", op, a, b)
-					}
 				case k < 8 && len(live) > 0:
-					n := 1 + rng.IntN(min(8, len(live)))
-					hs := append([]Handle(nil), live[:n]...)
-					live = live[n:]
+					n := 1 // the one-page fault path
+					if k == 7 {
+						n += rng.IntN(min(8, len(live)))
+					}
+					i := rng.IntN(len(live) - n + 1)
+					hs := append([]Handle(nil), live[i:i+n]...)
+					live = append(live[:i], live[i+n:]...)
 					if a, b := chain.LoadBatch(now, hs), bare.LoadBatch(now, hs); a != b {
 						t.Fatalf("op %d LoadBatch: chain %+v, bare %+v", op, a, b)
 					}
@@ -449,7 +440,7 @@ func TestChainRejectsBadLayouts(t *testing.T) {
 					t.Errorf("%s: NewTierChain accepted %+v", name, specs)
 				}
 			}()
-			NewTierChain(specs, dev, 5)
+			NewTierChain(specs, dev, WritebackConfig{}, 5)
 		}()
 	}
 }
@@ -461,11 +452,11 @@ func TestChainDemotesIntoNVM(t *testing.T) {
 	c := NewTierChain([]TierSpec{
 		{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: poolBytes},
 		{Kind: TierNVM, CapacityBytes: 1 << 30},
-	}, nil, 9)
+	}, nil, WritebackConfig{}, 9)
 	now := vclock.Time(vclock.Second)
 	var handles []Handle
 	for i := 0; i < 300; i++ {
-		res, err := c.Store(now, pageSize, 2.0)
+		res, err := storeOne(c, now, pageSize, 2.0)
 		if err != nil {
 			t.Fatalf("store %d: %v", i, err)
 		}

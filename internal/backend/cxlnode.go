@@ -168,9 +168,6 @@ func (n *CXLNode) SetLinkDegradation(factor float64) {
 	n.degrade = factor
 }
 
-// LinkDegradation returns the current degradation factor.
-func (n *CXLNode) LinkDegradation() float64 { return n.degrade }
-
 // InjectLinkStall freezes the link for d starting at now — a retrain or
 // hot-remove glitch. Accesses during the window wait it out; in-flight
 // promotion copies overlapping it are aborted by the placement loop.

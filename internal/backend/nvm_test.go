@@ -6,9 +6,16 @@ import (
 	"tmo/internal/vclock"
 )
 
+// optane returns the Optane device point sized at capacity bytes.
+func optane(capacity int64) NVMSpec {
+	spec := SpecNVMOptane
+	spec.CapacityBytes = capacity
+	return spec
+}
+
 func TestNVMStoreLoadFree(t *testing.T) {
-	n := NewNVM(SpecNVMOptane, 71)
-	res, err := n.Store(0, pageSize, 3.0)
+	n := NewNVM(optane(bigSwap), 71)
+	res, err := storeOne(n, 0, pageSize, 3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +25,7 @@ func TestNVMStoreLoadFree(t *testing.T) {
 	if n.PoolBytes() != 0 {
 		t.Fatalf("NVM must cost no host DRAM")
 	}
-	lr := n.Load(0, res.Handle)
+	lr := loadOne(n, 0, res.Handle)
 	if lr.BlockIO {
 		t.Fatalf("NVM load reported block IO")
 	}
@@ -28,7 +35,7 @@ func TestNVMStoreLoadFree(t *testing.T) {
 	if n.Stats().StoredPages != 0 {
 		t.Fatalf("stats after load: %+v", n.Stats())
 	}
-	res2, _ := n.Store(0, pageSize, 1)
+	res2, _ := storeOne(n, 0, pageSize, 1)
 	n.Free(res2.Handle)
 	n.Free(res2.Handle) // no-op
 	if n.Stats().StoredPages != 0 {
@@ -40,31 +47,29 @@ func TestNVMStoreLoadFree(t *testing.T) {
 }
 
 func TestNVMCapacity(t *testing.T) {
-	spec := SpecCXLDRAM
-	spec.CapacityBytes = 2 * pageSize
-	n := NewNVM(spec, 72)
-	n.Store(0, pageSize, 1)
-	n.Store(0, pageSize, 1)
-	if _, err := n.Store(0, pageSize, 1); err != ErrFull {
+	n := NewNVM(optane(2*pageSize), 72)
+	storeOne(n, 0, pageSize, 1)
+	storeOne(n, 0, pageSize, 1)
+	if _, err := storeOne(n, 0, pageSize, 1); err != ErrFull {
 		t.Fatalf("over-capacity store err = %v", err)
 	}
 }
 
 func TestNVMLoadUnknownPanics(t *testing.T) {
-	n := NewNVM(SpecNVMOptane, 73)
+	n := NewNVM(optane(bigSwap), 73)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("no panic")
 		}
 	}()
-	n.Load(0, 5)
+	loadOne(n, 0, 5)
 }
 
 func TestNVMFasterThanSSDSlowerThanZswap(t *testing.T) {
 	// The latency ordering that makes the spectrum experiment meaningful:
 	// zswap < CXL < NVM < any SSD (median).
 	ssd := DeviceCatalog[6] // fastest SSD generation
-	if !(SpecCXLDRAM.ReadMedian < SpecNVMOptane.ReadMedian &&
+	if !(SpecCXLNode.AccessLatency < SpecNVMOptane.ReadMedian &&
 		SpecNVMOptane.ReadMedian < ssd.ReadMedian) {
 		t.Fatalf("tier latency ordering broken")
 	}

@@ -311,44 +311,25 @@ func (d *SSDDevice) EnduranceUsed() float64 {
 	return float64(d.writtenBytes) / ratedBytes
 }
 
-// SSDSwap is a swap partition on an SSDDevice. Swap-out writes go through a
-// depth-limited asynchronous writeback queue (see writeback.go): Store
-// enqueues and returns immediately unless the queue is full, in which case
-// the returned Latency carries the backpressure stall the reclaimer must
-// serve.
+// SSDSwap is a swap partition on an SSDDevice; the embedded ledger's
+// capacity is the partition size. Swap-out writes go through a depth-limited
+// asynchronous writeback queue (see writeback.go): StoreBatch enqueues and
+// returns immediately unless the queue is full, in which case the returned
+// Latency carries the backpressure stall the reclaimer must serve.
 type SSDSwap struct {
+	ledger
 	dev *SSDDevice
-	// capacity is the swap partition size in bytes; 0 means unlimited.
-	capacity int64
-
-	pageBytes map[Handle]int64
-	next      Handle
-	stats     Stats
-	wb        *writebackQueue
+	wb  *writebackQueue
 }
 
-// NewSSDSwap returns a swap backend over dev with the given partition size
-// in bytes (0 = unbounded) and the default async writeback queue.
-func NewSSDSwap(dev *SSDDevice, capacity int64) *SSDSwap {
+// NewSSDSwap returns a swap backend over dev with a partition of capacity
+// bytes (positive) and an async writeback queue bounded by wb.
+func NewSSDSwap(dev *SSDDevice, capacity int64, wb WritebackConfig) *SSDSwap {
 	return &SSDSwap{
-		dev:       dev,
-		capacity:  capacity,
-		pageBytes: make(map[Handle]int64),
-		wb:        newWritebackQueue(dev, WritebackConfig{}),
+		ledger: newLedger("swap partition", capacity),
+		dev:    dev,
+		wb:     newWritebackQueue(dev, wb),
 	}
-}
-
-// ConfigureWriteback replaces the writeback queue's limits. Pending
-// submissions from the old configuration are issued inline first so no
-// queued write is lost.
-func (s *SSDSwap) ConfigureWriteback(cfg WritebackConfig) {
-	for i := 0; i < s.wb.n; i++ {
-		e := s.wb.ring[(s.wb.head+i)%len(s.wb.ring)]
-		s.dev.WriteBatch(e.ready, e.pages, e.bytes)
-	}
-	nq := newWritebackQueue(s.dev, cfg)
-	nq.telDrained, nq.telStalls, nq.telStallUs = s.wb.telDrained, s.wb.telStalls, s.wb.telStallUs
-	s.wb = nq
 }
 
 // Device exposes the underlying SSD (shared with the filesystem).
@@ -356,22 +337,6 @@ func (s *SSDSwap) Device() *SSDDevice { return s.dev }
 
 // QueueDepth returns the current async writeback queue depth.
 func (s *SSDSwap) QueueDepth() int { return s.wb.depth() }
-
-// admit reserves space for one page, recording it under a fresh handle.
-func (s *SSDSwap) admit(pageBytes int64) (Handle, bool) {
-	if s.capacity > 0 && s.stats.StoredBytes+pageBytes > s.capacity {
-		return 0, false
-	}
-	h := s.next
-	s.next++
-	s.pageBytes[h] = pageBytes
-	s.stats.StoredPages++
-	s.stats.LogicalBytes += pageBytes
-	s.stats.StoredBytes += pageBytes
-	s.stats.TotalWrites++
-	s.stats.WrittenBytes += pageBytes
-	return h, true
-}
 
 // submitWriteback hands a store submission to the async queue (or writes
 // inline when the queue is disabled) and returns the reclaimer-visible
@@ -384,31 +349,21 @@ func (s *SSDSwap) submitWriteback(now vclock.Time, pages int, bytes int64) vcloc
 	return s.wb.push(now, pages, bytes)
 }
 
-// Store implements SwapBackend. Pages are written uncompressed; compression
-// ratio is ignored on the SSD path. The returned Latency is the writeback
-// queue's backpressure stall — zero while the queue has room.
-func (s *SSDSwap) Store(now vclock.Time, pageBytes int64, _ float64) (StoreResult, error) {
-	h, ok := s.admit(pageBytes)
-	if !ok {
-		return StoreResult{}, ErrFull
-	}
-	stall := s.submitWriteback(now, 1, pageBytes)
-	return StoreResult{Handle: h, StoredBytes: pageBytes, DeviceWrite: pageBytes, Latency: stall}, nil
-}
-
-// StoreBatch implements SwapBackend: the whole batch is one writeback-queue
-// submission (one device write op when it drains). Capacity is checked per
-// page, so on ErrFull the stored prefix still goes out as a single
-// submission. The backpressure stall, if any, is charged to the batch's
-// first page.
+// StoreBatch implements SwapBackend. Pages are written uncompressed; the
+// compression ratio is ignored on the SSD path. The whole batch is one
+// writeback-queue submission (one device write op when it drains). Capacity
+// is checked per page, so on ErrFull the stored prefix still goes out as a
+// single submission. The backpressure stall, if any, is charged to the
+// batch's first page; it is zero while the queue has room.
 func (s *SSDSwap) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResult) (int, error) {
 	n := 0
 	var bytes int64
 	for _, req := range reqs {
-		h, ok := s.admit(req.PageBytes)
+		h, ok := s.admit(req.PageBytes, req.PageBytes)
 		if !ok {
 			break
 		}
+		s.stats.WrittenBytes += req.PageBytes
 		out[n] = StoreResult{Handle: h, StoredBytes: req.PageBytes, DeviceWrite: req.PageBytes}
 		bytes += req.PageBytes
 		n++
@@ -422,19 +377,6 @@ func (s *SSDSwap) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResult
 	return n, nil
 }
 
-// Load implements SwapBackend.
-func (s *SSDSwap) Load(now vclock.Time, h Handle) LoadResult {
-	s.wb.drain(now)
-	n, ok := s.pageBytes[h]
-	if !ok {
-		panic(fmt.Sprintf("backend: load of unknown swap handle %d", h))
-	}
-	lat := s.dev.ReadBatch(now, 1, n)
-	s.release(h, n)
-	s.stats.TotalReads++
-	return LoadResult{Latency: lat, BlockIO: true}
-}
-
 // LoadBatch implements SwapBackend: the whole cluster is one device read
 // submission, paying the sampled service latency, queue factor, and any
 // injected-stall remainder once, plus the byte-rate transfer term for the
@@ -443,14 +385,8 @@ func (s *SSDSwap) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
 	s.wb.drain(now)
 	var bytes int64
 	for _, h := range hs {
-		n, ok := s.pageBytes[h]
-		if !ok {
-			panic(fmt.Sprintf("backend: load of unknown swap handle %d", h))
-		}
-		bytes += n
-		s.release(h, n)
+		bytes += s.load(h).logical
 	}
-	s.stats.TotalReads += int64(len(hs))
 	lat := s.dev.ReadBatch(now, len(hs), bytes)
 	return BatchLoadResult{Latency: lat, BlockIO: true}
 }
@@ -460,23 +396,6 @@ func (s *SSDSwap) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
 func (s *SSDSwap) DrainWriteback(now vclock.Time) {
 	s.wb.drain(now)
 }
-
-// Free implements SwapBackend.
-func (s *SSDSwap) Free(h Handle) {
-	if n, ok := s.pageBytes[h]; ok {
-		s.release(h, n)
-	}
-}
-
-func (s *SSDSwap) release(h Handle, n int64) {
-	delete(s.pageBytes, h)
-	s.stats.StoredPages--
-	s.stats.LogicalBytes -= n
-	s.stats.StoredBytes -= n
-}
-
-// Stats implements SwapBackend.
-func (s *SSDSwap) Stats() Stats { return s.stats }
 
 // WriteRate implements SwapBackend.
 func (s *SSDSwap) WriteRate(now vclock.Time) float64 { return s.dev.WriteByteRate(now) }

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"fmt"
 	"math/rand/v2"
 
 	"tmo/internal/dist"
@@ -76,20 +75,17 @@ func (a Allocator) StoredSize(pageBytes int64, effRatio float64) int64 {
 // Zswap is a compressed in-DRAM pool for offloaded anonymous pages. Loads
 // are pure decompression — fast, no block IO, and free of endurance limits —
 // but every stored page still occupies pool DRAM, so the net saving per page
-// is pageBytes minus its compressed size.
+// is pageBytes minus its compressed size. The embedded ledger's capacity is
+// the pool's DRAM budget.
 type Zswap struct {
+	ledger
 	codec Codec
 	alloc Allocator
-	// maxPoolBytes bounds the pool's DRAM footprint; 0 means unbounded.
-	maxPoolBytes int64
 
 	rng      *rand.Rand
 	compLat  dist.Sampler
 	decLat   dist.Sampler
-	entries  map[Handle]zswapEntry
 	order    []Handle // insertion order, for LRU writeback; may hold freed handles
-	next     Handle
-	stats    Stats
 	rejected int64
 
 	// Registry instruments, nil until EnableTelemetry.
@@ -97,29 +93,27 @@ type Zswap struct {
 	telRatio                        *telemetry.Histogram
 }
 
-type zswapEntry struct {
-	logical int64
-	stored  int64
-}
-
-// NewZswap returns a compressed pool using the given codec and allocator.
+// NewZswap returns a compressed pool of at most maxPoolBytes (positive)
+// using the given codec and allocator.
 func NewZswap(codec Codec, alloc Allocator, maxPoolBytes int64, seed uint64) *Zswap {
 	return &Zswap{
-		codec:        codec,
-		alloc:        alloc,
-		maxPoolBytes: maxPoolBytes,
-		rng:          dist.NewRand(seed),
-		compLat:      dist.FitLogNormal(codec.CompressMedian, codec.CompressP99),
-		decLat:       dist.FitLogNormal(codec.DecompressMedian, codec.DecompressP99),
-		entries:      make(map[Handle]zswapEntry),
+		ledger:  newLedger("zswap pool", maxPoolBytes),
+		codec:   codec,
+		alloc:   alloc,
+		rng:     dist.NewRand(seed),
+		compLat: dist.FitLogNormal(codec.CompressMedian, codec.CompressP99),
+		decLat:  dist.FitLogNormal(codec.DecompressMedian, codec.DecompressP99),
 	}
 }
 
-// Store implements SwapBackend.
-func (z *Zswap) Store(now vclock.Time, pageBytes int64, compressRatio float64) (StoreResult, error) {
-	eff := compressRatio * z.codec.RatioFactor
-	stored := z.alloc.StoredSize(pageBytes, eff)
-	if z.maxPoolBytes > 0 && z.stats.StoredBytes+stored > z.maxPoolBytes {
+// store admits one page into the pool, or counts a reject when its
+// compressed size does not fit; the compression latency is sampled only for
+// an admitted page. StoreBatch and the chain's demotion both admit through
+// it.
+func (z *Zswap) store(pageBytes int64, compressRatio float64) (StoreResult, error) {
+	stored := z.alloc.StoredSize(pageBytes, compressRatio*z.codec.RatioFactor)
+	h, ok := z.admit(pageBytes, stored)
+	if !ok {
 		z.rejected++
 		if z.telRejects != nil {
 			z.telRejects.Inc()
@@ -131,14 +125,7 @@ func (z *Zswap) Store(now vclock.Time, pageBytes int64, compressRatio float64) (
 		// The achieved ratio: logical page size over pool bytes consumed.
 		z.telRatio.Record(float64(pageBytes) / float64(stored))
 	}
-	h := z.next
-	z.next++
-	z.entries[h] = zswapEntry{logical: pageBytes, stored: stored}
 	z.order = append(z.order, h)
-	z.stats.StoredPages++
-	z.stats.LogicalBytes += pageBytes
-	z.stats.StoredBytes += stored
-	z.stats.TotalWrites++
 	return StoreResult{
 		Handle:      h,
 		StoredBytes: stored,
@@ -157,7 +144,7 @@ const zswapBatchAmortization = 0.6
 // pages' compression latencies.
 func (z *Zswap) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResult) (int, error) {
 	for i, req := range reqs {
-		r, err := z.Store(now, req.PageBytes, req.CompressRatio)
+		r, err := z.store(req.PageBytes, req.CompressRatio)
 		if err != nil {
 			return i, err
 		}
@@ -169,33 +156,14 @@ func (z *Zswap) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResult) 
 	return len(reqs), nil
 }
 
-// Load implements SwapBackend. Zswap loads decompress in place: a memory
-// stall with no block IO.
-func (z *Zswap) Load(now vclock.Time, h Handle) LoadResult {
-	e, ok := z.entries[h]
-	if !ok {
-		panic(fmt.Sprintf("backend: load of unknown zswap handle %d", h))
-	}
-	z.release(h, e)
-	z.stats.TotalReads++
-	if z.telLoads != nil {
-		z.telLoads.Inc()
-	}
-	return LoadResult{Latency: z.decLat.Sample(z.rng), BlockIO: false}
-}
-
-// LoadBatch implements SwapBackend: every page still decompresses, but tail
-// pages pay the amortised codec cost because the submission overhead is paid
-// once for the cluster.
+// LoadBatch implements SwapBackend. Zswap loads decompress in place: a
+// memory stall with no block IO. Every page still decompresses, but tail
+// pages pay the amortised codec cost because the submission overhead is
+// paid once for the cluster.
 func (z *Zswap) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
 	var res BatchLoadResult
 	for i, h := range hs {
-		e, ok := z.entries[h]
-		if !ok {
-			panic(fmt.Sprintf("backend: load of unknown zswap handle %d", h))
-		}
-		z.release(h, e)
-		z.stats.TotalReads++
+		z.load(h)
 		lat := z.decLat.Sample(z.rng)
 		if i > 0 {
 			lat = vclock.Duration(float64(lat) * zswapBatchAmortization)
@@ -212,23 +180,6 @@ func (z *Zswap) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
 // pool, so there is nothing to drain.
 func (z *Zswap) DrainWriteback(vclock.Time) {}
 
-// Free implements SwapBackend.
-func (z *Zswap) Free(h Handle) {
-	if e, ok := z.entries[h]; ok {
-		z.release(h, e)
-	}
-}
-
-func (z *Zswap) release(h Handle, e zswapEntry) {
-	delete(z.entries, h)
-	z.stats.StoredPages--
-	z.stats.LogicalBytes -= e.logical
-	z.stats.StoredBytes -= e.stored
-}
-
-// Stats implements SwapBackend.
-func (z *Zswap) Stats() Stats { return z.stats }
-
 // WriteRate implements SwapBackend; zswap has no endurance-limited writes.
 func (z *Zswap) WriteRate(vclock.Time) float64 { return 0 }
 
@@ -240,13 +191,13 @@ func (z *Zswap) Rejected() int64 { return z.rejected }
 // bytes.
 func (z *Zswap) PoolBytes() int64 { return z.stats.StoredBytes }
 
-// OldestHandle returns the least-recently-stored live entry, if any. The
-// tiered backend uses it to pick writeback victims, matching zswap's
-// LRU-ordered writeback to the backing swap device.
+// OldestHandle returns the least-recently-stored live entry, if any. A tier
+// chain uses it to pick demotion victims, matching zswap's LRU-ordered
+// writeback to the backing swap device.
 func (z *Zswap) OldestHandle() (Handle, bool) {
 	for len(z.order) > 0 {
 		h := z.order[0]
-		if _, ok := z.entries[h]; ok {
+		if _, ok := z.slots[h]; ok {
 			return h, true
 		}
 		z.order = z.order[1:] // drop freed/loaded entries lazily
@@ -254,24 +205,14 @@ func (z *Zswap) OldestHandle() (Handle, bool) {
 	return 0, false
 }
 
-// EntrySize returns the logical (uncompressed) size of a stored entry.
-func (z *Zswap) EntrySize(h Handle) (int64, bool) {
-	e, ok := z.entries[h]
-	if !ok {
-		return 0, false
-	}
-	return e.logical, true
-}
-
 // Writeback removes an entry from the pool for migration to a lower tier,
 // returning its logical size and the decompression latency the writeback
-// path pays. Unlike Load it is initiated by the backend itself, not a
-// fault.
+// path pays. Unlike a load it is initiated by the backend itself, not a
+// fault, so it counts no read.
 func (z *Zswap) Writeback(h Handle) (logical int64, lat vclock.Duration, ok bool) {
-	e, found := z.entries[h]
+	s, found := z.remove(h)
 	if !found {
 		return 0, 0, false
 	}
-	z.release(h, e)
-	return e.logical, z.decLat.Sample(z.rng), true
+	return s.logical, z.decLat.Sample(z.rng), true
 }

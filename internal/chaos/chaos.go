@@ -375,17 +375,18 @@ const swapFillChunkBytes = 256 << 10
 func (e *Engine) SwapFill(frac float64) Fault {
 	var handles []backend.Handle
 	sw, capacity := e.host.Swap, e.host.SwapCapacityBytes
+	req := []backend.StoreReq{{PageBytes: swapFillChunkBytes, CompressRatio: 1.0}}
+	out := make([]backend.StoreResult, 1)
 	return FaultFunc("swap-fill", func(now vclock.Time, level float64) {
 		if sw == nil || capacity <= 0 {
 			return
 		}
 		target := int64(level * frac * float64(capacity))
 		for int64(len(handles))*swapFillChunkBytes < target {
-			res, err := sw.Store(now, swapFillChunkBytes, 1.0)
-			if err != nil {
+			if _, err := sw.StoreBatch(now, req, out); err != nil {
 				break // backend full: the fill already achieved its point
 			}
-			handles = append(handles, res.Handle)
+			handles = append(handles, out[0].Handle)
 		}
 		for len(handles) > 0 && int64(len(handles)-1)*swapFillChunkBytes >= target {
 			sw.Free(handles[len(handles)-1])

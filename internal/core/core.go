@@ -213,8 +213,7 @@ func New(opts Options) *System {
 
 	var swap backend.SwapBackend
 	if specs := chainSpecs(opts); specs != nil {
-		sys.Chain = backend.NewTierChain(specs, sys.Device, opts.Seed^0xbeef)
-		sys.Chain.ConfigureWriteback(opts.Writeback)
+		sys.Chain = backend.NewTierChain(specs, sys.Device, opts.Writeback, opts.Seed^0xbeef)
 		swap = sys.Chain
 	}
 	if opts.Mode == ModeCXL {

@@ -91,6 +91,22 @@ func TestOptionsTiersOverride(t *testing.T) {
 	}
 }
 
+func TestParseMode(t *testing.T) {
+	cases := map[string]Mode{
+		"off": ModeOff, "file-only": ModeFileOnly, "zswap": ModeZswap,
+		"ssd": ModeSSDSwap, "tiered": ModeTiered, "nvm": ModeNVM, "cxl": ModeCXL,
+	}
+	for s, want := range cases {
+		got, err := ParseMode(s)
+		if err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := ParseMode("floppy"); err == nil {
+		t.Fatalf("unknown mode accepted")
+	}
+}
+
 func TestModeStrings(t *testing.T) {
 	want := map[Mode]string{ModeOff: "off", ModeFileOnly: "file-only", ModeZswap: "zswap", ModeSSDSwap: "ssd-swap"}
 	for m, s := range want {

@@ -236,18 +236,22 @@ func TableCompression(cfg Config) TableCompressionResult {
 	}
 
 	var res TableCompressionResult
+	req := make([]backend.StoreReq, 1)
+	out := make([]backend.StoreResult, 1)
 	for _, c := range codecs {
 		for _, a := range allocs {
-			z := backend.NewZswap(c, a, 0, cfg.Seed+600)
+			// Each page is loaded right after its store, so the pool never
+			// holds more than one page; the bound is never reached.
+			z := backend.NewZswap(c, a, 1<<20, cfg.Seed+600)
 			r := metrics.NewReservoir(4096, dist.NewRand(cfg.Seed+601).Int64N)
 			var stored int64
 			for i := 0; i < pages; i++ {
-				sr, err := z.Store(0, 4096, ratios[i%len(ratios)])
-				if err != nil {
+				req[0] = backend.StoreReq{PageBytes: 4096, CompressRatio: ratios[i%len(ratios)]}
+				if _, err := z.StoreBatch(0, req, out); err != nil {
 					panic(err)
 				}
-				stored += sr.StoredBytes
-				lr := z.Load(0, sr.Handle)
+				stored += out[0].StoredBytes
+				lr := z.LoadBatch(0, []backend.Handle{out[0].Handle})
 				r.Add(float64(lr.Latency))
 			}
 			row := CompressionRow{

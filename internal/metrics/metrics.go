@@ -1,7 +1,6 @@
 // Package metrics provides the small set of online estimators the simulator
-// and controllers use: windowed rate meters, exponentially weighted moving
-// averages, percentile reservoirs, and time-series recorders for experiment
-// output.
+// and controllers use: windowed rate meters, percentile reservoirs, and
+// time-series recorders for experiment output.
 //
 // The Senpai controller consumes rate meters (SSD write MB/s for endurance
 // regulation, Fig. 14) and the experiment harness consumes time series and
@@ -15,49 +14,6 @@ import (
 
 	"tmo/internal/vclock"
 )
-
-// EWMA is an exponentially weighted moving average over irregularly sampled
-// observations, using the same update rule as the kernel's PSI averages:
-// each Update folds the new observation in with weight 1-exp(-dt/halflifeish).
-type EWMA struct {
-	// Window is the averaging time constant; observations older than a few
-	// windows have negligible weight.
-	Window vclock.Duration
-
-	value    float64
-	lastTime vclock.Time
-	primed   bool
-}
-
-// NewEWMA returns an EWMA with the given time constant.
-func NewEWMA(window vclock.Duration) *EWMA { return &EWMA{Window: window} }
-
-// Update folds in observation v at time now and returns the new average.
-// The first observation primes the average directly.
-func (e *EWMA) Update(now vclock.Time, v float64) float64 {
-	if !e.primed {
-		e.value = v
-		e.lastTime = now
-		e.primed = true
-		return v
-	}
-	dt := now.Sub(e.lastTime)
-	if dt < 0 {
-		dt = 0
-	}
-	// A zero Window would make alpha 1-exp(-dt/0) = NaN and poison the
-	// average forever; treat it as "no smoothing" and track v directly.
-	alpha := 1.0
-	if e.Window > 0 {
-		alpha = 1 - math.Exp(-float64(dt)/float64(e.Window))
-	}
-	e.value += alpha * (v - e.value)
-	e.lastTime = now
-	return e.value
-}
-
-// Value returns the current average (zero before any update).
-func (e *EWMA) Value() float64 { return e.value }
 
 // RateMeter measures an event or byte rate over a sliding window using fixed
 // time buckets. It is the mechanism behind Senpai's SSD write-rate

@@ -10,61 +10,6 @@ import (
 	"tmo/internal/vclock"
 )
 
-func TestEWMAPrimesOnFirstSample(t *testing.T) {
-	e := NewEWMA(10 * vclock.Second)
-	if got := e.Update(0, 5); got != 5 {
-		t.Fatalf("first update = %v, want 5", got)
-	}
-	if e.Value() != 5 {
-		t.Fatalf("Value() = %v", e.Value())
-	}
-}
-
-func TestEWMAConvergesToConstant(t *testing.T) {
-	e := NewEWMA(10 * vclock.Second)
-	now := vclock.Time(0)
-	e.Update(now, 0)
-	for i := 0; i < 100; i++ {
-		now = now.Add(vclock.Second)
-		e.Update(now, 100)
-	}
-	if math.Abs(e.Value()-100) > 0.1 {
-		t.Fatalf("EWMA did not converge: %v", e.Value())
-	}
-}
-
-func TestEWMAHalfDecay(t *testing.T) {
-	// After exactly one window of constant new input, the average should
-	// have moved 1-1/e of the way to the new value.
-	e := NewEWMA(10 * vclock.Second)
-	e.Update(0, 0)
-	e.Update(vclock.Time(10*vclock.Second), 1)
-	want := 1 - math.Exp(-1)
-	if math.Abs(e.Value()-want) > 1e-9 {
-		t.Fatalf("after one window: %v, want %v", e.Value(), want)
-	}
-}
-
-func TestEWMAZeroWindow(t *testing.T) {
-	// Regression: a zero Window used to make alpha = 1-exp(-dt/0) = NaN,
-	// permanently poisoning the average. It must degrade to tracking the
-	// latest observation instead.
-	var e EWMA
-	e.Update(0, 5)
-	got := e.Update(vclock.Time(vclock.Second), 7)
-	if math.IsNaN(got) {
-		t.Fatalf("zero-window EWMA produced NaN")
-	}
-	if got != 7 {
-		t.Fatalf("zero-window EWMA = %v, want 7 (track latest)", got)
-	}
-	// And a subsequent update with a configured window must still work.
-	e.Window = 10 * vclock.Second
-	if v := e.Update(vclock.Time(2*vclock.Second), 9); math.IsNaN(v) || v <= 7 || v >= 9 {
-		t.Fatalf("EWMA after window restored = %v, want in (7, 9)", v)
-	}
-}
-
 func TestRateMeterSteadyRate(t *testing.T) {
 	m := NewRateMeter(vclock.Second, 10)
 	now := vclock.Time(0)

@@ -26,13 +26,16 @@ func newTestManager(capacityPages int64, swap backend.SwapBackend, policy Reclai
 	})
 }
 
+// testSwapBytes sizes the test backends far beyond anything a test offloads.
+const testSwapBytes = 1 << 30
+
 func newZswap() *backend.Zswap {
-	return backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 0, 7)
+	return backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, testSwapBytes, 7)
 }
 
 func newSSDSwap() *backend.SSDSwap {
 	spec, _ := backend.DeviceByModel("C")
-	return backend.NewSSDSwap(backend.NewSSDDevice(spec, 42), 0)
+	return backend.NewSSDSwap(backend.NewSSDDevice(spec, 42), testSwapBytes, backend.WritebackConfig{})
 }
 
 // touchAll touches every page once at the given time.
@@ -702,7 +705,7 @@ func TestOOMEventWhenNothingReclaimable(t *testing.T) {
 
 func TestSwapExhaustionLatchesAndClears(t *testing.T) {
 	spec, _ := backend.DeviceByModel("C")
-	sw := backend.NewSSDSwap(backend.NewSSDDevice(spec, 5), 2*pageSize)
+	sw := backend.NewSSDSwap(backend.NewSSDDevice(spec, 5), 2*pageSize, backend.WritebackConfig{})
 	m := newTestManager(1024, sw, PolicyTMO)
 	g := m.NewGroup("app", nil)
 	anon := m.NewPages(g, Anon, 10, 1)

@@ -173,9 +173,8 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 			if !m.swapScanAllowed() {
 				continue
 			}
-			// A one-page batch rather than Store so the refault bit rides
-			// along (identical cost: every backend's single-page batch
-			// degenerates to its Store path).
+			// The oracle offloads page by page: each store is a one-page
+			// batch carrying the page's refault bit.
 			oneReq := [1]backend.StoreReq{{
 				PageBytes:     m.cfg.PageSize,
 				CompressRatio: p.Compressibility,

@@ -30,9 +30,9 @@ func newEnv(swapKind string) *env {
 	var swap backend.SwapBackend
 	switch swapKind {
 	case "zswap":
-		swap = backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 0, 32)
+		swap = backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 1<<30, 32)
 	case "ssd":
-		swap = backend.NewSSDSwap(dev, 0)
+		swap = backend.NewSSDSwap(dev, 1<<30, backend.WritebackConfig{})
 	}
 	mgr := mm.NewManager(mm.Config{
 		CapacityBytes: 512 * MiB,

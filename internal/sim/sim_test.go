@@ -18,9 +18,9 @@ func newServer(capacityMiB int64, swapModel string) *Server {
 	dev := backend.NewSSDDevice(spec, 21)
 	var swap backend.SwapBackend
 	if swapModel == "zswap" {
-		swap = backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 0, 22)
+		swap = backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 1<<30, 22)
 	} else if swapModel == "ssd" {
-		swap = backend.NewSSDSwap(dev, 0)
+		swap = backend.NewSSDSwap(dev, 1<<30, backend.WritebackConfig{})
 	}
 	return NewServer(Config{
 		CapacityBytes: capacityMiB * MiB,
