@@ -17,8 +17,10 @@
 //
 // -calib-in switches to twin-backed measurement: instead of simulating,
 // the configured policy is evaluated against the calibration artifact's
-// per-(device class, mode) response surfaces (internal/twin) — an O(1)
-// fleet projection of savings, pressure, throughput, and fault latency.
+// response surfaces (internal/twin), one per device class for the mode and
+// -tiers layout the mix runs — an O(1) fleet projection of savings,
+// pressure, throughput, and fault latency. A class the artifact has no
+// surface for exits 1 naming the missing key.
 package main
 
 import (
@@ -233,9 +235,9 @@ func projectFromTwin(coeffs *twin.CoefficientSet, mix []fleet.Spec, mode core.Mo
 		d := s.DeviceClass()
 		p, ok := byClass[d]
 		if !ok {
-			sur, found := coeffs.Lookup(d, mode)
+			sur, found := coeffs.Lookup(s)
 			if !found {
-				cliutil.Fatal("fleetsim", fmt.Errorf("calibration has no surface for %s — recalibrate covering this class and mode", twin.Key(d, mode)))
+				cliutil.Fatal("fleetsim", fmt.Errorf("calibration has no surface for %s — recalibrate covering this class, mode and layout", twin.Key(s)))
 			}
 			pt := sur.Eval(a)
 			p = &twinProjection{

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"tmo/internal/backend"
 	"tmo/internal/cgroup"
@@ -344,37 +345,36 @@ type Observer func(i int, m Measurement, snap telemetry.Snapshot)
 // hook the observability plane scrapes fleet sweeps through.
 func MeasureAllWith(specs []Spec, warm, measure vclock.Duration, obs Observer) []Measurement {
 	out := make([]Measurement, len(specs))
-	workers := runtime.NumCPU()
-	if workers > measureWorkers {
-		workers = measureWorkers
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	idx := make(chan int)
+	Parallel(len(specs), min(runtime.NumCPU(), measureWorkers), func(i int) {
+		m, snap := measureWithSnap(specs[i], warm, measure)
+		out[i] = m
+		if obs != nil {
+			obs(i, m, snap)
+		}
+	})
+	return out
+}
+
+// Parallel calls fn(i) for every i in [0, n) on at most workers goroutines
+// (at least one) and returns when all calls have. It is the one worker pool
+// behind fleet sweeps, twin calibration and the fidelity gate, and the
+// rollout's per-window host advance. fn writes its results by index, so as
+// long as each call is self-contained the output cannot depend on
+// scheduling.
+func Parallel(n, workers int, fn func(i int)) {
+	workers = max(min(workers, n), 1)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				m, snap := measureWithSnap(specs[i], warm, measure)
-				out[i] = m
-				if obs != nil {
-					obs(i, m, snap)
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
 		}()
 	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
-	return out
 }
 
 // WeightedAppSavings aggregates application resident-memory savings across a

@@ -269,3 +269,18 @@ func TestDefaultMixWeightsSum(t *testing.T) {
 		t.Fatalf("mix weights sum to %v", sum)
 	}
 }
+
+// TestParallelVisitsEachIndexOnce pins the shared worker pool's contract
+// under the race detector: every index runs exactly once whatever the
+// worker bound (including more workers than work, and no work at all).
+func TestParallelVisitsEachIndexOnce(t *testing.T) {
+	for _, tc := range []struct{ n, workers int }{{0, 4}, {1, 0}, {7, 3}, {5, 64}} {
+		hits := make([]int, tc.n)
+		Parallel(tc.n, tc.workers, func(i int) { hits[i]++ })
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("n=%d workers=%d: index %d ran %d times", tc.n, tc.workers, i, h)
+			}
+		}
+	}
+}

@@ -56,8 +56,6 @@ type HostSim interface {
 	// Snapshot returns the host's telemetry registry snapshot. Twins carry
 	// no registry and return an empty snapshot.
 	Snapshot() telemetry.Snapshot
-	// Fidelity reports FidelityFull or FidelityTwin.
-	Fidelity() string
 }
 
 // SimHost is the full-fidelity HostSim: a page-level core.System plus its
@@ -132,57 +130,37 @@ func (h *SimHost) SwapCapacityBytes() int64 { return h.Sys.SwapCapacityBytes() }
 // Snapshot implements HostSim.
 func (h *SimHost) Snapshot() telemetry.Snapshot { return h.Sys.TelemetrySnapshot() }
 
-// Fidelity implements HostSim.
-func (h *SimHost) Fidelity() string { return FidelityFull }
-
-// CalibrationSample is one full-fidelity response-surface measurement: the
-// steady-state behaviour of a (device class, mode) host under one pushed
-// Senpai configuration, in exactly the normalized units the rollout barrier
-// judges (per-window pressure, throughput against the host's own warmed
-// baseline, resident savings against the warm-end resident set). The twin
-// calibrator (internal/twin) fits its coefficients from these.
-type CalibrationSample struct {
-	Device string
-	Mode   core.Mode
-
+// Response is one host's steady-state response to a pushed Senpai
+// configuration, in exactly the normalized units the rollout barrier judges
+// (per-window pressure, throughput against the host's own warmed baseline,
+// resident savings against the warm-end resident set). The twin calibrator
+// (internal/twin) fits its surfaces from these, and the fidelity gate
+// compares a full host's against a twin's.
+type Response struct {
 	// Pressure is the mean windowed memory some-pressure over the
 	// measurement windows.
-	Pressure float64
+	Pressure float64 `json:"pressure"`
 	// RPSRatio is mean windowed RPS over the host's own warm baseline RPS.
-	RPSRatio float64
+	RPSRatio float64 `json:"rps_ratio"`
 	// Savings is 1 − mean resident / warm-end resident.
-	Savings float64
+	Savings float64 `json:"savings"`
 	// FaultP99Us is the cumulative fault-stall p99 at measurement end.
-	FaultP99Us float64
+	FaultP99Us float64 `json:"fault_p99_us"`
 	// SwapUtil is stored/capacity at measurement end (0 when no backend).
-	SwapUtil float64
+	SwapUtil float64 `json:"swap_util"`
 	// OOMRate is OOM kills per second of virtual time measured.
-	OOMRate float64
-}
-
-// CalibrationRun measures one response-surface point at full fidelity: the
-// host warms under baseline (mirroring a rollout's warm-up — the first
-// window's boot transient is excluded from the RPS norm), takes the probe
-// config as a live push, settles, then averages measureWin windows. The
-// sampling semantics match rollout.Controller's barrier exactly, which is
-// what makes the fitted twin directly comparable to full-fidelity cohort
-// aggregates.
-func CalibrationRun(spec Spec, baseline, probe senpai.Config, window vclock.Duration, warmWin, settleWin, measureWin int) CalibrationSample {
-	spec = spec.normalize()
-	cfg := baseline
-	spec.Senpai = &cfg
-	out := MeasureResponse(NewSimHost(spec), probe, window, warmWin, settleWin, measureWin)
-	out.Device = spec.DeviceClass()
-	out.Mode = spec.Mode
-	return out
+	OOMRate float64 `json:"oom_rate"`
 }
 
 // MeasureResponse drives any HostSim — full or twin — through the
-// calibration protocol: warm under whatever config the host was built with,
-// push the probe, settle, average. The fidelity gate runs a twin and a full
-// host through this same path and compares the samples. Device and Mode are
-// left for the caller to fill.
-func MeasureResponse(h HostSim, probe senpai.Config, window vclock.Duration, warmWin, settleWin, measureWin int) CalibrationSample {
+// calibration protocol: warm under whatever config the host was built with
+// (mirroring a rollout's warm-up — the first window's boot transient is
+// excluded from the RPS norm), push the probe as a live config, settle, then
+// average measureWin windows. The sampling semantics match
+// rollout.Controller's barrier exactly, which is what makes a fitted twin
+// directly comparable to full-fidelity cohort aggregates. Calibration and the
+// fidelity gate both measure through this one path.
+func MeasureResponse(h HostSim, probe senpai.Config, window vclock.Duration, warmWin, settleWin, measureWin int) Response {
 	if warmWin < 2 {
 		warmWin = 2
 	}
@@ -205,7 +183,7 @@ func MeasureResponse(h HostSim, probe senpai.Config, window vclock.Duration, war
 		h.Advance(window)
 	}
 
-	var out CalibrationSample
+	var out Response
 	var last Vitals
 	var ooms int64
 	for i := 0; i < measureWin; i++ {

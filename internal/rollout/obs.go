@@ -24,32 +24,24 @@ type ObsConfig struct {
 	// DB is the sink; a nil DB disables the whole plane.
 	DB *tsdb.DB
 	// ScrapeHosts additionally snapshots every host's full telemetry
-	// registry into the DB each barrier (filtered by HostFilter).
+	// registry into the DB each barrier, keeping the hostMetrics allowlist.
 	ScrapeHosts bool
-	// HostFilter keeps only host-registry metrics whose name it accepts;
-	// nil uses a curated vital-signs allowlist.
-	HostFilter func(name string) bool
-	// Quantiles overrides the scraper's histogram quantiles.
-	Quantiles []float64
-	// FlightWindows is each host's flight-recorder ring capacity in
-	// barrier windows; default 32.
-	FlightWindows int
-	// FlightEvents bounds the decision-log tail attached to each flight
-	// bundle; default 64.
-	FlightEvents int
-	// FaultP99BudgetUs is the fault-latency p99 budget for the default
-	// burn monitor; 0 picks 50ms, negative disables the monitor.
-	FaultP99BudgetUs float64
-	// Monitors are appended to the guardrail-derived default monitors.
-	Monitors []slo.Monitor
-	// NoDefaultMonitors drops the guardrail-derived defaults.
-	NoDefaultMonitors bool
 }
 
-// defaultHostMetrics is the vital-signs allowlist a host-registry scrape
-// keeps when no HostFilter is given: the PSI integrals, memory occupancy,
-// swap fill, and fault behaviour the paper's dashboards watch.
-var defaultHostMetrics = map[string]bool{
+// The plane's fixed geometry: each host's flight-recorder ring holds
+// flightWindows barrier windows, each flight bundle carries the last
+// flightEvents decision-log records, and the fault-p99 burn monitor budgets
+// faultP99BudgetUs (50 ms).
+const (
+	flightWindows    = 32
+	flightEvents     = 64
+	faultP99BudgetUs = 50_000
+)
+
+// hostMetrics is the vital-signs allowlist a host-registry scrape keeps:
+// the PSI integrals, memory occupancy, swap fill, and fault behaviour the
+// paper's dashboards watch.
+var hostMetrics = map[string]bool{
 	"psi.memory.some_total_us": true,
 	"psi.memory.full_total_us": true,
 	"psi.io.some_total_us":     true,
@@ -78,27 +70,10 @@ func newObsState(cfg Config, reg *telemetry.Registry) *obsState {
 		return nil
 	}
 	o := *cfg.Obs
-	if o.FlightWindows <= 0 {
-		o.FlightWindows = 32
-	}
-	if o.FlightEvents <= 0 {
-		o.FlightEvents = 64
-	}
-	if o.FaultP99BudgetUs == 0 {
-		o.FaultP99BudgetUs = 50_000
-	}
-	if o.HostFilter == nil {
-		o.HostFilter = func(name string) bool { return defaultHostMetrics[name] }
-	}
-
-	monitors := o.Monitors
-	if !o.NoDefaultMonitors {
-		monitors = append(defaultMonitors(cfg, o), monitors...)
-	}
 	st := &obsState{
 		cfg:       o,
-		scraper:   &tsdb.Scraper{DB: o.DB, Quantiles: o.Quantiles, Filter: o.HostFilter},
-		eval:      &slo.Evaluator{DB: o.DB, Monitors: monitors, Telemetry: reg},
+		scraper:   &tsdb.Scraper{DB: o.DB, Filter: func(name string) bool { return hostMetrics[name] }},
+		eval:      &slo.Evaluator{DB: o.DB, Monitors: defaultMonitors(cfg), Telemetry: reg},
 		fr:        make([]*tsdb.FlightRecorder, len(cfg.Hosts)),
 		oomDumped: make([]int, len(cfg.Hosts)),
 	}
@@ -112,7 +87,7 @@ func newObsState(cfg Config, reg *telemetry.Registry) *obsState {
 		if layout[i] == fleet.FidelityTwin {
 			continue
 		}
-		st.fr[i] = tsdb.NewFlightRecorder(o.FlightWindows)
+		st.fr[i] = tsdb.NewFlightRecorder(flightWindows)
 	}
 	return st
 }
@@ -121,7 +96,7 @@ func newObsState(cfg Config, reg *telemetry.Registry) *obsState {
 // the early-warning thresholds and the barrier verdicts share one budget:
 // PSI overshoot and the RPS dip against the control cohort on the cohort
 // aggregates, fault p99 and swap-exhaustion slope on the per-host series.
-func defaultMonitors(cfg Config, o ObsConfig) []slo.Monitor {
+func defaultMonitors(cfg Config) []slo.Monitor {
 	g := cfg.Guardrails
 	var ms []slo.Monitor
 	if g.MaxMemPressure > 0 {
@@ -136,12 +111,10 @@ func defaultMonitors(cfg Config, o ObsConfig) []slo.Monitor {
 			Kind: slo.Lower, Budget: 1 - g.MaxRPSDip,
 		})
 	}
-	if o.FaultP99BudgetUs > 0 {
-		ms = append(ms, slo.Monitor{
-			Name: "fault-p99-burn", Metric: "rollout.host.fault_p99_us",
-			Kind: slo.Upper, Budget: o.FaultP99BudgetUs,
-		})
-	}
+	ms = append(ms, slo.Monitor{
+		Name: "fault-p99-burn", Metric: "rollout.host.fault_p99_us",
+		Kind: slo.Upper, Budget: faultP99BudgetUs,
+	})
 	if g.SwapUtilizationLatch > 0 {
 		ms = append(ms, slo.Monitor{
 			Name: "swap-slope", Metric: "rollout.host.swap_util",
@@ -352,7 +325,7 @@ func (c *Controller) dumpFlight(h *host, reason string) {
 		Window:      c.window,
 		Incarnation: h.incarnation,
 		Samples:     c.obs.fr[h.index].Samples(),
-		Events:      slices.Clone(trace.Last(c.events, c.obs.cfg.FlightEvents)),
+		Events:      slices.Clone(trace.Last(c.events, flightEvents)),
 	}
 	c.flights = append(c.flights, b)
 	c.record(trace.KindFlightDump, c.hostName(h), "%s: %d samples, %d events",

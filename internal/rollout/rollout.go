@@ -33,7 +33,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"tmo/internal/chaos"
 	"tmo/internal/core"
@@ -137,8 +136,9 @@ type Config struct {
 // and the control cohort keep full-fidelity anchors.
 type TwinConfig struct {
 	// Coeffs is the calibration artifact (twin.Calibrate or
-	// twin.ReadJSON); required, and it must carry a surface for every
-	// (device class, mode) a twin host could be asked to run.
+	// twin.ReadJSON); required, and it must carry a surface for every spec
+	// (device class, mode, layout; see twin.Key) a twin host could be asked
+	// to run.
 	Coeffs *twin.CoefficientSet
 	// FullHead and FullTail are the per-device-class full-fidelity sample
 	// counts; defaults 4 and 4.
@@ -237,27 +237,23 @@ func (cfg Config) normalize() Config {
 			t.FullTail = 4
 		}
 		cfg.Twin = &t
-		// Fail at construction, not mid-rollout: every (device class, mode,
-		// backend signature) a twin host could be pushed must resolve to a
-		// fitted surface. Backend-specific surfaces are preferred; a
-		// signature with no dedicated surface falls back to the plain
-		// (device, mode) fit, so only a missing base surface is fatal.
+		// Fail at construction, not mid-rollout: every spec a twin host
+		// could run — its own, under any policy it could be pushed — must
+		// resolve to a fitted surface.
 		pols := append([]Policy{cfg.Baseline}, cfg.Candidates...)
 		seen := map[string]bool{}
 		for i, f := range fidelityLayout(cfg) {
 			if f != fleet.FidelityTwin {
 				continue
 			}
-			d := cfg.Hosts[i].DeviceClass()
 			for _, p := range pols {
-				sig := fleet.TierSignature(p.Tiers)
-				k := twin.KeyBackend(d, p.Mode, sig)
+				k := twin.Key(hostSpec(cfg.Hosts[i], p))
 				if seen[k] {
 					continue
 				}
 				seen[k] = true
-				if _, ok := t.Coeffs.LookupBackend(d, p.Mode, sig); !ok {
-					panic(fmt.Sprintf("rollout: twin calibration has no surface for %s — recalibrate covering this class and mode", k))
+				if _, ok := t.Coeffs.Surfaces[k]; !ok {
+					panic(fmt.Sprintf("rollout: twin calibration has no surface for %s — recalibrate covering this class, mode and layout", k))
 				}
 			}
 		}
@@ -642,29 +638,34 @@ func (c *Controller) applyPriorOutcomes() {
 	}
 }
 
-// buildHost assembles (or reassembles, after a crash or a mode-changing
-// push) the host's simulation under the policy its cohort is currently
-// entitled to. The policy supplies the mode, Senpai config, and chain
-// layout — overriding the spec's own (pushed policy wins over Spec.Senpai).
-// Incarnations perturb the seed so a rebooted host does not replay its
-// previous life — twins included: a rebuilt twin gets a fresh splitmix64
-// stream from the same perturbed seed a full host would.
-func (c *Controller) buildHost(h *host) {
-	pol := c.policyFor(h)
-	spec := h.spec
-	spec.Mode = pol.Mode
+// hostSpec is the spec a host runs under pol: the policy's mode and Senpai
+// config, and its chain layout and placement knobs where it carries them,
+// override the host's own (pushed policy wins over Spec.Senpai).
+func hostSpec(s fleet.Spec, pol Policy) fleet.Spec {
+	s.Mode = pol.Mode
 	cfg := pol.Config
-	spec.Senpai = &cfg
+	s.Senpai = &cfg
 	if len(pol.Tiers) > 0 {
-		spec.Tiers = pol.Tiers
+		s.Tiers = pol.Tiers
 	}
 	if pol.Placement != nil {
-		spec.Placement = pol.Placement
+		s.Placement = pol.Placement
 	}
+	return s
+}
+
+// buildHost assembles (or reassembles, after a crash or a mode-changing
+// push) the host's simulation under the policy its cohort is currently
+// entitled to. Incarnations perturb the seed so a rebooted host does not
+// replay its previous life — twins included: a rebuilt twin gets a fresh
+// splitmix64 stream from the same perturbed seed a full host would.
+func (c *Controller) buildHost(h *host) {
+	pol := c.policyFor(h)
+	spec := hostSpec(h.spec, pol)
 	spec.Seed = h.spec.Seed + uint64(h.incarnation)*0x9e3779b9
 	if h.fidelity == fleet.FidelityTwin {
 		// Surface presence was validated at construction.
-		sur, _ := c.cfg.Twin.Coeffs.LookupBackend(h.device, pol.Mode, fleet.TierSignature(pol.Tiers))
+		sur, _ := c.cfg.Twin.Coeffs.Lookup(spec)
 		h.sim = twin.NewHost(spec, sur, spec.Seed)
 	} else {
 		h.sim = fleet.NewSimHost(spec)
@@ -782,29 +783,7 @@ func (c *Controller) advance() {
 			up = append(up, h)
 		}
 	}
-	workers := c.cfg.Workers
-	if workers > len(up) {
-		workers = len(up)
-	}
-	if workers < 1 {
-		return
-	}
-	idx := make(chan *host)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for h := range idx {
-				c.advanceHost(h)
-			}
-		}()
-	}
-	for _, h := range up {
-		idx <- h
-	}
-	close(idx)
-	wg.Wait()
+	fleet.Parallel(len(up), c.cfg.Workers, func(i int) { c.advanceHost(up[i]) })
 }
 
 // advanceHost runs one host for a window and samples its vitals. Both

@@ -1,13 +1,14 @@
 package rollout
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"tmo/internal/backend"
 	"tmo/internal/core"
 	"tmo/internal/fleet"
-	"tmo/internal/slo"
 	"tmo/internal/trace"
 	"tmo/internal/twin"
 	"tmo/internal/vclock"
@@ -260,22 +261,38 @@ func TestPriorOutcomesCarryOver(t *testing.T) {
 }
 
 // TestTwinMissingSurfacePanics pins the construction-time check: a twin
-// fleet whose calibration lacks a (device, mode) surface any twin host
-// could be pushed must refuse to build.
+// fleet whose calibration lacks a surface for any spec a twin host could be
+// pushed — an uncalibrated mode, or an uncalibrated chain layout, which no
+// longer falls back to the mode's default-layout fit — must refuse to build
+// and name the missing key.
 func TestTwinMissingSurfacePanics(t *testing.T) {
-	uncovered := safePolicy()
-	uncovered.Mode = core.ModeSSDSwap // calibration covers zswap only
-	cfg := twinConfig(uncovered)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("New accepted a twin fleet with no surface for ssdswap")
-		}
-		if !strings.Contains(r.(string), "no surface") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	New(cfg)
+	otherMode := safePolicy()
+	otherMode.Mode = core.ModeSSDSwap // calibration covers zswap only
+	otherLayout := safePolicy()
+	otherLayout.Tiers = []backend.TierSpec{
+		{Kind: backend.TierZswap, Codec: backend.CodecLz4, CapacityBytes: 64 << 20},
+		{Kind: backend.TierSSD},
+	}
+	for _, tc := range []struct {
+		pol  Policy
+		want string
+	}{
+		{otherMode, "no surface for C|ssd"},
+		{otherLayout, "no surface for C|zswap|tiers=lz4:64m,ssd"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("New accepted a twin fleet with no surface for %q", tc.want)
+				}
+				if !strings.Contains(r.(string), tc.want) {
+					t.Fatalf("panic %q does not name %q", r, tc.want)
+				}
+			}()
+			New(twinConfig(tc.pol))
+		}()
+	}
 }
 
 // TestTwinDriftAdvisesRecalibration pins the recalibration trigger: a
@@ -283,14 +300,18 @@ func TestTwinMissingSurfacePanics(t *testing.T) {
 // surface as standing recalibration advice — counter, decision-log event,
 // and Result field — while a healthy calibration advises nothing.
 func TestTwinDriftAdvisesRecalibration(t *testing.T) {
-	// An impossibly tight gap budget makes any nonzero full/twin pressure
-	// gap burn, standing in for a calibration gone stale.
+	// A calibration gone stale: every pressure rung reads 0.01 above what
+	// the full-fidelity anchors show, five times the stock twin-drift budget.
+	stale := &twin.CoefficientSet{Surfaces: map[string]twin.Surface{}, Window: testCoeffs().Window}
+	for k, sur := range testCoeffs().Surfaces {
+		rungs := slices.Clone(sur.Rungs)
+		for i := range rungs {
+			rungs[i].Pressure += 0.01
+		}
+		stale.Surfaces[k] = twin.Surface{Rungs: rungs, ResidentDriftPerSec: sur.ResidentDriftPerSec}
+	}
 	cfg, _ := obsConfig(twinConfig(safePolicy()))
-	cfg.Obs.NoDefaultMonitors = true
-	cfg.Obs.Monitors = []slo.Monitor{{
-		Name: "twin-drift", Metric: "rollout.fidelity.pressure_gap",
-		Kind: slo.Upper, Budget: 1e-12,
-	}}
+	cfg.Twin.Coeffs = stale
 	c := New(cfg)
 	r := c.Run()
 	if r.RecalibrationAdvised == 0 {

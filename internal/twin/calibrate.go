@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"sync"
 
 	"tmo/internal/backend"
 	"tmo/internal/core"
@@ -15,38 +14,46 @@ import (
 	"tmo/internal/vclock"
 )
 
-// CalibrateConfig describes one calibration campaign: which device classes
-// (one representative spec per class), which offload modes, and which probe
-// policies to measure at full fidelity.
+// CalibrateConfig describes one measurement campaign: which device classes
+// (one representative spec per class), which offload modes and swap chain
+// layouts, and which probe policies to measure at full fidelity. Calibrate
+// fits surfaces from it; the fidelity gate (CheckFidelity, whose
+// FidelityConfig is this type) walks the same spec × mode × layout × probe ×
+// replica product with holdout probes.
 type CalibrateConfig struct {
 	// Specs carries one representative host spec per device class. Spec
-	// Mode and Senpai are overridden per calibration point.
+	// Mode and Senpai are overridden per measurement point.
 	Specs []fleet.Spec
-	// Modes are the offload modes to fit surfaces for.
+	// Modes are the offload modes to measure.
 	Modes []core.Mode
-	// Tiers optionally extends the cross product with swap chain layouts:
-	// each non-empty layout fits an extra surface per (class, mode) keyed by
-	// its fleet.TierSignature, which LookupBackend prefers over the plain
-	// (class, mode) fit. The default-layout base surface is always fitted;
+	// Tiers optionally extends the product with swap chain layouts: each
+	// non-empty layout replaces the specs' own, so it gets its own surface
+	// per (class, mode) under Key. The specs' own layout is always measured;
 	// empty entries are skipped.
 	Tiers [][]backend.TierSpec
 	// Baseline is the config hosts warm under (typically the rollout
 	// baseline: reclaim idle). It also anchors every surface's a≈0 rung.
 	Baseline senpai.Config
-	// Probes is the policy ladder measured per (class, mode). The baseline
-	// anchor is added automatically; rungs are sorted by aggressiveness.
+	// Probes are the policies measured per (class, mode, layout). For
+	// Calibrate they are the surface's rungs (the baseline anchor is added
+	// automatically; rungs are sorted by aggressiveness); for the gate they
+	// are holdout policies, typically between calibration rungs, where
+	// interpolation is actually tested.
 	Probes []senpai.Config
-	// Window is the barrier window; default 30s.
+	// Window is the barrier window; the gate defaults it to the coefficient
+	// set's window, Calibrate to 30s.
 	Window vclock.Duration
 	// WarmWindows/SettleWindows/MeasureWindows shape each point's run;
 	// defaults 4/4/6.
 	WarmWindows, SettleWindows, MeasureWindows int
-	// Seed derives each calibration host's seed.
+	// Seed derives each measured host's seed. The gate derives its seeds
+	// with its own offset and stride, so it never grades the twin against
+	// the very runs it was fitted from.
 	Seed uint64
-	// Replicas is how many independently seeded hosts each rung averages
+	// Replicas is how many independently seeded hosts each point averages
 	// over; default 3. Single-seed rungs inherit that seed's luck — savings
 	// spread between seeds can exceed the fidelity tolerance on growthy
-	// app classes.
+	// app classes — so the gate judges calibration drift, not luck.
 	Replicas int
 	// Workers bounds the measurement pool; default NumCPU (each point is
 	// an independent seeded full simulation).
@@ -84,6 +91,53 @@ func (c CalibrateConfig) normalize() CalibrateConfig {
 	return c
 }
 
+// point is one measurement of the config's product.
+type point struct {
+	// spec carries the point's mode, layout and baseline Senpai config; the
+	// caller assigns its seed.
+	spec  fleet.Spec
+	key   string
+	probe senpai.Config
+}
+
+// points enumerates spec × mode × layout × probe × replica in that order,
+// replicas innermost, so each run of Replicas consecutive points shares one
+// (spec, mode, layout, probe).
+func (c CalibrateConfig) points(probes []senpai.Config) []point {
+	layouts := [][]backend.TierSpec{nil}
+	for _, tiers := range c.Tiers {
+		if len(tiers) > 0 {
+			layouts = append(layouts, tiers)
+		}
+	}
+	var out []point
+	for _, spec := range c.Specs {
+		for _, mode := range c.Modes {
+			for _, tiers := range layouts {
+				s := spec
+				s.Mode = mode
+				if len(tiers) > 0 {
+					s.Tiers = tiers
+				}
+				key := Key(s)
+				for _, p := range probes {
+					for r := 0; r < c.Replicas; r++ {
+						base := c.Baseline
+						s.Senpai = &base
+						out = append(out, point{spec: s, key: key, probe: p})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// measure runs the calibration protocol on h under the config's geometry.
+func (c CalibrateConfig) measure(h fleet.HostSim, probe senpai.Config) fleet.Response {
+	return fleet.MeasureResponse(h, probe, c.Window, c.WarmWindows, c.SettleWindows, c.MeasureWindows)
+}
+
 // DefaultProbes returns a probe ladder bracketing the usual rollout
 // candidate range: multiples of the base config's reclaim ratio from mild
 // to well past Config B aggression (the hottest rung also raises the
@@ -106,89 +160,25 @@ func DefaultProbes(base senpai.Config) []senpai.Config {
 	return out
 }
 
-// calPoint is one (spec, mode, backend, probe) measurement assignment.
-type calPoint struct {
-	spec  fleet.Spec
-	mode  core.Mode
-	sig   string
-	probe senpai.Config
-}
-
-// Calibrate fits one surface per (device class, mode) by measuring every
-// probe at full fidelity over a worker pool. Results are deterministic:
-// each point is an independent seeded simulation written by index, rungs
-// are sorted by aggressiveness, and rungs that collapse onto the same
-// aggressiveness are averaged.
+// Calibrate fits one surface per measured Key by measuring every probe at
+// full fidelity over a worker pool. Results are deterministic: each point is
+// an independent seeded simulation written by index, rungs are sorted by
+// aggressiveness, and rungs that collapse onto the same aggressiveness are
+// averaged.
 func Calibrate(cfg CalibrateConfig) *CoefficientSet {
 	cfg = cfg.normalize()
-	probes := append([]senpai.Config{cfg.Baseline}, cfg.Probes...)
-
-	// The default-layout base surface always calibrates; each explicit
-	// layout adds a signature-keyed surface per (class, mode).
-	layouts := [][]backend.TierSpec{nil}
-	for _, tiers := range cfg.Tiers {
-		if len(tiers) > 0 {
-			layouts = append(layouts, tiers)
-		}
+	pts := cfg.points(append([]senpai.Config{cfg.Baseline}, cfg.Probes...))
+	for i := range pts {
+		pts[i].spec.Seed = cfg.Seed + uint64(i)*7919
 	}
-
-	var points []calPoint
-	for _, spec := range cfg.Specs {
-		for _, mode := range cfg.Modes {
-			for _, tiers := range layouts {
-				for _, p := range probes {
-					for r := 0; r < cfg.Replicas; r++ {
-						s := spec
-						s.Mode = mode
-						if len(tiers) > 0 {
-							s.Tiers = tiers
-						}
-						points = append(points, calPoint{spec: s, mode: mode, sig: fleet.TierSignature(tiers), probe: p})
-					}
-				}
-			}
-		}
-	}
-	for i := range points {
-		points[i].spec.Seed = cfg.Seed + uint64(i)*7919
-	}
-
-	samples := make([]fleet.CalibrationSample, len(points))
-	workers := cfg.Workers
-	if workers > len(points) {
-		workers = len(points)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				pt := points[i]
-				samples[i] = fleet.CalibrationRun(pt.spec, cfg.Baseline, pt.probe,
-					cfg.Window, cfg.WarmWindows, cfg.SettleWindows, cfg.MeasureWindows)
-			}
-		}()
-	}
-	for i := range points {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	samples := make([]fleet.Response, len(pts))
+	fleet.Parallel(len(pts), cfg.Workers, func(i int) {
+		samples[i] = cfg.measure(fleet.NewSimHost(pts[i].spec), pts[i].probe)
+	})
 
 	rungs := map[string][]ProbePoint{}
-	for i, pt := range points {
-		k := KeyBackend(samples[i].Device, pt.mode, pt.sig)
-		rungs[k] = append(rungs[k], ProbePoint{
-			A:          Aggressiveness(pt.probe),
-			Pressure:   samples[i].Pressure,
-			RPSRatio:   samples[i].RPSRatio,
-			Savings:    samples[i].Savings,
-			FaultP99Us: samples[i].FaultP99Us,
-			SwapUtil:   samples[i].SwapUtil,
-			OOMRate:    samples[i].OOMRate,
-		})
+	for i, pt := range pts {
+		rungs[pt.key] = append(rungs[pt.key], ProbePoint{A: Aggressiveness(pt.probe), Response: samples[i]})
 	}
 
 	cs := &CoefficientSet{Surfaces: map[string]Surface{}, Window: cfg.Window, Seed: cfg.Seed}
@@ -208,27 +198,12 @@ func mergeRungs(sur []ProbePoint) []ProbePoint {
 	sort.SliceStable(sur, func(i, j int) bool { return sur[i].A < sur[j].A })
 	var out []ProbePoint
 	for i := 0; i < len(sur); {
+		var group []fleet.Response
 		j := i
-		var acc ProbePoint
-		for j < len(sur) && sur[j].A == sur[i].A {
-			p := sur[j]
-			acc.Pressure += p.Pressure
-			acc.RPSRatio += p.RPSRatio
-			acc.Savings += p.Savings
-			acc.FaultP99Us += p.FaultP99Us
-			acc.SwapUtil += p.SwapUtil
-			acc.OOMRate += p.OOMRate
-			j++
+		for ; j < len(sur) && sur[j].A == sur[i].A; j++ {
+			group = append(group, sur[j].Response)
 		}
-		n := float64(j - i)
-		acc.A = sur[i].A
-		acc.Pressure /= n
-		acc.RPSRatio /= n
-		acc.Savings /= n
-		acc.FaultP99Us /= n
-		acc.SwapUtil /= n
-		acc.OOMRate /= n
-		out = append(out, acc)
+		out = append(out, ProbePoint{A: sur[i].A, Response: mean(group)})
 		i = j
 	}
 	return out

@@ -5,10 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"tmo/internal/core"
 	"tmo/internal/fleet"
-	"tmo/internal/senpai"
-	"tmo/internal/vclock"
 )
 
 // Tolerance bounds how far a twin may drift from its full-fidelity
@@ -38,15 +35,19 @@ func DefaultTolerance() Tolerance {
 	return Tolerance{Savings: 0.08, Pressure: 0.002, RPSRatio: 0.05, FaultP99Frac: 0.50}
 }
 
-// Drift is one (device class, mode, probe) twin-vs-full comparison.
+// Drift is one (device class, mode, layout, probe) twin-vs-full comparison.
 type Drift struct {
 	Device string
 	Mode   string
+	// Layout is the fleet.TierSignature of the checked swap chain layout;
+	// empty for the mode's default layout.
+	Layout string
 	// A is the probe's aggressiveness.
 	A float64
-	// Full and Twin are the two measurements, same protocol, same units.
-	Full fleet.CalibrationSample
-	Twin fleet.CalibrationSample
+	// Full and Twin are the two replica-mean measurements, same protocol,
+	// same units.
+	Full fleet.Response
+	Twin fleet.Response
 	// The drift components the tolerance judges.
 	SavingsDrift  float64
 	PressureDrift float64
@@ -69,7 +70,8 @@ func (d Drift) Exceeds(tol Tolerance) string {
 	return ""
 }
 
-// FidelityReport is the gate's verdict over every checked class and probe.
+// FidelityReport is the gate's verdict over every checked class, mode,
+// layout and probe.
 type FidelityReport struct {
 	Tol  Tolerance
 	Rows []Drift
@@ -83,7 +85,7 @@ func (r FidelityReport) Failures() []string {
 	var out []string
 	for _, d := range r.Rows {
 		if why := d.Exceeds(r.Tol); why != "" {
-			out = append(out, fmt.Sprintf("%s/%s a=%.1f: %s", d.Device, d.Mode, d.A, why))
+			out = append(out, fmt.Sprintf("%s/%s%s a=%.1f: %s", d.Device, d.Mode, d.layoutSuffix(), d.A, why))
 		}
 	}
 	return out
@@ -97,136 +99,83 @@ func (r FidelityReport) String() string {
 		if why := d.Exceeds(r.Tol); why != "" {
 			status = "FAIL: " + why
 		}
-		fmt.Fprintf(&b, "%-4s %-8s a=%5.1f  savings %6.3f/%6.3f  psi %.5f/%.5f  rps %.3f/%.3f  p99 %7.0f/%7.0f  %s\n",
+		fmt.Fprintf(&b, "%-4s %-8s a=%5.1f  savings %6.3f/%6.3f  psi %.5f/%.5f  rps %.3f/%.3f  p99 %7.0f/%7.0f  %s%s\n",
 			d.Device, d.Mode, d.A,
 			d.Full.Savings, d.Twin.Savings,
 			d.Full.Pressure, d.Twin.Pressure,
 			d.Full.RPSRatio, d.Twin.RPSRatio,
-			d.Full.FaultP99Us, d.Twin.FaultP99Us, status)
+			d.Full.FaultP99Us, d.Twin.FaultP99Us, status, d.layoutSuffix())
 	}
 	return b.String()
 }
 
-// FidelityConfig shapes a gate run. Zero window/geometry values default to
-// the calibration geometry carried by the coefficient set.
-type FidelityConfig struct {
-	// Specs carries one representative spec per device class to check.
-	Specs []fleet.Spec
-	// Modes are the offload modes to check.
-	Modes []core.Mode
-	// Baseline is the warm-up config (must match the rollout baseline the
-	// twins will serve under).
-	Baseline senpai.Config
-	// Probes are the policies to compare at — typically holdout policies
-	// *between* calibration rungs, where interpolation is actually tested.
-	Probes []senpai.Config
-	Window vclock.Duration
-	// WarmWindows/SettleWindows/MeasureWindows default 4/4/6.
-	WarmWindows, SettleWindows, MeasureWindows int
-	// Replicas is how many independently seeded host pairs each comparison
-	// averages over; default 3, matching the calibration default, so the
-	// gate judges calibration drift rather than single-seed luck.
-	Replicas int
-	// Seed offsets the check's hosts away from the calibration hosts, so
-	// the gate never grades the twin against the very runs it was fitted
-	// from.
-	Seed uint64
-	Tol  Tolerance
+// layoutSuffix renders the row's layout for reports; empty for the mode's
+// default layout.
+func (d Drift) layoutSuffix() string {
+	if d.Layout == "" {
+		return ""
+	}
+	return " " + d.Layout
 }
 
-// CheckFidelity runs the fidelity gate: for every (class, mode, probe) it
-// drives a full-fidelity host and a twin through the identical measurement
-// protocol (fleet.MeasureResponse) and reports the drift of every signal
-// the rollout guardrails judge. A report that fails the gate means the
-// calibration is stale for that class — recalibrate before trusting twin
-// cohort verdicts.
+// FidelityConfig shapes a gate run: the calibration's own config, with
+// Probes holding the holdout policies and Seed offsetting the check's hosts
+// away from the calibration's. A zero Window takes the coefficient set's.
+type FidelityConfig = CalibrateConfig
+
+// CheckFidelity runs the fidelity gate: for every point of the config's spec
+// × mode × layout × probe product it drives full-fidelity hosts and twins
+// through the identical measurement protocol (fleet.MeasureResponse), one
+// seeded pair per replica on the shared worker pool, and reports the drift
+// of every signal the rollout guardrails judge under DefaultTolerance. A
+// product point without a fitted surface fails its row. A report that fails
+// the gate means the calibration is stale for that class — recalibrate
+// before trusting twin cohort verdicts.
 func CheckFidelity(cs *CoefficientSet, cfg FidelityConfig) FidelityReport {
 	if cfg.Window <= 0 {
 		cfg.Window = cs.Window
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 30 * vclock.Second
-	}
-	if cfg.WarmWindows < 2 {
-		cfg.WarmWindows = 4
-	}
-	if cfg.SettleWindows <= 0 {
-		cfg.SettleWindows = 4
-	}
-	if cfg.MeasureWindows <= 0 {
-		cfg.MeasureWindows = 6
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 3
-	}
-	if (cfg.Tol == Tolerance{}) {
-		cfg.Tol = DefaultTolerance()
-	}
-
-	rep := FidelityReport{Tol: cfg.Tol}
-	base := cfg.Baseline
-	n := 0
-	for _, spec := range cfg.Specs {
-		for _, mode := range cfg.Modes {
-			sur, ok := cs.Lookup(spec.DeviceClass(), mode)
-			if !ok {
-				rep.Rows = append(rep.Rows, Drift{
-					Device: spec.DeviceClass(), Mode: mode.String(),
-					SavingsDrift: math.Inf(1), // no surface: fail loudly
-				})
-				continue
-			}
-			for _, probe := range cfg.Probes {
-				var full, tw fleet.CalibrationSample
-				for r := 0; r < cfg.Replicas; r++ {
-					s := spec
-					s.Mode = mode
-					s.Seed = cfg.Seed + 0xf1de11 + uint64(n)*104729
-					n++
-					bc := base
-					s.Senpai = &bc
-					f := fleet.MeasureResponse(fleet.NewSimHost(s), probe,
-						cfg.Window, cfg.WarmWindows, cfg.SettleWindows, cfg.MeasureWindows)
-					t := fleet.MeasureResponse(NewHost(s, sur, s.Seed^0x7717), probe,
-						cfg.Window, cfg.WarmWindows, cfg.SettleWindows, cfg.MeasureWindows)
-					addSample(&full, f)
-					addSample(&tw, t)
-				}
-				scaleSample(&full, 1/float64(cfg.Replicas))
-				scaleSample(&tw, 1/float64(cfg.Replicas))
-				d := Drift{
-					Device: spec.DeviceClass(), Mode: mode.String(), A: Aggressiveness(probe),
-					Full: full, Twin: tw,
-					SavingsDrift:  math.Abs(full.Savings - tw.Savings),
-					PressureDrift: math.Abs(full.Pressure - tw.Pressure),
-					RPSDrift:      math.Abs(full.RPSRatio - tw.RPSRatio),
-				}
-				if full.FaultP99Us > 0 {
-					d.FaultP99Drift = math.Abs(full.FaultP99Us-tw.FaultP99Us) / full.FaultP99Us
-				} else if tw.FaultP99Us > 0 {
-					d.FaultP99Drift = 1
-				}
-				rep.Rows = append(rep.Rows, d)
-			}
+	cfg = cfg.normalize()
+	pts := cfg.points(cfg.Probes)
+	// Only points with a surface are measured; seeds count measured points.
+	var todo []int
+	for i := range pts {
+		if _, ok := cs.Surfaces[pts[i].key]; ok {
+			pts[i].spec.Seed = cfg.Seed + 0xf1de11 + uint64(len(todo))*104729
+			todo = append(todo, i)
 		}
 	}
+	full := make([]fleet.Response, len(pts))
+	tw := make([]fleet.Response, len(pts))
+	fleet.Parallel(len(todo), cfg.Workers, func(j int) {
+		p := pts[todo[j]]
+		full[todo[j]] = cfg.measure(fleet.NewSimHost(p.spec), p.probe)
+		tw[todo[j]] = cfg.measure(NewHost(p.spec, cs.Surfaces[p.key], p.spec.Seed^0x7717), p.probe)
+	})
+
+	rep := FidelityReport{Tol: DefaultTolerance()}
+	for i := 0; i < len(pts); i += cfg.Replicas {
+		p := pts[i]
+		d := Drift{
+			Device: p.spec.DeviceClass(), Mode: p.spec.Mode.String(),
+			Layout: fleet.TierSignature(p.spec.Tiers), A: Aggressiveness(p.probe),
+		}
+		if _, ok := cs.Surfaces[p.key]; !ok {
+			d.SavingsDrift = math.Inf(1) // no surface: fail loudly
+			rep.Rows = append(rep.Rows, d)
+			continue
+		}
+		d.Full = mean(full[i : i+cfg.Replicas])
+		d.Twin = mean(tw[i : i+cfg.Replicas])
+		d.SavingsDrift = math.Abs(d.Full.Savings - d.Twin.Savings)
+		d.PressureDrift = math.Abs(d.Full.Pressure - d.Twin.Pressure)
+		d.RPSDrift = math.Abs(d.Full.RPSRatio - d.Twin.RPSRatio)
+		if d.Full.FaultP99Us > 0 {
+			d.FaultP99Drift = math.Abs(d.Full.FaultP99Us-d.Twin.FaultP99Us) / d.Full.FaultP99Us
+		} else if d.Twin.FaultP99Us > 0 {
+			d.FaultP99Drift = 1
+		}
+		rep.Rows = append(rep.Rows, d)
+	}
 	return rep
-}
-
-func addSample(dst *fleet.CalibrationSample, s fleet.CalibrationSample) {
-	dst.Pressure += s.Pressure
-	dst.RPSRatio += s.RPSRatio
-	dst.Savings += s.Savings
-	dst.FaultP99Us += s.FaultP99Us
-	dst.SwapUtil += s.SwapUtil
-	dst.OOMRate += s.OOMRate
-}
-
-func scaleSample(dst *fleet.CalibrationSample, by float64) {
-	dst.Pressure *= by
-	dst.RPSRatio *= by
-	dst.Savings *= by
-	dst.FaultP99Us *= by
-	dst.SwapUtil *= by
-	dst.OOMRate *= by
 }

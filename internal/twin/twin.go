@@ -7,13 +7,13 @@
 // A twin does not simulate memory management. It evaluates *response
 // surfaces* — steady-state windowed PSI pressure, resident-memory savings,
 // normalized throughput, fault-stall p99, swap utilization, and OOM hazard
-// as functions of the pushed policy's aggressiveness — fitted per
-// (device class, offload mode) from full-fidelity fleet.CalibrationRun
-// measurements, and relaxes its EWMA state toward those targets each
-// window. Deterministic per-host seed perturbation (a splitmix64 stream)
-// adds the spread and churn a real cohort shows, so cohort aggregates over
-// twins have realistic variance, and the same seed always reproduces the
-// same vitals byte for byte.
+// as functions of the pushed policy's aggressiveness — fitted per host spec
+// (device class, offload mode, and swap chain layout; see Key) from
+// full-fidelity fleet.MeasureResponse measurements, and relaxes its EWMA
+// state toward those targets each window. Deterministic per-host seed
+// perturbation (a splitmix64 stream) adds the spread and churn a real
+// cohort shows, so cohort aggregates over twins have realistic variance, and
+// the same seed always reproduces the same vitals byte for byte.
 //
 // The approach follows the analytical-twin validation methodology of the
 // LLM inference-sim work the ROADMAP cites: the surrogate is only trusted
@@ -24,7 +24,6 @@ package twin
 import (
 	"math"
 
-	"tmo/internal/core"
 	"tmo/internal/fleet"
 	"tmo/internal/place"
 	"tmo/internal/senpai"
@@ -64,22 +63,12 @@ func Aggressiveness(cfg senpai.Config) float64 {
 }
 
 // ProbePoint is one rung of a fitted response surface: the measured
-// steady-state targets at one policy aggressiveness.
+// steady-state response at one policy aggressiveness. encoding/json flattens
+// the embedded Response, so a rung exports as one flat object.
 type ProbePoint struct {
 	// A is the policy aggressiveness the rung was measured at.
 	A float64 `json:"a"`
-	// Pressure is the steady-state windowed memory some-pressure.
-	Pressure float64 `json:"pressure"`
-	// RPSRatio is throughput relative to the host's own idle baseline.
-	RPSRatio float64 `json:"rps_ratio"`
-	// Savings is the steady-state resident-memory savings fraction.
-	Savings float64 `json:"savings"`
-	// FaultP99Us is the fault-stall p99 in microseconds.
-	FaultP99Us float64 `json:"fault_p99_us"`
-	// SwapUtil is the steady-state swap-backend utilization (0..1).
-	SwapUtil float64 `json:"swap_util"`
-	// OOMRate is the OOM-kill hazard in kills per second of virtual time.
-	OOMRate float64 `json:"oom_rate"`
+	fleet.Response
 }
 
 // Surface is a response surface: probe rungs sorted by A, evaluated by
@@ -107,55 +96,66 @@ type Surface struct {
 func (s Surface) Eval(a float64) ProbePoint {
 	r := s.Rungs
 	if len(r) == 0 {
-		return ProbePoint{RPSRatio: 1}
+		return ProbePoint{Response: fleet.Response{RPSRatio: 1}}
 	}
 	if a <= r[0].A {
-		p := r[0]
-		p.A = a
-		return p
+		return ProbePoint{A: a, Response: r[0].Response}
 	}
 	if a >= r[len(r)-1].A {
-		p := r[len(r)-1]
-		p.A = a
-		return p
+		return ProbePoint{A: a, Response: r[len(r)-1].Response}
 	}
 	i := 1
 	for i < len(r) && r[i].A < a {
 		i++
 	}
 	lo, hi := r[i-1], r[i]
-	f := (a - lo.A) / (hi.A - lo.A)
-	lerp := func(x, y float64) float64 { return x + f*(y-x) }
-	return ProbePoint{
-		A:          a,
-		Pressure:   lerp(lo.Pressure, hi.Pressure),
-		RPSRatio:   lerp(lo.RPSRatio, hi.RPSRatio),
-		Savings:    lerp(lo.Savings, hi.Savings),
-		FaultP99Us: lerp(lo.FaultP99Us, hi.FaultP99Us),
-		SwapUtil:   lerp(lo.SwapUtil, hi.SwapUtil),
-		OOMRate:    lerp(lo.OOMRate, hi.OOMRate),
+	return ProbePoint{A: a, Response: lerp(lo.Response, hi.Response, (a-lo.A)/(hi.A-lo.A))}
+}
+
+// zip combines two responses field by field.
+func zip(x, y fleet.Response, f func(x, y float64) float64) fleet.Response {
+	return fleet.Response{
+		Pressure:   f(x.Pressure, y.Pressure),
+		RPSRatio:   f(x.RPSRatio, y.RPSRatio),
+		Savings:    f(x.Savings, y.Savings),
+		FaultP99Us: f(x.FaultP99Us, y.FaultP99Us),
+		SwapUtil:   f(x.SwapUtil, y.SwapUtil),
+		OOMRate:    f(x.OOMRate, y.OOMRate),
 	}
 }
 
-// Key identifies the (device class, mode) a surface was fitted for.
-func Key(device string, mode core.Mode) string { return device + "|" + mode.String() }
-
-// KeyBackend identifies a surface fitted for a specific swap chain layout
-// (see fleet.TierSignature). An empty signature is the plain (device, mode)
-// key, so default-layout calibrations keep their old keys.
-func KeyBackend(device string, mode core.Mode, sig string) string {
-	if sig == "" {
-		return Key(device, mode)
-	}
-	return Key(device, mode) + "|" + sig
+// lerp interpolates field by field: f = 0 is lo, f = 1 is hi.
+func lerp(lo, hi fleet.Response, f float64) fleet.Response {
+	return zip(lo, hi, func(x, y float64) float64 { return x + f*(y-x) })
 }
 
-// CoefficientSet is the calibration artifact: one fitted surface per
-// (device class, offload mode), plus the calibration geometry, exportable
-// as deterministic JSON (cmd/rolloutsim -calib-out; CI uploads it alongside
-// BENCH_core.json).
+// mean averages responses field by field: each field sums in order, then
+// divides by the count.
+func mean(rs []fleet.Response) fleet.Response {
+	var m fleet.Response
+	for _, r := range rs {
+		m = zip(m, r, func(x, y float64) float64 { return x + y })
+	}
+	n := float64(len(rs))
+	return zip(m, m, func(x, _ float64) float64 { return x / n })
+}
+
+// Key names the surface a host spec runs on: its device class and offload
+// mode, plus the fleet.TierSignature of its swap chain layout when the spec
+// lays one out (a spec without Tiers runs the mode's default layout).
+func Key(spec fleet.Spec) string {
+	k := spec.DeviceClass() + "|" + spec.Mode.String()
+	if len(spec.Tiers) > 0 {
+		k += "|" + fleet.TierSignature(spec.Tiers)
+	}
+	return k
+}
+
+// CoefficientSet is the calibration artifact: one fitted surface per host
+// spec Key, plus the calibration geometry, exportable as deterministic JSON
+// (cmd/rolloutsim -calib-out; CI uploads it alongside BENCH_core.json).
 type CoefficientSet struct {
-	// Surfaces maps Key(device, mode) to the fitted surface.
+	// Surfaces maps Key(spec) to the surface fitted on that spec.
 	Surfaces map[string]Surface `json:"surfaces"`
 	// Window is the barrier window the surfaces were measured at.
 	Window vclock.Duration `json:"window_us"`
@@ -163,25 +163,11 @@ type CoefficientSet struct {
 	Seed uint64 `json:"seed"`
 }
 
-// Lookup returns the surface fitted for (device, mode).
-func (cs *CoefficientSet) Lookup(device string, mode core.Mode) (Surface, bool) {
-	s, ok := cs.Surfaces[Key(device, mode)]
+// Lookup returns the surface fitted for the spec's Key. There is no
+// fallback: a layout the calibration never measured has no surface.
+func (cs *CoefficientSet) Lookup(spec fleet.Spec) (Surface, bool) {
+	s, ok := cs.Surfaces[Key(spec)]
 	return s, ok
-}
-
-// LookupBackend returns the surface fitted for (device, mode) under a
-// specific chain layout, falling back to the plain (device, mode) surface
-// when no layout-specific fit exists. The fallback keeps pre-chain
-// calibration artifacts usable: a policy racing a new tier configuration
-// rides the class's generic surface until a calibration covering its
-// signature lands.
-func (cs *CoefficientSet) LookupBackend(device string, mode core.Mode, sig string) (Surface, bool) {
-	if sig != "" {
-		if s, ok := cs.Surfaces[KeyBackend(device, mode, sig)]; ok {
-			return s, true
-		}
-	}
-	return cs.Lookup(device, mode)
 }
 
 // Response time constants: EWMA state relaxes toward the surface targets
@@ -205,9 +191,7 @@ const (
 // Host is one analytical twin, implementing fleet.HostSim. All state is a
 // handful of floats: Advance is O(1) and allocation-free.
 type Host struct {
-	device string
-	mode   core.Mode
-	sur    Surface
+	sur Surface
 
 	// rng is a splitmix64 stream seeded from the host's perturbed seed.
 	rng uint64
@@ -240,8 +224,6 @@ func NewHost(spec fleet.Spec, sur Surface, seed uint64) *Host {
 	}
 	fp := float64(workload.MustCatalog(spec.App).Scale(scale).FootprintBytes)
 	h := &Host{
-		device:    spec.DeviceClass(),
-		mode:      spec.Mode,
 		sur:       sur,
 		rng:       seed ^ 0x9e3779b97f4a7c15,
 		footprint: fp,
@@ -355,6 +337,3 @@ func (h *Host) SwapCapacityBytes() int64 { return int64(h.footprint) }
 
 // Snapshot implements fleet.HostSim; twins carry no telemetry registry.
 func (h *Host) Snapshot() telemetry.Snapshot { return telemetry.Snapshot{} }
-
-// Fidelity implements fleet.HostSim.
-func (h *Host) Fidelity() string { return fleet.FidelityTwin }

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"reflect"
+	"slices"
 	"testing"
 
+	"tmo/internal/backend"
 	"tmo/internal/core"
 	"tmo/internal/fleet"
 	"tmo/internal/senpai"
@@ -57,9 +61,9 @@ func TestAggressivenessAnchorsAndMonotonicity(t *testing.T) {
 
 func TestSurfaceEval(t *testing.T) {
 	sur := Surface{Rungs: []ProbePoint{
-		{A: 0, Pressure: 0, RPSRatio: 1.0, Savings: 0, FaultP99Us: 100},
-		{A: 10, Pressure: 0.001, RPSRatio: 0.98, Savings: 0.10, FaultP99Us: 200},
-		{A: 20, Pressure: 0.005, RPSRatio: 0.90, Savings: 0.30, FaultP99Us: 400},
+		{A: 0, Response: fleet.Response{Pressure: 0, RPSRatio: 1.0, Savings: 0, FaultP99Us: 100}},
+		{A: 10, Response: fleet.Response{Pressure: 0.001, RPSRatio: 0.98, Savings: 0.10, FaultP99Us: 200}},
+		{A: 20, Response: fleet.Response{Pressure: 0.005, RPSRatio: 0.90, Savings: 0.30, FaultP99Us: 400}},
 	}}
 
 	// Exact rungs evaluate to themselves.
@@ -100,8 +104,8 @@ func vitalsLog(h *Host, windows int) []byte {
 
 func TestHostSeedDeterminism(t *testing.T) {
 	sur := Surface{Rungs: []ProbePoint{
-		{A: 0, RPSRatio: 1},
-		{A: 20, Pressure: 0.004, RPSRatio: 0.95, Savings: 0.2, FaultP99Us: 300, SwapUtil: 0.1, OOMRate: 0.001},
+		{A: 0, Response: fleet.Response{RPSRatio: 1}},
+		{A: 20, Response: fleet.Response{Pressure: 0.004, RPSRatio: 0.95, Savings: 0.2, FaultP99Us: 300, SwapUtil: 0.1, OOMRate: 0.001}},
 	}}
 	cfg := senpai.ConfigA()
 	spec := fleet.Spec{App: "web", Device: "C", Scale: 0.3, Mode: core.ModeZswap, Senpai: &cfg}
@@ -132,7 +136,7 @@ func TestHostOOMHazardKeepsStreamAligned(t *testing.T) {
 	// Two surfaces identical except for OOM hazard: the hazard-free twin must
 	// produce the same pressure/rps/resident stream (the hazard draw is burnt
 	// either way), so enabling a hazard never perturbs the other vitals.
-	quiet := Surface{Rungs: []ProbePoint{{A: 0, RPSRatio: 1}, {A: 20, Pressure: 0.004, RPSRatio: 0.95, Savings: 0.2}}}
+	quiet := Surface{Rungs: []ProbePoint{{A: 0, Response: fleet.Response{RPSRatio: 1}}, {A: 20, Response: fleet.Response{Pressure: 0.004, RPSRatio: 0.95, Savings: 0.2}}}}
 	hazard := quiet
 	hazard.Rungs = append([]ProbePoint(nil), quiet.Rungs...)
 	hazard.Rungs[1].OOMRate = 5 // kills nearly every window
@@ -194,15 +198,15 @@ func TestTwinFidelityRegression(t *testing.T) {
 	if !rep.Pass() {
 		t.Fatalf("fresh calibration failed the fidelity gate:\n%s", rep.String())
 	}
-	if len(rep.Rows) != len(calSpecs())*len(fcfg.Probes) {
-		t.Fatalf("gate checked %d rows, want %d", len(rep.Rows), len(calSpecs())*len(fcfg.Probes))
+	if want := len(calSpecs()) * len(fcfg.Modes) * len(fcfg.Probes); len(rep.Rows) != want {
+		t.Fatalf("gate checked %d rows, want %d", len(rep.Rows), want)
 	}
 
 	// Degrade the calibration: triple every savings rung and inflate fault
 	// p99. The same gate must now fail for the affected classes.
 	bad := &CoefficientSet{Surfaces: map[string]Surface{}, Window: cs.Window, Seed: cs.Seed}
 	for k, sur := range cs.Surfaces {
-		rungs := append([]ProbePoint(nil), sur.Rungs...)
+		rungs := slices.Clone(sur.Rungs)
 		for i := range rungs {
 			rungs[i].Savings = rungs[i].Savings*3 + 0.15
 			rungs[i].FaultP99Us = rungs[i].FaultP99Us*4 + 5000
@@ -247,7 +251,8 @@ func TestCalibrationDeterminismAndJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range ccfg.Specs {
-		sur, ok := cs.Lookup(spec.DeviceClass(), core.ModeZswap)
+		spec.Mode = core.ModeZswap
+		sur, ok := cs.Lookup(spec)
 		if !ok {
 			t.Fatalf("round-tripped artifact missing surface for %s", spec.DeviceClass())
 		}
@@ -261,5 +266,93 @@ func TestCalibrationDeterminismAndJSONRoundTrip(t *testing.T) {
 
 	if _, err := ReadJSON(bytes.NewReader([]byte(`{"surfaces":{}}`))); err == nil {
 		t.Fatalf("ReadJSON accepted an artifact with no surfaces")
+	}
+}
+
+// lz4SSD is the chain layout "lz4:<pool>,ssd".
+func lz4SSD(pool int64) []backend.TierSpec {
+	return []backend.TierSpec{
+		{Kind: backend.TierZswap, Codec: backend.CodecLz4, CapacityBytes: pool},
+		{Kind: backend.TierSSD},
+	}
+}
+
+// TestArtifactBytesStable pins the artifact format: a coefficient set written
+// before Response became ProbePoint's embedded half (testdata, from
+// rolloutsim -hosts 4 -scale 0.2 -warm 2 -bake 1 -plan fleet=1 -tier-config
+// lz4:64m,ssd -calib-out) must read back and re-export byte for byte.
+func TestArtifactBytesStable(t *testing.T) {
+	want, err := os.ReadFile("testdata/tier-config-calib.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := ReadJSON(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := cs.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("artifact round trip changed bytes:\n%s", got.String())
+	}
+	spec := fleet.Spec{Device: "C", Mode: core.ModeTiered, Tiers: lz4SSD(64 << 20)}
+	if _, ok := cs.Lookup(spec); !ok {
+		t.Fatalf("artifact has no surface for %s", Key(spec))
+	}
+}
+
+// TestLayoutSurfaces pins layout keying: Calibrate with Tiers fits a surface
+// per layout that Lookup finds only under the spec running that layout, the
+// gate walks the same layouts, and a layout nobody calibrated has no surface
+// (there is no fallback to the default layout's fit).
+func TestLayoutSurfaces(t *testing.T) {
+	base := calBaseline()
+	lz4ssd := lz4SSD(64 << 20)
+	cfg := CalibrateConfig{
+		Specs:          []fleet.Spec{{App: "web", Device: "C", Scale: 0.2}},
+		Modes:          []core.Mode{core.ModeTiered},
+		Tiers:          [][]backend.TierSpec{lz4ssd},
+		Baseline:       base,
+		Probes:         DefaultProbes(base)[3:],
+		WarmWindows:    2,
+		SettleWindows:  2,
+		MeasureWindows: 2,
+		Replicas:       1,
+		Seed:           3,
+	}
+	cs := Calibrate(cfg)
+
+	spec := fleet.Spec{Device: "C", Mode: core.ModeTiered}
+	plain, ok := cs.Lookup(spec)
+	if !ok {
+		t.Fatalf("no default-layout surface %s", Key(spec))
+	}
+	spec.Tiers = lz4ssd
+	layout, ok := cs.Lookup(spec)
+	if !ok {
+		t.Fatalf("no layout surface %s", Key(spec))
+	}
+	if Key(spec) != "C|tiered|tiers=lz4:64m,ssd" {
+		t.Fatalf("layout key %q", Key(spec))
+	}
+	if reflect.DeepEqual(plain, layout) {
+		t.Fatalf("layout surface equals the default-layout surface: %+v", plain)
+	}
+	spec.Tiers = lz4SSD(32 << 20)
+	if _, ok := cs.Lookup(spec); ok {
+		t.Fatalf("uncalibrated layout %s resolved to a surface", Key(spec))
+	}
+
+	gate := cfg
+	gate.Probes = DefaultProbes(base)[1:2]
+	gate.Seed = 77
+	rep := CheckFidelity(cs, gate)
+	if want := len(gate.Specs) * len(gate.Modes) * (1 + len(gate.Tiers)) * len(gate.Probes); len(rep.Rows) != want {
+		t.Fatalf("gate checked %d rows, want specs × modes × layouts × probes = %d:\n%s", len(rep.Rows), want, rep)
+	}
+	if rep.Rows[0].Layout != "" || rep.Rows[1].Layout != "tiers=lz4:64m,ssd" {
+		t.Fatalf("gate rows out of layout order:\n%s", rep)
 	}
 }
