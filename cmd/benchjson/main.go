@@ -1,8 +1,8 @@
 // Command benchjson runs the repository's benchmark suites — the root
 // figure benchmarks that regenerate the paper's evaluation plus the
-// hot-path microbenchmarks in internal/{mm,psi,backend,sim} — and writes
-// the parsed results to a single JSON file (BENCH_core.json via `make
-// bench`). The file pins the perf trajectory: every benchmark's ns/op,
+// hot-path microbenchmarks in internal/{mm,psi,backend,sim,workload} —
+// and writes the parsed results to a single JSON file (BENCH_core.json via
+// `make bench`). The file pins the perf trajectory: every benchmark's ns/op,
 // B/op, and allocs/op, plus each figure's headline metrics, so any PR can
 // diff its numbers against the committed baseline.
 //
@@ -91,6 +91,7 @@ func main() {
 		{pkg: "./internal/psi", benchtime: *micro},
 		{pkg: "./internal/backend", benchtime: *micro},
 		{pkg: "./internal/sim", benchtime: *micro},
+		{pkg: "./internal/workload", benchtime: *micro},
 	}
 	if !*skipFigures {
 		suites = append([]suite{{pkg: ".", benchtime: *figures}}, suites...)

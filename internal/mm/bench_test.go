@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"tmo/internal/vclock"
@@ -19,6 +20,45 @@ func BenchmarkTouchResident(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Touch(vclock.Time(i), pages[i%len(pages)])
+	}
+}
+
+// BenchmarkTouchResidentRandom touches 1<<18 resident pages (28 MiB of Page
+// structs, far beyond the CPU caches) in a seeded random order, so nearly
+// every touch misses on its Page the way a simulated host's touches do.
+func BenchmarkTouchResidentRandom(b *testing.B) {
+	const n = 1 << 18
+	m := newTestManager(2*n, nil, PolicyTMO)
+	g := m.NewGroup("app", nil)
+	pages := m.NewPages(g, Anon, n, 1)
+	touchAll(m, 0, pages)
+	rand.New(rand.NewPCG(1, 2)).Shuffle(n, func(i, j int) { pages[i], pages[j] = pages[j], pages[i] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Touch(vclock.Time(i), pages[i%n])
+	}
+}
+
+// BenchmarkSampleFar is one placement-loop access-bit scan of 256 pages
+// over a 4096-page far list.
+func BenchmarkSampleFar(b *testing.B) {
+	const n = 4096
+	m, _ := newFarManager(16, n, nil)
+	g := m.NewGroup("app", nil)
+	pages := m.NewPages(g, Anon, n, 1)
+	for _, p := range pages {
+		p.state = Resident
+		p.far = true
+		g.farList.pushHead(p)
+	}
+	cands := make([]*Page, 0, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Re-heat a page each round so scans yield candidates.
+		pages[i%n].farHits = 2
+		cands, _ = m.SampleFar(g, 256, 2, cands[:0])
 	}
 }
 

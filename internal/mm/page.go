@@ -24,7 +24,7 @@ package mm
 import "tmo/internal/vclock"
 
 // PageType distinguishes the two memory categories of §2.4.
-type PageType int
+type PageType uint8
 
 // The two page types.
 const (
@@ -42,7 +42,7 @@ func (t PageType) String() string {
 }
 
 // PageState describes where a page's content currently lives.
-type PageState int
+type PageState uint8
 
 // Page lifecycle states.
 const (
@@ -78,41 +78,23 @@ func (s PageState) String() string {
 // Page is one simulated page frame identity. For file pages the Page stands
 // for a (file, offset) position and persists across evictions; for anonymous
 // pages it stands for a virtual page of some process.
+//
+// Field order is a performance contract. Every field a resident hit or an
+// LRU move reads or writes sits in the first 64 bytes — one cache line's
+// worth — so a touch of a page that is not in the CPU cache misses on that
+// span alone; the fields only faults, offload and refault detection use
+// follow. TestPageLayout pins both the size and the hot span.
 type Page struct {
-	// Type is fixed at creation.
-	Type PageType
-	// Compressibility is the page content's intrinsic compression ratio
-	// (uncompressed/compressed) used when the page is offloaded to zswap.
-	Compressibility float64
+	// --- hot span (60 bytes): read or written by touches and LRU moves ---
 
 	group *Group
-	state PageState
-
 	// LRU bookkeeping.
-	active     bool
-	referenced bool
-	next, prev *Page
 	list       *lruList
+	next, prev *Page
 
-	// dirty marks a file page whose content has been modified since it
-	// was last written back; evicting it costs a device write.
-	dirty bool
-
-	// handle locates the page in the swap backend while Offloaded.
-	handle uint64
-	// cluster groups pages swapped out together; swap readahead loads
-	// cluster neighbours alongside a faulting page, like the kernel's
-	// swap readahead over adjacent swap slots. Membership is intrusive:
-	// non-nil only while the page is Offloaded and indexed for readahead.
-	cluster                  *swapCluster
-	clusterNext, clusterPrev *Page
-
-	// refaulted marks an anon page that demand-faulted back from the swap
-	// backend since its last offload. The next offload carries it as
-	// StoreReq.Refault so a multi-tier chain can promote the page toward a
-	// faster tier; it clears when the offload lands. Readahead neighbours
-	// that were never touched do not set it.
-	refaulted bool
+	// lastTouch supports idle-page tracking (the Fig. 2 coldness
+	// characterisation) and is updated on every access.
+	lastTouch vclock.Time
 
 	// pendingUntil, when in the future, is the completion time of the
 	// batched load that is bringing this page in: readahead inserts cluster
@@ -121,7 +103,26 @@ type Page struct {
 	// remainder instead of issuing a duplicate load. pendingIO records
 	// whether that batch performed block IO, for pressure classification.
 	pendingUntil vclock.Time
-	pendingIO    bool
+
+	// Type is fixed at creation.
+	Type  PageType
+	state PageState
+
+	active     bool
+	referenced bool
+	touched    bool // whether the page was ever accessed
+	pendingIO  bool
+
+	// dirty marks a file page whose content has been modified since it
+	// was last written back; evicting it costs a device write.
+	dirty bool
+
+	// refaulted marks an anon page that demand-faulted back from the swap
+	// backend since its last offload. The next offload carries it as
+	// StoreReq.Refault so a multi-tier chain can promote the page toward a
+	// faster tier; it clears when the offload lands. Readahead neighbours
+	// that were never touched do not set it.
+	refaulted bool
 
 	// far marks a Resident anonymous page whose frame lives on the
 	// byte-addressable far-memory node rather than local DRAM: it is on the
@@ -136,16 +137,28 @@ type Page struct {
 	// flight (Nomad-style): the page stays mapped far and fully accessible,
 	// so an aborted promotion costs nothing.
 	migrating bool
+	// hasShadow marks that shadow holds this evicted file page's eviction
+	// counter.
+	hasShadow bool
+
+	// --- cold fields: faults, offload and refault detection only ---
+
+	// Compressibility is the page content's intrinsic compression ratio
+	// (uncompressed/compressed) used when the page is offloaded to zswap.
+	Compressibility float64
+
+	// handle locates the page in the swap backend while Offloaded.
+	handle uint64
+	// cluster groups pages swapped out together; swap readahead loads
+	// cluster neighbours alongside a faulting page, like the kernel's
+	// swap readahead over adjacent swap slots. Membership is intrusive:
+	// non-nil only while the page is Offloaded and indexed for readahead.
+	cluster                  *swapCluster
+	clusterNext, clusterPrev *Page
 
 	// shadow is the group eviction counter recorded when this file page
 	// was evicted; valid while hasShadow is set.
-	shadow    uint64
-	hasShadow bool
-
-	// lastTouch supports idle-page tracking (the Fig. 2 coldness
-	// characterisation) and is updated on every access.
-	lastTouch vclock.Time
-	touched   bool // whether the page was ever accessed
+	shadow uint64
 }
 
 // State returns where the page currently lives.
@@ -269,8 +282,19 @@ func (l *lruList) remove(p *Page) {
 	}
 }
 
-// rotate moves p to the head, giving it another pass through the list.
-func (l *lruList) rotate(p *Page) {
-	l.remove(p)
-	l.pushHead(p)
+// rotateTail moves the tail segment that starts at first to the head,
+// keeping the segment's order — the list that moving each of its pages to
+// the head, tail first, would leave — in O(1) pointer updates. first must
+// be on l.
+func (l *lruList) rotateTail(first *Page) {
+	if first == l.head {
+		return
+	}
+	last := l.tail
+	l.tail = first.prev
+	l.tail.next = nil
+	first.prev = nil
+	last.next = l.head
+	l.head.prev = last
+	l.head = first
 }

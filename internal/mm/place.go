@@ -37,16 +37,23 @@ func (m *Manager) finishDemote(now vclock.Time, g *Group, p *Page, res *ReclaimR
 // were scanned.
 func (m *Manager) SampleFar(g *Group, budget int, threshold uint8, out []*Page) (cands []*Page, sampled int) {
 	cands = out
-	if budget > g.farList.count {
-		budget = g.farList.count
+	l := &g.farList
+	if budget > l.count {
+		budget = l.count
 	}
-	for i := 0; i < budget; i++ {
-		p := g.farList.tail
-		g.farList.rotate(p)
+	if budget <= 0 {
+		return cands, 0
+	}
+	// Scan the budget's tail segment tail first, then move it to the head
+	// in one splice: the order per-page rotation would leave, without
+	// relinking every scanned page.
+	var first *Page
+	for p := l.tail; sampled < budget; p = p.prev {
+		first = p
 		sampled++
 		if p.referenced {
 			p.referenced = false
-			g.farList.refs--
+			l.refs--
 		}
 		hot := p.farHits >= threshold
 		p.farHits = 0
@@ -54,6 +61,7 @@ func (m *Manager) SampleFar(g *Group, budget int, threshold uint8, out []*Page) 
 			cands = append(cands, p)
 		}
 	}
+	l.rotateTail(first)
 	return cands, sampled
 }
 

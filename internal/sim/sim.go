@@ -65,7 +65,8 @@ type Server struct {
 	observers    []func(now vclock.Time)
 	preObservers []func(now vclock.Time)
 
-	lastResults map[*workload.App]workload.TickResult
+	// lastResults[i] is apps[i]'s most recent tick outcome.
+	lastResults []workload.TickResult
 	lastAvgTime vclock.Time
 	ticks       int64
 
@@ -116,12 +117,11 @@ func NewServer(cfg Config) *Server {
 	})
 	clock := vclock.NewClock()
 	return &Server{
-		cfg:         cfg,
-		clock:       clock,
-		mgr:         mgr,
-		h:           cgroup.NewHierarchy(mgr, clock.Now()),
-		fs:          fs,
-		lastResults: make(map[*workload.App]workload.TickResult),
+		cfg:   cfg,
+		clock: clock,
+		mgr:   mgr,
+		h:     cgroup.NewHierarchy(mgr, clock.Now()),
+		fs:    fs,
 	}
 }
 
@@ -166,6 +166,7 @@ func (s *Server) AddApp(p workload.Profile, kind cgroup.Kind, parent *cgroup.Gro
 	}
 	app.Start(s.clock.Now())
 	s.apps = append(s.apps, app)
+	s.lastResults = append(s.lastResults, workload.TickResult{})
 	return app
 }
 
@@ -184,8 +185,14 @@ func (s *Server) OnTickStart(fn func(now vclock.Time)) {
 	s.preObservers = append(s.preObservers, fn)
 }
 
-// LastResult returns the given app's most recent tick outcome.
-func (s *Server) LastResult(a *workload.App) workload.TickResult { return s.lastResults[a] }
+// LastResult returns the given app's most recent tick outcome; its Stalls
+// are valid until the next tick.
+func (s *Server) LastResult(a *workload.App) workload.TickResult {
+	if i := slices.Index(s.apps, a); i >= 0 {
+		return s.lastResults[i]
+	}
+	return workload.TickResult{}
+}
 
 // Ticks returns how many ticks have run.
 func (s *Server) Ticks() int64 { return s.ticks }
@@ -260,9 +267,9 @@ func (s *Server) step() {
 
 	// Serve the tick and gather stall intervals from all apps.
 	events := s.events[:0]
-	for _, a := range s.apps {
+	for i, a := range s.apps {
 		res := a.Tick(now, tick)
-		s.lastResults[a] = res
+		s.lastResults[i] = res
 		for _, iv := range res.Stalls {
 			events = append(events, stallEvent{at: iv.Start, g: a.Group, mem: iv.Mem, io: iv.IO, cpu: iv.CPU, start: true})
 			events = append(events, stallEvent{at: iv.End, g: a.Group, mem: iv.Mem, io: iv.IO, cpu: iv.CPU, start: false})

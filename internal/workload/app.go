@@ -23,7 +23,8 @@ type StallInterval struct {
 type TickResult struct {
 	// Completed is the number of requests finished this tick.
 	Completed int
-	// Stalls lists the PSI stall intervals incurred.
+	// Stalls lists the PSI stall intervals incurred. It aliases the app's
+	// reused buffer and is valid until the app's next Tick.
 	Stalls []StallInterval
 	// Faults breaks down the tick's page faults.
 	SwapIns, Refaults, ColdReads int
@@ -38,8 +39,9 @@ type App struct {
 	rng *rand.Rand
 
 	classPages [][]*mm.Page
-	touchRates []float64 // expected touches per request, per class
-	accum      []float64
+	// touchers are the classes a request can touch (Period > 0 and at
+	// least one page), in class order; serveRequest walks only these.
+	touchers []toucher
 
 	anonLazy       []*mm.Page
 	lazyCursor     int
@@ -59,6 +61,7 @@ type App struct {
 	bloatPages []*mm.Page
 
 	carry    []vclock.Duration // per-worker overrun debt
+	stalls   []StallInterval   // Tick's reused TickResult.Stalls buffer
 	admitted float64
 	cpuShare float64 // CPU time share granted by the scheduler, (0, 1]
 	load     float64 // demand multiplier on per-request touch rates
@@ -77,7 +80,15 @@ type App struct {
 	restarts  int64
 }
 
-// maxCarry caps how much overrun debt a worker can accumulate, so one
+// toucher is one touchable access class. pages shares the class's backing
+// array in classPages, so shiftPhase's in-place swaps are visible here.
+type toucher struct {
+	pages []*mm.Page
+	rate  float64 // expected touches per request at load 1
+	accum float64 // fractional touch credit carried between requests
+}
+
+// maxCarryTicks caps a worker's overrun debt at that many ticks, so one
 // pathological tick cannot silence a worker for the rest of a run.
 const maxCarryTicks = 4
 
@@ -101,8 +112,6 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 	nominal := p.NominalRPS()
 
 	a.classPages = make([][]*mm.Page, len(p.Classes))
-	a.touchRates = make([]float64, len(p.Classes))
-	a.accum = make([]float64, len(p.Classes))
 	for i, c := range p.Classes {
 		n := int(float64(totalPages) * c.Frac)
 		if n == 0 {
@@ -118,7 +127,10 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 		a.classPages[i] = pages
 		a.fileFootprintPages += int64(fileN)
 		if c.Period > 0 {
-			a.touchRates[i] = float64(n) / (c.Period.Seconds() * nominal)
+			a.touchers = append(a.touchers, toucher{
+				pages: pages,
+				rate:  float64(n) / (c.Period.Seconds() * nominal),
+			})
 		}
 	}
 
@@ -175,8 +187,8 @@ func (a *App) Restart(now vclock.Time) {
 	a.mgr.FreePages(a.streamPages)
 	a.mgr.FreePages(a.bloatPages)
 	a.bloatPages = nil
-	for i := range a.accum {
-		a.accum[i] = 0
+	for i := range a.touchers {
+		a.touchers[i].accum = 0
 	}
 	for i := range a.carry {
 		a.carry[i] = 0
@@ -342,18 +354,18 @@ func (o *requestOutcome) absorb(r mm.TouchResult) {
 	}
 }
 
-// serveRequest simulates the page accesses of one request at time now.
-func (a *App) serveRequest(now vclock.Time) requestOutcome {
-	var out requestOutcome
-	for i := range a.classPages {
-		rate := a.touchRates[i]
-		if rate == 0 || len(a.classPages[i]) == 0 {
-			continue
-		}
-		a.accum[i] += rate * a.load
-		for a.accum[i] >= 1 {
-			a.accum[i]--
-			pg := a.classPages[i][a.rng.IntN(len(a.classPages[i]))]
+// stall returns the outcome's total stall time.
+func (o *requestOutcome) stall() vclock.Duration { return o.memOnly + o.both + o.ioOnly }
+
+// serveRequest simulates the page accesses of one request at time now,
+// accumulating their outcome into out.
+func (a *App) serveRequest(now vclock.Time, out *requestOutcome) {
+	for i := range a.touchers {
+		t := &a.touchers[i]
+		t.accum += t.rate * a.load
+		for t.accum >= 1 {
+			t.accum--
+			pg := t.pages[a.rng.IntN(len(t.pages))]
 			out.absorb(a.mgr.Touch(now, pg))
 		}
 	}
@@ -384,7 +396,6 @@ func (a *App) serveRequest(now vclock.Time) requestOutcome {
 			}
 		}
 	}
-	return out
 }
 
 // PhaseShifts returns how many working-set drifts have occurred.
@@ -482,6 +493,7 @@ func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 	}
 	a.shiftPhase(now)
 	var res TickResult
+	a.stalls = a.stalls[:0]
 	frontEnd := a.frontEndFactor()
 	budget := vclock.Duration(float64(tick) * a.admitted * a.cpuShare)
 
@@ -496,7 +508,7 @@ func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 			if off+wait > tick {
 				off = tick - wait
 			}
-			res.Stalls = append(res.Stalls, StallInterval{
+			a.stalls = append(a.stalls, StallInterval{
 				Start: now.Add(off),
 				End:   now.Add(off + wait),
 				CPU:   true,
@@ -512,17 +524,12 @@ func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 			// misses the file cache (§4.4); the penalty is CPU time, not
 			// a stall.
 			cpu := vclock.Duration(float64(a.jitterCPU()) * frontEnd)
-			o := a.serveRequest(now.Add(busy))
-			cpu += vclock.Duration(o.refaults) * a.Profile.RefaultCPUPenalty
-			wall := cpu + o.memOnly + o.both + o.ioOnly
+			stalled, refaults := tot.stall(), tot.refaults
+			a.serveRequest(now.Add(busy), &tot)
+			cpu += vclock.Duration(tot.refaults-refaults) * a.Profile.RefaultCPUPenalty
+			wall := cpu + tot.stall() - stalled
 			a.latencies.Add(float64(wall))
 			busy += wall
-			tot.memOnly += o.memOnly
-			tot.both += o.both
-			tot.ioOnly += o.ioOnly
-			tot.swapIns += o.swapIns
-			tot.refaults += o.refaults
-			tot.coldReads += o.coldReads
 			a.completed++
 			res.Completed++
 		}
@@ -536,18 +543,20 @@ func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 		res.SwapIns += tot.swapIns
 		res.Refaults += tot.refaults
 		res.ColdReads += tot.coldReads
-		res.Stalls = append(res.Stalls, a.placeStalls(now, tick, tot)...)
+		a.placeStalls(now, tick, tot)
 	}
+	res.Stalls = a.stalls
 	return res
 }
 
 // placeStalls converts a worker's per-tick stall totals into concrete
 // intervals inside the tick, placed at a random offset so that overlaps
-// between workers (the PSI full condition) occur naturally.
-func (a *App) placeStalls(now vclock.Time, tick vclock.Duration, o requestOutcome) []StallInterval {
-	total := o.memOnly + o.both + o.ioOnly
+// between workers (the PSI full condition) occur naturally, and appends
+// them to a.stalls.
+func (a *App) placeStalls(now vclock.Time, tick vclock.Duration, o requestOutcome) {
+	total := o.stall()
 	if total <= 0 {
-		return nil
+		return
 	}
 	if total > tick {
 		// Severe overload: scale the composition to fill the tick.
@@ -563,18 +572,19 @@ func (a *App) placeStalls(now vclock.Time, tick vclock.Duration, o requestOutcom
 		off = vclock.Duration(a.rng.Int64N(int64(slack) + 1))
 	}
 	t := now.Add(off)
-	var out []StallInterval
-	emit := func(d vclock.Duration, mem, io bool) {
-		if d <= 0 {
-			return
-		}
-		out = append(out, StallInterval{Start: t, End: t.Add(d), Mem: mem, IO: io})
-		t = t.Add(d)
+	t = a.appendStall(t, o.memOnly, true, false)
+	t = a.appendStall(t, o.both, true, true)
+	a.appendStall(t, o.ioOnly, false, true)
+}
+
+// appendStall appends a stall of length d starting at t, if d is positive,
+// and returns where the next one starts.
+func (a *App) appendStall(t vclock.Time, d vclock.Duration, mem, io bool) vclock.Time {
+	if d <= 0 {
+		return t
 	}
-	emit(o.memOnly, true, false)
-	emit(o.both, true, true)
-	emit(o.ioOnly, false, true)
-	return out
+	a.stalls = append(a.stalls, StallInterval{Start: t, End: t.Add(d), Mem: mem, IO: io})
+	return t.Add(d)
 }
 
 // jitterCPU draws a request's CPU time within +-20% of the profile value.

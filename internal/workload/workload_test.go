@@ -313,3 +313,50 @@ func TestColdClassStaysCold(t *testing.T) {
 		t.Fatalf("cold fraction after load = %v, want >= 0.10", h5[1])
 	}
 }
+
+// newSteadyApp starts analytics (streaming reads, so every tick faults and
+// places IO stalls) on an ample host at half a CPU (so every tick also
+// places CPU waits) and warms it up until the app's buffers stop growing.
+func newSteadyApp(tb testing.TB) (*App, vclock.Time) {
+	tb.Helper()
+	mgr, h := newEnv(512)
+	p := MustCatalog("analytics")
+	g := h.NewGroup(nil, p.Name, cgroup.Workload, 0)
+	app := NewApp(p, g, mgr, 9)
+	app.Start(0)
+	app.SetCPUShare(0.5)
+	now := vclock.Time(0)
+	for i := 0; i < 50; i++ {
+		app.Tick(now, 100*vclock.Millisecond)
+		now = now.Add(100 * vclock.Millisecond)
+	}
+	return app, now
+}
+
+func TestAppTickSteadyStateAllocatesNothing(t *testing.T) {
+	app, now := newSteadyApp(t)
+	sawIO := false
+	allocs := testing.AllocsPerRun(100, func() {
+		res := app.Tick(now, 100*vclock.Millisecond)
+		for _, iv := range res.Stalls {
+			sawIO = sawIO || iv.IO
+		}
+		now = now.Add(100 * vclock.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state App.Tick allocates %v times per call, want 0", allocs)
+	}
+	if !sawIO {
+		t.Fatal("no IO stalls placed: the test no longer covers placeStalls")
+	}
+}
+
+func BenchmarkAppTick(b *testing.B) {
+	app, now := newSteadyApp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		app.Tick(now, 100*vclock.Millisecond)
+		now = now.Add(100 * vclock.Millisecond)
+	}
+}
