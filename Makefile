@@ -17,6 +17,7 @@ check:
 
 race:
 	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/metrics ./internal/fleet ./internal/rollout ./internal/tsdb ./internal/slo ./internal/twin ./internal/place ./internal/backend
+	$(GO) test -race -run TestRunArms ./internal/experiments
 
 # The benchmark command is a module of its own that imports core, fleet,
 # rollout and cliutil, so the root ./... patterns never reach it; vet and
@@ -24,8 +25,9 @@ race:
 tmobench:
 	cd cmd/tmobench && $(GO) vet ./... && $(GO) test ./...
 
-# Reproducible perf baseline: runs the root figure benchmarks once each plus
-# the hot-path microbenchmarks at fixed iteration counts, and writes the
+# Reproducible perf baseline: runs the root figure benchmarks that build hosts
+# once each, the host-less ones (Figs. 1, 5, 7, table51) 100 times, and the
+# hot-path microbenchmarks at fixed iteration counts, and writes the
 # parsed results to BENCH_core.json. Override the budgets with
 # BENCH_FLAGS="-figures 3x -micro 100000x" or shrink for CI with
 # BENCH_FLAGS=-skip-figures.
@@ -33,7 +35,8 @@ bench:
 	$(GO) run ./cmd/benchjson -out BENCH_core.json $(BENCH_FLAGS)
 
 # Perf regression gate: rerun the benchmark suites into a scratch file and
-# diff against the committed baseline — figure benchmarks fail on a >10%
-# ns/op regression, every benchmark fails on any allocs/op growth.
+# diff against the committed baseline — every benchmark fails on any
+# allocs/op growth. Wall-clock times move with the machine and are not
+# gated here.
 bench-check:
-	$(GO) run ./cmd/benchjson -out /tmp/BENCH_fresh.json -compare BENCH_core.json -tolerance 0.10 $(BENCH_FLAGS)
+	$(GO) run ./cmd/benchjson -out /tmp/BENCH_fresh.json -compare BENCH_core.json $(BENCH_FLAGS)

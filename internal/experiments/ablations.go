@@ -5,14 +5,13 @@ import (
 	"strings"
 
 	"tmo/internal/backend"
-	"tmo/internal/cgroup"
 	"tmo/internal/core"
 	"tmo/internal/gswap"
 	"tmo/internal/mm"
-	"tmo/internal/psi"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
+	"tmo/internal/workload"
 )
 
 // This file holds the ablations for TMO's individual design decisions —
@@ -53,43 +52,43 @@ type AblationReclaimPolicyResult struct {
 func AblationReclaimPolicy(cfg Config) AblationReclaimPolicyResult {
 	warm := cfg.dur(60*vclock.Minute, 15*vclock.Minute)
 	measure := cfg.dur(20*vclock.Minute, 5*vclock.Minute)
+	p := cfg.profile("feed")
 
-	run := func(policy mm.ReclaimPolicy) PolicyOutcome {
-		p := cfg.profile("feed")
+	policies := []mm.ReclaimPolicy{mm.PolicyTMO, mm.PolicyLegacy}
+	arms := make([]arm, len(policies))
+	for i, policy := range policies {
 		// A memory-bound host: reclaim is forced deep into the working
 		// set, which is where the historical file skew starts thrashing
 		// the file cache while cold anonymous memory sits untouched.
-		sys := core.New(core.Options{
-			Mode:          core.ModeZswap,
-			CapacityBytes: int64(0.85 * float64(p.FootprintBytes)),
-			Policy:        policy,
-			Senpai:        cfg.senpai(senpai.ConfigA()),
-			Seed:          cfg.Seed + 1300,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(warm)
-		st0 := app.Group.MM().Stat()
-		c0 := app.Completed()
-		sys.Run(measure)
-		st1 := app.Group.MM().Stat()
-		c1 := app.Completed()
+		arms[i] = arm{
+			opts: core.Options{
+				Mode:          core.ModeZswap,
+				CapacityBytes: int64(0.85 * float64(p.FootprintBytes)),
+				Policy:        policy,
+				Senpai:        cfg.senpai(senpai.ConfigA()),
+				Seed:          cfg.Seed + 1300,
+			},
+			services: []workload.Profile{p},
+			warm:     warm,
+			measure:  measure,
+		}
+	}
+	out := runArms(arms, func(i int, h host, w window) PolicyOutcome {
 		secs := measure.Seconds()
-		out := PolicyOutcome{
-			Policy:         policy,
-			RefaultsPerSec: float64(st1.Refaults-st0.Refaults) / secs,
-			SwapInsPerSec:  float64(st1.SwapIns-st0.SwapIns) / secs,
-			RPS:            float64(c1-c0) / secs,
+		o := PolicyOutcome{
+			Policy:         policies[i],
+			RefaultsPerSec: float64(w.stat.Refaults) / secs,
+			SwapInsPerSec:  float64(w.stat.SwapIns) / secs,
+			RPS:            w.rps,
 		}
-		out.TotalPagingPerSec = out.RefaultsPerSec + out.SwapInsPerSec
-		if evicted := st1.FileEvictions + st1.SwapOuts; evicted > 0 {
-			out.FileShare = float64(st1.FileEvictions) / float64(evicted)
+		o.TotalPagingPerSec = o.RefaultsPerSec + o.SwapInsPerSec
+		// The file share is of everything reclaimed since boot.
+		if st := h.apps[0].Group.MM().Stat(); st.FileEvictions+st.SwapOuts > 0 {
+			o.FileShare = float64(st.FileEvictions) / float64(st.FileEvictions+st.SwapOuts)
 		}
-		return out
-	}
-	return AblationReclaimPolicyResult{
-		TMO:    run(mm.PolicyTMO),
-		Legacy: run(mm.PolicyLegacy),
-	}
+		return o
+	})
+	return AblationReclaimPolicyResult{TMO: out[0], Legacy: out[1]}
 }
 
 // Render implements Result.
@@ -134,34 +133,35 @@ type AblationLimitModeResult struct {
 // not.
 func AblationLimitMode(cfg Config) AblationLimitModeResult {
 	dur := cfg.dur(60*vclock.Minute, 20*vclock.Minute)
+	p := cfg.profile("web")
+	p.AnonGrowthPeriod = vclock.Duration(float64(dur) * 0.7)
 
-	run := func(limitMode bool, label string) DriveModeOutcome {
-		p := cfg.profile("web")
-		p.AnonGrowthPeriod = vclock.Duration(float64(dur) * 0.7)
-		sc := *cfg.senpai(senpai.ConfigA())
-		sc.LimitMode = limitMode
-		sys := core.New(core.Options{
-			Mode:          core.ModeZswap,
-			CapacityBytes: 2 * p.FootprintBytes, // not host-bound: isolate the limit effect
-			Senpai:        &sc,
-			Seed:          cfg.Seed + 1400,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(dur)
-		st := app.Group.MM().Stat()
-		tr := app.Group.PSI()
-		tr.Sync(sys.Server.Now())
-		return DriveModeOutcome{
-			Mode:             label,
-			DirectReclaims:   st.DirectReclaims,
-			RPS:              float64(app.Completed()) / dur.Seconds(),
-			FinalResidentMiB: float64(app.Group.MemoryCurrent()) / (1 << 20),
+	labels := []string{"memory.reclaim", "memory.max"}
+	arms := make([]arm, len(labels))
+	for i := range labels {
+		sc := cfg.senpai(senpai.ConfigA())
+		sc.LimitMode = i == 1
+		// Twice the footprint: not host-bound, to isolate the limit effect.
+		arms[i] = arm{
+			opts: core.Options{
+				Mode:          core.ModeZswap,
+				CapacityBytes: 2 * p.FootprintBytes,
+				Senpai:        sc,
+				Seed:          cfg.Seed + 1400,
+			},
+			services: []workload.Profile{p},
+			measure:  dur,
 		}
 	}
-	return AblationLimitModeResult{
-		ReclaimMode: run(false, "memory.reclaim"),
-		LimitMode:   run(true, "memory.max"),
-	}
+	out := runArms(arms, func(i int, h host, w window) DriveModeOutcome {
+		return DriveModeOutcome{
+			Mode:             labels[i],
+			DirectReclaims:   w.stat.DirectReclaims,
+			RPS:              w.rps,
+			FinalResidentMiB: float64(h.apps[0].Group.MemoryCurrent()) / (1 << 20),
+		}
+	})
+	return AblationLimitModeResult{ReclaimMode: out[0], LimitMode: out[1]}
 }
 
 // Render implements Result.
@@ -197,7 +197,7 @@ type AblationControllerResult struct {
 	Cells []ControllerCell
 }
 
-// cell returns the outcome for the given controller and device.
+// Cell returns the outcome for the given controller and device.
 func (r AblationControllerResult) Cell(controller, device string) ControllerCell {
 	for _, c := range r.Cells {
 		if c.Controller == controller && c.Device == device {
@@ -207,81 +207,65 @@ func (r AblationControllerResult) Cell(controller, device string) ControllerCell
 	return ControllerCell{}
 }
 
-// AblationController runs Web on the fast (C) and slow (B) SSDs under each
+// AblationController runs Feed on the fast (C) and slow (B) SSDs under each
 // controller.
 func AblationController(cfg Config) AblationControllerResult {
 	warm := cfg.dur(60*vclock.Minute, 15*vclock.Minute)
 	measure := cfg.dur(20*vclock.Minute, 8*vclock.Minute)
 	p := cfg.profile("feed")
 	capacity := 2 * p.FootprintBytes
+	devices := []string{"C", "B"}
 
-	baselineResident := func(device string) float64 {
-		sys := core.New(core.Options{
-			Mode: core.ModeOff, CapacityBytes: capacity, DeviceModel: device, Seed: cfg.Seed + 1500,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(warm / 4)
-		return float64(app.Group.MemoryCurrent())
+	// One baseline per device, then one cell per (controller, device).
+	var arms []arm
+	var cells []ControllerCell
+	for _, dev := range devices {
+		arms = append(arms, baseline(core.Options{CapacityBytes: capacity, DeviceModel: dev, Seed: cfg.Seed + 1500}, warm, p))
 	}
-
-	run := func(controller, device string) ControllerCell {
-		opts := core.Options{
-			Mode:          core.ModeSSDSwap,
-			CapacityBytes: capacity,
-			DeviceModel:   device,
-			Seed:          cfg.Seed + 1500,
-		}
-		if controller == "senpai" {
-			opts.Senpai = cfg.senpai(senpai.ConfigA())
-		} else {
-			opts.DisableSenpai = true
-		}
-		sys := core.New(opts)
-		app := sys.AddProfile(p, cgroup.Workload)
-		if controller == "gswap" {
-			// Replace Senpai with the baseline: a promotion-rate target
-			// fixed by offline profiling, applied fleet-wide regardless
-			// of the device behind swap.
-			if sys.Senpai != nil {
-				panic("experiments: senpai attached in gswap run")
-			}
-			// The profiled target: safe on the device it was tuned on,
-			// blind to device variance everywhere else.
-			c := gswap.DefaultConfig(60)
-			if cfg.Quick {
-				c.StepFrac *= 4
-			}
-			gctl := gswap.New(c)
-			gctl.AddTarget(app.Group)
-			sys.Server.AddController(gctl)
-		}
-		sys.Run(warm)
-		st0 := app.Group.MM().Stat()
-		c0 := app.Completed()
-		var residentSum float64
-		steps := int(measure / (10 * vclock.Second))
-		for i := 0; i < steps; i++ {
-			sys.Run(10 * vclock.Second)
-			residentSum += float64(app.Group.MemoryCurrent())
-		}
-		st1 := app.Group.MM().Stat()
-		c1 := app.Completed()
-		return ControllerCell{
-			Controller:       controller,
-			Device:           device,
-			SavingsFrac:      1 - residentSum/float64(steps)/baselineResident(device),
-			RPS:              float64(c1-c0) / measure.Seconds(),
-			PromotionsPerSec: float64(st1.SwapIns-st0.SwapIns) / measure.Seconds(),
-		}
-	}
-
-	var res AblationControllerResult
 	for _, ctl := range []string{"senpai", "gswap"} {
-		for _, dev := range []string{"C", "B"} {
-			res.Cells = append(res.Cells, run(ctl, dev))
+		for _, dev := range devices {
+			a := arm{
+				opts: core.Options{
+					Mode:          core.ModeSSDSwap,
+					CapacityBytes: capacity,
+					DeviceModel:   dev,
+					Seed:          cfg.Seed + 1500,
+				},
+				services: []workload.Profile{p},
+				warm:     warm,
+				measure:  measure,
+				step:     10 * vclock.Second,
+			}
+			if ctl == "senpai" {
+				a.opts.Senpai = cfg.senpai(senpai.ConfigA())
+			} else {
+				// Replace Senpai with the baseline: a promotion-rate target
+				// fixed by offline profiling, applied fleet-wide regardless
+				// of the device behind swap — safe on the device it was
+				// tuned on, blind to device variance everywhere else.
+				a.opts.DisableSenpai = true
+				a.hook = func(h *host) {
+					c := gswap.DefaultConfig(60)
+					if cfg.Quick {
+						c.StepFrac *= 4
+					}
+					gctl := gswap.New(c)
+					gctl.AddTarget(h.apps[0].Group)
+					h.Server.AddController(gctl)
+				}
+			}
+			arms = append(arms, a)
+			cells = append(cells, ControllerCell{Controller: ctl, Device: dev})
 		}
 	}
-	return res
+	ws := runArms(arms, windowOf)
+	for k := range cells {
+		w, base := ws[len(devices)+k], ws[k%len(devices)]
+		cells[k].SavingsFrac = 1 - w.meanNet/base.meanNet
+		cells[k].RPS = w.rps
+		cells[k].PromotionsPerSec = float64(w.stat.SwapIns) / measure.Seconds()
+	}
+	return AblationControllerResult{Cells: cells}
 }
 
 // Render implements Result.
@@ -360,58 +344,59 @@ func AblationTiered(cfg Config) AblationTieredResult {
 	ml := cfg.profile("ml")
 	capacity := 2 * (web.FootprintBytes + ml.FootprintBytes)
 
-	baseline := func() float64 {
-		sys := core.New(core.Options{Mode: core.ModeOff, CapacityBytes: capacity, Seed: cfg.Seed + 1600})
-		a := sys.AddProfile(web, cgroup.Workload)
-		b := sys.AddProfile(ml, cgroup.Workload)
-		sys.Run(warm / 4)
-		return float64(a.Group.MemoryCurrent() + b.Group.MemoryCurrent())
-	}()
-
-	run := func(mode core.Mode, label string, tiers []backend.TierSpec) TierOutcome {
-		sys := core.New(core.Options{
-			Mode:          mode,
-			CapacityBytes: capacity,
-			DeviceModel:   "C",
-			Tiers:         tiers,
-			Senpai:        cfg.senpai(senpai.ConfigA()),
-			Seed:          cfg.Seed + 1600,
-		})
-		a := sys.AddProfile(web, cgroup.Workload)
-		b := sys.AddProfile(ml, cgroup.Workload)
-		sys.Run(warm)
-		c0 := a.Completed() + b.Completed()
-		root := sys.Server.Hierarchy().Root().PSI()
-		root.Sync(sys.Server.Now())
-		m0 := root.Total(psi.Memory, psi.Some)
-		var netSum float64
-		steps := int(measure / (10 * vclock.Second))
-		for i := 0; i < steps; i++ {
-			sys.Run(10 * vclock.Second)
-			netSum += float64(sys.NetResidentBytes())
-		}
-		root.Sync(sys.Server.Now())
-		m1 := root.Total(psi.Memory, psi.Some)
-		out := TierOutcome{
-			Backend:         label,
-			NetSavedMiB:     (baseline - netSum/float64(steps)) / (1 << 20),
-			MeanMemPressure: psi.WindowedPressure(m0, m1, measure),
-			RPS:             float64(a.Completed()+b.Completed()-c0) / measure.Seconds(),
-		}
-		out.Writebacks = sys.Chain.Demotions()
-		out.DirectSSD = sys.Chain.AdmitSkips()
-		return out
-	}
-
 	// zswap-only gets the default generous pool; the tiered hierarchy gets
 	// a deliberately tight pool (0.2% of DRAM) — the point of the hierarchy
 	// is that the SSD absorbs the overflow, so the DRAM pool can be small.
 	tight := backend.DefaultChainSpecs(int64(float64(capacity)*0.002), 0)
-	return AblationTieredResult{
-		Zswap:  run(core.ModeZswap, "zswap-only", nil),
-		SSD:    run(core.ModeSSDSwap, "ssd-only", nil),
-		Tiered: run(core.ModeTiered, "tiered", tight),
+	backends := []struct {
+		label string
+		mode  core.Mode
+		tiers []backend.TierSpec
+	}{
+		{"zswap-only", core.ModeZswap, nil},
+		{"ssd-only", core.ModeSSDSwap, nil},
+		{"tiered", core.ModeTiered, tight},
 	}
+	arms := []arm{baseline(core.Options{CapacityBytes: capacity, Seed: cfg.Seed + 1600}, warm, web, ml)}
+	for _, b := range backends {
+		arms = append(arms, arm{
+			opts: core.Options{
+				Mode:          b.mode,
+				CapacityBytes: capacity,
+				DeviceModel:   "C",
+				Tiers:         b.tiers,
+				Senpai:        cfg.senpai(senpai.ConfigA()),
+				Seed:          cfg.Seed + 1600,
+			},
+			services: []workload.Profile{web, ml},
+			warm:     warm,
+			measure:  measure,
+			step:     10 * vclock.Second,
+		})
+	}
+	type run struct {
+		w                     window
+		writebacks, directSSD int64
+	}
+	runs := runArms(arms, func(i int, h host, w window) run {
+		if i == 0 {
+			return run{w: w} // the baseline has no chain
+		}
+		return run{w, h.Chain.Demotions(), h.Chain.AdmitSkips()}
+	})
+	out := make([]TierOutcome, len(backends))
+	for i, b := range backends {
+		r := runs[i+1]
+		out[i] = TierOutcome{
+			Backend:         b.label,
+			NetSavedMiB:     (runs[0].w.meanNet - r.w.meanNet) / (1 << 20),
+			MeanMemPressure: r.w.rootPressure,
+			RPS:             r.w.rps,
+			Writebacks:      r.writebacks,
+			DirectSSD:       r.directSSD,
+		}
+	}
+	return AblationTieredResult{Zswap: out[0], SSD: out[1], Tiered: out[2]}
 }
 
 // Render implements Result.

@@ -12,7 +12,10 @@
 package experiments
 
 import (
+	"tmo/internal/cgroup"
+	"tmo/internal/core"
 	"tmo/internal/metrics"
+	"tmo/internal/psi"
 	"tmo/internal/vclock"
 	"tmo/internal/workload"
 )
@@ -76,56 +79,40 @@ func (s *sampler) onTick(now vclock.Time) {
 	}
 }
 
-// counterRate converts successive readings of a cumulative counter into a
-// per-second rate series.
-type counterRate struct {
-	read   func() int64
-	last   int64
+// rate converts successive readings of a cumulative total into a series of
+// per-interval rates: a counter per second, or a PSI stall total per unit of
+// time — a pressure fraction.
+type rate[V int64 | vclock.Duration] struct {
+	read   func() V
+	per    func(vclock.Duration) float64 // an interval in the rate's unit
+	series *metrics.Series
+	last   V
 	lastT  vclock.Time
 	primed bool
-	series *metrics.Series
 }
 
-func newCounterRate(name string, read func() int64) *counterRate {
-	return &counterRate{read: read, series: &metrics.Series{Name: name}}
+// newCounterRate records a counter's per-second rate into s.
+func newCounterRate(s *metrics.Series, read func() int64) *rate[int64] {
+	return &rate[int64]{read: read, per: vclock.Duration.Seconds, series: s}
 }
 
-func (c *counterRate) sample(now vclock.Time) {
-	v := c.read()
-	if c.primed {
-		dt := now.Sub(c.lastT).Seconds()
-		if dt > 0 {
-			c.series.Record(now, float64(v-c.last)/dt)
-		}
+// newPressureRate records the pressure fraction of a PSI total into s.
+func newPressureRate(s *metrics.Series, read func() vclock.Duration) *rate[vclock.Duration] {
+	return &rate[vclock.Duration]{read: read, per: func(d vclock.Duration) float64 { return float64(d) }, series: s}
+}
+
+func (r *rate[V]) sample(now vclock.Time) {
+	v := r.read()
+	if dt := now.Sub(r.lastT); r.primed && dt > 0 {
+		r.series.Record(now, float64(v-r.last)/r.per(dt))
 	}
-	c.primed = true
-	c.last = v
-	c.lastT = now
+	r.primed, r.last, r.lastT = true, v, now
 }
 
-// pressureRate converts successive PSI total readings into a windowed
-// pressure-fraction series.
-type pressureRate struct {
-	read   func() vclock.Duration
-	last   vclock.Duration
-	lastT  vclock.Time
-	primed bool
-	series *metrics.Series
-}
-
-func newPressureRate(name string, read func() vclock.Duration) *pressureRate {
-	return &pressureRate{read: read, series: &metrics.Series{Name: name}}
-}
-
-func (p *pressureRate) sample(now vclock.Time) {
-	v := p.read()
-	if p.primed {
-		dt := now.Sub(p.lastT)
-		if dt > 0 {
-			p.series.Record(now, float64(v-p.last)/float64(dt))
-		}
-	}
-	p.primed = true
-	p.last = v
-	p.lastT = now
+// someTotal returns g's some-stall total on r, synced to the host's clock.
+// Syncing only integrates the tracker up to now; it leaves the run unchanged.
+func someTotal(sys *core.System, g *cgroup.Group, r psi.Resource) vclock.Duration {
+	tr := g.PSI()
+	tr.Sync(sys.Server.Now())
+	return tr.Total(r, psi.Some)
 }

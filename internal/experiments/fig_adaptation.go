@@ -6,10 +6,10 @@ import (
 	"tmo/internal/cgroup"
 	"tmo/internal/core"
 	"tmo/internal/metrics"
-	"tmo/internal/psi"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
+	"tmo/internal/workload"
 )
 
 // AdaptationResult measures the §3.3 timescale asymmetry: "reaction time to
@@ -153,37 +153,40 @@ type AblationReadaheadResult struct {
 func AblationReadahead(cfg Config) AblationReadaheadResult {
 	warm := cfg.dur(40*vclock.Minute, 12*vclock.Minute)
 	measure := cfg.dur(15*vclock.Minute, 5*vclock.Minute)
+	p := cfg.profile("ads-b") // phase-shifting working set
 
-	run := func(depth int) ReadaheadOutcome {
-		p := cfg.profile("ads-b") // phase-shifting working set
-		sys := core.New(core.Options{
-			Mode:          core.ModeZswap,
-			CapacityBytes: 2 * p.FootprintBytes,
-			Senpai:        cfg.senpai(senpai.ConfigA()),
-			SwapReadahead: depth,
-			Seed:          cfg.Seed + 2000,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(warm)
-		st0 := app.Group.MM().Stat()
-		ra0 := sys.Server.Manager().ReadaheadIn()
-		tr := app.Group.PSI()
-		tr.Sync(sys.Server.Now())
-		m0 := tr.Total(psi.Memory, psi.Some)
-		sys.Run(measure)
-		st1 := app.Group.MM().Stat()
-		ra1 := sys.Server.Manager().ReadaheadIn()
-		tr.Sync(sys.Server.Now())
-		m1 := tr.Total(psi.Memory, psi.Some)
-		return ReadaheadOutcome{
-			Depth:             depth,
-			MajorFaultsPerSec: float64(st1.SwapIns-st0.SwapIns) / measure.Seconds(),
-			ReadaheadPerSec:   float64(ra1-ra0) / measure.Seconds(),
-			MemPressure:       float64(m1-m0) / float64(measure),
-			ResidentMiB:       float64(app.Group.MemoryCurrent()) / (1 << 20),
+	depths := []int{0, 8}
+	arms := make([]arm, len(depths))
+	ra0 := make([]int64, len(depths)) // host-wide readahead-ins at the window's start
+	for i, depth := range depths {
+		arms[i] = arm{
+			opts: core.Options{
+				Mode:          core.ModeZswap,
+				CapacityBytes: 2 * p.FootprintBytes,
+				Senpai:        cfg.senpai(senpai.ConfigA()),
+				SwapReadahead: depth,
+				Seed:          cfg.Seed + 2000,
+			},
+			services: []workload.Profile{p},
+			measure:  measure,
+			// Warm up here, so the window can difference the manager-wide
+			// readahead counter too.
+			hook: func(h *host) {
+				h.Run(warm)
+				ra0[i] = h.Server.Manager().ReadaheadIn()
+			},
 		}
 	}
-	return AblationReadaheadResult{Off: run(0), On: run(8)}
+	out := runArms(arms, func(i int, h host, w window) ReadaheadOutcome {
+		return ReadaheadOutcome{
+			Depth:             depths[i],
+			MajorFaultsPerSec: float64(w.stat.SwapIns) / measure.Seconds(),
+			ReadaheadPerSec:   float64(h.Server.Manager().ReadaheadIn()-ra0[i]) / measure.Seconds(),
+			MemPressure:       w.appPressure,
+			ResidentMiB:       float64(h.apps[0].Group.MemoryCurrent()) / (1 << 20),
+		}
+	})
+	return AblationReadaheadResult{Off: out[0], On: out[1]}
 }
 
 // Render implements Result.

@@ -3,14 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"tmo/internal/cgroup"
 	"tmo/internal/core"
 	"tmo/internal/metrics"
 	"tmo/internal/mm"
-	"tmo/internal/psi"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
+	"tmo/internal/workload"
 )
 
 // AutoTuneResult compares the fixed production reclaim ratio against the
@@ -34,43 +33,49 @@ func AutoTune(cfg Config) AutoTuneResult {
 	dur := cfg.dur(90*vclock.Minute, 25*vclock.Minute)
 	p := cfg.profile("analytics") // plenty of cold memory to find
 
-	run := func(tune bool) (*metrics.Series, float64, float64, float64) {
+	// The static arm, then the tuned one; each records its resident
+	// trajectory from boot and remembers its initial resident set.
+	series := []*metrics.Series{{Name: "static"}, {Name: "auto-tuned"}}
+	initial := make([]float64, len(series))
+	arms := make([]arm, len(series))
+	warm, measure := vclock.Duration(float64(dur)*2/3), dur/3
+	for i, s := range series {
 		sc := senpai.ConfigA()
-		sys := core.New(core.Options{
-			Mode:          core.ModeZswap,
-			CapacityBytes: 2 * p.FootprintBytes,
-			Senpai:        &sc,
-			Seed:          cfg.Seed + 2100,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		if tune {
-			sys.Senpai.EnableAutoTune(senpai.DefaultAutoTune())
+		arms[i] = arm{
+			opts: core.Options{
+				Mode:          core.ModeZswap,
+				CapacityBytes: 2 * p.FootprintBytes,
+				Senpai:        &sc,
+				Seed:          cfg.Seed + 2100,
+			},
+			services: []workload.Profile{p},
+			warm:     warm,
+			measure:  measure,
+			hook: func(h *host) {
+				g := h.apps[0].Group
+				if i == 1 {
+					h.Senpai.EnableAutoTune(senpai.DefaultAutoTune())
+				}
+				smp := newSampler(20 * vclock.Second)
+				smp.add(func(now vclock.Time) { s.Record(now, float64(g.MemoryCurrent())) })
+				h.Server.OnTick(smp.onTick)
+				initial[i] = float64(g.MemoryCurrent())
+			},
 		}
-		series := &metrics.Series{Name: map[bool]string{false: "static", true: "auto-tuned"}[tune]}
-		s := newSampler(20 * vclock.Second)
-		s.add(func(now vclock.Time) {
-			series.Record(now, float64(app.Group.MemoryCurrent()))
-		})
-		sys.Server.OnTick(s.onTick)
-
-		initial := float64(app.Group.MemoryCurrent())
-		tr := app.Group.PSI()
-		sys.Run(vclock.Duration(float64(dur) * 2 / 3))
-		tr.Sync(sys.Server.Now())
-		m0 := tr.Total(psi.Memory, psi.Some)
-		sys.Run(dur / 3)
-		tr.Sync(sys.Server.Now())
-		m1 := tr.Total(psi.Memory, psi.Some)
-
-		savings := 1 - float64(app.Group.MemoryCurrent())/initial
-		pressure := psi.WindowedPressure(m0, m1, dur/3)
-		return series, savings, pressure, sys.Senpai.TuneMultiplier(app.Group)
 	}
-
-	var res AutoTuneResult
-	res.Static, res.StaticSavings, _, _ = run(false)
-	res.Tuned, res.TunedSavings, res.TunedPressure, res.FinalMultiplier = run(true)
-	return res
+	type run struct{ savings, pressure, multiplier float64 }
+	out := runArms(arms, func(i int, h host, w window) run {
+		g := h.apps[0].Group
+		return run{1 - float64(g.MemoryCurrent())/initial[i], w.appPressure, h.Senpai.TuneMultiplier(g)}
+	})
+	return AutoTuneResult{
+		Static:          series[0],
+		Tuned:           series[1],
+		StaticSavings:   out[0].savings,
+		TunedSavings:    out[1].savings,
+		TunedPressure:   out[1].pressure,
+		FinalMultiplier: out[1].multiplier,
+	}
 }
 
 // Render implements Result.
@@ -88,10 +93,7 @@ func (r AutoTuneResult) Render() string {
 	return out
 }
 
-var (
-	_ Result = AutoTuneResult{}
-	_        = mm.PolicyOracle // cross-reference: see AblationLRUQuality
-)
+var _ Result = AutoTuneResult{}
 
 // ---------------------------------------------------------------------------
 // Ablation: LRU quality vs the exact-coldness oracle.
@@ -127,36 +129,33 @@ func AblationLRUQuality(cfg Config) AblationLRUQualityResult {
 	measure := cfg.dur(20*vclock.Minute, 5*vclock.Minute)
 	p := cfg.profile("feed")
 
-	run := func(policy mm.ReclaimPolicy) LRUQualityOutcome {
-		sys := core.New(core.Options{
-			Mode:          core.ModeZswap,
-			CapacityBytes: 2 * p.FootprintBytes,
-			Policy:        policy,
-			Senpai:        cfg.senpai(senpai.ConfigA()),
-			Seed:          cfg.Seed + 2200,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		initial := float64(app.Group.MemoryCurrent())
-		sys.Run(warm)
-		st0 := app.Group.MM().Stat()
-		tr := app.Group.PSI()
-		tr.Sync(sys.Server.Now())
-		m0 := tr.Total(psi.Memory, psi.Some)
-		sys.Run(measure)
-		st1 := app.Group.MM().Stat()
-		tr.Sync(sys.Server.Now())
-		m1 := tr.Total(psi.Memory, psi.Some)
-		return LRUQualityOutcome{
-			Policy:      policy,
-			SavingsFrac: 1 - float64(app.Group.MemoryCurrent())/initial,
-			FaultsPerS:  float64(st1.SwapIns-st0.SwapIns+st1.Refaults-st0.Refaults) / measure.Seconds(),
-			MemPressure: psi.WindowedPressure(m0, m1, measure),
+	policies := []mm.ReclaimPolicy{mm.PolicyTMO, mm.PolicyOracle}
+	arms := make([]arm, len(policies))
+	initial := make([]float64, len(policies)) // resident set at boot
+	for i, policy := range policies {
+		arms[i] = arm{
+			opts: core.Options{
+				Mode:          core.ModeZswap,
+				CapacityBytes: 2 * p.FootprintBytes,
+				Policy:        policy,
+				Senpai:        cfg.senpai(senpai.ConfigA()),
+				Seed:          cfg.Seed + 2200,
+			},
+			services: []workload.Profile{p},
+			warm:     warm,
+			measure:  measure,
+			hook:     func(h *host) { initial[i] = float64(h.apps[0].Group.MemoryCurrent()) },
 		}
 	}
-	return AblationLRUQualityResult{
-		LRU:    run(mm.PolicyTMO),
-		Oracle: run(mm.PolicyOracle),
-	}
+	out := runArms(arms, func(i int, h host, w window) LRUQualityOutcome {
+		return LRUQualityOutcome{
+			Policy:      policies[i],
+			SavingsFrac: 1 - float64(h.apps[0].Group.MemoryCurrent())/initial[i],
+			FaultsPerS:  float64(w.stat.SwapIns+w.stat.Refaults) / measure.Seconds(),
+			MemPressure: w.appPressure,
+		}
+	})
+	return AblationLRUQualityResult{LRU: out[0], Oracle: out[1]}
 }
 
 // Render implements Result.

@@ -5,12 +5,11 @@ import (
 	"strings"
 
 	"tmo/internal/backend"
-	"tmo/internal/cgroup"
 	"tmo/internal/core"
-	"tmo/internal/psi"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
+	"tmo/internal/workload"
 )
 
 // BatchCell is one (readahead depth, writeback queue depth) configuration's
@@ -58,47 +57,40 @@ func AblationBatch(cfg Config) BatchResult {
 	// stay busy through the window.
 	capacity := int64(1.2 * float64(p.FootprintBytes))
 
-	run := func(readahead, wbDepth int) BatchCell {
-		sys := core.New(core.Options{
-			Mode:          core.ModeSSDSwap,
-			CapacityBytes: capacity,
-			DeviceModel:   "C",
-			SwapReadahead: readahead,
-			Writeback:     backend.WritebackConfig{Depth: wbDepth},
-			Senpai:        cfg.senpai(senpai.ConfigA()),
-			Seed:          cfg.Seed + 2700,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(warm)
-		c0 := app.Completed()
-		tracker := app.Group.PSI()
-		tracker.Sync(sys.Server.Now())
-		m0 := tracker.Total(psi.Memory, psi.Some)
-		sys.Run(measure)
-		tracker.Sync(sys.Server.Now())
-		m1 := tracker.Total(psi.Memory, psi.Some)
-
-		reg := sys.Telemetry
+	var arms []arm
+	for _, ra := range []int{0, 8} {
+		for _, d := range []int{1, backend.DefaultWritebackDepth} {
+			arms = append(arms, arm{
+				opts: core.Options{
+					Mode:          core.ModeSSDSwap,
+					CapacityBytes: capacity,
+					DeviceModel:   "C",
+					SwapReadahead: ra,
+					Writeback:     backend.WritebackConfig{Depth: d},
+					Senpai:        cfg.senpai(senpai.ConfigA()),
+					Seed:          cfg.Seed + 2700,
+				},
+				services: []workload.Profile{p},
+				warm:     warm,
+				measure:  measure,
+			})
+		}
+	}
+	res := BatchResult{Cells: runArms(arms, func(_ int, h host, w window) BatchCell {
+		reg := h.Telemetry
 		return BatchCell{
-			Readahead:       readahead,
-			WBDepth:         wbDepth,
-			RPS:             float64(app.Completed()-c0) / measure.Seconds(),
+			Readahead:       h.Opts.SwapReadahead,
+			WBDepth:         h.Opts.Writeback.Depth,
+			RPS:             w.rps,
 			MeanFaultUs:     reg.Histogram("mm.fault_latency_us").Mean(),
-			MeanMemPressure: psi.WindowedPressure(m0, m1, measure),
+			MeanMemPressure: w.appPressure,
 			ReadaheadIns:    reg.Counter("mm.readahead_ins").Value(),
 			Coalesced:       reg.Counter("mm.fault_coalesced").Value(),
 			WBStalls:        reg.Counter("backend.wb.backpressure_stalls").Value(),
 			WBStallUs:       reg.Counter("backend.wb.backpressure_us").Value(),
 			Drained:         reg.Counter("backend.wb.drained").Value(),
 		}
-	}
-
-	var res BatchResult
-	for _, ra := range []int{0, 8} {
-		for _, d := range []int{1, backend.DefaultWritebackDepth} {
-			res.Cells = append(res.Cells, run(ra, d))
-		}
-	}
+	})}
 	res.Serial = res.Cells[0]
 	res.Batched = res.Cells[len(res.Cells)-1]
 	return res

@@ -14,6 +14,7 @@ import (
 	"tmo/internal/psi"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
+	"tmo/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -72,21 +73,26 @@ var Figure2Apps = []string{"ads-a", "ads-b", "analytics", "feed", "cache-a", "ca
 // longer than the five-minute survey window, then histograms page idle
 // times exactly like the paper's cold-memory measurement.
 func Figure2(cfg Config) Figure2Result {
-	var res Figure2Result
 	runFor := cfg.dur(8*vclock.Minute, 6*vclock.Minute)
+	arms := make([]arm, len(Figure2Apps))
 	for i, name := range Figure2Apps {
 		p := cfg.profile(name)
-		sys := core.New(core.Options{
-			Mode:          core.ModeOff,
-			CapacityBytes: 4 * p.FootprintBytes,
-			Seed:          cfg.Seed + uint64(i),
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(runFor)
-		h := mm.Coldness(sys.Server.Now(), app.AllPages(),
+		arms[i] = arm{
+			opts: core.Options{
+				Mode:          core.ModeOff,
+				CapacityBytes: 4 * p.FootprintBytes,
+				Seed:          cfg.Seed + uint64(i),
+			},
+			services: []workload.Profile{p},
+			measure:  runFor,
+		}
+	}
+	res := Figure2Result{Rows: runArms(arms, func(i int, h host, _ window) ColdnessRow {
+		c := mm.Coldness(h.Server.Now(), h.apps[0].AllPages(),
 			[]vclock.Duration{1 * vclock.Minute, 2 * vclock.Minute, 5 * vclock.Minute})
-		row := ColdnessRow{App: name, Used1: h[0], Used2: h[1], Used5: h[2], Cold: h[3]}
-		res.Rows = append(res.Rows, row)
+		return ColdnessRow{App: Figure2Apps[i], Used1: c[0], Used2: c[1], Used5: c[2], Cold: c[3]}
+	})}
+	for _, row := range res.Rows {
 		res.Average.Used1 += row.Used1 / float64(len(Figure2Apps))
 		res.Average.Used2 += row.Used2 / float64(len(Figure2Apps))
 		res.Average.Used5 += row.Used5 / float64(len(Figure2Apps))
@@ -129,25 +135,41 @@ func (r Figure3Result) TotalTaxFrac() float64 {
 // mix, with offloading disabled (this is a characterisation, not a savings
 // experiment).
 func Figure3(cfg Config) Figure3Result {
-	var res Figure3Result
 	mix := fleet.DefaultMix(core.ModeOff, cfg.Seed)
 	runFor := cfg.dur(4*vclock.Minute, 2*vclock.Minute)
-	var wsum float64
-	for _, spec := range mix {
+	dcProf, microProf := cfg.profile("datacenter-tax"), cfg.profile("microservice-tax")
+	arms := make([]arm, len(mix))
+	for i, spec := range mix {
 		p := cfg.profile(spec.App)
-		capacity := 2 * p.FootprintBytes
-		sys := core.New(core.Options{
-			Mode:          core.ModeOff,
-			CapacityBytes: capacity,
-			Seed:          spec.Seed,
-		})
-		sys.AddProfile(p, cgroup.Workload)
-		dc := sys.AddProfile(cfg.profile("datacenter-tax"), cgroup.DatacenterTax)
-		micro := sys.AddProfile(cfg.profile("microservice-tax"), cgroup.MicroserviceTax)
-		sys.Run(runFor)
-		res.DatacenterTaxFrac += spec.Weight * float64(dc.Group.MemoryCurrent()) / float64(capacity)
-		res.MicroserviceTaxFrac += spec.Weight * float64(micro.Group.MemoryCurrent()) / float64(capacity)
-		wsum += spec.Weight
+		arms[i] = arm{
+			opts: core.Options{
+				Mode:          core.ModeOff,
+				CapacityBytes: 2 * p.FootprintBytes,
+				Seed:          spec.Seed,
+			},
+			services: []workload.Profile{p},
+			measure:  runFor,
+			hook: func(h *host) {
+				h.apps = append(h.apps,
+					h.AddProfile(dcProf, cgroup.DatacenterTax),
+					h.AddProfile(microProf, cgroup.MicroserviceTax))
+			},
+		}
+	}
+	// Each host's weighted datacenter- and microservice-tax shares.
+	shares := runArms(arms, func(i int, h host, _ window) [2]float64 {
+		capacity := float64(h.Opts.CapacityBytes)
+		return [2]float64{
+			mix[i].Weight * float64(h.apps[1].Group.MemoryCurrent()) / capacity,
+			mix[i].Weight * float64(h.apps[2].Group.MemoryCurrent()) / capacity,
+		}
+	})
+	var res Figure3Result
+	var wsum float64
+	for i, s := range shares {
+		res.DatacenterTaxFrac += s[0]
+		res.MicroserviceTaxFrac += s[1]
+		wsum += mix[i].Weight
 	}
 	res.DatacenterTaxFrac /= wsum
 	res.MicroserviceTaxFrac /= wsum
@@ -188,8 +210,8 @@ var Figure4Apps = []string{
 // Figure4 measures each container's resident anonymous/file split after a
 // short run under ample memory.
 func Figure4(cfg Config) Figure4Result {
-	var res Figure4Result
 	runFor := cfg.dur(2*vclock.Minute, 1*vclock.Minute)
+	arms := make([]arm, len(Figure4Apps))
 	for i, name := range Figure4Apps {
 		p := cfg.profile(name)
 		// Measure mature containers: lazily-growing apps at their full
@@ -197,22 +219,26 @@ func Figure4(cfg Config) Figure4Result {
 		if p.AnonGrowth {
 			p.InitialAnonFrac = 1
 		}
-		sys := core.New(core.Options{
-			Mode:          core.ModeOff,
-			CapacityBytes: 4 * p.FootprintBytes,
-			Seed:          cfg.Seed + uint64(100+i),
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(runFor)
-		anon := float64(app.Group.MM().ResidentBytesOf(mm.Anon))
-		file := float64(app.Group.MM().ResidentBytesOf(mm.File))
+		arms[i] = arm{
+			opts: core.Options{
+				Mode:          core.ModeOff,
+				CapacityBytes: 4 * p.FootprintBytes,
+				Seed:          cfg.Seed + uint64(100+i),
+			},
+			services: []workload.Profile{p},
+			measure:  runFor,
+		}
+	}
+	return Figure4Result{Rows: runArms(arms, func(i int, h host, _ window) AnonFileRow {
+		g := h.apps[0].Group.MM()
+		anon := float64(g.ResidentBytesOf(mm.Anon))
+		file := float64(g.ResidentBytesOf(mm.File))
 		total := anon + file
 		if total == 0 {
 			total = 1
 		}
-		res.Rows = append(res.Rows, AnonFileRow{Name: name, AnonFrac: anon / total, FileFrac: file / total})
-	}
-	return res
+		return AnonFileRow{Name: Figure4Apps[i], AnonFrac: anon / total, FileFrac: file / total}
+	})}
 }
 
 // Render implements Result.
@@ -330,59 +356,38 @@ type Figure7Result struct {
 // (3) one process stalled the whole quarter; (4) both stalled the whole
 // first half.
 func Figure7() Figure7Result {
-	tr := psi.NewTracker(0)
 	at := func(units float64) vclock.Time { return vclock.Time(units * float64(vclock.Second)) }
+	tr := psi.NewTracker(0)
 	tr.TaskStart(0)
 	tr.TaskStart(0)
-
-	// Q1: A stalls [5, 11.25), B stalls [15, 21.25): 12.5% some.
-	tr.StallStart(at(5), psi.Memory)
-	tr.StallStop(at(11.25), psi.Memory)
-	tr.StallStart(at(15), psi.Memory)
-	tr.StallStop(at(21.25), psi.Memory)
-	// Q2: A [25, 37.5), B [31.25, 43.75): 18.75% some, 6.25% full.
-	tr.StallStart(at(25), psi.Memory)
-	tr.StallStart(at(31.25), psi.Memory)
-	tr.StallStop(at(37.5), psi.Memory)
-	tr.StallStop(at(43.75), psi.Memory)
-	// Q3: A stalled the whole quarter [50, 75): 25% some, 0% full.
-	tr.StallStart(at(50), psi.Memory)
-	tr.StallStop(at(75), psi.Memory)
-	// Q4: both stalled [75, 87.5): 12.5% some, 12.5% full.
-	tr.StallStart(at(75), psi.Memory)
-	tr.StallStart(at(75), psi.Memory)
-	tr.StallStop(at(87.5), psi.Memory)
-	tr.StallStop(at(87.5), psi.Memory)
-	tr.Sync(at(100))
-
-	// Re-derive per-quarter numbers by replaying with boundary syncs.
-	quarters := [5]float64{0, 25, 50, 75, 100}
-	var res Figure7Result
-	tr2 := psi.NewTracker(0)
-	tr2.TaskStart(0)
-	tr2.TaskStart(0)
 	type ev struct {
 		t     float64
 		start bool
 	}
 	evs := [][]ev{
+		// Q1: A stalls [5, 11.25), B stalls [15, 21.25): 12.5% some.
 		{{5, true}, {11.25, false}, {15, true}, {21.25, false}},
+		// Q2: A [25, 37.5), B [31.25, 43.75): 18.75% some, 6.25% full.
 		{{25, true}, {31.25, true}, {37.5, false}, {43.75, false}},
+		// Q3: A stalled the whole quarter [50, 75): 25% some, 0% full.
 		{{50, true}, {75, false}},
+		// Q4: both stalled [75, 87.5): 12.5% some, 12.5% full.
 		{{75, true}, {75, true}, {87.5, false}, {87.5, false}},
 	}
+	// Replay the events with a sync at every quarter boundary.
+	var res Figure7Result
 	var someAcc, fullAcc vclock.Duration
 	for q := 0; q < 4; q++ {
 		for _, e := range evs[q] {
 			if e.start {
-				tr2.StallStart(at(e.t), psi.Memory)
+				tr.StallStart(at(e.t), psi.Memory)
 			} else {
-				tr2.StallStop(at(e.t), psi.Memory)
+				tr.StallStop(at(e.t), psi.Memory)
 			}
 		}
-		tr2.Sync(at(quarters[q+1]))
-		some := tr2.Total(psi.Memory, psi.Some) - someAcc
-		full := tr2.Total(psi.Memory, psi.Full) - fullAcc
+		tr.Sync(at(25 * float64(q+1)))
+		some := tr.Total(psi.Memory, psi.Some) - someAcc
+		full := tr.Total(psi.Memory, psi.Full) - fullAcc
 		someAcc += some
 		fullAcc += full
 		// The paper quotes stall shares as percentages of the whole

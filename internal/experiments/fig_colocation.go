@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"tmo/internal/cgroup"
 	"tmo/internal/core"
-	"tmo/internal/psi"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
@@ -60,48 +58,37 @@ func Colocation(cfg Config) ColocationResult {
 	// offloading the host is genuinely overcommitted.
 	capacity := (profA.FootprintBytes + profB.FootprintBytes) * 2 / 3
 
-	run := func(mode core.Mode, capacityBytes int64, seed uint64, profs ...workload.Profile) colocRun {
+	coloc := func(mode core.Mode, capacityBytes int64, seed uint64, profs ...workload.Profile) arm {
 		opts := core.Options{Mode: mode, CapacityBytes: capacityBytes, Seed: seed}
 		if mode != core.ModeOff {
 			opts.Senpai = cfg.senpai(senpai.ConfigA())
 		}
-		sys := core.New(opts)
-		var apps []*workload.App
-		for _, p := range profs {
-			apps = append(apps, sys.AddProfile(p, cgroup.Workload))
-		}
-		sys.Run(warm)
-		var c0 int64
-		for _, a := range apps {
-			c0 += a.Completed()
-		}
-		root := sys.Server.Hierarchy().Root().PSI()
-		root.Sync(sys.Server.Now())
-		m0 := root.Total(psi.Memory, psi.Some)
-		sys.Run(measure)
-		var c1 int64
-		for _, a := range apps {
-			c1 += a.Completed()
-		}
-		root.Sync(sys.Server.Now())
-		m1 := root.Total(psi.Memory, psi.Some)
-		return colocRun{
-			rps:      float64(c1-c0) / measure.Seconds(),
-			pressure: psi.WindowedPressure(m0, m1, measure),
-			ooms:     sys.Metrics().OOMEvents,
+		return arm{
+			opts:     opts,
+			services: profs,
+			warm:     warm,
+			measure:  measure,
 		}
 	}
-
-	var res ColocationResult
-	res.IsolatedRPS += run(core.ModeOff, 2*profA.FootprintBytes, cfg.Seed+1800, profA).rps
-	res.IsolatedRPS += run(core.ModeOff, 2*profB.FootprintBytes, cfg.Seed+1800, profB).rps
-
-	off := run(core.ModeOff, capacity, cfg.Seed+1801, profA, profB)
-	res.OffRPS, res.OffPressure, res.OffOOMs = off.rps, off.pressure, off.ooms
-
-	tmo := run(core.ModeZswap, capacity, cfg.Seed+1801, profA, profB)
-	res.TMORPS, res.TMOPressure, res.TMOOOMs = tmo.rps, tmo.pressure, tmo.ooms
-	return res
+	runs := runArms([]arm{
+		coloc(core.ModeOff, 2*profA.FootprintBytes, cfg.Seed+1800, profA),
+		coloc(core.ModeOff, 2*profB.FootprintBytes, cfg.Seed+1800, profB),
+		coloc(core.ModeOff, capacity, cfg.Seed+1801, profA, profB),
+		coloc(core.ModeZswap, capacity, cfg.Seed+1801, profA, profB),
+	}, func(_ int, h host, w window) colocRun {
+		// OOM events count from boot: overcommit during warm-up counts too.
+		return colocRun{rps: w.rps, pressure: w.rootPressure, ooms: h.Server.Manager().OOMEvents()}
+	})
+	isoA, isoB, off, tmo := runs[0], runs[1], runs[2], runs[3]
+	return ColocationResult{
+		IsolatedRPS: isoA.rps + isoB.rps,
+		OffRPS:      off.rps,
+		TMORPS:      tmo.rps,
+		OffOOMs:     off.ooms,
+		TMOOOMs:     tmo.ooms,
+		OffPressure: off.pressure,
+		TMOPressure: tmo.pressure,
+	}
 }
 
 // Render implements Result.

@@ -32,19 +32,23 @@ type FleetHeterogeneityResult struct {
 func FleetHeterogeneity(cfg Config) FleetHeterogeneityResult {
 	warm := cfg.dur(90*vclock.Minute, 12*vclock.Minute)
 	measure := cfg.dur(30*vclock.Minute, 5*vclock.Minute)
-	var res FleetHeterogeneityResult
-	for _, spec := range backend.DeviceCatalog {
-		m := fleet.Measure(fleet.Spec{
+	specs := make([]fleet.Spec, len(backend.DeviceCatalog))
+	for i, dev := range backend.DeviceCatalog {
+		specs[i] = fleet.Spec{
 			App:    "feed",
 			Mode:   core.ModeSSDSwap,
-			Device: spec.Model,
+			Device: dev.Model,
 			Scale:  cfg.scale(),
 			Senpai: cfg.senpai(senpai.ConfigA()),
 			Seed:   cfg.Seed + 2300,
-		}, warm, measure)
+		}
+	}
+	var res FleetHeterogeneityResult
+	for i, m := range fleet.MeasureAll(specs, warm, measure) {
+		dev := backend.DeviceCatalog[i]
 		res.Rows = append(res.Rows, FleetHetRow{
-			Device:      spec.Model,
-			ReadP99us:   float64(spec.ReadP99),
+			Device:      dev.Model,
+			ReadP99us:   float64(dev.ReadP99),
 			SavingsFrac: m.SavingsFrac,
 			RPSRatio:    m.RPSRatio,
 		})

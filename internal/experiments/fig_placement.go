@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"tmo/internal/cgroup"
 	"tmo/internal/core"
 	"tmo/internal/place"
-	"tmo/internal/psi"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
+	"tmo/internal/workload"
 )
 
 // PlacementArm is one placement strategy's steady state on the CXL host.
@@ -78,16 +77,6 @@ func PlacementScorecard(cfg Config) PlacementResult {
 	capacity := int64(0.9 * float64(p.FootprintBytes))
 	cxlBytes := capacity / 2
 
-	baseline := func() float64 {
-		sys := core.New(core.Options{
-			Mode: core.ModeOff, CapacityBytes: 2 * p.FootprintBytes,
-			Seed: cfg.Seed + 2600,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(warm / 4)
-		return float64(app.Group.MemoryCurrent())
-	}()
-
 	// localTarget is the offload clamp every arm runs under: local DRAM may
 	// hold the hot set plus a sliver of slack, and the remainder — roughly
 	// the far node's size — must live on the far tiers. Identical across
@@ -95,71 +84,78 @@ func PlacementScorecard(cfg Config) PlacementResult {
 	// placement quality.
 	localTarget := int64(0.55 * float64(p.FootprintBytes))
 
-	var restarts int64
-	run := func(name string, mode core.Mode, placement *place.Config) PlacementArm {
-		sys := core.New(core.Options{
-			Mode:          mode,
-			CapacityBytes: capacity,
-			CXLBytes:      cxlBytes,
-			DeviceModel:   "C",
-			DisableSenpai: true,
-			Placement:     placement,
-			Seed:          cfg.Seed + 2600,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(warm / 2)
-		app.Group.SetMemoryMax(sys.Server.Now(), localTarget)
-		sys.Run(warm / 2)
-		// Churn phase: code-push restarts on a fixed schedule, identical
-		// across arms. Each drops all memory — including far pages with
-		// promotion copies in flight, the churn the abort path exists
-		// for. The phase precedes measurement so every arm's placement
-		// re-converges before PSI and savings are judged.
+	// warmup clamps the app halfway through the warm-up, then runs the
+	// churn phase: code-push restarts on a fixed schedule, identical across
+	// arms. Each drops all memory — including far pages with promotion
+	// copies in flight, the churn the abort path exists for. The phase
+	// precedes measurement so every arm's placement re-converges before PSI
+	// and savings are judged.
+	warmup := func(h *host) {
+		app := h.apps[0]
+		h.Run(warm / 2)
+		app.Group.SetMemoryMax(h.Server.Now(), localTarget)
+		h.Run(warm / 2)
 		for i := 0; i < 2; i++ {
-			sys.Run(churn / 2)
-			app.Restart(sys.Server.Now())
+			h.Run(churn / 2)
+			app.Restart(h.Server.Now())
 		}
-		sys.Run(settle)
-		restarts = app.Restarts()
-		c0 := app.Completed()
-		tracker := app.Group.PSI()
-		tracker.Sync(sys.Server.Now())
-		m0 := tracker.Total(psi.Memory, psi.Some)
-		var netSum float64
-		const step = 10 * vclock.Second
-		steps := int(measure / step)
-		for i := 0; i < steps; i++ {
-			sys.Run(step)
-			netSum += float64(sys.NetResidentBytes())
-		}
-		tracker.Sync(sys.Server.Now())
-		m1 := tracker.Total(psi.Memory, psi.Some)
-
-		arm := PlacementArm{
-			Name:            name,
-			SavingsFrac:     1 - netSum/float64(steps)/baseline,
-			MeanMemPressure: psi.WindowedPressure(m0, m1, measure),
-			RPS:             float64(app.Completed()-c0) / measure.Seconds(),
-		}
-		if sys.CXL != nil {
-			arm.FarMiB = float64(sys.CXL.UsedBytes()) / (1 << 20)
-			arm.Demotions = sys.Server.Manager().FarDemotions()
-		}
-		if sys.Place != nil {
-			st := sys.Place.Stats()
-			arm.Promotions = st.Promotions
-			arm.Aborts = st.Aborts()
-			arm.AbortStallUs = int64(st.AbortStall)
-		}
-		return arm
+		h.Run(settle)
 	}
 
-	return PlacementResult{
-		TPP:        run("tpp", core.ModeCXL, nil),
-		LocalSwap:  run("local+swap", core.ModeSSDSwap, nil),
-		Interleave: run("interleave", core.ModeCXL, &place.Config{InterleaveFrac: interleaveFrac}),
-		Restarts:   restarts,
+	strategies := []struct {
+		name      string
+		mode      core.Mode
+		placement *place.Config
+	}{
+		{"tpp", core.ModeCXL, nil},
+		{"local+swap", core.ModeSSDSwap, nil},
+		{"interleave", core.ModeCXL, &place.Config{InterleaveFrac: interleaveFrac}},
 	}
+	arms := []arm{baseline(core.Options{CapacityBytes: 2 * p.FootprintBytes, Seed: cfg.Seed + 2600}, warm, p)}
+	for _, s := range strategies {
+		arms = append(arms, arm{
+			opts: core.Options{
+				Mode:          s.mode,
+				CapacityBytes: capacity,
+				CXLBytes:      cxlBytes,
+				DeviceModel:   "C",
+				DisableSenpai: true,
+				Placement:     s.placement,
+				Seed:          cfg.Seed + 2600,
+			},
+			services: []workload.Profile{p},
+			measure:  measure,
+			step:     10 * vclock.Second,
+			hook:     warmup,
+		})
+	}
+	type run struct {
+		a        PlacementArm
+		w        window
+		restarts int64 // code-push restarts the arm's app served
+	}
+	runs := runArms(arms, func(_ int, h host, w window) run {
+		a := PlacementArm{MeanMemPressure: w.appPressure, RPS: w.rps}
+		if h.CXL != nil {
+			a.FarMiB = float64(h.CXL.UsedBytes()) / (1 << 20)
+			a.Demotions = h.Server.Manager().FarDemotions()
+		}
+		if h.Place != nil {
+			st := h.Place.Stats()
+			a.Promotions = st.Promotions
+			a.Aborts = st.Aborts()
+			a.AbortStallUs = int64(st.AbortStall)
+		}
+		return run{a, w, h.apps[0].Restarts()}
+	})
+	out := make([]PlacementArm, len(strategies))
+	for i, s := range strategies {
+		r := runs[i+1]
+		out[i] = r.a
+		out[i].Name = s.name
+		out[i].SavingsFrac = 1 - r.w.meanNet/runs[0].w.meanNet
+	}
+	return PlacementResult{TPP: out[0], LocalSwap: out[1], Interleave: out[2], Restarts: runs[len(runs)-1].restarts}
 }
 
 // Arms returns the arms in report order.

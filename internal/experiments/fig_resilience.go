@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
-	"tmo/internal/cgroup"
 	"tmo/internal/core"
 	"tmo/internal/metrics"
 	"tmo/internal/psi"
@@ -82,13 +82,12 @@ const resilienceThreshold = 0.01
 
 // resilienceScenario describes one fault class.
 type resilienceScenario struct {
-	name     string
-	app      string
-	mode     core.Mode
-	baseline string // "static" (fixed memory.max, no controller) or "off"
-	// script builds the chaos clause(s) given the injection time and host
-	// capacity (for size arguments).
-	script func(at vclock.Duration, capacity int64) string
+	name, app string
+	mode      core.Mode
+	baseline  string // "static" (fixed memory.max, no controller) or "off"
+	// clause is the chaos clause injected at the fault instant; a %d in it
+	// takes a quarter of host DRAM, in bytes.
+	clause string
 }
 
 // staticLimitFrac sizes the static baseline's memory.max relative to the
@@ -100,143 +99,129 @@ const staticLimitFrac = 0.65
 // first, then scorecard-only extras.
 func resilienceScenarios() []resilienceScenario {
 	return []resilienceScenario{
-		{
-			name: "slow-device", app: "feed", mode: core.ModeSSDSwap, baseline: "static",
-			script: func(at vclock.Duration, _ int64) string {
-				return fmt.Sprintf("t=%s ssd-slow x8", at)
-			},
-		},
-		{
-			name: "wear-out", app: "feed", mode: core.ModeSSDSwap, baseline: "static",
-			script: func(at vclock.Duration, _ int64) string {
-				// 1.75 lifetimes over a 2m ramp: the device crosses its
-				// rated pTBW mid-run and IO latency degrades ~5.5x.
-				return fmt.Sprintf("t=%s ssd-wear 1.75 ramp=2m", at)
-			},
-		},
-		{
-			name: "load-surge", app: "cache-b", mode: core.ModeZswap, baseline: "static",
-			script: func(at vclock.Duration, _ int64) string {
-				return fmt.Sprintf("t=%s load x2.5", at)
-			},
-		},
-		{
-			name: "capacity-loss", app: "feed", mode: core.ModeZswap, baseline: "off",
-			script: func(at vclock.Duration, _ int64) string {
-				// x0.42 drops host DRAM below feed's anon residency: without
-				// swap the anon pages have nowhere to go; with zswap the
-				// ~3x-compressible anon still fits.
-				return fmt.Sprintf("t=%s capacity x0.42 ramp=1m", at)
-			},
-		},
-		{
-			name: "compress-drift", app: "cache-b", mode: core.ModeZswap, baseline: "static",
-			script: func(at vclock.Duration, _ int64) string {
-				return fmt.Sprintf("t=%s compress x0.3 ramp=2m", at)
-			},
-		},
-		{
-			name: "stall-storm", app: "feed", mode: core.ModeSSDSwap, baseline: "static",
-			script: func(at vclock.Duration, _ int64) string {
-				return fmt.Sprintf("t=%s ssd-stall 2s every=60s for=5s", at)
-			},
-		},
-		{
-			name: "sidecar-bloat", app: "cache-a", mode: core.ModeZswap, baseline: "static",
-			script: func(at vclock.Duration, capacity int64) string {
-				return fmt.Sprintf("t=%s bloat %dB ramp=2m", at, capacity/4)
-			},
-		},
+		{"slow-device", "feed", core.ModeSSDSwap, "static", "ssd-slow x8"},
+		// 1.75 lifetimes over a 2m ramp: the device crosses its rated pTBW
+		// mid-run and IO latency degrades ~5.5x.
+		{"wear-out", "feed", core.ModeSSDSwap, "static", "ssd-wear 1.75 ramp=2m"},
+		{"load-surge", "cache-b", core.ModeZswap, "static", "load x2.5"},
+		// x0.42 drops host DRAM below feed's anon residency: without swap the
+		// anon pages have nowhere to go; with zswap the ~3x-compressible anon
+		// still fits.
+		{"capacity-loss", "feed", core.ModeZswap, "off", "capacity x0.42 ramp=1m"},
+		{"compress-drift", "cache-b", core.ModeZswap, "static", "compress x0.3 ramp=2m"},
+		{"stall-storm", "feed", core.ModeSSDSwap, "static", "ssd-stall 2s every=60s for=5s"},
+		{"sidecar-bloat", "cache-a", core.ModeZswap, "static", "bloat %dB ramp=2m"},
 	}
+}
+
+// resilienceTiming returns the fault's injection instant and the recovery
+// window after it.
+func resilienceTiming(cfg Config) (faultAt, window vclock.Duration) {
+	return cfg.dur(40*vclock.Minute, 8*vclock.Minute), cfg.dur(30*vclock.Minute, 10*vclock.Minute)
 }
 
 // Resilience runs the full scorecard.
 func Resilience(cfg Config) ResilienceResult {
-	faultAt := cfg.dur(40*vclock.Minute, 8*vclock.Minute)
-	window := cfg.dur(30*vclock.Minute, 10*vclock.Minute)
-	res := ResilienceResult{Threshold: resilienceThreshold, FaultAt: faultAt, Window: window}
-	for i, sc := range resilienceScenarios() {
-		res.Outcomes = append(res.Outcomes, runResilience(cfg, sc, uint64(i), faultAt, window))
+	faultAt, window := resilienceTiming(cfg)
+	return ResilienceResult{
+		Outcomes:  runResilience(cfg, ""),
+		Threshold: resilienceThreshold,
+		FaultAt:   faultAt,
+		Window:    window,
 	}
-	return res
 }
 
 // ResilienceClass runs one named fault class (the regression test uses this
 // to keep per-class timing visible).
 func ResilienceClass(cfg Config, name string) (ResilienceOutcome, error) {
-	faultAt := cfg.dur(40*vclock.Minute, 8*vclock.Minute)
-	window := cfg.dur(30*vclock.Minute, 10*vclock.Minute)
-	for i, sc := range resilienceScenarios() {
-		if sc.name == name {
-			return runResilience(cfg, sc, uint64(i), faultAt, window), nil
-		}
+	if outs := runResilience(cfg, name); len(outs) > 0 {
+		return outs[0], nil
 	}
 	return ResilienceOutcome{}, fmt.Errorf("experiments: unknown resilience class %q", name)
 }
 
-// runResilience executes one scenario's two arms.
-func runResilience(cfg Config, sc resilienceScenario, idx uint64, faultAt, window vclock.Duration) ResilienceOutcome {
-	p := cfg.profile(sc.app)
-	capacity := int64(1.5 * float64(p.FootprintBytes))
-	script := sc.script(faultAt, capacity)
-	out := ResilienceOutcome{Name: sc.name, Script: script}
-	out.Senpai = runResilienceArm(cfg, sc, p, capacity, script, idx, faultAt, window, true)
-	out.Baseline = runResilienceArm(cfg, sc, p, capacity, script, idx, faultAt, window, false)
-	return out
+// runResilience runs the scenario named only, or every scenario if only is
+// empty — a senpai and a baseline arm each — and pairs the arms into
+// outcomes.
+func runResilience(cfg Config, only string) []ResilienceOutcome {
+	faultAt, recovery := resilienceTiming(cfg)
+	var outs []ResilienceOutcome
+	var arms []arm
+	var recs []ResilienceArm // each arm's name and the series its hook samples
+	for i, sc := range resilienceScenarios() {
+		if only != "" && sc.name != only {
+			continue
+		}
+		p := cfg.profile(sc.app)
+		capacity := int64(1.5 * float64(p.FootprintBytes))
+		clause := sc.clause
+		if strings.Contains(clause, "%d") {
+			clause = fmt.Sprintf(clause, capacity/4)
+		}
+		script := fmt.Sprintf("t=%s %s", faultAt, clause)
+		outs = append(outs, ResilienceOutcome{Name: sc.name, Script: script})
+		for _, controlled := range []bool{true, false} {
+			opts := core.Options{
+				Mode:          sc.mode,
+				CapacityBytes: capacity,
+				Seed:          cfg.Seed + 9100 + uint64(i)*37,
+			}
+			name := "baseline"
+			switch {
+			case controlled:
+				name = "senpai"
+				opts.Senpai = cfg.senpai(senpai.ConfigA())
+			case sc.baseline == "off":
+				opts.Mode = core.ModeOff
+			default: // static provisioning: same backend, fixed limit, no feedback
+				opts.DisableSenpai = true
+			}
+			rec := ResilienceArm{
+				Name:     name,
+				Pressure: &metrics.Series{Name: name + ".pressure"},
+				RPS:      &metrics.Series{Name: name + ".rps"},
+			}
+			recs = append(recs, rec)
+			static := !controlled && sc.baseline == "static"
+			arms = append(arms, arm{
+				opts:     opts,
+				services: []workload.Profile{p},
+				warm:     faultAt,
+				measure:  recovery,
+				hook: func(h *host) {
+					app := h.apps[0]
+					if static {
+						app.Group.SetMemoryMax(h.Server.Now(), int64(staticLimitFrac*float64(p.FootprintBytes)))
+					}
+					if err := h.Chaos().AddScript(script); err != nil {
+						panic("experiments: " + err.Error())
+					}
+					s := newSampler(5 * vclock.Second)
+					s.add(newPressureRate(rec.Pressure, func() vclock.Duration { return someTotal(h.System, app.Group, psi.Memory) }).sample)
+					s.add(newCounterRate(rec.RPS, app.Completed).sample)
+					h.Server.OnTick(s.onTick)
+				},
+			})
+		}
+	}
+	scored := runArms(arms, func(k int, h host, w window) ResilienceArm {
+		return scoreResilience(recs[k], h.Server.Now(), recovery, w.ooms)
+	})
+	for k := range outs {
+		outs[k].Senpai, outs[k].Baseline = scored[2*k], scored[2*k+1]
+	}
+	return outs
 }
 
-// runResilienceArm runs one arm of one scenario and scores it.
-func runResilienceArm(cfg Config, sc resilienceScenario, p workload.Profile, capacity int64,
-	script string, idx uint64, faultAt, window vclock.Duration, controlled bool) ResilienceArm {
-
-	opts := core.Options{
-		Mode:          sc.mode,
-		CapacityBytes: capacity,
-		Seed:          cfg.Seed + 9100 + idx*37,
-	}
-	arm := ResilienceArm{Name: "baseline"}
-	switch {
-	case controlled:
-		arm.Name = "senpai"
-		opts.Senpai = cfg.senpai(senpai.ConfigA())
-	case sc.baseline == "off":
-		opts.Mode = core.ModeOff
-	default: // static provisioning: same backend, fixed limit, no feedback
-		opts.DisableSenpai = true
-	}
-	sys := core.New(opts)
-	app := sys.AddProfile(p, cgroup.Workload)
-	if !controlled && sc.baseline == "static" {
-		app.Group.SetMemoryMax(sys.Server.Now(), int64(staticLimitFrac*float64(p.FootprintBytes)))
-	}
-	if err := sys.Chaos().AddScript(script); err != nil {
-		panic("experiments: " + err.Error())
-	}
-
-	tr := app.Group.PSI()
-	pr := newPressureRate(arm.Name+".pressure", func() vclock.Duration {
-		tr.Sync(sys.Server.Now())
-		return tr.Total(psi.Memory, psi.Some)
-	})
-	arm.Pressure = pr.series
-	rps := newCounterRate(arm.Name+".rps", app.Completed)
-	arm.RPS = rps.series
-	s := newSampler(5 * vclock.Second)
-	s.add(pr.sample)
-	s.add(rps.sample)
-	sys.Server.OnTick(s.onTick)
-
-	sys.Run(faultAt)
-	t1 := sys.Server.Now()
-	oomsAtFault := sys.Metrics().OOMEvents
-	sys.Run(window)
-	t2 := sys.Server.Now()
-
+// scoreResilience scores an arm whose recovery window ended at t2, with
+// ooms overcommit events inside it.
+func scoreResilience(arm ResilienceArm, t2 vclock.Time, recovery vclock.Duration, ooms int64) ResilienceArm {
+	t1 := t2.Add(-recovery)
 	pre := 3 * vclock.Minute
 	arm.PrePressure = arm.Pressure.MeanOver(t1.Add(-pre), t1)
 	arm.PreRPS = arm.RPS.MeanOver(t1.Add(-pre), t1)
 	arm.PeakPressure = arm.Pressure.MaxOver(t1, t2)
-	tail := window / 4
+	tail := recovery / 4
 	if tail > 3*vclock.Minute {
 		tail = 3 * vclock.Minute
 	}
@@ -245,7 +230,7 @@ func runResilienceArm(cfg Config, sc resilienceScenario, p workload.Profile, cap
 	if arm.PreRPS > 0 {
 		arm.RPSDipFrac = arm.RPS.MinOver(t1.Add(10*vclock.Second), t2) / arm.PreRPS
 	}
-	arm.OOMKills = sys.Metrics().OOMEvents - oomsAtFault
+	arm.OOMKills = ooms
 	arm.Recovered = arm.SteadyPressure < resilienceThreshold && arm.OOMKills == 0
 	return arm
 }

@@ -14,7 +14,7 @@ import (
 	"tmo/internal/vclock"
 )
 
-// quickSenpai returns a Senpai configuration with the production control law
+// senpai returns a Senpai configuration with the production control law
 // but a larger reclaim ratio, so quick-scale experiments converge within
 // their shortened windows. Full-scale runs use the production ratio.
 func (c Config) senpai(base senpai.Config) *senpai.Config {
@@ -118,21 +118,24 @@ func Figure9(cfg Config) Figure9Result {
 	// mode boosts the ratio 8x and shortens the windows accordingly.
 	warm := cfg.dur(2*vclock.Hour+30*vclock.Minute, 16*vclock.Minute)
 	measure := cfg.dur(30*vclock.Minute, 5*vclock.Minute)
-	var res Figure9Result
-	run := func(names []string, mode core.Mode) {
+	var specs []fleet.Spec
+	add := func(names []string, mode core.Mode) {
 		for i, name := range names {
-			m := fleet.Measure(fleet.Spec{
+			specs = append(specs, fleet.Spec{
 				App:    name,
 				Mode:   mode,
 				Scale:  cfg.scale(),
 				Senpai: cfg.senpai(senpai.ConfigA()),
 				Seed:   cfg.Seed + uint64(500+i),
-			}, warm, measure)
-			res.Rows = append(res.Rows, SavingsRow{App: name, Backend: mode, Measurement: m})
+			})
 		}
 	}
-	run(Figure9ZswapApps, core.ModeZswap)
-	run(Figure9SSDApps, core.ModeSSDSwap)
+	add(Figure9ZswapApps, core.ModeZswap)
+	add(Figure9SSDApps, core.ModeSSDSwap)
+	var res Figure9Result
+	for _, m := range fleet.MeasureAll(specs, warm, measure) {
+		res.Rows = append(res.Rows, SavingsRow{App: m.Spec.App, Backend: m.Spec.Mode, Measurement: m})
+	}
 	return res
 }
 

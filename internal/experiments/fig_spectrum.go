@@ -5,12 +5,11 @@ import (
 	"strings"
 
 	"tmo/internal/backend"
-	"tmo/internal/cgroup"
 	"tmo/internal/core"
-	"tmo/internal/psi"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
+	"tmo/internal/workload"
 )
 
 // SpectrumPoint is one backend's equilibrium under identical workload and
@@ -46,13 +45,6 @@ func SweepBackends(cfg Config) SpectrumResult {
 	p := cfg.profile("feed")
 	capacity := 2 * p.FootprintBytes
 
-	baseline := func() float64 {
-		sys := core.New(core.Options{Mode: core.ModeOff, CapacityBytes: capacity, Seed: cfg.Seed + 1700})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(warm / 4)
-		return float64(app.Group.MemoryCurrent())
-	}()
-
 	type tier struct {
 		mode   core.Mode
 		device string
@@ -66,37 +58,42 @@ func SweepBackends(cfg Config) SpectrumResult {
 		{core.ModeSSDSwap, "B", "ssd-B (slow)"},
 	}
 
-	var res SpectrumResult
+	arms := []arm{baseline(core.Options{CapacityBytes: capacity, Seed: cfg.Seed + 1700}, warm, p)}
 	for _, tr := range tiers {
-		sys := core.New(core.Options{
-			Mode:          tr.mode,
-			CapacityBytes: capacity,
-			DeviceModel:   tr.device,
-			Senpai:        cfg.senpai(senpai.ConfigA()),
-			Seed:          cfg.Seed + 1700,
+		arms = append(arms, arm{
+			opts: core.Options{
+				Mode:          tr.mode,
+				CapacityBytes: capacity,
+				DeviceModel:   tr.device,
+				Senpai:        cfg.senpai(senpai.ConfigA()),
+				Seed:          cfg.Seed + 1700,
+			},
+			services: []workload.Profile{p},
+			warm:     warm,
+			measure:  measure,
+			step:     10 * vclock.Second,
 		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(warm)
-		c0 := app.Completed()
-		tracker := app.Group.PSI()
-		tracker.Sync(sys.Server.Now())
-		m0 := tracker.Total(psi.Memory, psi.Some)
-		var netSum float64
-		steps := int(measure / (10 * vclock.Second))
-		for i := 0; i < steps; i++ {
-			sys.Run(10 * vclock.Second)
-			netSum += float64(sys.NetResidentBytes())
+	}
+	type run struct {
+		w      window
+		loadUs float64
+	}
+	runs := runArms(arms, func(i int, h host, w window) run {
+		if i == 0 {
+			return run{w: w} // the baseline has no backend
 		}
-		tracker.Sync(sys.Server.Now())
-		m1 := tracker.Total(psi.Memory, psi.Some)
-
+		return run{w, medianLoadUs(h.System)}
+	})
+	var res SpectrumResult
+	for i, tr := range tiers {
+		r := runs[i+1]
 		res.Points = append(res.Points, SpectrumPoint{
 			Mode:            tr.mode,
 			Label:           tr.label,
-			MedianLoadUs:    medianLoadUs(sys),
-			SavingsFrac:     1 - netSum/float64(steps)/baseline,
-			MeanMemPressure: psi.WindowedPressure(m0, m1, measure),
-			RPS:             float64(app.Completed()-c0) / measure.Seconds(),
+			MedianLoadUs:    r.loadUs,
+			SavingsFrac:     1 - r.w.meanNet/runs[0].w.meanNet,
+			MeanMemPressure: r.w.appPressure,
+			RPS:             r.w.rps,
 		})
 	}
 	return res

@@ -5,12 +5,11 @@ import (
 	"strings"
 
 	"tmo/internal/backend"
-	"tmo/internal/cgroup"
 	"tmo/internal/core"
-	"tmo/internal/psi"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
+	"tmo/internal/workload"
 )
 
 // TCOPoint is one tier layout's cost/performance equilibrium.
@@ -50,88 +49,85 @@ func TCO(cfg Config) TCOResult {
 	p := cfg.profile("cache-b")
 	capacity := 2 * p.FootprintBytes
 
-	baseline := func() float64 {
-		sys := core.New(core.Options{Mode: core.ModeOff, CapacityBytes: capacity, Seed: cfg.Seed + 4100})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(warm / 4)
-		return float64(app.Group.MemoryCurrent())
-	}()
-
 	// Fig. 1's latest generation prices the substrates: DRAM at 33% of
 	// server cost per (relative) GB, iso-capacity flash under 1%.
 	trend := backend.CostTrend()
 	gen := trend[len(trend)-1]
 
 	const GB = float64(1 << 30)
-	runLayout := func(label string, tiers []backend.TierSpec) TCOPoint {
+	layout := func(tiers []backend.TierSpec) arm {
 		mode := core.ModeZswap
 		if tiers != nil {
 			mode = core.ModeTiered
 		}
-		sys := core.New(core.Options{
-			Mode:          mode,
-			CapacityBytes: capacity,
-			DeviceModel:   "G",
-			Tiers:         tiers,
-			Senpai:        cfg.senpai(tcoSenpai()),
-			Seed:          cfg.Seed + 4100,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		sys.Run(warm)
-		tracker := app.Group.PSI()
-		tracker.Sync(sys.Server.Now())
-		m0 := tracker.Total(psi.Memory, psi.Some)
-
-		var netSum, poolSum, ssdSum float64
-		steps := int(measure / (10 * vclock.Second))
-		for i := 0; i < steps; i++ {
-			sys.Run(10 * vclock.Second)
-			netSum += float64(sys.NetResidentBytes())
-			pool, ssd := substrateBytes(sys)
-			poolSum += float64(pool)
-			ssdSum += float64(ssd)
+		return arm{
+			opts: core.Options{
+				Mode:          mode,
+				CapacityBytes: capacity,
+				DeviceModel:   "G",
+				Tiers:         tiers,
+				Senpai:        cfg.senpai(tcoSenpai()),
+				Seed:          cfg.Seed + 4100,
+			},
+			services: []workload.Profile{p},
+			warm:     warm,
+			measure:  measure,
+			step:     10 * vclock.Second,
 		}
-		tracker.Sync(sys.Server.Now())
-		m1 := tracker.Total(psi.Memory, psi.Some)
+	}
 
-		savedGB := (baseline - netSum/float64(steps)) / GB
-		poolGB := poolSum / float64(steps) / GB
-		ssdGB := ssdSum / float64(steps) / GB
-		cost := poolGB*gen.MemoryPct + ssdGB*gen.SSDPct
+	// The single-pool layout holds every offloaded byte in DRAM and runs
+	// beside the no-offload baseline; its mean pool usage then sizes the
+	// chains' DRAM budget. Each chain keeps only a hot slice of that in
+	// compressed DRAM — the watermark demotion loop pushes the cold
+	// remainder down to flash, which is what actually cuts the bill: flash
+	// is ~50x cheaper per GB than the DRAM it displaces.
+	ws := runArms([]arm{
+		baseline(core.Options{CapacityBytes: capacity, Seed: cfg.Seed + 4100}, warm, p),
+		layout(nil),
+	}, windowOf)
+	base := ws[0].meanNet
+	// point scores a layout's window against the baseline.
+	point := func(label string, tiers []backend.TierSpec, w window) TCOPoint {
 		pt := TCOPoint{
 			Label:           label,
-			NumTiers:        sys.Chain.NumTiers(),
-			SavingsFrac:     1 - netSum/float64(steps)/baseline,
-			MeanMemPressure: psi.WindowedPressure(m0, m1, measure),
-			PoolGB:          poolGB,
-			SSDGB:           ssdGB,
+			NumTiers:        max(1, len(tiers)), // the single pool is one zswap tier
+			SavingsFrac:     1 - w.meanNet/base,
+			MeanMemPressure: w.appPressure,
+			PoolGB:          w.meanPool / GB,
+			SSDGB:           w.meanSSD / GB,
 		}
-		if savedGB > 0 {
+		cost := pt.PoolGB*gen.MemoryPct + pt.SSDGB*gen.SSDPct
+		if savedGB := (base - w.meanNet) / GB; savedGB > 0 {
 			pt.CostPerGBSaved = cost / savedGB
 		}
 		return pt
 	}
-
-	// The single-pool baseline holds every offloaded byte in DRAM; its mean
-	// pool usage then sizes the chains' DRAM budget. Each chain keeps only a
-	// hot slice of that in compressed DRAM — the watermark demotion loop
-	// pushes the cold remainder down to flash, which is what actually cuts
-	// the bill: flash is ~50x cheaper per GB than the DRAM it displaces.
-	single := runLayout("zswap", nil)
+	single := point("zswap", nil, ws[1])
 	budget := int64(0.6 * single.PoolGB * GB)
 	if budget < 1<<20 {
 		budget = 1 << 20
 	}
-	two := runLayout("zstd+ssd", []backend.TierSpec{
-		{Kind: backend.TierZswap, Codec: backend.CodecZstd, CapacityBytes: budget, MinCompressRatio: 1.5},
-		{Kind: backend.TierSSD},
-	})
-	three := runLayout("lz4+zstd+ssd", []backend.TierSpec{
-		{Kind: backend.TierZswap, Codec: backend.CodecLz4, CapacityBytes: 2 * budget / 3},
-		{Kind: backend.TierZswap, Codec: backend.CodecZstd, CapacityBytes: budget - 2*budget/3, MinCompressRatio: 1.5},
-		{Kind: backend.TierSSD},
-	})
-	return TCOResult{Points: []TCOPoint{single, two, three}}
+	chains := []struct {
+		label string
+		tiers []backend.TierSpec
+	}{
+		{"zstd+ssd", []backend.TierSpec{
+			{Kind: backend.TierZswap, Codec: backend.CodecZstd, CapacityBytes: budget, MinCompressRatio: 1.5},
+			{Kind: backend.TierSSD},
+		}},
+		{"lz4+zstd+ssd", []backend.TierSpec{
+			{Kind: backend.TierZswap, Codec: backend.CodecLz4, CapacityBytes: 2 * budget / 3},
+			{Kind: backend.TierZswap, Codec: backend.CodecZstd, CapacityBytes: budget - 2*budget/3, MinCompressRatio: 1.5},
+			{Kind: backend.TierSSD},
+		}},
+	}
+	ws = runArms([]arm{layout(chains[0].tiers), layout(chains[1].tiers)}, windowOf)
+	res := TCOResult{Points: []TCOPoint{single}}
+	for i, c := range chains {
+		res.Points = append(res.Points, point(c.label, c.tiers, ws[i]))
+	}
+	return res
 }
 
 // tcoSenpai is the scorecard's controller: ConfigB's aggressive reclaim
@@ -141,20 +137,6 @@ func tcoSenpai() senpai.Config {
 	c := senpai.ConfigB()
 	c.MemPressureThreshold = 0.0015
 	return c
-}
-
-// substrateBytes splits a host's offloaded footprint into DRAM-resident
-// (compressed pools) and flash-resident bytes.
-func substrateBytes(sys *core.System) (pool, ssd int64) {
-	for i, spec := range sys.Chain.TierSpecs() {
-		st := sys.Chain.TierStats(i)
-		if spec.Kind == backend.TierSSD {
-			ssd += st.StoredBytes
-		} else {
-			pool += st.StoredBytes
-		}
-	}
-	return pool, ssd
 }
 
 // ChainBeatsSinglePool reports the scorecard's headline: the deepest chain

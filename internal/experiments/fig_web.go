@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"tmo/internal/cgroup"
 	"tmo/internal/core"
 	"tmo/internal/dist"
 	"tmo/internal/metrics"
@@ -55,65 +54,44 @@ func newWebPanels(label string) *webPanels {
 	}
 }
 
-// attachWebRecorder wires the panel series to a running system. offset
-// shifts recorded timestamps, letting sequential phase runs concatenate on
-// one timeline.
-func attachWebRecorder(sys *core.System, app *workload.App, p *webPanels, every vclock.Duration, offset vclock.Duration) {
-	s := newSampler(every)
-	capacity := float64(sys.Opts.CapacityBytes)
+// appendPhase appends q's points after p's, series by series, shifted by
+// offset: q holds a later phase of the same tier, recorded on a host of its
+// own.
+func (p *webPanels) appendPhase(q *webPanels, offset vclock.Duration) {
+	dst := []*metrics.Series{p.RPS, p.Resident, p.SwapBytes, p.Promotion, p.MemP, p.IOP, p.ReadP90ms, p.FSReads, p.FileCache}
+	for k, s := range []*metrics.Series{q.RPS, q.Resident, q.SwapBytes, q.Promotion, q.MemP, q.IOP, q.ReadP90ms, q.FSReads, q.FileCache} {
+		for _, pt := range s.Points {
+			dst[k].Record(pt.T.Add(offset), pt.V)
+		}
+	}
+}
 
-	rps := newCounterRate("", func() int64 { return app.Completed() })
-	prom := newCounterRate("", func() int64 { return app.Group.MM().Stat().SwapIns })
-	fsr := newCounterRate("", func() int64 { return sys.Server.Filesystem().Reads() })
-	memp := newPressureRate("", func() vclock.Duration {
-		tr := app.Group.PSI()
-		tr.Sync(sys.Server.Now())
-		return tr.Total(psi.Memory, psi.Some)
-	})
-	iop := newPressureRate("", func() vclock.Duration {
-		tr := app.Group.PSI()
-		tr.Sync(sys.Server.Now())
-		return tr.Total(psi.IO, psi.Some)
-	})
+// attachWebRecorder wires a new panel set to a running system and returns it.
+func attachWebRecorder(sys *core.System, app *workload.App, label string, every vclock.Duration) *webPanels {
+	p := newWebPanels(label)
+	s := newSampler(every)
+	s.add(newCounterRate(p.RPS, app.Completed).sample)
+	s.add(newCounterRate(p.Promotion, func() int64 { return app.Group.MM().Stat().SwapIns }).sample)
+	s.add(newCounterRate(p.FSReads, sys.Server.Filesystem().Reads).sample)
+	s.add(newPressureRate(p.MemP, func() vclock.Duration { return someTotal(sys, app.Group, psi.Memory) }).sample)
+	s.add(newPressureRate(p.IOP, func() vclock.Duration { return someTotal(sys, app.Group, psi.IO) }).sample)
 
 	// Windowed p90 of SSD reads via a per-window reservoir.
-	res := metrics.NewReservoir(2048, dist.NewRand(sys.Opts.Seed+999).Int64N)
-	drained := res
+	capacity := float64(sys.Opts.CapacityBytes)
+	drained := metrics.NewReservoir(2048, dist.NewRand(sys.Opts.Seed+999).Int64N)
 	sys.Device.ObserveReads(func(lat vclock.Duration) { drained.Add(float64(lat)) })
-
 	s.add(func(now vclock.Time) {
-		t := now.Add(offset)
-		rps.sample(now)
-		if len(rps.series.Points) > 0 {
-			p.RPS.Record(t, rps.series.Last())
-		}
-		prom.sample(now)
-		if len(prom.series.Points) > 0 {
-			p.Promotion.Record(t, prom.series.Last())
-		}
-		fsr.sample(now)
-		if len(fsr.series.Points) > 0 {
-			p.FSReads.Record(t, fsr.series.Last())
-		}
-		memp.sample(now)
-		if len(memp.series.Points) > 0 {
-			p.MemP.Record(t, memp.series.Last())
-		}
-		iop.sample(now)
-		if len(iop.series.Points) > 0 {
-			p.IOP.Record(t, iop.series.Last())
-		}
-		net := float64(sys.NetResidentBytes())
-		p.Resident.Record(t, net/capacity)
-		p.SwapBytes.Record(t, float64(app.Group.MM().SwappedBytes()))
-		p.FileCache.Record(t, float64(app.Group.MM().ResidentBytesOf(mm.File)))
+		p.Resident.Record(now, float64(sys.NetResidentBytes())/capacity)
+		p.SwapBytes.Record(now, float64(app.Group.MM().SwappedBytes()))
+		p.FileCache.Record(now, float64(app.Group.MM().ResidentBytesOf(mm.File)))
 		if drained.Count() > 0 {
-			p.ReadP90ms.Record(t, drained.Quantile(0.90)/1000)
+			p.ReadP90ms.Record(now, drained.Quantile(0.90)/1000)
 		}
 		drained = metrics.NewReservoir(2048, dist.NewRand(uint64(now)).Int64N)
 		sys.Device.ObserveReads(func(lat vclock.Duration) { drained.Add(float64(lat)) })
 	})
 	sys.Server.OnTick(s.onTick)
+	return p
 }
 
 // declineRatio compares a series' late mean to its early mean over
@@ -166,31 +144,42 @@ func Figure11(cfg Config) Figure11Result {
 	capacity := int64(0.90 * float64(p.FootprintBytes))
 	every := cfg.dur(60*vclock.Second, 20*vclock.Second)
 
-	runPhase := func(mode core.Mode, idx int, panels *webPanels, seed uint64) {
-		sys := core.New(core.Options{
-			Mode:          mode,
-			CapacityBytes: capacity,
-			DeviceModel:   "C",
-			Senpai:        cfg.senpai(senpai.ConfigA()),
-			Seed:          seed,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		attachWebRecorder(sys, app, panels, every, vclock.Duration(idx)*phase)
-		sys.Run(phase)
-		from := vclock.Time(vclock.Duration(idx) * phase)
-		to := from.Add(phase)
-		ratio := declineRatio(panels.RPS, from, to)
-		if panels == res.Baseline {
-			res.BaselineDecline[idx] = ratio
-		} else {
-			res.TMODecline[idx] = ratio
-			res.TMOResidentByPhase[idx] = panels.Resident.MeanOver(from.Add(phase/2), to)
+	// Every (phase, tier) pair is a host of its own recording on local time;
+	// arm k is phase k/2, the baseline tier first.
+	arms := make([]arm, 6)
+	panels := make([]*webPanels, len(arms))
+	for k := range arms {
+		tier, mode := res.Baseline, core.ModeOff
+		if k%2 == 1 {
+			tier, mode = res.TMO, res.PhaseModes[k/2]
+		}
+		arms[k] = arm{
+			opts: core.Options{
+				Mode:          mode,
+				CapacityBytes: capacity,
+				DeviceModel:   "C",
+				Senpai:        cfg.senpai(senpai.ConfigA()),
+				Seed:          cfg.Seed + 700 + uint64(k/2),
+			},
+			services: []workload.Profile{p},
+			measure:  phase,
+			hook:     func(h *host) { panels[k] = attachWebRecorder(h.System, h.apps[0], tier.Label, every) },
 		}
 	}
-
-	for i := 0; i < 3; i++ {
-		runPhase(core.ModeOff, i, res.Baseline, cfg.Seed+700+uint64(i))
-		runPhase(res.PhaseModes[i], i, res.TMO, cfg.Seed+700+uint64(i))
+	runArms(arms, windowOf)
+	// Score each phase on its own timeline, then shift the phases onto one
+	// timeline per tier.
+	end := vclock.Time(phase)
+	for k, pn := range panels {
+		i, tier := k/2, res.Baseline
+		if k%2 == 0 {
+			res.BaselineDecline[i] = declineRatio(pn.RPS, 0, end)
+		} else {
+			tier = res.TMO
+			res.TMODecline[i] = declineRatio(pn.RPS, 0, end)
+			res.TMOResidentByPhase[i] = pn.Resident.MeanOver(end/2, end)
+		}
+		tier.appendPhase(pn, vclock.Duration(i)*phase)
 	}
 	res.BaselineResident = res.Baseline.Resident.MeanOver(0, vclock.Time(3*phase))
 	return res
@@ -256,34 +245,40 @@ func Figure12(cfg Config) Figure12Result {
 	capacity := int64(0.90 * float64(p.FootprintBytes))
 	every := cfg.dur(60*vclock.Second, 20*vclock.Second)
 
-	runTier := func(device string) Figure12Tier {
-		sys := core.New(core.Options{
-			Mode:          core.ModeSSDSwap,
-			CapacityBytes: capacity,
-			DeviceModel:   device,
-			Senpai:        cfg.senpai(senpai.ConfigA()),
-			Seed:          cfg.Seed + 800, // same seed: only the device differs
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		panels := newWebPanels("ssd-" + device)
-		attachWebRecorder(sys, app, panels, every, 0)
-		sys.Run(dur)
-
-		half := vclock.Time(dur / 2)
-		end := vclock.Time(dur)
-		return Figure12Tier{
-			Device:          device,
-			Panels:          panels,
-			MeanReadP90ms:   panels.ReadP90ms.MeanOver(half, end),
-			MeanResident:    panels.Resident.MeanOver(half, end),
-			MeanSwapBytes:   panels.SwapBytes.MeanOver(half, end),
-			MeanPromotionPS: panels.Promotion.MeanOver(half, end),
-			MeanRPS:         panels.RPS.MeanOver(half, end),
-			MeanMemP:        panels.MemP.MeanOver(half, end),
-			MeanIOP:         panels.IOP.MeanOver(half, end),
+	devices := []string{"C", "B"}
+	arms := make([]arm, len(devices))
+	panels := make([]*webPanels, len(devices))
+	for i, device := range devices {
+		arms[i] = arm{
+			opts: core.Options{
+				Mode:          core.ModeSSDSwap,
+				CapacityBytes: capacity,
+				DeviceModel:   device,
+				Senpai:        cfg.senpai(senpai.ConfigA()),
+				Seed:          cfg.Seed + 800, // same seed: only the device differs
+			},
+			services: []workload.Profile{p},
+			measure:  dur,
+			hook:     func(h *host) { panels[i] = attachWebRecorder(h.System, h.apps[0], "ssd-"+device, every) },
 		}
 	}
-	return Figure12Result{Fast: runTier("C"), Slow: runTier("B")}
+	half := vclock.Time(dur / 2)
+	end := vclock.Time(dur)
+	tiers := runArms(arms, func(i int, _ host, _ window) Figure12Tier {
+		pn := panels[i]
+		return Figure12Tier{
+			Device:          devices[i],
+			Panels:          pn,
+			MeanReadP90ms:   pn.ReadP90ms.MeanOver(half, end),
+			MeanResident:    pn.Resident.MeanOver(half, end),
+			MeanSwapBytes:   pn.SwapBytes.MeanOver(half, end),
+			MeanPromotionPS: pn.Promotion.MeanOver(half, end),
+			MeanRPS:         pn.RPS.MeanOver(half, end),
+			MeanMemP:        pn.MemP.MeanOver(half, end),
+			MeanIOP:         pn.IOP.MeanOver(half, end),
+		}
+	})
+	return Figure12Result{Fast: tiers[0], Slow: tiers[1]}
 }
 
 // Render implements Result.
@@ -340,40 +335,51 @@ func Figure13(cfg Config) Figure13Result {
 	capacity := 2 * p.FootprintBytes // not memory-bound
 	every := cfg.dur(60*vclock.Second, 20*vclock.Second)
 
-	runTier := func(label string, mode core.Mode, sc *senpai.Config) Figure13Tier {
-		sys := core.New(core.Options{
-			Mode:          mode,
-			CapacityBytes: capacity,
-			DeviceModel:   "C",
-			Senpai:        sc,
-			Seed:          cfg.Seed + 900,
-		})
-		app := sys.AddProfile(p, cgroup.Workload)
-		panels := newWebPanels(label)
-		attachWebRecorder(sys, app, panels, every, 0)
-		sys.Run(dur / 2)
-		app.Restart(sys.Server.Now()) // code push
-		sys.Run(dur / 2)
-
-		from := vclock.Time(dur).Add(-dur / 3)
-		end := vclock.Time(dur)
-		return Figure13Tier{
-			Label:         label,
-			Panels:        panels,
-			MeanRPS:       panels.RPS.MeanOver(from, end),
-			MeanResident:  panels.Resident.MeanOver(from, end) * float64(capacity),
-			MeanMemP:      panels.MemP.MeanOver(from, end),
-			MeanIOP:       panels.IOP.MeanOver(from, end),
-			MeanFSReads:   panels.FSReads.MeanOver(from, end),
-			MeanFileCache: panels.FileCache.MeanOver(from, end),
+	tiers := []struct {
+		label string
+		mode  core.Mode
+		sc    *senpai.Config
+	}{
+		{"baseline", core.ModeOff, nil},
+		{"config-a", core.ModeZswap, cfg.senpai(senpai.ConfigA())},
+		{"config-b", core.ModeZswap, cfg.senpai(senpai.ConfigB())},
+	}
+	arms := make([]arm, len(tiers))
+	panels := make([]*webPanels, len(tiers))
+	for i, t := range tiers {
+		arms[i] = arm{
+			opts: core.Options{
+				Mode:          t.mode,
+				CapacityBytes: capacity,
+				DeviceModel:   "C",
+				Senpai:        t.sc,
+				Seed:          cfg.Seed + 900,
+			},
+			services: []workload.Profile{p},
+			measure:  dur / 2,
+			hook: func(h *host) {
+				panels[i] = attachWebRecorder(h.System, h.apps[0], t.label, every)
+				h.Run(dur / 2)
+				h.apps[0].Restart(h.Server.Now()) // code push
+			},
 		}
 	}
-
-	return Figure13Result{
-		Baseline: runTier("baseline", core.ModeOff, nil),
-		ConfigA:  runTier("config-a", core.ModeZswap, cfg.senpai(senpai.ConfigA())),
-		ConfigB:  runTier("config-b", core.ModeZswap, cfg.senpai(senpai.ConfigB())),
-	}
+	from := vclock.Time(dur).Add(-dur / 3)
+	end := vclock.Time(dur)
+	out := runArms(arms, func(i int, _ host, _ window) Figure13Tier {
+		pn := panels[i]
+		return Figure13Tier{
+			Label:         tiers[i].label,
+			Panels:        pn,
+			MeanRPS:       pn.RPS.MeanOver(from, end),
+			MeanResident:  pn.Resident.MeanOver(from, end) * float64(capacity),
+			MeanMemP:      pn.MemP.MeanOver(from, end),
+			MeanIOP:       pn.IOP.MeanOver(from, end),
+			MeanFSReads:   pn.FSReads.MeanOver(from, end),
+			MeanFileCache: pn.FileCache.MeanOver(from, end),
+		}
+	})
+	return Figure13Result{Baseline: out[0], ConfigA: out[1], ConfigB: out[2]}
 }
 
 // Render implements Result.
