@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	rolloutsim [-hosts 12 | -fleet-size 100000] [-mode zswap] [-mode-change tiered]
+//	rolloutsim [-hosts 12] [-mode zswap] [-mode-change tiered]
 //	           [-window 30s] [-warm 4] [-bake 4] [-plan canary=0.1,stage-2=0.5,fleet=1]
 //	           [-candidates 1] [-ratio-mult 10] [-aggressive]
 //	           [-tiers lz4:2g,zstd:4g,ssd] [-tier-config lz4:2g,ssd]...
@@ -152,7 +152,6 @@ func main() {
 	ratioMult := flag.Float64("ratio-mult", 10, "first candidate's reclaim-ratio multiplier over production Config A; each further candidate steps it up")
 	aggressive := flag.Bool("aggressive", false, "make the last candidate deliberately unsafe (Config B shape)")
 	devicesStr := flag.String("devices", "", "comma-separated device classes to cycle across the fleet (default: the mix's own)")
-	fleetSize := flag.Int("fleet-size", 0, "alias for -hosts sized for twin fleets (takes precedence when set)")
 	twinFlag := flag.Bool("twin", false, "two-fidelity layout: full-fidelity head/tail anchors per device class, analytical twins for the long tail")
 	calibIn := flag.String("calib-in", "", "load twin calibration coefficients from this JSON artifact (implies -twin)")
 	calibOut := flag.String("calib-out", "", "write the twin calibration coefficient artifact to this file")
@@ -172,9 +171,6 @@ func main() {
 	flag.Var(&tierConfigs, "tier-config", `race this tier chain as a candidate policy (repeatable; replaces the -candidates ladder), e.g. "lz4:2g,zstd:4g,ssd"`)
 	flag.Parse()
 
-	if *fleetSize > 0 {
-		*hosts = *fleetSize
-	}
 	mode := cliutil.MustMode("rolloutsim", *modeStr)
 	candMode := mode
 	if *modeChange != "" {

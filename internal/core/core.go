@@ -412,16 +412,13 @@ func (s *System) AddTaxProfiles(dcProf, microProf workload.Profile) (dc, micro *
 	return dc, micro
 }
 
-// senpaiTaxOverride derives the tax override from the system's own Senpai
-// configuration, preserving any experiment-level speedups.
+// senpaiTaxOverride is senpai.TaxOverride of the system's own Senpai
+// configuration; nil without a Senpai.
 func senpaiTaxOverride(s *System) *senpai.Config {
 	if s.Senpai == nil {
 		return nil
 	}
-	c := s.Senpai.Config()
-	c.ReclaimRatio *= 4
-	c.MemPressureThreshold *= 5
-	c.IOPressureThreshold *= 2
+	c := senpai.TaxOverride(s.Senpai.Config())
 	return &c
 }
 

@@ -414,24 +414,6 @@ func (m Measurement) String() string {
 		m.Spec.App, m.Spec.Mode, 100*m.SavingsFrac, 100*m.AnonSavedFrac, 100*m.FileSavedFrac, m.RPSRatio)
 }
 
-// Cluster runs n identically configured servers (differing only by seed)
-// and invokes visit with each system after building it, before running.
-// It is the building block for the Fig. 14 fleet-percentile experiment.
-func Cluster(spec Spec, n int, build func(i int, sys *core.System, app *workload.App)) []*core.System {
-	spec = spec.normalize()
-	out := make([]*core.System, n)
-	for i := 0; i < n; i++ {
-		s := spec
-		s.Seed = spec.Seed + uint64(i)*1000
-		sys, app, _, _ := buildSystem(s, s.Mode)
-		if build != nil {
-			build(i, sys, app)
-		}
-		out[i] = sys
-	}
-	return out
-}
-
 // DefaultMix returns a representative fleet mix with population weights;
 // used by the Fig. 10 tax aggregation.
 func DefaultMix(mode core.Mode, seed uint64) []Spec {

@@ -240,22 +240,6 @@ func TestWeightedTaxSavings(t *testing.T) {
 	}
 }
 
-func TestClusterSeedsDiffer(t *testing.T) {
-	systems := Cluster(Spec{App: "ads-b", Mode: core.ModeSSDSwap, Senpai: fastSenpai(), Seed: 1}, 3, nil)
-	if len(systems) != 3 {
-		t.Fatalf("cluster size %d", len(systems))
-	}
-	for _, sys := range systems {
-		sys.Run(30 * vclock.Second)
-	}
-	// Different seeds must produce different trajectories.
-	a := systems[0].Server.Apps()[0].Completed()
-	b := systems[1].Server.Apps()[0].Completed()
-	if a == b {
-		t.Fatalf("cluster members identical: %d requests each", a)
-	}
-}
-
 func TestDefaultMixWeightsSum(t *testing.T) {
 	mix := DefaultMix(core.ModeZswap, 7)
 	var sum float64

@@ -102,9 +102,7 @@ func (h *SimHost) Advance(window vclock.Duration) Vitals {
 	if sw := h.Sys.Server.Swap(); sw != nil {
 		v.SwapStoredBytes = sw.Stats().StoredBytes
 	}
-	if fl, ok := h.Sys.TelemetrySnapshot().Get("mm.fault_latency_us"); ok {
-		v.FaultP99Us = fl.Quantile(0.99)
-	}
+	v.FaultP99Us = h.Sys.Telemetry.Histogram("mm.fault_latency_us").Quantile(0.99)
 	return v
 }
 
@@ -131,11 +129,10 @@ func (h *SimHost) SwapCapacityBytes() int64 { return h.Sys.SwapCapacityBytes() }
 func (h *SimHost) Snapshot() telemetry.Snapshot { return h.Sys.TelemetrySnapshot() }
 
 // Response is one host's steady-state response to a pushed Senpai
-// configuration, in exactly the normalized units the rollout barrier judges
-// (per-window pressure, throughput against the host's own warmed baseline,
-// resident savings against the warm-end resident set). The twin calibrator
-// (internal/twin) fits its surfaces from these, and the fidelity gate
-// compares a full host's against a twin's.
+// configuration, in the units the rollout barrier judges: per-window
+// pressure, and throughput and resident savings against the host's own
+// Norm. The twin calibrator (internal/twin) fits its surfaces from these,
+// and the fidelity gate compares a full host's against a twin's.
 type Response struct {
 	// Pressure is the mean windowed memory some-pressure over the
 	// measurement windows.
@@ -152,14 +149,53 @@ type Response struct {
 	OOMRate float64 `json:"oom_rate"`
 }
 
+// Norm is a host's warm-up reference, the denominator of every normalized
+// signal the rollout barrier and the twin calibration judge: the first
+// window (boot transient) is skipped, the rest of the warm-up's RPS is
+// averaged, and resident bytes are taken at the end of warm-up.
+type Norm struct {
+	// RPS is the mean RPS over the warm-up windows after the first.
+	RPS float64
+	// Resident is the net resident bytes at the end of warm-up.
+	Resident float64
+
+	windows int
+	rpsSum  float64
+}
+
+// Warm folds one warm-up window into the norm and reports whether that
+// window completed a warm-up of warm windows, fixing RPS and Resident.
+func (n *Norm) Warm(v Vitals, warm int) bool {
+	n.windows++
+	if n.windows >= 2 {
+		n.rpsSum += v.RPS
+	}
+	if n.windows < warm {
+		return false
+	}
+	n.RPS = n.rpsSum / float64(n.windows-1)
+	n.Resident = v.ResidentBytes
+	return true
+}
+
+// Ratios normalizes a window's RPS and resident bytes by the norm; each
+// ratio is 1 where the norm's value is zero.
+func (n *Norm) Ratios(v Vitals) (rps, res float64) {
+	rps, res = 1, 1
+	if n.RPS > 0 {
+		rps = v.RPS / n.RPS
+	}
+	if n.Resident > 0 {
+		res = v.ResidentBytes / n.Resident
+	}
+	return rps, res
+}
+
 // MeasureResponse drives any HostSim — full or twin — through the
 // calibration protocol: warm under whatever config the host was built with
-// (mirroring a rollout's warm-up — the first window's boot transient is
-// excluded from the RPS norm), push the probe as a live config, settle, then
-// average measureWin windows. The sampling semantics match
-// rollout.Controller's barrier exactly, which is what makes a fitted twin
-// directly comparable to full-fidelity cohort aggregates. Calibration and the
-// fidelity gate both measure through this one path.
+// into a Norm, push the probe as a live config, settle, then average
+// measureWin windows. Calibration and the fidelity gate both measure
+// through this one path.
 func MeasureResponse(h HostSim, probe senpai.Config, window vclock.Duration, warmWin, settleWin, measureWin int) Response {
 	if warmWin < 2 {
 		warmWin = 2
@@ -167,16 +203,10 @@ func MeasureResponse(h HostSim, probe senpai.Config, window vclock.Duration, war
 	if measureWin < 1 {
 		measureWin = 1
 	}
-	var warmRPS float64
-	var warmRes float64
+	var norm Norm
 	for i := 0; i < warmWin; i++ {
-		v := h.Advance(window)
-		if i >= 1 {
-			warmRPS += v.RPS
-		}
-		warmRes = v.ResidentBytes
+		norm.Warm(h.Advance(window), warmWin)
 	}
-	warmRPS /= float64(warmWin - 1)
 
 	h.SetSenpaiConfig(probe)
 	for i := 0; i < settleWin; i++ {
@@ -188,15 +218,10 @@ func MeasureResponse(h HostSim, probe senpai.Config, window vclock.Duration, war
 	var ooms int64
 	for i := 0; i < measureWin; i++ {
 		v := h.Advance(window)
+		rps, res := norm.Ratios(v)
 		out.Pressure += v.Pressure
-		if warmRPS > 0 {
-			out.RPSRatio += v.RPS / warmRPS
-		} else {
-			out.RPSRatio += 1
-		}
-		if warmRes > 0 {
-			out.Savings += 1 - v.ResidentBytes/warmRes
-		}
+		out.RPSRatio += rps
+		out.Savings += 1 - res
 		ooms += v.OOMKills
 		last = v
 	}

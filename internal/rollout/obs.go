@@ -2,6 +2,7 @@ package rollout
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -165,16 +166,16 @@ func (c *Controller) observe(cws []candWindow) {
 			continue
 		}
 		vitals := map[string]float64{
-			"pressure":       h.winPressure,
-			"rps":            h.winRPS,
-			"resident_bytes": h.resident,
-			"ooms":           float64(h.winOOMs),
+			"pressure":       h.v.Pressure,
+			"rps":            h.v.RPS,
+			"resident_bytes": h.v.ResidentBytes,
+			"ooms":           float64(h.v.OOMKills),
 		}
 		if h.swapCap > 0 {
-			vitals["swap_util"] = float64(h.swapStored) / float64(h.swapCap)
+			vitals["swap_util"] = float64(h.v.SwapStoredBytes) / float64(h.swapCap)
 		}
-		if h.faultP99 > 0 {
-			vitals["fault_p99_us"] = h.faultP99
+		if h.v.FaultP99Us > 0 {
+			vitals["fault_p99_us"] = h.v.FaultP99Us
 		}
 
 		labels := []telemetry.Label{
@@ -195,7 +196,7 @@ func (c *Controller) observe(cws []candWindow) {
 		}
 
 		o.fr[h.index].Record(tsdb.FlightSample{T: c.now, Window: c.window, Values: vitals})
-		if h.winOOMs > 0 && o.oomDumped[h.index] != h.incarnation {
+		if h.v.OOMKills > 0 && o.oomDumped[h.index] != h.incarnation {
 			o.oomDumped[h.index] = h.incarnation
 			c.dumpFlight(h, "oom")
 		}
@@ -205,26 +206,25 @@ func (c *Controller) observe(cws []candWindow) {
 
 	for k := range cws {
 		cw := &cws[k]
-		if cw.hosts == 0 {
+		if cw.stats.Hosts == 0 {
 			continue
 		}
 		cl := []telemetry.Label{
 			{Key: "candidate", Value: c.cands[k].pol.Name},
 			{Key: "stage", Value: stage},
 		}
-		o.cfg.DB.Append(c.now, "rollout.cohort.mem_pressure", cl, cw.pressure)
-		o.cfg.DB.Append(c.now, "rollout.cohort.rps_ratio", cl, cw.rpsRatio)
+		o.cfg.DB.Append(c.now, "rollout.cohort.mem_pressure", cl, cw.stats.MemPressure)
+		o.cfg.DB.Append(c.now, "rollout.cohort.rps_ratio", cl, cw.stats.RPSRatio)
 		o.cfg.DB.Append(c.now, "rollout.cohort.savings_frac", cl, cw.savings)
-		o.cfg.DB.Append(c.now, "rollout.cohort.hosts", cl, float64(cw.hosts))
-		for _, d := range c.fleetDevices {
-			dw := cw.dev[d]
-			if dw == nil || dw.hosts == 0 {
+		o.cfg.DB.Append(c.now, "rollout.cohort.hosts", cl, float64(cw.stats.Hosts))
+		for _, ds := range cw.dev {
+			if ds.Hosts == 0 {
 				continue
 			}
 			dl := append(append([]telemetry.Label(nil), cl...),
-				telemetry.Label{Key: "device", Value: d})
-			o.cfg.DB.Append(c.now, "rollout.cohort.mem_pressure", dl, dw.pressure)
-			o.cfg.DB.Append(c.now, "rollout.cohort.rps_ratio", dl, dw.rpsRatio)
+				telemetry.Label{Key: "device", Value: ds.Device})
+			o.cfg.DB.Append(c.now, "rollout.cohort.mem_pressure", dl, ds.MemPressure)
+			o.cfg.DB.Append(c.now, "rollout.cohort.rps_ratio", dl, ds.RPSRatio)
 		}
 	}
 
@@ -264,49 +264,35 @@ func (c *Controller) observeFidelity(stage string) {
 	if c.obs == nil || c.cfg.Twin == nil {
 		return
 	}
-	type agg struct {
-		n     int
-		press float64
-	}
-	sums := map[string]*agg{}
+	// cells[2*d+f] tallies device class d at fidelities[f] with unit
+	// weights, so its stats are plain means.
+	cells := make([]tally, 2*len(c.fleetDevices))
 	for _, h := range c.hosts {
-		if h.down || h.assigned < 0 || !h.eligible(c.cfg.WarmWindows) {
+		if h.assigned < 0 || !h.eligible(c.cfg.WarmWindows) {
 			continue
 		}
-		k := h.device + "|" + h.fidelity
-		a := sums[k]
-		if a == nil {
-			a = &agg{}
-			sums[k] = a
-		}
-		a.n++
-		a.press += h.winPressure
+		cells[2*h.dev+slices.Index(fidelities, h.fidelity)].sample(1, h.v.Pressure, 0, 0)
 	}
-	for _, d := range c.fleetDevices {
+	for d, device := range c.fleetDevices {
 		var mean [2]float64
-		var have [2]bool
-		for fi, f := range fidelities {
-			a := sums[d+"|"+f]
-			if a == nil || a.n == 0 {
+		for f, fid := range fidelities {
+			s := cells[2*d+f].stats(device, 0)
+			if s.Hosts == 0 {
 				continue
 			}
-			mean[fi] = a.press / float64(a.n)
-			have[fi] = true
+			mean[f] = s.MemPressure
 			fl := []telemetry.Label{
-				{Key: "device", Value: d},
-				{Key: "fidelity", Value: f},
+				{Key: "device", Value: device},
+				{Key: "fidelity", Value: fid},
 				{Key: "stage", Value: stage},
 			}
-			c.obs.cfg.DB.Append(c.now, "rollout.fidelity.mem_pressure", fl, mean[fi])
-			c.obs.cfg.DB.Append(c.now, "rollout.fidelity.hosts", fl, float64(a.n))
+			c.obs.cfg.DB.Append(c.now, "rollout.fidelity.mem_pressure", fl, mean[f])
+			c.obs.cfg.DB.Append(c.now, "rollout.fidelity.hosts", fl, float64(s.Hosts))
 		}
-		if have[0] && have[1] {
-			gap := mean[0] - mean[1]
-			if gap < 0 {
-				gap = -gap
-			}
+		if cells[2*d].hosts > 0 && cells[2*d+1].hosts > 0 {
 			c.obs.cfg.DB.Append(c.now, "rollout.fidelity.pressure_gap",
-				[]telemetry.Label{{Key: "device", Value: d}, {Key: "stage", Value: stage}}, gap)
+				[]telemetry.Label{{Key: "device", Value: device}, {Key: "stage", Value: stage}},
+				math.Abs(mean[0]-mean[1]))
 		}
 	}
 }

@@ -2,6 +2,8 @@ package rollout
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -204,5 +206,44 @@ func TestGuardrailTripLabels(t *testing.T) {
 		telemetry.Label{Key: "device", Value: "C"})
 	if !ok || m.Value < 1 {
 		t.Fatalf("labeled trip counter missing; snapshot: %+v", snap.Metrics)
+	}
+}
+
+// exportsGolden is the fnv-64a digest of goldenConfig's rendered outputs.
+// Every rollout float reaches the TSDB export through %g, so a refactor
+// that reorders one sum moves this digest; the determinism tests, which
+// compare two runs of the same code, cannot catch that.
+const exportsGolden = "5029861880142c6a"
+
+// goldenConfig is a churned three-candidate race across three device
+// classes.
+func goldenConfig() Config {
+	cfg := banditConfig()
+	cfg.Hosts = testFleet(8)
+	// C and F race with no control host of their own (device-matched
+	// control falls back to fleet-wide); G is control until the fleet stage.
+	for i, d := range []string{"C", "F", "C", "F", "C", "F", "G", "G"} {
+		cfg.Hosts[i].Device = d
+	}
+	cfg.Plan[0].Frac = 0.75
+	cfg.Crashes = []Crash{{
+		Host:     4,
+		Schedule: chaos.Schedule{At: vclock.Time(3 * cfg.Window), Dur: 2 * cfg.Window},
+	}}
+	return cfg
+}
+
+// TestRolloutExportsGolden pins the rollout's rendered outputs — event
+// log, scorecard, TSDB export and flight bundles — against a digest
+// recorded before the barrier's aggregation was last restructured.
+func TestRolloutExportsGolden(t *testing.T) {
+	cfg, db := obsConfig(goldenConfig())
+	r := New(cfg).Run()
+	h := fnv.New64a()
+	h.Write([]byte(r.EventLog()))
+	h.Write([]byte(r.Render()))
+	h.Write([]byte(exportAll(t, db, r)))
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != exportsGolden {
+		t.Fatalf("rollout exports digest %s, want %s; log:\n%s", got, exportsGolden, r.EventLog())
 	}
 }

@@ -119,12 +119,6 @@ type Config struct {
 	// Twin enables the two-fidelity fleet layout for 100k+-host rollouts;
 	// nil runs every host at full fidelity.
 	Twin *TwinConfig
-	// PriorOutcomes seeds the race with the verdicts of a previous campaign
-	// (Result.Candidates): a candidate whose policy name matches a prior
-	// outcome starts excluded from every device class that dropped it, and a
-	// candidate dropped everywhere starts out of the race. Lets chained
-	// campaigns avoid re-burning canary hosts on known-bad cohorts.
-	PriorOutcomes []CandidateOutcome
 }
 
 // TwinConfig is the two-fidelity fleet layout: per device class the first
@@ -332,6 +326,8 @@ type host struct {
 	index  int
 	spec   fleet.Spec
 	device string
+	// dev indexes device in Controller.fleetDevices.
+	dev    int
 	weight float64
 	// fidelity is the host's layout assignment (fleet.FidelityFull or
 	// fleet.FidelityTwin); fixed for the host's lifetime.
@@ -359,25 +355,18 @@ type host struct {
 	// to; -1 means baseline (control cohort).
 	assigned int
 
-	// Last window's outputs.
-	winPressure float64
-	winRPS      float64
-	winOOMs     int64
-	resident    float64
-	swapStored  int64
-	faultP99    float64
+	// v is the last window's vitals.
+	v fleet.Vitals
 
 	// Accumulated over the host's life.
 	oomTotal    int64
 	swapLatched bool
 
-	// Pre-rollout reference recorded at the end of the first warm-up; kept
-	// across crashes and rebuilds so a rejoined host is judged against its
-	// class norm.
-	baselineSet      bool
-	warmRPSSum       float64
-	baselineRPS      float64
-	baselineResident float64
+	// norm is the pre-rollout reference fixed at the end of the first
+	// completed warm-up (baselineSet); kept across later crashes and
+	// rebuilds so a rejoined host is judged against its own norm.
+	baselineSet bool
+	norm        fleet.Norm
 }
 
 // eligible reports whether the host's telemetry belongs in cohort
@@ -398,11 +387,10 @@ type candState struct {
 	detail  string
 	// excluded device classes: cohorts this candidate was dropped from.
 	excluded map[string]bool
-	// acc accumulates the current stage.
-	acc candAccum
-	// Lifetime savings accumulation, for promotion scoring.
-	lifeSavingsSum float64
-	lifeWindows    int
+	// acc and dev accumulate the current stage, candidate-wide and per
+	// device class; life accumulates the whole race for promotion scoring.
+	acc, life accum
+	dev       map[string]*accum
 }
 
 // excludedList returns the dropped device classes in sorted order.
@@ -415,28 +403,31 @@ func (cs *candState) excludedList() []string {
 	return out
 }
 
-// meanSavings is the candidate's lifetime mean weighted savings — the
-// promotion score.
-func (cs *candState) meanSavings() float64 {
-	if cs.lifeWindows == 0 {
-		return 0
+// accum accumulates one cohort's window readings over a stage: means over
+// the windows with contributing hosts, OOM kills summed, and host and latch
+// counts as of the latest window.
+type accum struct {
+	windows                              int
+	pressureSum, rpsRatioSum, savingsSum float64
+	ooms                                 int64
+	hosts, latched                       int
+}
+
+// fold adds one window's reading of the cohort and its savings vs control.
+func (a *accum) fold(s CohortStats, savings float64) {
+	a.ooms += s.OOMKills
+	a.hosts, a.latched = s.Hosts, s.SwapLatched
+	if s.Hosts == 0 {
+		return
 	}
-	return cs.lifeSavingsSum / float64(cs.lifeWindows)
+	a.windows++
+	a.pressureSum += s.MemPressure
+	a.rpsRatioSum += s.RPSRatio
+	a.savingsSum += savings
 }
 
-// devAccum accumulates one (candidate, device-class) cohort over a stage.
-// Only windows with at least one contributing host count toward means.
-type devAccum struct {
-	windows     int
-	pressureSum float64
-	rpsRatioSum float64
-	ooms        int64
-	latched     int
-	hosts       int
-}
-
-// cohort folds the accumulator into the stats the guardrails judge.
-func (a *devAccum) cohort(device string) CohortStats {
+// stats folds the accumulator into the stats the guardrails judge.
+func (a *accum) stats(device string) CohortStats {
 	s := CohortStats{Device: device, Hosts: a.hosts, OOMKills: a.ooms, SwapLatched: a.latched, RPSRatio: 1}
 	if a.windows > 0 {
 		s.MemPressure = a.pressureSum / float64(a.windows)
@@ -445,32 +436,8 @@ func (a *devAccum) cohort(device string) CohortStats {
 	return s
 }
 
-// candAccum accumulates one candidate's stage aggregates: the candidate-wide
-// cohort plus one devAccum per device class.
-type candAccum struct {
-	windows     int
-	pressureSum float64
-	rpsRatioSum float64
-	savingsSum  float64
-	ooms        int64
-	latched     int
-	hosts       int
-	dev         map[string]*devAccum
-}
-
-// cohort folds the candidate-wide accumulator.
-func (a *candAccum) cohort() CohortStats {
-	s := CohortStats{Hosts: a.hosts, OOMKills: a.ooms, SwapLatched: a.latched, RPSRatio: 1}
-	if a.windows > 0 {
-		s.MemPressure = a.pressureSum / float64(a.windows)
-		s.RPSRatio = a.rpsRatioSum / float64(a.windows)
-	}
-	return s
-}
-
-// savings is the accumulated stage-mean weighted resident savings of the
-// candidate's cohort relative to control.
-func (a *candAccum) savings() float64 {
+// savings is the mean weighted resident savings relative to control.
+func (a *accum) savings() float64 {
 	if a.windows == 0 {
 		return 0
 	}
@@ -538,10 +505,13 @@ func New(cfg Config) *Controller {
 	c.reg.GaugeFunc("rollout.candidates_alive", func() float64 { return float64(c.aliveCount()) })
 
 	_, c.fleetDevices = fleet.DeviceCohorts(cfg.Hosts)
+	devIdx := map[string]int{}
+	for i, d := range c.fleetDevices {
+		devIdx[d] = i
+	}
 	for i, pol := range cfg.Candidates {
 		c.cands = append(c.cands, &candState{idx: i, pol: pol, excluded: map[string]bool{}})
 	}
-	c.applyPriorOutcomes()
 	layout := fidelityLayout(cfg)
 	for i, s := range cfg.Hosts {
 		w := s.Weight
@@ -552,6 +522,7 @@ func New(cfg Config) *Controller {
 			index:     i,
 			spec:      s,
 			device:    s.DeviceClass(),
+			dev:       devIdx[s.DeviceClass()],
 			weight:    w,
 			fidelity:  layout[i],
 			assigned:  -1,
@@ -598,46 +569,6 @@ func (c *Controller) aliveCount() int {
 	return n
 }
 
-// applyPriorOutcomes seeds the race with a previous campaign's verdicts:
-// matching candidates (by policy name) start excluded from every device
-// class that dropped them before, and a candidate whose prior exclusions
-// cover the whole current fleet starts out of the race entirely.
-func (c *Controller) applyPriorOutcomes() {
-	for _, prior := range c.cfg.PriorOutcomes {
-		for _, cand := range c.cands {
-			if cand.pol.Name != prior.Policy || len(prior.ExcludedDevices) == 0 {
-				continue
-			}
-			for _, d := range prior.ExcludedDevices {
-				cand.excluded[d] = true
-			}
-			if prior.Tripped != "" {
-				cand.tripped = prior.Tripped
-				cand.detail = prior.Detail
-			}
-			c.record(trace.KindRolloutDrop, cand.pol.Name,
-				"prior campaign exclusions carried in: %s", strings.Join(prior.ExcludedDevices, ","))
-		}
-	}
-	for _, cand := range c.cands {
-		if cand.dropped || len(cand.excluded) == 0 {
-			continue
-		}
-		covered := 0
-		for _, d := range c.fleetDevices {
-			if cand.excluded[d] {
-				covered++
-			}
-		}
-		if covered == len(c.fleetDevices) {
-			cand.dropped = true
-			c.telDrop.Inc()
-			c.record(trace.KindRolloutDrop, cand.pol.Name,
-				"candidate starts dropped: prior exclusions cover every device class")
-		}
-	}
-}
-
 // hostSpec is the spec a host runs under pol: the policy's mode and Senpai
 // config, and its chain layout and placement knobs where it carries them,
 // override the host's own (pushed policy wins over Spec.Senpai).
@@ -673,6 +604,10 @@ func (c *Controller) buildHost(h *host) {
 	h.runMode = pol.Mode
 	h.swapCap = h.sim.SwapCapacityBytes()
 	h.upWindows = 0
+	if !h.baselineSet {
+		// A warm-up cut short by a crash starts over with the new life.
+		h.norm = fleet.Norm{}
+	}
 	if c.obs != nil {
 		// A fresh incarnation starts a fresh black box.
 		if fr := c.obs.fr[h.index]; fr != nil {
@@ -791,183 +726,131 @@ func (c *Controller) advance() {
 // up — aggregation, guardrails, monitors, promotion — is fidelity-blind.
 func (c *Controller) advanceHost(h *host) {
 	v := h.sim.Advance(c.cfg.Window)
-	h.winPressure = v.Pressure
-	h.winRPS = v.RPS
-	h.winOOMs = v.OOMKills
+	h.v = v
 	h.oomTotal += v.OOMKills
-	h.resident = v.ResidentBytes
-	h.swapStored = v.SwapStoredBytes
-	h.faultP99 = v.FaultP99Us
 	if h.swapCap > 0 && h.latchFrac > 0 &&
 		float64(v.SwapStoredBytes) >= h.latchFrac*float64(h.swapCap) {
 		h.swapLatched = true
 	}
-
 	h.upWindows++
 	if !h.baselineSet {
-		// Skip the first window (boot transient), average the rest of the
-		// warm-up into the host's throughput norm.
-		if h.upWindows >= 2 {
-			h.warmRPSSum += h.winRPS
-		}
-		if h.upWindows >= c.cfg.WarmWindows {
-			h.baselineRPS = h.warmRPSSum / float64(h.upWindows-1)
-			h.baselineResident = h.resident
-			h.baselineSet = true
-		}
+		h.baselineSet = h.norm.Warm(v, c.cfg.WarmWindows)
 	}
 }
 
-// candWindow is one candidate's aggregates over the window just completed.
+// candWindow is one candidate's readings over the window just completed:
+// the candidate-wide cohort with its weighted resident savings vs control,
+// and one cohort per device class where the candidate had an up host, in
+// fleetDevices order.
 type candWindow struct {
-	hosts    int
-	pressure float64
-	rpsRatio float64
-	savings  float64
-	ooms     int64
-	latched  int
-	dev      map[string]*devWindow
+	stats   CohortStats
+	savings float64
+	dev     []CohortStats
 }
 
-// devWindow is one (candidate, device-class) cohort's window aggregates.
-type devWindow struct {
-	hosts    int
-	pressure float64
-	rpsRatio float64
-	ooms     int64
-	latched  int
-}
-
-// rawSums are weighted sample sums pending normalization.
-type rawSums struct {
+// tally is one cohort's sums over one window: weighted readings over its
+// eligible hosts, and OOM kills and swap latches over every up host.
+type tally struct {
 	w, press, rps, res float64
-	hosts              int
+	hosts, up          int
+	ooms               int64
+	latched            int
+}
+
+// sample adds one eligible host's readings at weight w.
+func (t *tally) sample(w, press, rps, res float64) {
+	t.w += w
+	t.press += w * press
+	t.rps += w * rps
+	t.res += w * res
+	t.hosts++
+}
+
+// add merges another cohort's sums into t.
+func (t *tally) add(o *tally) {
+	t.w += o.w
+	t.press += o.press
+	t.rps += o.rps
+	t.res += o.res
+	t.hosts += o.hosts
+	t.up += o.up
+	t.ooms += o.ooms
+	t.latched += o.latched
+}
+
+// stats reads the tally as cohort stats: weighted mean pressure, and
+// weighted mean normalized RPS over ctrlRPS (the control cohort's mean,
+// applied when positive).
+func (t *tally) stats(device string, ctrlRPS float64) CohortStats {
+	s := CohortStats{Device: device, Hosts: t.hosts, OOMKills: t.ooms, SwapLatched: t.latched, RPSRatio: 1}
+	if t.w > 0 {
+		s.MemPressure = t.press / t.w
+		s.RPSRatio = t.rps / t.w
+		if ctrlRPS > 0 {
+			s.RPSRatio /= ctrlRPS
+		}
+	}
+	return s
 }
 
 // windowStats aggregates the window just completed, per candidate and per
-// device-class cohort: weighted mean pressure, baseline-normalized
-// throughput against the control cohort (device-matched where control hosts
-// of the class exist), OOM kills, swap latches, and weighted resident
-// savings vs control. Aggregation walks hosts in index order and devices in
-// sorted order, so results are deterministic.
+// device-class cohort: weighted mean pressure, norm-relative throughput
+// against the control cohort (device-matched where control hosts of the
+// class exist), OOM kills, swap latches, and weighted resident savings vs
+// control. Hosts are tallied in index order into one cell per (cohort,
+// device class); a candidate-wide tally is its cells added in fleetDevices
+// order, while the fleet-wide control tally is summed host by host. The
+// float order is therefore fixed, and results are deterministic.
 func (c *Controller) windowStats() []candWindow {
-	out := make([]candWindow, len(c.cands))
-	raw := make([]map[string]*rawSums, len(c.cands))
-	for k := range out {
-		out[k].rpsRatio = 1
-		out[k].dev = map[string]*devWindow{}
-		raw[k] = map[string]*rawSums{}
-	}
-	var ctrl rawSums
-	ctrlDev := map[string]*rawSums{}
-
+	nd := len(c.fleetDevices)
+	// cells[(k+1)*nd+d] is cohort k's (control: -1) device class d.
+	cells := make([]tally, (len(c.cands)+1)*nd)
+	var ctrl tally
 	for _, h := range c.hosts {
 		if h.down {
 			continue
 		}
-		k := h.assigned
-		if k >= 0 {
-			cw := &out[k]
-			cw.ooms += h.winOOMs
-			if h.swapLatched {
-				cw.latched++
-			}
-			dw := cw.dev[h.device]
-			if dw == nil {
-				dw = &devWindow{}
-				cw.dev[h.device] = dw
-			}
-			dw.ooms += h.winOOMs
-			if h.swapLatched {
-				dw.latched++
-			}
+		t := &cells[(h.assigned+1)*nd+h.dev]
+		t.up++
+		t.ooms += h.v.OOMKills
+		if h.swapLatched {
+			t.latched++
 		}
 		if !h.eligible(c.cfg.WarmWindows) {
 			continue
 		}
-		rpsNorm, resNorm := 1.0, 1.0
-		if h.baselineRPS > 0 {
-			rpsNorm = h.winRPS / h.baselineRPS
+		rps, res := h.norm.Ratios(h.v)
+		t.sample(h.weight, h.v.Pressure, rps, res)
+		if h.assigned < 0 {
+			ctrl.sample(h.weight, h.v.Pressure, rps, res)
 		}
-		if h.baselineResident > 0 {
-			resNorm = h.resident / h.baselineResident
-		}
-		if k < 0 {
-			ctrl.w += h.weight
-			ctrl.press += h.weight * h.winPressure
-			ctrl.rps += h.weight * rpsNorm
-			ctrl.res += h.weight * resNorm
-			ctrl.hosts++
-			cd := ctrlDev[h.device]
-			if cd == nil {
-				cd = &rawSums{}
-				ctrlDev[h.device] = cd
-			}
-			cd.w += h.weight
-			cd.rps += h.weight * rpsNorm
-			cd.res += h.weight * resNorm
-			cd.hosts++
-			continue
-		}
-		rs := raw[k][h.device]
-		if rs == nil {
-			rs = &rawSums{}
-			raw[k][h.device] = rs
-		}
-		rs.w += h.weight
-		rs.press += h.weight * h.winPressure
-		rs.rps += h.weight * rpsNorm
-		rs.res += h.weight * resNorm
-		rs.hosts++
 	}
 
-	// Fleet-wide control means; 1.0 (the host's own baseline) when the
-	// control cohort is empty.
+	// Fleet-wide control means; 1.0 (the host's own norm) when the control
+	// cohort is empty.
 	cRPS, cRes := 1.0, 1.0
 	if ctrl.w > 0 {
-		cRPS = ctrl.rps / ctrl.w
-		cRes = ctrl.res / ctrl.w
+		cRPS, cRes = ctrl.rps/ctrl.w, ctrl.res/ctrl.w
 	}
+	out := make([]candWindow, len(c.cands))
 	for k := range out {
-		cw := &out[k]
-		var tW, tP, tRPS, tRes float64
-		for _, d := range c.fleetDevices {
-			rs := raw[k][d]
-			if rs == nil || rs.hosts == 0 {
+		var sum tally
+		for d, device := range c.fleetDevices {
+			t := &cells[(k+1)*nd+d]
+			sum.add(t)
+			if t.up == 0 {
 				continue
 			}
-			tW += rs.w
-			tP += rs.press
-			tRPS += rs.rps
-			tRes += rs.res
-			dw := cw.dev[d]
-			dw.hosts = rs.hosts
-			dw.pressure = rs.press / rs.w
 			// Device-matched control where available.
 			dcRPS := cRPS
-			if cd := ctrlDev[d]; cd != nil && cd.w > 0 {
+			if cd := &cells[d]; cd.w > 0 {
 				dcRPS = cd.rps / cd.w
 			}
-			dw.rpsRatio = rs.rps / rs.w
-			if dcRPS > 0 {
-				dw.rpsRatio /= dcRPS
-			}
+			out[k].dev = append(out[k].dev, t.stats(device, dcRPS))
 		}
-		for _, d := range c.fleetDevices {
-			if rs := raw[k][d]; rs != nil {
-				cw.hosts += rs.hosts
-			}
-		}
-		if tW == 0 {
-			continue
-		}
-		cw.pressure = tP / tW
-		cw.rpsRatio = tRPS / tW
-		if cRPS > 0 {
-			cw.rpsRatio /= cRPS
-		}
-		if cRes > 0 {
-			cw.savings = 1 - (tRes/tW)/cRes
+		out[k].stats = sum.stats("", cRPS)
+		if sum.w > 0 && cRes > 0 {
+			out[k].savings = 1 - (sum.res/sum.w)/cRes
 		}
 	}
 	return out
@@ -1010,36 +893,15 @@ func (c *Controller) barrier() bool {
 func (c *Controller) fold(cws []candWindow) {
 	for k, cand := range c.cands {
 		cw := &cws[k]
-		acc := &cand.acc
-		acc.ooms += cw.ooms
-		acc.latched = cw.latched
-		acc.hosts = cw.hosts
-		if cw.hosts > 0 {
-			acc.windows++
-			acc.pressureSum += cw.pressure
-			acc.rpsRatioSum += cw.rpsRatio
-			acc.savingsSum += cw.savings
-			cand.lifeWindows++
-			cand.lifeSavingsSum += cw.savings
-		}
-		for _, d := range c.fleetDevices {
-			dw := cw.dev[d]
-			if dw == nil {
-				continue
+		cand.acc.fold(cw.stats, cw.savings)
+		cand.life.fold(cw.stats, cw.savings)
+		for _, s := range cw.dev {
+			a := cand.dev[s.Device]
+			if a == nil {
+				a = &accum{}
+				cand.dev[s.Device] = a
 			}
-			da := acc.dev[d]
-			if da == nil {
-				da = &devAccum{}
-				acc.dev[d] = da
-			}
-			da.ooms += dw.ooms
-			da.latched = dw.latched
-			da.hosts = dw.hosts
-			if dw.hosts > 0 {
-				da.windows++
-				da.pressureSum += dw.pressure
-				da.rpsRatioSum += dw.rpsRatio
-			}
+			a.fold(s, 0)
 		}
 	}
 }
@@ -1056,12 +918,12 @@ func (c *Controller) judge() {
 			if cand.excluded[d] {
 				continue
 			}
-			da := cand.acc.dev[d]
-			if da == nil {
+			a := cand.dev[d]
+			if a == nil {
 				continue
 			}
 			g := c.cfg.guardrailsFor(d)
-			if name, detail := g.Check(da.cohort(d)); name != "" {
+			if name, detail := g.Check(a.stats(d)); name != "" {
 				c.dropDevice(cand, d, name, detail)
 			}
 		}
@@ -1132,12 +994,7 @@ func (c *Controller) dropCandidate(cand *candState) {
 // hosts this stage (e.g. a canary smaller than the field) do not gate.
 func (c *Controller) bakeDone() bool {
 	bake := c.cfg.Plan[c.stageIdx].Bake
-	assigned := make([]int, len(c.cands))
-	for _, h := range c.hosts {
-		if h.assigned >= 0 {
-			assigned[h.assigned]++
-		}
-	}
+	assigned := c.assignedCounts()
 	for k, cand := range c.cands {
 		if cand.dropped || assigned[k] == 0 {
 			continue
@@ -1149,6 +1006,23 @@ func (c *Controller) bakeDone() bool {
 	return true
 }
 
+// assignedCounts is how many hosts each candidate is assigned.
+func (c *Controller) assignedCounts() []int {
+	n := make([]int, len(c.cands))
+	for _, h := range c.hosts {
+		if h.assigned >= 0 {
+			n[h.assigned]++
+		}
+	}
+	return n
+}
+
+// cohortSize is how many hosts, in index order, a stage enrolling the
+// cumulative fraction frac treats: ceil(frac·N), at least one.
+func (c *Controller) cohortSize(frac float64) int {
+	return max(1, min(len(c.hosts), int(math.Ceil(frac*float64(len(c.hosts))))))
+}
+
 // beginStage enrolls the stage's cohort, partitions it among the surviving
 // candidates (or the promoted winner at the final stage), and pushes each
 // newly entitled policy — rebuilding hosts whose mode changes.
@@ -1156,16 +1030,10 @@ func (c *Controller) beginStage(i int) {
 	c.stageIdx = i
 	c.state = StateStaging
 	for _, cand := range c.cands {
-		cand.acc = candAccum{dev: map[string]*devAccum{}}
+		cand.acc, cand.dev = accum{}, map[string]*accum{}
 	}
 	st := c.cfg.Plan[i]
-	want := int(math.Ceil(st.Frac * float64(len(c.hosts))))
-	if want > len(c.hosts) {
-		want = len(c.hosts)
-	}
-	if want < 1 {
-		want = 1
-	}
+	want := c.cohortSize(st.Frac)
 	c.treated = want
 	if i == len(c.cfg.Plan)-1 && c.winner < 0 {
 		c.promote()
@@ -1232,7 +1100,7 @@ func (c *Controller) promote() {
 		if cand.dropped {
 			continue
 		}
-		if best < 0 || cand.meanSavings() > c.cands[best].meanSavings() {
+		if best < 0 || cand.life.savings() > c.cands[best].life.savings() {
 			best = k
 		}
 	}
@@ -1246,42 +1114,35 @@ func (c *Controller) promote() {
 		if cand.dropped {
 			continue
 		}
-		fmt.Fprintf(&scores, " %s=%.2f%%", cand.pol.Name, 100*cand.meanSavings())
+		fmt.Fprintf(&scores, " %s=%.2f%%", cand.pol.Name, 100*cand.life.savings())
 	}
 	c.record(trace.KindRolloutPromote, c.cands[best].pol.Name,
-		"promoted on weighted savings over %d windows:%s", c.cands[best].lifeWindows, scores.String())
+		"promoted on weighted savings over %d windows:%s", c.cands[best].life.windows, scores.String())
 }
 
 // candReports snapshots every candidate's stage accumulators into reports,
 // in candidate order with device cohorts sorted.
 func (c *Controller) candReports(terminal string) []CandidateStageReport {
-	assigned := make([]int, len(c.cands))
-	for _, h := range c.hosts {
-		if h.assigned >= 0 {
-			assigned[h.assigned]++
-		}
-	}
+	assigned := c.assignedCounts()
 	out := make([]CandidateStageReport, 0, len(c.cands))
 	for k, cand := range c.cands {
 		r := CandidateStageReport{
 			Policy:         cand.pol.Name,
 			Windows:        cand.acc.windows,
-			Stats:          cand.acc.cohort(),
+			Stats:          cand.acc.stats(""),
 			SavingsFrac:    cand.acc.savings(),
 			Tripped:        cand.tripped,
 			Detail:         cand.detail,
 			DroppedDevices: cand.excludedList(),
 		}
 		for _, d := range c.fleetDevices {
-			if da := cand.acc.dev[d]; da != nil {
-				r.Cohorts = append(r.Cohorts, da.cohort(d))
+			if a := cand.dev[d]; a != nil {
+				r.Cohorts = append(r.Cohorts, a.stats(d))
 			}
 		}
 		switch {
 		case cand.dropped:
 			r.Verdict = "dropped"
-		case assigned[k] == 0 && c.winner >= 0 && c.winner != k:
-			r.Verdict = "idle"
 		case assigned[k] == 0:
 			r.Verdict = "idle"
 		default:
@@ -1315,7 +1176,7 @@ func (c *Controller) finishStage() {
 		if cand.dropped || cand.acc.windows == 0 {
 			continue
 		}
-		stats := cand.acc.cohort()
+		stats := cand.acc.stats("")
 		c.record(trace.KindRolloutStage, st.Name,
 			"%s held over %d windows: psi=%.4f rps=%.3f oom=%d latched=%d savings=%.1f%%",
 			cand.pol.Name, cand.acc.windows, stats.MemPressure, stats.RPSRatio,
@@ -1341,15 +1202,9 @@ func (c *Controller) finishStage() {
 		}
 		c.state = StateCompleted
 		c.settleLeft = c.cfg.SettleWindows
-		on := 0
-		for _, h := range c.hosts {
-			if h.assigned == c.winner && c.winner >= 0 {
-				on++
-			}
-		}
-		name := ""
+		name, on := "", 0
 		if c.winner >= 0 {
-			name = c.cands[c.winner].pol.Name
+			name, on = c.cands[c.winner].pol.Name, c.assignedCounts()[c.winner]
 		}
 		c.record(trace.KindRolloutComplete, "fleet",
 			"policy %s on %d/%d hosts", name, on, len(c.hosts))
@@ -1384,20 +1239,13 @@ func (c *Controller) rollback() {
 
 // result assembles the scorecard.
 func (c *Controller) result() Result {
-	canary := int(math.Ceil(c.cfg.Plan[0].Frac * float64(len(c.hosts))))
-	if canary < 1 {
-		canary = 1
-	}
-	if canary > len(c.hosts) {
-		canary = len(c.hosts)
-	}
 	r := Result{
 		State:            c.state,
 		TrippedGuardrail: c.tripped,
 		Stages:           c.reports,
 		Events:           c.events,
 		Flights:          c.flights,
-		CanaryHosts:      canary,
+		CanaryHosts:      c.cohortSize(c.cfg.Plan[0].Frac),
 		Window:           c.cfg.Window,
 		Duration:         vclock.Duration(c.now),
 	}
@@ -1412,8 +1260,8 @@ func (c *Controller) result() Result {
 			Tripped:         cand.tripped,
 			Detail:          cand.detail,
 			ExcludedDevices: cand.excludedList(),
-			MeanSavingsFrac: cand.meanSavings(),
-			Windows:         cand.lifeWindows,
+			MeanSavingsFrac: cand.life.savings(),
+			Windows:         cand.life.windows,
 			Promoted:        c.state == StateCompleted && cand.idx == c.winner,
 		})
 	}

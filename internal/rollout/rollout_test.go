@@ -1,6 +1,7 @@
 package rollout
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -517,6 +518,34 @@ func TestRolloutTelemetryCounters(t *testing.T) {
 	for name, seen := range want {
 		if !seen {
 			t.Fatalf("counter %s not incremented; snapshot: %+v", name, snap.Metrics)
+		}
+	}
+}
+
+// TestWarmupCrashKeepsRPSNorm pins that a host crashing mid-warm-up starts
+// its throughput norm over with its new life: every stage's cohort RPS
+// ratio matches the same rollout without the crash.
+func TestWarmupCrashKeepsRPSNorm(t *testing.T) {
+	build := func(crash bool) Config {
+		cfg := testConfig(safePolicy())
+		cfg.WarmWindows = 4
+		if crash {
+			cfg.Crashes = []Crash{{
+				Host:     2,
+				Schedule: chaos.Schedule{At: vclock.Time(2 * cfg.Window), Dur: cfg.Window},
+			}}
+		}
+		return cfg
+	}
+	base, churned := New(build(false)).Run(), New(build(true)).Run()
+	if churned.Hosts[2].Crashes != 1 || len(churned.Stages) != len(base.Stages) {
+		t.Fatalf("crashes=%d stages %d vs %d; log:\n%s",
+			churned.Hosts[2].Crashes, len(churned.Stages), len(base.Stages), churned.EventLog())
+	}
+	for i, st := range churned.Stages {
+		got, want := st.Candidates[0].Stats.RPSRatio, base.Stages[i].Candidates[0].Stats.RPSRatio
+		if math.Abs(got-want) > 0.01 {
+			t.Errorf("stage %s rps ratio %.4f with a warm-up crash, %.4f without", st.Stage.Name, got, want)
 		}
 	}
 }

@@ -187,79 +187,6 @@ func TestTwinRolloutGuardrailTrip(t *testing.T) {
 	}
 }
 
-// TestPriorOutcomesCarryOver pins campaign chaining: a candidate that
-// tripped out of a device class in one campaign starts the next campaign
-// excluded from that class, and a candidate whose prior exclusions cover
-// the whole fleet starts out of the race.
-func TestPriorOutcomesCarryOver(t *testing.T) {
-	safe := safePolicy()
-	safe.Name = "safe"
-	hot := aggressivePolicy()
-	hot.Name = "hot"
-
-	// Campaign 1: under the stock 0.005 PSI budget the aggressive candidate
-	// trips class F (steady-state psi ~0.006) but holds class C (~0.0036),
-	// so its outcome carries a class-F exclusion.
-	cfg := twinConfig(safe, hot)
-	cfg.Plan = []Stage{{Name: "canary", Frac: 0.2, Bake: 8}, {Name: "fleet", Frac: 0.9, Bake: 4}}
-	r1 := New(cfg).Run()
-	var hotOut CandidateOutcome
-	for _, c := range r1.Candidates {
-		if c.Policy == "hot" {
-			hotOut = c
-		}
-	}
-	if len(hotOut.ExcludedDevices) != 1 || hotOut.ExcludedDevices[0] != "F" {
-		t.Fatalf("campaign 1: hot excluded from %v, want [F]; log:\n%s", hotOut.ExcludedDevices, r1.EventLog())
-	}
-
-	// Campaign 2 threads campaign 1's outcomes in: hot must start excluded
-	// from F (but still racing on C), safe must carry nothing.
-	cfg2 := twinConfig(safe, hot)
-	cfg2.PriorOutcomes = r1.Candidates
-	c2 := New(cfg2)
-	if !c2.cands[1].excluded["F"] {
-		t.Fatalf("prior class-F trip not carried into campaign 2: excluded=%v", c2.cands[1].excludedList())
-	}
-	if c2.cands[1].dropped {
-		t.Fatalf("partially excluded candidate must still race the uncovered classes")
-	}
-	if len(c2.cands[0].excluded) != 0 || c2.cands[0].dropped {
-		t.Fatalf("clean prior outcome contaminated safe: excluded=%v dropped=%v",
-			c2.cands[0].excludedList(), c2.cands[0].dropped)
-	}
-	r2 := c2.Run()
-	if !strings.Contains(r2.EventLog(), "prior campaign exclusions carried in: F") {
-		t.Fatalf("carry-in not recorded in event log:\n%s", r2.EventLog())
-	}
-	for _, h := range r2.Hosts {
-		if h.Device == "F" && h.Policy == "hot" {
-			t.Fatalf("host %d: class-F host ended on the excluded candidate", h.Index)
-		}
-	}
-
-	// A prior that covered every current class drops the candidate at start;
-	// the race runs on without it.
-	cfg3 := twinConfig(safe, hot)
-	cfg3.PriorOutcomes = []CandidateOutcome{
-		{Policy: "hot", Tripped: "psi", Detail: "prior fleet-wide trip", ExcludedDevices: []string{"C", "F"}},
-	}
-	c3 := New(cfg3)
-	if !c3.cands[1].dropped {
-		t.Fatalf("fleet-covering prior exclusions did not drop the candidate at start")
-	}
-	if c3.cands[1].tripped != "psi" {
-		t.Fatalf("prior guardrail attribution lost: tripped=%q", c3.cands[1].tripped)
-	}
-	r3 := c3.Run()
-	if !r3.Completed() || r3.Promoted != "safe" {
-		t.Fatalf("campaign 3 state=%s promoted=%q, want completed/safe; log:\n%s", r3.State, r3.Promoted, r3.EventLog())
-	}
-	if !strings.Contains(r3.EventLog(), "candidate starts dropped") {
-		t.Fatalf("start-drop not recorded in event log:\n%s", r3.EventLog())
-	}
-}
-
 // TestTwinMissingSurfacePanics pins the construction-time check: a twin
 // fleet whose calibration lacks a surface for any spec a twin host could be
 // pushed — an uncalibrated mode, or an uncalibrated chain layout, which no

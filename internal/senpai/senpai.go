@@ -94,17 +94,17 @@ func ConfigB() Config {
 	return c
 }
 
-// TaxConfig returns the per-SLO override used for the memory-tax sidecars:
-// §2.3 notes their performance SLAs are more relaxed than workload
-// containers', which made them TMO's first production target. The override
-// probes harder and tolerates more pressure than ConfigA, but far less than
-// the Web-regressing ConfigB.
-func TaxConfig() Config {
-	c := ConfigA()
-	c.ReclaimRatio *= 4
-	c.MemPressureThreshold *= 5
-	c.IOPressureThreshold *= 2
-	return c
+// TaxOverride derives the per-SLO override used for the memory-tax sidecars
+// from a host's base config, keeping any experiment-level speedups: §2.3
+// notes their performance SLAs are more relaxed than workload containers',
+// which made them TMO's first production target. Over ConfigA the override
+// probes harder and tolerates more pressure, but far less than the
+// Web-regressing ConfigB.
+func TaxOverride(base Config) Config {
+	base.ReclaimRatio *= 4
+	base.MemPressureThreshold *= 5
+	base.IOPressureThreshold *= 2
+	return base
 }
 
 // Action records what the controller did to one container at one interval;

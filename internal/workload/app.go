@@ -67,8 +67,7 @@ type App struct {
 	load     float64 // demand multiplier on per-request touch rates
 	compress float64 // current page compressibility (chaos can drift it)
 
-	lastShift   vclock.Time
-	phaseShifts int64
+	lastShift vclock.Time
 
 	killed bool
 
@@ -225,9 +224,6 @@ func (a *App) SetLoadFactor(f float64) {
 	}
 	a.load = f
 }
-
-// LoadFactor returns the current demand multiplier.
-func (a *App) LoadFactor() float64 { return a.load }
 
 // SetCompressibility rewrites the compressibility of every page the app
 // owns (and of future bloat pages) to ratio, modeling content drift — e.g.
@@ -398,9 +394,6 @@ func (a *App) serveRequest(now vclock.Time, out *requestOutcome) {
 	}
 }
 
-// PhaseShifts returns how many working-set drifts have occurred.
-func (a *App) PhaseShifts() int64 { return a.phaseShifts }
-
 // Kill terminates the app the way a userspace OOM killer would: all of its
 // memory is released immediately and its tasks leave the PSI domain. A
 // killed app serves nothing until Revive.
@@ -465,7 +458,6 @@ func (a *App) shiftPhase(now vclock.Time) {
 		ci := a.rng.IntN(len(cold))
 		hot[hi], cold[ci] = cold[ci], hot[hi]
 	}
-	a.phaseShifts++
 }
 
 // frontEndFactor computes the CPU inflation from bytecode file-cache misses
