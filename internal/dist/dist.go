@@ -15,6 +15,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 
 	"tmo/internal/vclock"
@@ -24,7 +25,42 @@ import (
 // seed. Every simulated component that needs randomness derives its own
 // source so that adding a component never perturbs another's stream.
 func NewRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	return rand.New(NewPCG(seed))
+}
+
+// NewPCG returns the source NewRand wraps for seed. A hot path that keeps
+// both draws from the source directly with Uint64N and Float64, which skip
+// the Rand's interface call, and leaves the Rand for Shuffle and the like:
+// the two share one stream.
+func NewPCG(seed uint64) *rand.PCG {
+	return rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
+}
+
+// Uint64N returns rand.New(src).Uint64N(n) bit for bit, advancing src
+// exactly as that call would: Lemire's multiply-shift with the stdlib's
+// rejection threshold. The stdlib's 32-bit branch yields the same sequence
+// by design, so this matches it on every platform. It panics if n == 0.
+func Uint64N(src *rand.PCG, n uint64) uint64 {
+	if n == 0 {
+		panic("dist: Uint64N(0)")
+	}
+	if n&(n-1) == 0 {
+		return src.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(src.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(src.Uint64(), n)
+		}
+	}
+	return hi
+}
+
+// Float64 returns rand.New(src).Float64() bit for bit: one draw scaled into
+// [0, 1) with 53 bits of precision.
+func Float64(src *rand.PCG) float64 {
+	return float64(src.Uint64()<<11>>11) / (1 << 53)
 }
 
 // Sampler produces random durations from a fixed distribution.

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"math"
+	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -220,4 +222,38 @@ func TestLogNormalSamplePositive(t *testing.T) {
 			t.Fatalf("sample below clock resolution")
 		}
 	}
+}
+
+// TestDrawsMatchRand interleaves Uint64N and Float64 on one source against
+// the stdlib Rand over an identically seeded source: every value and the
+// final source state must agree. n = 2^63+1 forces the rejection loop.
+func TestDrawsMatchRand(t *testing.T) {
+	ns := []uint64{1, 2, 3, 7, 1 << 10, 1 << 40, 1 << 63, 1<<63 + 1}
+	src, ref := NewPCG(7), NewPCG(7)
+	r := rand.New(ref)
+	for i := 0; i < 100000; i++ {
+		n := ns[i%len(ns)]
+		if got, want := Uint64N(src, n), r.Uint64N(n); got != want {
+			t.Fatalf("draw %d: Uint64N(%d) = %d, rand gives %d", i, n, got, want)
+		}
+		if i%3 == 0 {
+			if got, want := Float64(src), r.Float64(); got != want {
+				t.Fatalf("draw %d: Float64 = %v, rand gives %v", i, got, want)
+			}
+		}
+	}
+	a, _ := src.MarshalBinary()
+	b, _ := ref.MarshalBinary()
+	if !bytes.Equal(a, b) {
+		t.Fatalf("source states diverged")
+	}
+}
+
+func TestUint64NZeroPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Uint64N(0) did not panic")
+		}
+	}()
+	Uint64N(NewPCG(1), 0)
 }

@@ -23,6 +23,21 @@ func BenchmarkTouchResident(b *testing.B) {
 	}
 }
 
+// BenchmarkTouchHit is Touch's resident-hit fast path on its own.
+func BenchmarkTouchHit(b *testing.B) {
+	m := newTestManager(1<<18, nil, PolicyTMO)
+	g := m.NewGroup("app", nil)
+	pages := m.NewPages(g, Anon, 4096, 1)
+	touchAll(m, 0, pages)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !m.touchHit(vclock.Time(i), pages[i%len(pages)]) {
+			b.Fatal("resident page missed")
+		}
+	}
+}
+
 // BenchmarkTouchResidentRandom touches 1<<18 resident pages (28 MiB of Page
 // structs, far beyond the CPU caches) in a seeded random order, so nearly
 // every touch misses on its Page the way a simulated host's touches do.

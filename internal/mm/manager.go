@@ -448,6 +448,9 @@ func (m *Manager) TouchWrite(now vclock.Time, p *Page) TouchResult {
 // Touch simulates one access to page p at time now, handling any fault and
 // LRU bookkeeping, and returns what the accessing task experienced.
 func (m *Manager) Touch(now vclock.Time, p *Page) TouchResult {
+	if m.touchHit(now, p) {
+		return TouchResult{}
+	}
 	res := m.touch(now, p)
 	if res.Fault {
 		m.noteFault(res)
@@ -455,7 +458,21 @@ func (m *Manager) Touch(now vclock.Time, p *Page) TouchResult {
 	return res
 }
 
-// touch is Touch without the telemetry publication.
+// touchHit is Touch's fast path for a hit: if p is resident on the local
+// node with no batched load in flight, it records the access, whose
+// TouchResult is zero, and returns true. Otherwise it changes nothing and
+// returns false.
+func (m *Manager) touchHit(now vclock.Time, p *Page) bool {
+	if p.state != Resident || p.far || p.pendingUntil > now {
+		return false
+	}
+	m.markAccessed(p)
+	p.lastTouch, p.touched = now, true
+	return true
+}
+
+// touch is Touch for every access touchHit declines, without the
+// telemetry publication.
 func (m *Manager) touch(now vclock.Time, p *Page) TouchResult {
 	g := p.group
 	switch p.state {
@@ -479,29 +496,25 @@ func (m *Manager) touch(now vclock.Time, p *Page) TouchResult {
 			p.lastTouch, p.touched = now, true
 			return TouchResult{Latency: lat, MemStall: true}
 		}
-		if p.pendingUntil > now {
-			// The page is still in flight on a batched load another fault
-			// submitted: coalesce onto that batch. The task waits out the
-			// remainder instead of issuing a duplicate load.
-			remainder := p.pendingUntil.Sub(now)
-			ioStall := p.pendingIO
-			p.pendingUntil, p.pendingIO = 0, false
-			p.refaulted = true
-			m.markAccessed(p)
-			p.lastTouch, p.touched = now, true
-			g.noteCost(now, Anon)
-			return TouchResult{
-				Fault:     true,
-				SwapIn:    true,
-				Coalesced: true,
-				Latency:   remainder,
-				MemStall:  true,
-				IOStall:   ioStall,
-			}
-		}
+		// The page is still in flight on a batched load another fault
+		// submitted (touchHit took every other local resident touch):
+		// coalesce onto that batch. The task waits out the remainder
+		// instead of issuing a duplicate load.
+		remainder := p.pendingUntil.Sub(now)
+		ioStall := p.pendingIO
+		p.pendingUntil, p.pendingIO = 0, false
+		p.refaulted = true
 		m.markAccessed(p)
 		p.lastTouch, p.touched = now, true
-		return TouchResult{}
+		g.noteCost(now, Anon)
+		return TouchResult{
+			Fault:     true,
+			SwapIn:    true,
+			Coalesced: true,
+			Latency:   remainder,
+			MemStall:  true,
+			IOStall:   ioStall,
+		}
 
 	case NotPresent:
 		var res TouchResult

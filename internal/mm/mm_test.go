@@ -45,6 +45,33 @@ func touchAll(m *Manager, now vclock.Time, pages []*Page) {
 	}
 }
 
+// TestTouchHitTakesOnlyPlainHits: touchHit records a local resident hit,
+// and declines, untouched, every access that needs Touch's full path — a
+// fault, a far access, or a coalesce onto a batch in flight.
+func TestTouchHitTakesOnlyPlainHits(t *testing.T) {
+	m := newTestManager(1024, nil, PolicyTMO)
+	g := m.NewGroup("app", nil)
+	pages := m.NewPages(g, Anon, 3, 1)
+	if m.touchHit(5, pages[0]) || pages[0].State() != NotPresent {
+		t.Fatalf("touchHit took a fault")
+	}
+	touchAll(m, 0, pages)
+	far, pending := pages[1], pages[2]
+	far.far = true
+	pending.pendingUntil = 100
+	for _, p := range []*Page{far, pending} {
+		if m.touchHit(5, p) || p.lastTouch != 0 {
+			t.Fatalf("touchHit took a far or pending page")
+		}
+	}
+
+	// A second touch of an inactive page activates it.
+	hit := pages[0]
+	if !m.touchHit(7, hit) || !hit.active || hit.lastTouch != 7 {
+		t.Fatalf("touchHit left active=%v lastTouch=%v", hit.active, hit.lastTouch)
+	}
+}
+
 func TestAnonFirstTouchZeroFills(t *testing.T) {
 	m := newTestManager(1024, nil, PolicyTMO)
 	g := m.NewGroup("app", nil)

@@ -36,12 +36,15 @@ type App struct {
 	Group   *cgroup.Group
 
 	mgr *mm.Manager
+	// src is the app's random stream. The request path draws from it
+	// directly (dist.Uint64N, dist.Float64); rng wraps the same source for
+	// Shuffle and the per-tick phase shift.
+	src *rand.PCG
 	rng *rand.Rand
 
 	classPages [][]*mm.Page
-	// touchers are the classes a request can touch (Period > 0 and at
-	// least one page), in class order; serveRequest walks only these.
-	touchers []toucher
+	// touch schedules the classes a request can touch.
+	touch touchSchedule
 
 	anonLazy       []*mm.Page
 	lazyCursor     int
@@ -79,14 +82,6 @@ type App struct {
 	restarts  int64
 }
 
-// toucher is one touchable access class. pages shares the class's backing
-// array in classPages, so shiftPhase's in-place swaps are visible here.
-type toucher struct {
-	pages []*mm.Page
-	rate  float64 // expected touches per request at load 1
-	accum float64 // fractional touch credit carried between requests
-}
-
 // maxCarryTicks caps a worker's overrun debt at that many ticks, so one
 // pathological tick cannot silence a worker for the rest of a run.
 const maxCarryTicks = 4
@@ -94,18 +89,23 @@ const maxCarryTicks = 4
 // NewApp builds an app over profile p in group g, creating its pages. Pages
 // consume no memory until Start populates them.
 func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
+	src := dist.NewPCG(seed)
 	a := &App{
 		Profile:  p,
 		Group:    g,
 		mgr:      mgr,
-		rng:      dist.NewRand(seed),
+		src:      src,
+		rng:      rand.New(src),
 		admitted: 1,
 		cpuShare: 1,
 		load:     1,
 		compress: p.Compressibility,
 		carry:    make([]vclock.Duration, p.Workers),
 	}
-	a.latencies = metrics.NewReservoir(4096, dist.NewRand(seed^0x5a5a).Int64N)
+	lsrc := dist.NewPCG(seed ^ 0x5a5a)
+	a.latencies = metrics.NewReservoir(4096, func(n int64) int64 {
+		return int64(dist.Uint64N(lsrc, uint64(n)))
+	})
 	pageSize := mgr.Config().PageSize
 	totalPages := p.FootprintBytes / pageSize
 	nominal := p.NominalRPS()
@@ -126,12 +126,11 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 		a.classPages[i] = pages
 		a.fileFootprintPages += int64(fileN)
 		if c.Period > 0 {
-			a.touchers = append(a.touchers, toucher{
-				pages: pages,
-				rate:  float64(n) / (c.Period.Seconds() * nominal),
-			})
+			a.touch.add(pages, float64(n)/(c.Period.Seconds()*nominal), a.load)
 		}
 	}
+
+	a.touch.reset()
 
 	if p.StreamFileBytesPerSec > 0 && p.StreamSetBytes > 0 {
 		n := int(p.StreamSetBytes / pageSize)
@@ -186,9 +185,7 @@ func (a *App) Restart(now vclock.Time) {
 	a.mgr.FreePages(a.streamPages)
 	a.mgr.FreePages(a.bloatPages)
 	a.bloatPages = nil
-	for i := range a.touchers {
-		a.touchers[i].accum = 0
-	}
+	a.touch.reset()
 	for i := range a.carry {
 		a.carry[i] = 0
 	}
@@ -223,6 +220,7 @@ func (a *App) SetLoadFactor(f float64) {
 		f = 0
 	}
 	a.load = f
+	a.touch.setLoad(f)
 }
 
 // SetCompressibility rewrites the compressibility of every page the app
@@ -356,13 +354,14 @@ func (o *requestOutcome) stall() vclock.Duration { return o.memOnly + o.both + o
 // serveRequest simulates the page accesses of one request at time now,
 // accumulating their outcome into out.
 func (a *App) serveRequest(now vclock.Time, out *requestOutcome) {
-	for i := range a.touchers {
-		t := &a.touchers[i]
-		t.accum += t.rate * a.load
-		for t.accum >= 1 {
-			t.accum--
-			pg := t.pages[a.rng.IntN(len(t.pages))]
-			out.absorb(a.mgr.Touch(now, pg))
+	if a.touch.next() {
+		a.touch.settle()
+		for i := range a.touch.classes {
+			t := &a.touch.classes[i]
+			for k := 0; k < t.owed; k++ {
+				pg := t.pages[dist.Uint64N(a.src, uint64(len(t.pages)))]
+				out.absorb(a.mgr.Touch(now, pg))
+			}
 		}
 	}
 	// Lazy anonymous growth.
@@ -561,7 +560,7 @@ func (a *App) placeStalls(now vclock.Time, tick vclock.Duration, o requestOutcom
 	slack := tick - total
 	off := vclock.Duration(0)
 	if slack > 0 {
-		off = vclock.Duration(a.rng.Int64N(int64(slack) + 1))
+		off = vclock.Duration(dist.Uint64N(a.src, uint64(slack)+1))
 	}
 	t := now.Add(off)
 	t = a.appendStall(t, o.memOnly, true, false)
@@ -581,6 +580,6 @@ func (a *App) appendStall(t vclock.Time, d vclock.Duration, mem, io bool) vclock
 
 // jitterCPU draws a request's CPU time within +-20% of the profile value.
 func (a *App) jitterCPU() vclock.Duration {
-	f := 0.8 + 0.4*a.rng.Float64()
+	f := 0.8 + 0.4*dist.Float64(a.src)
 	return vclock.Duration(float64(a.Profile.ServiceCPU) * f)
 }

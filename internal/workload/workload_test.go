@@ -333,10 +333,19 @@ func newSteadyApp(tb testing.TB) (*App, vclock.Time) {
 	return app, now
 }
 
+// The measured ticks straddle load-factor changes, so rescheduling the touch
+// classes is covered too.
 func TestAppTickSteadyStateAllocatesNothing(t *testing.T) {
 	app, now := newSteadyApp(t)
 	sawIO := false
+	ticks := 0
 	allocs := testing.AllocsPerRun(100, func() {
+		switch ticks++; ticks {
+		case 40:
+			app.SetLoadFactor(1.5)
+		case 70:
+			app.SetLoadFactor(1)
+		}
 		res := app.Tick(now, 100*vclock.Millisecond)
 		for _, iv := range res.Stalls {
 			sawIO = sawIO || iv.IO
@@ -358,5 +367,23 @@ func BenchmarkAppTick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		app.Tick(now, 100*vclock.Millisecond)
 		now = now.Add(100 * vclock.Millisecond)
+	}
+}
+
+// BenchmarkServeRequestIdle serves consecutive requests of a resident app
+// at load 1 and reports the mean cost per request. Most requests fall
+// between due requests and touch nothing; the rest settle the touch
+// schedule and touch their pages, so the allocs gate covers both.
+func BenchmarkServeRequestIdle(b *testing.B) {
+	mgr, h := newEnv(512)
+	p := MustCatalog("feed")
+	g := h.NewGroup(nil, p.Name, cgroup.Workload, 0)
+	app := NewApp(p, g, mgr, 9)
+	app.Start(0)
+	var out requestOutcome
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		app.serveRequest(0, &out)
 	}
 }
