@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
 )
 
@@ -13,21 +14,39 @@ const pageSize = 4096
 // bigSwap sizes a test backend far beyond anything a test stores.
 const bigSwap = 1 << 30
 
+// zswapChain returns a one-tier chain: a zstd/zsmalloc pool of capacity
+// bytes whose latency stream derives from seed.
+func zswapChain(capacity int64, seed uint64) *TierChain {
+	return NewTierChain([]TierSpec{{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: capacity}}, nil, WritebackConfig{}, seed)
+}
+
+// ssdChain returns a one-tier chain: a swap partition of capacity bytes on
+// dev, its writeback queue bounded by wb.
+func ssdChain(dev *SSDDevice, capacity int64, wb WritebackConfig) *TierChain {
+	return NewTierChain([]TierSpec{{Kind: TierSSD, CapacityBytes: capacity}}, dev, wb, 0)
+}
+
+// nvmChain returns a one-tier chain: an Optane-class NVM device of capacity
+// bytes whose latency stream derives from seed.
+func nvmChain(capacity int64, seed uint64) *TierChain {
+	return NewTierChain([]TierSpec{{Kind: TierNVM, CapacityBytes: capacity}}, nil, WritebackConfig{}, seed)
+}
+
 // storeOne offloads one page as a one-page batch.
-func storeOne(b SwapBackend, now vclock.Time, pageBytes int64, ratio float64) (StoreResult, error) {
+func storeOne(b *TierChain, now vclock.Time, pageBytes int64, ratio float64) (StoreResult, error) {
 	out := make([]StoreResult, 1)
 	_, err := b.StoreBatch(now, []StoreReq{{PageBytes: pageBytes, CompressRatio: ratio}}, out)
 	return out[0], err
 }
 
 // loadOne loads one page as a one-page batch.
-func loadOne(b SwapBackend, now vclock.Time, h Handle) BatchLoadResult {
+func loadOne(b *TierChain, now vclock.Time, h Handle) BatchLoadResult {
 	return b.LoadBatch(now, []Handle{h})
 }
 
 // loadEach loads hs as one-page batches, summing their latencies: the cost
 // of the same pages without any batching benefit.
-func loadEach(b SwapBackend, now vclock.Time, hs []Handle) BatchLoadResult {
+func loadEach(b *TierChain, now vclock.Time, hs []Handle) BatchLoadResult {
 	var res BatchLoadResult
 	for _, h := range hs {
 		r := loadOne(b, now, h)
@@ -130,7 +149,7 @@ func TestQueueFactorBounds(t *testing.T) {
 
 func TestSSDSwapStoreLoadFree(t *testing.T) {
 	dev := NewSSDDevice(DeviceCatalog[2], 3)
-	sw := NewSSDSwap(dev, bigSwap, WritebackConfig{})
+	sw := ssdChain(dev, bigSwap, WritebackConfig{})
 	res, err := storeOne(sw, 0, pageSize, 4.0)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +185,7 @@ func TestSSDSwapStoreLoadFree(t *testing.T) {
 
 func TestSSDSwapCapacity(t *testing.T) {
 	dev := NewSSDDevice(DeviceCatalog[2], 4)
-	sw := NewSSDSwap(dev, 2*pageSize, WritebackConfig{})
+	sw := ssdChain(dev, 2*pageSize, WritebackConfig{})
 	if _, err := storeOne(sw, 0, pageSize, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +198,7 @@ func TestSSDSwapCapacity(t *testing.T) {
 }
 
 func TestSSDLoadUnknownHandlePanics(t *testing.T) {
-	sw := NewSSDSwap(NewSSDDevice(DeviceCatalog[0], 5), bigSwap, WritebackConfig{})
+	sw := ssdChain(NewSSDDevice(DeviceCatalog[0], 5), bigSwap, WritebackConfig{})
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("no panic for unknown handle")
@@ -223,7 +242,7 @@ func TestFilesystemReads(t *testing.T) {
 }
 
 func TestZswapStoreLoad(t *testing.T) {
-	z := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 8)
+	z := zswapChain(bigSwap, 8)
 	res, err := storeOne(z, 0, pageSize, 4.0) // Web-like 4x compressibility
 	if err != nil {
 		t.Fatal(err)
@@ -258,21 +277,23 @@ func TestZswapStoreLoad(t *testing.T) {
 }
 
 func TestZswapPoolLimit(t *testing.T) {
-	z := NewZswap(CodecZstd, AllocZsmalloc, 3000, 9)
+	z := zswapChain(3000, 9)
+	reg := telemetry.NewRegistry()
+	z.EnableTelemetry(reg)
 	if _, err := storeOne(z, 0, pageSize, 2.0); err != nil { // ~2109 bytes
 		t.Fatal(err)
 	}
 	if _, err := storeOne(z, 0, pageSize, 2.0); err != ErrFull {
 		t.Fatalf("expected ErrFull, got %v", err)
 	}
-	if z.Rejected() != 1 {
-		t.Fatalf("rejected = %d", z.Rejected())
+	if got := reg.Counter("backend.zswap.rejects").Value(); got != 1 {
+		t.Fatalf("rejected = %d", got)
 	}
 }
 
 func TestZswapIncompressiblePage(t *testing.T) {
 	// ML model data at ratio 1.0 should save nothing (stored >= page size).
-	z := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 10)
+	z := zswapChain(bigSwap, 10)
 	res, err := storeOne(z, 0, pageSize, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +345,7 @@ func TestCodecRanking(t *testing.T) {
 func TestZswapP90LoadLatencyNear40us(t *testing.T) {
 	// §2.5: "the p90 latency of a 4KB read from compressed memory is about
 	// 40us" — verify the zstd model lands in that ballpark.
-	z := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 11)
+	z := zswapChain(bigSwap, 11)
 	var lats []float64
 	for i := 0; i < 4000; i++ {
 		res, _ := storeOne(z, 0, pageSize, 3)
@@ -380,7 +401,7 @@ func TestBackendStatsInvariant(t *testing.T) {
 		Ratio uint8
 		Load  bool
 	}
-	check := func(b SwapBackend, ops []op) bool {
+	check := func(b *TierChain, ops []op) bool {
 		var handles []Handle
 		now := vclock.Time(0)
 		for _, o := range ops {
@@ -410,8 +431,8 @@ func TestBackendStatsInvariant(t *testing.T) {
 		return true
 	}
 	f := func(ops []op) bool {
-		z := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 12)
-		s := NewSSDSwap(NewSSDDevice(DeviceCatalog[3], 13), bigSwap, WritebackConfig{})
+		z := zswapChain(bigSwap, 12)
+		s := ssdChain(NewSSDDevice(DeviceCatalog[3], 13), bigSwap, WritebackConfig{})
 		return check(z, ops) && check(s, ops)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -89,9 +89,9 @@ func TestBatchPaysInjectedStallOnce(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	const stall = 50 * vclock.Millisecond
 	now := vclock.Time(vclock.Second)
-	mk := func() (*SSDDevice, *SSDSwap, []Handle) {
+	mk := func() (*SSDDevice, *TierChain, []Handle) {
 		dev := NewSSDDevice(spec, 11)
-		sw := NewSSDSwap(dev, bigSwap, WritebackConfig{Disabled: true})
+		sw := ssdChain(dev, bigSwap, WritebackConfig{Disabled: true})
 		hs := make([]Handle, 8)
 		for i := range hs {
 			r, err := storeOne(sw, 0, pageSize, 1)
@@ -125,8 +125,8 @@ func TestBatchPaysInjectedStallOnce(t *testing.T) {
 // same pages loaded one at a time, because seek/queue cost is paid once.
 func TestSSDLoadBatchAmortizesFixedCost(t *testing.T) {
 	spec, _ := DeviceByModel("C")
-	mk := func() *SSDSwap {
-		return NewSSDSwap(NewSSDDevice(spec, 21), bigSwap, WritebackConfig{Disabled: true})
+	mk := func() *TierChain {
+		return ssdChain(NewSSDDevice(spec, 21), bigSwap, WritebackConfig{Disabled: true})
 	}
 	swB, swS := mk(), mk()
 	var hsB, hsS []Handle
@@ -153,7 +153,7 @@ func TestSSDLoadBatchAmortizesFixedCost(t *testing.T) {
 // batched load draws the same per-page samples but discounts the tail, so it
 // is strictly cheaper than the serial sum; store batches likewise.
 func TestZswapBatchAmortizesCodecOverhead(t *testing.T) {
-	mk := func() *Zswap { return NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 5) }
+	mk := func() *TierChain { return zswapChain(bigSwap, 5) }
 	zb, zs := mk(), mk()
 	var hsB, hsS []Handle
 	for i := 0; i < 8; i++ {
@@ -170,7 +170,7 @@ func TestZswapBatchAmortizesCodecOverhead(t *testing.T) {
 		t.Fatalf("batched zswap load %v not cheaper than serial %v", batched.Latency, serial.Latency)
 	}
 
-	zb2, zs2 := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 6), NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 6)
+	zb2, zs2 := zswapChain(bigSwap, 6), zswapChain(bigSwap, 6)
 	reqs := make([]StoreReq, 8)
 	for i := range reqs {
 		reqs[i] = StoreReq{PageBytes: pageSize, CompressRatio: 2}
@@ -198,7 +198,7 @@ func TestZswapBatchAmortizesCodecOverhead(t *testing.T) {
 // how many pages fit and stores exactly that prefix.
 func TestStoreBatchStoresPrefixOnFull(t *testing.T) {
 	spec, _ := DeviceByModel("C")
-	sw := NewSSDSwap(NewSSDDevice(spec, 13), 5*pageSize, WritebackConfig{})
+	sw := ssdChain(NewSSDDevice(spec, 13), 5*pageSize, WritebackConfig{})
 	reqs := make([]StoreReq, 8)
 	for i := range reqs {
 		reqs[i] = StoreReq{PageBytes: pageSize, CompressRatio: 1}
@@ -223,7 +223,7 @@ func TestStoreBatchStoresPrefixOnFull(t *testing.T) {
 func TestWritebackDeferredUntilDrain(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	dev := NewSSDDevice(spec, 17)
-	sw := NewSSDSwap(dev, bigSwap, WritebackConfig{MaxIOPS: 100}) // one submission per 10ms
+	sw := ssdChain(dev, bigSwap, WritebackConfig{MaxIOPS: 100}) // one submission per 10ms
 	for i := 0; i < 4; i++ {
 		r, err := storeOne(sw, 0, pageSize, 1)
 		if err != nil || r.Latency != 0 {
@@ -233,15 +233,15 @@ func TestWritebackDeferredUntilDrain(t *testing.T) {
 	if dev.WrittenBytes() >= 4*pageSize {
 		t.Fatalf("all writes landed at store time; queue is not deferring")
 	}
-	if sw.QueueDepth() == 0 {
+	if sw.SSD().QueueDepth() == 0 {
 		t.Fatalf("queue empty right after stores")
 	}
 	sw.DrainWriteback(vclock.Time(vclock.Second))
 	if got := dev.WrittenBytes(); got != 4*pageSize {
 		t.Fatalf("after drain, device saw %d bytes, want %d", got, 4*pageSize)
 	}
-	if sw.QueueDepth() != 0 {
-		t.Fatalf("queue depth %d after full drain", sw.QueueDepth())
+	if sw.SSD().QueueDepth() != 0 {
+		t.Fatalf("queue depth %d after full drain", sw.SSD().QueueDepth())
 	}
 }
 
@@ -250,7 +250,7 @@ func TestWritebackDeferredUntilDrain(t *testing.T) {
 func TestWritebackBackpressureStallsReclaimer(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	dev := NewSSDDevice(spec, 19)
-	sw := NewSSDSwap(dev, bigSwap, WritebackConfig{Depth: 2, MaxIOPS: 10}) // 100ms per submission
+	sw := ssdChain(dev, bigSwap, WritebackConfig{Depth: 2, MaxIOPS: 10}) // 100ms per submission
 	var stalled bool
 	for i := 0; i < 6; i++ {
 		r, err := storeOne(sw, 0, pageSize, 1)
@@ -271,7 +271,7 @@ func TestWritebackBackpressureStallsReclaimer(t *testing.T) {
 func TestWritebackStallBacksUpQueue(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	dev := NewSSDDevice(spec, 23)
-	sw := NewSSDSwap(dev, bigSwap, WritebackConfig{Depth: 2, MaxIOPS: 1000})
+	sw := ssdChain(dev, bigSwap, WritebackConfig{Depth: 2, MaxIOPS: 1000})
 	now := vclock.Time(vclock.Second)
 	dev.InjectStall(now, 500*vclock.Millisecond)
 	var stall vclock.Duration
@@ -295,14 +295,14 @@ func TestWritebackStallBacksUpQueue(t *testing.T) {
 func TestWritebackDisabledWritesInline(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	dev := NewSSDDevice(spec, 31)
-	sw := NewSSDSwap(dev, bigSwap, WritebackConfig{Disabled: true})
+	sw := ssdChain(dev, bigSwap, WritebackConfig{Disabled: true})
 	if _, err := storeOne(sw, 0, pageSize, 1); err != nil {
 		t.Fatal(err)
 	}
 	if dev.WrittenBytes() != pageSize {
 		t.Fatalf("inline store wrote %d bytes at store time, want %d", dev.WrittenBytes(), pageSize)
 	}
-	if sw.QueueDepth() != 0 {
+	if sw.SSD().QueueDepth() != 0 {
 		t.Fatalf("disabled queue holds entries")
 	}
 }
@@ -365,9 +365,7 @@ func TestTieredLoadBatchPartitionsTiers(t *testing.T) {
 // amortise, so a batch must behave exactly like the same pages submitted as
 // one-page batches — same handles, same summed latency.
 func TestNVMBatchMatchesOnePageBatches(t *testing.T) {
-	spec := SpecNVMOptane
-	spec.CapacityBytes = bigSwap
-	nvmA, nvmB := NewNVM(spec, 8), NewNVM(spec, 8)
+	nvmA, nvmB := nvmChain(bigSwap, 8), nvmChain(bigSwap, 8)
 	reqs := []StoreReq{{PageBytes: pageSize, CompressRatio: 1}, {PageBytes: pageSize, CompressRatio: 1}}
 	out := make([]StoreResult, 2)
 	if n, err := nvmA.StoreBatch(0, reqs, out); n != 2 || err != nil {
@@ -384,14 +382,14 @@ func TestNVMBatchMatchesOnePageBatches(t *testing.T) {
 	}
 }
 
-// TestSubstratesRequirePositiveCapacity: every substrate is sized; none has
-// an unbounded mode.
+// TestSubstratesRequirePositiveCapacity: every substrate is sized, a lone
+// tier too; none has an unbounded mode.
 func TestSubstratesRequirePositiveCapacity(t *testing.T) {
 	dev := NewSSDDevice(DeviceCatalog[2], 3)
 	for name, mk := range map[string]func(){
-		"zswap": func() { NewZswap(CodecZstd, AllocZsmalloc, 0, 1) },
-		"ssd":   func() { NewSSDSwap(dev, 0, WritebackConfig{}) },
-		"nvm":   func() { NewNVM(SpecNVMOptane, 1) },
+		"zswap": func() { zswapChain(0, 1) },
+		"ssd":   func() { ssdChain(dev, 0, WritebackConfig{}) },
+		"nvm":   func() { nvmChain(0, 1) },
 	} {
 		func() {
 			defer func() {

@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkZswapStoreLoad(b *testing.B) {
-	z := NewZswap(CodecZstd, AllocZsmalloc, bigSwap, 91)
+	z := zswapChain(bigSwap, 91)
 	req := []StoreReq{{PageBytes: pageSize, CompressRatio: 3}}
 	out := make([]StoreResult, 1)
 	hs := make([]Handle, 1)

@@ -18,8 +18,9 @@ import (
 // tracks its actual reuse distance.
 //
 // Every swap mode is a chain: a one-tier chain is a plain zswap pool, SSD
-// swap partition, or NVM device, and forwards each batch straight to that
-// tier's backend with no indirection.
+// swap partition, or NVM device. Whatever the layout, the chain alone books
+// swapped pages — one entry per page in one map — and the tiers only price
+// the work (see Zswap, SSDSwap, NVM).
 
 // TierKind distinguishes the tier substrates a chain can stack.
 type TierKind int
@@ -130,41 +131,43 @@ func DefaultChainSpecs(poolBytes, swapBytes int64) []TierSpec {
 // cost, small enough that a single manage pass cannot monopolise the tick.
 const demoteBatchPages = 32
 
-// chainEntry locates a page inside the chain. The outer Handle held by the
-// memory manager is an indirection: demotion and promotion rewrite only the
-// entry, so mm handles survive tier migration.
+// chainEntry is the one record of a swapped page. The outer Handle held by
+// the memory manager keys it, so demotion rewrites only the entry and mm
+// handles survive tier migration.
 type chainEntry struct {
-	tier    int
-	inner   Handle
-	logical int64
+	tier            int
+	logical, stored int64
 	// ratio is the content's intrinsic compression ratio, remembered so
 	// demotion can re-run admission at the destination tier.
 	ratio float64
 }
 
-// chainTier is one instantiated tier.
+// chainTier is one instantiated tier: its layout, its cost model (exactly
+// one of zs, ssd, nvm), and the Stats of the entries it holds.
 type chainTier struct {
-	spec TierSpec
-	b    SwapBackend // the tier's substrate
-	zs   *Zswap      // b for TierZswap tiers, else nil
-	ssd  *SSDSwap    // b for the TierSSD tier, else nil
-	// inverse maps inner pool handles back to outer handles so watermark
-	// demotion can resolve LRU victims. Compressed tiers of multi-tier
-	// chains only.
-	inverse map[Handle]Handle
+	spec  TierSpec
+	zs    *Zswap
+	ssd   *SSDSwap
+	nvm   *NVM
+	stats Stats
+	// lru holds, from lruHead on, the outer handles that entered the tier
+	// in arrival order: the demotion victims, oldest first. Entries that
+	// have since left the tier are skipped lazily and compacted away once
+	// they outnumber the live ones. Only tiers with a lower tier keep one.
+	lru     []Handle
+	lruHead int
 
 	// Registry instruments, nil until EnableTelemetry.
-	telStores, telDemotions, telRefaults *telemetry.Counter
+	telStores, telDemotions, telRefaults, telLoads *telemetry.Counter
+	telRatio                                       *telemetry.Histogram
 }
 
-// TierChain is an ordered chain of offload tiers implementing SwapBackend.
-// Tier 0 is the fastest; placement walks down-chain until a tier admits the
-// page and has headroom, ErrFull surfaces only when the last tier is full.
+// TierChain is an ordered chain of offload tiers and the ledger of every page
+// swapped into them. Tier 0 is the fastest; placement walks down-chain until
+// a tier admits the page and has headroom, ErrFull surfaces only when the
+// last tier is full.
 type TierChain struct {
-	tiers []chainTier
-	// single is the only tier's backend in a one-tier chain, which every
-	// operation forwards to directly; nil otherwise.
-	single  SwapBackend
+	tiers   []chainTier
 	entries map[Handle]chainEntry
 	next    Handle
 
@@ -173,21 +176,16 @@ type TierChain struct {
 	admitSkips  int64 // tier skips due to MinCompressRatio
 	demoteStall int64 // demotion rounds cut short by writeback backpressure
 
-	// Scratch, reused across calls so the batched fault and reclaim paths
-	// stay zero-alloc.
-	loadScratch  [][]Handle
-	storeReqs    [][]StoreReq
-	storeOut     [][]StoreResult
+	// Per-tier scratch, reused across calls so the batched fault and
+	// reclaim paths stay zero-alloc.
 	storeIdx     [][]int
-	storeOuters  []Handle
 	storePending []int64
-	demoteOuters []Handle
-	demoteReqs   []StoreReq
-	demoteOut    []StoreResult
+	loadPages    []int
+	loadBytes    []int64
 
 	// Registry instruments and decision recorder, nil until enabled.
-	telPromotions, telAdmitSkips, telDemoteStall *telemetry.Counter
-	trace                                        *trace.Recorder
+	telPromotions, telAdmitSkips, telDemoteStall, telRejects *telemetry.Counter
+	trace                                                    *trace.Recorder
 }
 
 // NewTierChain builds a chain from specs. Every tier needs a positive
@@ -199,51 +197,39 @@ func NewTierChain(specs []TierSpec, dev *SSDDevice, wb WritebackConfig, seed uin
 	if len(specs) == 0 {
 		panic("backend: tier chain needs at least one tier")
 	}
-	c := &TierChain{}
+	n := len(specs)
+	c := &TierChain{
+		entries:      make(map[Handle]chainEntry),
+		storeIdx:     make([][]int, n),
+		storePending: make([]int64, n),
+		loadPages:    make([]int, n),
+		loadBytes:    make([]int64, n),
+	}
 	for i, ts := range specs {
 		ts.normalize()
 		if ts.CapacityBytes <= 0 {
 			panic(fmt.Sprintf("backend: chain tier %d (%s) needs a positive capacity", i, ts.Label()))
 		}
-		if ts.Kind != TierZswap && i != len(specs)-1 {
+		if ts.Kind != TierZswap && i != n-1 {
 			panic(fmt.Sprintf("backend: chain %s tier must be last (got position %d)", ts.Label(), i))
 		}
 		tierSeed := seed + uint64(i)*0x9e3779b9
 		t := chainTier{spec: ts}
 		switch ts.Kind {
 		case TierZswap:
-			t.zs = NewZswap(ts.Codec, ts.Alloc, ts.CapacityBytes, tierSeed)
-			t.b = t.zs
+			t.zs = newZswap(ts.Codec, ts.Alloc, tierSeed)
 		case TierSSD:
 			if dev == nil {
 				panic("backend: chain SSD tier needs a device")
 			}
-			t.ssd = NewSSDSwap(dev, ts.CapacityBytes, wb)
-			t.b = t.ssd
+			t.ssd = &SSDSwap{dev: dev, wb: newWritebackQueue(dev, wb)}
 		case TierNVM:
-			nvm := SpecNVMOptane
-			nvm.CapacityBytes = ts.CapacityBytes
-			t.b = NewNVM(nvm, tierSeed)
+			t.nvm = newNVM(SpecNVMOptane, tierSeed)
 		default:
 			panic(fmt.Sprintf("backend: unknown tier kind %d", ts.Kind))
 		}
 		c.tiers = append(c.tiers, t)
 	}
-	if len(c.tiers) == 1 {
-		c.single = c.tiers[0].b
-		return c
-	}
-	c.entries = make(map[Handle]chainEntry)
-	for i := range c.tiers {
-		if c.tiers[i].zs != nil {
-			c.tiers[i].inverse = make(map[Handle]Handle)
-		}
-	}
-	c.loadScratch = make([][]Handle, len(specs))
-	c.storeReqs = make([][]StoreReq, len(specs))
-	c.storeOut = make([][]StoreResult, len(specs))
-	c.storeIdx = make([][]int, len(specs))
-	c.storePending = make([]int64, len(specs))
 	return c
 }
 
@@ -260,7 +246,7 @@ func (c *TierChain) TierSpecs() []TierSpec {
 }
 
 // TierStats reports tier i's contents and traffic.
-func (c *TierChain) TierStats(i int) Stats { return c.tiers[i].b.Stats() }
+func (c *TierChain) TierStats(i int) Stats { return c.tiers[i].stats }
 
 // Demotions returns how many pages watermark pressure has moved down-chain.
 func (c *TierChain) Demotions() int64 { return c.demotions }
@@ -278,10 +264,7 @@ func (c *TierChain) AdmitSkips() int64 { return c.admitSkips }
 func (c *TierChain) DemoteBackpressure() int64 { return c.demoteStall }
 
 // SSD returns the chain's SSD tier, if any.
-func (c *TierChain) SSD() *SSDSwap {
-	last := &c.tiers[len(c.tiers)-1]
-	return last.ssd
-}
+func (c *TierChain) SSD() *SSDSwap { return c.tiers[len(c.tiers)-1].ssd }
 
 // CapacityBytes returns the chain's total capacity across tiers.
 func (c *TierChain) CapacityBytes() int64 {
@@ -293,23 +276,22 @@ func (c *TierChain) CapacityBytes() int64 {
 }
 
 // admissible reports whether tier t admits content with the given intrinsic
-// compression ratio.
+// compression ratio. A lone tier has nowhere to route a page past, so it
+// admits everything.
 func (c *TierChain) admissible(t int, ratio float64) bool {
 	tier := &c.tiers[t]
-	if tier.zs == nil {
+	if tier.zs == nil || len(c.tiers) == 1 {
 		return true
 	}
 	return ratio*tier.spec.Codec.RatioFactor >= tier.spec.MinCompressRatio
 }
 
-// storedSize returns the physical bytes one page would consume in tier t —
-// exactly the size the tier's own admission check will use.
+// storedSize returns the physical bytes one page consumes in tier t.
 func (c *TierChain) storedSize(t int, pageBytes int64, ratio float64) int64 {
-	tier := &c.tiers[t]
-	if tier.zs == nil {
-		return pageBytes
+	if zs := c.tiers[t].zs; zs != nil {
+		return zs.storedSize(pageBytes, ratio)
 	}
-	return tier.spec.Alloc.StoredSize(pageBytes, ratio*tier.spec.Codec.RatioFactor)
+	return pageBytes
 }
 
 // fits reports whether tier t can hold stored more bytes on top of its
@@ -324,7 +306,7 @@ func (c *TierChain) storedSize(t int, pageBytes int64, ratio float64) int64 {
 func (c *TierChain) fits(t int, stored, pending int64, refault bool) bool {
 	tier := &c.tiers[t]
 	cap := tier.spec.CapacityBytes
-	occ := tier.b.Stats().StoredBytes + pending
+	occ := tier.stats.StoredBytes + pending
 	if occ+stored > cap {
 		return false
 	}
@@ -392,35 +374,95 @@ func (c *TierChain) placeFresh(pageBytes int64, ratio float64, pending []int64, 
 	return t
 }
 
-// register records a stored page under a fresh (or pre-allocated) outer
-// handle and keeps the tier's inverse map in sync.
-func (c *TierChain) register(outer Handle, t int, inner Handle, logical int64, ratio float64) {
-	c.entries[outer] = chainEntry{tier: t, inner: inner, logical: logical, ratio: ratio}
-	if tier := &c.tiers[t]; tier.zs != nil {
-		tier.inverse[inner] = outer
-	}
-	if tier := &c.tiers[t]; tier.telStores != nil {
+// admit books a page into tier t under outer handle h, replacing any entry
+// h had in a higher tier.
+func (c *TierChain) admit(h Handle, t int, logical, stored int64, ratio float64) {
+	tier := &c.tiers[t]
+	c.entries[h] = chainEntry{tier: t, logical: logical, stored: stored, ratio: ratio}
+	tier.stats.StoredPages++
+	tier.stats.LogicalBytes += logical
+	tier.stats.StoredBytes += stored
+	tier.stats.TotalWrites++
+	if tier.telStores != nil {
 		tier.telStores.Inc()
+	}
+	if t < len(c.tiers)-1 {
+		tier.lru = append(tier.lru, h)
+		c.trimVictims(t)
 	}
 }
 
-// StoreBatch implements SwapBackend. One pass assigns every page its
-// destination tier using exact occupancy projections (the same formulas the
-// tiers' own admission checks use), then each tier's share goes out as one
-// sub-batch in tier order so per-submission costs amortise per tier. A
-// batch stores a prefix: the first page with no destination anywhere in the
-// chain defines n and ErrFull is returned.
-func (c *TierChain) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResult) (int, error) {
-	if c.single != nil {
-		return c.single.StoreBatch(now, reqs, out)
+// release drops h's entry and takes its bytes off its tier, reporting false
+// for an unknown handle.
+func (c *TierChain) release(h Handle) (chainEntry, bool) {
+	e, ok := c.entries[h]
+	if ok {
+		delete(c.entries, h)
+		st := &c.tiers[e.tier].stats
+		st.StoredPages--
+		st.LogicalBytes -= e.logical
+		st.StoredBytes -= e.stored
+		c.trimVictims(e.tier)
 	}
+	return e, ok
+}
+
+// trimVictims compacts tier t's demotion FIFO once the entries that have
+// left the tier outnumber the live ones, so the FIFO never holds more than
+// twice the tier's pages plus one; each compaction is paid for by the
+// departures that made it due.
+func (c *TierChain) trimVictims(t int) {
+	tier := &c.tiers[t]
+	if int64(len(tier.lru)) <= 2*tier.stats.StoredPages+1 {
+		return
+	}
+	kept := tier.lru[:0]
+	for _, h := range tier.lru[tier.lruHead:] {
+		if e, ok := c.entries[h]; ok && e.tier == t {
+			kept = append(kept, h)
+		}
+	}
+	tier.lru, tier.lruHead = kept, 0
+}
+
+// oldest returns tier t's longest-resident page, if any, skipping FIFO
+// entries that have left the tier.
+func (c *TierChain) oldest(t int) (Handle, bool) {
+	tier := &c.tiers[t]
+	for ; tier.lruHead < len(tier.lru); tier.lruHead++ {
+		h := tier.lru[tier.lruHead]
+		if e, ok := c.entries[h]; ok && e.tier == t {
+			return h, true
+		}
+	}
+	return 0, false
+}
+
+// submit pays a store submission of pages/bytes into an uncompressed tier:
+// one writeback-queue submission for SSD, which counts the bytes against
+// endurance and returns the backpressure stall; nothing for NVM.
+func (tier *chainTier) submit(now vclock.Time, pages int, bytes int64) vclock.Duration {
+	if tier.ssd == nil {
+		return 0
+	}
+	tier.stats.WrittenBytes += bytes
+	return tier.ssd.write(now, pages, bytes)
+}
+
+// StoreBatch offloads len(reqs) pages in one submission, filling out[:n]
+// with per-page results (len(out) must be >= len(reqs)). One pass assigns
+// every page its destination tier against exact occupancy projections; then
+// each tier's share is booked and priced as one sub-batch, in tier order, so
+// per-submission costs amortise per tier: zswap discounts the codec latency
+// of its tail pages, the SSD tier's share is one writeback submission whose
+// backpressure stall, if any, is charged to its first page. A batch stores
+// a prefix: the first page with no destination anywhere in the chain
+// defines n and ErrFull is returned.
+func (c *TierChain) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResult) (int, error) {
 	for t := range c.tiers {
-		c.storeReqs[t] = c.storeReqs[t][:0]
 		c.storeIdx[t] = c.storeIdx[t][:0]
 		c.storePending[t] = 0
 	}
-	c.storeOuters = c.storeOuters[:0]
-
 	n := len(reqs)
 	for i, req := range reqs {
 		t := c.placeFresh(req.PageBytes, req.CompressRatio, c.storePending, req.Refault)
@@ -429,87 +471,102 @@ func (c *TierChain) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResu
 			break
 		}
 		c.storePending[t] += c.storedSize(t, req.PageBytes, req.CompressRatio)
-		c.storeReqs[t] = append(c.storeReqs[t], req)
 		c.storeIdx[t] = append(c.storeIdx[t], i)
-		outer := c.next
-		c.next++
-		c.storeOuters = append(c.storeOuters, outer)
 	}
 
+	// Handles go out in request order, whichever tier a page lands in.
+	first := c.next
+	c.next += Handle(n)
 	for t := range c.tiers {
-		sub := c.storeReqs[t]
-		if len(sub) == 0 {
+		idx := c.storeIdx[t]
+		if len(idx) == 0 {
 			continue
 		}
-		if cap(c.storeOut[t]) < len(sub) {
-			c.storeOut[t] = make([]StoreResult, len(sub))
+		tier := &c.tiers[t]
+		var bytes int64
+		for j, i := range idx {
+			req := reqs[i]
+			res := StoreResult{Handle: first + Handle(i), StoredBytes: c.storedSize(t, req.PageBytes, req.CompressRatio)}
+			if tier.zs != nil {
+				res.Latency = tier.zs.compress(j)
+				if tier.telRatio != nil {
+					tier.telRatio.Record(float64(req.PageBytes) / float64(res.StoredBytes))
+				}
+			} else if tier.ssd != nil {
+				res.DeviceWrite = req.PageBytes
+			}
+			bytes += req.PageBytes
+			c.admit(res.Handle, t, req.PageBytes, res.StoredBytes, req.CompressRatio)
+			out[i] = res
 		}
-		subOut := c.storeOut[t][:len(sub)]
-		m, err := c.tiers[t].b.StoreBatch(now, sub, subOut)
-		if err != nil || m != len(sub) {
-			// The projection uses the tiers' exact admission formulas, so a
-			// mismatch means the bookkeeping is out of sync.
-			panic(fmt.Sprintf("backend: chain tier %d rejected %d/%d projected stores: %v",
-				t, len(sub)-m, len(sub), err))
-		}
-		for j, origIdx := range c.storeIdx[t] {
-			res := subOut[j]
-			inner := res.Handle
-			outer := c.storeOuters[origIdx]
-			c.register(outer, t, inner, sub[j].PageBytes, sub[j].CompressRatio)
-			res.Handle = outer
-			out[origIdx] = res
+		if tier.zs == nil {
+			out[idx[0]].Latency += tier.submit(now, len(idx), bytes)
 		}
 	}
 
 	if n < len(reqs) {
+		if c.telRejects != nil {
+			c.telRejects.Inc()
+		}
 		return n, ErrFull
 	}
 	return n, nil
 }
 
-// LoadBatch implements SwapBackend: the cluster is partitioned by tier and
-// each tier serves its share as one submission; the latencies sum — fast
-// tiers decompress while the SSD seeks once for all its pages.
+// LoadBatch brings every page in hs back to DRAM in one submission and
+// releases their space; loading an unknown handle panics. The cluster is
+// partitioned by tier and each tier serves its share as one submission; the
+// latencies sum — fast tiers decompress (tail pages at the amortised codec
+// cost) while the SSD seeks once for all its pages plus a byte-rate
+// transfer term.
 func (c *TierChain) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
-	if c.single != nil {
-		return c.single.LoadBatch(now, hs)
-	}
 	for t := range c.tiers {
-		c.loadScratch[t] = c.loadScratch[t][:0]
+		c.loadPages[t], c.loadBytes[t] = 0, 0
 	}
 	for _, h := range hs {
-		e, ok := c.entries[h]
+		e, ok := c.release(h)
 		if !ok {
 			panic(fmt.Sprintf("backend: load of unknown chain handle %d", h))
 		}
-		delete(c.entries, h)
-		delete(c.tiers[e.tier].inverse, e.inner)
-		c.loadScratch[e.tier] = append(c.loadScratch[e.tier], e.inner)
+		c.tiers[e.tier].stats.TotalReads++
+		c.loadPages[e.tier]++
+		c.loadBytes[e.tier] += e.logical
 	}
 	var res BatchLoadResult
 	for t := range c.tiers {
-		part := c.loadScratch[t]
-		if len(part) == 0 {
+		pages := c.loadPages[t]
+		if pages == 0 {
 			continue
 		}
-		r := c.tiers[t].b.LoadBatch(now, part)
-		res.Latency += r.Latency
-		res.BlockIO = res.BlockIO || r.BlockIO
+		switch tier := &c.tiers[t]; {
+		case tier.zs != nil:
+			for i := 0; i < pages; i++ {
+				res.Latency += tier.zs.decompress(i)
+			}
+			if tier.telLoads != nil {
+				tier.telLoads.Add(int64(pages))
+			}
+		case tier.ssd != nil:
+			res.Latency += tier.ssd.read(now, pages, c.loadBytes[t])
+			res.BlockIO = true
+		default:
+			for i := 0; i < pages; i++ {
+				res.Latency += tier.nvm.read()
+			}
+		}
 	}
 	return res
 }
 
-// DrainWriteback implements SwapBackend: the SSD tier issues queued
-// swap-out writes due by now, then the chain manager runs one watermark
-// pass, demoting LRU entries out of any tier above its HighWater mark.
+// DrainWriteback completes asynchronous swap-out writeback due by now: the
+// SSD tier issues its queued writes, then the chain manager runs one
+// watermark pass, demoting the oldest entries out of any tier above its
+// HighWater mark. The simulator calls it once per tick; the SSD tier also
+// drains lazily on its own operations, so use without a tick loop stays
+// correct.
 func (c *TierChain) DrainWriteback(now vclock.Time) {
-	if c.single != nil {
-		c.single.DrainWriteback(now)
-		return
-	}
 	if s := c.SSD(); s != nil {
-		s.DrainWriteback(now)
+		s.wb.drain(now)
 	}
 	c.manage(now)
 }
@@ -523,28 +580,25 @@ func (c *TierChain) DrainWriteback(now vclock.Time) {
 // stall there ends the round — the device is already behind, pushing more
 // migration traffic at it would only grow the stall reclaim sees.
 func (c *TierChain) manage(now vclock.Time) {
-	for t := 0; t < len(c.tiers); t++ {
+	for t := 0; t < len(c.tiers)-1; t++ {
 		tier := &c.tiers[t]
-		if tier.zs == nil {
-			continue // the SSD tier has nowhere further to demote
-		}
 		cap := tier.spec.CapacityBytes
 		high := int64(float64(cap) * tier.spec.HighWater)
-		if tier.zs.Stats().StoredBytes <= high {
+		if tier.stats.StoredBytes <= high {
 			continue
 		}
 		target := int64(float64(cap) * tier.spec.LowWater)
-		before := tier.zs.Stats()
+		before := tier.stats.LogicalBytes
 		pages, backpressure := 0, false
-		for tier.zs.Stats().StoredBytes > target {
+		for tier.stats.StoredBytes > target {
 			var moved int
-			moved, backpressure = c.demoteBatch(now, t)
+			moved, backpressure = c.demoteBatch(now, t, target)
 			pages += moved
 			if backpressure || moved == 0 {
 				break // queue full, nothing evictable, or down-chain full
 			}
 		}
-		c.noteRound(now, t, pages, before.LogicalBytes-tier.zs.Stats().LogicalBytes, backpressure)
+		c.noteRound(now, t, pages, before-tier.stats.LogicalBytes, backpressure)
 		if backpressure {
 			return // queue full: resume next tick
 		}
@@ -566,110 +620,60 @@ func (c *TierChain) noteRound(now vclock.Time, t, pages int, logical int64, back
 	}
 }
 
-// demoteBatch migrates up to demoteBatchPages LRU victims out of tier t,
-// grouping the SSD-bound share into one writeback-queue submission (the PR 8
-// batched swap-out path). Returns how many pages moved and whether the SSD
-// queue pushed back.
-func (c *TierChain) demoteBatch(now vclock.Time, t int) (moved int, backpressure bool) {
+// demoteBatch migrates the oldest entries out of tier t until it is down to
+// target bytes, every lower tier is full, or demoteBatchPages victims have
+// gone to the uncompressed last tier, whose share goes out as one
+// writeback-queue submission (the batched swap-out path). Each victim's
+// entry moves at once; the codec work of reading it out of the pool and
+// recompressing it below is off the fault path, but still draws from the
+// tiers' streams. Returns how many pages moved and whether the SSD queue
+// pushed back.
+func (c *TierChain) demoteBatch(now vclock.Time, t int, target int64) (moved int, backpressure bool) {
 	tier := &c.tiers[t]
-	target := int64(float64(tier.spec.CapacityBytes) * tier.spec.LowWater)
-	c.demoteOuters = c.demoteOuters[:0]
-	c.demoteReqs = c.demoteReqs[:0]
-	// SSD-bound victims defer their store to one batched submission below,
-	// so their bytes must be projected onto the tier until it lands.
-	for i := range c.storePending {
-		c.storePending[i] = 0
-	}
-
-	for len(c.demoteOuters) < demoteBatchPages && tier.zs.Stats().StoredBytes > target {
-		inner, ok := tier.zs.OldestHandle()
+	last := &c.tiers[len(c.tiers)-1]
+	lastPages := 0
+	var lastBytes int64
+	for lastPages < demoteBatchPages && tier.stats.StoredBytes > target {
+		h, ok := c.oldest(t)
 		if !ok {
 			break
 		}
-		outer, ok := tier.inverse[inner]
-		if !ok {
-			panic("backend: chain inverse map out of sync")
-		}
-		e := c.entries[outer]
-		dst := c.place(t+1, e.logical, e.ratio, c.storePending, false, true)
+		e := c.entries[h]
+		dst := c.place(t+1, e.logical, e.ratio, nil, false, true)
 		if dst < 0 {
 			break // every lower tier is full; stop demoting
 		}
-		logical, _, ok := tier.zs.Writeback(inner)
-		if !ok {
-			panic("backend: chain writeback of vanished entry")
+		c.release(h)
+		tier.zs.decompress(0)
+		if zs := c.tiers[dst].zs; zs != nil {
+			zs.compress(0)
+		} else {
+			lastPages++
+			lastBytes += e.logical
 		}
-		delete(tier.inverse, inner)
-
-		if c.tiers[dst].zs == nil {
-			// Victims bound for the uncompressed last tier batch into one
-			// submission below; the ratio is irrelevant there.
-			c.storePending[dst] += logical
-			c.demoteOuters = append(c.demoteOuters, outer)
-			c.demoteReqs = append(c.demoteReqs, StoreReq{PageBytes: logical, CompressRatio: e.ratio})
-			continue
+		c.admit(h, dst, e.logical, c.storedSize(dst, e.logical, e.ratio), e.ratio)
+		c.demotions++
+		if tier.telDemotions != nil {
+			tier.telDemotions.Inc()
 		}
-		res, err := c.tiers[dst].zs.store(logical, e.ratio)
-		if err != nil {
-			panic("backend: chain demotion target rejected a projected store: " + err.Error())
-		}
-		c.register(outer, dst, res.Handle, logical, e.ratio)
-		c.noteDemotion(tier)
 		moved++
 	}
-
-	if len(c.demoteReqs) > 0 {
-		last := len(c.tiers) - 1
-		if cap(c.demoteOut) < len(c.demoteReqs) {
-			c.demoteOut = make([]StoreResult, len(c.demoteReqs))
-		}
-		subOut := c.demoteOut[:len(c.demoteReqs)]
-		m, err := c.tiers[last].b.StoreBatch(now, c.demoteReqs, subOut)
-		if err != nil || m != len(c.demoteReqs) {
-			panic(fmt.Sprintf("backend: chain %s tier rejected %d/%d projected demotions: %v",
-				c.tiers[last].spec.Label(), len(c.demoteReqs)-m, len(c.demoteReqs), err))
-		}
-		for j, outer := range c.demoteOuters {
-			c.register(outer, last, subOut[j].Handle, c.demoteReqs[j].PageBytes, c.demoteReqs[j].CompressRatio)
-			c.noteDemotion(tier)
-			moved++
-		}
-		// A nonzero latency on the first page is the writeback queue's
-		// backpressure stall: the queue was full when the submission pushed.
-		backpressure = subOut[0].Latency > 0
+	if lastPages > 0 {
+		backpressure = last.submit(now, lastPages, lastBytes) > 0
 	}
 	return moved, backpressure
 }
 
-// noteDemotion counts one page migrated down-chain out of src.
-func (c *TierChain) noteDemotion(src *chainTier) {
-	c.demotions++
-	if src.telDemotions != nil {
-		src.telDemotions.Inc()
-	}
-}
+// Free releases a stored page without loading it (the owner exited);
+// freeing an unknown handle is a no-op.
+func (c *TierChain) Free(h Handle) { c.release(h) }
 
-// Free implements SwapBackend.
-func (c *TierChain) Free(h Handle) {
-	if c.single != nil {
-		c.single.Free(h)
-		return
-	}
-	e, ok := c.entries[h]
-	if !ok {
-		return
-	}
-	delete(c.entries, h)
-	tier := &c.tiers[e.tier]
-	delete(tier.inverse, e.inner)
-	tier.b.Free(e.inner)
-}
-
-// Stats implements SwapBackend, merging every tier.
+// Stats reports the chain's contents and cumulative traffic, summed over
+// its tiers.
 func (c *TierChain) Stats() Stats {
 	var sum Stats
 	for i := range c.tiers {
-		s := c.tiers[i].b.Stats()
+		s := &c.tiers[i].stats
 		sum.StoredPages += s.StoredPages
 		sum.LogicalBytes += s.LogicalBytes
 		sum.StoredBytes += s.StoredBytes
@@ -680,19 +684,26 @@ func (c *TierChain) Stats() Stats {
 	return sum
 }
 
-// WriteRate implements SwapBackend: only the SSD tier wears.
+// WriteRate reports the SSD tier's recent device write rate in bytes/second;
+// zero for a chain without one, as nothing else wears. Senpai's write
+// regulation (Fig. 14) consumes this.
 func (c *TierChain) WriteRate(now vclock.Time) float64 {
 	if s := c.SSD(); s != nil {
-		return s.WriteRate(now)
+		return s.dev.WriteByteRate(now)
 	}
 	return 0
 }
 
-// PoolBytes implements SwapBackend: the compressed tiers' DRAM footprint.
+// PoolBytes reports how much host DRAM the chain itself consumes for stored
+// pages: the compressed tiers' footprint. The memory manager charges this
+// against host capacity, so the net saving of a zswap'd page is its size
+// minus its compressed size.
 func (c *TierChain) PoolBytes() int64 {
 	var sum int64
 	for i := range c.tiers {
-		sum += c.tiers[i].b.PoolBytes()
+		if c.tiers[i].zs != nil {
+			sum += c.tiers[i].stats.StoredBytes
+		}
 	}
 	return sum
 }

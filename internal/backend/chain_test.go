@@ -2,6 +2,8 @@ package backend
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -324,36 +326,30 @@ func TestChainConcurrentHosts(t *testing.T) {
 	}
 }
 
-// TestChainSingleTierForwards: a one-tier chain is its tier's backend. The
-// same seeded op sequence — one-page and multi-page store batches that
-// overrun a small tier, one-page and multi-page loads, frees, drains —
-// driven into the chain and into the bare backend must produce identical
-// results, handles, ErrFull prefixes and Stats.
+// TestChainSingleTierForwards: a one-tier chain is its tier's backend. A
+// seeded op sequence — one-page and multi-page store batches that overrun a
+// small tier, one-page and multi-page loads, frees, drains — is digested op
+// by op (store results and handles, ErrFull prefixes, load results, Stats,
+// PoolBytes, WriteRate) and pinned to the digest the same sequence gave on
+// the bare zswap pool, SSD swap partition and NVM device the one-tier chain
+// replaced, so any moved RNG draw, handle or byte fails here.
 func TestChainSingleTierForwards(t *testing.T) {
 	const capacity = 48 * pageSize
 	const seed = 17
-	nvm := SpecNVMOptane
-	nvm.CapacityBytes = capacity
 	cases := []struct {
-		name string
-		spec TierSpec
-		bare func() SwapBackend
+		name   string
+		spec   TierSpec
+		digest uint64
 	}{
-		{"zstd", TierSpec{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: capacity},
-			func() SwapBackend { return NewZswap(CodecZstd, AllocZsmalloc, capacity, seed) }},
-		{"lz4", TierSpec{Kind: TierZswap, Codec: CodecLz4, CapacityBytes: capacity},
-			func() SwapBackend { return NewZswap(CodecLz4, AllocZsmalloc, capacity, seed) }},
-		{"ssd", TierSpec{Kind: TierSSD, CapacityBytes: capacity},
-			func() SwapBackend {
-				return NewSSDSwap(NewSSDDevice(DeviceCatalog[2], seed), capacity, WritebackConfig{})
-			}},
-		{"nvm", TierSpec{Kind: TierNVM, CapacityBytes: capacity},
-			func() SwapBackend { return NewNVM(nvm, seed) }},
+		{"zstd", TierSpec{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: capacity}, 0x9a69c53e4aecfe17},
+		{"lz4", TierSpec{Kind: TierZswap, Codec: CodecLz4, CapacityBytes: capacity}, 0x18263d4783b9ae99},
+		{"ssd", TierSpec{Kind: TierSSD, CapacityBytes: capacity}, 0xd67c39f5fd779830},
+		{"nvm", TierSpec{Kind: TierNVM, CapacityBytes: capacity}, 0xacfc6abb492194ed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			chain := NewTierChain([]TierSpec{tc.spec}, NewSSDDevice(DeviceCatalog[2], seed), WritebackConfig{}, seed)
-			bare := tc.bare()
+			c := NewTierChain([]TierSpec{tc.spec}, NewSSDDevice(DeviceCatalog[2], seed), WritebackConfig{}, seed)
+			d := fnv.New64a()
 			rng := rand.New(rand.NewPCG(seed, uint64(len(tc.name))))
 			now := vclock.Time(vclock.Second)
 			var live []Handle
@@ -370,19 +366,14 @@ func TestChainSingleTierForwards(t *testing.T) {
 					for i := range reqs {
 						reqs[i] = StoreReq{PageBytes: pageSize, CompressRatio: 1 + 3*rng.Float64(), Refault: rng.IntN(2) == 0}
 					}
-					outA, outB := make([]StoreResult, len(reqs)), make([]StoreResult, len(reqs))
-					nA, errA := chain.StoreBatch(now, reqs, outA)
-					nB, errB := bare.StoreBatch(now, reqs, outB)
-					if nA != nB || errA != errB {
-						t.Fatalf("op %d StoreBatch: chain %d %v, bare %d %v", op, nA, errA, nB, errB)
+					out := make([]StoreResult, len(reqs))
+					n, err := c.StoreBatch(now, reqs, out)
+					fmt.Fprintf(d, "store %d %v\n", n, err)
+					for i := 0; i < n; i++ {
+						fmt.Fprintf(d, "%+v\n", out[i])
+						live = append(live, out[i].Handle)
 					}
-					for i := 0; i < nA; i++ {
-						if outA[i] != outB[i] {
-							t.Fatalf("op %d StoreBatch page %d: chain %+v, bare %+v", op, i, outA[i], outB[i])
-						}
-						live = append(live, outA[i].Handle)
-					}
-					if errors.Is(errA, ErrFull) {
+					if errors.Is(err, ErrFull) {
 						fulls++
 					}
 				case k < 8 && len(live) > 0:
@@ -393,32 +384,63 @@ func TestChainSingleTierForwards(t *testing.T) {
 					i := rng.IntN(len(live) - n + 1)
 					hs := append([]Handle(nil), live[i:i+n]...)
 					live = append(live[:i], live[i+n:]...)
-					if a, b := chain.LoadBatch(now, hs), bare.LoadBatch(now, hs); a != b {
-						t.Fatalf("op %d LoadBatch: chain %+v, bare %+v", op, a, b)
-					}
+					fmt.Fprintf(d, "load %+v\n", c.LoadBatch(now, hs))
 				case k < 9 && len(live) > 0:
-					h := live[len(live)-1]
+					c.Free(live[len(live)-1])
 					live = live[:len(live)-1]
-					chain.Free(h)
-					bare.Free(h)
 				default:
-					chain.DrainWriteback(now)
-					bare.DrainWriteback(now)
+					c.DrainWriteback(now)
 				}
-				if a, b := chain.Stats(), bare.Stats(); a != b {
-					t.Fatalf("op %d Stats: chain %+v, bare %+v", op, a, b)
-				}
-				if a, b := chain.PoolBytes(), bare.PoolBytes(); a != b {
-					t.Fatalf("op %d PoolBytes: chain %d, bare %d", op, a, b)
-				}
-				if a, b := chain.WriteRate(now), bare.WriteRate(now); a != b {
-					t.Fatalf("op %d WriteRate: chain %v, bare %v", op, a, b)
-				}
+				fmt.Fprintf(d, "%+v %d %v\n", c.Stats(), c.PoolBytes(), c.WriteRate(now))
 			}
 			if fulls == 0 {
 				t.Fatalf("sequence never filled the %d-byte tier", capacity)
 			}
+			if got := d.Sum64(); got != tc.digest {
+				t.Fatalf("op sequence digest %#x, want %#x (the bare backend's)", got, tc.digest)
+			}
 		})
+	}
+}
+
+// TestChainVictimFIFOBounded: a tier's demotion FIFO tracks its live pages,
+// not its traffic. Store+load cycles over a small resident set used to grow
+// the pool's LRU slice by one handle per store, in a one-tier pool and in a
+// two-tier chain held below its watermark alike; now every FIFO stays
+// within twice the live pages plus one.
+func TestChainVictimFIFOBounded(t *testing.T) {
+	for name, c := range map[string]*TierChain{
+		"zstd": zswapChain(bigSwap, 3),
+		"lz4+ssd": NewTierChain([]TierSpec{
+			{Kind: TierZswap, Codec: CodecLz4, CapacityBytes: 64 * pageSize},
+			{Kind: TierSSD, CapacityBytes: bigSwap},
+		}, NewSSDDevice(DeviceCatalog[2], 3), WritebackConfig{}, 3),
+	} {
+		resident := make([]StoreResult, 8)
+		reqs := make([]StoreReq, len(resident))
+		for i := range reqs {
+			reqs[i] = StoreReq{PageBytes: pageSize, CompressRatio: 3}
+		}
+		if n, err := c.StoreBatch(0, reqs, resident); n != len(reqs) || err != nil {
+			t.Fatalf("%s: resident StoreBatch = %d, %v", name, n, err)
+		}
+		out, hs := make([]StoreResult, 1), make([]Handle, 1)
+		for i := 0; i < 100000; i++ {
+			now := vclock.Time(i) * vclock.Time(vclock.Millisecond)
+			if _, err := c.StoreBatch(now, reqs[:1], out); err != nil {
+				t.Fatalf("%s: store %d: %v", name, i, err)
+			}
+			hs[0] = out[0].Handle
+			c.LoadBatch(now, hs)
+			if i%100 == 99 {
+				c.DrainWriteback(now)
+			}
+		}
+		if c.Demotions() != 0 || c.Stats().StoredPages != int64(len(resident)) {
+			t.Fatalf("%s: %d demotions, %d live pages; want 0 and %d",
+				name, c.Demotions(), c.Stats().StoredPages, len(resident))
+		}
+		checkVictimFIFOs(t, c)
 	}
 }
 

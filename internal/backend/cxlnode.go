@@ -41,8 +41,8 @@ var SpecCXLNode = CXLNodeSpec{
 	LinkBWBytesPerSec: 16e9,
 }
 
-// CXLNode is one byte-addressable far-memory node. It is deliberately NOT a
-// SwapBackend: pages placed on it remain mapped and are accessed in place,
+// CXLNode is one byte-addressable far-memory node. It is deliberately not a
+// chain tier: pages placed on it remain mapped and are accessed in place,
 // so the node only tracks occupancy and prices accesses and migrations.
 // All latencies are deterministic — the access path runs on every touch of
 // a far page, so it must be cheap and must not consume randomness.
@@ -60,9 +60,6 @@ type CXLNode struct {
 	// inside the window wait it out; the placement loop aborts promotions
 	// whose copy overlapped it.
 	stallFrom, stallUntil vclock.Time
-
-	// Cumulative traffic counters.
-	demotedPages, promotedPages int64
 
 	telUsed *telemetry.Gauge
 }
@@ -102,7 +99,6 @@ func (n *CXLNode) TryReserve(bytes int64) bool {
 		return false
 	}
 	n.used += bytes
-	n.demotedPages++
 	if n.telUsed != nil {
 		n.telUsed.Set(float64(n.used))
 	}
@@ -120,16 +116,6 @@ func (n *CXLNode) Release(bytes int64) {
 		n.telUsed.Set(float64(n.used))
 	}
 }
-
-// NotePromote counts one page promoted off the node (occupancy is released
-// separately).
-func (n *CXLNode) NotePromote() { n.promotedPages++ }
-
-// DemotedPages returns the cumulative pages placed on the node.
-func (n *CXLNode) DemotedPages() int64 { return n.demotedPages }
-
-// PromotedPages returns the cumulative pages promoted off the node.
-func (n *CXLNode) PromotedPages() int64 { return n.promotedPages }
 
 // AccessDelay prices one touch of a far page at now: the link latency under
 // the current degradation, plus the remainder of any injected stall window.

@@ -12,16 +12,24 @@ import (
 // only zstd's 1.5x threshold, and pages compressible enough for lz4's 2x.
 var fuzzRatios = [8]float64{1.0, 1.1, 1.4, 1.6, 2.0, 2.6, 3.5, 5.0}
 
-// fuzzChain builds a tiny lz4 → zstd → SSD chain: a handful of pages fill any
-// tier, and its one-slot writeback queue drains one submission per second,
-// so ErrFull prefixes, admission skips, demotions and writeback backpressure
-// all occur within a short op sequence.
-func fuzzChain() *TierChain {
-	return NewTierChain([]TierSpec{
-		{Kind: TierZswap, Codec: CodecLz4, CapacityBytes: 4 * pageSize, MinCompressRatio: 2.0},
-		{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 6 * pageSize, MinCompressRatio: 1.5},
-		{Kind: TierSSD, CapacityBytes: 12 * pageSize},
-	}, NewSSDDevice(DeviceCatalog[2], 5), WritebackConfig{Depth: 1, MaxIOPS: 1}, 5)
+// fuzzChains builds the chains every fuzzed op sequence drives. The first
+// is a tiny lz4 → zstd → SSD chain: a handful of pages fill any tier, and
+// its one-slot writeback queue drains one submission per second, so ErrFull
+// prefixes, admission skips, demotions and writeback backpressure all occur
+// within a short op sequence. The other two are the one-tier layouts every
+// non-tiered host runs: a zstd pool and an SSD partition, as small.
+func fuzzChains() []*TierChain {
+	dev := func() *SSDDevice { return NewSSDDevice(DeviceCatalog[2], 5) }
+	wb := WritebackConfig{Depth: 1, MaxIOPS: 1}
+	return []*TierChain{
+		NewTierChain([]TierSpec{
+			{Kind: TierZswap, Codec: CodecLz4, CapacityBytes: 4 * pageSize, MinCompressRatio: 2.0},
+			{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 6 * pageSize, MinCompressRatio: 1.5},
+			{Kind: TierSSD, CapacityBytes: 12 * pageSize},
+		}, dev(), wb, 5),
+		NewTierChain([]TierSpec{{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 6 * pageSize}}, nil, wb, 5),
+		NewTierChain([]TierSpec{{Kind: TierSSD, CapacityBytes: 12 * pageSize}}, dev(), wb, 5),
+	}
 }
 
 // Fuzz op codes, the low two bits of an op byte.
@@ -67,11 +75,12 @@ var chainOpSeeds = [][]byte{
 	{},
 }
 
-// FuzzChainOps drives a tiny chain with a decoded op sequence — store
-// batches, loads and frees of live handles, drains with time advance — and
-// checks it after every op against a map-backed reference of the live
+// FuzzChainOps drives each of the fuzzChains with a decoded op sequence —
+// store batches, loads and frees of live handles, drains with time advance
+// — and checks it after every op against a map-backed reference of the live
 // pages: prefix/ErrFull semantics, fresh handles that load exactly once,
-// conserved pages and bytes across tiers, and no tier above its capacity.
+// conserved pages and bytes across tiers, no tier above its capacity, and
+// demotion FIFOs bounded by the pages they track.
 func FuzzChainOps(f *testing.F) {
 	for _, s := range chainOpSeeds {
 		f.Add(s)
@@ -98,10 +107,21 @@ func TestChainOpSeedsReachFailurePaths(t *testing.T) {
 	}
 }
 
-// runChainOps decodes and runs ops on a fresh fuzzChain, checking it after
-// every op. It returns the chain and how many store batches hit ErrFull.
+// runChainOps decodes and runs ops on fresh fuzzChains, checking each after
+// every op. It returns the tiered chain and how many of its store batches
+// hit ErrFull.
 func runChainOps(t *testing.T, ops []byte) (*TierChain, int) {
-	c := fuzzChain()
+	chains := fuzzChains()
+	fulls := driveChain(t, chains[0], ops)
+	for _, c := range chains[1:] {
+		driveChain(t, c, ops)
+	}
+	return chains[0], fulls
+}
+
+// driveChain decodes and runs ops on c, checking it after every op, and
+// returns how many store batches hit ErrFull.
+func driveChain(t *testing.T, c *TierChain, ops []byte) int {
 	last := c.NumTiers() - 1
 	specs := c.TierSpecs()
 	ref := map[Handle]int64{} // live handle -> logical bytes
@@ -144,9 +164,14 @@ func runChainOps(t *testing.T, ops []byte) (*TierChain, int) {
 			}
 			if err == ErrFull {
 				fulls++
-				if st := c.TierStats(last); st.StoredBytes+pageSize <= specs[last].CapacityBytes {
+				// The refused page must not fit the last tier.
+				need, ls := reqs[n].PageBytes, specs[last]
+				if ls.Kind == TierZswap {
+					need = ls.Alloc.StoredSize(need, reqs[n].CompressRatio*ls.Codec.RatioFactor)
+				}
+				if st := c.TierStats(last); st.StoredBytes+need <= ls.CapacityBytes {
 					t.Fatalf("op %d: ErrFull while the last tier holds %d of %d bytes",
-						op, st.StoredBytes, specs[last].CapacityBytes)
+						op, st.StoredBytes, ls.CapacityBytes)
 				}
 			}
 			for _, r := range out[:n] {
@@ -206,7 +231,7 @@ func runChainOps(t *testing.T, ops []byte) (*TierChain, int) {
 	if st := c.Stats(); st.StoredPages != 0 || st.LogicalBytes != 0 || st.StoredBytes != 0 {
 		t.Fatalf("chain not empty after loading every live handle: %+v", st)
 	}
-	return c, fulls
+	return fulls
 }
 
 // checkChainAgainstRef checks the chain's accounting against the reference
@@ -244,5 +269,22 @@ func checkChainAgainstRef(t *testing.T, op int, c *TierChain, ref map[Handle]int
 	}
 	if got := c.PoolBytes(); got != pool {
 		t.Fatalf("op %d: PoolBytes %d != compressed tiers' %d", op, got, pool)
+	}
+	checkVictimFIFOs(t, c)
+}
+
+// checkVictimFIFOs checks that no tier's demotion FIFO holds more than
+// twice the tier's live pages plus one, and that the last tier, which has
+// nowhere to demote to, keeps none.
+func checkVictimFIFOs(t *testing.T, c *TierChain) {
+	t.Helper()
+	for i := range c.tiers {
+		tier := &c.tiers[i]
+		if n, live := int64(len(tier.lru)), tier.stats.StoredPages; n > 2*live+1 {
+			t.Fatalf("tier %d FIFO holds %d handles for %d live pages", i, n, live)
+		}
+	}
+	if n := len(c.tiers[len(c.tiers)-1].lru); n != 0 {
+		t.Fatalf("last tier keeps a %d-entry FIFO", n)
 	}
 }

@@ -22,62 +22,26 @@ import (
 type NVMSpec struct {
 	// Read latency distribution for a 4KiB page migration.
 	ReadMedian, ReadP99 vclock.Duration
-	// CapacityBytes bounds the tier; it must be positive.
-	CapacityBytes int64
 }
 
 // SpecNVMOptane models an Optane-class persistent-memory module: a few
 // microseconds per 4KiB read, a published order-of-magnitude device point.
 var SpecNVMOptane = NVMSpec{ReadMedian: 4 * vclock.Microsecond, ReadP99: 12 * vclock.Microsecond}
 
-// NVM is a swap backend over byte-addressable slow memory.
+// NVM is the cost model of a byte-addressable slow-memory tier. Pages move
+// uncompressed; a store is a memory copy whose cost is negligible at the
+// simulation's resolution, and each load is an independent copy paying its
+// own sampled read latency, so a batch has no fixed cost to amortise.
 type NVM struct {
-	ledger
 	rng     *rand.Rand
 	readLat dist.Sampler
 }
 
-// NewNVM returns a backend following spec.
-func NewNVM(spec NVMSpec, seed uint64) *NVM {
-	return &NVM{
-		ledger:  newLedger("nvm device", spec.CapacityBytes),
-		rng:     dist.NewRand(seed),
-		readLat: dist.FitLogNormal(spec.ReadMedian, spec.ReadP99),
-	}
+// newNVM returns the cost model of spec, sampling from a stream derived
+// from seed.
+func newNVM(spec NVMSpec, seed uint64) *NVM {
+	return &NVM{rng: dist.NewRand(seed), readLat: dist.FitLogNormal(spec.ReadMedian, spec.ReadP99)}
 }
 
-// StoreBatch implements SwapBackend. Pages move uncompressed; each store is
-// a memory copy whose cost is negligible at the simulation's resolution, so
-// a batch has no fixed cost to amortise.
-func (n *NVM) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResult) (int, error) {
-	for i, req := range reqs {
-		h, ok := n.admit(req.PageBytes, req.PageBytes)
-		if !ok {
-			return i, ErrFull
-		}
-		out[i] = StoreResult{Handle: h, StoredBytes: req.PageBytes}
-	}
-	return len(reqs), nil
-}
-
-// LoadBatch implements SwapBackend: each page move is an independent memory
-// copy paying its own sampled read latency.
-func (n *NVM) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
-	var res BatchLoadResult
-	for _, h := range hs {
-		n.load(h)
-		res.Latency += n.readLat.Sample(n.rng)
-	}
-	return res
-}
-
-// DrainWriteback implements SwapBackend; NVM stores complete synchronously.
-func (n *NVM) DrainWriteback(vclock.Time) {}
-
-// WriteRate implements SwapBackend; NVM endurance is not a limiting factor
-// at paging rates, so nothing is reported for regulation.
-func (n *NVM) WriteRate(vclock.Time) float64 { return 0 }
-
-// PoolBytes implements SwapBackend; the tier is its own capacity, costing
-// no host DRAM.
-func (n *NVM) PoolBytes() int64 { return 0 }
+// read samples the latency of loading one page.
+func (n *NVM) read() vclock.Duration { return n.readLat.Sample(n.rng) }

@@ -6,15 +6,8 @@ import (
 	"tmo/internal/vclock"
 )
 
-// optane returns the Optane device point sized at capacity bytes.
-func optane(capacity int64) NVMSpec {
-	spec := SpecNVMOptane
-	spec.CapacityBytes = capacity
-	return spec
-}
-
 func TestNVMStoreLoadFree(t *testing.T) {
-	n := NewNVM(optane(bigSwap), 71)
+	n := nvmChain(bigSwap, 71)
 	res, err := storeOne(n, 0, pageSize, 3.0)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +40,7 @@ func TestNVMStoreLoadFree(t *testing.T) {
 }
 
 func TestNVMCapacity(t *testing.T) {
-	n := NewNVM(optane(2*pageSize), 72)
+	n := nvmChain(2*pageSize, 72)
 	storeOne(n, 0, pageSize, 1)
 	storeOne(n, 0, pageSize, 1)
 	if _, err := storeOne(n, 0, pageSize, 1); err != ErrFull {
@@ -56,7 +49,7 @@ func TestNVMCapacity(t *testing.T) {
 }
 
 func TestNVMLoadUnknownPanics(t *testing.T) {
-	n := NewNVM(optane(bigSwap), 73)
+	n := nvmChain(bigSwap, 73)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("no panic")

@@ -311,25 +311,14 @@ func (d *SSDDevice) EnduranceUsed() float64 {
 	return float64(d.writtenBytes) / ratedBytes
 }
 
-// SSDSwap is a swap partition on an SSDDevice; the embedded ledger's
-// capacity is the partition size. Swap-out writes go through a depth-limited
-// asynchronous writeback queue (see writeback.go): StoreBatch enqueues and
-// returns immediately unless the queue is full, in which case the returned
-// Latency carries the backpressure stall the reclaimer must serve.
+// SSDSwap is the cost model of a swap partition on an SSDDevice: the device
+// and its depth-limited asynchronous writeback queue (see writeback.go).
+// Pages are written uncompressed. A store submission enqueues and returns
+// immediately unless the queue is full, in which case the reclaimer serves
+// the backpressure stall; a load submission is one clustered device read.
 type SSDSwap struct {
-	ledger
 	dev *SSDDevice
 	wb  *writebackQueue
-}
-
-// NewSSDSwap returns a swap backend over dev with a partition of capacity
-// bytes (positive) and an async writeback queue bounded by wb.
-func NewSSDSwap(dev *SSDDevice, capacity int64, wb WritebackConfig) *SSDSwap {
-	return &SSDSwap{
-		ledger: newLedger("swap partition", capacity),
-		dev:    dev,
-		wb:     newWritebackQueue(dev, wb),
-	}
 }
 
 // Device exposes the underlying SSD (shared with the filesystem).
@@ -338,10 +327,10 @@ func (s *SSDSwap) Device() *SSDDevice { return s.dev }
 // QueueDepth returns the current async writeback queue depth.
 func (s *SSDSwap) QueueDepth() int { return s.wb.depth() }
 
-// submitWriteback hands a store submission to the async queue (or writes
-// inline when the queue is disabled) and returns the reclaimer-visible
-// stall.
-func (s *SSDSwap) submitWriteback(now vclock.Time, pages int, bytes int64) vclock.Duration {
+// write hands one store submission of pages/bytes to the async queue (or
+// writes inline when the queue is disabled) and returns the
+// reclaimer-visible stall.
+func (s *SSDSwap) write(now vclock.Time, pages int, bytes int64) vclock.Duration {
 	if s.wb.cfg.Disabled {
 		s.dev.WriteBatch(now, pages, bytes)
 		return 0
@@ -349,59 +338,14 @@ func (s *SSDSwap) submitWriteback(now vclock.Time, pages int, bytes int64) vcloc
 	return s.wb.push(now, pages, bytes)
 }
 
-// StoreBatch implements SwapBackend. Pages are written uncompressed; the
-// compression ratio is ignored on the SSD path. The whole batch is one
-// writeback-queue submission (one device write op when it drains). Capacity
-// is checked per page, so on ErrFull the stored prefix still goes out as a
-// single submission. The backpressure stall, if any, is charged to the
-// batch's first page; it is zero while the queue has room.
-func (s *SSDSwap) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResult) (int, error) {
-	n := 0
-	var bytes int64
-	for _, req := range reqs {
-		h, ok := s.admit(req.PageBytes, req.PageBytes)
-		if !ok {
-			break
-		}
-		s.stats.WrittenBytes += req.PageBytes
-		out[n] = StoreResult{Handle: h, StoredBytes: req.PageBytes, DeviceWrite: req.PageBytes}
-		bytes += req.PageBytes
-		n++
-	}
-	if n > 0 {
-		out[0].Latency = s.submitWriteback(now, n, bytes)
-	}
-	if n < len(reqs) {
-		return n, ErrFull
-	}
-	return n, nil
-}
-
-// LoadBatch implements SwapBackend: the whole cluster is one device read
-// submission, paying the sampled service latency, queue factor, and any
-// injected-stall remainder once, plus the byte-rate transfer term for the
-// full payload.
-func (s *SSDSwap) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
+// read serves one clustered load submission: queued writes due by now
+// issue first, then the cluster pays the sampled service latency, queue
+// factor and any injected-stall remainder once, plus the byte-rate transfer
+// term for the full payload.
+func (s *SSDSwap) read(now vclock.Time, pages int, bytes int64) vclock.Duration {
 	s.wb.drain(now)
-	var bytes int64
-	for _, h := range hs {
-		bytes += s.load(h).logical
-	}
-	lat := s.dev.ReadBatch(now, len(hs), bytes)
-	return BatchLoadResult{Latency: lat, BlockIO: true}
+	return s.dev.ReadBatch(now, pages, bytes)
 }
-
-// DrainWriteback implements SwapBackend: issue queued swap-out writes due by
-// now.
-func (s *SSDSwap) DrainWriteback(now vclock.Time) {
-	s.wb.drain(now)
-}
-
-// WriteRate implements SwapBackend.
-func (s *SSDSwap) WriteRate(now vclock.Time) float64 { return s.dev.WriteByteRate(now) }
-
-// PoolBytes implements SwapBackend; SSD swap consumes no host DRAM.
-func (s *SSDSwap) PoolBytes() int64 { return 0 }
 
 // Filesystem is the file-backed storage path on the host SSD. Evicted file
 // cache is reloaded through it, and first-touch file reads (cache fills) go

@@ -32,30 +32,28 @@ func (s *SSDSwap) EnableTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("backend.wb.queue_high_water", func() float64 { return float64(s.wb.highWater) })
 }
 
-// EnableTelemetry registers the pool's counters, its compression-ratio
-// histogram, and a pool-occupancy gauge with reg.
-func (z *Zswap) EnableTelemetry(reg *telemetry.Registry) {
-	z.telStores = reg.Counter("backend.zswap.stores")
-	z.telLoads = reg.Counter("backend.zswap.loads")
-	z.telRejects = reg.Counter("backend.zswap.rejects")
-	z.telRatio = reg.Histogram("backend.zswap.compress_ratio")
-	reg.GaugeFunc("backend.zswap.pool_bytes", func() float64 { return float64(z.stats.StoredBytes) })
-	reg.GaugeFunc("backend.zswap.logical_bytes", func() float64 { return float64(z.stats.LogicalBytes) })
-}
-
 // EnableTelemetry registers the chain's per-tier instruments, labelled by
 // tier position and substrate (e.g. tier="0-lz4") so stacked compressed
-// pools stay distinguishable — the unlabelled backend.zswap.* series would
-// merge two pools into one stream. The SSD tier additionally wires its
-// writeback-queue instruments. A one-tier chain has nothing to label apart:
-// it wires its backend's own instruments (backend.zswap.* or backend.wb.*).
+// pools stay distinguishable. The SSD tier additionally wires its
+// writeback-queue instruments. A one-tier chain has nothing to label apart,
+// so it keeps the plain series of its substrate instead: backend.zswap.*
+// for a pool (counting one reject per store batch that ends in ErrFull), or
+// backend.wb.* for SSD swap.
 func (c *TierChain) EnableTelemetry(reg *telemetry.Registry) {
-	if c.single != nil {
-		if t := &c.tiers[0]; t.zs != nil {
-			t.zs.EnableTelemetry(reg)
-		} else if t.ssd != nil {
+	if len(c.tiers) == 1 {
+		t := &c.tiers[0]
+		if t.ssd != nil {
 			t.ssd.EnableTelemetry(reg)
 		}
+		if t.zs == nil {
+			return
+		}
+		t.telStores = reg.Counter("backend.zswap.stores")
+		t.telLoads = reg.Counter("backend.zswap.loads")
+		c.telRejects = reg.Counter("backend.zswap.rejects")
+		t.telRatio = reg.Histogram("backend.zswap.compress_ratio")
+		reg.GaugeFunc("backend.zswap.pool_bytes", func() float64 { return float64(t.stats.StoredBytes) })
+		reg.GaugeFunc("backend.zswap.logical_bytes", func() float64 { return float64(t.stats.LogicalBytes) })
 		return
 	}
 	for i := range c.tiers {
@@ -64,15 +62,14 @@ func (c *TierChain) EnableTelemetry(reg *telemetry.Registry) {
 		t.telStores = reg.Counter("backend.tier.stores", lbl)
 		t.telDemotions = reg.Counter("backend.tier.demotions", lbl)
 		t.telRefaults = reg.Counter("backend.tier.refaults", lbl)
-		b := t.b
-		reg.GaugeFunc("backend.tier.pages", func() float64 { return float64(b.Stats().StoredPages) }, lbl)
-		reg.GaugeFunc("backend.tier.stored_bytes", func() float64 { return float64(b.Stats().StoredBytes) }, lbl)
+		st := &t.stats
+		reg.GaugeFunc("backend.tier.pages", func() float64 { return float64(st.StoredPages) }, lbl)
+		reg.GaugeFunc("backend.tier.stored_bytes", func() float64 { return float64(st.StoredBytes) }, lbl)
 		reg.GaugeFunc("backend.tier.ratio", func() float64 {
-			s := b.Stats()
-			if s.StoredBytes == 0 {
+			if st.StoredBytes == 0 {
 				return 0
 			}
-			return float64(s.LogicalBytes) / float64(s.StoredBytes)
+			return float64(st.LogicalBytes) / float64(st.StoredBytes)
 		}, lbl)
 		if t.ssd != nil {
 			t.ssd.EnableTelemetry(reg)

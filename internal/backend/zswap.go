@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 
 	"tmo/internal/dist"
-	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
 )
 
@@ -72,32 +71,23 @@ func (a Allocator) StoredSize(pageBytes int64, effRatio float64) int64 {
 	return int64(float64(pageBytes) / effRatio * a.Overhead)
 }
 
-// Zswap is a compressed in-DRAM pool for offloaded anonymous pages. Loads
-// are pure decompression — fast, no block IO, and free of endurance limits —
-// but every stored page still occupies pool DRAM, so the net saving per page
-// is pageBytes minus its compressed size. The embedded ledger's capacity is
-// the pool's DRAM budget.
+// Zswap is the cost model of a compressed in-DRAM pool tier: the codec's
+// latency distributions, sampled from the tier's own stream, and the
+// allocator's sizing. Loads are pure decompression — fast, no block IO, and
+// free of endurance limits — but every stored page still occupies pool DRAM,
+// so the net saving per page is pageBytes minus its compressed size.
 type Zswap struct {
-	ledger
-	codec Codec
-	alloc Allocator
-
-	rng      *rand.Rand
-	compLat  dist.Sampler
-	decLat   dist.Sampler
-	order    []Handle // insertion order, for LRU writeback; may hold freed handles
-	rejected int64
-
-	// Registry instruments, nil until EnableTelemetry.
-	telStores, telLoads, telRejects *telemetry.Counter
-	telRatio                        *telemetry.Histogram
+	codec   Codec
+	alloc   Allocator
+	rng     *rand.Rand
+	compLat dist.Sampler
+	decLat  dist.Sampler
 }
 
-// NewZswap returns a compressed pool of at most maxPoolBytes (positive)
-// using the given codec and allocator.
-func NewZswap(codec Codec, alloc Allocator, maxPoolBytes int64, seed uint64) *Zswap {
+// newZswap returns the cost model of a pool using codec and alloc, sampling
+// latencies from a stream derived from seed.
+func newZswap(codec Codec, alloc Allocator, seed uint64) *Zswap {
 	return &Zswap{
-		ledger:  newLedger("zswap pool", maxPoolBytes),
 		codec:   codec,
 		alloc:   alloc,
 		rng:     dist.NewRand(seed),
@@ -106,31 +96,10 @@ func NewZswap(codec Codec, alloc Allocator, maxPoolBytes int64, seed uint64) *Zs
 	}
 }
 
-// store admits one page into the pool, or counts a reject when its
-// compressed size does not fit; the compression latency is sampled only for
-// an admitted page. StoreBatch and the chain's demotion both admit through
-// it.
-func (z *Zswap) store(pageBytes int64, compressRatio float64) (StoreResult, error) {
-	stored := z.alloc.StoredSize(pageBytes, compressRatio*z.codec.RatioFactor)
-	h, ok := z.admit(pageBytes, stored)
-	if !ok {
-		z.rejected++
-		if z.telRejects != nil {
-			z.telRejects.Inc()
-		}
-		return StoreResult{}, ErrFull
-	}
-	if z.telStores != nil {
-		z.telStores.Inc()
-		// The achieved ratio: logical page size over pool bytes consumed.
-		z.telRatio.Record(float64(pageBytes) / float64(stored))
-	}
-	z.order = append(z.order, h)
-	return StoreResult{
-		Handle:      h,
-		StoredBytes: stored,
-		Latency:     z.compLat.Sample(z.rng),
-	}, nil
+// storedSize returns the pool bytes one page of the given intrinsic
+// compression ratio consumes.
+func (z *Zswap) storedSize(pageBytes int64, compressRatio float64) int64 {
+	return z.alloc.StoredSize(pageBytes, compressRatio*z.codec.RatioFactor)
 }
 
 // zswapBatchAmortization discounts per-page codec latency for the tail pages
@@ -139,80 +108,22 @@ func (z *Zswap) store(pageBytes int64, compressRatio float64) (StoreResult, erro
 // (~60% of the standalone per-page figure).
 const zswapBatchAmortization = 0.6
 
-// StoreBatch implements SwapBackend: per-page pool admission (a batch stores
-// a prefix on ErrFull), with the per-op overhead amortised across the tail
-// pages' compression latencies.
-func (z *Zswap) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResult) (int, error) {
-	for i, req := range reqs {
-		r, err := z.store(req.PageBytes, req.CompressRatio)
-		if err != nil {
-			return i, err
-		}
-		if i > 0 {
-			r.Latency = vclock.Duration(float64(r.Latency) * zswapBatchAmortization)
-		}
-		out[i] = r
+// amortize applies the batch discount to the i-th page of a submission.
+func amortize(lat vclock.Duration, i int) vclock.Duration {
+	if i > 0 {
+		return vclock.Duration(float64(lat) * zswapBatchAmortization)
 	}
-	return len(reqs), nil
+	return lat
 }
 
-// LoadBatch implements SwapBackend. Zswap loads decompress in place: a
-// memory stall with no block IO. Every page still decompresses, but tail
-// pages pay the amortised codec cost because the submission overhead is
-// paid once for the cluster.
-func (z *Zswap) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
-	var res BatchLoadResult
-	for i, h := range hs {
-		z.load(h)
-		lat := z.decLat.Sample(z.rng)
-		if i > 0 {
-			lat = vclock.Duration(float64(lat) * zswapBatchAmortization)
-		}
-		res.Latency += lat
-	}
-	if z.telLoads != nil {
-		z.telLoads.Add(int64(len(hs)))
-	}
-	return res
+// compress samples the compression latency of the i-th page of a store
+// submission, paid synchronously by the reclaimer.
+func (z *Zswap) compress(i int) vclock.Duration {
+	return amortize(z.compLat.Sample(z.rng), i)
 }
 
-// DrainWriteback implements SwapBackend; zswap stores synchronously into the
-// pool, so there is nothing to drain.
-func (z *Zswap) DrainWriteback(vclock.Time) {}
-
-// WriteRate implements SwapBackend; zswap has no endurance-limited writes.
-func (z *Zswap) WriteRate(vclock.Time) float64 { return 0 }
-
-// Rejected returns how many stores were refused because the pool was full.
-func (z *Zswap) Rejected() int64 { return z.rejected }
-
-// PoolBytes returns the pool's current DRAM footprint. The memory manager
-// counts this against host memory: zswap savings are logical minus pool
-// bytes.
-func (z *Zswap) PoolBytes() int64 { return z.stats.StoredBytes }
-
-// OldestHandle returns the least-recently-stored live entry, if any. A tier
-// chain uses it to pick demotion victims, matching zswap's LRU-ordered
-// writeback to the backing swap device.
-func (z *Zswap) OldestHandle() (Handle, bool) {
-	for len(z.order) > 0 {
-		h := z.order[0]
-		if _, ok := z.slots[h]; ok {
-			return h, true
-		}
-		z.order = z.order[1:] // drop freed/loaded entries lazily
-	}
-	return 0, false
-}
-
-// Writeback removes an entry from the pool for migration to a lower tier,
-// returning its logical size and the decompression latency the writeback
-// path pays. Unlike a load it is initiated by the backend itself, not a
-// fault, so it counts no read.
-func (z *Zswap) Writeback(h Handle) (logical int64, lat vclock.Duration, ok bool) {
-	s, found := z.remove(h)
-	if !found {
-		return 0, 0, false
-	}
-	return s.logical, z.decLat.Sample(z.rng), true
+// decompress samples the decompression latency of the i-th page of a load
+// submission: a memory stall with no block IO.
+func (z *Zswap) decompress(i int) vclock.Duration {
+	return amortize(z.decLat.Sample(z.rng), i)
 }

@@ -109,14 +109,12 @@ type Host struct {
 	Device *backend.SSDDevice
 	// Manager is the kernel memory manager (capacity-loss faults).
 	Manager *mm.Manager
-	// Swap is the offload backend (swap-fill faults).
-	Swap backend.SwapBackend
+	// Swap is the swap tier chain (swap-fill faults, sized by its
+	// capacity); nil disables swap-fill.
+	Swap *backend.TierChain
 	// CXL is the byte-addressable far-memory node (link-degradation and
 	// link-stall faults).
 	CXL *backend.CXLNode
-	// SwapCapacityBytes is the backend's total capacity, used to size
-	// swap-fill targets; zero disables swap-fill.
-	SwapCapacityBytes int64
 	// Apps enumerates the host's workloads at injection time (load,
 	// compressibility, bloat faults).
 	Apps func() []*workload.App
@@ -374,14 +372,14 @@ const swapFillChunkBytes = 256 << 10
 // releases the filler.
 func (e *Engine) SwapFill(frac float64) Fault {
 	var handles []backend.Handle
-	sw, capacity := e.host.Swap, e.host.SwapCapacityBytes
+	sw := e.host.Swap
 	req := []backend.StoreReq{{PageBytes: swapFillChunkBytes, CompressRatio: 1.0}}
 	out := make([]backend.StoreResult, 1)
 	return FaultFunc("swap-fill", func(now vclock.Time, level float64) {
-		if sw == nil || capacity <= 0 {
+		if sw == nil {
 			return
 		}
-		target := int64(level * frac * float64(capacity))
+		target := int64(level * frac * float64(sw.CapacityBytes()))
 		for int64(len(handles))*swapFillChunkBytes < target {
 			if _, err := sw.StoreBatch(now, req, out); err != nil {
 				break // backend full: the fill already achieved its point

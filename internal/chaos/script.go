@@ -176,8 +176,8 @@ func (e *Engine) buildFault(name, arg, appName string) (Fault, error) {
 		if err != nil {
 			return nil, err
 		}
-		if e.host.Swap == nil || e.host.SwapCapacityBytes <= 0 {
-			return nil, errors.New("swap-fill requires a capacity-bounded swap backend")
+		if e.host.Swap == nil {
+			return nil, errors.New("swap-fill requires a swap backend")
 		}
 		return e.SwapFill(frac), nil
 	case "capacity":

@@ -17,13 +17,14 @@ func fullHost() Host {
 	dev := backend.NewSSDDevice(spec, 1)
 	cxl := backend.SpecCXLNode
 	cxl.CapacityBytes = 1 << 30
+	swap := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
+		CapacityBytes: 1 << 30}}, nil, backend.WritebackConfig{}, 2)
 	return Host{
-		Device:            dev,
-		Manager:           mm.NewManager(mm.Config{CapacityBytes: 1 << 30, FS: backend.NewFilesystem(dev)}),
-		Swap:              backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 1<<30, 2),
-		CXL:               backend.NewCXLNode(cxl),
-		SwapCapacityBytes: 1 << 30,
-		Seed:              1,
+		Device:  dev,
+		Manager: mm.NewManager(mm.Config{CapacityBytes: 1 << 30, FS: backend.NewFilesystem(dev)}),
+		Swap:    swap,
+		CXL:     backend.NewCXLNode(cxl),
+		Seed:    1,
 	}
 }
 

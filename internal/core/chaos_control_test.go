@@ -1,0 +1,85 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"tmo/internal/psi"
+	"tmo/internal/vclock"
+)
+
+// TestChaosUnitFaultIsControl: the H10 control. A fault at magnitude x1
+// changes nothing, so a run carrying one must be the fault-free run: the
+// same Metrics, per-app completions, root PSI totals and registry series,
+// apart from the chaos engine's own chaos.* series and the wall-clock
+// sim.tick_wall_us histogram. A fault path that consumes randomness or
+// perturbs state even when it is a no-op fails here.
+func TestChaosUnitFaultIsControl(t *testing.T) {
+	run := func(mode Mode, script string) string {
+		sys := New(Options{
+			Mode:          mode,
+			CapacityBytes: 384 * MiB,
+			CXLBytes:      128 * MiB,
+			Senpai:        fastSenpai(),
+			Seed:          1,
+		})
+		sys.AddWorkload("feed")
+		sys.AddTax()
+		if script != "" {
+			if err := sys.Chaos().AddScript(script); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.Run(8 * vclock.Minute)
+
+		var b strings.Builder
+		fmt.Fprintf(&b, "%+v\n", sys.Metrics())
+		for _, app := range sys.Server.Apps() {
+			fmt.Fprintf(&b, "%s completed=%d\n", app.Profile.Name, app.Completed())
+		}
+		root := sys.Server.Hierarchy().Root().PSI()
+		for r := psi.Resource(0); r < psi.NumResources; r++ {
+			fmt.Fprintf(&b, "psi %v some=%d full=%d\n", r, root.Total(r, psi.Some), root.Total(r, psi.Full))
+		}
+		var raw strings.Builder
+		if err := sys.TelemetrySnapshot().WritePrometheus(&raw); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(raw.String(), "\n") {
+			if strings.Contains(line, "chaos_") || strings.Contains(line, "sim_tick_wall_us") {
+				continue
+			}
+			b.WriteString(line)
+			b.WriteString("\n")
+		}
+		return b.String()
+	}
+
+	for _, tc := range []struct {
+		mode   Mode
+		script string
+	}{
+		{ModeTiered, "t=2m ssd-slow x1 for=4m"},
+		{ModeTiered, "t=2m load x1 for=4m"},
+		{ModeCXL, "t=2m cxl-degrade x1 for=4m"},
+	} {
+		t.Run(tc.mode.String()+"/"+strings.Fields(tc.script)[1], func(t *testing.T) {
+			control, faulted := run(tc.mode, ""), run(tc.mode, tc.script)
+			if control != faulted {
+				t.Fatalf("%q diverged from the fault-free run:\n%s", tc.script, firstDiff(control, faulted))
+			}
+		})
+	}
+}
+
+// firstDiff returns the first differing line pair of two fingerprints.
+func firstDiff(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range min(len(la), len(lb)) {
+		if la[i] != lb[i] {
+			return fmt.Sprintf("line %d:\n  control: %s\n  faulted: %s", i, la[i], lb[i])
+		}
+	}
+	return fmt.Sprintf("control has %d lines, faulted %d", len(la), len(lb))
+}

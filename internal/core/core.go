@@ -211,10 +211,8 @@ func New(opts Options) *System {
 	sys := &System{Opts: opts, nextAppSeed: opts.Seed*1e6 + 1}
 	sys.Device = backend.NewSSDDevice(spec, opts.Seed^0xdead)
 
-	var swap backend.SwapBackend
 	if specs := chainSpecs(opts); specs != nil {
 		sys.Chain = backend.NewTierChain(specs, sys.Device, opts.Writeback, opts.Seed^0xbeef)
-		swap = sys.Chain
 	}
 	if opts.Mode == ModeCXL {
 		// Byte-addressable placement tier: local DRAM over a CXL node,
@@ -231,7 +229,7 @@ func New(opts Options) *System {
 		CapacityBytes: opts.CapacityBytes,
 		TickLen:       opts.TickLen,
 		Device:        sys.Device,
-		Swap:          swap,
+		Swap:          sys.Chain,
 		Far:           sys.CXL,
 		Policy:        opts.Policy,
 		NCPU:          opts.NCPU,
@@ -245,7 +243,7 @@ func New(opts Options) *System {
 		if opts.Senpai != nil {
 			cfg = *opts.Senpai
 		}
-		sys.Senpai = senpai.New(cfg, swap)
+		sys.Senpai = senpai.New(cfg, sys.Chain)
 		sys.Senpai.SetTrace(sys.Trace)
 		sys.Senpai.EnableTelemetry(sys.Telemetry)
 		if sys.CXL != nil {
@@ -362,15 +360,14 @@ func (s *System) wireTelemetry() {
 func (s *System) Chaos() *chaos.Engine {
 	if s.chaosEng == nil {
 		s.chaosEng = chaos.NewEngine(chaos.Host{
-			Device:            s.Device,
-			Manager:           s.Server.Manager(),
-			Swap:              s.Server.Swap(),
-			CXL:               s.CXL,
-			SwapCapacityBytes: s.SwapCapacityBytes(),
-			Apps:              s.Server.Apps,
-			Seed:              s.Opts.Seed ^ 0xc4a05c4a05,
-			Telemetry:         s.Telemetry,
-			Trace:             s.Trace,
+			Device:    s.Device,
+			Manager:   s.Server.Manager(),
+			Swap:      s.Server.Swap(),
+			CXL:       s.CXL,
+			Apps:      s.Server.Apps,
+			Seed:      s.Opts.Seed ^ 0xc4a05c4a05,
+			Telemetry: s.Telemetry,
+			Trace:     s.Trace,
 		})
 		s.Server.OnTickStart(s.chaosEng.Tick)
 	}

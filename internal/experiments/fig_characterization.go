@@ -305,7 +305,8 @@ func Figure5(cfg Config) Figure5Result {
 	// Zswap contrast point.
 	// Each page is loaded right after its store, so the 1 MiB pool bound is
 	// never reached.
-	z := backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 1<<20, cfg.Seed+400)
+	z := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
+		CapacityBytes: 1 << 20}}, nil, backend.WritebackConfig{}, cfg.Seed+400)
 	zr := metrics.NewReservoir(4096, dist.NewRand(cfg.Seed+401).Int64N)
 	req := []backend.StoreReq{{PageBytes: 4096, CompressRatio: 3}}
 	out := make([]backend.StoreResult, 1)

@@ -245,7 +245,8 @@ func TableCompression(cfg Config) TableCompressionResult {
 		for _, a := range allocs {
 			// Each page is loaded right after its store, so the pool never
 			// holds more than one page; the bound is never reached.
-			z := backend.NewZswap(c, a, 1<<20, cfg.Seed+600)
+			z := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: c, Alloc: a,
+				CapacityBytes: 1 << 20}}, nil, backend.WritebackConfig{}, cfg.Seed+600)
 			r := metrics.NewReservoir(4096, dist.NewRand(cfg.Seed+601).Int64N)
 			var stored int64
 			for i := 0; i < pages; i++ {

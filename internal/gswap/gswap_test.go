@@ -19,7 +19,8 @@ const (
 func newEnv() (*mm.Manager, *cgroup.Group) {
 	spec, _ := backend.DeviceByModel("C")
 	dev := backend.NewSSDDevice(spec, 41)
-	z := backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 1<<30, 42)
+	z := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
+		CapacityBytes: 1 << 30}}, nil, backend.WritebackConfig{}, 42)
 	mgr := mm.NewManager(mm.Config{
 		CapacityBytes: 512 * MiB,
 		PageSize:      pageSize,
@@ -112,7 +113,8 @@ func TestHoldsWhileAboveTarget(t *testing.T) {
 func TestConvergesOnWorkload(t *testing.T) {
 	spec, _ := backend.DeviceByModel("C")
 	dev := backend.NewSSDDevice(spec, 43)
-	z := backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 1<<30, 44)
+	z := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
+		CapacityBytes: 1 << 30}}, nil, backend.WritebackConfig{}, 44)
 	s := sim.NewServer(sim.Config{
 		CapacityBytes: 512 * MiB,
 		Device:        dev,

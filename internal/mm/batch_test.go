@@ -8,10 +8,10 @@ import (
 	"tmo/internal/vclock"
 )
 
-func newSSDSwapWithDev(seed uint64, wb backend.WritebackConfig) (*backend.SSDSwap, *backend.SSDDevice) {
+func newSSDSwapWithDev(seed uint64, wb backend.WritebackConfig) (*backend.TierChain, *backend.SSDDevice) {
 	spec, _ := backend.DeviceByModel("C")
 	dev := backend.NewSSDDevice(spec, seed)
-	return backend.NewSSDSwap(dev, testSwapBytes, wb), dev
+	return ssdChain(dev, testSwapBytes, wb), dev
 }
 
 // inlineWrites disables the writeback queue: stores write the device inline.
@@ -19,7 +19,7 @@ var inlineWrites = backend.WritebackConfig{Disabled: true}
 
 // newReadaheadManager builds a manager with a full-cluster readahead depth
 // over the given swap backend.
-func newReadaheadManager(swap backend.SwapBackend) *Manager {
+func newReadaheadManager(swap *backend.TierChain) *Manager {
 	return NewManager(Config{
 		CapacityBytes: 1024 * pageSize,
 		PageSize:      pageSize,
@@ -267,7 +267,7 @@ func TestReclaimBatchesStoresThroughWritebackQueue(t *testing.T) {
 // swap-exhausted latch trips — mirroring the per-page ErrFull contract.
 func TestReclaimSurvivesPartialStoreBatch(t *testing.T) {
 	spec, _ := backend.DeviceByModel("C")
-	sw := backend.NewSSDSwap(backend.NewSSDDevice(spec, 61), 5*pageSize, backend.WritebackConfig{})
+	sw := ssdChain(backend.NewSSDDevice(spec, 61), 5*pageSize, backend.WritebackConfig{})
 	m := newTestManager(1024, sw, PolicyTMO)
 	g := m.NewGroup("app", nil)
 	pages := m.NewPages(g, Anon, 16, 1)

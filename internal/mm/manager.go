@@ -48,7 +48,7 @@ type Config struct {
 	PageSize int64
 	// Swap is the offload backend for anonymous pages; nil runs file-only
 	// mode (§5.1's first deployment phase).
-	Swap backend.SwapBackend
+	Swap *backend.TierChain
 	// Far is the byte-addressable far-memory node; when set, reclaim
 	// demotes cold anonymous pages to it ahead of swap (the swap tiers
 	// become the third rung) and touches of far pages pay the link latency

@@ -16,7 +16,7 @@ func newTestFS(seed uint64) *backend.Filesystem {
 	return backend.NewFilesystem(backend.NewSSDDevice(spec, seed))
 }
 
-func newTestManager(capacityPages int64, swap backend.SwapBackend, policy ReclaimPolicy) *Manager {
+func newTestManager(capacityPages int64, swap *backend.TierChain, policy ReclaimPolicy) *Manager {
 	return NewManager(Config{
 		CapacityBytes: capacityPages * pageSize,
 		PageSize:      pageSize,
@@ -29,13 +29,23 @@ func newTestManager(capacityPages int64, swap backend.SwapBackend, policy Reclai
 // testSwapBytes sizes the test backends far beyond anything a test offloads.
 const testSwapBytes = 1 << 30
 
-func newZswap() *backend.Zswap {
-	return backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, testSwapBytes, 7)
+// zswapChain returns a one-tier chain: a zstd pool of capacity bytes.
+func zswapChain(capacity int64) *backend.TierChain {
+	return backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
+		CapacityBytes: capacity}}, nil, backend.WritebackConfig{}, 7)
 }
 
-func newSSDSwap() *backend.SSDSwap {
+// ssdChain returns a one-tier chain: a swap partition of capacity bytes on
+// dev, its writeback queue bounded by wb.
+func ssdChain(dev *backend.SSDDevice, capacity int64, wb backend.WritebackConfig) *backend.TierChain {
+	return backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierSSD, CapacityBytes: capacity}}, dev, wb, 0)
+}
+
+func newZswap() *backend.TierChain { return zswapChain(testSwapBytes) }
+
+func newSSDSwap() *backend.TierChain {
 	spec, _ := backend.DeviceByModel("C")
-	return backend.NewSSDSwap(backend.NewSSDDevice(spec, 42), testSwapBytes, backend.WritebackConfig{})
+	return ssdChain(backend.NewSSDDevice(spec, 42), testSwapBytes, backend.WritebackConfig{})
 }
 
 // touchAll touches every page once at the given time.
@@ -631,7 +641,7 @@ func TestSwapReadahead(t *testing.T) {
 func TestReadaheadHonoursMemoryMax(t *testing.T) {
 	const compRatio = 3.0
 	compStored := backend.AllocZsmalloc.StoredSize(pageSize, compRatio*backend.CodecZstd.RatioFactor)
-	z := backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 8*compStored, 7)
+	z := zswapChain(8 * compStored)
 	m := NewManager(Config{
 		CapacityBytes: 1024 * pageSize,
 		PageSize:      pageSize,
@@ -732,7 +742,7 @@ func TestOOMEventWhenNothingReclaimable(t *testing.T) {
 
 func TestSwapExhaustionLatchesAndClears(t *testing.T) {
 	spec, _ := backend.DeviceByModel("C")
-	sw := backend.NewSSDSwap(backend.NewSSDDevice(spec, 5), 2*pageSize, backend.WritebackConfig{})
+	sw := ssdChain(backend.NewSSDDevice(spec, 5), 2*pageSize, backend.WritebackConfig{})
 	m := newTestManager(1024, sw, PolicyTMO)
 	g := m.NewGroup("app", nil)
 	anon := m.NewPages(g, Anon, 10, 1)

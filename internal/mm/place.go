@@ -110,7 +110,6 @@ func (m *Manager) PromoteFromFar(now vclock.Time, p *Page) bool {
 	g.farPages--
 	g.charge(m.cfg.PageSize)
 	m.cfg.Far.Release(m.cfg.PageSize)
-	m.cfg.Far.NotePromote()
 	m.farPromotions++
 	g.stat.Promotions++
 	return true

@@ -122,7 +122,7 @@ type Action struct {
 // Controller is one Senpai instance driving a set of containers.
 type Controller struct {
 	cfg  Config
-	swap backend.SwapBackend // may be nil in file-only mode
+	swap *backend.TierChain // may be nil in file-only mode
 	// farNode, when set, enables FarDemoteBoost: reclaim lands on the
 	// byte-addressable tier first, so probing harder is cheap while it has
 	// room.
@@ -184,7 +184,7 @@ func (c *Controller) EnableTelemetry(reg *telemetry.Registry) {
 
 // New returns a controller with the given configuration. swap may be nil
 // when the host runs file-only mode; it is used for write-rate regulation.
-func New(cfg Config, swap backend.SwapBackend) *Controller {
+func New(cfg Config, swap *backend.TierChain) *Controller {
 	if cfg.Interval <= 0 {
 		panic("senpai: interval must be positive")
 	}

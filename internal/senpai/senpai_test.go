@@ -21,18 +21,19 @@ type env struct {
 	mgr  *mm.Manager
 	h    *cgroup.Hierarchy
 	g    *cgroup.Group
-	swap backend.SwapBackend
+	swap *backend.TierChain
 }
 
 func newEnv(swapKind string) *env {
 	spec, _ := backend.DeviceByModel("C")
 	dev := backend.NewSSDDevice(spec, 31)
-	var swap backend.SwapBackend
+	var swap *backend.TierChain
 	switch swapKind {
 	case "zswap":
-		swap = backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 1<<30, 32)
+		swap = backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
+			CapacityBytes: 1 << 30}}, nil, backend.WritebackConfig{}, 32)
 	case "ssd":
-		swap = backend.NewSSDSwap(dev, 1<<30, backend.WritebackConfig{})
+		swap = backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierSSD, CapacityBytes: 1 << 30}}, dev, backend.WritebackConfig{}, 0)
 	}
 	mgr := mm.NewManager(mm.Config{
 		CapacityBytes: 512 * MiB,
@@ -270,7 +271,7 @@ func TestWriteRegulationScalesReclaim(t *testing.T) {
 	c.Tick(0)
 
 	// Saturate the device write meter: 10 MB/s for a few seconds.
-	ssd := e.swap.(*backend.SSDSwap)
+	ssd := e.swap.SSD()
 	now := vclock.Time(0)
 	for i := 0; i < 50; i++ {
 		ssd.Device().Write(now, 1<<20)

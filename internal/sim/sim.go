@@ -37,7 +37,7 @@ type Config struct {
 	// Device is the host SSD (filesystem, and swap if SSD-backed).
 	Device *backend.SSDDevice
 	// Swap is the swap backend; nil disables swap (file-only mode).
-	Swap backend.SwapBackend
+	Swap *backend.TierChain
 	// Far is the byte-addressable far-memory node; nil disables the
 	// placement tier.
 	Far *backend.CXLNode
@@ -144,7 +144,7 @@ func (s *Server) Filesystem() *backend.Filesystem { return s.fs }
 func (s *Server) Device() *backend.SSDDevice { return s.cfg.Device }
 
 // Swap returns the swap backend, nil in file-only mode.
-func (s *Server) Swap() backend.SwapBackend { return s.cfg.Swap }
+func (s *Server) Swap() *backend.TierChain { return s.cfg.Swap }
 
 // TickLen returns the tick duration.
 func (s *Server) TickLen() vclock.Duration { return s.cfg.TickLen }

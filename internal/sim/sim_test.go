@@ -16,11 +16,12 @@ const MiB = workload.MiB
 func newServer(capacityMiB int64, swapModel string) *Server {
 	spec, _ := backend.DeviceByModel("C")
 	dev := backend.NewSSDDevice(spec, 21)
-	var swap backend.SwapBackend
+	var swap *backend.TierChain
 	if swapModel == "zswap" {
-		swap = backend.NewZswap(backend.CodecZstd, backend.AllocZsmalloc, 1<<30, 22)
+		swap = backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
+			CapacityBytes: 1 << 30}}, nil, backend.WritebackConfig{}, 22)
 	} else if swapModel == "ssd" {
-		swap = backend.NewSSDSwap(dev, 1<<30, backend.WritebackConfig{})
+		swap = backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierSSD, CapacityBytes: 1 << 30}}, dev, backend.WritebackConfig{}, 0)
 	}
 	return NewServer(Config{
 		CapacityBytes: capacityMiB * MiB,
