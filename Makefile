@@ -17,7 +17,6 @@ check:
 
 race:
 	$(GO) test -race ./internal/telemetry ./internal/trace ./internal/metrics ./internal/fleet ./internal/rollout ./internal/tsdb ./internal/slo ./internal/twin ./internal/place ./internal/backend
-	$(GO) test -race -run TestRunArms ./internal/experiments
 
 # The benchmark command is a module of its own that imports core, fleet,
 # rollout and cliutil, so the root ./... patterns never reach it; vet and

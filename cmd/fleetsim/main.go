@@ -142,15 +142,15 @@ func main() {
 		db = tsdb.New(tsdb.Config{})
 		sc := &tsdb.Scraper{DB: db}
 		end := vclock.Time(0).Add(warm + measure)
-		obs = func(i int, m fleet.Measurement, snap telemetry.Snapshot) {
+		obs = func(i int, s fleet.Spec, snap telemetry.Snapshot) {
 			sc.ScrapeSnapshot(end, []telemetry.Label{
 				{Key: "host", Value: fmt.Sprintf("host-%d", i)},
-				{Key: "app", Value: m.Spec.App},
-				{Key: "device", Value: m.Spec.DeviceClass()},
+				{Key: "app", Value: s.App},
+				{Key: "device", Value: s.DeviceClass()},
 			}, snap)
 		}
 	}
-	ms := fleet.MeasureAllWith(specs, warm, measure, obs)
+	ms := fleet.MeasureAll(specs, warm, measure, obs)
 	if *tsdbOut != "" {
 		cliutil.MustExportSeries("fleetsim", *tsdbOut, db)
 	}

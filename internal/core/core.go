@@ -397,9 +397,7 @@ func (s *System) AddWorkload(name string) *workload.App {
 // tolerate more pressure, which made them the first production target); it
 // returns the datacenter-tax and microservice-tax apps.
 func (s *System) AddTax() (dc, micro *workload.App) {
-	dc = s.addProfileWithConfig(workload.MustCatalog("datacenter-tax"), cgroup.DatacenterTax, senpaiTaxOverride(s))
-	micro = s.addProfileWithConfig(workload.MustCatalog("microservice-tax"), cgroup.MicroserviceTax, senpaiTaxOverride(s))
-	return dc, micro
+	return s.AddTaxProfiles(workload.MustCatalog("datacenter-tax"), workload.MustCatalog("microservice-tax"))
 }
 
 // AddTaxProfiles is AddTax with caller-supplied (e.g. scaled) profiles.

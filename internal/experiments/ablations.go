@@ -6,6 +6,7 @@ import (
 
 	"tmo/internal/backend"
 	"tmo/internal/core"
+	"tmo/internal/fleet"
 	"tmo/internal/gswap"
 	"tmo/internal/mm"
 	"tmo/internal/senpai"
@@ -55,35 +56,35 @@ func AblationReclaimPolicy(cfg Config) AblationReclaimPolicyResult {
 	p := cfg.profile("feed")
 
 	policies := []mm.ReclaimPolicy{mm.PolicyTMO, mm.PolicyLegacy}
-	arms := make([]arm, len(policies))
+	arms := make([]fleet.Arm, len(policies))
 	for i, policy := range policies {
 		// A memory-bound host: reclaim is forced deep into the working
 		// set, which is where the historical file skew starts thrashing
 		// the file cache while cold anonymous memory sits untouched.
-		arms[i] = arm{
-			opts: core.Options{
+		arms[i] = fleet.Arm{
+			Opts: core.Options{
 				Mode:          core.ModeZswap,
 				CapacityBytes: int64(0.85 * float64(p.FootprintBytes)),
 				Policy:        policy,
 				Senpai:        cfg.senpai(senpai.ConfigA()),
 				Seed:          cfg.Seed + 1300,
 			},
-			services: []workload.Profile{p},
-			warm:     warm,
-			measure:  measure,
+			Services: []workload.Profile{p},
+			Warm:     warm,
+			Measure:  measure,
 		}
 	}
-	out := runArms(arms, func(i int, h host, w window) PolicyOutcome {
+	out := fleet.RunArms(arms, func(i int, h fleet.Host, w fleet.Window) PolicyOutcome {
 		secs := measure.Seconds()
 		o := PolicyOutcome{
 			Policy:         policies[i],
-			RefaultsPerSec: float64(w.stat.Refaults) / secs,
-			SwapInsPerSec:  float64(w.stat.SwapIns) / secs,
-			RPS:            w.rps,
+			RefaultsPerSec: float64(w.Stat.Refaults) / secs,
+			SwapInsPerSec:  float64(w.Stat.SwapIns) / secs,
+			RPS:            w.RPS,
 		}
 		o.TotalPagingPerSec = o.RefaultsPerSec + o.SwapInsPerSec
 		// The file share is of everything reclaimed since boot.
-		if st := h.apps[0].Group.MM().Stat(); st.FileEvictions+st.SwapOuts > 0 {
+		if st := h.Apps[0].Group.MM().Stat(); st.FileEvictions+st.SwapOuts > 0 {
 			o.FileShare = float64(st.FileEvictions) / float64(st.FileEvictions+st.SwapOuts)
 		}
 		return o
@@ -137,28 +138,28 @@ func AblationLimitMode(cfg Config) AblationLimitModeResult {
 	p.AnonGrowthPeriod = vclock.Duration(float64(dur) * 0.7)
 
 	labels := []string{"memory.reclaim", "memory.max"}
-	arms := make([]arm, len(labels))
+	arms := make([]fleet.Arm, len(labels))
 	for i := range labels {
 		sc := cfg.senpai(senpai.ConfigA())
 		sc.LimitMode = i == 1
 		// Twice the footprint: not host-bound, to isolate the limit effect.
-		arms[i] = arm{
-			opts: core.Options{
+		arms[i] = fleet.Arm{
+			Opts: core.Options{
 				Mode:          core.ModeZswap,
 				CapacityBytes: 2 * p.FootprintBytes,
 				Senpai:        sc,
 				Seed:          cfg.Seed + 1400,
 			},
-			services: []workload.Profile{p},
-			measure:  dur,
+			Services: []workload.Profile{p},
+			Measure:  dur,
 		}
 	}
-	out := runArms(arms, func(i int, h host, w window) DriveModeOutcome {
+	out := fleet.RunArms(arms, func(i int, h fleet.Host, w fleet.Window) DriveModeOutcome {
 		return DriveModeOutcome{
 			Mode:             labels[i],
-			DirectReclaims:   w.stat.DirectReclaims,
-			RPS:              w.rps,
-			FinalResidentMiB: float64(h.apps[0].Group.MemoryCurrent()) / (1 << 20),
+			DirectReclaims:   w.Stat.DirectReclaims,
+			RPS:              w.RPS,
+			FinalResidentMiB: float64(h.Apps[0].Group.MemoryCurrent()) / (1 << 20),
 		}
 	})
 	return AblationLimitModeResult{ReclaimMode: out[0], LimitMode: out[1]}
@@ -217,40 +218,40 @@ func AblationController(cfg Config) AblationControllerResult {
 	devices := []string{"C", "B"}
 
 	// One baseline per device, then one cell per (controller, device).
-	var arms []arm
+	var arms []fleet.Arm
 	var cells []ControllerCell
 	for _, dev := range devices {
-		arms = append(arms, baseline(core.Options{CapacityBytes: capacity, DeviceModel: dev, Seed: cfg.Seed + 1500}, warm, p))
+		arms = append(arms, fleet.Baseline(core.Options{CapacityBytes: capacity, DeviceModel: dev, Seed: cfg.Seed + 1500}, warm, p))
 	}
 	for _, ctl := range []string{"senpai", "gswap"} {
 		for _, dev := range devices {
-			a := arm{
-				opts: core.Options{
+			a := fleet.Arm{
+				Opts: core.Options{
 					Mode:          core.ModeSSDSwap,
 					CapacityBytes: capacity,
 					DeviceModel:   dev,
 					Seed:          cfg.Seed + 1500,
 				},
-				services: []workload.Profile{p},
-				warm:     warm,
-				measure:  measure,
-				step:     10 * vclock.Second,
+				Services: []workload.Profile{p},
+				Warm:     warm,
+				Measure:  measure,
+				Step:     10 * vclock.Second,
 			}
 			if ctl == "senpai" {
-				a.opts.Senpai = cfg.senpai(senpai.ConfigA())
+				a.Opts.Senpai = cfg.senpai(senpai.ConfigA())
 			} else {
 				// Replace Senpai with the baseline: a promotion-rate target
 				// fixed by offline profiling, applied fleet-wide regardless
 				// of the device behind swap — safe on the device it was
 				// tuned on, blind to device variance everywhere else.
-				a.opts.DisableSenpai = true
-				a.hook = func(h *host) {
+				a.Opts.DisableSenpai = true
+				a.Hook = func(h *fleet.Host) {
 					c := gswap.DefaultConfig(60)
 					if cfg.Quick {
 						c.StepFrac *= 4
 					}
 					gctl := gswap.New(c)
-					gctl.AddTarget(h.apps[0].Group)
+					gctl.AddTarget(h.Apps[0].Group)
 					h.Server.AddController(gctl)
 				}
 			}
@@ -258,12 +259,12 @@ func AblationController(cfg Config) AblationControllerResult {
 			cells = append(cells, ControllerCell{Controller: ctl, Device: dev})
 		}
 	}
-	ws := runArms(arms, windowOf)
+	ws := fleet.RunArms(arms, windowOf)
 	for k := range cells {
 		w, base := ws[len(devices)+k], ws[k%len(devices)]
-		cells[k].SavingsFrac = 1 - w.meanNet/base.meanNet
-		cells[k].RPS = w.rps
-		cells[k].PromotionsPerSec = float64(w.stat.SwapIns) / measure.Seconds()
+		cells[k].SavingsFrac = 1 - w.MeanNet/base.MeanNet
+		cells[k].RPS = w.RPS
+		cells[k].PromotionsPerSec = float64(w.Stat.SwapIns) / measure.Seconds()
 	}
 	return AblationControllerResult{Cells: cells}
 }
@@ -357,10 +358,10 @@ func AblationTiered(cfg Config) AblationTieredResult {
 		{"ssd-only", core.ModeSSDSwap, nil},
 		{"tiered", core.ModeTiered, tight},
 	}
-	arms := []arm{baseline(core.Options{CapacityBytes: capacity, Seed: cfg.Seed + 1600}, warm, web, ml)}
+	arms := []fleet.Arm{fleet.Baseline(core.Options{CapacityBytes: capacity, Seed: cfg.Seed + 1600}, warm, web, ml)}
 	for _, b := range backends {
-		arms = append(arms, arm{
-			opts: core.Options{
+		arms = append(arms, fleet.Arm{
+			Opts: core.Options{
 				Mode:          b.mode,
 				CapacityBytes: capacity,
 				DeviceModel:   "C",
@@ -368,17 +369,17 @@ func AblationTiered(cfg Config) AblationTieredResult {
 				Senpai:        cfg.senpai(senpai.ConfigA()),
 				Seed:          cfg.Seed + 1600,
 			},
-			services: []workload.Profile{web, ml},
-			warm:     warm,
-			measure:  measure,
-			step:     10 * vclock.Second,
+			Services: []workload.Profile{web, ml},
+			Warm:     warm,
+			Measure:  measure,
+			Step:     10 * vclock.Second,
 		})
 	}
 	type run struct {
-		w                     window
+		w                     fleet.Window
 		writebacks, directSSD int64
 	}
-	runs := runArms(arms, func(i int, h host, w window) run {
+	runs := fleet.RunArms(arms, func(i int, h fleet.Host, w fleet.Window) run {
 		if i == 0 {
 			return run{w: w} // the baseline has no chain
 		}
@@ -389,9 +390,9 @@ func AblationTiered(cfg Config) AblationTieredResult {
 		r := runs[i+1]
 		out[i] = TierOutcome{
 			Backend:         b.label,
-			NetSavedMiB:     (runs[0].w.meanNet - r.w.meanNet) / (1 << 20),
-			MeanMemPressure: r.w.rootPressure,
-			RPS:             r.w.rps,
+			NetSavedMiB:     (runs[0].w.MeanNet - r.w.MeanNet) / (1 << 20),
+			MeanMemPressure: r.w.RootPressure,
+			RPS:             r.w.RPS,
 			Writebacks:      r.writebacks,
 			DirectSSD:       r.directSSD,
 		}

@@ -12,10 +12,8 @@
 package experiments
 
 import (
-	"tmo/internal/cgroup"
-	"tmo/internal/core"
+	"tmo/internal/fleet"
 	"tmo/internal/metrics"
-	"tmo/internal/psi"
 	"tmo/internal/vclock"
 	"tmo/internal/workload"
 )
@@ -109,10 +107,5 @@ func (r *rate[V]) sample(now vclock.Time) {
 	r.primed, r.last, r.lastT = true, v, now
 }
 
-// someTotal returns g's some-stall total on r, synced to the host's clock.
-// Syncing only integrates the tracker up to now; it leaves the run unchanged.
-func someTotal(sys *core.System, g *cgroup.Group, r psi.Resource) vclock.Duration {
-	tr := g.PSI()
-	tr.Sync(sys.Server.Now())
-	return tr.Total(r, psi.Some)
-}
+// windowOf is the score that keeps just the window.
+func windowOf(_ int, _ fleet.Host, w fleet.Window) fleet.Window { return w }

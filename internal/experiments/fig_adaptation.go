@@ -5,6 +5,7 @@ import (
 
 	"tmo/internal/cgroup"
 	"tmo/internal/core"
+	"tmo/internal/fleet"
 	"tmo/internal/metrics"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
@@ -156,34 +157,34 @@ func AblationReadahead(cfg Config) AblationReadaheadResult {
 	p := cfg.profile("ads-b") // phase-shifting working set
 
 	depths := []int{0, 8}
-	arms := make([]arm, len(depths))
+	arms := make([]fleet.Arm, len(depths))
 	ra0 := make([]int64, len(depths)) // host-wide readahead-ins at the window's start
 	for i, depth := range depths {
-		arms[i] = arm{
-			opts: core.Options{
+		arms[i] = fleet.Arm{
+			Opts: core.Options{
 				Mode:          core.ModeZswap,
 				CapacityBytes: 2 * p.FootprintBytes,
 				Senpai:        cfg.senpai(senpai.ConfigA()),
 				SwapReadahead: depth,
 				Seed:          cfg.Seed + 2000,
 			},
-			services: []workload.Profile{p},
-			measure:  measure,
+			Services: []workload.Profile{p},
+			Measure:  measure,
 			// Warm up here, so the window can difference the manager-wide
 			// readahead counter too.
-			hook: func(h *host) {
+			Hook: func(h *fleet.Host) {
 				h.Run(warm)
 				ra0[i] = h.Server.Manager().ReadaheadIn()
 			},
 		}
 	}
-	out := runArms(arms, func(i int, h host, w window) ReadaheadOutcome {
+	out := fleet.RunArms(arms, func(i int, h fleet.Host, w fleet.Window) ReadaheadOutcome {
 		return ReadaheadOutcome{
 			Depth:             depths[i],
-			MajorFaultsPerSec: float64(w.stat.SwapIns) / measure.Seconds(),
+			MajorFaultsPerSec: float64(w.Stat.SwapIns) / measure.Seconds(),
 			ReadaheadPerSec:   float64(h.Server.Manager().ReadaheadIn()-ra0[i]) / measure.Seconds(),
-			MemPressure:       w.appPressure,
-			ResidentMiB:       float64(h.apps[0].Group.MemoryCurrent()) / (1 << 20),
+			MemPressure:       w.AppPressure,
+			ResidentMiB:       float64(h.Apps[0].Group.MemoryCurrent()) / (1 << 20),
 		}
 	})
 	return AblationReadaheadResult{Off: out[0], On: out[1]}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tmo/internal/core"
+	"tmo/internal/fleet"
 	"tmo/internal/metrics"
 	"tmo/internal/mm"
 	"tmo/internal/senpai"
@@ -37,22 +38,22 @@ func AutoTune(cfg Config) AutoTuneResult {
 	// trajectory from boot and remembers its initial resident set.
 	series := []*metrics.Series{{Name: "static"}, {Name: "auto-tuned"}}
 	initial := make([]float64, len(series))
-	arms := make([]arm, len(series))
+	arms := make([]fleet.Arm, len(series))
 	warm, measure := vclock.Duration(float64(dur)*2/3), dur/3
 	for i, s := range series {
 		sc := senpai.ConfigA()
-		arms[i] = arm{
-			opts: core.Options{
+		arms[i] = fleet.Arm{
+			Opts: core.Options{
 				Mode:          core.ModeZswap,
 				CapacityBytes: 2 * p.FootprintBytes,
 				Senpai:        &sc,
 				Seed:          cfg.Seed + 2100,
 			},
-			services: []workload.Profile{p},
-			warm:     warm,
-			measure:  measure,
-			hook: func(h *host) {
-				g := h.apps[0].Group
+			Services: []workload.Profile{p},
+			Warm:     warm,
+			Measure:  measure,
+			Hook: func(h *fleet.Host) {
+				g := h.Apps[0].Group
 				if i == 1 {
 					h.Senpai.EnableAutoTune(senpai.DefaultAutoTune())
 				}
@@ -64,9 +65,9 @@ func AutoTune(cfg Config) AutoTuneResult {
 		}
 	}
 	type run struct{ savings, pressure, multiplier float64 }
-	out := runArms(arms, func(i int, h host, w window) run {
-		g := h.apps[0].Group
-		return run{1 - float64(g.MemoryCurrent())/initial[i], w.appPressure, h.Senpai.TuneMultiplier(g)}
+	out := fleet.RunArms(arms, func(i int, h fleet.Host, w fleet.Window) run {
+		g := h.Apps[0].Group
+		return run{1 - float64(g.MemoryCurrent())/initial[i], w.AppPressure, h.Senpai.TuneMultiplier(g)}
 	})
 	return AutoTuneResult{
 		Static:          series[0],
@@ -130,29 +131,29 @@ func AblationLRUQuality(cfg Config) AblationLRUQualityResult {
 	p := cfg.profile("feed")
 
 	policies := []mm.ReclaimPolicy{mm.PolicyTMO, mm.PolicyOracle}
-	arms := make([]arm, len(policies))
+	arms := make([]fleet.Arm, len(policies))
 	initial := make([]float64, len(policies)) // resident set at boot
 	for i, policy := range policies {
-		arms[i] = arm{
-			opts: core.Options{
+		arms[i] = fleet.Arm{
+			Opts: core.Options{
 				Mode:          core.ModeZswap,
 				CapacityBytes: 2 * p.FootprintBytes,
 				Policy:        policy,
 				Senpai:        cfg.senpai(senpai.ConfigA()),
 				Seed:          cfg.Seed + 2200,
 			},
-			services: []workload.Profile{p},
-			warm:     warm,
-			measure:  measure,
-			hook:     func(h *host) { initial[i] = float64(h.apps[0].Group.MemoryCurrent()) },
+			Services: []workload.Profile{p},
+			Warm:     warm,
+			Measure:  measure,
+			Hook:     func(h *fleet.Host) { initial[i] = float64(h.Apps[0].Group.MemoryCurrent()) },
 		}
 	}
-	out := runArms(arms, func(i int, h host, w window) LRUQualityOutcome {
+	out := fleet.RunArms(arms, func(i int, h fleet.Host, w fleet.Window) LRUQualityOutcome {
 		return LRUQualityOutcome{
 			Policy:      policies[i],
-			SavingsFrac: 1 - float64(h.apps[0].Group.MemoryCurrent())/initial[i],
-			FaultsPerS:  float64(w.stat.SwapIns+w.stat.Refaults) / measure.Seconds(),
-			MemPressure: w.appPressure,
+			SavingsFrac: 1 - float64(h.Apps[0].Group.MemoryCurrent())/initial[i],
+			FaultsPerS:  float64(w.Stat.SwapIns+w.Stat.Refaults) / measure.Seconds(),
+			MemPressure: w.AppPressure,
 		}
 	})
 	return AblationLRUQualityResult{LRU: out[0], Oracle: out[1]}

@@ -6,6 +6,7 @@ import (
 
 	"tmo/internal/backend"
 	"tmo/internal/core"
+	"tmo/internal/fleet"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
@@ -57,11 +58,11 @@ func AblationBatch(cfg Config) BatchResult {
 	// stay busy through the window.
 	capacity := int64(1.2 * float64(p.FootprintBytes))
 
-	var arms []arm
+	var arms []fleet.Arm
 	for _, ra := range []int{0, 8} {
 		for _, d := range []int{1, backend.DefaultWritebackDepth} {
-			arms = append(arms, arm{
-				opts: core.Options{
+			arms = append(arms, fleet.Arm{
+				Opts: core.Options{
 					Mode:          core.ModeSSDSwap,
 					CapacityBytes: capacity,
 					DeviceModel:   "C",
@@ -70,20 +71,20 @@ func AblationBatch(cfg Config) BatchResult {
 					Senpai:        cfg.senpai(senpai.ConfigA()),
 					Seed:          cfg.Seed + 2700,
 				},
-				services: []workload.Profile{p},
-				warm:     warm,
-				measure:  measure,
+				Services: []workload.Profile{p},
+				Warm:     warm,
+				Measure:  measure,
 			})
 		}
 	}
-	res := BatchResult{Cells: runArms(arms, func(_ int, h host, w window) BatchCell {
+	res := BatchResult{Cells: fleet.RunArms(arms, func(_ int, h fleet.Host, w fleet.Window) BatchCell {
 		reg := h.Telemetry
 		return BatchCell{
 			Readahead:       h.Opts.SwapReadahead,
 			WBDepth:         h.Opts.Writeback.Depth,
-			RPS:             w.rps,
+			RPS:             w.RPS,
 			MeanFaultUs:     reg.Histogram("mm.fault_latency_us").Mean(),
-			MeanMemPressure: w.appPressure,
+			MeanMemPressure: w.AppPressure,
 			ReadaheadIns:    reg.Counter("mm.readahead_ins").Value(),
 			Coalesced:       reg.Counter("mm.fault_coalesced").Value(),
 			WBStalls:        reg.Counter("backend.wb.backpressure_stalls").Value(),

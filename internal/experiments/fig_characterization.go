@@ -74,21 +74,21 @@ var Figure2Apps = []string{"ads-a", "ads-b", "analytics", "feed", "cache-a", "ca
 // times exactly like the paper's cold-memory measurement.
 func Figure2(cfg Config) Figure2Result {
 	runFor := cfg.dur(8*vclock.Minute, 6*vclock.Minute)
-	arms := make([]arm, len(Figure2Apps))
+	arms := make([]fleet.Arm, len(Figure2Apps))
 	for i, name := range Figure2Apps {
 		p := cfg.profile(name)
-		arms[i] = arm{
-			opts: core.Options{
+		arms[i] = fleet.Arm{
+			Opts: core.Options{
 				Mode:          core.ModeOff,
 				CapacityBytes: 4 * p.FootprintBytes,
 				Seed:          cfg.Seed + uint64(i),
 			},
-			services: []workload.Profile{p},
-			measure:  runFor,
+			Services: []workload.Profile{p},
+			Measure:  runFor,
 		}
 	}
-	res := Figure2Result{Rows: runArms(arms, func(i int, h host, _ window) ColdnessRow {
-		c := mm.Coldness(h.Server.Now(), h.apps[0].AllPages(),
+	res := Figure2Result{Rows: fleet.RunArms(arms, func(i int, h fleet.Host, _ fleet.Window) ColdnessRow {
+		c := mm.Coldness(h.Server.Now(), h.Apps[0].AllPages(),
 			[]vclock.Duration{1 * vclock.Minute, 2 * vclock.Minute, 5 * vclock.Minute})
 		return ColdnessRow{App: Figure2Apps[i], Used1: c[0], Used2: c[1], Used5: c[2], Cold: c[3]}
 	})}
@@ -138,30 +138,30 @@ func Figure3(cfg Config) Figure3Result {
 	mix := fleet.DefaultMix(core.ModeOff, cfg.Seed)
 	runFor := cfg.dur(4*vclock.Minute, 2*vclock.Minute)
 	dcProf, microProf := cfg.profile("datacenter-tax"), cfg.profile("microservice-tax")
-	arms := make([]arm, len(mix))
+	arms := make([]fleet.Arm, len(mix))
 	for i, spec := range mix {
 		p := cfg.profile(spec.App)
-		arms[i] = arm{
-			opts: core.Options{
+		arms[i] = fleet.Arm{
+			Opts: core.Options{
 				Mode:          core.ModeOff,
 				CapacityBytes: 2 * p.FootprintBytes,
 				Seed:          spec.Seed,
 			},
-			services: []workload.Profile{p},
-			measure:  runFor,
-			hook: func(h *host) {
-				h.apps = append(h.apps,
+			Services: []workload.Profile{p},
+			Measure:  runFor,
+			Hook: func(h *fleet.Host) {
+				h.Apps = append(h.Apps,
 					h.AddProfile(dcProf, cgroup.DatacenterTax),
 					h.AddProfile(microProf, cgroup.MicroserviceTax))
 			},
 		}
 	}
 	// Each host's weighted datacenter- and microservice-tax shares.
-	shares := runArms(arms, func(i int, h host, _ window) [2]float64 {
+	shares := fleet.RunArms(arms, func(i int, h fleet.Host, _ fleet.Window) [2]float64 {
 		capacity := float64(h.Opts.CapacityBytes)
 		return [2]float64{
-			mix[i].Weight * float64(h.apps[1].Group.MemoryCurrent()) / capacity,
-			mix[i].Weight * float64(h.apps[2].Group.MemoryCurrent()) / capacity,
+			mix[i].Weight * float64(h.Apps[1].Group.MemoryCurrent()) / capacity,
+			mix[i].Weight * float64(h.Apps[2].Group.MemoryCurrent()) / capacity,
 		}
 	})
 	var res Figure3Result
@@ -211,7 +211,7 @@ var Figure4Apps = []string{
 // short run under ample memory.
 func Figure4(cfg Config) Figure4Result {
 	runFor := cfg.dur(2*vclock.Minute, 1*vclock.Minute)
-	arms := make([]arm, len(Figure4Apps))
+	arms := make([]fleet.Arm, len(Figure4Apps))
 	for i, name := range Figure4Apps {
 		p := cfg.profile(name)
 		// Measure mature containers: lazily-growing apps at their full
@@ -219,18 +219,18 @@ func Figure4(cfg Config) Figure4Result {
 		if p.AnonGrowth {
 			p.InitialAnonFrac = 1
 		}
-		arms[i] = arm{
-			opts: core.Options{
+		arms[i] = fleet.Arm{
+			Opts: core.Options{
 				Mode:          core.ModeOff,
 				CapacityBytes: 4 * p.FootprintBytes,
 				Seed:          cfg.Seed + uint64(100+i),
 			},
-			services: []workload.Profile{p},
-			measure:  runFor,
+			Services: []workload.Profile{p},
+			Measure:  runFor,
 		}
 	}
-	return Figure4Result{Rows: runArms(arms, func(i int, h host, _ window) AnonFileRow {
-		g := h.apps[0].Group.MM()
+	return Figure4Result{Rows: fleet.RunArms(arms, func(i int, h fleet.Host, _ fleet.Window) AnonFileRow {
+		g := h.Apps[0].Group.MM()
 		anon := float64(g.ResidentBytesOf(mm.Anon))
 		file := float64(g.ResidentBytesOf(mm.File))
 		total := anon + file

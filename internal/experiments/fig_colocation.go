@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tmo/internal/core"
+	"tmo/internal/fleet"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
@@ -58,26 +59,26 @@ func Colocation(cfg Config) ColocationResult {
 	// offloading the host is genuinely overcommitted.
 	capacity := (profA.FootprintBytes + profB.FootprintBytes) * 2 / 3
 
-	coloc := func(mode core.Mode, capacityBytes int64, seed uint64, profs ...workload.Profile) arm {
+	coloc := func(mode core.Mode, capacityBytes int64, seed uint64, profs ...workload.Profile) fleet.Arm {
 		opts := core.Options{Mode: mode, CapacityBytes: capacityBytes, Seed: seed}
 		if mode != core.ModeOff {
 			opts.Senpai = cfg.senpai(senpai.ConfigA())
 		}
-		return arm{
-			opts:     opts,
-			services: profs,
-			warm:     warm,
-			measure:  measure,
+		return fleet.Arm{
+			Opts:     opts,
+			Services: profs,
+			Warm:     warm,
+			Measure:  measure,
 		}
 	}
-	runs := runArms([]arm{
+	runs := fleet.RunArms([]fleet.Arm{
 		coloc(core.ModeOff, 2*profA.FootprintBytes, cfg.Seed+1800, profA),
 		coloc(core.ModeOff, 2*profB.FootprintBytes, cfg.Seed+1800, profB),
 		coloc(core.ModeOff, capacity, cfg.Seed+1801, profA, profB),
 		coloc(core.ModeZswap, capacity, cfg.Seed+1801, profA, profB),
-	}, func(_ int, h host, w window) colocRun {
+	}, func(_ int, h fleet.Host, w fleet.Window) colocRun {
 		// OOM events count from boot: overcommit during warm-up counts too.
-		return colocRun{rps: w.rps, pressure: w.rootPressure, ooms: h.Server.Manager().OOMEvents()}
+		return colocRun{rps: w.RPS, pressure: w.RootPressure, ooms: h.Server.Manager().OOMEvents()}
 	})
 	isoA, isoB, off, tmo := runs[0], runs[1], runs[2], runs[3]
 	return ColocationResult{

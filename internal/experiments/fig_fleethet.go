@@ -44,7 +44,7 @@ func FleetHeterogeneity(cfg Config) FleetHeterogeneityResult {
 		}
 	}
 	var res FleetHeterogeneityResult
-	for i, m := range fleet.MeasureAll(specs, warm, measure) {
+	for i, m := range fleet.MeasureAll(specs, warm, measure, nil) {
 		dev := backend.DeviceCatalog[i]
 		res.Rows = append(res.Rows, FleetHetRow{
 			Device:      dev.Model,

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"tmo/internal/core"
+	"tmo/internal/fleet"
 	"tmo/internal/place"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
@@ -90,8 +91,8 @@ func PlacementScorecard(cfg Config) PlacementResult {
 	// copies in flight, the churn the abort path exists for. The phase
 	// precedes measurement so every arm's placement re-converges before PSI
 	// and savings are judged.
-	warmup := func(h *host) {
-		app := h.apps[0]
+	warmup := func(h *fleet.Host) {
+		app := h.Apps[0]
 		h.Run(warm / 2)
 		app.Group.SetMemoryMax(h.Server.Now(), localTarget)
 		h.Run(warm / 2)
@@ -111,10 +112,10 @@ func PlacementScorecard(cfg Config) PlacementResult {
 		{"local+swap", core.ModeSSDSwap, nil},
 		{"interleave", core.ModeCXL, &place.Config{InterleaveFrac: interleaveFrac}},
 	}
-	arms := []arm{baseline(core.Options{CapacityBytes: 2 * p.FootprintBytes, Seed: cfg.Seed + 2600}, warm, p)}
+	arms := []fleet.Arm{fleet.Baseline(core.Options{CapacityBytes: 2 * p.FootprintBytes, Seed: cfg.Seed + 2600}, warm, p)}
 	for _, s := range strategies {
-		arms = append(arms, arm{
-			opts: core.Options{
+		arms = append(arms, fleet.Arm{
+			Opts: core.Options{
 				Mode:          s.mode,
 				CapacityBytes: capacity,
 				CXLBytes:      cxlBytes,
@@ -123,19 +124,19 @@ func PlacementScorecard(cfg Config) PlacementResult {
 				Placement:     s.placement,
 				Seed:          cfg.Seed + 2600,
 			},
-			services: []workload.Profile{p},
-			measure:  measure,
-			step:     10 * vclock.Second,
-			hook:     warmup,
+			Services: []workload.Profile{p},
+			Measure:  measure,
+			Step:     10 * vclock.Second,
+			Hook:     warmup,
 		})
 	}
 	type run struct {
 		a        PlacementArm
-		w        window
+		w        fleet.Window
 		restarts int64 // code-push restarts the arm's app served
 	}
-	runs := runArms(arms, func(_ int, h host, w window) run {
-		a := PlacementArm{MeanMemPressure: w.appPressure, RPS: w.rps}
+	runs := fleet.RunArms(arms, func(_ int, h fleet.Host, w fleet.Window) run {
+		a := PlacementArm{MeanMemPressure: w.AppPressure, RPS: w.RPS}
 		if h.CXL != nil {
 			a.FarMiB = float64(h.CXL.UsedBytes()) / (1 << 20)
 			a.Demotions = h.Server.Manager().FarDemotions()
@@ -146,14 +147,14 @@ func PlacementScorecard(cfg Config) PlacementResult {
 			a.Aborts = st.Aborts()
 			a.AbortStallUs = int64(st.AbortStall)
 		}
-		return run{a, w, h.apps[0].Restarts()}
+		return run{a, w, h.Apps[0].Restarts()}
 	})
 	out := make([]PlacementArm, len(strategies))
 	for i, s := range strategies {
 		r := runs[i+1]
 		out[i] = r.a
 		out[i].Name = s.name
-		out[i].SavingsFrac = 1 - r.w.meanNet/runs[0].w.meanNet
+		out[i].SavingsFrac = 1 - r.w.MeanNet/runs[0].w.MeanNet
 	}
 	return PlacementResult{TPP: out[0], LocalSwap: out[1], Interleave: out[2], Restarts: runs[len(runs)-1].restarts}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"tmo/internal/core"
+	"tmo/internal/fleet"
 	"tmo/internal/metrics"
 	"tmo/internal/psi"
 	"tmo/internal/senpai"
@@ -146,7 +147,7 @@ func ResilienceClass(cfg Config, name string) (ResilienceOutcome, error) {
 func runResilience(cfg Config, only string) []ResilienceOutcome {
 	faultAt, recovery := resilienceTiming(cfg)
 	var outs []ResilienceOutcome
-	var arms []arm
+	var arms []fleet.Arm
 	var recs []ResilienceArm // each arm's name and the series its hook samples
 	for i, sc := range resilienceScenarios() {
 		if only != "" && sc.name != only {
@@ -183,13 +184,13 @@ func runResilience(cfg Config, only string) []ResilienceOutcome {
 			}
 			recs = append(recs, rec)
 			static := !controlled && sc.baseline == "static"
-			arms = append(arms, arm{
-				opts:     opts,
-				services: []workload.Profile{p},
-				warm:     faultAt,
-				measure:  recovery,
-				hook: func(h *host) {
-					app := h.apps[0]
+			arms = append(arms, fleet.Arm{
+				Opts:     opts,
+				Services: []workload.Profile{p},
+				Warm:     faultAt,
+				Measure:  recovery,
+				Hook: func(h *fleet.Host) {
+					app := h.Apps[0]
 					if static {
 						app.Group.SetMemoryMax(h.Server.Now(), int64(staticLimitFrac*float64(p.FootprintBytes)))
 					}
@@ -197,15 +198,15 @@ func runResilience(cfg Config, only string) []ResilienceOutcome {
 						panic("experiments: " + err.Error())
 					}
 					s := newSampler(5 * vclock.Second)
-					s.add(newPressureRate(rec.Pressure, func() vclock.Duration { return someTotal(h.System, app.Group, psi.Memory) }).sample)
+					s.add(newPressureRate(rec.Pressure, func() vclock.Duration { return fleet.SomeTotal(h.System, app.Group, psi.Memory) }).sample)
 					s.add(newCounterRate(rec.RPS, app.Completed).sample)
 					h.Server.OnTick(s.onTick)
 				},
 			})
 		}
 	}
-	scored := runArms(arms, func(k int, h host, w window) ResilienceArm {
-		return scoreResilience(recs[k], h.Server.Now(), recovery, w.ooms)
+	scored := fleet.RunArms(arms, func(k int, h fleet.Host, w fleet.Window) ResilienceArm {
+		return scoreResilience(recs[k], h.Server.Now(), recovery, w.OOMs)
 	})
 	for k := range outs {
 		outs[k].Senpai, outs[k].Baseline = scored[2*k], scored[2*k+1]

@@ -133,7 +133,7 @@ func Figure9(cfg Config) Figure9Result {
 	add(Figure9ZswapApps, core.ModeZswap)
 	add(Figure9SSDApps, core.ModeSSDSwap)
 	var res Figure9Result
-	for _, m := range fleet.MeasureAll(specs, warm, measure) {
+	for _, m := range fleet.MeasureAll(specs, warm, measure, nil) {
 		res.Rows = append(res.Rows, SavingsRow{App: m.Spec.App, Backend: m.Spec.Mode, Measurement: m})
 	}
 	return res
@@ -182,7 +182,7 @@ func Figure10(cfg Config) Figure10Result {
 		mix[i].Senpai = cfg.senpai(senpai.ConfigA())
 		mix[i].Scale = cfg.scale()
 	}
-	ms := fleet.MeasureAll(mix, warm, measure)
+	ms := fleet.MeasureAll(mix, warm, measure, nil)
 	dc, micro := fleet.WeightedTaxSavings(ms)
 
 	// Characterise the before shares from the same mix.

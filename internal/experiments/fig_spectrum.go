@@ -6,6 +6,7 @@ import (
 
 	"tmo/internal/backend"
 	"tmo/internal/core"
+	"tmo/internal/fleet"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
@@ -58,27 +59,27 @@ func SweepBackends(cfg Config) SpectrumResult {
 		{core.ModeSSDSwap, "B", "ssd-B (slow)"},
 	}
 
-	arms := []arm{baseline(core.Options{CapacityBytes: capacity, Seed: cfg.Seed + 1700}, warm, p)}
+	arms := []fleet.Arm{fleet.Baseline(core.Options{CapacityBytes: capacity, Seed: cfg.Seed + 1700}, warm, p)}
 	for _, tr := range tiers {
-		arms = append(arms, arm{
-			opts: core.Options{
+		arms = append(arms, fleet.Arm{
+			Opts: core.Options{
 				Mode:          tr.mode,
 				CapacityBytes: capacity,
 				DeviceModel:   tr.device,
 				Senpai:        cfg.senpai(senpai.ConfigA()),
 				Seed:          cfg.Seed + 1700,
 			},
-			services: []workload.Profile{p},
-			warm:     warm,
-			measure:  measure,
-			step:     10 * vclock.Second,
+			Services: []workload.Profile{p},
+			Warm:     warm,
+			Measure:  measure,
+			Step:     10 * vclock.Second,
 		})
 	}
 	type run struct {
-		w      window
+		w      fleet.Window
 		loadUs float64
 	}
-	runs := runArms(arms, func(i int, h host, w window) run {
+	runs := fleet.RunArms(arms, func(i int, h fleet.Host, w fleet.Window) run {
 		if i == 0 {
 			return run{w: w} // the baseline has no backend
 		}
@@ -91,9 +92,9 @@ func SweepBackends(cfg Config) SpectrumResult {
 			Mode:            tr.mode,
 			Label:           tr.label,
 			MedianLoadUs:    r.loadUs,
-			SavingsFrac:     1 - r.w.meanNet/runs[0].w.meanNet,
-			MeanMemPressure: r.w.appPressure,
-			RPS:             r.w.rps,
+			SavingsFrac:     1 - r.w.MeanNet/runs[0].w.MeanNet,
+			MeanMemPressure: r.w.AppPressure,
+			RPS:             r.w.RPS,
 		})
 	}
 	return res

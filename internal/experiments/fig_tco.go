@@ -6,6 +6,7 @@ import (
 
 	"tmo/internal/backend"
 	"tmo/internal/core"
+	"tmo/internal/fleet"
 	"tmo/internal/senpai"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
@@ -55,13 +56,13 @@ func TCO(cfg Config) TCOResult {
 	gen := trend[len(trend)-1]
 
 	const GB = float64(1 << 30)
-	layout := func(tiers []backend.TierSpec) arm {
+	layout := func(tiers []backend.TierSpec) fleet.Arm {
 		mode := core.ModeZswap
 		if tiers != nil {
 			mode = core.ModeTiered
 		}
-		return arm{
-			opts: core.Options{
+		return fleet.Arm{
+			Opts: core.Options{
 				Mode:          mode,
 				CapacityBytes: capacity,
 				DeviceModel:   "G",
@@ -69,10 +70,10 @@ func TCO(cfg Config) TCOResult {
 				Senpai:        cfg.senpai(tcoSenpai()),
 				Seed:          cfg.Seed + 4100,
 			},
-			services: []workload.Profile{p},
-			warm:     warm,
-			measure:  measure,
-			step:     10 * vclock.Second,
+			Services: []workload.Profile{p},
+			Warm:     warm,
+			Measure:  measure,
+			Step:     10 * vclock.Second,
 		}
 	}
 
@@ -82,23 +83,23 @@ func TCO(cfg Config) TCOResult {
 	// compressed DRAM — the watermark demotion loop pushes the cold
 	// remainder down to flash, which is what actually cuts the bill: flash
 	// is ~50x cheaper per GB than the DRAM it displaces.
-	ws := runArms([]arm{
-		baseline(core.Options{CapacityBytes: capacity, Seed: cfg.Seed + 4100}, warm, p),
+	ws := fleet.RunArms([]fleet.Arm{
+		fleet.Baseline(core.Options{CapacityBytes: capacity, Seed: cfg.Seed + 4100}, warm, p),
 		layout(nil),
 	}, windowOf)
-	base := ws[0].meanNet
+	base := ws[0].MeanNet
 	// point scores a layout's window against the baseline.
-	point := func(label string, tiers []backend.TierSpec, w window) TCOPoint {
+	point := func(label string, tiers []backend.TierSpec, w fleet.Window) TCOPoint {
 		pt := TCOPoint{
 			Label:           label,
 			NumTiers:        max(1, len(tiers)), // the single pool is one zswap tier
-			SavingsFrac:     1 - w.meanNet/base,
-			MeanMemPressure: w.appPressure,
-			PoolGB:          w.meanPool / GB,
-			SSDGB:           w.meanSSD / GB,
+			SavingsFrac:     1 - w.MeanNet/base,
+			MeanMemPressure: w.AppPressure,
+			PoolGB:          w.MeanPool / GB,
+			SSDGB:           w.MeanSSD / GB,
 		}
 		cost := pt.PoolGB*gen.MemoryPct + pt.SSDGB*gen.SSDPct
-		if savedGB := (base - w.meanNet) / GB; savedGB > 0 {
+		if savedGB := (base - w.MeanNet) / GB; savedGB > 0 {
 			pt.CostPerGBSaved = cost / savedGB
 		}
 		return pt
@@ -122,7 +123,7 @@ func TCO(cfg Config) TCOResult {
 			{Kind: backend.TierSSD},
 		}},
 	}
-	ws = runArms([]arm{layout(chains[0].tiers), layout(chains[1].tiers)}, windowOf)
+	ws = fleet.RunArms([]fleet.Arm{layout(chains[0].tiers), layout(chains[1].tiers)}, windowOf)
 	res := TCOResult{Points: []TCOPoint{single}}
 	for i, c := range chains {
 		res.Points = append(res.Points, point(c.label, c.tiers, ws[i]))

@@ -6,6 +6,7 @@ import (
 
 	"tmo/internal/core"
 	"tmo/internal/dist"
+	"tmo/internal/fleet"
 	"tmo/internal/metrics"
 	"tmo/internal/mm"
 	"tmo/internal/psi"
@@ -73,8 +74,8 @@ func attachWebRecorder(sys *core.System, app *workload.App, label string, every 
 	s.add(newCounterRate(p.RPS, app.Completed).sample)
 	s.add(newCounterRate(p.Promotion, func() int64 { return app.Group.MM().Stat().SwapIns }).sample)
 	s.add(newCounterRate(p.FSReads, sys.Server.Filesystem().Reads).sample)
-	s.add(newPressureRate(p.MemP, func() vclock.Duration { return someTotal(sys, app.Group, psi.Memory) }).sample)
-	s.add(newPressureRate(p.IOP, func() vclock.Duration { return someTotal(sys, app.Group, psi.IO) }).sample)
+	s.add(newPressureRate(p.MemP, func() vclock.Duration { return fleet.SomeTotal(sys, app.Group, psi.Memory) }).sample)
+	s.add(newPressureRate(p.IOP, func() vclock.Duration { return fleet.SomeTotal(sys, app.Group, psi.IO) }).sample)
 
 	// Windowed p90 of SSD reads via a per-window reservoir.
 	capacity := float64(sys.Opts.CapacityBytes)
@@ -146,27 +147,27 @@ func Figure11(cfg Config) Figure11Result {
 
 	// Every (phase, tier) pair is a host of its own recording on local time;
 	// arm k is phase k/2, the baseline tier first.
-	arms := make([]arm, 6)
+	arms := make([]fleet.Arm, 6)
 	panels := make([]*webPanels, len(arms))
 	for k := range arms {
 		tier, mode := res.Baseline, core.ModeOff
 		if k%2 == 1 {
 			tier, mode = res.TMO, res.PhaseModes[k/2]
 		}
-		arms[k] = arm{
-			opts: core.Options{
+		arms[k] = fleet.Arm{
+			Opts: core.Options{
 				Mode:          mode,
 				CapacityBytes: capacity,
 				DeviceModel:   "C",
 				Senpai:        cfg.senpai(senpai.ConfigA()),
 				Seed:          cfg.Seed + 700 + uint64(k/2),
 			},
-			services: []workload.Profile{p},
-			measure:  phase,
-			hook:     func(h *host) { panels[k] = attachWebRecorder(h.System, h.apps[0], tier.Label, every) },
+			Services: []workload.Profile{p},
+			Measure:  phase,
+			Hook:     func(h *fleet.Host) { panels[k] = attachWebRecorder(h.System, h.Apps[0], tier.Label, every) },
 		}
 	}
-	runArms(arms, windowOf)
+	fleet.RunArms(arms, windowOf)
 	// Score each phase on its own timeline, then shift the phases onto one
 	// timeline per tier.
 	end := vclock.Time(phase)
@@ -246,25 +247,25 @@ func Figure12(cfg Config) Figure12Result {
 	every := cfg.dur(60*vclock.Second, 20*vclock.Second)
 
 	devices := []string{"C", "B"}
-	arms := make([]arm, len(devices))
+	arms := make([]fleet.Arm, len(devices))
 	panels := make([]*webPanels, len(devices))
 	for i, device := range devices {
-		arms[i] = arm{
-			opts: core.Options{
+		arms[i] = fleet.Arm{
+			Opts: core.Options{
 				Mode:          core.ModeSSDSwap,
 				CapacityBytes: capacity,
 				DeviceModel:   device,
 				Senpai:        cfg.senpai(senpai.ConfigA()),
 				Seed:          cfg.Seed + 800, // same seed: only the device differs
 			},
-			services: []workload.Profile{p},
-			measure:  dur,
-			hook:     func(h *host) { panels[i] = attachWebRecorder(h.System, h.apps[0], "ssd-"+device, every) },
+			Services: []workload.Profile{p},
+			Measure:  dur,
+			Hook:     func(h *fleet.Host) { panels[i] = attachWebRecorder(h.System, h.Apps[0], "ssd-"+device, every) },
 		}
 	}
 	half := vclock.Time(dur / 2)
 	end := vclock.Time(dur)
-	tiers := runArms(arms, func(i int, _ host, _ window) Figure12Tier {
+	tiers := fleet.RunArms(arms, func(i int, _ fleet.Host, _ fleet.Window) Figure12Tier {
 		pn := panels[i]
 		return Figure12Tier{
 			Device:          devices[i],
@@ -344,29 +345,29 @@ func Figure13(cfg Config) Figure13Result {
 		{"config-a", core.ModeZswap, cfg.senpai(senpai.ConfigA())},
 		{"config-b", core.ModeZswap, cfg.senpai(senpai.ConfigB())},
 	}
-	arms := make([]arm, len(tiers))
+	arms := make([]fleet.Arm, len(tiers))
 	panels := make([]*webPanels, len(tiers))
 	for i, t := range tiers {
-		arms[i] = arm{
-			opts: core.Options{
+		arms[i] = fleet.Arm{
+			Opts: core.Options{
 				Mode:          t.mode,
 				CapacityBytes: capacity,
 				DeviceModel:   "C",
 				Senpai:        t.sc,
 				Seed:          cfg.Seed + 900,
 			},
-			services: []workload.Profile{p},
-			measure:  dur / 2,
-			hook: func(h *host) {
-				panels[i] = attachWebRecorder(h.System, h.apps[0], t.label, every)
+			Services: []workload.Profile{p},
+			Measure:  dur / 2,
+			Hook: func(h *fleet.Host) {
+				panels[i] = attachWebRecorder(h.System, h.Apps[0], t.label, every)
 				h.Run(dur / 2)
-				h.apps[0].Restart(h.Server.Now()) // code push
+				h.Apps[0].Restart(h.Server.Now()) // code push
 			},
 		}
 	}
 	from := vclock.Time(dur).Add(-dur / 3)
 	end := vclock.Time(dur)
-	out := runArms(arms, func(i int, _ host, _ window) Figure13Tier {
+	out := fleet.RunArms(arms, func(i int, _ fleet.Host, _ fleet.Window) Figure13Tier {
 		pn := panels[i]
 		return Figure13Tier{
 			Label:         tiers[i].label,

@@ -3,19 +3,22 @@
 // savings come from A/B pairs of identically seeded hosts with offloading
 // off and on (the production load-test methodology of §4.2), and fleet
 // figures are weighted means across the application mix.
+//
+// Every host is measured the same way. An Arm describes one host; RunArms
+// builds, warms and measures arms on Parallel, the one worker pool. A
+// spec's A/B pair (MeasureAll) is two arms, every multi-host exhibit is a
+// list of arms, and a SimHost — a rollout member or a twin calibration
+// probe — measures each barrier window with the same Window an arm does.
 package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"tmo/internal/backend"
-	"tmo/internal/cgroup"
 	"tmo/internal/core"
-	"tmo/internal/mm"
 	"tmo/internal/place"
 	"tmo/internal/senpai"
 	"tmo/internal/telemetry"
@@ -118,119 +121,48 @@ func DeviceCohorts(specs []Spec) (byClass map[string][]int, classes []string) {
 
 // appProfile loads the spec's primary workload at the spec scale.
 func (s Spec) appProfile() workload.Profile {
-	scale := s.Scale
-	if scale <= 0 {
-		scale = 1
+	return workload.MustCatalog(s.App).Scale(s.Scale)
+}
+
+// arm is the normalized spec's host in mode as a stepped arm: the primary
+// app as the one service, the tax sidecars added by the hook when WithTax is
+// set (they become containers 1 and 2), sampled every 10 s.
+func (s Spec) arm(mode core.Mode, warm, measure vclock.Duration) Arm {
+	a := Arm{
+		Opts: core.Options{
+			Mode:          mode,
+			CapacityBytes: s.CapacityBytes,
+			DeviceModel:   s.Device,
+			Senpai:        s.Senpai,
+			Tiers:         s.Tiers,
+			CXLBytes:      s.CXLBytes,
+			Placement:     s.Placement,
+			Seed:          s.Seed,
+		},
+		Services: []workload.Profile{s.appProfile()},
+		Warm:     warm,
+		Measure:  measure,
+		Step:     10 * vclock.Second,
 	}
-	return workload.MustCatalog(s.App).Scale(scale)
+	if s.WithTax {
+		a.Hook = func(h *Host) {
+			dc, micro := h.AddTaxProfiles(
+				workload.MustCatalog("datacenter-tax").Scale(s.Scale),
+				workload.MustCatalog("microservice-tax").Scale(s.Scale))
+			h.Apps = append(h.Apps, dc, micro)
+		}
+	}
+	return a
 }
 
 // BuildHost assembles one standalone server for the spec in the spec's own
 // mode and returns it with its primary app. The rollout control plane builds
-// fleet members this way: unlike Measure it runs no A/B pair — the caller
+// fleet members this way: unlike MeasureAll it runs no A/B pair — the caller
 // owns the system's clock and telemetry for the life of the host.
 func BuildHost(s Spec) (*core.System, *workload.App) {
 	s = s.normalize()
-	sys, app, _, _ := buildSystem(s, s.Mode)
-	return sys, app
-}
-
-// runStats is what one run of one server yields over the measurement
-// window: time-averaged resident bytes by group kind and page type, plus
-// request throughput.
-type runStats struct {
-	appAnon, appFile        float64
-	dcTax, microTax         float64
-	poolForApp              float64
-	poolForDC, poolForMicro float64
-	completed               int64
-	samples                 int
-	oomEvents               int64
-	deviceWrittenBytes      int64
-
-	// snap is the run's final telemetry-registry snapshot.
-	snap telemetry.Snapshot
-}
-
-// appResident returns the app's net resident memory including its share of
-// the compressed pool.
-func (r runStats) appResident() float64 { return r.appAnon + r.appFile + r.poolForApp }
-
-// buildSystem assembles a server for the spec in the given mode.
-func buildSystem(s Spec, mode core.Mode) (*core.System, *workload.App, *workload.App, *workload.App) {
-	sys := core.New(core.Options{
-		Mode:          mode,
-		CapacityBytes: s.CapacityBytes,
-		DeviceModel:   s.Device,
-		Senpai:        s.Senpai,
-		Tiers:         s.Tiers,
-		CXLBytes:      s.CXLBytes,
-		Placement:     s.Placement,
-		Seed:          s.Seed,
-	})
-	app := sys.AddProfile(s.appProfile(), cgroup.Workload)
-	var dc, micro *workload.App
-	if s.WithTax {
-		dc, micro = sys.AddTaxProfiles(
-			workload.MustCatalog("datacenter-tax").Scale(s.Scale),
-			workload.MustCatalog("microservice-tax").Scale(s.Scale))
-	}
-	return sys, app, dc, micro
-}
-
-// runOne executes the spec in the given mode: warm first, then sample
-// resident composition every sampleEvery during the measurement window.
-func runOne(s Spec, mode core.Mode, warm, measure vclock.Duration) runStats {
-	sys, app, dc, micro := buildSystem(s, mode)
-	sys.Run(warm)
-
-	var st runStats
-	completedAtStart := app.Completed()
-	const sampleEvery = 10 * vclock.Second
-	steps := int(measure / sampleEvery)
-	if steps < 1 {
-		steps = 1
-	}
-	for i := 0; i < steps; i++ {
-		sys.Run(sampleEvery)
-		st.appAnon += float64(app.Group.MM().ResidentBytesOf(mm.Anon))
-		st.appFile += float64(app.Group.MM().ResidentBytesOf(mm.File))
-		pool := float64(sys.Metrics().PoolBytes)
-		if pool > 0 {
-			// Attribute the compressed pool to groups by their share of
-			// offloaded pages, each tax sidecar getting its own share.
-			total := app.Group.MM().SwappedBytes()
-			dcSw, microSw := int64(0), int64(0)
-			if dc != nil {
-				dcSw = dc.Group.MM().SwappedBytes()
-				microSw = micro.Group.MM().SwappedBytes()
-				total += dcSw + microSw
-			}
-			if total > 0 {
-				st.poolForApp += pool * float64(app.Group.MM().SwappedBytes()) / float64(total)
-				st.poolForDC += pool * float64(dcSw) / float64(total)
-				st.poolForMicro += pool * float64(microSw) / float64(total)
-			}
-		}
-		if dc != nil {
-			st.dcTax += float64(dc.Group.MemoryCurrent())
-			st.microTax += float64(micro.Group.MemoryCurrent())
-		}
-		st.samples++
-	}
-	n := float64(st.samples)
-	st.appAnon /= n
-	st.appFile /= n
-	st.dcTax /= n
-	st.microTax /= n
-	st.poolForApp /= n
-	st.poolForDC /= n
-	st.poolForMicro /= n
-	st.completed = app.Completed() - completedAtStart
-	st.oomEvents = sys.Metrics().OOMEvents
-	st.deviceWrittenBytes = sys.Metrics().DeviceWrittenBytes
-	st.snap = sys.TelemetrySnapshot()
-	return st
+	h := s.arm(s.Mode, 0, 0).build()
+	return h.System, h.Apps[0]
 }
 
 // Measurement compares one spec against its offloading-disabled twin.
@@ -265,94 +197,72 @@ func (m Measurement) TaxSavingsOfTotal() float64 {
 	return m.DCTaxSavingsOfTotal + m.MicroTaxSavingsOfTotal
 }
 
-// Measure runs the spec's A/B pair and reports savings. warm should cover
-// startup transients; measure is the averaging window. The baseline and
-// TMO servers are fully independent simulations, so the pair runs
-// concurrently; results are deterministic because each server has its own
-// seeded streams.
-func Measure(spec Spec, warm, measure vclock.Duration) Measurement {
-	m, _ := measureWithSnap(spec, warm, measure)
-	return m
+// Observer receives each spec, normalized, and its TMO host's final
+// telemetry snapshot. It is invoked from RunArms's worker goroutines —
+// possibly several at once — so an observer must be safe for concurrent use
+// (the tsdb scraper is). It is the hook the observability plane scrapes
+// fleet sweeps through.
+type Observer func(i int, s Spec, snap telemetry.Snapshot)
+
+// MeasureAll runs every spec's A/B pair — identically seeded hosts with
+// offloading off and in the spec's mode, the production load-test method of
+// §4.2 — as arms on RunArms, and returns the measurements in spec order.
+// warm should cover startup transients; measure is the averaging window.
+// Each pair is listed TMO first, so the longer arm starts first. obs, if
+// set, sees each TMO host's final snapshot.
+func MeasureAll(specs []Spec, warm, measure vclock.Duration, obs Observer) []Measurement {
+	ms := make([]Measurement, len(specs))
+	arms := make([]Arm, 0, 2*len(specs))
+	for i, s := range specs {
+		s = s.normalize()
+		ms[i].Spec = s
+		arms = append(arms, s.arm(s.Mode, warm, measure), s.arm(core.ModeOff, warm, measure))
+	}
+	ws := RunArms(arms, func(i int, h Host, w Window) Window {
+		if i%2 == 0 {
+			ms[i/2].readTMO(h)
+			if obs != nil {
+				obs(i/2, ms[i/2].Spec, h.TelemetrySnapshot())
+			}
+		}
+		return w
+	})
+	for i := range ms {
+		ms[i].compare(ws[2*i+1], ws[2*i])
+	}
+	return ms
 }
 
-// measureWithSnap is Measure plus the TMO run's final telemetry snapshot,
-// which MeasureAllWith hands to its observer for TSDB scraping.
-func measureWithSnap(spec Spec, warm, measure vclock.Duration) (Measurement, telemetry.Snapshot) {
-	spec = spec.normalize()
-	var base, tmo runStats
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		base = runOne(spec, core.ModeOff, warm, measure)
-	}()
-	go func() {
-		defer wg.Done()
-		tmo = runOne(spec, spec.Mode, warm, measure)
-	}()
-	wg.Wait()
+// readTMO fills the measurement's readings of the TMO host at run end: the
+// whole-run OOM count and the registry's fault, stall and refault figures.
+func (m *Measurement) readTMO(h Host) {
+	m.OOMEvents = h.Server.Manager().OOMEvents()
+	fl := h.Telemetry.Histogram("mm.fault_latency_us")
+	m.FaultLatencyP50Us, m.FaultLatencyP99Us = fl.Quantile(0.50), fl.Quantile(0.99)
+	m.MemStallP99Us = h.Telemetry.Histogram("psi.stall_duration_us", telemetry.Label{Key: "resource", Value: "memory"}).Quantile(0.99)
+	m.Refaults = h.Telemetry.Counter("mm.refaults").Value()
+}
 
-	m := Measurement{Spec: spec, OOMEvents: tmo.oomEvents}
-	if fl, ok := tmo.snap.Get("mm.fault_latency_us"); ok {
-		m.FaultLatencyP50Us = fl.Quantile(0.50)
-		m.FaultLatencyP99Us = fl.Quantile(0.99)
+// compare fills the savings and throughput fields from the baseline and TMO
+// windows: the app is container 0, the tax sidecars containers 1 and 2.
+func (m *Measurement) compare(base, tmo Window) {
+	b, t := base.Containers[0], tmo.Containers[0]
+	if baseRes := b.Anon + b.File + b.Pool; baseRes > 0 {
+		m.SavingsFrac = (baseRes - (t.Anon + t.File + t.Pool)) / baseRes
+		m.AnonSavedFrac = (b.Anon - t.Anon - t.Pool) / baseRes
+		m.FileSavedFrac = (b.File - t.File) / baseRes
 	}
-	if ms, ok := tmo.snap.Get("psi.stall_duration_us", telemetry.Label{Key: "resource", Value: "memory"}); ok {
-		m.MemStallP99Us = ms.Quantile(0.99)
-	}
-	if rf, ok := tmo.snap.Get("mm.refaults"); ok {
-		m.Refaults = int64(rf.Value)
-	}
-	baseRes := base.appResident()
-	if baseRes > 0 {
-		saved := baseRes - tmo.appResident()
-		m.SavingsFrac = saved / baseRes
-		m.AnonSavedFrac = (base.appAnon - tmo.appAnon - tmo.poolForApp) / baseRes
-		m.FileSavedFrac = (base.appFile - tmo.appFile) / baseRes
-	}
-	if spec.WithTax {
+	if m.Spec.WithTax {
 		// Each sidecar carries exactly the pool overhead its own offloaded
 		// pages consume, not an even split.
-		cap := float64(spec.CapacityBytes)
-		m.DCTaxSavingsOfTotal = (base.dcTax - tmo.dcTax - tmo.poolForDC) / cap
-		m.MicroTaxSavingsOfTotal = (base.microTax - tmo.microTax - tmo.poolForMicro) / cap
-	}
-	if base.completed > 0 {
-		m.RPSRatio = float64(tmo.completed) / float64(base.completed)
-	}
-	return m, tmo.snap
-}
-
-// measureWorkers bounds MeasureAll's pool; each measurement already runs
-// its A/B pair concurrently, so a handful of slots saturates most hosts.
-const measureWorkers = 4
-
-// MeasureAll measures every spec over a small worker pool and returns the
-// measurements in spec order. Each spec's simulation is self-contained and
-// seeded, and results are written by index, so the output is identical to
-// calling Measure sequentially.
-func MeasureAll(specs []Spec, warm, measure vclock.Duration) []Measurement {
-	return MeasureAllWith(specs, warm, measure, nil)
-}
-
-// Observer receives each spec's measurement and the TMO run's final
-// telemetry snapshot as it completes. It is invoked from MeasureAllWith's
-// worker goroutines — possibly several at once — so an observer must be
-// safe for concurrent use (the tsdb scraper is).
-type Observer func(i int, m Measurement, snap telemetry.Snapshot)
-
-// MeasureAllWith is MeasureAll with an optional concurrent observer, the
-// hook the observability plane scrapes fleet sweeps through.
-func MeasureAllWith(specs []Spec, warm, measure vclock.Duration, obs Observer) []Measurement {
-	out := make([]Measurement, len(specs))
-	Parallel(len(specs), min(runtime.NumCPU(), measureWorkers), func(i int) {
-		m, snap := measureWithSnap(specs[i], warm, measure)
-		out[i] = m
-		if obs != nil {
-			obs(i, m, snap)
+		taxSaved := func(c int) float64 {
+			return (base.Containers[c].Current - tmo.Containers[c].Current - tmo.Containers[c].Pool) / float64(m.Spec.CapacityBytes)
 		}
-	})
-	return out
+		m.DCTaxSavingsOfTotal, m.MicroTaxSavingsOfTotal = taxSaved(1), taxSaved(2)
+	}
+	if b.Completed > 0 {
+		m.RPSRatio = float64(t.Completed) / float64(b.Completed)
+	}
 }
 
 // Parallel calls fn(i) for every i in [0, n) on at most workers goroutines
@@ -381,31 +291,28 @@ func Parallel(n, workers int, fn func(i int)) {
 // fleet mix by population weight (the Fig. 9 fleet number; fleetsim's
 // bottom line).
 func WeightedAppSavings(ms []Measurement) float64 {
+	return weighted(ms, func(m Measurement) float64 { return m.SavingsFrac })
+}
+
+// WeightedTaxSavings aggregates tax savings across a fleet mix, returning
+// (datacenter, microservice) savings as fractions of server memory.
+func WeightedTaxSavings(ms []Measurement) (dc, micro float64) {
+	return weighted(ms, func(m Measurement) float64 { return m.DCTaxSavingsOfTotal }),
+		weighted(ms, func(m Measurement) float64 { return m.MicroTaxSavingsOfTotal })
+}
+
+// weighted is the population-weighted mean of f over ms, zero when the
+// population carries no weight.
+func weighted(ms []Measurement, f func(Measurement) float64) float64 {
 	var sum, wsum float64
 	for _, m := range ms {
-		sum += m.Spec.Weight * m.SavingsFrac
+		sum += m.Spec.Weight * f(m)
 		wsum += m.Spec.Weight
 	}
 	if wsum == 0 {
 		return 0
 	}
 	return sum / wsum
-}
-
-// WeightedTaxSavings aggregates tax savings across a fleet mix, returning
-// (datacenter, microservice) savings as fractions of server memory.
-func WeightedTaxSavings(ms []Measurement) (dc, micro float64) {
-	var wsum float64
-	for _, m := range ms {
-		w := m.Spec.Weight
-		dc += w * m.DCTaxSavingsOfTotal
-		micro += w * m.MicroTaxSavingsOfTotal
-		wsum += w
-	}
-	if wsum == 0 {
-		return 0, 0
-	}
-	return dc / wsum, micro / wsum
 }
 
 // String renders a measurement as one report row.

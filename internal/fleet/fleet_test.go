@@ -175,12 +175,12 @@ func TestWeightedAppSavings(t *testing.T) {
 }
 
 func TestMeasureZswapSavings(t *testing.T) {
-	m := Measure(Spec{
+	m := MeasureAll([]Spec{{
 		App:    "feed",
 		Mode:   core.ModeZswap,
 		Senpai: fastSenpai(),
 		Seed:   100,
-	}, 5*vclock.Minute, 5*vclock.Minute)
+	}}, 5*vclock.Minute, 5*vclock.Minute, nil)[0]
 
 	if m.SavingsFrac <= 0.03 {
 		t.Fatalf("zswap savings = %.1f%%, want positive", 100*m.SavingsFrac)
@@ -206,13 +206,13 @@ func TestMeasureZswapSavings(t *testing.T) {
 }
 
 func TestMeasureWithTax(t *testing.T) {
-	m := Measure(Spec{
+	m := MeasureAll([]Spec{{
 		App:     "cache-a",
 		Mode:    core.ModeZswap,
 		Senpai:  fastSenpai(),
 		WithTax: true,
 		Seed:    200,
-	}, 5*vclock.Minute, 5*vclock.Minute)
+	}}, 5*vclock.Minute, 5*vclock.Minute, nil)[0]
 	if m.TaxSavingsOfTotal() <= 0 {
 		t.Fatalf("tax savings = %v, want positive", m.TaxSavingsOfTotal())
 	}

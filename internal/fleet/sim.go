@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"tmo/internal/core"
 	"tmo/internal/place"
-	"tmo/internal/psi"
 	"tmo/internal/senpai"
 	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
@@ -58,75 +56,53 @@ type HostSim interface {
 	Snapshot() telemetry.Snapshot
 }
 
-// SimHost is the full-fidelity HostSim: a page-level core.System plus its
-// primary app, with the window-differenced sampling the rollout barrier
-// consumes (PSI totals differenced per window, completed-request deltas,
-// OOM deltas).
-type SimHost struct {
-	Sys *core.System
-	App *workload.App
-
-	lastMem       vclock.Duration
-	lastCompleted int64
-	lastOOMs      int64
-}
+// SimHost is the full-fidelity HostSim: a page-level host whose app list
+// holds only its primary app, each barrier window measured the way an arm's
+// window is (app PSI, completed requests and OOMs differenced across it).
+type SimHost struct{ Host }
 
 // NewSimHost builds the spec's standalone server (via BuildHost) wrapped in
 // the window-sampling adapter.
 func NewSimHost(s Spec) *SimHost {
 	sys, app := BuildHost(s)
-	return &SimHost{Sys: sys, App: app}
+	return &SimHost{Host{System: sys, Apps: []*workload.App{app}}}
 }
 
 // Advance implements HostSim.
 func (h *SimHost) Advance(window vclock.Duration) Vitals {
-	h.Sys.Run(window)
-	now := h.Sys.Server.Now()
-	tr := h.App.Group.PSI()
-	tr.Sync(now)
-	memTot := tr.Total(psi.Memory, psi.Some)
-
-	var v Vitals
-	v.Pressure = psi.WindowedPressure(h.lastMem, memTot, window)
-	h.lastMem = memTot
-
-	completed := h.App.Completed()
-	v.RPS = float64(completed-h.lastCompleted) / window.Seconds()
-	h.lastCompleted = completed
-
-	ooms := h.Sys.Metrics().OOMEvents
-	v.OOMKills = ooms - h.lastOOMs
-	h.lastOOMs = ooms
-
-	v.ResidentBytes = float64(h.Sys.NetResidentBytes())
-	if sw := h.Sys.Server.Swap(); sw != nil {
+	w := h.measure(window, 0)
+	v := Vitals{
+		Pressure:      w.AppPressure,
+		RPS:           w.RPS,
+		OOMKills:      w.OOMs,
+		ResidentBytes: float64(h.NetResidentBytes()),
+		FaultP99Us:    h.Telemetry.Histogram("mm.fault_latency_us").Quantile(0.99),
+	}
+	if sw := h.Server.Swap(); sw != nil {
 		v.SwapStoredBytes = sw.Stats().StoredBytes
 	}
-	v.FaultP99Us = h.Sys.Telemetry.Histogram("mm.fault_latency_us").Quantile(0.99)
 	return v
 }
 
 // SetSenpaiConfig implements HostSim.
-func (h *SimHost) SetSenpaiConfig(cfg senpai.Config) { h.Sys.Senpai.SetConfig(cfg) }
+func (h *SimHost) SetSenpaiConfig(cfg senpai.Config) { h.Senpai.SetConfig(cfg) }
 
 // SetPlacementConfig implements HostSim; a no-op on hosts without a
 // placement loop.
 func (h *SimHost) SetPlacementConfig(cfg *place.Config) {
-	if h.Sys.Place == nil {
+	if h.Place == nil {
 		return
 	}
 	if cfg == nil {
-		h.Sys.Place.SetConfig(place.DefaultConfig())
+		h.Place.SetConfig(place.DefaultConfig())
 		return
 	}
-	h.Sys.Place.SetConfig(*cfg)
+	h.Place.SetConfig(*cfg)
 }
 
-// SwapCapacityBytes implements HostSim.
-func (h *SimHost) SwapCapacityBytes() int64 { return h.Sys.SwapCapacityBytes() }
-
-// Snapshot implements HostSim.
-func (h *SimHost) Snapshot() telemetry.Snapshot { return h.Sys.TelemetrySnapshot() }
+// Snapshot implements HostSim; SwapCapacityBytes comes from the embedded
+// system.
+func (h *SimHost) Snapshot() telemetry.Snapshot { return h.TelemetrySnapshot() }
 
 // Response is one host's steady-state response to a pushed Senpai
 // configuration, in the units the rollout barrier judges: per-window

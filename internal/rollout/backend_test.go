@@ -26,7 +26,7 @@ func TestUnsizedSSDTierHasSwapCapacity(t *testing.T) {
 	cfg.Baseline = base
 	c := New(cfg)
 	for _, h := range c.hosts {
-		dram := h.sim.(*fleet.SimHost).Sys.Opts.CapacityBytes
+		dram := h.sim.(*fleet.SimHost).Opts.CapacityBytes
 		if want := 16*mib + core.DefaultSwapFactor*dram; h.swapCap != want {
 			t.Fatalf("host %d swap capacity = %d, want lz4 16m + ssd 4x DRAM = %d", h.index, h.swapCap, want)
 		}

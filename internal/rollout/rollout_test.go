@@ -234,7 +234,7 @@ func TestSpecSenpaiPrecedence(t *testing.T) {
 
 	c := New(cfg)
 	h := c.hosts[0]
-	if got := h.sim.(*fleet.SimHost).Sys.Senpai.Config(); got != cfg.Baseline.Config {
+	if got := h.sim.(*fleet.SimHost).Senpai.Config(); got != cfg.Baseline.Config {
 		t.Fatalf("host 0 boots with spec Senpai config %+v, want baseline policy %+v", got, cfg.Baseline.Config)
 	}
 	if h.runMode != core.ModeZswap {

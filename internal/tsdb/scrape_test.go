@@ -61,7 +61,7 @@ func TestScraperFilterAndBaseClash(t *testing.T) {
 	}
 }
 
-// TestFleetScrapeConcurrent runs the scraper against fleet.MeasureAllWith's
+// TestFleetScrapeConcurrent runs the scraper against fleet.MeasureAll's
 // concurrent worker pool — the acceptance gate's race witness — and checks
 // the per-host series land with deterministic identities.
 func TestFleetScrapeConcurrent(t *testing.T) {
@@ -77,10 +77,10 @@ func TestFleetScrapeConcurrent(t *testing.T) {
 		return name == "host.resident_bytes" || name == "mm.fault_latency_us"
 	}}
 	end := vclock.Time(0).Add(warm + measure)
-	ms := fleet.MeasureAllWith(specs, warm, measure, func(i int, m fleet.Measurement, snap telemetry.Snapshot) {
+	ms := fleet.MeasureAll(specs, warm, measure, func(i int, s fleet.Spec, snap telemetry.Snapshot) {
 		sc.ScrapeSnapshot(end, []telemetry.Label{
-			{Key: "host", Value: m.Spec.App},
-			{Key: "device", Value: m.Spec.DeviceClass()},
+			{Key: "host", Value: s.App},
+			{Key: "device", Value: s.DeviceClass()},
 		}, snap)
 	})
 	if len(ms) != len(specs) {

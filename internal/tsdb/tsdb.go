@@ -68,9 +68,10 @@ type series struct {
 // 8 little-endian bytes of IEEE-754 bits follow.
 
 // integral reports whether v is exactly representable as an int64 delta
-// base, i.e. an integer small enough that int64 arithmetic is exact.
+// base, i.e. an integer small enough that int64 arithmetic is exact. −0 is
+// not: int64(−0) decodes as +0, so it takes the raw path.
 func integral(v float64) bool {
-	return v == math.Trunc(v) && math.Abs(v) < (1<<53) && !math.IsInf(v, 0)
+	return v == math.Trunc(v) && math.Abs(v) < (1<<53) && !math.IsInf(v, 0) && !(v == 0 && math.Signbit(v))
 }
 
 func (s *series) append(t vclock.Time, v float64) {
