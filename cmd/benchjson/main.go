@@ -1,6 +1,6 @@
 // Command benchjson runs the repository's benchmark suites — the root
 // figure benchmarks that regenerate the paper's evaluation plus the
-// hot-path microbenchmarks in internal/{mm,psi,backend,sim,workload} —
+// hot-path microbenchmarks in internal/{mm,place,psi,backend,sim,workload} —
 // and writes the parsed results to a single JSON file (BENCH_core.json via
 // `make bench`). The file pins the perf trajectory: every benchmark's ns/op,
 // B/op, and allocs/op, plus each figure's headline metrics, so any PR can
@@ -92,6 +92,7 @@ func main() {
 
 	suites := []suite{
 		{pkg: "./internal/mm", bench: ".", benchtime: *micro},
+		{pkg: "./internal/place", bench: ".", benchtime: *micro},
 		{pkg: "./internal/psi", bench: ".", benchtime: *micro},
 		{pkg: "./internal/backend", bench: ".", benchtime: *micro},
 		{pkg: "./internal/sim", bench: ".", benchtime: *micro},

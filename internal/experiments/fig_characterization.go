@@ -88,7 +88,7 @@ func Figure2(cfg Config) Figure2Result {
 		}
 	}
 	res := Figure2Result{Rows: fleet.RunArms(arms, func(i int, h fleet.Host, _ fleet.Window) ColdnessRow {
-		c := mm.Coldness(h.Server.Now(), h.Apps[0].AllPages(),
+		c := h.Server.Manager().Coldness(h.Server.Now(), h.Apps[0].AllPages(),
 			[]vclock.Duration{1 * vclock.Minute, 2 * vclock.Minute, 5 * vclock.Minute})
 		return ColdnessRow{App: Figure2Apps[i], Used1: c[0], Used2: c[1], Used5: c[2], Cold: c[3]}
 	})}

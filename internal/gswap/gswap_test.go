@@ -87,7 +87,7 @@ func TestHoldsWhileAboveTarget(t *testing.T) {
 	c.Tick(vclock.Time(vclock.Second))
 	swappedBack := 0
 	for _, p := range anon {
-		if p.State() == mm.Offloaded {
+		if mgr.State(p) == mm.Offloaded {
 			mgr.Touch(vclock.Time(2*vclock.Second), p)
 			swappedBack++
 			if swappedBack == 120 {

@@ -33,14 +33,14 @@ func newReadaheadManager(swap *backend.TierChain) *Manager {
 // offloadClusters swaps out n consecutive anon pages and returns them in
 // offload order. Consecutive swap-outs share clusters, so every
 // swapClusterSize-aligned run is one cluster.
-func offloadClusters(t *testing.T, m *Manager, g *Group, n int) []*Page {
+func offloadClusters(t *testing.T, m *Manager, g *Group, n int) []PageID {
 	t.Helper()
 	pages := m.NewPages(g, Anon, 2*n, 1)
 	touchAll(m, 0, pages)
 	m.ProactiveReclaim(vclock.Time(vclock.Second), g, int64(n)*pageSize)
-	var offloaded []*Page
+	var offloaded []PageID
 	for _, p := range pages {
-		if p.State() == Offloaded {
+		if m.State(p) == Offloaded {
 			offloaded = append(offloaded, p)
 		}
 	}
@@ -202,7 +202,7 @@ func TestBatchedSwapInAllocBound(t *testing.T) {
 		m.SetLimit(now, g, g.HierResidentBytes()-swapClusterSize*pageSize)
 		m.SetLimit(now, g, 0)
 		for _, p := range pages {
-			if p.State() == Offloaded {
+			if m.State(p) == Offloaded {
 				m.Touch(now, p)
 				break
 			}
@@ -226,7 +226,7 @@ func TestReclaimStoreBatchAllocFree(t *testing.T) {
 		now = now.Add(vclock.Millisecond)
 		m.ProactiveReclaim(now, g, swapClusterSize*pageSize)
 		for _, p := range pages {
-			if p.State() == Offloaded {
+			if m.State(p) == Offloaded {
 				m.Touch(now, p)
 			}
 		}
@@ -284,7 +284,7 @@ func TestReclaimSurvivesPartialStoreBatch(t *testing.T) {
 	}
 	offloaded, resident := 0, 0
 	for _, p := range pages {
-		switch p.State() {
+		switch m.State(p) {
 		case Offloaded:
 			offloaded++
 		case Resident:

@@ -38,9 +38,11 @@ func BenchmarkTouchHit(b *testing.B) {
 	}
 }
 
-// BenchmarkTouchResidentRandom touches 1<<18 resident pages (28 MiB of Page
-// structs, far beyond the CPU caches) in a seeded random order, so nearly
-// every touch misses on its Page the way a simulated host's touches do.
+// BenchmarkTouchResidentRandom touches 1<<18 resident pages in a seeded
+// random order, the way a simulated host's touches land. The pages' hot
+// arrays (a flag byte and an 8-byte lastTouch each) span 2.25 MiB, beyond a
+// 2 MiB L2 though within a large L3, so a touch typically misses L2 on its
+// lastTouch slot.
 func BenchmarkTouchResidentRandom(b *testing.B) {
 	const n = 1 << 18
 	m := newTestManager(2*n, nil, PolicyTMO)
@@ -63,17 +65,38 @@ func BenchmarkSampleFar(b *testing.B) {
 	g := m.NewGroup("app", nil)
 	pages := m.NewPages(g, Anon, n, 1)
 	for _, p := range pages {
-		p.state = Resident
-		p.far = true
-		g.farList.pushHead(p)
+		placeFar(m, g, p)
 	}
-	cands := make([]*Page, 0, 256)
+	cands := make([]PageID, 0, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Re-heat a page each round so scans yield candidates.
-		pages[i%n].farHits = 2
+		m.farHits[pages[i%n]] = 2
 		cands, _ = m.SampleFar(g, 256, 2, cands[:0])
+	}
+}
+
+// BenchmarkDemoteCold is one watermark demotion of 32 pages from a
+// 4096-page local anon LRU, plus committing their promotions back so every
+// round starts from the same steady state.
+func BenchmarkDemoteCold(b *testing.B) {
+	const n = 4096
+	m, _ := newFarManager(2*n, n, nil)
+	g := m.NewGroup("app", nil)
+	pages := m.NewPages(g, Anon, n, 1)
+	touchAll(m, 0, pages)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := vclock.Time(i)
+		m.DemoteCold(now, g, 32*pageSize)
+		for id := g.farList.head; id != 0; {
+			next := m.links[id].next
+			m.BeginPromotion(id)
+			m.PromoteFromFar(now, id)
+			id = next
+		}
 	}
 }
 
@@ -81,7 +104,7 @@ func BenchmarkFaultZeroFill(b *testing.B) {
 	m := newTestManager(1<<18, nil, PolicyTMO)
 	g := m.NewGroup("app", nil)
 	pages := m.NewPages(g, Anon, 1024, 1)
-	free := make([]*Page, 1)
+	free := make([]PageID, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -115,7 +138,7 @@ func BenchmarkSwapInFaultReadahead(b *testing.B) {
 		now := vclock.Time(i) * vclock.Time(vclock.Second)
 		m.ProactiveReclaim(now, g, 16*pageSize)
 		for _, p := range pages {
-			if p.State() == Offloaded {
+			if m.State(p) == Offloaded {
 				m.Touch(now, p)
 			}
 		}
@@ -151,7 +174,7 @@ func BenchmarkProactiveReclaim(b *testing.B) {
 		// stable across iterations.
 		m.ProactiveReclaim(vclock.Time(i)*vclock.Time(vclock.Second), g, 64*pageSize)
 		for _, p := range pages[:64] {
-			if p.State() != Resident {
+			if m.State(p) != Resident {
 				m.Touch(vclock.Time(i)*vclock.Time(vclock.Second), p)
 			}
 		}
@@ -166,6 +189,6 @@ func BenchmarkColdnessSurvey(b *testing.B) {
 	windows := []vclock.Duration{vclock.Minute, 2 * vclock.Minute, 5 * vclock.Minute}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Coldness(vclock.Time(i), pages, windows)
+		m.Coldness(vclock.Time(i), pages, windows)
 	}
 }

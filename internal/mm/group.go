@@ -14,6 +14,9 @@ import (
 type Group struct {
 	name string
 	mgr  *Manager
+	// idx is the group's index in mgr.groups, which its pages' owners
+	// carry.
+	idx uint16
 
 	parent   *Group
 	children []*Group

@@ -2,120 +2,137 @@ package mm
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
 )
 
-// TestPageLayout pins Page's hot-span contract: the struct stays at most
-// 112 bytes and every field a resident hit or an LRU move touches ends
-// within its first 64 bytes. A new field added ahead of them, or a hot
-// field that grows, fails here by name.
+// TestPageLayout pins the page arena's contract: no arena element or swap
+// cluster holds a pointer, so the garbage collector never scans one, and
+// the flag byte a resident hit tests stays one byte.
 func TestPageLayout(t *testing.T) {
-	var p Page
-	if size := unsafe.Sizeof(p); size > 112 {
-		t.Errorf("unsafe.Sizeof(Page{}) = %d, want <= 112", size)
+	if size := unsafe.Sizeof(pageFlags(0)); size != 1 {
+		t.Errorf("unsafe.Sizeof(pageFlags(0)) = %d, want 1", size)
 	}
-	hot := []struct {
-		name      string
-		off, size uintptr
-	}{
-		{"group", unsafe.Offsetof(p.group), unsafe.Sizeof(p.group)},
-		{"list", unsafe.Offsetof(p.list), unsafe.Sizeof(p.list)},
-		{"next", unsafe.Offsetof(p.next), unsafe.Sizeof(p.next)},
-		{"prev", unsafe.Offsetof(p.prev), unsafe.Sizeof(p.prev)},
-		{"lastTouch", unsafe.Offsetof(p.lastTouch), unsafe.Sizeof(p.lastTouch)},
-		{"pendingUntil", unsafe.Offsetof(p.pendingUntil), unsafe.Sizeof(p.pendingUntil)},
-		{"Type", unsafe.Offsetof(p.Type), unsafe.Sizeof(p.Type)},
-		{"state", unsafe.Offsetof(p.state), unsafe.Sizeof(p.state)},
-		{"active", unsafe.Offsetof(p.active), unsafe.Sizeof(p.active)},
-		{"referenced", unsafe.Offsetof(p.referenced), unsafe.Sizeof(p.referenced)},
-		{"touched", unsafe.Offsetof(p.touched), unsafe.Sizeof(p.touched)},
-		{"pendingIO", unsafe.Offsetof(p.pendingIO), unsafe.Sizeof(p.pendingIO)},
-		{"dirty", unsafe.Offsetof(p.dirty), unsafe.Sizeof(p.dirty)},
-		{"refaulted", unsafe.Offsetof(p.refaulted), unsafe.Sizeof(p.refaulted)},
-		{"far", unsafe.Offsetof(p.far), unsafe.Sizeof(p.far)},
-		{"farHits", unsafe.Offsetof(p.farHits), unsafe.Sizeof(p.farHits)},
-		{"migrating", unsafe.Offsetof(p.migrating), unsafe.Sizeof(p.migrating)},
-		{"hasShadow", unsafe.Offsetof(p.hasShadow), unsafe.Sizeof(p.hasShadow)},
+	if size := unsafe.Sizeof(pageOwner(0)); size != 2 {
+		t.Errorf("unsafe.Sizeof(pageOwner(0)) = %d, want 2", size)
 	}
-	for _, f := range hot {
-		if end := f.off + f.size; end > 64 {
-			t.Errorf("hot field Page.%s ends at byte %d, past the first 64", f.name, end)
+	if size := unsafe.Sizeof(pageLink{}); size != 8 {
+		t.Errorf("unsafe.Sizeof(pageLink{}) = %d, want 8", size)
+	}
+	if size := unsafe.Sizeof(Page{}); size > 56 {
+		t.Errorf("unsafe.Sizeof(Page{}) = %d, want <= 56", size)
+	}
+	if path := pointerPath(reflect.TypeOf(struct{ a [2]struct{ p *int } }{}), "probe"); path != "probe.a[].p" {
+		t.Fatalf("pointerPath missed a nested pointer: got %q", path)
+	}
+	var m Manager
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(m.flags).Elem(),
+		reflect.TypeOf(m.lastTouch).Elem(),
+		reflect.TypeOf(m.links).Elem(),
+		reflect.TypeOf(m.owners).Elem(),
+		reflect.TypeOf(m.farHits).Elem(),
+		reflect.TypeOf(m.cold).Elem().Elem(), // the chunks the table points to
+		reflect.TypeOf(m.clusters).Elem(),
+	} {
+		if path := pointerPath(typ, typ.String()); path != "" {
+			t.Errorf("arena element %s holds a pointer-bearing field at %s", typ, path)
 		}
 	}
+}
+
+// pointerPath returns the path of the first field of typ (named path) that
+// holds a pointer, slice, map, interface, string, chan or func — anything
+// the garbage collector scans — or "" if there is none.
+func pointerPath(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Interface, reflect.String, reflect.Chan, reflect.Func:
+		return path
+	case reflect.Array:
+		return pointerPath(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if p := pointerPath(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
+// placeFar makes page id a far resident page at the head of g's far list,
+// without reserving node capacity.
+func placeFar(m *Manager, g *Group, id PageID) {
+	m.flags[id] |= flagResident | flagFar
+	m.pushHead(&g.farList, id)
 }
 
 // randomFarList builds a group whose far list holds n pages in a seeded
 // random order with random referenced bits, touch counts and in-flight
 // promotions.
-func randomFarList(seed uint64, n int) (*Manager, *Group, []*Page) {
+func randomFarList(seed uint64, n int) (*Manager, *Group, []PageID) {
 	m, _ := newFarManager(16, int64(n)+1, nil)
 	g := m.NewGroup("app", nil)
 	pages := m.NewPages(g, Anon, n, 1)
 	rng := rand.New(rand.NewPCG(seed, uint64(n)))
 	for _, i := range rng.Perm(n) {
-		p := pages[i]
-		p.state = Resident
-		p.far = true
-		p.referenced = rng.IntN(2) == 0
-		p.farHits = uint8(rng.IntN(5))
-		p.migrating = rng.IntN(4) == 0
-		g.farList.pushHead(p)
+		id := pages[i]
+		if rng.IntN(2) == 0 {
+			m.flags[id] |= flagReferenced
+		}
+		m.farHits[id] = uint8(rng.IntN(5))
+		m.page(id).migrating = rng.IntN(4) == 0
+		placeFar(m, g, id)
 	}
 	return m, g, pages
 }
 
 // sampleFarByRotation is SampleFar as one rotate-to-head per scanned page:
 // the reference the splice must reproduce.
-func sampleFarByRotation(l *lruList, budget int, threshold uint8) (cands []*Page, sampled int) {
+func sampleFarByRotation(m *Manager, l *lruList, budget int, threshold uint8) (cands []PageID, sampled int) {
 	if budget > l.count {
 		budget = l.count
 	}
 	for i := 0; i < budget; i++ {
-		p := l.tail
-		l.remove(p)
-		l.pushHead(p)
+		id := l.tail
+		m.remove(l, id)
+		m.pushHead(l, id)
 		sampled++
-		if p.referenced {
-			p.referenced = false
+		if m.flags[id]&flagReferenced != 0 {
+			m.flags[id] &^= flagReferenced
 			l.refs--
 		}
-		hot := p.farHits >= threshold
-		p.farHits = 0
+		p := m.page(id)
+		hot := m.farHits[id] >= threshold
+		m.farHits[id] = 0
 		if hot && !p.migrating {
-			cands = append(cands, p)
+			cands = append(cands, id)
 		}
 	}
 	return cands, sampled
 }
 
-// listOrder returns the indices (into pages) of l's pages head to tail,
-// checking the links agree in both directions.
-func listOrder(t *testing.T, l *lruList, pages []*Page) []int {
+// listOrder returns l's pages head to tail, checking the links agree in
+// both directions and every page's flags name l.
+func listOrder(t *testing.T, m *Manager, l *lruList) []PageID {
 	t.Helper()
-	var order []int
-	var prev *Page
-	for p := l.head; p != nil; p = p.next {
-		if p.prev != prev || p.list != l {
-			t.Fatalf("broken link at page %d", slices.Index(pages, p))
+	var order []PageID
+	var prev PageID
+	for id := l.head; id != 0; id = m.links[id].next {
+		if m.links[id].prev != prev || m.listOf(id) != l {
+			t.Fatalf("broken link at page %d", id)
 		}
-		order = append(order, slices.Index(pages, p))
-		prev = p
+		order = append(order, id)
+		prev = id
 	}
 	if l.tail != prev || len(order) != l.count {
 		t.Fatalf("tail/count disagree with the head walk: %d pages, count %d", len(order), l.count)
 	}
 	return order
-}
-
-// indices maps each of ps to its index in all.
-func indices(ps, all []*Page) []int {
-	out := []int{}
-	for _, p := range ps {
-		out = append(out, slices.Index(all, p))
-	}
-	return out
 }
 
 func TestSampleFarSpliceMatchesRotation(t *testing.T) {
@@ -124,26 +141,26 @@ func TestSampleFarSpliceMatchesRotation(t *testing.T) {
 		for _, budget := range []int{0, 1, n - 1, n, n + 5} {
 			for seed := uint64(1); seed <= 5; seed++ {
 				m, g, pages := randomFarList(seed, n)
-				_, ref, refPages := randomFarList(seed, n)
+				rm, ref, _ := randomFarList(seed, n)
 
 				got, sampled := m.SampleFar(g, budget, threshold, nil)
-				want, wantSampled := sampleFarByRotation(&ref.farList, budget, threshold)
+				want, wantSampled := sampleFarByRotation(rm, &ref.farList, budget, threshold)
 
 				if sampled != wantSampled {
 					t.Fatalf("n=%d budget=%d seed=%d: sampled %d, want %d", n, budget, seed, sampled, wantSampled)
 				}
-				if a, b := indices(got, pages), indices(want, refPages); !slices.Equal(a, b) {
+				if a, b := got, want; !slices.Equal(a, b) {
 					t.Fatalf("n=%d budget=%d seed=%d: candidates %v, want %v", n, budget, seed, a, b)
 				}
-				if a, b := listOrder(t, &g.farList, pages), listOrder(t, &ref.farList, refPages); !slices.Equal(a, b) {
+				if a, b := listOrder(t, m, &g.farList), listOrder(t, rm, &ref.farList); !slices.Equal(a, b) {
 					t.Fatalf("n=%d budget=%d seed=%d: order %v, want %v", n, budget, seed, a, b)
 				}
 				if g.farList.refs != ref.farList.refs {
 					t.Fatalf("n=%d budget=%d seed=%d: refs %d, want %d", n, budget, seed, g.farList.refs, ref.farList.refs)
 				}
-				for i := range pages {
-					if pages[i].farHits != refPages[i].farHits || pages[i].referenced != refPages[i].referenced {
-						t.Fatalf("n=%d budget=%d seed=%d: page %d bits differ", n, budget, seed, i)
+				for _, id := range pages {
+					if m.farHits[id] != rm.farHits[id] || m.Referenced(id) != rm.Referenced(id) {
+						t.Fatalf("n=%d budget=%d seed=%d: page %d bits differ", n, budget, seed, id)
 					}
 				}
 			}

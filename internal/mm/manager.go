@@ -2,6 +2,8 @@ package mm
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"tmo/internal/backend"
 	"tmo/internal/trace"
@@ -83,15 +85,38 @@ type Manager struct {
 	// scanning stops until space frees up.
 	swapExhausted bool
 
+	// The page arena, indexed by PageID; ID 0 is the nil page. Its hot
+	// arrays take 20 bytes per page: flags and lastTouch are all a resident
+	// hit reads or writes, links threads the LRU lists, owners names each
+	// page's group and type, and farHits counts touches of a far page since
+	// the placement loop's last access-bit scan over it, saturating (the
+	// loop promotes pages whose count crosses its threshold). The cold
+	// record of page id is cold[id>>chunkShift][id&chunkMask]. No page's
+	// state holds a pointer, so the garbage collector scans only the chunk
+	// table, never the pages.
+	flags     []pageFlags
+	lastTouch []vclock.Time
+	links     []pageLink
+	owners    []pageOwner
+	farHits   []uint8
+	cold      []*coldChunk
+	// reserved is the capacity, in pages, of every hot array.
+	reserved int
+
+	// groups indexes every group by its pageOwner index; groups[0] is the
+	// root.
+	groups []*Group
+
 	// Swap-cluster bookkeeping for readahead: consecutive swap-outs share
 	// a cluster (adjacent slots). Each live cluster is an intrusive list
 	// threaded through its pages; curCluster receives new swap-outs until
 	// curClusterSlots slots have been assigned. Emptied clusters are
 	// recycled through freeClusters so steady-state swap traffic performs
-	// no cluster allocations.
-	curCluster      *swapCluster
+	// no cluster allocations. clusters[0] is the nil cluster.
+	clusters        []swapCluster
+	curCluster      clusterID
 	curClusterSlots int
-	freeClusters    []*swapCluster
+	freeClusters    []clusterID
 
 	// scratchGroups is reclaim's reusable subtree enumeration buffer.
 	// Reclaim never nests (shrinking a group cannot trigger another
@@ -103,12 +128,12 @@ type Manager struct {
 	// one LoadBatch. Reused across faults so the batched path allocates
 	// nothing in steady state.
 	batchHandles []backend.Handle
-	batchPages   []*Page
+	batchPages   []PageID
 
 	// Batched swap-out scratch: reclaim gathers up to a swap cluster of
 	// anon victims, then flushes them as one StoreBatch. Fixed arrays keep
 	// the reclaim loop allocation-free.
-	storeVictims  [swapClusterSize]*Page
+	storeVictims  [swapClusterSize]PageID
 	storeReqs     [swapClusterSize]backend.StoreReq
 	storeRes      [swapClusterSize]backend.StoreResult
 	nStoreVictims int
@@ -161,6 +186,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	m := &Manager{cfg: cfg}
 	m.root = &Group{name: "/", mgr: m}
+	m.groups = append(make([]*Group, 0, 8), m.root)
 	return m
 }
 
@@ -187,35 +213,39 @@ func (m *Manager) SetFarInterleave(frac float64) {
 }
 
 // noteSwapOut records an offloaded page into the current swap cluster.
-func (m *Manager) noteSwapOut(p *Page) {
+func (m *Manager) noteSwapOut(id PageID) {
 	if m.cfg.SwapReadahead <= 0 {
 		return
 	}
-	if m.curCluster == nil || m.curClusterSlots >= swapClusterSize {
+	if m.curCluster == 0 || m.curClusterSlots >= swapClusterSize {
 		if n := len(m.freeClusters); n > 0 {
 			m.curCluster = m.freeClusters[n-1]
 			m.freeClusters = m.freeClusters[:n-1]
 		} else {
-			m.curCluster = &swapCluster{}
+			if len(m.clusters) == 0 {
+				m.clusters = append(m.clusters, swapCluster{}) // the nil cluster
+			}
+			m.curCluster = clusterID(len(m.clusters))
+			m.clusters = append(m.clusters, swapCluster{})
 		}
 		m.curClusterSlots = 0
 	}
-	m.curCluster.pushTail(p)
+	m.clusterPushTail(m.curCluster, id)
 	m.curClusterSlots++
 }
 
 // dropFromCluster removes a page from its swap cluster index. Keyed on the
 // page's own membership rather than the readahead configuration, so pages
 // always leave their cluster no matter how they stop being offloaded
-// (fault, readahead, or FreePages) — a stale cluster entry would hold a
-// dangling page pointer.
-func (m *Manager) dropFromCluster(p *Page) {
-	cl := p.cluster
-	if cl == nil {
+// (fault, readahead, or FreePages) — a stale cluster entry would let
+// readahead revive a page with no backend slot behind it.
+func (m *Manager) dropFromCluster(id PageID) {
+	cl := m.page(id).cluster
+	if cl == 0 {
 		return
 	}
-	cl.remove(p)
-	if cl.n == 0 {
+	m.clusterRemove(id)
+	if m.clusters[cl].n == 0 {
 		if cl == m.curCluster {
 			// The fill cluster emptied in place (every member faulted or
 			// was freed). Reset its slot count so the next swap-out starts
@@ -239,34 +269,33 @@ func (m *Manager) dropFromCluster(p *Page) {
 // group in its ancestry over its effective memory.max is skipped rather than
 // charged over the limit — mistaken readahead must never cause reclaim or
 // OOM pressure of its own.
-func (m *Manager) gatherReadahead(cl *swapCluster) {
-	if m.cfg.SwapReadahead <= 0 || cl == nil {
+func (m *Manager) gatherReadahead(cl clusterID) {
+	if m.cfg.SwapReadahead <= 0 || cl == 0 {
 		return
 	}
 	loaded := 0
-	for q := cl.head; q != nil && loaded < m.cfg.SwapReadahead; {
-		next := q.clusterNext
+	for q := m.clusters[cl].head; q != 0 && loaded < m.cfg.SwapReadahead; {
+		next := m.page(q).clusterNext
+		g, t := m.Group(q), m.Type(q)
 		// The gather runs before the demand page itself is charged, so a
 		// neighbour is eligible only if its ancestry has room for the
 		// neighbour AND the demand charge still to come — readahead must
 		// never consume the last page of headroom under memory.max.
-		if q.group.overLimitAncestor(2*m.cfg.PageSize) != nil {
+		if g.overLimitAncestor(2*m.cfg.PageSize) != nil {
 			if m.tel != nil {
 				m.tel.readaheadSkips.Inc()
 			}
 			q = next
 			continue
 		}
-		m.batchHandles = append(m.batchHandles, backend.Handle(q.handle))
+		m.batchHandles = append(m.batchHandles, backend.Handle(m.page(q).handle))
 		m.batchPages = append(m.batchPages, q)
 		m.dropFromCluster(q)
-		q.group.swappedPages--
-		q.state = Resident
-		q.active = false
-		q.referenced = false
-		q.group.lists[q.Type][0].pushHead(q)
-		q.group.residentPages[q.Type]++
-		q.group.charge(m.cfg.PageSize)
+		g.swappedPages--
+		m.flags[q] = m.flags[q]&^(flagState|flagActive|flagReferenced) | flagResident
+		m.pushHead(&g.lists[t][0], q)
+		g.residentPages[t]++
+		g.charge(m.cfg.PageSize)
 		loaded++
 		q = next
 	}
@@ -299,7 +328,11 @@ func (m *Manager) NewGroup(name string, parent *Group) *Group {
 	if parent.mgr != m {
 		panic("mm: parent group belongs to a different manager")
 	}
-	g := &Group{name: name, mgr: m, parent: parent}
+	if len(m.groups) == maxGroups {
+		panic("mm: too many groups")
+	}
+	g := &Group{name: name, mgr: m, parent: parent, idx: uint16(len(m.groups))}
+	m.groups = append(m.groups, g)
 	parent.children = append(parent.children, g)
 	return g
 }
@@ -377,26 +410,72 @@ func (m *Manager) HostStat() HostStat {
 }
 
 // NewPages creates n pages of the given type owned by g, in the NotPresent
-// state; they consume no memory until first touched. compressibility is the
-// content's compression ratio when offloaded to zswap.
-func (m *Manager) NewPages(g *Group, t PageType, n int, compressibility float64) []*Page {
+// state, and returns their IDs, which ascend; the pages consume no memory
+// until first touched. compressibility is the content's compression ratio
+// when offloaded to zswap.
+func (m *Manager) NewPages(g *Group, t PageType, n int, compressibility float64) []PageID {
 	if g.mgr != m {
 		panic("mm: group belongs to a different manager")
 	}
 	if compressibility < 1 {
 		compressibility = 1
 	}
-	pages := make([]*Page, n)
-	backing := make([]Page, n)
-	for i := range pages {
-		p := &backing[i]
-		p.Type = t
-		p.Compressibility = compressibility
-		p.group = g
-		p.state = NotPresent
-		pages[i] = p
+	first := max(len(m.flags), 1) // ID 0 is the nil page
+	if int64(first)+int64(n) > math.MaxInt32 {
+		panic("mm: page arena full")
 	}
-	return pages
+	need := first + n
+	if need > m.reserved {
+		if m.reserved == 0 {
+			// The first pages reserve hot arrays for a host's DRAM worth
+			// of pages, which most hosts' footprints fit: 20 bytes per
+			// page of DRAM, and no copying while the host builds its
+			// pages.
+			m.reserve(max(need, int(m.cfg.CapacityBytes/m.cfg.PageSize)+1))
+		} else {
+			m.reserve(max(need, 2*m.reserved))
+		}
+	}
+	m.flags = m.flags[:need]
+	m.lastTouch = m.lastTouch[:need]
+	m.links = m.links[:need]
+	m.owners = m.owners[:need]
+	m.farHits = m.farHits[:need]
+	owner := pageOwner(g.idx)<<1 | pageOwner(t)
+	ids := make([]PageID, n)
+	for i := range ids {
+		id := PageID(first + i)
+		m.owners[id] = owner
+		if int(id>>chunkShift) == len(m.cold) {
+			m.cold = append(m.cold, new(coldChunk))
+		}
+		m.page(id).compressibility = compressibility
+		ids[i] = id
+	}
+	return ids
+}
+
+// reserve grows the hot arrays' capacity to at least c pages. Growth at
+// least doubles it, so a host that builds its pages in many NewPages calls
+// copies each element about once.
+func (m *Manager) reserve(c int) {
+	m.reserved = c
+	m.flags = grow(m.flags, c)
+	m.lastTouch = grow(m.lastTouch, c)
+	m.links = grow(m.links, c)
+	m.owners = grow(m.owners, c)
+	m.farHits = grow(m.farHits, c)
+	if m.cold == nil {
+		m.cold = make([]*coldChunk, 0, (c+chunkMask)>>chunkShift)
+	}
+}
+
+// grow returns s with capacity at least c.
+func grow[T any](s []T, c int) []T {
+	if cap(s) < c {
+		s = slices.Grow(s, c-len(s))
+	}
+	return s
 }
 
 // TouchResult describes the outcome of one page access.
@@ -429,83 +508,95 @@ func (r TouchResult) TotalStall() vclock.Duration { return r.Latency + r.DirectR
 // dirty, so its eventual eviction must write it back to storage. Writing a
 // not-yet-present file page is a buffered write — the cache page is
 // populated without reading old content from storage.
-func (m *Manager) TouchWrite(now vclock.Time, p *Page) TouchResult {
-	if p.Type == File && p.state == NotPresent {
+func (m *Manager) TouchWrite(now vclock.Time, id PageID) TouchResult {
+	if m.Type(id) == File && m.State(id) == NotPresent {
 		res := TouchResult{Fault: true, ZeroFill: true}
-		res.DirectReclaimStall = m.tryCharge(now, p.group)
-		m.makeResident(now, p)
-		p.dirty = true
+		res.DirectReclaimStall = m.tryCharge(now, m.Group(id))
+		m.makeResident(now, id)
+		m.page(id).dirty = true
 		m.noteFault(res)
 		return res
 	}
-	res := m.Touch(now, p)
-	if p.Type == File {
-		p.dirty = true
+	res := m.Touch(now, id)
+	if m.Type(id) == File {
+		m.page(id).dirty = true
 	}
 	return res
 }
 
-// Touch simulates one access to page p at time now, handling any fault and
+// Touch simulates one access to page id at time now, handling any fault and
 // LRU bookkeeping, and returns what the accessing task experienced.
-func (m *Manager) Touch(now vclock.Time, p *Page) TouchResult {
-	if m.touchHit(now, p) {
+func (m *Manager) Touch(now vclock.Time, id PageID) TouchResult {
+	if m.touchHit(now, id) {
 		return TouchResult{}
 	}
-	res := m.touch(now, p)
+	res := m.touch(now, id)
 	if res.Fault {
 		m.noteFault(res)
 	}
 	return res
 }
 
-// touchHit is Touch's fast path for a hit: if p is resident on the local
-// node with no batched load in flight, it records the access, whose
+// touchHit is Touch's fast path for a hit: if page id is resident on the
+// local node with no batched load in flight, it records the access, whose
 // TouchResult is zero, and returns true. Otherwise it changes nothing and
-// returns false.
-func (m *Manager) touchHit(now vclock.Time, p *Page) bool {
-	if p.state != Resident || p.far || p.pendingUntil > now {
-		return false
+// returns false. A plain hit reads the page's flag byte and writes its
+// flags and lastTouch; the cold record is read only while flagPending is
+// set.
+func (m *Manager) touchHit(now vclock.Time, id PageID) bool {
+	f := m.flags[id]
+	if f&(flagState|flagFar|flagPending) != flagResident {
+		if f&(flagState|flagFar) != flagResident || m.page(id).pendingUntil > now {
+			return false
+		}
 	}
-	m.markAccessed(p)
-	p.lastTouch, p.touched = now, true
+	m.lastTouch[id] = now
+	if f&(flagReferenced|flagActive) == flagReferenced|flagActive {
+		// markAccessed would change nothing.
+		m.flags[id] = f | flagTouched
+		return true
+	}
+	m.markAccessed(id)
+	m.flags[id] |= flagTouched
 	return true
 }
 
 // touch is Touch for every access touchHit declines, without the
 // telemetry publication.
-func (m *Manager) touch(now vclock.Time, p *Page) TouchResult {
-	g := p.group
-	switch p.state {
-	case Resident:
-		if p.far {
-			// Byte-addressable far access: the page is mapped, so there is
-			// no fault — the load itself runs at link latency. The wait is
-			// accounted as a memory stall (§3.2.3 attributes any
-			// memory-wait to memory pressure), which is what lets Senpai
-			// and the placement loop balance placement pressure.
-			lat := m.cfg.Far.AccessDelay(now)
-			if !p.referenced {
-				p.referenced = true
-				if p.list != nil {
-					p.list.refs++
-				}
-			}
-			if p.farHits < ^uint8(0) {
-				p.farHits++
-			}
-			p.lastTouch, p.touched = now, true
-			return TouchResult{Latency: lat, MemStall: true}
+func (m *Manager) touch(now vclock.Time, id PageID) TouchResult {
+	f := m.flags[id]
+	if f&(flagState|flagFar) == flagResident|flagFar {
+		// Byte-addressable far access: the page is mapped, so there is no
+		// fault — the load itself runs at link latency. The wait is
+		// accounted as a memory stall (§3.2.3 attributes any memory-wait
+		// to memory pressure), which is what lets Senpai and the placement
+		// loop balance placement pressure.
+		lat := m.cfg.Far.AccessDelay(now)
+		if f&flagReferenced == 0 && f&flagOnList != 0 {
+			m.Group(id).farList.refs++
 		}
+		if m.farHits[id] < ^uint8(0) {
+			m.farHits[id]++
+		}
+		m.flags[id] = f | flagReferenced | flagTouched
+		m.lastTouch[id] = now
+		return TouchResult{Latency: lat, MemStall: true}
+	}
+	g := m.Group(id)
+	p := m.page(id)
+	switch PageState(f & flagState) {
+	case Resident:
 		// The page is still in flight on a batched load another fault
 		// submitted (touchHit took every other local resident touch):
 		// coalesce onto that batch. The task waits out the remainder
 		// instead of issuing a duplicate load.
 		remainder := p.pendingUntil.Sub(now)
 		ioStall := p.pendingIO
-		p.pendingUntil, p.pendingIO = 0, false
+		m.clearPending(id)
 		p.refaulted = true
-		m.markAccessed(p)
-		p.lastTouch, p.touched = now, true
+		m.markAccessed(id)
+		m.flags[id] |= flagTouched
+		m.lastTouch[id] = now
 		g.noteCost(now, Anon)
 		return TouchResult{
 			Fault:     true,
@@ -518,7 +609,7 @@ func (m *Manager) touch(now vclock.Time, p *Page) TouchResult {
 
 	case NotPresent:
 		var res TouchResult
-		if p.Type == File {
+		if m.Type(id) == File {
 			// First read of a file page: block IO, not a memory stall.
 			res.Fault, res.ColdRead, res.IOStall = true, true, true
 			res.Latency = m.cfg.FS.ReadPage(now) + m.cfg.FaultOverhead
@@ -528,18 +619,18 @@ func (m *Manager) touch(now vclock.Time, p *Page) TouchResult {
 			res.Fault, res.ZeroFill = true, true
 		}
 		res.DirectReclaimStall = m.tryCharge(now, g)
-		m.makeResident(now, p)
+		m.makeResident(now, id)
 		return res
 
 	case Offloaded:
 		cl := p.cluster
-		m.dropFromCluster(p)
-		if cl != nil && cl.n == 0 {
+		m.dropFromCluster(id)
+		if cl != 0 && m.clusters[cl].n == 0 {
 			// The fault emptied its cluster, and dropFromCluster has
 			// already recycled it (onto freeClusters, or reset in place if
 			// it was the fill cluster). An empty cluster has no neighbours
-			// to read ahead, so forget the stale pointer.
-			cl = nil
+			// to read ahead, so forget it.
+			cl = 0
 		}
 		// Gather the whole cluster — demand page plus eligible readahead
 		// neighbours — and submit it as ONE batched load: the device pays
@@ -558,8 +649,7 @@ func (m *Manager) touch(now vclock.Time, p *Page) TouchResult {
 		// then coalesces onto this batch and waits out the remainder.
 		arrival := now.Add(load.Latency)
 		for _, q := range m.batchPages {
-			q.pendingUntil = arrival
-			q.pendingIO = load.BlockIO
+			m.setPending(q, arrival, load.BlockIO)
 		}
 		g.stat.SwapIns++
 		g.swappedPages--
@@ -567,7 +657,7 @@ func (m *Manager) touch(now vclock.Time, p *Page) TouchResult {
 		// A demand swap-in is a refault: the page's reuse distance proved
 		// shorter than its offload. The flag rides to the next offload so
 		// the backend can bias this page toward a faster tier.
-		p.refaulted = true
+		m.page(id).refaulted = true
 		res := TouchResult{
 			Fault:    true,
 			SwapIn:   true,
@@ -576,7 +666,7 @@ func (m *Manager) touch(now vclock.Time, p *Page) TouchResult {
 			IOStall:  load.BlockIO,
 		}
 		res.DirectReclaimStall = m.tryCharge(now, g)
-		m.makeResident(now, p)
+		m.makeResident(now, id)
 		return res
 
 	case EvictedFile:
@@ -601,29 +691,29 @@ func (m *Manager) touch(now vclock.Time, p *Page) TouchResult {
 			g.stat.ColdFileReads++
 		}
 		res.DirectReclaimStall = m.tryCharge(now, g)
-		m.makeResident(now, p)
+		m.makeResident(now, id)
 		return res
 	}
-	panic(fmt.Sprintf("mm: touch of page in invalid state %v", p.state))
+	panic(fmt.Sprintf("mm: touch of page in invalid state %v", m.State(id)))
 }
 
 // markAccessed implements mark_page_accessed: the first touch sets the
 // referenced bit; a second touch promotes an inactive page to the active
-// list.
-func (m *Manager) markAccessed(p *Page) {
-	if !p.referenced {
-		p.referenced = true
-		if p.list != nil {
-			p.list.refs++
+// list. Page id must be local.
+func (m *Manager) markAccessed(id PageID) {
+	f := m.flags[id]
+	if f&flagReferenced == 0 {
+		m.flags[id] = f | flagReferenced
+		if f&flagOnList != 0 {
+			m.listOf(id).refs++
 		}
 		return
 	}
-	if !p.active {
-		g := p.group
-		g.lists[p.Type][0].remove(p)
-		p.active = true
-		p.referenced = false
-		g.lists[p.Type][1].pushHead(p)
+	if f&flagActive == 0 {
+		g, t := m.Group(id), m.Type(id)
+		m.remove(&g.lists[t][0], id)
+		m.flags[id] = m.flags[id]&^flagReferenced | flagActive
+		m.pushHead(&g.lists[t][1], id)
 		if m.tel != nil {
 			m.tel.activations.Inc()
 		}
@@ -634,26 +724,24 @@ func (m *Manager) markAccessed(p *Page) {
 // static-interleave mode (the baseline the placement loop is measured
 // against) a deterministic fraction of new anonymous pages land on the far
 // node instead, uncharged.
-func (m *Manager) makeResident(now vclock.Time, p *Page) {
-	g := p.group
-	p.state = Resident
-	p.active = false
-	p.referenced = true
-	p.pendingUntil, p.pendingIO = 0, false
-	p.lastTouch, p.touched = now, true
-	if p.Type == Anon && m.farInterleave > 0 && m.cfg.Far != nil {
+func (m *Manager) makeResident(now vclock.Time, id PageID) {
+	g, t := m.Group(id), m.Type(id)
+	m.flags[id] = m.flags[id]&^(flagState|flagActive) | flagResident | flagReferenced | flagTouched
+	m.clearPending(id)
+	m.lastTouch[id] = now
+	if t == Anon && m.farInterleave > 0 && m.cfg.Far != nil {
 		m.interleaveAcc += m.farInterleave
 		if m.interleaveAcc >= 1 && m.cfg.Far.TryReserve(m.cfg.PageSize) {
 			m.interleaveAcc--
-			p.far = true
-			p.farHits = 0
-			g.farList.pushHead(p)
+			m.flags[id] |= flagFar
+			m.farHits[id] = 0
+			m.pushHead(&g.farList, id)
 			g.farPages++
 			return
 		}
 	}
-	g.lists[p.Type][0].pushHead(p)
-	g.residentPages[p.Type]++
+	m.pushHead(&g.lists[t][0], id)
+	g.residentPages[t]++
 	g.charge(m.cfg.PageSize)
 }
 
@@ -696,38 +784,39 @@ func (g *Group) effectiveLimit() int64 {
 // resident pages uncharge immediately, offloaded pages free their backend
 // slot, evicted file pages drop their shadow. Workload restarts (the
 // "code push" events in Figs. 11 and 13) are modeled with this.
-func (m *Manager) FreePages(pages []*Page) {
-	for _, p := range pages {
-		switch p.state {
+func (m *Manager) FreePages(ids []PageID) {
+	for _, id := range ids {
+		p := m.page(id)
+		switch m.State(id) {
+		case NotPresent:
+			// Never populated since created or freed: already clean.
+			continue
 		case Resident:
-			g := p.group
-			if p.far {
-				g.farList.remove(p)
+			g := m.Group(id)
+			if m.flags[id]&flagFar != 0 {
+				m.remove(&g.farList, id)
 				g.farPages--
 				m.cfg.Far.Release(m.cfg.PageSize)
-				p.far, p.migrating, p.farHits = false, false, 0
+				m.flags[id] &^= flagFar
+				p.migrating, m.farHits[id] = false, 0
 				break
 			}
-			var lst *lruList
-			if p.active {
-				lst = &g.lists[p.Type][1]
+			t := m.Type(id)
+			if m.flags[id]&flagActive != 0 {
+				m.remove(&g.lists[t][1], id)
 			} else {
-				lst = &g.lists[p.Type][0]
+				m.remove(&g.lists[t][0], id)
 			}
-			lst.remove(p)
-			g.residentPages[p.Type]--
+			g.residentPages[t]--
 			g.charge(-m.cfg.PageSize)
 		case Offloaded:
 			m.cfg.Swap.Free(backend.Handle(p.handle))
-			p.group.swappedPages--
-			m.dropFromCluster(p)
+			m.Group(id).swappedPages--
+			m.dropFromCluster(id)
 		}
-		p.state = NotPresent
-		p.active, p.referenced, p.hasShadow = false, false, false
-		p.dirty = false
-		p.touched = false
-		p.refaulted = false
-		p.pendingUntil, p.pendingIO = 0, false
+		m.flags[id] &^= flagState | flagActive | flagReferenced | flagTouched
+		p.hasShadow, p.dirty, p.refaulted = false, false, false
+		m.clearPending(id)
 	}
 }
 
@@ -737,19 +826,19 @@ func (m *Manager) FreePages(pages []*Page) {
 // each window, and finally the fraction untouched beyond the last window.
 // Allocated memory means pages that exist somewhere (resident or offloaded);
 // NotPresent pages are not counted.
-func Coldness(now vclock.Time, pages []*Page, windows []vclock.Duration) []float64 {
+func (m *Manager) Coldness(now vclock.Time, ids []PageID, windows []vclock.Duration) []float64 {
 	counts := make([]int64, len(windows)+1)
 	var total int64
-	for _, p := range pages {
-		if p.state == NotPresent || p.state == EvictedFile {
+	for _, id := range ids {
+		if s := m.State(id); s == NotPresent || s == EvictedFile {
 			continue
 		}
 		total++
-		if !p.touched {
+		if m.flags[id]&flagTouched == 0 {
 			counts[len(windows)]++
 			continue
 		}
-		age := now.Sub(p.lastTouch)
+		age := now.Sub(m.lastTouch[id])
 		placed := false
 		for i, w := range windows {
 			if age <= w {

@@ -49,7 +49,7 @@ func newSSDSwap() *backend.TierChain {
 }
 
 // touchAll touches every page once at the given time.
-func touchAll(m *Manager, now vclock.Time, pages []*Page) {
+func touchAll(m *Manager, now vclock.Time, pages []PageID) {
 	for _, p := range pages {
 		m.Touch(now, p)
 	}
@@ -62,23 +62,23 @@ func TestTouchHitTakesOnlyPlainHits(t *testing.T) {
 	m := newTestManager(1024, nil, PolicyTMO)
 	g := m.NewGroup("app", nil)
 	pages := m.NewPages(g, Anon, 3, 1)
-	if m.touchHit(5, pages[0]) || pages[0].State() != NotPresent {
+	if m.touchHit(5, pages[0]) || m.State(pages[0]) != NotPresent {
 		t.Fatalf("touchHit took a fault")
 	}
 	touchAll(m, 0, pages)
 	far, pending := pages[1], pages[2]
-	far.far = true
-	pending.pendingUntil = 100
-	for _, p := range []*Page{far, pending} {
-		if m.touchHit(5, p) || p.lastTouch != 0 {
+	m.flags[far] |= flagFar
+	m.setPending(pending, 100, false)
+	for _, p := range []PageID{far, pending} {
+		if m.touchHit(5, p) || m.lastTouch[p] != 0 {
 			t.Fatalf("touchHit took a far or pending page")
 		}
 	}
 
 	// A second touch of an inactive page activates it.
 	hit := pages[0]
-	if !m.touchHit(7, hit) || !hit.active || hit.lastTouch != 7 {
-		t.Fatalf("touchHit left active=%v lastTouch=%v", hit.active, hit.lastTouch)
+	if !m.touchHit(7, hit) || !m.Active(hit) || m.lastTouch[hit] != 7 {
+		t.Fatalf("touchHit left active=%v lastTouch=%v", m.Active(hit), m.lastTouch[hit])
 	}
 }
 
@@ -93,8 +93,8 @@ func TestAnonFirstTouchZeroFills(t *testing.T) {
 	if res.Latency != 0 {
 		t.Fatalf("zero-fill should not wait on IO: %v", res.Latency)
 	}
-	if pages[0].State() != Resident {
-		t.Fatalf("state = %v", pages[0].State())
+	if m.State(pages[0]) != Resident {
+		t.Fatalf("state = %v", m.State(pages[0]))
 	}
 	if g.ResidentBytes() != pageSize {
 		t.Fatalf("resident = %d", g.ResidentBytes())
@@ -136,11 +136,11 @@ func TestTwoTouchActivation(t *testing.T) {
 	g := m.NewGroup("app", nil)
 	p := m.NewPages(g, Anon, 1, 1)[0]
 	m.Touch(0, p) // faults in: inactive, referenced
-	if p.Active() {
+	if m.Active(p) {
 		t.Fatalf("fresh page should start inactive")
 	}
 	m.Touch(1, p) // second access: promote
-	if !p.Active() {
+	if !m.Active(p) {
 		t.Fatalf("twice-touched page should be active")
 	}
 }
@@ -159,10 +159,10 @@ func TestReclaimEvictsLRUOrder(t *testing.T) {
 		t.Fatalf("reclaimed %d bytes, want 2 pages", res.ReclaimedBytes)
 	}
 	// The oldest-touched pages (0 and 1) must be the ones evicted.
-	if pages[0].State() != EvictedFile || pages[1].State() != EvictedFile {
-		t.Fatalf("LRU order violated: %v %v", pages[0].State(), pages[1].State())
+	if m.State(pages[0]) != EvictedFile || m.State(pages[1]) != EvictedFile {
+		t.Fatalf("LRU order violated: %v %v", m.State(pages[0]), m.State(pages[1]))
 	}
-	if pages[2].State() != Resident || pages[3].State() != Resident {
+	if m.State(pages[2]) != Resident || m.State(pages[3]) != Resident {
 		t.Fatalf("young pages evicted")
 	}
 }
@@ -175,7 +175,7 @@ func TestSecondChanceProtectsReferencedPages(t *testing.T) {
 	// A first reclaim pass consumes the initial referenced bits and evicts
 	// the two coldest pages.
 	m.ProactiveReclaim(vclock.Time(vclock.Second), g, 2*pageSize)
-	if pages[0].State() != EvictedFile || pages[1].State() != EvictedFile {
+	if m.State(pages[0]) != EvictedFile || m.State(pages[1]) != EvictedFile {
 		t.Fatalf("first pass evicted wrong pages")
 	}
 	// Re-reference one surviving page; it must outlive the next reclaim
@@ -186,12 +186,12 @@ func TestSecondChanceProtectsReferencedPages(t *testing.T) {
 	if res.ReclaimedBytes != 2*pageSize {
 		t.Fatalf("second pass reclaimed %d", res.ReclaimedBytes)
 	}
-	if protected.State() != Resident {
+	if m.State(protected) != Resident {
 		t.Fatalf("re-referenced page was evicted despite second chance")
 	}
 	evicted := 0
 	for _, p := range pages[3:] {
-		if p.State() == EvictedFile {
+		if m.State(p) == EvictedFile {
 			evicted++
 		}
 	}
@@ -208,7 +208,7 @@ func TestRefaultDetection(t *testing.T) {
 	// Evict two pages (they are coldest).
 	m.ProactiveReclaim(vclock.Time(vclock.Second), g, 2*pageSize)
 	evicted := pages[0]
-	if evicted.State() != EvictedFile {
+	if m.State(evicted) != EvictedFile {
 		t.Fatalf("page 0 not evicted")
 	}
 	// Immediate re-touch: reuse distance 2 <= resident 8 -> refault.
@@ -269,8 +269,8 @@ func TestSwapOutAndSwapInZswap(t *testing.T) {
 	}
 	// Swap the coldest page back in.
 	sw := pages[0]
-	if sw.State() != Offloaded {
-		t.Fatalf("page 0 state = %v", sw.State())
+	if m.State(sw) != Offloaded {
+		t.Fatalf("page 0 state = %v", m.State(sw))
 	}
 	tr := m.Touch(vclock.Time(2*vclock.Second), sw)
 	if !tr.SwapIn || !tr.MemStall {
@@ -322,7 +322,7 @@ func TestTMOFileFirstUntilRefaults(t *testing.T) {
 	// working set is being hurt.
 	refaulted := 0
 	for _, p := range file {
-		if p.State() == EvictedFile {
+		if m.State(p) == EvictedFile {
 			m.Touch(vclock.Time(2*vclock.Second), p)
 			refaulted++
 			if refaulted == 10 {
@@ -497,8 +497,8 @@ func TestOraclePolicyEvictsColdestExactly(t *testing.T) {
 	}
 	for i, p := range pages {
 		wantOffloaded := i >= 1 && i <= 3
-		if (p.State() == Offloaded) != wantOffloaded {
-			t.Fatalf("page %d state %v; oracle order violated", i, p.State())
+		if (m.State(p) == Offloaded) != wantOffloaded {
+			t.Fatalf("page %d state %v; oracle order violated", i, m.State(p))
 		}
 	}
 }
@@ -530,13 +530,13 @@ func TestDirtyFileWriteback(t *testing.T) {
 	if !res.ZeroFill || res.IOStall || res.Latency != 0 {
 		t.Fatalf("buffered write of fresh page = %+v", res)
 	}
-	if !pages[0].Dirty() {
+	if !m.Dirty(pages[0]) {
 		t.Fatalf("written page not dirty")
 	}
 	// Reading then writing an existing page also dirties it.
 	m.Touch(0, pages[1])
 	m.TouchWrite(vclock.Time(vclock.Millisecond), pages[1])
-	if !pages[1].Dirty() {
+	if !m.Dirty(pages[1]) {
 		t.Fatalf("rewritten page not dirty")
 	}
 	for _, p := range pages[2:] {
@@ -555,7 +555,7 @@ func TestDirtyFileWriteback(t *testing.T) {
 	// Written-back pages are clean: re-evicting after a read costs
 	// nothing.
 	m.Touch(vclock.Time(2*vclock.Second), pages[0])
-	if pages[0].Dirty() {
+	if m.Dirty(pages[0]) {
 		t.Fatalf("page dirty after writeback and clean reload")
 	}
 }
@@ -568,7 +568,7 @@ func TestTouchWriteOnAnonIsPlainTouch(t *testing.T) {
 	if !res.ZeroFill {
 		t.Fatalf("anon write = %+v", res)
 	}
-	if p.Dirty() {
+	if m.Dirty(p) {
 		t.Fatalf("anon pages have no dirty/writeback state")
 	}
 }
@@ -588,9 +588,9 @@ func TestSwapReadahead(t *testing.T) {
 	touchAll(m, 0, pages)
 	// Offload a batch; consecutive swap-outs share clusters.
 	m.ProactiveReclaim(vclock.Time(vclock.Second), g, 16*pageSize)
-	var offloaded []*Page
+	var offloaded []PageID
 	for _, p := range pages {
-		if p.State() == Offloaded {
+		if m.State(p) == Offloaded {
 			offloaded = append(offloaded, p)
 		}
 	}
@@ -604,7 +604,7 @@ func TestSwapReadahead(t *testing.T) {
 	}
 	resident := 0
 	for _, p := range offloaded {
-		if p.State() == Resident {
+		if m.State(p) == Resident {
 			resident++
 		}
 	}
@@ -614,8 +614,8 @@ func TestSwapReadahead(t *testing.T) {
 	// Readahead pages arrive unreferenced: the next reclaim pass may take
 	// them straight back.
 	for _, p := range offloaded {
-		if p.State() == Resident && p != offloaded[0] {
-			if p.Referenced() {
+		if m.State(p) == Resident && p != offloaded[0] {
+			if m.Referenced(p) {
 				t.Fatalf("readahead page arrived referenced")
 			}
 		}
@@ -658,8 +658,8 @@ func TestReadaheadHonoursMemoryMax(t *testing.T) {
 	// Offload the 8 cold compressible pages; they fill the pool exactly.
 	m.ProactiveReclaim(vclock.Time(2*vclock.Second), g, 8*pageSize)
 	for i, p := range comp {
-		if p.State() != Offloaded {
-			t.Fatalf("setup: compressible page %d is %v, want offloaded", i, p.State())
+		if m.State(p) != Offloaded {
+			t.Fatalf("setup: compressible page %d is %v, want offloaded", i, m.State(p))
 		}
 	}
 	// Leave headroom for the fault itself but not for any readahead.
@@ -688,7 +688,7 @@ func TestReadaheadDisabledByDefault(t *testing.T) {
 	touchAll(m, 0, pages)
 	m.ProactiveReclaim(vclock.Time(vclock.Second), g, 8*pageSize)
 	for _, p := range pages {
-		if p.State() == Offloaded {
+		if m.State(p) == Offloaded {
 			m.Touch(vclock.Time(2*vclock.Second), p)
 			break
 		}
@@ -759,7 +759,7 @@ func TestSwapExhaustionLatchesAndClears(t *testing.T) {
 	}
 	// Swapping a page back in frees space and clears the latch.
 	for _, p := range anon {
-		if p.State() == Offloaded {
+		if m.State(p) == Offloaded {
 			m.Touch(vclock.Time(2*vclock.Second), p)
 			break
 		}
@@ -784,8 +784,8 @@ func TestFreePagesResetsState(t *testing.T) {
 		t.Fatalf("zswap still holds %d pages after free", z.Stats().StoredPages)
 	}
 	for _, p := range anon {
-		if p.State() != NotPresent {
-			t.Fatalf("page state after free = %v", p.State())
+		if m.State(p) != NotPresent {
+			t.Fatalf("page state after free = %v", m.State(p))
 		}
 	}
 	// Pages are reusable after a free (workload restart).
@@ -813,9 +813,9 @@ func TestFreePagesDropsClusterMembership(t *testing.T) {
 	pages := m.NewPages(g, Anon, 16, 2)
 	touchAll(m, 0, pages)
 	m.ProactiveReclaim(vclock.Time(vclock.Second), g, 8*pageSize)
-	var offloaded []*Page
+	var offloaded []PageID
 	for _, p := range pages {
-		if p.State() == Offloaded {
+		if m.State(p) == Offloaded {
 			offloaded = append(offloaded, p)
 		}
 	}
@@ -825,7 +825,7 @@ func TestFreePagesDropsClusterMembership(t *testing.T) {
 	freed := offloaded[:4]
 	m.FreePages(freed)
 	for i, p := range freed {
-		if p.cluster != nil {
+		if m.page(p).cluster != 0 {
 			t.Fatalf("freed page %d still linked into its swap cluster", i)
 		}
 	}
@@ -836,13 +836,13 @@ func TestFreePagesDropsClusterMembership(t *testing.T) {
 		t.Fatalf("readahead loaded %d pages, want the 3 surviving neighbours", got)
 	}
 	for i, p := range freed {
-		if p.State() != NotPresent {
-			t.Fatalf("freed page %d resurrected by readahead: %v", i, p.State())
+		if m.State(p) != NotPresent {
+			t.Fatalf("freed page %d resurrected by readahead: %v", i, m.State(p))
 		}
 	}
 	for i, p := range offloaded[4:] {
-		if p.State() != Resident {
-			t.Fatalf("surviving cluster member %d is %v, want resident", i, p.State())
+		if m.State(p) != Resident {
+			t.Fatalf("surviving cluster member %d is %v, want resident", i, m.State(p))
 		}
 	}
 	checkAccounting(t, m, []*Group{g}, pages)
@@ -875,9 +875,9 @@ func TestFaultReadaheadIgnoresRecycledCluster(t *testing.T) {
 	// Swap out two full clusters; the first is retired (no longer the
 	// current cluster) once the 9th swap-out opens the second.
 	m.ProactiveReclaim(vclock.Time(vclock.Second), g, 2*swapClusterSize*pageSize)
-	var offloaded []*Page
+	var offloaded []PageID
 	for _, p := range pages {
-		if p.State() == Offloaded {
+		if m.State(p) == Offloaded {
 			offloaded = append(offloaded, p)
 		}
 	}
@@ -885,20 +885,20 @@ func TestFaultReadaheadIgnoresRecycledCluster(t *testing.T) {
 		t.Fatalf("setup: offloaded %d pages, want %d", len(offloaded), 2*swapClusterSize)
 	}
 	sole := offloaded[0]
-	clA := sole.cluster
-	if clA == nil || clA == m.curCluster {
+	clA := m.page(sole).cluster
+	if clA == 0 || clA == m.curCluster {
 		t.Fatalf("setup: first swap-out batch should live in a retired cluster")
 	}
 	// Free the rest of the first cluster, leaving sole as its only member.
-	var rest []*Page
+	var rest []PageID
 	for _, p := range offloaded[1:] {
-		if p.cluster == clA {
+		if m.page(p).cluster == clA {
 			rest = append(rest, p)
 		}
 	}
 	m.FreePages(rest)
-	if clA.n != 1 {
-		t.Fatalf("setup: cluster holds %d pages, want only the faulting page", clA.n)
+	if n := m.clusters[clA].n; n != 1 {
+		t.Fatalf("setup: cluster holds %d pages, want only the faulting page", n)
 	}
 	// Balloon the host down behind the manager's back (no synchronous
 	// reclaim) so the fault's charge must direct-reclaim well over
@@ -908,8 +908,8 @@ func TestFaultReadaheadIgnoresRecycledCluster(t *testing.T) {
 
 	m.Touch(vclock.Time(2*vclock.Second), sole)
 
-	if sole.State() != Resident {
-		t.Fatalf("faulting page is %v, want resident", sole.State())
+	if m.State(sole) != Resident {
+		t.Fatalf("faulting page is %v, want resident", m.State(sole))
 	}
 	// The sole member's cluster was emptied by the fault itself, so there
 	// were no neighbours: readahead must neither load nor consider anything.
@@ -922,10 +922,10 @@ func TestFaultReadaheadIgnoresRecycledCluster(t *testing.T) {
 	// The pages the direct reclaim just evicted — now occupying the
 	// recycled cluster — must all still be offloaded.
 	evicted := 0
-	for q := clA.head; q != nil; q = q.clusterNext {
+	for q := m.clusters[clA].head; q != 0; q = m.page(q).clusterNext {
 		evicted++
-		if q.State() != Offloaded {
-			t.Errorf("freshly evicted cluster member is %v, want offloaded", q.State())
+		if m.State(q) != Offloaded {
+			t.Errorf("freshly evicted cluster member is %v, want offloaded", m.State(q))
 		}
 	}
 	if evicted < swapClusterSize {
@@ -952,14 +952,15 @@ func TestColdnessHistogram(t *testing.T) {
 	for _, p := range pages[70:] {
 		m.Touch(now.Add(-10*minute), p)
 	}
-	h := Coldness(now, pages, []vclock.Duration{1 * minute, 2 * minute, 5 * minute})
+	h := m.Coldness(now, pages, []vclock.Duration{1 * minute, 2 * minute, 5 * minute})
 	if h[0] != 0.5 || h[1] != 0.2 || h[2] != 0 || h[3] != 0.3 {
 		t.Fatalf("coldness histogram = %v", h)
 	}
 }
 
 func TestColdnessEmptyPopulation(t *testing.T) {
-	h := Coldness(0, nil, []vclock.Duration{vclock.Minute})
+	m := newTestManager(1024, nil, PolicyTMO)
+	h := m.Coldness(0, nil, []vclock.Duration{vclock.Minute})
 	if h[0] != 0 || h[1] != 0 {
 		t.Fatalf("empty coldness = %v", h)
 	}
@@ -982,20 +983,24 @@ func TestPolicyAndStateStrings(t *testing.T) {
 }
 
 // checkAccounting verifies the structural invariants that must hold after
-// any sequence of operations.
-func checkAccounting(t *testing.T, m *Manager, groups []*Group, pages []*Page) {
+// any sequence of operations: the LRU walk of checkLRU, and counters,
+// charges and swap-cluster membership against the page states.
+func checkAccounting(t *testing.T, m *Manager, groups []*Group, pages []PageID) {
 	t.Helper()
+	if err := m.checkLRU(); err != nil {
+		t.Fatal(err)
+	}
 	perGroup := map[*Group][2]int64{}
 	perGroupFar := map[*Group]int64{}
 	for _, p := range pages {
-		if p.State() == Resident {
-			if p.far {
-				perGroupFar[p.Group()]++
+		if m.State(p) == Resident {
+			if m.Far(p) {
+				perGroupFar[m.Group(p)]++
 				continue
 			}
-			c := perGroup[p.Group()]
-			c[p.Type]++
-			perGroup[p.Group()] = c
+			c := perGroup[m.Group(p)]
+			c[m.Type(p)]++
+			perGroup[m.Group(p)] = c
 		}
 	}
 	var totalResident, totalFar int64
@@ -1031,21 +1036,22 @@ func checkAccounting(t *testing.T, m *Manager, groups []*Group, pages []*Page) {
 		t.Fatalf("far pages without a far node")
 	}
 	// Swap-cluster membership must track the Offloaded state exactly: a
-	// cluster entry for a page in any other state is a dangling pointer
-	// (the leak class dropFromCluster guards against), and a linked page
-	// must be reachable from its own cluster's head.
+	// cluster entry for a page in any other state is stale (the leak class
+	// dropFromCluster guards against), and a linked page must be reachable
+	// from its own cluster's head.
 	for _, p := range pages {
-		if p.cluster == nil {
-			if p.clusterNext != nil || p.clusterPrev != nil {
+		cp := m.page(p)
+		if cp.cluster == 0 {
+			if cp.clusterNext != 0 || cp.clusterPrev != 0 {
 				t.Fatalf("page without cluster retains cluster links")
 			}
 			continue
 		}
-		if p.State() != Offloaded {
-			t.Fatalf("%v page still linked into a swap cluster", p.State())
+		if m.State(p) != Offloaded {
+			t.Fatalf("%v page still linked into a swap cluster", m.State(p))
 		}
 		found := false
-		for q := p.cluster.head; q != nil; q = q.clusterNext {
+		for q := m.clusters[cp.cluster].head; q != 0; q = m.page(q).clusterNext {
 			if q == p {
 				found = true
 				break
@@ -1078,7 +1084,7 @@ func TestAccountingInvariants(t *testing.T) {
 		parent := m.NewGroup("w", nil)
 		g1 := m.NewGroup("a", parent)
 		g2 := m.NewGroup("b", parent)
-		var pages []*Page
+		var pages []PageID
 		pages = append(pages, m.NewPages(g1, Anon, 40, 2)...)
 		pages = append(pages, m.NewPages(g1, File, 40, 1)...)
 		pages = append(pages, m.NewPages(g2, Anon, 40, 3)...)
@@ -1099,7 +1105,7 @@ func TestAccountingInvariants(t *testing.T) {
 				m.ProactiveReclaim(now, g, int64(o.Amt)*pageSize)
 			case o.Kind == 7:
 				p := pages[int(o.Idx)%len(pages)]
-				m.FreePages([]*Page{p})
+				m.FreePages([]PageID{p})
 			default:
 				g := groups[1+int(o.Idx)%3]
 				g.SetLow(int64(o.Amt) * pageSize)
@@ -1127,10 +1133,10 @@ func TestReclaimRoundTrip(t *testing.T) {
 	// Force deep reclaim, then touch everything back in.
 	m.ProactiveReclaim(vclock.Time(vclock.Second), g, 150*pageSize)
 	now := vclock.Time(2 * vclock.Second)
-	for _, p := range append(append([]*Page{}, anon...), file...) {
+	for _, p := range append(append([]PageID{}, anon...), file...) {
 		m.Touch(now, p)
-		if p.State() != Resident {
-			t.Fatalf("page not resident after touch: %v", p.State())
+		if m.State(p) != Resident {
+			t.Fatalf("page not resident after touch: %v", m.State(p))
 		}
 	}
 	if g.ResidentBytes() != 200*pageSize {

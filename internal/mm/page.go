@@ -17,6 +17,12 @@
 //     paging cost observed (refault rate vs swap-in rate), so swap engages
 //     exactly when the file working set starts getting hurt.
 //
+// Pages are PageIDs: indices into one arena per Manager. What a resident
+// hit reads — a flag byte and the last-touch time — sits in dense arrays of
+// its own, LRU lists link IDs rather than pointers, and the rest of a page
+// lives in a pointer-free cold record, so no page structure holds a Go
+// pointer (DESIGN.md, "Page arena").
+//
 // Faults return the stall the faulting task must serve; the simulation layer
 // converts those into PSI stall intervals.
 package mm
@@ -75,28 +81,74 @@ func (s PageState) String() string {
 	return "invalid"
 }
 
-// Page is one simulated page frame identity. For file pages the Page stands
-// for a (file, offset) position and persists across evictions; for anonymous
-// pages it stands for a virtual page of some process.
-//
-// Field order is a performance contract. Every field a resident hit or an
-// LRU move reads or writes sits in the first 64 bytes — one cache line's
-// worth — so a touch of a page that is not in the CPU cache misses on that
-// span alone; the fields only faults, offload and refault detection use
-// follow. TestPageLayout pins both the size and the hot span.
+// PageID names one page of a Manager's arena. For file pages the page
+// stands for a (file, offset) position and persists across evictions; for
+// anonymous pages it stands for a virtual page of some process. IDs are
+// handed out by NewPages and never reused; 0 is no page, so a zero lruList
+// or swapCluster is empty.
+type PageID int32
+
+// pageFlags is the per-page state a resident hit tests and LRU moves
+// update, one byte per page.
+type pageFlags uint8
+
+const (
+	// flagState holds the PageState in the low two bits.
+	flagState pageFlags = 3
+	// flagFar marks a Resident anonymous page whose frame lives on the
+	// byte-addressable far-memory node rather than local DRAM: it is on the
+	// group's far list, costs no local capacity, and every touch pays the
+	// link latency in place of a fault.
+	flagFar pageFlags = 1 << 2
+	// flagActive marks a page on (or bound for) the active list.
+	flagActive pageFlags = 1 << 3
+	// flagReferenced is the referenced bit of second-chance reclaim.
+	flagReferenced pageFlags = 1 << 4
+	// flagTouched marks a page accessed since it was created or freed.
+	flagTouched pageFlags = 1 << 5
+	// flagPending marks that the cold record's pendingUntil is set.
+	flagPending pageFlags = 1 << 6
+	// flagOnList marks a page linked into the list its other flags and
+	// owner name (listOf).
+	flagOnList pageFlags = 1 << 7
+
+	// flagResident is flagState's value for a Resident page.
+	flagResident = pageFlags(Resident)
+)
+
+// pageOwner packs a page's group index and type as group<<1 | type.
+type pageOwner uint16
+
+// maxGroups bounds a manager's groups so an index fits a pageOwner.
+const maxGroups = 1 << 15
+
+// pageLink is a page's LRU neighbours.
+type pageLink struct{ next, prev PageID }
+
+// Cold records are allocated in chunks of chunkPages consecutive pages, so
+// the bulk of the arena grows without copying: appending to one flat slice
+// of them would leave every outgrown copy behind as garbage while a host
+// builds its pages.
+const (
+	chunkShift = 12
+	chunkPages = 1 << chunkShift
+	chunkMask  = chunkPages - 1
+)
+
+// coldChunk holds the cold records of chunkPages consecutive pages.
+type coldChunk [chunkPages]Page
+
+// page returns page id's cold record.
+func (m *Manager) page(id PageID) *Page {
+	return &m.cold[id>>chunkShift][id&chunkMask]
+}
+
+// Page is a page's cold record: everything its resident hits and LRU moves
+// never read. Faults, offload, refault detection and placement use it.
+// Like every arena element it holds no pointers, so the garbage collector
+// never scans it; TestPageLayout pins that.
 type Page struct {
-	// --- hot span (60 bytes): read or written by touches and LRU moves ---
-
-	group *Group
-	// LRU bookkeeping.
-	list       *lruList
-	next, prev *Page
-
-	// lastTouch supports idle-page tracking (the Fig. 2 coldness
-	// characterisation) and is updated on every access.
-	lastTouch vclock.Time
-
-	// pendingUntil, when in the future, is the completion time of the
+	// pendingUntil, when set (flagPending), is the completion time of the
 	// batched load that is bringing this page in: readahead inserts cluster
 	// neighbours as Resident the moment the batch is submitted, and a touch
 	// before the batch lands is a coalesced fault that waits out the
@@ -104,35 +156,33 @@ type Page struct {
 	// whether that batch performed block IO, for pressure classification.
 	pendingUntil vclock.Time
 
-	// Type is fixed at creation.
-	Type  PageType
-	state PageState
+	// compressibility is the page content's intrinsic compression ratio
+	// (uncompressed/compressed) used when the page is offloaded to zswap.
+	compressibility float64
 
-	active     bool
-	referenced bool
-	touched    bool // whether the page was ever accessed
-	pendingIO  bool
+	// handle locates the page in the swap backend while Offloaded.
+	handle uint64
+	// shadow is the group eviction counter recorded when this file page
+	// was evicted; valid while hasShadow is set.
+	shadow uint64
 
+	// cluster groups pages swapped out together; swap readahead loads
+	// cluster neighbours alongside a faulting page, like the kernel's
+	// swap readahead over adjacent swap slots. Membership is intrusive:
+	// non-zero only while the page is Offloaded and indexed for readahead.
+	cluster                  clusterID
+	clusterNext, clusterPrev PageID
+
+	pendingIO bool
 	// dirty marks a file page whose content has been modified since it
 	// was last written back; evicting it costs a device write.
 	dirty bool
-
 	// refaulted marks an anon page that demand-faulted back from the swap
 	// backend since its last offload. The next offload carries it as
 	// StoreReq.Refault so a multi-tier chain can promote the page toward a
 	// faster tier; it clears when the offload lands. Readahead neighbours
 	// that were never touched do not set it.
 	refaulted bool
-
-	// far marks a Resident anonymous page whose frame lives on the
-	// byte-addressable far-memory node rather than local DRAM: it is on the
-	// group's far list, costs no local capacity, and every touch pays the
-	// link latency in place of a fault.
-	far bool
-	// farHits counts touches since the placement loop's last access-bit
-	// scan over this page, saturating; the loop promotes pages whose count
-	// crosses its threshold.
-	farHits uint8
 	// migrating marks a far page with a non-exclusive promotion copy in
 	// flight (Nomad-style): the page stays mapped far and fully accessible,
 	// so an aborted promotion costs nothing.
@@ -140,161 +190,208 @@ type Page struct {
 	// hasShadow marks that shadow holds this evicted file page's eviction
 	// counter.
 	hasShadow bool
-
-	// --- cold fields: faults, offload and refault detection only ---
-
-	// Compressibility is the page content's intrinsic compression ratio
-	// (uncompressed/compressed) used when the page is offloaded to zswap.
-	Compressibility float64
-
-	// handle locates the page in the swap backend while Offloaded.
-	handle uint64
-	// cluster groups pages swapped out together; swap readahead loads
-	// cluster neighbours alongside a faulting page, like the kernel's
-	// swap readahead over adjacent swap slots. Membership is intrusive:
-	// non-nil only while the page is Offloaded and indexed for readahead.
-	cluster                  *swapCluster
-	clusterNext, clusterPrev *Page
-
-	// shadow is the group eviction counter recorded when this file page
-	// was evicted; valid while hasShadow is set.
-	shadow uint64
 }
 
-// State returns where the page currently lives.
-func (p *Page) State() PageState { return p.state }
+// State returns where page id currently lives.
+func (m *Manager) State(id PageID) PageState { return PageState(m.flags[id] & flagState) }
 
-// Group returns the memory control group that owns the page.
-func (p *Page) Group() *Group { return p.group }
+// Type returns page id's type, fixed at creation.
+func (m *Manager) Type(id PageID) PageType { return PageType(m.owners[id] & 1) }
 
-// Active reports whether the page is on the active LRU list.
-func (p *Page) Active() bool { return p.active }
+// Group returns the memory control group that owns page id.
+func (m *Manager) Group(id PageID) *Group { return m.groups[m.owners[id]>>1] }
 
-// Referenced reports the page's referenced bit.
-func (p *Page) Referenced() bool { return p.referenced }
+// Active reports whether page id is on the active LRU list.
+func (m *Manager) Active(id PageID) bool { return m.flags[id]&flagActive != 0 }
 
-// Dirty reports whether the page awaits writeback.
-func (p *Page) Dirty() bool { return p.dirty }
+// Referenced reports page id's referenced bit.
+func (m *Manager) Referenced(id PageID) bool { return m.flags[id]&flagReferenced != 0 }
 
-// Far reports whether the page's frame lives on the far-memory node.
-func (p *Page) Far() bool { return p.far }
+// Dirty reports whether page id awaits writeback.
+func (m *Manager) Dirty(id PageID) bool { return m.page(id).dirty }
 
-// Migrating reports whether a non-exclusive promotion copy is in flight.
-func (p *Page) Migrating() bool { return p.migrating }
+// Far reports whether page id's frame lives on the far-memory node.
+func (m *Manager) Far(id PageID) bool { return m.flags[id]&flagFar != 0 }
 
-// LastTouch returns the time of the page's most recent access and whether
-// it was ever accessed.
-func (p *Page) LastTouch() (vclock.Time, bool) { return p.lastTouch, p.touched }
+// Migrating reports whether a non-exclusive promotion copy of page id is in
+// flight.
+func (m *Manager) Migrating(id PageID) bool { return m.page(id).migrating }
+
+// LastTouch returns the time of page id's most recent access and whether it
+// was ever accessed.
+func (m *Manager) LastTouch(id PageID) (vclock.Time, bool) {
+	return m.lastTouch[id], m.flags[id]&flagTouched != 0
+}
+
+// SetCompressibility sets the content compression ratio of every page in
+// ids; pages currently held in a compressed pool keep their stored size
+// until they cycle through it.
+func (m *Manager) SetCompressibility(ids []PageID, ratio float64) {
+	for _, id := range ids {
+		m.page(id).compressibility = ratio
+	}
+}
+
+// setState replaces page id's PageState, keeping its other flags.
+func (m *Manager) setState(id PageID, s PageState) {
+	m.flags[id] = m.flags[id]&^flagState | pageFlags(s)
+}
+
+// setPending stamps the completion time and IO class of the batched load
+// bringing page id in. A zero time means none.
+func (m *Manager) setPending(id PageID, until vclock.Time, io bool) {
+	if until == 0 {
+		m.clearPending(id)
+		return
+	}
+	m.flags[id] |= flagPending
+	p := m.page(id)
+	p.pendingUntil, p.pendingIO = until, io
+}
+
+// clearPending forgets page id's batched load, if any, touching its cold
+// record only then.
+func (m *Manager) clearPending(id PageID) {
+	if m.flags[id]&flagPending != 0 {
+		m.flags[id] &^= flagPending
+		p := m.page(id)
+		p.pendingUntil, p.pendingIO = 0, false
+	}
+}
+
+// listOf returns the list page id's flags name: its group's far list if the
+// page is far, else its group's active or inactive list of its type.
+func (m *Manager) listOf(id PageID) *lruList {
+	o, f := m.owners[id], m.flags[id]
+	g := m.groups[o>>1]
+	if f&flagFar != 0 {
+		return &g.farList
+	}
+	return &g.lists[o&1][(f&flagActive)>>3]
+}
+
+// clusterID names one swap cluster in Manager.clusters; 0 is none.
+type clusterID int32
 
 // swapCluster indexes the still-offloaded pages of one swap cluster as an
-// intrusive doubly-linked list threaded through the pages themselves
+// intrusive doubly-linked list threaded through the pages' cold records
 // (clusterNext/clusterPrev), so joining and leaving a cluster are O(1)
-// pointer updates with no map or slice bookkeeping on the fault path. The
-// list is kept in swap-out order: head is the first page stored into the
-// cluster, matching the adjacent-slot order the kernel's readahead walks.
+// updates with no map or slice bookkeeping on the fault path. The list is
+// kept in swap-out order: head is the first page stored into the cluster,
+// matching the adjacent-slot order the kernel's readahead walks.
 type swapCluster struct {
-	head, tail *Page
+	head, tail PageID
 	// n counts live members; when it reaches zero the manager recycles
 	// the cluster through its free list.
-	n int
+	n int32
 }
 
-// pushTail appends p to the cluster in swap-out order.
-func (c *swapCluster) pushTail(p *Page) {
+// clusterPushTail appends page id to cluster c in swap-out order.
+func (m *Manager) clusterPushTail(c clusterID, id PageID) {
+	cl := &m.clusters[c]
+	p := m.page(id)
 	p.cluster = c
-	p.clusterNext = nil
-	p.clusterPrev = c.tail
-	if c.tail != nil {
-		c.tail.clusterNext = p
+	p.clusterNext = 0
+	p.clusterPrev = cl.tail
+	if cl.tail != 0 {
+		m.page(cl.tail).clusterNext = id
 	} else {
-		c.head = p
+		cl.head = id
 	}
-	c.tail = p
-	c.n++
+	cl.tail = id
+	cl.n++
 }
 
-// remove unlinks p from the cluster.
-func (c *swapCluster) remove(p *Page) {
-	if p.clusterPrev != nil {
-		p.clusterPrev.clusterNext = p.clusterNext
+// clusterRemove unlinks page id from its cluster.
+func (m *Manager) clusterRemove(id PageID) {
+	p := m.page(id)
+	cl := &m.clusters[p.cluster]
+	if p.clusterPrev != 0 {
+		m.page(p.clusterPrev).clusterNext = p.clusterNext
 	} else {
-		c.head = p.clusterNext
+		cl.head = p.clusterNext
 	}
-	if p.clusterNext != nil {
-		p.clusterNext.clusterPrev = p.clusterPrev
+	if p.clusterNext != 0 {
+		m.page(p.clusterNext).clusterPrev = p.clusterPrev
 	} else {
-		c.tail = p.clusterPrev
+		cl.tail = p.clusterPrev
 	}
-	p.cluster, p.clusterNext, p.clusterPrev = nil, nil, nil
-	c.n--
+	p.cluster, p.clusterNext, p.clusterPrev = 0, 0, 0
+	cl.n--
 }
 
-// lruList is an intrusive doubly-linked page list. The head is the most
-// recently added end; reclaim scans from the tail. The list tracks how many
-// of its pages carry the referenced bit so reclaim can size its scan budget
-// to the work actually needed to clear second chances.
+// lruList is an intrusive doubly-linked page list threaded through the
+// arena's links. The head is the most recently added end; reclaim scans
+// from the tail. The list tracks how many of its pages carry the referenced
+// bit so reclaim can size its scan budget to the work actually needed to
+// clear second chances. Which list a page is on is not stored: it is
+// derived from the page's owner and flags (listOf), plus flagOnList.
 type lruList struct {
-	head, tail *Page
+	head, tail PageID
 	count      int
 	refs       int
 }
 
-// pushHead inserts p at the head (MRU position).
-func (l *lruList) pushHead(p *Page) {
-	if p.list != nil {
+// pushHead inserts page id at the head (MRU position) of l, which must be
+// the list its flags name.
+func (m *Manager) pushHead(l *lruList, id PageID) {
+	f := m.flags[id]
+	if f&flagOnList != 0 {
 		panic("mm: page already on a list")
 	}
-	p.list = l
-	p.prev = nil
-	p.next = l.head
-	if l.head != nil {
-		l.head.prev = p
+	m.flags[id] = f | flagOnList
+	m.links[id] = pageLink{next: l.head}
+	if l.head != 0 {
+		m.links[l.head].prev = id
 	}
-	l.head = p
-	if l.tail == nil {
-		l.tail = p
+	l.head = id
+	if l.tail == 0 {
+		l.tail = id
 	}
 	l.count++
-	if p.referenced {
+	if f&flagReferenced != 0 {
 		l.refs++
 	}
 }
 
-// remove unlinks p from the list.
-func (l *lruList) remove(p *Page) {
-	if p.list != l {
+// remove unlinks page id from l.
+func (m *Manager) remove(l *lruList, id PageID) {
+	f := m.flags[id]
+	if f&flagOnList == 0 || m.listOf(id) != l {
 		panic("mm: removing page from wrong list")
 	}
-	if p.prev != nil {
-		p.prev.next = p.next
+	lk := m.links[id]
+	if lk.prev != 0 {
+		m.links[lk.prev].next = lk.next
 	} else {
-		l.head = p.next
+		l.head = lk.next
 	}
-	if p.next != nil {
-		p.next.prev = p.prev
+	if lk.next != 0 {
+		m.links[lk.next].prev = lk.prev
 	} else {
-		l.tail = p.prev
+		l.tail = lk.prev
 	}
-	p.next, p.prev, p.list = nil, nil, nil
+	m.links[id] = pageLink{}
+	m.flags[id] = f &^ flagOnList
 	l.count--
-	if p.referenced {
+	if f&flagReferenced != 0 {
 		l.refs--
 	}
 }
 
-// rotateTail moves the tail segment that starts at first to the head,
+// rotateTail moves the tail segment of l that starts at first to the head,
 // keeping the segment's order — the list that moving each of its pages to
-// the head, tail first, would leave — in O(1) pointer updates. first must
-// be on l.
-func (l *lruList) rotateTail(first *Page) {
+// the head, tail first, would leave — in O(1) link updates. first must be
+// on l.
+func (m *Manager) rotateTail(l *lruList, first PageID) {
 	if first == l.head {
 		return
 	}
 	last := l.tail
-	l.tail = first.prev
-	l.tail.next = nil
-	first.prev = nil
-	last.next = l.head
-	l.head.prev = last
+	l.tail = m.links[first].prev
+	m.links[l.tail].next = 0
+	m.links[first].prev = 0
+	m.links[last].next = l.head
+	m.links[l.head].prev = last
 	l.head = first
 }

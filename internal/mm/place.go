@@ -10,16 +10,14 @@ import "tmo/internal/vclock"
 // eviction/reload path makes a far tier pointless for it).
 
 // finishDemote completes a demotion whose far reservation already
-// succeeded: p must be Resident, local, and off its LRU list. The copy over
-// the link is synchronous in reclaim context, so its cost lands on the
-// run's StallTime.
-func (m *Manager) finishDemote(now vclock.Time, g *Group, p *Page, res *ReclaimResult) {
-	p.active = false
-	p.referenced = false
-	p.far = true
-	p.farHits = 0
-	p.pendingUntil, p.pendingIO = 0, false
-	g.farList.pushHead(p)
+// succeeded: page id must be Resident, local, and off its LRU list. The
+// copy over the link is synchronous in reclaim context, so its cost lands
+// on the run's StallTime.
+func (m *Manager) finishDemote(now vclock.Time, g *Group, id PageID, res *ReclaimResult) {
+	m.flags[id] = m.flags[id]&^(flagActive|flagReferenced) | flagFar
+	m.farHits[id] = 0
+	m.clearPending(id)
+	m.pushHead(&g.farList, id)
 	g.farPages++
 	g.residentPages[Anon]--
 	g.charge(-m.cfg.PageSize)
@@ -35,7 +33,7 @@ func (m *Manager) finishDemote(now vclock.Time, g *Group, p *Page, res *ReclaimR
 // appended to out as promotion candidates. Pages with a promotion copy
 // already in flight are skipped. Returns the candidates and how many pages
 // were scanned.
-func (m *Manager) SampleFar(g *Group, budget int, threshold uint8, out []*Page) (cands []*Page, sampled int) {
+func (m *Manager) SampleFar(g *Group, budget int, threshold uint8, out []PageID) (cands []PageID, sampled int) {
 	cands = out
 	l := &g.farList
 	if budget > l.count {
@@ -46,31 +44,36 @@ func (m *Manager) SampleFar(g *Group, budget int, threshold uint8, out []*Page) 
 	}
 	// Scan the budget's tail segment tail first, then move it to the head
 	// in one splice: the order per-page rotation would leave, without
-	// relinking every scanned page.
-	var first *Page
-	for p := l.tail; sampled < budget; p = p.prev {
-		first = p
-		sampled++
-		if p.referenced {
-			p.referenced = false
-			l.refs--
+	// relinking every scanned page. A page's flag and touch count are
+	// written only when they change.
+	links, flags, hits := m.links, m.flags, m.farHits
+	first := l.tail
+	refs := 0
+	for id, i := first, 0; i < budget; id, i = links[id].prev, i+1 {
+		first = id
+		if f := flags[id]; f&flagReferenced != 0 {
+			flags[id] = f &^ flagReferenced
+			refs++
 		}
-		hot := p.farHits >= threshold
-		p.farHits = 0
-		if hot && !p.migrating {
-			cands = append(cands, p)
+		if h := hits[id]; h != 0 {
+			hits[id] = 0
+			if h >= threshold && !m.page(id).migrating {
+				cands = append(cands, id)
+			}
 		}
 	}
-	l.rotateTail(first)
-	return cands, sampled
+	l.refs -= refs
+	m.rotateTail(l, first)
+	return cands, budget
 }
 
-// BeginPromotion marks p as having a non-exclusive promotion copy in flight
-// (Nomad-style: the page stays mapped far and fully accessible while the
-// copy runs). Returns false if p is not a far resident page or a copy is
-// already in flight.
-func (m *Manager) BeginPromotion(p *Page) bool {
-	if p.state != Resident || !p.far || p.migrating {
+// BeginPromotion marks page id as having a non-exclusive promotion copy in
+// flight (Nomad-style: the page stays mapped far and fully accessible while
+// the copy runs). Returns false if the page is not a far resident page or a
+// copy is already in flight.
+func (m *Manager) BeginPromotion(id PageID) bool {
+	p := m.page(id)
+	if m.flags[id]&(flagState|flagFar) != flagResident|flagFar || p.migrating {
 		return false
 	}
 	p.migrating = true
@@ -81,31 +84,33 @@ func (m *Manager) BeginPromotion(p *Page) bool {
 // non-exclusive the page never left the far node: no state moved, no
 // accounting changes, no stall is charged to anyone — an aborted promotion
 // costs nothing.
-func (m *Manager) AbortPromotion(p *Page) { p.migrating = false }
+func (m *Manager) AbortPromotion(id PageID) { m.page(id).migrating = false }
 
 // PromoteFromFar commits an in-flight promotion: the page moves from the
 // far node to the head of its group's local active list (it earned the
 // migration by being hot). Returns false — aborting at zero cost — when the
-// page left the far tier while the copy was in flight, or when charging one
-// local page would push any group in the ancestry over its limit
-// (local-memory pressure; promotion must never trigger reclaim).
-func (m *Manager) PromoteFromFar(now vclock.Time, p *Page) bool {
-	if p.state != Resident || !p.far {
-		p.migrating = false
+// copy is no longer in flight, or when charging one local page would push
+// any group in the ancestry over its limit (local-memory pressure;
+// promotion must never trigger reclaim). A copy in flight implies a far
+// resident page: BeginPromotion requires one, and freeing the page, the
+// only other way off the far tier, ends the copy — so a page freed
+// mid-copy, even if since refaulted and demoted far again, never commits
+// its previous life's content.
+func (m *Manager) PromoteFromFar(now vclock.Time, id PageID) bool {
+	p := m.page(id)
+	if !p.migrating {
 		return false
 	}
-	g := p.group
+	g := m.Group(id)
 	if g.overLimitAncestor(m.cfg.PageSize) != nil {
 		p.migrating = false
 		return false
 	}
-	g.farList.remove(p)
-	p.far = false
+	m.remove(&g.farList, id)
+	m.flags[id] = m.flags[id]&^(flagFar|flagReferenced) | flagActive
 	p.migrating = false
-	p.farHits = 0
-	p.referenced = false
-	p.active = true
-	g.lists[Anon][1].pushHead(p)
+	m.farHits[id] = 0
+	m.pushHead(&g.lists[Anon][1], id)
 	g.residentPages[Anon]++
 	g.farPages--
 	g.charge(m.cfg.PageSize)
@@ -133,34 +138,27 @@ func (m *Manager) DemoteCold(now vclock.Time, g *Group, want int64) int64 {
 	active := &g.lists[Anon][1]
 	for moved < target && scanned < scanLimit {
 		if g.inactiveLow(Anon) {
-			for i := 0; i < scanBatch && active.tail != nil; i++ {
-				p := active.tail
-				active.remove(p)
-				p.active = false
-				p.referenced = false
-				inactive.pushHead(p)
-			}
+			m.deactivate(active, inactive)
 		}
-		p := inactive.tail
-		if p == nil {
+		id := inactive.tail
+		if id == 0 {
 			if active.count == 0 {
 				break
 			}
 			continue
 		}
 		scanned++
-		if p.referenced {
-			inactive.remove(p)
-			p.referenced = false
-			p.active = true
-			active.pushHead(p)
+		if m.flags[id]&flagReferenced != 0 {
+			m.remove(inactive, id)
+			m.flags[id] = m.flags[id]&^flagReferenced | flagActive
+			m.pushHead(active, id)
 			continue
 		}
 		if !m.cfg.Far.TryReserve(m.cfg.PageSize) {
 			break
 		}
-		inactive.remove(p)
-		m.finishDemote(now, g, p, &res)
+		m.remove(inactive, id)
+		m.finishDemote(now, g, id, &res)
 		moved++
 	}
 	g.stat.PagesScanned += scanned

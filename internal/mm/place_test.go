@@ -29,7 +29,7 @@ func newFarManager(capacityPages, farPages int64, swap *backend.TierChain) (*Man
 // demoteSome fills g with n anon pages and reclaims enough, twice (second
 // chance), to push some of them to the far node. Returns all pages and the
 // far subset.
-func demoteSome(t *testing.T, m *Manager, g *Group, n int) (pages, far []*Page) {
+func demoteSome(t *testing.T, m *Manager, g *Group, n int) (pages, far []PageID) {
 	t.Helper()
 	pages = m.NewPages(g, Anon, n, 1)
 	for i, p := range pages {
@@ -39,7 +39,7 @@ func demoteSome(t *testing.T, m *Manager, g *Group, n int) (pages, far []*Page) 
 	m.ProactiveReclaim(now, g, int64(n/2)*pageSize)
 	m.ProactiveReclaim(now.Add(vclock.Second), g, int64(n/2)*pageSize)
 	for _, p := range pages {
-		if p.Far() {
+		if m.Far(p) {
 			far = append(far, p)
 		}
 	}
@@ -64,8 +64,8 @@ func TestReclaimDemotesBeforeSwap(t *testing.T) {
 	// Far pages stay Resident (no fault on access) but leave local
 	// accounting: they are the savings.
 	for _, p := range far {
-		if p.State() != Resident {
-			t.Fatalf("far page state = %v", p.State())
+		if m.State(p) != Resident {
+			t.Fatalf("far page state = %v", m.State(p))
 		}
 	}
 	if g.FarResidentBytes() != int64(len(far))*pageSize {
@@ -116,7 +116,7 @@ func TestFarTouchIsResidentAtLinkLatency(t *testing.T) {
 	if want := node.AccessDelay(now); res.Latency != want {
 		t.Fatalf("far latency %v != link latency %v", res.Latency, want)
 	}
-	if p.State() != Resident || !p.Far() {
+	if m.State(p) != Resident || !m.Far(p) {
 		t.Fatal("far touch moved the page")
 	}
 	degraded := node.AccessDelay(now)
@@ -172,7 +172,7 @@ func TestPromoteFromFarCommit(t *testing.T) {
 	if !m.PromoteFromFar(now, p) {
 		t.Fatal("promotion aborted without cause")
 	}
-	if p.Far() || p.Migrating() || !p.Active() {
+	if m.Far(p) || m.Migrating(p) || !m.Active(p) {
 		t.Fatal("promoted page not on the local active list")
 	}
 	if node.UsedBytes() != usedBefore-pageSize {
@@ -200,7 +200,7 @@ func TestAbortPromotionCostsNothing(t *testing.T) {
 		t.Fatal("BeginPromotion refused")
 	}
 	m.AbortPromotion(p)
-	if p.Migrating() || !p.Far() || p.State() != Resident {
+	if m.Migrating(p) || !m.Far(p) || m.State(p) != Resident {
 		t.Fatal("abort changed page state")
 	}
 	if node.UsedBytes() != usedBefore || g.ResidentBytes() != residentBefore || g.FarPages() != farBefore {
@@ -233,7 +233,7 @@ func TestPromoteAbortsUnderLocalPressure(t *testing.T) {
 	if m.PromoteFromFar(vclock.Time(4*vclock.Minute), p) {
 		t.Fatal("promotion committed into a full group")
 	}
-	if !p.Far() || p.Migrating() {
+	if !m.Far(p) || m.Migrating(p) {
 		t.Fatal("aborted promotion left page inconsistent")
 	}
 	if node.UsedBytes() != usedBefore {
@@ -278,11 +278,40 @@ func TestFreeFarPagesReleasesNode(t *testing.T) {
 		t.Fatalf("FarPages = %d after free", g.FarPages())
 	}
 	for _, p := range far {
-		if p.Far() || p.State() == Resident {
+		if m.Far(p) || m.State(p) == Resident {
 			t.Fatal("freed far page still marked resident/far")
 		}
 	}
 	checkAccounting(t, m, []*Group{g}, far)
+}
+
+// TestPromoteFromFarRefusesStaleCopy: freeing a page ends its in-flight
+// copy, so the copy must not commit even after the page refaults and is
+// demoted far again before the commit.
+func TestPromoteFromFarRefusesStaleCopy(t *testing.T) {
+	m, _ := newFarManager(64, 64, nil)
+	g := m.NewGroup("app", nil)
+	pages, far := demoteSome(t, m, g, 16)
+	p := far[0]
+	if !m.BeginPromotion(p) {
+		t.Fatal("BeginPromotion refused a far resident page")
+	}
+	m.FreePages(far[:1])
+	now := vclock.Time(3 * vclock.Minute)
+	m.Touch(now, p)
+	for i := 0; i < 4 && !m.Far(p); i++ {
+		m.ProactiveReclaim(now, g, g.ResidentBytes())
+	}
+	if !m.Far(p) {
+		t.Fatal("setup: page not demoted far again")
+	}
+	if m.PromoteFromFar(now, p) {
+		t.Fatal("a copy of the freed page's old content committed")
+	}
+	if !m.Far(p) || m.FarPromotions() != 0 {
+		t.Fatal("refused commit moved the page")
+	}
+	checkAccounting(t, m, []*Group{g}, pages)
 }
 
 func TestFarInterleavePlacesFraction(t *testing.T) {

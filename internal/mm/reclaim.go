@@ -138,35 +138,32 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 	target := (want + m.cfg.PageSize - 1) / m.cfg.PageSize
 
 	// Collect resident pages, coldest first.
-	var pages []*Page
+	var pages []PageID
 	for t := PageType(0); t < numPageTypes; t++ {
 		for _, lst := range []*lruList{&g.lists[t][0], &g.lists[t][1]} {
-			for p := lst.head; p != nil; p = p.next {
-				pages = append(pages, p)
+			for id := lst.head; id != 0; id = m.links[id].next {
+				pages = append(pages, id)
 			}
 		}
 	}
-	sortPagesByAge(pages)
+	m.sortByAge(pages)
 	res.ScannedPages = int64(len(pages))
 
 	var reclaimed, writebacks int64
-	for _, p := range pages {
+	for _, id := range pages {
 		if reclaimed >= target {
 			break
 		}
-		if p.Type == Anon && !m.anonScanAllowed() {
+		t := m.Type(id)
+		if t == Anon && !m.anonScanAllowed() {
 			continue
 		}
-		var lst *lruList
-		if p.active {
-			lst = &g.lists[p.Type][1]
-		} else {
-			lst = &g.lists[p.Type][0]
-		}
-		if p.Type == Anon {
+		lst := m.listOf(id)
+		p := m.page(id)
+		if t == Anon {
 			if m.cfg.Far != nil && m.cfg.Far.TryReserve(m.cfg.PageSize) {
-				lst.remove(p)
-				m.finishDemote(now, g, p, &res)
+				m.remove(lst, id)
+				m.finishDemote(now, g, id, &res)
 				reclaimed++
 				continue
 			}
@@ -177,7 +174,7 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 			// batch carrying the page's refault bit.
 			oneReq := [1]backend.StoreReq{{
 				PageBytes:     m.cfg.PageSize,
-				CompressRatio: p.Compressibility,
+				CompressRatio: p.compressibility,
 				Refault:       p.refaulted,
 			}}
 			var oneRes [1]backend.StoreResult
@@ -188,31 +185,26 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 				continue
 			}
 			store := oneRes[0]
-			lst.remove(p)
-			p.active = false
-			p.state = Offloaded
+			m.remove(lst, id)
+			m.flags[id] &^= flagActive
+			m.setState(id, Offloaded)
 			p.refaulted = false
 			p.handle = uint64(store.Handle)
 			g.residentPages[Anon]--
 			g.charge(-m.cfg.PageSize)
 			g.swappedPages++
-			m.noteSwapOut(p)
+			m.noteSwapOut(id)
 			res.StallTime += store.Latency
 			res.ReclaimedAnon++
 		} else {
-			lst.remove(p)
+			m.remove(lst, id)
 			if p.dirty {
 				m.cfg.FS.WritePage(now)
 				p.dirty = false
 				writebacks++
 			}
-			p.active = false
-			p.state = EvictedFile
-			p.shadow = g.evictions
-			p.hasShadow = true
-			g.evictions++
-			g.residentPages[File]--
-			g.charge(-m.cfg.PageSize)
+			m.flags[id] &^= flagActive
+			m.evictFile(g, id)
 			res.ReclaimedFile++
 		}
 		reclaimed++
@@ -223,16 +215,30 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 	return res
 }
 
-// sortPagesByAge orders pages coldest (oldest last touch) first; pages never
+// sortByAge orders pages coldest (oldest last touch) first; pages never
 // touched are coldest of all.
-func sortPagesByAge(pages []*Page) {
+func (m *Manager) sortByAge(pages []PageID) {
 	sort.SliceStable(pages, func(i, j int) bool {
 		pi, pj := pages[i], pages[j]
-		if pi.touched != pj.touched {
-			return !pi.touched
+		ti, tj := m.flags[pi]&flagTouched != 0, m.flags[pj]&flagTouched != 0
+		if ti != tj {
+			return !ti
 		}
-		return pi.lastTouch < pj.lastTouch
+		return m.lastTouch[pi] < m.lastTouch[pj]
 	})
+}
+
+// evictFile drops file page id, already off its list, from the cache: a
+// shadow entry remembers the group's eviction counter for refault
+// detection.
+func (m *Manager) evictFile(g *Group, id PageID) {
+	m.setState(id, EvictedFile)
+	p := m.page(id)
+	p.shadow = g.evictions
+	p.hasShadow = true
+	g.evictions++
+	g.residentPages[File]--
+	g.charge(-m.cfg.PageSize)
 }
 
 // shrinkGroup runs the per-group LRU scan loop, evicting up to want bytes
@@ -267,16 +273,10 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 		// low, clearing referenced bits as the kernel's deactivation
 		// does.
 		if g.inactiveLow(t) {
-			for i := 0; i < scanBatch && active.tail != nil; i++ {
-				p := active.tail
-				active.remove(p)
-				p.active = false
-				p.referenced = false
-				inactive.pushHead(p)
-			}
+			m.deactivate(active, inactive)
 		}
-		p := inactive.tail
-		if p == nil {
+		id := inactive.tail
+		if id == 0 {
 			// Nothing inactive and nothing to refill: this type is
 			// empty; try the other or give up via pickScanType's
 			// availability checks next iteration.
@@ -291,30 +291,30 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 		}
 		res.ScannedPages++
 
-		if p.referenced {
+		if m.flags[id]&flagReferenced != 0 {
 			// Second chance, kernel-style: a referenced anonymous page
 			// is activated; a once-referenced file page is rotated back
 			// to the inactive head (the use-once heuristic) and only
 			// activation through a second access protects it further.
-			inactive.remove(p)
-			p.referenced = false
+			m.remove(inactive, id)
+			m.flags[id] &^= flagReferenced
 			if t == Anon {
-				p.active = true
-				g.lists[t][1].pushHead(p)
+				m.flags[id] |= flagActive
+				m.pushHead(active, id)
 			} else {
-				inactive.pushHead(p)
+				m.pushHead(inactive, id)
 			}
 			continue
 		}
 
+		m.remove(inactive, id)
 		if t == Anon {
-			inactive.remove(p)
 			// Demotion before swap: a cold anon victim moves to the
 			// byte-addressable far node while it has room, so it stays
 			// mapped at link latency instead of faulting; the swap tiers
 			// engage only once the node is full (the third rung).
 			if m.cfg.Far != nil && m.cfg.Far.TryReserve(m.cfg.PageSize) {
-				m.finishDemote(now, g, p, &res)
+				m.finishDemote(now, g, id, &res)
 				reclaimed++
 				continue
 			}
@@ -322,16 +322,17 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 				// Far node full and no swap rung available: give the page
 				// back; pickScanType stops selecting anon now that neither
 				// rung has room.
-				inactive.pushHead(p)
+				m.pushHead(inactive, id)
 				continue
 			}
 			// Gather the victim; victims flush as one batched store per
 			// swap cluster, so the device sees clustered submissions and
 			// the queue/backpressure cost is paid once per batch.
-			m.storeVictims[m.nStoreVictims] = p
+			p := m.page(id)
+			m.storeVictims[m.nStoreVictims] = id
 			m.storeReqs[m.nStoreVictims] = backend.StoreReq{
 				PageBytes:     m.cfg.PageSize,
-				CompressRatio: p.Compressibility,
+				CompressRatio: p.compressibility,
 				Refault:       p.refaulted,
 			}
 			m.nStoreVictims++
@@ -339,25 +340,17 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 				reclaimed += m.flushSwapOuts(now, g, &res)
 			}
 			continue
-		} else {
-			inactive.remove(p)
-			// A dirty page must be written back before it can be
-			// dropped; writeback consumes device endurance and IOPS but
-			// completes asynchronously (flusher threads), so no stall is
-			// charged here.
-			if p.dirty {
-				m.cfg.FS.WritePage(now)
-				p.dirty = false
-				writebacks++
-			}
-			p.state = EvictedFile
-			p.shadow = g.evictions
-			p.hasShadow = true
-			g.evictions++
-			g.residentPages[File]--
-			g.charge(-m.cfg.PageSize)
-			res.ReclaimedFile++
 		}
+		// A dirty page must be written back before it can be dropped;
+		// writeback consumes device endurance and IOPS but completes
+		// asynchronously (flusher threads), so no stall is charged here.
+		if p := m.page(id); p.dirty {
+			m.cfg.FS.WritePage(now)
+			p.dirty = false
+			writebacks++
+		}
+		m.evictFile(g, id)
+		res.ReclaimedFile++
 		reclaimed++
 	}
 	reclaimed += m.flushSwapOuts(now, g, &res)
@@ -365,6 +358,18 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 	res.StallTime += vclock.Duration(res.ScannedPages) * m.cfg.ScanCPUPerPage
 	m.noteShrink(g, res, writebacks)
 	return res
+}
+
+// deactivate moves up to scanBatch pages from the tail of active to the
+// head of inactive, clearing their referenced bits as the kernel's
+// deactivation does.
+func (m *Manager) deactivate(active, inactive *lruList) {
+	for i := 0; i < scanBatch && active.tail != 0; i++ {
+		id := active.tail
+		m.remove(active, id)
+		m.flags[id] &^= flagActive | flagReferenced
+		m.pushHead(inactive, id)
+	}
 }
 
 // flushSwapOuts submits the gathered anon victims as one batched store and
@@ -382,15 +387,17 @@ func (m *Manager) flushSwapOuts(now vclock.Time, g *Group, res *ReclaimResult) i
 	m.nStoreVictims = 0
 	stored, err := m.cfg.Swap.StoreBatch(now, m.storeReqs[:n], m.storeRes[:n])
 	for i := 0; i < stored; i++ {
-		p := m.storeVictims[i]
+		id := m.storeVictims[i]
 		r := m.storeRes[i]
-		p.state = Offloaded
+		m.setState(id, Offloaded)
+		p := m.page(id)
 		p.refaulted = false
 		p.handle = uint64(r.Handle)
-		p.group.residentPages[Anon]--
-		p.group.charge(-m.cfg.PageSize)
-		p.group.swappedPages++
-		m.noteSwapOut(p)
+		vg := m.Group(id)
+		vg.residentPages[Anon]--
+		vg.charge(-m.cfg.PageSize)
+		vg.swappedPages++
+		m.noteSwapOut(id)
 		res.StallTime += r.Latency
 		res.ReclaimedAnon++
 	}
@@ -399,8 +406,8 @@ func (m *Manager) flushSwapOuts(now vclock.Time, g *Group, res *ReclaimResult) i
 			panic("mm: unexpected swap store error: " + err.Error())
 		}
 		for i := stored; i < n; i++ {
-			p := m.storeVictims[i]
-			p.group.lists[Anon][0].pushHead(p)
+			id := m.storeVictims[i]
+			m.pushHead(&m.Group(id).lists[Anon][0], id)
 		}
 		m.latchSwapFull(now, g)
 		res.SwapFull = true

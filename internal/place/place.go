@@ -97,7 +97,7 @@ func (c Config) withDefaults() Config {
 
 // migration is one in-flight non-exclusive promotion copy.
 type migration struct {
-	p     *mm.Page
+	p     mm.PageID
 	g     *cgroup.Group
 	start vclock.Time
 	done  vclock.Time
@@ -136,7 +136,7 @@ type Controller struct {
 	// inflight holds promotion copies in submission order — a slice, not a
 	// map, so completion order is deterministic.
 	inflight  []migration
-	sampleBuf []*mm.Page
+	sampleBuf []mm.PageID
 
 	lastRun vclock.Time
 	started bool
@@ -323,11 +323,12 @@ func (c *Controller) snapshot(now vclock.Time) {
 }
 
 // completePromotions resolves in-flight copies whose transfer is due. A
-// copy commits only if the page is still on the far tier (it can leave by
-// being freed under churn), the link never stalled over the copy window,
-// and local DRAM has headroom at commit time; otherwise the promotion
-// aborts, and because the copy was non-exclusive the abort charges nothing
-// to anyone — no stall, no accounting change.
+// copy commits only if it is still in flight — the page has not been freed
+// under churn, which ends the copy even if the page has since refaulted and
+// gone far again — the link never stalled over the copy window, and local
+// DRAM has headroom at commit time; otherwise the promotion aborts, and
+// because the copy was non-exclusive the abort charges nothing to anyone —
+// no stall, no accounting change.
 func (c *Controller) completePromotions(now vclock.Time) {
 	kept := c.inflight[:0]
 	for _, mg := range c.inflight {
@@ -336,7 +337,7 @@ func (c *Controller) completePromotions(now vclock.Time) {
 			continue
 		}
 		switch {
-		case mg.p.State() != mm.Resident || !mg.p.Far():
+		case !c.mgr.Migrating(mg.p):
 			c.mgr.AbortPromotion(mg.p)
 			c.stats.AbortsChurn++
 			c.note(now, c.telAbortChurn, mg, "abort-churn")

@@ -21,7 +21,7 @@ type harness struct {
 	ctrl *Controller
 }
 
-func newHarness(t *testing.T, capacityPages, farPages int64, cfg Config) *harness {
+func newHarness(t testing.TB, capacityPages, farPages int64, cfg Config) *harness {
 	t.Helper()
 	spec := backend.SpecCXLNode
 	spec.CapacityBytes = farPages * pageSize
@@ -43,7 +43,7 @@ func newHarness(t *testing.T, capacityPages, farPages int64, cfg Config) *harnes
 
 // demote allocates n anon pages in the group and reclaims them onto the far
 // node, returning the far subset.
-func (hn *harness) demote(t *testing.T, n int) []*mm.Page {
+func (hn *harness) demote(t *testing.T, n int) []mm.PageID {
 	t.Helper()
 	pages := hn.mgr.NewPages(hn.g.MM(), mm.Anon, n, 1)
 	for i, p := range pages {
@@ -52,9 +52,9 @@ func (hn *harness) demote(t *testing.T, n int) []*mm.Page {
 	now := vclock.Time(vclock.Minute)
 	hn.mgr.ProactiveReclaim(now, hn.g.MM(), int64(n/2)*pageSize)
 	hn.mgr.ProactiveReclaim(now.Add(vclock.Second), hn.g.MM(), int64(n/2)*pageSize)
-	var far []*mm.Page
+	var far []mm.PageID
 	for _, p := range pages {
-		if p.Far() {
+		if hn.mgr.Far(p) {
 			far = append(far, p)
 		}
 	}
@@ -90,7 +90,7 @@ func TestPromotionLifecycle(t *testing.T) {
 	if st.Promotions != 1 {
 		t.Fatalf("promotions = %d, want 1 (aborts %d)", st.Promotions, st.Aborts())
 	}
-	if hot.Far() {
+	if hn.mgr.Far(hot) {
 		t.Fatal("hot page still far after promotion")
 	}
 	if st.AbortStall != 0 {
@@ -115,7 +115,7 @@ func TestPromotionAbortsOnChurn(t *testing.T) {
 		t.Fatalf("inflight = %d, want 1", hn.ctrl.Inflight())
 	}
 	// The page is freed (workload restart) while the copy is in flight.
-	hn.mgr.FreePages([]*mm.Page{hot})
+	hn.mgr.FreePages([]mm.PageID{hot})
 	usedBefore := hn.node.UsedBytes()
 	residentBefore := hn.g.MM().ResidentBytes()
 
@@ -129,6 +129,45 @@ func TestPromotionAbortsOnChurn(t *testing.T) {
 	}
 	if st.AbortStall != 0 {
 		t.Fatal("churn abort charged stall")
+	}
+}
+
+// TestStaleCopyAbortsAfterChurn: a page freed while its promotion copy is in
+// flight, then refaulted and demoted far again before the copy completes,
+// is back on the far tier — but the copy holds its previous life's content,
+// so it must abort as churn rather than commit.
+func TestStaleCopyAbortsAfterChurn(t *testing.T) {
+	hn := newHarness(t, 64, 64, Config{})
+	far := hn.demote(t, 16)
+	hot := far[0]
+
+	base := vclock.Time(2 * vclock.Minute)
+	for i := 0; i < 3; i++ {
+		hn.mgr.Touch(base.Add(vclock.Duration(i)), hot)
+	}
+	hn.tickAt(base, vclock.Second) // copy submitted at base+1s
+	if hn.ctrl.Inflight() != 1 {
+		t.Fatalf("inflight = %d, want 1", hn.ctrl.Inflight())
+	}
+	// Free, refault and demote the page again within the copy window.
+	hn.mgr.FreePages([]mm.PageID{hot})
+	now := base.Add(vclock.Second + vclock.Millisecond)
+	hn.mgr.Touch(now, hot)
+	for i := 0; i < 4 && !hn.mgr.Far(hot); i++ {
+		hn.mgr.ProactiveReclaim(now, hn.g.MM(), hn.g.MM().ResidentBytes())
+	}
+	if hn.mgr.State(hot) != mm.Resident || !hn.mgr.Far(hot) {
+		t.Fatalf("setup: page is %v far=%v, want far again", hn.mgr.State(hot), hn.mgr.Far(hot))
+	}
+	farBefore := hn.g.MM().FarPages()
+
+	hn.ctrl.Tick(base.Add(2 * vclock.Second))
+	st := hn.ctrl.Stats()
+	if st.AbortsChurn != 1 || st.Promotions != 0 {
+		t.Fatalf("stats = %+v, want the stale copy aborted as churn", st)
+	}
+	if !hn.mgr.Far(hot) || hn.g.MM().FarPages() != farBefore {
+		t.Fatal("stale copy moved the page")
 	}
 }
 
@@ -150,7 +189,7 @@ func TestPromotionAbortsOnLinkStall(t *testing.T) {
 	if st.AbortsStall != 1 || st.Promotions != 0 {
 		t.Fatalf("stats = %+v, want one link-stall abort", st)
 	}
-	if !hot.Far() || hot.Migrating() {
+	if !hn.mgr.Far(hot) || hn.mgr.Migrating(hot) {
 		t.Fatal("aborted page left inconsistent")
 	}
 	if st.AbortStall != 0 {
@@ -186,7 +225,7 @@ func TestPromotionAbortsOnLocalPressure(t *testing.T) {
 	if st.AbortsPressure == 0 || st.Promotions != 0 {
 		t.Fatalf("stats = %+v, want pressure aborts only", st)
 	}
-	if !hot.Far() {
+	if !hn.mgr.Far(hot) {
 		t.Fatal("page promoted into a full group")
 	}
 }
@@ -215,7 +254,7 @@ func TestClampHeadroomExchange(t *testing.T) {
 	if st.Promotions != 1 || st.DemotedBytes == 0 {
 		t.Fatalf("stats = %+v, want demotion-opened headroom and a committed promotion", st)
 	}
-	if hot.Far() {
+	if hn.mgr.Far(hot) {
 		t.Fatal("hot page still far after the headroom exchange")
 	}
 }
@@ -230,9 +269,9 @@ func TestStaticInterleaveDisablesMigration(t *testing.T) {
 		t.Fatalf("interleave placed %d of 40 far, want 20", got)
 	}
 	// Hammer a far page; the baseline must not promote it.
-	var hot *mm.Page
+	var hot mm.PageID
 	for _, p := range pages {
-		if p.Far() {
+		if hn.mgr.Far(p) {
 			hot = p
 			break
 		}
@@ -245,7 +284,7 @@ func TestStaticInterleaveDisablesMigration(t *testing.T) {
 	if st := hn.ctrl.Stats(); st.Promotions != 0 || st.DemotedBytes != 0 {
 		t.Fatalf("static interleave migrated: %+v", st)
 	}
-	if !hot.Far() {
+	if !hn.mgr.Far(hot) {
 		t.Fatal("static interleave moved a page")
 	}
 }

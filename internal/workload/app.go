@@ -42,16 +42,16 @@ type App struct {
 	src *rand.PCG
 	rng *rand.Rand
 
-	classPages [][]*mm.Page
+	classPages [][]mm.PageID
 	// touch schedules the classes a request can touch.
 	touch touchSchedule
 
-	anonLazy       []*mm.Page
+	anonLazy       []mm.PageID
 	lazyCursor     int
 	growPerRequest float64
 	growAccum      float64
 
-	streamPages      []*mm.Page
+	streamPages      []mm.PageID
 	streamCursor     int
 	streamPerRequest float64
 	streamAccum      float64
@@ -61,7 +61,7 @@ type App struct {
 	// bloatPages is extra anonymous memory injected by the chaos engine
 	// (a leaking sidecar); it is resident but never touched again, so it
 	// is exactly the cold memory an offloading controller should absorb.
-	bloatPages []*mm.Page
+	bloatPages []mm.PageID
 
 	carry    []vclock.Duration // per-worker overrun debt
 	stalls   []StallInterval   // Tick's reused TickResult.Stalls buffer
@@ -110,7 +110,7 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 	totalPages := p.FootprintBytes / pageSize
 	nominal := p.NominalRPS()
 
-	a.classPages = make([][]*mm.Page, len(p.Classes))
+	a.classPages = make([][]mm.PageID, len(p.Classes))
 	for i, c := range p.Classes {
 		n := int(float64(totalPages) * c.Frac)
 		if n == 0 {
@@ -149,7 +149,7 @@ func (a *App) Start(now vclock.Time) {
 	a.lazyCursor = 0
 	for _, pages := range a.classPages {
 		for _, pg := range pages {
-			if pg.Type == mm.Anon && p.AnonGrowth {
+			if a.mgr.Type(pg) == mm.Anon && p.AnonGrowth {
 				a.anonLazy = append(a.anonLazy, pg)
 				continue
 			}
@@ -233,16 +233,10 @@ func (a *App) SetCompressibility(ratio float64) {
 	}
 	a.compress = ratio
 	for _, pages := range a.classPages {
-		for _, pg := range pages {
-			pg.Compressibility = ratio
-		}
+		a.mgr.SetCompressibility(pages, ratio)
 	}
-	for _, pg := range a.streamPages {
-		pg.Compressibility = ratio
-	}
-	for _, pg := range a.bloatPages {
-		pg.Compressibility = ratio
-	}
+	a.mgr.SetCompressibility(a.streamPages, ratio)
+	a.mgr.SetCompressibility(a.bloatPages, ratio)
 }
 
 // Compressibility returns the app's current page compressibility.
@@ -310,8 +304,8 @@ func (a *App) Restarts() int64 { return a.restarts }
 
 // AllPages returns every page of the app's footprint (excluding the stream
 // window); the Fig. 2 coldness survey runs over these.
-func (a *App) AllPages() []*mm.Page {
-	var out []*mm.Page
+func (a *App) AllPages() []mm.PageID {
+	var out []mm.PageID
 	for _, pages := range a.classPages {
 		out = append(out, pages...)
 	}
@@ -381,9 +375,10 @@ func (a *App) serveRequest(now vclock.Time, out *requestOutcome) {
 		a.streamAccum += a.streamPerRequest * a.load
 		for a.streamAccum >= 1 {
 			a.streamAccum--
-			pg := a.streamPages[a.streamCursor]
-			a.streamCursor = (a.streamCursor + 1) % len(a.streamPages)
-			a.mgr.FreePages([]*mm.Page{pg})
+			i := a.streamCursor
+			pg := a.streamPages[i]
+			a.streamCursor = (i + 1) % len(a.streamPages)
+			a.mgr.FreePages(a.streamPages[i : i+1])
 			if a.Profile.StreamIsWrites {
 				out.absorb(a.mgr.TouchWrite(now, pg))
 			} else {

@@ -19,7 +19,7 @@ type touchSchedule struct {
 // toucher is one touchable access class. pages shares the class's backing
 // array in classPages, so shiftPhase's in-place swaps are visible here.
 type toucher struct {
-	pages  []*mm.Page
+	pages  []mm.PageID
 	rate   float64 // expected touches per request at load 1
 	step   float64 // credit earned per request: rate times the load factor
 	credit float64 // fractional touch credit as of request at
@@ -42,7 +42,7 @@ const maxLookahead = 256
 
 // add appends a class earning rate touches per request at load factor
 // load. Call reset once the classes are added.
-func (s *touchSchedule) add(pages []*mm.Page, rate, load float64) {
+func (s *touchSchedule) add(pages []mm.PageID, rate, load float64) {
 	s.classes = append(s.classes, toucher{pages: pages, rate: rate, step: rate * load})
 }
 

@@ -308,7 +308,7 @@ func TestColdClassStaysCold(t *testing.T) {
 	}
 	// Survey coldness: feed's never-touched class (30% * 0.6 = 18%) should
 	// show up as untouched past 5 minutes.
-	h5 := mm.Coldness(now, app.AllPages(), []vclock.Duration{5 * vclock.Minute})
+	h5 := mgr.Coldness(now, app.AllPages(), []vclock.Duration{5 * vclock.Minute})
 	if h5[1] < 0.10 {
 		t.Fatalf("cold fraction after load = %v, want >= 0.10", h5[1])
 	}
