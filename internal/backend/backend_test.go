@@ -286,8 +286,8 @@ func TestZswapPoolLimit(t *testing.T) {
 	if _, err := storeOne(z, 0, pageSize, 2.0); err != ErrFull {
 		t.Fatalf("expected ErrFull, got %v", err)
 	}
-	if got := reg.Counter("backend.zswap.rejects").Value(); got != 1 {
-		t.Fatalf("rejected = %d", got)
+	if got, _ := reg.Snapshot().Get("backend.zswap.rejects"); got.Value != 1 {
+		t.Fatalf("rejected = %v", got.Value)
 	}
 }
 

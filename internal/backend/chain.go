@@ -157,9 +157,14 @@ type chainTier struct {
 	lru     []Handle
 	lruHead int
 
-	// Registry instruments, nil until EnableTelemetry.
-	telStores, telDemotions, telRefaults, telLoads *telemetry.Counter
-	telRatio                                       *telemetry.Histogram
+	// demotions counts pages demoted out of the tier; promotions counts
+	// refault stores that landed in it above where a cold store would
+	// have.
+	demotions, promotions int64
+
+	// telRatio is the compression-ratio histogram, nil until
+	// EnableTelemetry.
+	telRatio *telemetry.Histogram
 }
 
 // TierChain is an ordered chain of offload tiers and the ledger of every page
@@ -171,10 +176,9 @@ type TierChain struct {
 	entries map[Handle]chainEntry
 	next    Handle
 
-	demotions   int64 // pages moved down-chain by watermark pressure
-	promotions  int64 // refault stores that landed above their cold tier
 	admitSkips  int64 // tier skips due to MinCompressRatio
 	demoteStall int64 // demotion rounds cut short by writeback backpressure
+	rejects     int64 // store batches that ended in ErrFull
 
 	// Per-tier scratch, reused across calls so the batched fault and
 	// reclaim paths stay zero-alloc.
@@ -183,9 +187,8 @@ type TierChain struct {
 	loadPages    []int
 	loadBytes    []int64
 
-	// Registry instruments and decision recorder, nil until enabled.
-	telPromotions, telAdmitSkips, telDemoteStall, telRejects *telemetry.Counter
-	trace                                                    *trace.Recorder
+	// trace is the decision recorder, nil until SetTrace.
+	trace *trace.Recorder
 }
 
 // NewTierChain builds a chain from specs. Every tier needs a positive
@@ -249,11 +252,23 @@ func (c *TierChain) TierSpecs() []TierSpec {
 func (c *TierChain) TierStats(i int) Stats { return c.tiers[i].stats }
 
 // Demotions returns how many pages watermark pressure has moved down-chain.
-func (c *TierChain) Demotions() int64 { return c.demotions }
+func (c *TierChain) Demotions() int64 {
+	var n int64
+	for i := range c.tiers {
+		n += c.tiers[i].demotions
+	}
+	return n
+}
 
 // Promotions returns how many refaulting pages landed in a faster tier than
 // a cold store would have reached.
-func (c *TierChain) Promotions() int64 { return c.promotions }
+func (c *TierChain) Promotions() int64 {
+	var n int64
+	for i := range c.tiers {
+		n += c.tiers[i].promotions
+	}
+	return n
+}
 
 // AdmitSkips returns how many tier placements skipped a compressed tier
 // because the content failed its MinCompressRatio admission threshold.
@@ -327,9 +342,6 @@ func (c *TierChain) place(from int, pageBytes int64, ratio float64, pending []in
 		if !c.admissible(t, ratio) {
 			if countSkips {
 				c.admitSkips++
-				if c.telAdmitSkips != nil {
-					c.telAdmitSkips.Inc()
-				}
 			}
 			continue
 		}
@@ -362,13 +374,7 @@ func (c *TierChain) placeFresh(pageBytes int64, ratio float64, pending []int64, 
 	t := c.place(0, pageBytes, ratio, pending, refault, true)
 	if refault && t >= 0 {
 		if cold := c.place(0, pageBytes, ratio, pending, false, false); cold < 0 || t < cold {
-			c.promotions++
-			if c.telPromotions != nil {
-				c.telPromotions.Inc()
-			}
-			if tier := &c.tiers[t]; tier.telRefaults != nil {
-				tier.telRefaults.Inc()
-			}
+			c.tiers[t].promotions++
 		}
 	}
 	return t
@@ -383,9 +389,6 @@ func (c *TierChain) admit(h Handle, t int, logical, stored int64, ratio float64)
 	tier.stats.LogicalBytes += logical
 	tier.stats.StoredBytes += stored
 	tier.stats.TotalWrites++
-	if tier.telStores != nil {
-		tier.telStores.Inc()
-	}
 	if t < len(c.tiers)-1 {
 		tier.lru = append(tier.lru, h)
 		c.trimVictims(t)
@@ -489,9 +492,7 @@ func (c *TierChain) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResu
 			res := StoreResult{Handle: first + Handle(i), StoredBytes: c.storedSize(t, req.PageBytes, req.CompressRatio)}
 			if tier.zs != nil {
 				res.Latency = tier.zs.compress(j)
-				if tier.telRatio != nil {
-					tier.telRatio.Record(float64(req.PageBytes) / float64(res.StoredBytes))
-				}
+				tier.telRatio.Record(float64(req.PageBytes) / float64(res.StoredBytes))
 			} else if tier.ssd != nil {
 				res.DeviceWrite = req.PageBytes
 			}
@@ -505,9 +506,7 @@ func (c *TierChain) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResu
 	}
 
 	if n < len(reqs) {
-		if c.telRejects != nil {
-			c.telRejects.Inc()
-		}
+		c.rejects++
 		return n, ErrFull
 	}
 	return n, nil
@@ -542,9 +541,6 @@ func (c *TierChain) LoadBatch(now vclock.Time, hs []Handle) BatchLoadResult {
 		case tier.zs != nil:
 			for i := 0; i < pages; i++ {
 				res.Latency += tier.zs.decompress(i)
-			}
-			if tier.telLoads != nil {
-				tier.telLoads.Add(int64(pages))
 			}
 		case tier.ssd != nil:
 			res.Latency += tier.ssd.read(now, pages, c.loadBytes[t])
@@ -605,14 +601,11 @@ func (c *TierChain) manage(now vclock.Time) {
 	}
 }
 
-// noteRound publishes one demotion round out of tier t: a backpressure stall
-// counter, and one instant for a round that moved pages or stalled.
+// noteRound counts one demotion round out of tier t that backpressure cut
+// short, and records an instant for a round that moved pages or stalled.
 func (c *TierChain) noteRound(now vclock.Time, t, pages int, logical int64, backpressure bool) {
 	if backpressure {
 		c.demoteStall++
-		if c.telDemoteStall != nil {
-			c.telDemoteStall.Inc()
-		}
 	}
 	if c.trace != nil && (pages > 0 || backpressure) {
 		c.trace.Instant(now, trace.KindBackendDemote, c.tiers[t].spec.Label(),
@@ -652,10 +645,7 @@ func (c *TierChain) demoteBatch(now vclock.Time, t int, target int64) (moved int
 			lastBytes += e.logical
 		}
 		c.admit(h, dst, e.logical, c.storedSize(dst, e.logical, e.ratio), e.ratio)
-		c.demotions++
-		if tier.telDemotions != nil {
-			tier.telDemotions.Inc()
-		}
+		tier.demotions++
 		moved++
 	}
 	if lastPages > 0 {

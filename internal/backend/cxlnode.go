@@ -60,8 +60,6 @@ type CXLNode struct {
 	// inside the window wait it out; the placement loop aborts promotions
 	// whose copy overlapped it.
 	stallFrom, stallUntil vclock.Time
-
-	telUsed *telemetry.Gauge
 }
 
 // NewCXLNode returns a node following spec.
@@ -99,9 +97,6 @@ func (n *CXLNode) TryReserve(bytes int64) bool {
 		return false
 	}
 	n.used += bytes
-	if n.telUsed != nil {
-		n.telUsed.Set(float64(n.used))
-	}
 	return true
 }
 
@@ -111,9 +106,6 @@ func (n *CXLNode) Release(bytes int64) {
 	n.used -= bytes
 	if n.used < 0 {
 		panic("backend: CXLNode released more than reserved")
-	}
-	if n.telUsed != nil {
-		n.telUsed.Set(float64(n.used))
 	}
 }
 
@@ -171,9 +163,8 @@ func (n *CXLNode) StalledDuring(from, to vclock.Time) bool {
 	return n.stallFrom < to && n.stallUntil > from
 }
 
-// EnableTelemetry registers the node's occupancy gauge with reg.
+// EnableTelemetry registers the node's size and occupancy gauges with reg.
 func (n *CXLNode) EnableTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("cxl.capacity_bytes", func() float64 { return float64(n.spec.CapacityBytes) })
-	n.telUsed = reg.Gauge("cxl.used_bytes")
-	n.telUsed.Set(float64(n.used))
+	reg.GaugeFunc("cxl.used_bytes", func() float64 { return float64(n.used) })
 }

@@ -96,8 +96,11 @@ type SSDDevice struct {
 	writeMeter *metrics.RateMeter // IOPS
 	byteMeter  *metrics.RateMeter // written bytes/s
 
-	reads, writes int64
-	writtenBytes  int64
+	// reads and writes count pages, writtenBytes the bytes the writes
+	// carried, and wear the bytes InjectWear charged without IO; the
+	// endurance figure is their sum.
+	reads, writes      int64
+	writtenBytes, wear int64
 
 	// degradation multiplies all service times; experiments use it to
 	// inject device health incidents (firmware pauses, thermal
@@ -111,10 +114,8 @@ type SSDDevice struct {
 
 	readObserver func(vclock.Duration)
 
-	// Registry instruments, nil until EnableTelemetry.
-	telReads, telWrites, telWrittenBytes *telemetry.Counter
-	telReadLat, telWriteLat              *telemetry.Histogram
-	telBatchPages                        *telemetry.Histogram
+	// Registry histograms, nil until EnableTelemetry.
+	telReadLat, telWriteLat, telBatchPages *telemetry.Histogram
 }
 
 // SetDegradation scales the device's service times by factor (>= 1) from
@@ -131,7 +132,7 @@ func (d *SSDDevice) SetDegradation(factor float64) {
 // mid-life or is shared with a write-heavy neighbour. Wear is irreversible.
 func (d *SSDDevice) InjectWear(n int64) {
 	if n > 0 {
-		d.writtenBytes += n
+		d.wear += n
 	}
 }
 
@@ -238,13 +239,8 @@ func (d *SSDDevice) ReadBatch(now vclock.Time, pages int, bytes int64) vclock.Du
 	if d.readObserver != nil {
 		d.readObserver(lat)
 	}
-	if d.telReads != nil {
-		d.telReads.Add(int64(pages))
-		d.telReadLat.Record(float64(lat))
-	}
-	if d.telBatchPages != nil {
-		d.telBatchPages.Record(float64(pages))
-	}
+	d.telReadLat.Record(float64(lat))
+	d.telBatchPages.Record(float64(pages))
 	return lat
 }
 
@@ -274,14 +270,8 @@ func (d *SSDDevice) WriteBatch(now vclock.Time, pages int, bytes int64) vclock.D
 	lat := vclock.Duration(float64(d.writeLat.Sample(d.rng))*f) +
 		transferTime(bytes, d.Spec.WriteBWBytesPerSec) +
 		d.stallRemainder(now)
-	if d.telWrites != nil {
-		d.telWrites.Add(int64(pages))
-		d.telWrittenBytes.Add(bytes)
-		d.telWriteLat.Record(float64(lat))
-	}
-	if d.telBatchPages != nil {
-		d.telBatchPages.Record(float64(pages))
-	}
+	d.telWriteLat.Record(float64(lat))
+	d.telBatchPages.Record(float64(pages))
 	return lat
 }
 
@@ -291,9 +281,9 @@ func (d *SSDDevice) Reads() int64 { return d.reads }
 // Writes returns the cumulative write count.
 func (d *SSDDevice) Writes() int64 { return d.writes }
 
-// WrittenBytes returns cumulative bytes written, the endurance-relevant
-// figure.
-func (d *SSDDevice) WrittenBytes() int64 { return d.writtenBytes }
+// WrittenBytes returns the bytes charged against endurance: those written by
+// IO plus any injected wear.
+func (d *SSDDevice) WrittenBytes() int64 { return d.writtenBytes + d.wear }
 
 // WriteByteRate returns the recent write rate in bytes/second.
 func (d *SSDDevice) WriteByteRate(now vclock.Time) float64 { return d.byteMeter.Rate(now) }
@@ -308,7 +298,7 @@ func (d *SSDDevice) EnduranceUsed() float64 {
 	if ratedBytes <= 0 {
 		return 0
 	}
-	return float64(d.writtenBytes) / ratedBytes
+	return float64(d.WrittenBytes()) / ratedBytes
 }
 
 // SSDSwap is the cost model of a swap partition on an SSDDevice: the device
@@ -326,6 +316,13 @@ func (s *SSDSwap) Device() *SSDDevice { return s.dev }
 
 // QueueDepth returns the current async writeback queue depth.
 func (s *SSDSwap) QueueDepth() int { return s.wb.depth() }
+
+// Writeback returns the async writeback queue's cumulative counts:
+// submissions issued to the device (a clustered batch counts once), pushes
+// that stalled on a full queue, and the stall those pushes served.
+func (s *SSDSwap) Writeback() (drained, stalls int64, stallTime vclock.Duration) {
+	return s.wb.drained, s.wb.stalls, s.wb.stallTime
+}
 
 // write hands one store submission of pages/bytes to the async queue (or
 // writes inline when the queue is disabled) and returns the

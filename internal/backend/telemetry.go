@@ -11,33 +11,37 @@ import (
 // latency histograms with reg, labelled by catalog model so a fleet of
 // hosts with mixed SSD generations stays distinguishable (Fig. 5's
 // per-generation latency spread is read off exactly these series).
+// written_bytes counts IO only; injected wear shows in WrittenBytes and
+// EnduranceUsed, not here.
 func (d *SSDDevice) EnableTelemetry(reg *telemetry.Registry) {
 	dev := telemetry.Label{Key: "device", Value: d.Spec.Model}
-	d.telReads = reg.Counter("backend.ssd.reads", dev)
-	d.telWrites = reg.Counter("backend.ssd.writes", dev)
-	d.telWrittenBytes = reg.Counter("backend.ssd.written_bytes", dev)
+	reg.CounterFunc("backend.ssd.reads", func() int64 { return d.reads }, dev)
+	reg.CounterFunc("backend.ssd.writes", func() int64 { return d.writes }, dev)
+	reg.CounterFunc("backend.ssd.written_bytes", func() int64 { return d.writtenBytes }, dev)
 	d.telReadLat = reg.Histogram("backend.ssd.read_latency_us", dev)
 	d.telWriteLat = reg.Histogram("backend.ssd.write_latency_us", dev)
 	d.telBatchPages = reg.Histogram("backend.ssd.batch_pages", dev)
 }
 
 // EnableTelemetry registers the swap partition's async writeback-queue
-// instruments: current depth, cumulative drained submissions, and the
-// backpressure stalls reclaim served because the queue was full.
+// series: current depth and high water, cumulative drained submissions
+// (one per batch, however many pages it carries), and the backpressure
+// stalls reclaim served because the queue was full.
 func (s *SSDSwap) EnableTelemetry(reg *telemetry.Registry) {
-	s.wb.telDrained = reg.Counter("backend.wb.drained")
-	s.wb.telStalls = reg.Counter("backend.wb.backpressure_stalls")
-	s.wb.telStallUs = reg.Counter("backend.wb.backpressure_us")
-	reg.GaugeFunc("backend.wb.queue_depth", func() float64 { return float64(s.wb.depth()) })
-	reg.GaugeFunc("backend.wb.queue_high_water", func() float64 { return float64(s.wb.highWater) })
+	q := s.wb
+	reg.CounterFunc("backend.wb.drained", func() int64 { return q.drained })
+	reg.CounterFunc("backend.wb.backpressure_stalls", func() int64 { return q.stalls })
+	reg.CounterFunc("backend.wb.backpressure_us", func() int64 { return int64(q.stallTime) })
+	reg.GaugeFunc("backend.wb.queue_depth", func() float64 { return float64(q.depth()) })
+	reg.GaugeFunc("backend.wb.queue_high_water", func() float64 { return float64(q.highWater) })
 }
 
-// EnableTelemetry registers the chain's per-tier instruments, labelled by
-// tier position and substrate (e.g. tier="0-lz4") so stacked compressed
-// pools stay distinguishable. The SSD tier additionally wires its
-// writeback-queue instruments. A one-tier chain has nothing to label apart,
-// so it keeps the plain series of its substrate instead: backend.zswap.*
-// for a pool (counting one reject per store batch that ends in ErrFull), or
+// EnableTelemetry registers the chain's per-tier series, labelled by tier
+// position and substrate (e.g. tier="0-lz4") so stacked compressed pools
+// stay distinguishable. The SSD tier additionally wires its writeback-queue
+// series. A one-tier chain has nothing to label apart, so it keeps the
+// plain series of its substrate instead: backend.zswap.* for a pool
+// (counting one reject per store batch that ends in ErrFull), or
 // backend.wb.* for SSD swap.
 func (c *TierChain) EnableTelemetry(reg *telemetry.Registry) {
 	if len(c.tiers) == 1 {
@@ -48,21 +52,22 @@ func (c *TierChain) EnableTelemetry(reg *telemetry.Registry) {
 		if t.zs == nil {
 			return
 		}
-		t.telStores = reg.Counter("backend.zswap.stores")
-		t.telLoads = reg.Counter("backend.zswap.loads")
-		c.telRejects = reg.Counter("backend.zswap.rejects")
+		st := &t.stats
+		reg.CounterFunc("backend.zswap.stores", func() int64 { return st.TotalWrites })
+		reg.CounterFunc("backend.zswap.loads", func() int64 { return st.TotalReads })
+		reg.CounterFunc("backend.zswap.rejects", func() int64 { return c.rejects })
 		t.telRatio = reg.Histogram("backend.zswap.compress_ratio")
-		reg.GaugeFunc("backend.zswap.pool_bytes", func() float64 { return float64(t.stats.StoredBytes) })
-		reg.GaugeFunc("backend.zswap.logical_bytes", func() float64 { return float64(t.stats.LogicalBytes) })
+		reg.GaugeFunc("backend.zswap.pool_bytes", func() float64 { return float64(st.StoredBytes) })
+		reg.GaugeFunc("backend.zswap.logical_bytes", func() float64 { return float64(st.LogicalBytes) })
 		return
 	}
 	for i := range c.tiers {
 		t := &c.tiers[i]
 		lbl := telemetry.Label{Key: "tier", Value: fmt.Sprintf("%d-%s", i, t.spec.Label())}
-		t.telStores = reg.Counter("backend.tier.stores", lbl)
-		t.telDemotions = reg.Counter("backend.tier.demotions", lbl)
-		t.telRefaults = reg.Counter("backend.tier.refaults", lbl)
 		st := &t.stats
+		reg.CounterFunc("backend.tier.stores", func() int64 { return st.TotalWrites }, lbl)
+		reg.CounterFunc("backend.tier.demotions", func() int64 { return t.demotions }, lbl)
+		reg.CounterFunc("backend.tier.refaults", func() int64 { return t.promotions }, lbl)
 		reg.GaugeFunc("backend.tier.pages", func() float64 { return float64(st.StoredPages) }, lbl)
 		reg.GaugeFunc("backend.tier.stored_bytes", func() float64 { return float64(st.StoredBytes) }, lbl)
 		reg.GaugeFunc("backend.tier.ratio", func() float64 {
@@ -75,9 +80,9 @@ func (c *TierChain) EnableTelemetry(reg *telemetry.Registry) {
 			t.ssd.EnableTelemetry(reg)
 		}
 	}
-	c.telPromotions = reg.Counter("backend.chain.promotions")
-	c.telAdmitSkips = reg.Counter("backend.chain.admit_skips")
-	c.telDemoteStall = reg.Counter("backend.chain.demote_backpressure")
+	reg.CounterFunc("backend.chain.promotions", c.Promotions)
+	reg.CounterFunc("backend.chain.admit_skips", func() int64 { return c.admitSkips })
+	reg.CounterFunc("backend.chain.demote_backpressure", func() int64 { return c.demoteStall })
 }
 
 // SetTrace attaches the host's decision recorder; each watermark demotion

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
 )
 
@@ -68,10 +67,10 @@ type writebackQueue struct {
 	// nextIssue is when the device is free for the next submission.
 	nextIssue vclock.Time
 
-	drained   int64 // completed submissions
-	highWater int64 // maximum depth observed
-
-	telDrained, telStalls, telStallUs *telemetry.Counter
+	drained   int64           // submissions issued to the device
+	highWater int64           // maximum depth observed
+	stalls    int64           // pushes that waited for a free slot
+	stallTime vclock.Duration // backpressure those pushes served
 }
 
 // newWritebackQueue returns a queue over dev with cfg's limits resolved.
@@ -132,9 +131,6 @@ func (q *writebackQueue) drain(now vclock.Time) {
 		q.head = (q.head + 1) % len(q.ring)
 		q.n--
 		q.drained++
-		if q.telDrained != nil {
-			q.telDrained.Inc()
-		}
 	}
 }
 
@@ -160,9 +156,9 @@ func (q *writebackQueue) push(now vclock.Time, pages int, bytes int64) vclock.Du
 	if int64(q.n) > q.highWater {
 		q.highWater = int64(q.n)
 	}
-	if stall > 0 && q.telStalls != nil {
-		q.telStalls.Inc()
-		q.telStallUs.Add(int64(stall))
+	if stall > 0 {
+		q.stalls++
+		q.stallTime += stall
 	}
 	return stall
 }

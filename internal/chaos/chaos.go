@@ -192,20 +192,14 @@ func (e *Engine) Tick(now vclock.Time) {
 		wasActive := ev.level > 0
 		ev.level = lvl
 		ev.fault.Set(now, lvl)
-		if e.telApplies != nil {
-			e.telApplies.Inc()
-		}
+		e.telApplies.Inc()
 		switch {
 		case lvl > 0 && !wasActive:
 			e.note(now, trace.KindChaosInject, ev, lvl)
-			if ev.telInject != nil {
-				ev.telInject.Inc()
-			}
+			ev.telInject.Inc()
 		case lvl == 0 && wasActive:
 			e.note(now, trace.KindChaosRestore, ev, lvl)
-			if ev.telRestore != nil {
-				ev.telRestore.Inc()
-			}
+			ev.telRestore.Inc()
 		}
 	}
 }

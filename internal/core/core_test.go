@@ -318,7 +318,7 @@ func TestCXLMode(t *testing.T) {
 	// The decision stream holds one place.promote instant per promotion
 	// outcome and no per-fault records: refaults are counted by the
 	// registry, not traced.
-	if sys.Telemetry.Counter("mm.refaults").Value() == 0 {
+	if m, _ := sys.TelemetrySnapshot().Get("mm.refaults"); m.Value == 0 {
 		t.Fatal("run too quiet: no refaults")
 	}
 	var outcomes int64

@@ -30,8 +30,8 @@ type BatchCell struct {
 	// Coalesced counts faults absorbed by an already-in-flight cluster.
 	ReadaheadIns, Coalesced int64
 	// WBStalls counts reclaim stalls on a full writeback queue, and
-	// WBStallUs the time they cost; Drained is pages retired through the
-	// queue.
+	// WBStallUs the time they cost; Drained counts the write submissions
+	// the queue issued to the device, a clustered batch counting once.
 	WBStalls, WBStallUs, Drained int64
 }
 
@@ -78,18 +78,19 @@ func AblationBatch(cfg Config) BatchResult {
 		}
 	}
 	res := BatchResult{Cells: fleet.RunArms(arms, func(_ int, h fleet.Host, w fleet.Window) BatchCell {
-		reg := h.Telemetry
+		mgr := h.Server.Manager()
+		drained, stalls, stallTime := h.Chain.SSD().Writeback()
 		return BatchCell{
 			Readahead:       h.Opts.SwapReadahead,
 			WBDepth:         h.Opts.Writeback.Depth,
 			RPS:             w.RPS,
-			MeanFaultUs:     reg.Histogram("mm.fault_latency_us").Mean(),
+			MeanFaultUs:     h.Telemetry.Histogram("mm.fault_latency_us").Mean(),
 			MeanMemPressure: w.AppPressure,
-			ReadaheadIns:    reg.Counter("mm.readahead_ins").Value(),
-			Coalesced:       reg.Counter("mm.fault_coalesced").Value(),
-			WBStalls:        reg.Counter("backend.wb.backpressure_stalls").Value(),
-			WBStallUs:       reg.Counter("backend.wb.backpressure_us").Value(),
-			Drained:         reg.Counter("backend.wb.drained").Value(),
+			ReadaheadIns:    mgr.ReadaheadIn(),
+			Coalesced:       mgr.FaultCoalesced(),
+			WBStalls:        stalls,
+			WBStallUs:       int64(stallTime),
+			Drained:         drained,
 		}
 	})}
 	res.Serial = res.Cells[0]

@@ -240,7 +240,7 @@ func (m *Measurement) readTMO(h Host) {
 	fl := h.Telemetry.Histogram("mm.fault_latency_us")
 	m.FaultLatencyP50Us, m.FaultLatencyP99Us = fl.Quantile(0.50), fl.Quantile(0.99)
 	m.MemStallP99Us = h.Telemetry.Histogram("psi.stall_duration_us", telemetry.Label{Key: "resource", Value: "memory"}).Quantile(0.99)
-	m.Refaults = h.Telemetry.Counter("mm.refaults").Value()
+	m.Refaults = h.Server.Manager().Stat().Refaults
 }
 
 // compare fills the savings and throughput fields from the baseline and TMO

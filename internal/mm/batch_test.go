@@ -141,8 +141,8 @@ func TestCoalescedFaultPaysRemainder(t *testing.T) {
 	if co.Latency <= 0 || co.Latency >= demand.Latency {
 		t.Fatalf("coalesced fault paid %v; must be a strict remainder of the %v batch", co.Latency, demand.Latency)
 	}
-	if got := reg.Counter("mm.fault_coalesced").Value(); got != 1 {
-		t.Fatalf("mm.fault_coalesced = %d", got)
+	if got, _ := reg.Snapshot().Get("mm.fault_coalesced"); got.Value != 1 {
+		t.Fatalf("mm.fault_coalesced = %v", got.Value)
 	}
 	// Coalesced faults are not swap-ins: the page was already loaded by
 	// the cluster submission.

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"tmo/internal/backend"
+	"tmo/internal/telemetry"
 	"tmo/internal/trace"
 	"tmo/internal/vclock"
 )
@@ -157,11 +158,16 @@ type Manager struct {
 	// not make room — situations where a real kernel would OOM-kill.
 	oomEvents int64
 
-	// tel, when set, publishes event counters and fault latencies into the
-	// host's telemetry registry; trace records the swap-full latch. Both are
-	// optional.
-	tel   *counters
-	trace *trace.Recorder
+	// Host-wide event counts no group keeps (GroupStat holds the rest):
+	// inactive-to-active promotions, refused swap stores, readahead
+	// neighbours skipped for want of headroom, zero-fill faults, and
+	// swap-ins that coalesced onto a batch in flight.
+	activations, swapRejects, readaheadSkips, zeroFills, faultCoalesced int64
+
+	// faultLatency records every fault's stall when telemetry is enabled;
+	// trace records the swap-full latch. Both are optional.
+	faultLatency *telemetry.Histogram
+	trace        *trace.Recorder
 }
 
 // swapClusterSize matches the kernel's default readahead cluster (2^3).
@@ -282,9 +288,7 @@ func (m *Manager) gatherReadahead(cl clusterID) {
 		// neighbour AND the demand charge still to come — readahead must
 		// never consume the last page of headroom under memory.max.
 		if g.overLimitAncestor(2*m.cfg.PageSize) != nil {
-			if m.tel != nil {
-				m.tel.readaheadSkips.Inc()
-			}
+			m.readaheadSkips++
 			q = next
 			continue
 		}
@@ -299,12 +303,7 @@ func (m *Manager) gatherReadahead(cl clusterID) {
 		loaded++
 		q = next
 	}
-	if loaded > 0 {
-		m.readaheadIn += int64(loaded)
-		if m.tel != nil {
-			m.tel.readaheadIns.Add(int64(loaded))
-		}
-	}
+	m.readaheadIn += int64(loaded)
 }
 
 // Config returns the manager's configuration.
@@ -714,9 +713,7 @@ func (m *Manager) markAccessed(id PageID) {
 		m.remove(&g.lists[t][0], id)
 		m.flags[id] = m.flags[id]&^flagReferenced | flagActive
 		m.pushHead(&g.lists[t][1], id)
-		if m.tel != nil {
-			m.tel.activations.Inc()
-		}
+		m.activations++
 	}
 }
 
@@ -757,16 +754,10 @@ func (m *Manager) tryCharge(now vclock.Time, g *Group) vclock.Duration {
 	}
 	need := worst.usageForLimit() + m.cfg.PageSize - worst.effectiveLimit()
 	g.stat.DirectReclaims++
-	if m.tel != nil {
-		m.tel.directReclaims.Inc()
-	}
 	res := m.reclaim(now, worst, need, true)
 	if res.ReclaimedBytes < need {
 		m.oomEvents++
 		g.stat.OOMEvents++
-		if m.tel != nil {
-			m.tel.oomEvents.Inc()
-		}
 	}
 	return res.StallTime
 }

@@ -163,8 +163,5 @@ func (m *Manager) DemoteCold(now vclock.Time, g *Group, want int64) int64 {
 	}
 	g.stat.PagesScanned += scanned
 	g.stat.Demotions += res.DemotedPages
-	if m.tel != nil && scanned > 0 {
-		m.tel.pagesScanned.Add(scanned)
-	}
 	return moved * m.cfg.PageSize
 }

@@ -211,7 +211,7 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 	}
 	res.ReclaimedBytes = reclaimed * m.cfg.PageSize
 	res.StallTime += vclock.Duration(res.ScannedPages) * m.cfg.ScanCPUPerPage / 8 // a table walk, not a list scan
-	m.noteShrink(g, res, writebacks)
+	g.noteShrink(res, writebacks)
 	return res
 }
 
@@ -356,7 +356,7 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 	reclaimed += m.flushSwapOuts(now, g, &res)
 	res.ReclaimedBytes = reclaimed * m.cfg.PageSize
 	res.StallTime += vclock.Duration(res.ScannedPages) * m.cfg.ScanCPUPerPage
-	m.noteShrink(g, res, writebacks)
+	g.noteShrink(res, writebacks)
 	return res
 }
 
@@ -416,30 +416,13 @@ func (m *Manager) flushSwapOuts(now vclock.Time, g *Group, res *ReclaimResult) i
 }
 
 // noteShrink folds one shrink run's per-page event counts into the group's
-// cumulative counters and the telemetry registry. Batching here means the
-// instrumented reclaim path pays one counter update per shrink call instead
-// of one atomic per page scanned or evicted.
-func (m *Manager) noteShrink(g *Group, res ReclaimResult, writebacks int64) {
+// cumulative counters, once per shrink call rather than once per page.
+func (g *Group) noteShrink(res ReclaimResult, writebacks int64) {
 	g.stat.PagesScanned += res.ScannedPages
 	g.stat.SwapOuts += res.ReclaimedAnon
 	g.stat.FileEvictions += res.ReclaimedFile
 	g.stat.FileWritebacks += writebacks
 	g.stat.Demotions += res.DemotedPages
-	if m.tel == nil {
-		return
-	}
-	if res.ScannedPages > 0 {
-		m.tel.pagesScanned.Add(res.ScannedPages)
-	}
-	if res.ReclaimedAnon > 0 {
-		m.tel.swapOuts.Add(res.ReclaimedAnon)
-	}
-	if res.ReclaimedFile > 0 {
-		m.tel.fileEvictions.Add(res.ReclaimedFile)
-	}
-	if writebacks > 0 {
-		m.tel.fileWritebacks.Add(writebacks)
-	}
 }
 
 // otherAvailable reports whether the LRU of the type other than t has pages

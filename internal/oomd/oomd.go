@@ -82,9 +82,8 @@ type Controller struct {
 	lastKill   vclock.Time
 	hasKilled  bool
 
-	kills    []KillEvent
-	trace    *trace.Recorder
-	telKills *telemetry.Counter
+	kills []KillEvent
+	trace *trace.Recorder
 }
 
 // SetTrace attaches the host's decision recorder; each kill becomes one
@@ -93,7 +92,7 @@ func (c *Controller) SetTrace(r *trace.Recorder) { c.trace = r }
 
 // EnableTelemetry registers the kill counter with reg.
 func (c *Controller) EnableTelemetry(reg *telemetry.Registry) {
-	c.telKills = reg.Counter("oomd.kills")
+	reg.CounterFunc("oomd.kills", func() int64 { return int64(len(c.kills)) })
 }
 
 // New returns a controller monitoring the given domain's memory pressure
@@ -158,9 +157,6 @@ func (c *Controller) Tick(now vclock.Time) {
 		c.lastKill = now
 		c.hasKilled = true
 		c.armed = false
-		if c.telKills != nil {
-			c.telKills.Inc()
-		}
 		if c.trace != nil {
 			c.trace.Instant(now, trace.KindOOMKill, "kill "+victim.Group.Name(),
 				"pressure", pressure, "freed_bytes", usage)

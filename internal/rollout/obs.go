@@ -238,7 +238,6 @@ func (c *Controller) observe(cws []candWindow) {
 			// so the next campaign re-probes the response surface before
 			// trusting twin cohort verdicts again.
 			c.recalibAdvised++
-			c.telRecalib.Inc()
 			c.record(trace.KindRolloutRecalib, a.Series,
 				"twin drift burn #%d: re-probe calibration surface (%s)",
 				c.recalibAdvised, a.Detail())

@@ -478,7 +478,7 @@ type Controller struct {
 	// twin cohort verdicts.
 	recalibAdvised int64
 
-	telAdvance, telRollback, telPush, telRebuild, telDrop, telPromote, telCrash, telRejoin, telRecalib *telemetry.Counter
+	telAdvance, telRollback, telPush, telRebuild, telDrop, telPromote, telCrash, telRejoin *telemetry.Counter
 }
 
 // New builds the fleet (every host starts on the baseline policy) and arms
@@ -499,7 +499,7 @@ func New(cfg Config) *Controller {
 	c.telPromote = c.reg.Counter("rollout.promotions")
 	c.telCrash = c.reg.Counter("rollout.host_crashes")
 	c.telRejoin = c.reg.Counter("rollout.host_rejoins")
-	c.telRecalib = c.reg.Counter("rollout.recalib_advised")
+	c.reg.CounterFunc("rollout.recalib_advised", func() int64 { return c.recalibAdvised })
 	c.reg.GaugeFunc("rollout.stage", func() float64 { return float64(c.stageIdx) })
 	c.reg.GaugeFunc("rollout.treated_hosts", func() float64 { return float64(c.treated) })
 	c.reg.GaugeFunc("rollout.candidates_alive", func() float64 { return float64(c.aliveCount()) })

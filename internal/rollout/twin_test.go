@@ -254,7 +254,7 @@ func TestTwinDriftAdvisesRecalibration(t *testing.T) {
 	if !found {
 		t.Fatalf("no %s event in log:\n%s", trace.KindRolloutRecalib, r.EventLog())
 	}
-	if c.Telemetry().Counter("rollout.recalib_advised").Value() != r.RecalibrationAdvised {
+	if got, _ := c.Telemetry().Snapshot().Get("rollout.recalib_advised"); int64(got.Value) != r.RecalibrationAdvised {
 		t.Fatalf("counter and Result disagree")
 	}
 	if !strings.Contains(r.Render(), "twin recalibration advised") {

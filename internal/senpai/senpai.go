@@ -151,6 +151,9 @@ type Controller struct {
 	totalRequested int64
 	totalReclaimed int64
 	runs           int64
+	// Per-target decisions by kind: probes that reclaimed, backoffs (no
+	// request), and write-regulated probes.
+	reclaims, backoffs, writeRegulated int64
 
 	// Online parameter tuning (§3.3 future work); see autotune.go.
 	autoTune AutoTuneConfig
@@ -158,10 +161,8 @@ type Controller struct {
 
 	trace *trace.Recorder
 
-	// Registry instruments, nil until EnableTelemetry.
-	telRuns, telReclaims, telBackoffs, telWriteRg *telemetry.Counter
-	telRequested, telReclaimed                    *telemetry.Counter
-	telProbe                                      *telemetry.Histogram
+	// telProbe is the probe-size histogram, nil until EnableTelemetry.
+	telProbe *telemetry.Histogram
 }
 
 // SetTrace attaches the host's decision recorder: each control interval
@@ -173,12 +174,12 @@ func (c *Controller) SetTrace(r *trace.Recorder) { c.trace = r }
 
 // EnableTelemetry registers the controller's decision counters with reg.
 func (c *Controller) EnableTelemetry(reg *telemetry.Registry) {
-	c.telRuns = reg.Counter("senpai.runs")
-	c.telReclaims = reg.Counter("senpai.reclaim_decisions")
-	c.telBackoffs = reg.Counter("senpai.backoff_decisions")
-	c.telWriteRg = reg.Counter("senpai.write_regulated_decisions")
-	c.telRequested = reg.Counter("senpai.requested_bytes")
-	c.telReclaimed = reg.Counter("senpai.reclaimed_bytes")
+	reg.CounterFunc("senpai.runs", func() int64 { return c.runs })
+	reg.CounterFunc("senpai.reclaim_decisions", func() int64 { return c.reclaims })
+	reg.CounterFunc("senpai.backoff_decisions", func() int64 { return c.backoffs })
+	reg.CounterFunc("senpai.write_regulated_decisions", func() int64 { return c.writeRegulated })
+	reg.CounterFunc("senpai.requested_bytes", func() int64 { return c.totalRequested })
+	reg.CounterFunc("senpai.reclaimed_bytes", func() int64 { return c.totalReclaimed })
 	c.telProbe = reg.Histogram("senpai.probe_bytes")
 }
 
@@ -304,10 +305,6 @@ func (c *Controller) Tick(now vclock.Time) {
 		c.writeScale = 1
 	}
 
-	if c.telRuns != nil {
-		c.telRuns.Inc()
-	}
-
 	// Span layout: the whole interval is one tick span; each target's probe
 	// is a child laid out sequentially in virtual time, advanced by the
 	// synchronous cost its reclaim call reported, so siblings never overlap
@@ -388,20 +385,16 @@ func (c *Controller) Tick(now vclock.Time) {
 		c.totalReclaimed += act.Reclaimed
 		c.last[g] = act
 
-		if c.telRuns != nil {
-			c.telRequested.Add(act.Requested)
-			c.telReclaimed.Add(act.Reclaimed)
-			switch {
-			case act.WriteLimited:
-				c.telWriteRg.Inc()
-			case act.Requested == 0:
-				c.telBackoffs.Inc()
-			default:
-				c.telReclaims.Inc()
-			}
-			if act.Requested > 0 {
-				c.telProbe.Record(float64(act.Requested))
-			}
+		switch {
+		case act.WriteLimited:
+			c.writeRegulated++
+		case act.Requested == 0:
+			c.backoffs++
+		default:
+			c.reclaims++
+		}
+		if act.Requested > 0 {
+			c.telProbe.Record(float64(act.Requested))
 		}
 		if probe != nil {
 			probe.Annotate("requested_bytes", act.Requested)

@@ -69,17 +69,16 @@ type Server struct {
 	lastResults []workload.TickResult
 	lastAvgTime vclock.Time
 	ticks       int64
+	// stallIntegrations counts the task stall intervals folded into the
+	// PSI trackers.
+	stallIntegrations int64
 
 	// events is the per-tick PSI transition buffer, reused across ticks so
 	// the steady-state tick loop performs no event allocations.
 	events []stallEvent
 
-	// Registry instruments, nil until EnableTelemetry.
-	telTicks            *telemetry.Counter
-	telTickWall         *telemetry.Histogram
-	telMemStall         *telemetry.Histogram
-	telIOStall          *telemetry.Histogram
-	telStallIntegration *telemetry.Counter
+	// Registry histograms, nil until EnableTelemetry.
+	telTickWall, telMemStall, telIOStall *telemetry.Histogram
 }
 
 // EnableTelemetry registers the simulator's instruments with reg: tick
@@ -87,11 +86,11 @@ type Server struct {
 // microseconds), and the PSI layer's stall-duration histograms fed from the
 // per-task stall intervals as they are integrated into the trackers.
 func (s *Server) EnableTelemetry(reg *telemetry.Registry) {
-	s.telTicks = reg.Counter("sim.ticks")
+	reg.CounterFunc("sim.ticks", func() int64 { return s.ticks })
 	s.telTickWall = reg.Histogram("sim.tick_wall_us")
 	s.telMemStall = reg.Histogram("psi.stall_duration_us", telemetry.Label{Key: "resource", Value: "memory"})
 	s.telIOStall = reg.Histogram("psi.stall_duration_us", telemetry.Label{Key: "resource", Value: "io"})
-	s.telStallIntegration = reg.Counter("psi.stall_integrations")
+	reg.CounterFunc("psi.stall_integrations", func() int64 { return s.stallIntegrations })
 }
 
 // NewServer builds a server from cfg.
@@ -217,10 +216,7 @@ func (s *Server) Run(d vclock.Duration) {
 
 // step executes one tick.
 func (s *Server) step() {
-	var wallStart time.Time
-	if s.telTickWall != nil {
-		wallStart = time.Now()
-	}
+	wallStart := time.Now()
 	now := s.clock.Now()
 	tick := s.cfg.TickLen
 
@@ -273,15 +269,13 @@ func (s *Server) step() {
 		for _, iv := range res.Stalls {
 			events = append(events, stallEvent{at: iv.Start, g: a.Group, mem: iv.Mem, io: iv.IO, cpu: iv.CPU, start: true})
 			events = append(events, stallEvent{at: iv.End, g: a.Group, mem: iv.Mem, io: iv.IO, cpu: iv.CPU, start: false})
-			if s.telStallIntegration != nil {
-				s.telStallIntegration.Inc()
-				d := float64(iv.End.Sub(iv.Start))
-				if iv.Mem {
-					s.telMemStall.Record(d)
-				}
-				if iv.IO {
-					s.telIOStall.Record(d)
-				}
+			s.stallIntegrations++
+			d := float64(iv.End.Sub(iv.Start))
+			if iv.Mem {
+				s.telMemStall.Record(d)
+			}
+			if iv.IO {
+				s.telIOStall.Record(d)
 			}
 		}
 	}
@@ -346,10 +340,7 @@ func (s *Server) step() {
 		fn(next)
 	}
 	s.ticks++
-	if s.telTicks != nil {
-		s.telTicks.Inc()
-		s.telTickWall.Record(float64(time.Since(wallStart).Microseconds()))
-	}
+	s.telTickWall.Record(float64(time.Since(wallStart).Microseconds()))
 }
 
 // throttleFactor maps host free-memory fraction to the admitted-load factor

@@ -28,15 +28,48 @@ func TestCounter(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("host.used_bytes")
-	g.Set(3.5)
-	if g.Value() != 3.5 {
-		t.Fatalf("value = %v", g.Value())
+	v := 3.5
+	r.GaugeFunc("host.used_bytes", func() float64 { return v })
+	if m, _ := r.Snapshot().Get("host.used_bytes"); m.Value != 3.5 || m.Kind != "gauge" {
+		t.Fatalf("gauge = %+v", m)
 	}
-	g.Set(-1)
-	if g.Value() != -1 {
-		t.Fatalf("gauges must go down too: %v", g.Value())
+	v = -1
+	if m, _ := r.Snapshot().Get("host.used_bytes"); m.Value != -1 {
+		t.Fatalf("gauges must go down too: %v", m.Value)
 	}
+}
+
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	var n int64 = 5
+	r.CounterFunc("mm.refaults", func() int64 { return n })
+	n = 8
+	m, ok := r.Snapshot().Get("mm.refaults")
+	if !ok || m.Kind != "counter" || m.Value != 8 {
+		t.Fatalf("counter func = %+v ok=%v, want a counter read at snapshot time", m, ok)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE mm_refaults counter\nmm_refaults 8\n"; buf.String() != want {
+		t.Fatalf("exposition = %q, want %q", buf.String(), want)
+	}
+	// A func-backed series cannot be requested as a push counter.
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("push lookup of a counter func did not panic")
+		}
+	}()
+	r.Counter("mm.refaults")
+}
+
+func TestNilInstrumentsIgnoreUpdates(t *testing.T) {
+	var c *Counter
+	c.Inc()
+	c.Add(3)
+	var h *Histogram
+	h.Record(42)
 }
 
 func TestGaugeFunc(t *testing.T) {
@@ -80,7 +113,7 @@ func TestKindMismatchPanics(t *testing.T) {
 	}()
 	r := NewRegistry()
 	r.Counter("x")
-	r.Gauge("x")
+	r.GaugeFunc("x", func() float64 { return 0 })
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -212,7 +245,7 @@ func TestSnapshotAndGet(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mm.refaults").Add(12)
-	r.Gauge("host.used_bytes").Set(4096)
+	r.GaugeFunc("host.used_bytes", func() float64 { return 4096 })
 	r.Counter("backend.ssd.reads", Label{"device", "tlc-1"}).Add(2)
 	h := r.Histogram("backend.ssd.read_latency_us", Label{"device", "tlc-1"})
 	h.Record(80)
@@ -305,7 +338,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("mm.scans").Inc()
-				r.Gauge("host.free").Set(float64(j))
+				r.GaugeFunc("host.free", func() float64 { return 1 })
 				r.Histogram("mm.fault_latency_us").Record(float64(j%97 + 1))
 			}
 			_ = r.Snapshot()

@@ -12,7 +12,7 @@ import (
 func TestScraperKinds(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("reqs").Add(7)
-	reg.Gauge("temp", telemetry.Label{Key: "zone", Value: "a"}).Set(1.5)
+	reg.GaugeFunc("temp", func() float64 { return 1.5 }, telemetry.Label{Key: "zone", Value: "a"})
 	h := reg.Histogram("lat_us")
 	for i := 1; i <= 100; i++ {
 		h.Record(float64(i))
@@ -46,7 +46,7 @@ func TestScraperFilterAndBaseClash(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("keep").Inc()
 	reg.Counter("drop").Inc()
-	reg.Gauge("owned", telemetry.Label{Key: "host", Value: "self"}).Set(1)
+	reg.GaugeFunc("owned", func() float64 { return 1 }, telemetry.Label{Key: "host", Value: "self"})
 
 	db := New(Config{})
 	sc := &Scraper{DB: db, Filter: func(name string) bool { return name != "drop" }}
