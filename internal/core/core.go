@@ -298,7 +298,7 @@ func chainSpecs(opts Options) []backend.TierSpec {
 
 // wireTelemetry connects every layer to the system's registry and decision
 // stream: the memory manager, the device and offload backends, the simulator's
-// PSI integration, and gauge functions over quantities other layers already
+// PSI integration, and read functions over quantities other layers already
 // track (host occupancy, root PSI totals, swap contents).
 func (s *System) wireTelemetry() {
 	reg := s.Telemetry
@@ -326,7 +326,8 @@ func (s *System) wireTelemetry() {
 	}
 
 	// Root PSI totals, synced to the current virtual instant on read — the
-	// pressure-file "total" fields production Senpai differences.
+	// pressure-file "total" fields production Senpai differences. They are
+	// cumulative, so they export as counters.
 	root := s.Server.Hierarchy().Root()
 	for _, res := range []struct {
 		r    psi.Resource
@@ -338,10 +339,10 @@ func (s *System) wireTelemetry() {
 			name string
 		}{{psi.Some, "some"}, {psi.Full, "full"}} {
 			kind := kind
-			reg.GaugeFunc("psi."+res.name+"."+kind.name+"_total_us", func() float64 {
+			reg.CounterFunc("psi."+res.name+"."+kind.name+"_total_us", func() int64 {
 				tr := root.PSI()
 				tr.Sync(s.Server.Now())
-				return float64(tr.Total(res.r, kind.k))
+				return int64(tr.Total(res.r, kind.k))
 			})
 		}
 	}
