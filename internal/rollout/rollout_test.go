@@ -1,6 +1,8 @@
 package rollout
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -547,5 +549,56 @@ func TestWarmupCrashKeepsRPSNorm(t *testing.T) {
 		if math.Abs(got-want) > 0.01 {
 			t.Errorf("stage %s rps ratio %.4f with a warm-up crash, %.4f without", st.Stage.Name, got, want)
 		}
+	}
+}
+
+// CXL rollout digests: fnv-64a of cxlGoldenConfig's event log and rendered
+// scorecard. Only ModeCXL hosts run a placement loop, so these pin every
+// same-mode push, crash and rejoin on hosts that carry one.
+const (
+	cxlEventLogGolden = "888ff95add9f37f8"
+	cxlRenderGolden   = "acd0dfc2735de352"
+)
+
+// cxlGoldenConfig is a 6-host ModeCXL fleet raced by one same-mode candidate
+// that differs from the baseline only in its Senpai ratio, so the rollout
+// reaches hosts through live pushes alone, with one host crashing and
+// rejoining mid-rollout.
+func cxlGoldenConfig() Config {
+	cfg := testConfig(Policy{Name: "candidate", Mode: core.ModeCXL, Config: safeCandidate()})
+	cfg.Hosts = testFleet(6)
+	for i := range cfg.Hosts {
+		cfg.Hosts[i].Mode = core.ModeCXL
+	}
+	cfg.Baseline.Mode = core.ModeCXL
+	cfg.Crashes = []Crash{{
+		Host:     3,
+		Schedule: chaos.Schedule{At: vclock.Time(3 * cfg.Window), Dur: 2 * cfg.Window},
+	}}
+	return cfg
+}
+
+// TestCXLRolloutGolden pins a rollout over placement-running hosts against
+// digests of its event log and scorecard.
+func TestCXLRolloutGolden(t *testing.T) {
+	r := New(cxlGoldenConfig()).Run()
+	for _, h := range r.Hosts {
+		if h.Rebuilds != 0 {
+			t.Fatalf("host %d rebuilt %d times; a same-mode candidate must push live", h.Index, h.Rebuilds)
+		}
+	}
+	if h := r.Hosts[3]; h.Crashes != 1 || h.Rejoins != 1 {
+		t.Fatalf("host 3 crashes=%d rejoins=%d, want 1/1; log:\n%s", h.Crashes, h.Rejoins, r.EventLog())
+	}
+	digest := func(s string) string {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	if got := digest(r.EventLog()); got != cxlEventLogGolden {
+		t.Errorf("event log digest %s, want %s; log:\n%s", got, cxlEventLogGolden, r.EventLog())
+	}
+	if got := digest(r.Render()); got != cxlRenderGolden {
+		t.Errorf("scorecard digest %s, want %s; scorecard:\n%s", got, cxlRenderGolden, r.Render())
 	}
 }
