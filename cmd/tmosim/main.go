@@ -25,7 +25,6 @@ import (
 	"tmo/internal/backend"
 	"tmo/internal/cgroup"
 	"tmo/internal/core"
-	"tmo/internal/place"
 	"tmo/internal/psi"
 	"tmo/internal/telemetry"
 	"tmo/internal/tsdb"
@@ -78,10 +77,6 @@ func main() {
 		capacity = 2 * prof.FootprintBytes
 	}
 
-	var placement *place.Config
-	if *interleave > 0 {
-		placement = &place.Config{InterleaveFrac: *interleave}
-	}
 	var tiers []backend.TierSpec
 	if *tiersStr != "" {
 		if mode == core.ModeOff || mode == core.ModeFileOnly {
@@ -90,13 +85,13 @@ func main() {
 		tiers = cliutil.MustTierSpec("tmosim", *tiersStr)
 	}
 	sys := core.New(core.Options{
-		Mode:          mode,
-		CapacityBytes: capacity,
-		CXLBytes:      *cxlMiB * workload.MiB,
-		DeviceModel:   *device,
-		Placement:     placement,
-		Tiers:         tiers,
-		Seed:          *seed,
+		Mode:           mode,
+		CapacityBytes:  capacity,
+		CXLBytes:       *cxlMiB * workload.MiB,
+		DeviceModel:    *device,
+		InterleaveFrac: *interleave,
+		Tiers:          tiers,
+		Seed:           *seed,
 	})
 	app := sys.AddProfile(prof, cgroup.Workload)
 	if *withTax {

@@ -143,10 +143,11 @@ type Options struct {
 	// default equal to DRAM (a common expander sizing). Ignored by other
 	// modes.
 	CXLBytes int64
-	// Placement overrides the ModeCXL placement-loop configuration; nil
-	// selects place.DefaultConfig. Like Senpai, this is the boot-time
-	// config; a rollout-pushed policy may replace it live.
-	Placement *place.Config
+	// InterleaveFrac, when positive, replaces the ModeCXL placement loop
+	// with the static-interleave baseline: that fraction of new anonymous
+	// pages is placed far at allocation and nothing migrates. Zero runs the
+	// loop. Ignored by other modes.
+	InterleaveFrac float64
 	// NCPU enables CPU contention when worker demand exceeds it; zero
 	// disables.
 	NCPU int
@@ -246,17 +247,10 @@ func New(opts Options) *System {
 		sys.Senpai = senpai.New(cfg, sys.Chain)
 		sys.Senpai.SetTrace(sys.Trace)
 		sys.Senpai.EnableTelemetry(sys.Telemetry)
-		if sys.CXL != nil {
-			sys.Senpai.SetFarNode(sys.CXL)
-		}
 		sys.Server.AddController(sys.Senpai)
 	}
 	if sys.CXL != nil {
-		pcfg := place.DefaultConfig()
-		if opts.Placement != nil {
-			pcfg = *opts.Placement
-		}
-		sys.Place = place.New(pcfg, sys.Server.Manager(), sys.CXL)
+		sys.Place = place.New(sys.Server.Manager(), sys.CXL, opts.InterleaveFrac)
 		sys.Place.SetTrace(sys.Trace)
 		sys.Place.EnableTelemetry(sys.Telemetry)
 		sys.Server.AddController(sys.Place)

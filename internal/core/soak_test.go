@@ -35,7 +35,7 @@ func TestSoakLongRun(t *testing.T) {
 		SwapReadahead: 4,
 		Seed:          99,
 	})
-	sys.Senpai.EnableAutoTune(senpai.DefaultAutoTune())
+	sys.Senpai.EnableAutoTune()
 
 	web := sys.AddProfile(workload.MustCatalog("web").Scale(0.5), cgroup.Workload)
 	feed := sys.AddProfile(workload.MustCatalog("feed").Scale(0.5), cgroup.Workload)

@@ -55,7 +55,7 @@ func AutoTune(cfg Config) AutoTuneResult {
 			Hook: func(h *fleet.Host) {
 				g := h.Apps[0].Group
 				if i == 1 {
-					h.Senpai.EnableAutoTune(senpai.DefaultAutoTune())
+					h.Senpai.EnableAutoTune()
 				}
 				smp := newSampler(20 * vclock.Second)
 				smp.add(func(now vclock.Time) { s.Record(now, float64(g.MemoryCurrent())) })

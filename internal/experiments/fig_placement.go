@@ -6,7 +6,6 @@ import (
 
 	"tmo/internal/core"
 	"tmo/internal/fleet"
-	"tmo/internal/place"
 	"tmo/internal/textplot"
 	"tmo/internal/vclock"
 	"tmo/internal/workload"
@@ -104,25 +103,25 @@ func PlacementScorecard(cfg Config) PlacementResult {
 	}
 
 	strategies := []struct {
-		name      string
-		mode      core.Mode
-		placement *place.Config
+		name       string
+		mode       core.Mode
+		interleave float64
 	}{
-		{"tpp", core.ModeCXL, nil},
-		{"local+swap", core.ModeSSDSwap, nil},
-		{"interleave", core.ModeCXL, &place.Config{InterleaveFrac: interleaveFrac}},
+		{"tpp", core.ModeCXL, 0},
+		{"local+swap", core.ModeSSDSwap, 0},
+		{"interleave", core.ModeCXL, interleaveFrac},
 	}
 	arms := []fleet.Arm{fleet.Baseline(core.Options{CapacityBytes: 2 * p.FootprintBytes, Seed: cfg.Seed + 2600}, warm, p)}
 	for _, s := range strategies {
 		arms = append(arms, fleet.Arm{
 			Opts: core.Options{
-				Mode:          s.mode,
-				CapacityBytes: capacity,
-				CXLBytes:      cxlBytes,
-				DeviceModel:   "C",
-				DisableSenpai: true,
-				Placement:     s.placement,
-				Seed:          cfg.Seed + 2600,
+				Mode:           s.mode,
+				CapacityBytes:  capacity,
+				CXLBytes:       cxlBytes,
+				DeviceModel:    "C",
+				DisableSenpai:  true,
+				InterleaveFrac: s.interleave,
+				Seed:           cfg.Seed + 2600,
 			},
 			Services: []workload.Profile{p},
 			Measure:  measure,

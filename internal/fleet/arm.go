@@ -16,8 +16,8 @@ import (
 // comparing identically seeded hosts that differ in one knob — offloading
 // off or on, backend, device, controller — so an exhibit or an A/B pair is
 // a list of arms plus a score function, and RunArms does the rest. Each arm
-// carries its own seed and its own Senpai/placement config pointers: arms
-// share no mutable state and may run in any order.
+// carries its own seed and its own Senpai config pointer: arms share no
+// mutable state and may run in any order.
 type Arm struct {
 	Opts core.Options
 	// Services are added as cgroup.Workload containers, in order. The first

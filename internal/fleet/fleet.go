@@ -19,7 +19,6 @@ import (
 
 	"tmo/internal/backend"
 	"tmo/internal/core"
-	"tmo/internal/place"
 	"tmo/internal/senpai"
 	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
@@ -57,10 +56,6 @@ type Spec struct {
 	// ModeCXL; zero keeps the core default (host DRAM size). A positive
 	// value also marks the host's device cohort as CXL-bearing.
 	CXLBytes int64
-	// Placement optionally overrides the ModeCXL placement-loop
-	// configuration the host boots with. Like Senpai, a pushed rollout
-	// policy's placement knobs win over this spec-level value.
-	Placement *place.Config
 	// WithTax co-schedules the datacenter- and microservice-tax sidecars.
 	WithTax bool
 	// Seed makes the server deterministic; A/B pairs share it.
@@ -136,7 +131,6 @@ func (s Spec) arm(mode core.Mode, warm, measure vclock.Duration) Arm {
 			Senpai:        s.Senpai,
 			Tiers:         s.Tiers,
 			CXLBytes:      s.CXLBytes,
-			Placement:     s.Placement,
 			Seed:          s.Seed,
 		},
 		Services: []workload.Profile{s.appProfile()},

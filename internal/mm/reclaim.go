@@ -210,7 +210,7 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 		reclaimed++
 	}
 	res.ReclaimedBytes = reclaimed * m.cfg.PageSize
-	res.StallTime += vclock.Duration(res.ScannedPages) * m.cfg.ScanCPUPerPage / 8 // a table walk, not a list scan
+	res.StallTime += vclock.Duration(res.ScannedPages) * scanCPUPerPage / 8 // a table walk, not a list scan
 	g.noteShrink(res, writebacks)
 	return res
 }
@@ -355,7 +355,7 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 	}
 	reclaimed += m.flushSwapOuts(now, g, &res)
 	res.ReclaimedBytes = reclaimed * m.cfg.PageSize
-	res.StallTime += vclock.Duration(res.ScannedPages) * m.cfg.ScanCPUPerPage
+	res.StallTime += vclock.Duration(res.ScannedPages) * scanCPUPerPage
 	g.noteShrink(res, writebacks)
 	return res
 }

@@ -9,13 +9,13 @@ import (
 
 // BenchmarkPlaceTick is one controller interval over a 4096-page far list:
 // it commits the previous interval's promotions, samples a 256-page budget
-// and begins up to MaxInflight new promotions. Each round first heats every
+// and begins up to maxInflight new promotions. Each round first heats every
 // 32nd page (eight in any 256-page window) with two touches, and afterwards
 // frees and refaults the pages it promoted, which static interleaving puts
 // back on the far node, so every round starts from the same steady state.
 func BenchmarkPlaceTick(b *testing.B) {
 	const n, stride = 4096, 32
-	hn := newHarness(b, 2*n, n, Config{})
+	hn := newHarness(b, 2*n, n, 0)
 	hn.mgr.SetFarInterleave(1)
 	pages := hn.mgr.NewPages(hn.g.MM(), mm.Anon, n, 1)
 	for _, p := range pages {

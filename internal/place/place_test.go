@@ -21,7 +21,7 @@ type harness struct {
 	ctrl *Controller
 }
 
-func newHarness(t testing.TB, capacityPages, farPages int64, cfg Config) *harness {
+func newHarness(t testing.TB, capacityPages, farPages int64, interleave float64) *harness {
 	t.Helper()
 	spec := backend.SpecCXLNode
 	spec.CapacityBytes = farPages * pageSize
@@ -36,7 +36,7 @@ func newHarness(t testing.TB, capacityPages, farPages int64, cfg Config) *harnes
 	})
 	h := cgroup.NewHierarchy(mgr, 0)
 	g := h.NewGroup(nil, "app", cgroup.Workload, 0)
-	ctrl := New(cfg, mgr, node)
+	ctrl := New(mgr, node, interleave)
 	ctrl.AddTarget(g)
 	return &harness{mgr: mgr, node: node, h: h, g: g, ctrl: ctrl}
 }
@@ -74,7 +74,7 @@ func (hn *harness) tickAt(base vclock.Time, offsets ...vclock.Duration) {
 }
 
 func TestPromotionLifecycle(t *testing.T) {
-	hn := newHarness(t, 64, 64, Config{})
+	hn := newHarness(t, 64, 64, 0)
 	far := hn.demote(t, 16)
 	hot := far[0]
 
@@ -102,7 +102,7 @@ func TestPromotionLifecycle(t *testing.T) {
 }
 
 func TestPromotionAbortsOnChurn(t *testing.T) {
-	hn := newHarness(t, 64, 64, Config{})
+	hn := newHarness(t, 64, 64, 0)
 	far := hn.demote(t, 16)
 	hot := far[0]
 
@@ -137,7 +137,7 @@ func TestPromotionAbortsOnChurn(t *testing.T) {
 // is back on the far tier — but the copy holds its previous life's content,
 // so it must abort as churn rather than commit.
 func TestStaleCopyAbortsAfterChurn(t *testing.T) {
-	hn := newHarness(t, 64, 64, Config{})
+	hn := newHarness(t, 64, 64, 0)
 	far := hn.demote(t, 16)
 	hot := far[0]
 
@@ -172,7 +172,7 @@ func TestStaleCopyAbortsAfterChurn(t *testing.T) {
 }
 
 func TestPromotionAbortsOnLinkStall(t *testing.T) {
-	hn := newHarness(t, 64, 64, Config{})
+	hn := newHarness(t, 64, 64, 0)
 	far := hn.demote(t, 16)
 	hot := far[0]
 
@@ -198,7 +198,7 @@ func TestPromotionAbortsOnLinkStall(t *testing.T) {
 }
 
 func TestPromotionAbortsOnLocalPressure(t *testing.T) {
-	hn := newHarness(t, 64, 64, Config{})
+	hn := newHarness(t, 64, 64, 0)
 	far := hn.demote(t, 16)
 	hot := far[0]
 
@@ -235,7 +235,7 @@ func TestClampHeadroomExchange(t *testing.T) {
 	// a group pinned at memory.max would abort every promotion, so the
 	// watermark demoter watches limit headroom, exchanges cold pages to
 	// the far node, and the hot page's promotion commits through the gap.
-	hn := newHarness(t, 64, 64, Config{})
+	hn := newHarness(t, 64, 64, 0)
 	far := hn.demote(t, 16)
 	hot := far[0]
 
@@ -260,7 +260,7 @@ func TestClampHeadroomExchange(t *testing.T) {
 }
 
 func TestStaticInterleaveDisablesMigration(t *testing.T) {
-	hn := newHarness(t, 256, 256, Config{InterleaveFrac: 0.5})
+	hn := newHarness(t, 256, 256, 0.5)
 	pages := hn.mgr.NewPages(hn.g.MM(), mm.Anon, 40, 1)
 	for i, p := range pages {
 		hn.mgr.Touch(vclock.Time(i), p)
@@ -290,7 +290,7 @@ func TestStaticInterleaveDisablesMigration(t *testing.T) {
 }
 
 func TestWatermarkDemotion(t *testing.T) {
-	hn := newHarness(t, 64, 64, Config{DemoteStepFrac: 0.5})
+	hn := newHarness(t, 64, 64, 0)
 	// Fill local memory close to capacity so free drops under the
 	// watermark.
 	pages := hn.mgr.NewPages(hn.g.MM(), mm.Anon, 61, 1)
@@ -309,7 +309,7 @@ func TestWatermarkDemotion(t *testing.T) {
 }
 
 func TestTelemetryRegisters(t *testing.T) {
-	hn := newHarness(t, 64, 64, Config{})
+	hn := newHarness(t, 64, 64, 0)
 	reg := telemetry.NewRegistry()
 	hn.ctrl.EnableTelemetry(reg)
 	far := hn.demote(t, 16)

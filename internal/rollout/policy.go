@@ -5,7 +5,6 @@ import (
 
 	"tmo/internal/backend"
 	"tmo/internal/core"
-	"tmo/internal/place"
 	"tmo/internal/senpai"
 )
 
@@ -15,7 +14,9 @@ import (
 // mode matches the host's running mode is a live config swap
 // (Senpai.SetConfig); a mode-changing push rebuilds the host through the
 // same fleet.BuildHost path a crash/rejoin uses, at a stage barrier, so
-// zswap → tiered style migrations stage exactly like config tunings.
+// zswap → tiered style migrations stage exactly like config tunings. A
+// ModeCXL host's placement loop has no settings to push: it runs the one
+// configuration internal/place fixes for every host.
 //
 // Precedence: a policy in force always wins over the host's fleet.Spec —
 // Spec.Mode and Spec.Senpai describe the host's standalone state and are
@@ -35,12 +36,6 @@ type Policy struct {
 	// its fleet.TierSignature keys twin surfaces. Empty keeps the spec's own
 	// layout. Applied on (re)build only — it cannot change live.
 	Tiers []backend.TierSpec
-	// Placement optionally carries ModeCXL placement-loop knobs for the
-	// bandit to race (sampling budgets, watermarks, promote thresholds —
-	// see place.Config). Pushed live on same-mode pushes and applied on
-	// rebuilds; nil leaves hosts at placement defaults. Non-CXL hosts
-	// ignore it.
-	Placement *place.Config
 }
 
 // validate panics unless the policy is usable, naming who it belongs to.

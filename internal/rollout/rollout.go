@@ -570,17 +570,14 @@ func (c *Controller) aliveCount() int {
 }
 
 // hostSpec is the spec a host runs under pol: the policy's mode and Senpai
-// config, and its chain layout and placement knobs where it carries them,
-// override the host's own (pushed policy wins over Spec.Senpai).
+// config, and its chain layout where it carries one, override the host's
+// own (pushed policy wins over Spec.Senpai).
 func hostSpec(s fleet.Spec, pol Policy) fleet.Spec {
 	s.Mode = pol.Mode
 	cfg := pol.Config
 	s.Senpai = &cfg
 	if len(pol.Tiers) > 0 {
 		s.Tiers = pol.Tiers
-	}
-	if pol.Placement != nil {
-		s.Placement = pol.Placement
 	}
 	return s
 }
@@ -634,7 +631,6 @@ func (c *Controller) pushPolicy(h *host) bool {
 		return true
 	}
 	h.sim.SetSenpaiConfig(pol.Config)
-	h.sim.SetPlacementConfig(pol.Placement)
 	return false
 }
 

@@ -17,31 +17,17 @@ import (
 // multiplicative cut on a pressure breach. AIMD keeps the aggressive regime
 // self-correcting — one breach undoes many raises.
 
-// AutoTuneConfig parameterises the online tuner.
-type AutoTuneConfig struct {
-	// Enabled turns the tuner on.
-	Enabled bool
-	// MinMult/MaxMult bound the ratio multiplier.
-	MinMult, MaxMult float64
-	// RaiseFactor is applied after RaiseAfter consecutive calm intervals
+// The tuner's AIMD parameters.
+const (
+	// minMult and maxMult bound the ratio multiplier.
+	minMult, maxMult float64 = 0.25, 16
+	// raiseFactor is applied after raiseAfter consecutive calm intervals
 	// (pressure under half the threshold).
-	RaiseFactor float64
-	RaiseAfter  int
-	// CutFactor is applied when pressure reaches the threshold.
-	CutFactor float64
-}
-
-// DefaultAutoTune returns a production-plausible tuner configuration.
-func DefaultAutoTune() AutoTuneConfig {
-	return AutoTuneConfig{
-		Enabled:     true,
-		MinMult:     0.25,
-		MaxMult:     16,
-		RaiseFactor: 1.25,
-		RaiseAfter:  3,
-		CutFactor:   0.5,
-	}
-}
+	raiseFactor float64 = 1.25
+	raiseAfter  int     = 3
+	// cutFactor is applied when pressure reaches the threshold.
+	cutFactor float64 = 0.5
+)
 
 // tuneState tracks one container's tuner.
 type tuneState struct {
@@ -50,8 +36,7 @@ type tuneState struct {
 }
 
 // EnableAutoTune switches the controller's online parameter tuning on.
-func (c *Controller) EnableAutoTune(cfg AutoTuneConfig) {
-	c.autoTune = cfg
+func (c *Controller) EnableAutoTune() {
 	if c.tune == nil {
 		c.tune = make(map[*cgroup.Group]*tuneState)
 	}
@@ -69,7 +54,7 @@ func (c *Controller) TuneMultiplier(g *cgroup.Group) float64 {
 // tunedRatio applies the AIMD update for one interval and returns the
 // effective reclaim ratio for g.
 func (c *Controller) tunedRatio(g *cgroup.Group, cfg Config, memP, ioP float64) float64 {
-	if !c.autoTune.Enabled {
+	if c.tune == nil {
 		return cfg.ReclaimRatio
 	}
 	st, ok := c.tune[g]
@@ -83,22 +68,22 @@ func (c *Controller) tunedRatio(g *cgroup.Group, cfg Config, memP, ioP float64) 
 		(cfg.IOPressureThreshold <= 0 || ioP < cfg.IOPressureThreshold/2)
 	switch {
 	case breach:
-		st.mult *= c.autoTune.CutFactor
+		st.mult *= cutFactor
 		st.calm = 0
 	case calm:
 		st.calm++
-		if st.calm >= c.autoTune.RaiseAfter {
-			st.mult *= c.autoTune.RaiseFactor
+		if st.calm >= raiseAfter {
+			st.mult *= raiseFactor
 			st.calm = 0
 		}
 	default:
 		st.calm = 0
 	}
-	if st.mult < c.autoTune.MinMult {
-		st.mult = c.autoTune.MinMult
+	if st.mult < minMult {
+		st.mult = minMult
 	}
-	if st.mult > c.autoTune.MaxMult {
-		st.mult = c.autoTune.MaxMult
+	if st.mult > maxMult {
+		st.mult = maxMult
 	}
 	return cfg.ReclaimRatio * st.mult
 }

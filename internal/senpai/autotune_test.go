@@ -12,10 +12,10 @@ func TestAutoTuneRampsWhileCalm(t *testing.T) {
 	e.populate(50000)
 	c := New(ConfigA(), nil)
 	c.AddTarget(e.g)
-	c.EnableAutoTune(DefaultAutoTune())
+	c.EnableAutoTune()
 	c.Tick(0)
 	now := vclock.Time(0)
-	// With zero pressure, the multiplier climbs every RaiseAfter intervals.
+	// With zero pressure, the multiplier climbs every raiseAfter intervals.
 	for i := 0; i < 30; i++ {
 		now = now.Add(6 * vclock.Second)
 		c.Tick(now)
@@ -24,7 +24,7 @@ func TestAutoTuneRampsWhileCalm(t *testing.T) {
 	if mult <= 2 {
 		t.Fatalf("multiplier = %v after 30 calm intervals, want ramped", mult)
 	}
-	if mult > DefaultAutoTune().MaxMult {
+	if mult > maxMult {
 		t.Fatalf("multiplier %v above cap", mult)
 	}
 	// Reclaim requests scale with the multiplier (within the probe cap).
@@ -40,7 +40,7 @@ func TestAutoTuneCutsOnBreach(t *testing.T) {
 	e.populate(50000)
 	c := New(ConfigA(), nil)
 	c.AddTarget(e.g)
-	c.EnableAutoTune(DefaultAutoTune())
+	c.EnableAutoTune()
 	c.Tick(0)
 	now := vclock.Time(0)
 	for i := 0; i < 30; i++ {
@@ -59,8 +59,8 @@ func TestAutoTuneCutsOnBreach(t *testing.T) {
 	if cut >= ramped {
 		t.Fatalf("breach did not cut multiplier: %v -> %v", ramped, cut)
 	}
-	if cut != ramped*DefaultAutoTune().CutFactor {
-		t.Fatalf("cut = %v, want %v", cut, ramped*DefaultAutoTune().CutFactor)
+	if cut != ramped*cutFactor {
+		t.Fatalf("cut = %v, want %v", cut, ramped*cutFactor)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestAutoTuneBoundedBelow(t *testing.T) {
 	e.populate(10000)
 	c := New(ConfigA(), nil)
 	c.AddTarget(e.g)
-	c.EnableAutoTune(DefaultAutoTune())
+	c.EnableAutoTune()
 	c.Tick(0)
 	e.g.TaskStart(0)
 	now := vclock.Time(0)
@@ -98,7 +98,7 @@ func TestAutoTuneBoundedBelow(t *testing.T) {
 		now = now.Add(6 * vclock.Second)
 		c.Tick(now)
 	}
-	if got := c.TuneMultiplier(e.g); got != DefaultAutoTune().MinMult {
-		t.Fatalf("multiplier = %v, want floor %v", got, DefaultAutoTune().MinMult)
+	if got := c.TuneMultiplier(e.g); got != minMult {
+		t.Fatalf("multiplier = %v, want floor %v", got, minMult)
 	}
 }

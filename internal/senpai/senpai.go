@@ -59,14 +59,6 @@ type Config struct {
 	// blocking expanding workloads motivated the memory.reclaim kernel
 	// addition (§3.3).
 	LimitMode bool
-	// FarDemoteBoost multiplies the reclaim probe while the host's
-	// byte-addressable far node (SetFarNode) has headroom: demotion to CXL
-	// costs link latency instead of a page fault, so Senpai can balance
-	// *placement* pressure more aggressively than offload pressure. The
-	// boosted probe still respects MaxProbeFrac and shrinks to the far
-	// node's remaining room. Values <= 1 (including zero) disable the
-	// boost.
-	FarDemoteBoost float64
 }
 
 // ConfigA returns the paper's production configuration ("Config A" in
@@ -123,10 +115,6 @@ type Action struct {
 type Controller struct {
 	cfg  Config
 	swap *backend.TierChain // may be nil in file-only mode
-	// farNode, when set, enables FarDemoteBoost: reclaim lands on the
-	// byte-addressable tier first, so probing harder is cheap while it has
-	// room.
-	farNode *backend.CXLNode
 
 	targets []*cgroup.Group
 	// perTarget overrides the controller configuration for individual
@@ -155,9 +143,9 @@ type Controller struct {
 	// request), and write-regulated probes.
 	reclaims, backoffs, writeRegulated int64
 
-	// Online parameter tuning (§3.3 future work); see autotune.go.
-	autoTune AutoTuneConfig
-	tune     map[*cgroup.Group]*tuneState
+	// Online parameter tuning (§3.3 future work), nil while off; see
+	// autotune.go.
+	tune map[*cgroup.Group]*tuneState
 
 	trace *trace.Recorder
 
@@ -223,11 +211,6 @@ func (c *Controller) SetConfig(cfg Config) {
 func (c *Controller) SetWriteBudget(bytesPerSec float64) {
 	c.cfg.WriteBudgetBytesPerSec = bytesPerSec
 }
-
-// SetFarNode attaches the host's byte-addressable far-memory node; with a
-// FarDemoteBoost configured, reclaim probes are scaled up while the node
-// has headroom (demotion is nearly free compared to swap).
-func (c *Controller) SetFarNode(n *backend.CXLNode) { c.farNode = n }
 
 // AddTarget registers a container for offloading under the controller's
 // global configuration.
@@ -334,22 +317,6 @@ func (c *Controller) Tick(now vclock.Time) {
 		c.observeWorkingSet(g, cfg, now, current, memP)
 		cfg.ReclaimRatio = c.tunedRatio(g, cfg, memP, ioP)
 		reclaim := ReclaimAmount(cfg, current, memP, ioP)
-
-		// Placement-pressure boost: while the far node has room, reclaim
-		// lands there as cheap demotions, so the probe scales up — bounded
-		// by the node's remaining headroom and the MaxProbeFrac cap.
-		if reclaim > 0 && c.farNode != nil && cfg.FarDemoteBoost > 1 {
-			boosted := int64(float64(reclaim) * cfg.FarDemoteBoost)
-			if free := c.farNode.FreeBytes(); boosted > free {
-				boosted = free
-			}
-			if maxStep := int64(float64(current) * cfg.MaxProbeFrac); boosted > maxStep {
-				boosted = maxStep
-			}
-			if boosted > reclaim {
-				reclaim = boosted
-			}
-		}
 
 		// Endurance regulation (§4.5): apply the regulator's gain.
 		if reclaim > 0 && c.writeScale < 1 {

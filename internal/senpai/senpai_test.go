@@ -381,69 +381,3 @@ func TestPerTargetConfigOverride(t *testing.T) {
 		t.Fatalf("override ratio wrong: %d, want ~%d", loose.Requested, want)
 	}
 }
-
-func TestFarDemoteBoostScalesProbe(t *testing.T) {
-	e := newEnv("")
-	e.populate(10000)
-	spec := backend.SpecCXLNode
-	spec.CapacityBytes = 256 * MiB
-	node := backend.NewCXLNode(spec)
-
-	cfg := ConfigA()
-	cfg.FarDemoteBoost = 4
-	c := New(cfg, nil)
-	c.AddTarget(e.g)
-	c.SetFarNode(node)
-	c.Tick(0)
-	now := vclock.Time(6 * vclock.Second)
-	before := e.g.MemoryCurrent()
-	c.Tick(now)
-	boosted := c.LastAction(e.g).Requested
-
-	// The same setup without a far node probes at the base ratio.
-	e2 := newEnv("")
-	e2.populate(10000)
-	c2 := New(cfg, nil)
-	c2.AddTarget(e2.g)
-	c2.Tick(0)
-	c2.Tick(now)
-	base := c2.LastAction(e2.g).Requested
-
-	if boosted < 3*base {
-		t.Fatalf("boosted probe %d vs base %d, want ~4x", boosted, base)
-	}
-	if maxStep := int64(float64(before) * cfg.MaxProbeFrac); boosted > maxStep {
-		t.Fatalf("boost exceeded MaxProbeFrac cap: %d > %d", boosted, maxStep)
-	}
-}
-
-func TestFarDemoteBoostBoundedByNodeHeadroom(t *testing.T) {
-	e := newEnv("")
-	e.populate(10000)
-	spec := backend.SpecCXLNode
-	spec.CapacityBytes = pageSize // one page of headroom
-	node := backend.NewCXLNode(spec)
-
-	cfg := ConfigA()
-	cfg.FarDemoteBoost = 100
-	c := New(cfg, nil)
-	c.AddTarget(e.g)
-	c.SetFarNode(node)
-	c.Tick(0)
-	c.Tick(vclock.Time(6 * vclock.Second))
-	got := c.LastAction(e.g).Requested
-
-	c2 := New(ConfigA(), nil)
-	e2 := newEnv("")
-	e2.populate(10000)
-	c2.AddTarget(e2.g)
-	c2.Tick(0)
-	c2.Tick(vclock.Time(6 * vclock.Second))
-	base := c2.LastAction(e2.g).Requested
-
-	// A full node cannot sustain a boost beyond the base probe (the
-	// single free page of headroom is under base here).
-	if got > base+pageSize {
-		t.Fatalf("boost ignored node headroom: %d vs base %d", got, base)
-	}
-}

@@ -25,7 +25,6 @@ import (
 	"math"
 
 	"tmo/internal/fleet"
-	"tmo/internal/place"
 	"tmo/internal/senpai"
 	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
@@ -324,11 +323,6 @@ func (h *Host) Advance(window vclock.Duration) fleet.Vitals {
 // SetSenpaiConfig implements fleet.HostSim: a live policy push re-targets
 // the surfaces.
 func (h *Host) SetSenpaiConfig(cfg senpai.Config) { h.a = Aggressiveness(cfg) }
-
-// SetPlacementConfig implements fleet.HostSim. Twins model no placement
-// tier — their calibration surfaces fold placement behaviour into the
-// (device class, mode) response — so the push is a no-op.
-func (h *Host) SetPlacementConfig(cfg *place.Config) {}
 
 // SwapCapacityBytes implements fleet.HostSim. The twin's nominal capacity
 // is its footprint: swap-stored bytes report utilization × footprint, so
