@@ -192,10 +192,6 @@ func (g *Group) ResidentBytesOf(t PageType) int64 {
 // — the value memory.current reports.
 func (g *Group) HierResidentBytes() int64 { return g.hierResidentBytes }
 
-// Evictions returns the group's file-eviction counter (the non-resident
-// clock used for reuse distances).
-func (g *Group) Evictions() uint64 { return g.evictions }
-
 // decayCosts applies exponential decay to the paging-cost counters.
 func (g *Group) decayCosts(now vclock.Time) {
 	dt := now.Sub(g.lastCostDecay)

@@ -217,12 +217,6 @@ func (m *Manager) Far(id PageID) bool { return m.flags[id]&flagFar != 0 }
 // flight.
 func (m *Manager) Migrating(id PageID) bool { return m.page(id).migrating }
 
-// LastTouch returns the time of page id's most recent access and whether it
-// was ever accessed.
-func (m *Manager) LastTouch(id PageID) (vclock.Time, bool) {
-	return m.lastTouch[id], m.flags[id]&flagTouched != 0
-}
-
 // SetCompressibility sets the content compression ratio of every page in
 // ids; pages currently held in a compressed pool keep their stored size
 // until they cycle through it.

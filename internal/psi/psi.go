@@ -188,13 +188,6 @@ func (t *Tracker) Sync(now vclock.Time) { t.advance(now) }
 // or Sync.
 func (t *Tracker) Total(r Resource, k Kind) vclock.Duration { return t.totals[r][k] }
 
-// NonIdle returns the current number of non-idle tasks; used by tests and
-// by the cgroup layer's consistency checks.
-func (t *Tracker) NonIdle() int { return t.nonIdle }
-
-// Stalled returns the current number of tasks stalled on r.
-func (t *Tracker) Stalled(r Resource) int { return t.stalled[r] }
-
 // UpdateAverages folds the stall time accumulated since the previous call
 // into the decayed running averages, using the kernel's update rule: the
 // period's observed pressure fraction moves each average toward itself with

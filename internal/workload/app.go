@@ -266,12 +266,6 @@ func (a *App) SetBloat(now vclock.Time, bytes int64) {
 	}
 }
 
-// BloatBytes returns the current injected-bloat footprint (resident or
-// offloaded).
-func (a *App) BloatBytes() int64 {
-	return int64(len(a.bloatPages)) * a.mgr.Config().PageSize
-}
-
 // SetCPUShare sets the fraction of CPU time the host scheduler grants each
 // worker this tick; the remainder is runnable-but-waiting time, which PSI
 // accounts as CPU pressure. The simulation layer computes it from host CPU
