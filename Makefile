@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check race tmobench bench bench-check
+.PHONY: all check race tmobench bench bench-check loc
 
 all: check
 
@@ -39,3 +39,11 @@ bench:
 # gated here.
 bench-check:
 	$(GO) run ./cmd/benchjson -out /tmp/BENCH_fresh.json -compare BENCH_core.json $(BENCH_FLAGS)
+
+# Code size: non-test Go lines per internal/ package, comment-only and blank
+# lines excluded, then their total.
+loc:
+	@total=0; for d in internal/*/; do \
+		n=$$(cat $$(ls $$d*.go | grep -v '_test\.go$$') | grep -cv '^\s*//\|^\s*$$'); \
+		printf '%-24s %6d\n' "$$d" "$$n"; total=$$((total + n)); \
+	done; printf '%-24s %6d\n' total "$$total"
