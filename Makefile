@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check race tmobench bench bench-check loc
+.PHONY: all check race tmobench bench bench-check loc live
 
 all: check
 
@@ -47,3 +47,48 @@ loc:
 		n=$$(cat $$(ls $$d*.go | grep -v '_test\.go$$') | grep -cv '^\s*//\|^\s*$$'); \
 		printf '%-24s %6d\n' "$$d" "$$n"; total=$$((total + n)); \
 	done; printf '%-24s %6d\n' total "$$total"
+
+# Test hooks: functions no binary calls that a test in another package
+# needs, each with the test that reads it. `make live` accepts only these.
+LIVE_HOOKS += mm.(*Manager).Far                                    # place: TestStaleCopyAbortsAfterChurn, BenchmarkPlaceTick
+LIVE_HOOKS += mm.(*Group).FarPages                                 # place: TestStaticInterleaveDisablesMigration
+LIVE_HOOKS += backend.(*SSDDevice).Reads                           # mm: TestReadaheadChargesOneDeviceOp
+LIVE_HOOKS += backend.(*SSDDevice).ReadRate                        # mm: TestReadaheadChargesOneDeviceOp
+LIVE_HOOKS += backend.(*TierChain).DemoteBackpressure              # core: TestTieredChainChaosDeterminism
+LIVE_HOOKS += senpai.(*Controller).WorkingSet                      # core: TestWorkingSetProfileEndToEnd
+LIVE_HOOKS += senpai.WorkingSetProfile.OverprovisionFrac           # core: TestSelfExtractingBinaryAnecdote
+LIVE_HOOKS += sim.(*Server).LastResult                             # core: TestSoakLongRun
+LIVE_HOOKS += workload.(*App).Revive                               # core: TestSoakLongRun; oomd: TestEndToEndWithSimulator
+LIVE_HOOKS += cgroup.(*Hierarchy).Manager                          # oomd: TestSustainedFullPressureKills
+# Scorecard predicates that ROADMAP item 1 turns into claims.
+LIVE_HOOKS += experiments.TCOResult.ChainBeatsSinglePool           # experiments: TestTCOShape
+LIVE_HOOKS += experiments.SpectrumResult.FastestBeatsSlowest       # root: BenchmarkBackendSpectrum
+LIVE_HOOKS += experiments.FleetHeterogeneityResult.NewestBeatsOldest # root: BenchmarkFleetHeterogeneity
+LIVE_HOOKS += experiments.AblationControllerResult.GswapDeviceBlind # root: BenchmarkAblationController
+LIVE_HOOKS += experiments.AblationControllerResult.SenpaiAdapts    # root: BenchmarkAblationController
+
+# Reachability: every non-test func under internal/ must be linked into at
+# least one binary (the five CLIs, benchjson, examples/* and cmd/tmobench,
+# built with inlining off so no call folds away), or be listed in
+# LIVE_HOOKS above. Generic instantiations count for their declaration.
+# Prints each unexplained function and fails if there is one.
+live:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -gcflags=all=-l -o "$$tmp/" ./cmd/... ./examples/... && \
+	(cd cmd/tmobench && $(GO) build -gcflags=all=-l -o "$$tmp/tmobench" .) && \
+	for b in "$$tmp"/*; do $(GO) tool nm "$$b"; done | \
+		sed -n 's|^ *[0-9a-f]* [Tt] tmo/internal/||p' | \
+		sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' | sort -u > "$$tmp/linked" && \
+	for f in $$(ls internal/*/*.go | grep -v '_test\.go$$'); do \
+		pkg=$$(basename $$(dirname $$f)); \
+		sed -nE -e 's/^func \(([A-Za-z_0-9]+ )?\*([A-Za-z_0-9]+)(\[[^]]*\])?\) ([A-Za-z_0-9]+).*/(*\2).\4/p;t' \
+			-e 's/^func \(([A-Za-z_0-9]+ )?([A-Za-z_0-9]+)(\[[^]]*\])?\) ([A-Za-z_0-9]+).*/\2.\4/p;t' \
+			-e 's/^func ([A-Za-z_0-9]+).*/\1/p' $$f | \
+			grep -vx 'init\|_' | sed "s/^/$$pkg./"; \
+	done | sort -u > "$$tmp/declared" && \
+	printf '%s\n' $(foreach h,$(LIVE_HOOKS),'$(h)') | sort -u > "$$tmp/hooks" && \
+	comm -23 "$$tmp/declared" "$$tmp/linked" | comm -23 - "$$tmp/hooks" > "$$tmp/dead" && \
+	if [ -s "$$tmp/dead" ]; then \
+		echo "make live: $$(wc -l < "$$tmp/dead") funcs under internal/ that no binary links:"; \
+		cat "$$tmp/dead"; exit 1; \
+	fi
