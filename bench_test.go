@@ -80,7 +80,8 @@ func BenchmarkFigure8SenpaiTracking(b *testing.B) {
 	var pressure float64
 	for i := 0; i < b.N; i++ {
 		r := experiments.Figure8(benchCfg(i))
-		pressure = r.Pressure.Last()
+		pts := r.Pressure.Points
+		pressure = pts[len(pts)-1].V
 	}
 	b.ReportMetric(100*pressure, "steady-pressure-%")
 }

@@ -7,10 +7,10 @@
 //	tmosim -app web -mode zswap -duration 30m [-capacity 256] [-device C]
 //	       [-report 1m] [-tax] [-seed 1] [-controls] [-tsdb-out series.jsonl]
 //
-// -mode is one of off, file-only, zswap, ssd. -capacity is host DRAM in
-// MiB (default: 2x the app footprint). -controls dumps the workload
-// cgroup's control files at the end, the same surface the production
-// Senpai daemon reads and writes.
+// -mode is one of off, file-only, zswap, ssd, tiered, nvm, cxl. -capacity
+// is host DRAM in MiB (default: 2x the app footprint). -controls dumps the
+// workload cgroup's control files at the end: the read side of the surface
+// the production Senpai daemon reads and writes.
 package main
 
 import (

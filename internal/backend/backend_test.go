@@ -229,8 +229,8 @@ func TestEnduranceAccounting(t *testing.T) {
 func TestFilesystemReads(t *testing.T) {
 	dev := NewSSDDevice(DeviceCatalog[2], 7)
 	fs := NewFilesystem(dev)
-	if fs.Device() != dev {
-		t.Fatalf("Device() mismatch")
+	if fs.dev != dev {
+		t.Fatalf("filesystem device mismatch")
 	}
 	lat := fs.ReadPage(0)
 	if lat <= 0 {

@@ -233,15 +233,15 @@ func TestWritebackDeferredUntilDrain(t *testing.T) {
 	if dev.WrittenBytes() >= 4*pageSize {
 		t.Fatalf("all writes landed at store time; queue is not deferring")
 	}
-	if sw.SSD().QueueDepth() == 0 {
+	if sw.SSD().wb.depth() == 0 {
 		t.Fatalf("queue empty right after stores")
 	}
 	sw.DrainWriteback(vclock.Time(vclock.Second))
 	if got := dev.WrittenBytes(); got != 4*pageSize {
 		t.Fatalf("after drain, device saw %d bytes, want %d", got, 4*pageSize)
 	}
-	if sw.SSD().QueueDepth() != 0 {
-		t.Fatalf("queue depth %d after full drain", sw.SSD().QueueDepth())
+	if sw.SSD().wb.depth() != 0 {
+		t.Fatalf("queue depth %d after full drain", sw.SSD().wb.depth())
 	}
 }
 
@@ -302,7 +302,7 @@ func TestWritebackDisabledWritesInline(t *testing.T) {
 	if dev.WrittenBytes() != pageSize {
 		t.Fatalf("inline store wrote %d bytes at store time, want %d", dev.WrittenBytes(), pageSize)
 	}
-	if sw.SSD().QueueDepth() != 0 {
+	if sw.SSD().wb.depth() != 0 {
 		t.Fatalf("disabled queue holds entries")
 	}
 }

@@ -236,9 +236,6 @@ func NewTierChain(specs []TierSpec, dev *SSDDevice, wb WritebackConfig, seed uin
 	return c
 }
 
-// NumTiers returns the chain length.
-func (c *TierChain) NumTiers() int { return len(c.tiers) }
-
 // TierSpecs returns a copy of the normalized tier layout.
 func (c *TierChain) TierSpecs() []TierSpec {
 	out := make([]TierSpec, len(c.tiers))

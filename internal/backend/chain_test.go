@@ -124,7 +124,7 @@ func TestChainSerialBatchEquivalence(t *testing.T) {
 		sOut[i] = res
 	}
 
-	for tier := 0; tier < batch.NumTiers(); tier++ {
+	for tier := 0; tier < len(batch.tiers); tier++ {
 		b, s := batch.TierStats(tier), serial.TierStats(tier)
 		if b.StoredPages != s.StoredPages || b.StoredBytes != s.StoredBytes || b.LogicalBytes != s.LogicalBytes {
 			t.Errorf("tier %d diverged: batch {pages %d, stored %d, logical %d} vs serial {pages %d, stored %d, logical %d}",
@@ -149,7 +149,7 @@ func TestChainSerialBatchEquivalence(t *testing.T) {
 	for i := range sOut {
 		loadOne(serial, now, sOut[i].Handle)
 	}
-	for tier := 0; tier < batch.NumTiers(); tier++ {
+	for tier := 0; tier < len(batch.tiers); tier++ {
 		if b, s := batch.TierStats(tier), serial.TierStats(tier); b.StoredPages != 0 || s.StoredPages != 0 {
 			t.Fatalf("tier %d not drained: batch %d, serial %d", tier, b.StoredPages, s.StoredPages)
 		}
@@ -180,7 +180,7 @@ func TestChainErrFullLastTier(t *testing.T) {
 	if n == 0 || n >= len(reqs) {
 		t.Fatalf("prefix = %d of %d", n, len(reqs))
 	}
-	if last := c.TierStats(c.NumTiers() - 1); last.StoredPages == 0 {
+	if last := c.TierStats(len(c.tiers) - 1); last.StoredPages == 0 {
 		t.Fatalf("ErrFull before the last tier took a page")
 	}
 	if _, err := storeOne(c, now, pageSize, 1.0); !errors.Is(err, ErrFull) {

@@ -82,9 +82,6 @@ func NewCXLNode(spec CXLNodeSpec) *CXLNode {
 // Spec returns the node description.
 func (n *CXLNode) Spec() CXLNodeSpec { return n.spec }
 
-// CapacityBytes returns the node's size.
-func (n *CXLNode) CapacityBytes() int64 { return n.spec.CapacityBytes }
-
 // UsedBytes returns the bytes currently placed on the node.
 func (n *CXLNode) UsedBytes() int64 { return n.used }
 

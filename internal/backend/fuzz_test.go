@@ -122,7 +122,7 @@ func runChainOps(t *testing.T, ops []byte) (*TierChain, int) {
 // driveChain decodes and runs ops on c, checking it after every op, and
 // returns how many store batches hit ErrFull.
 func driveChain(t *testing.T, c *TierChain, ops []byte) int {
-	last := c.NumTiers() - 1
+	last := len(c.tiers) - 1
 	specs := c.TierSpecs()
 	ref := map[Handle]int64{} // live handle -> logical bytes
 	fulls := 0

@@ -34,7 +34,7 @@ var SpecNVMOptane = NVMSpec{ReadMedian: 4 * vclock.Microsecond, ReadP99: 12 * vc
 // own sampled read latency, so a batch has no fixed cost to amortise.
 type NVM struct {
 	rng     *rand.Rand
-	readLat dist.Sampler
+	readLat dist.LogNormal
 }
 
 // newNVM returns the cost model of spec, sampling from a stream derived

@@ -90,8 +90,8 @@ type SSDDevice struct {
 	Spec DeviceSpec
 
 	rng        *rand.Rand
-	readLat    dist.Sampler
-	writeLat   dist.Sampler
+	readLat    dist.LogNormal
+	writeLat   dist.LogNormal
 	readMeter  *metrics.RateMeter
 	writeMeter *metrics.RateMeter // IOPS
 	byteMeter  *metrics.RateMeter // written bytes/s
@@ -278,9 +278,6 @@ func (d *SSDDevice) WriteBatch(now vclock.Time, pages int, bytes int64) vclock.D
 // Reads returns the cumulative read count.
 func (d *SSDDevice) Reads() int64 { return d.reads }
 
-// Writes returns the cumulative write count.
-func (d *SSDDevice) Writes() int64 { return d.writes }
-
 // WrittenBytes returns the bytes charged against endurance: those written by
 // IO plus any injected wear.
 func (d *SSDDevice) WrittenBytes() int64 { return d.writtenBytes + d.wear }
@@ -310,12 +307,6 @@ type SSDSwap struct {
 	dev *SSDDevice
 	wb  *writebackQueue
 }
-
-// Device exposes the underlying SSD (shared with the filesystem).
-func (s *SSDSwap) Device() *SSDDevice { return s.dev }
-
-// QueueDepth returns the current async writeback queue depth.
-func (s *SSDSwap) QueueDepth() int { return s.wb.depth() }
 
 // Writeback returns the async writeback queue's cumulative counts:
 // submissions issued to the device (a clustered batch counts once), pushes
@@ -348,16 +339,12 @@ func (s *SSDSwap) read(now vclock.Time, pages int, bytes int64) vclock.Duration 
 // cache is reloaded through it, and first-touch file reads (cache fills) go
 // through it as well.
 type Filesystem struct {
-	dev    *SSDDevice
-	reads  int64
-	writes int64
+	dev   *SSDDevice
+	reads int64
 }
 
 // NewFilesystem returns a filesystem sharing dev with swap.
 func NewFilesystem(dev *SSDDevice) *Filesystem { return &Filesystem{dev: dev} }
-
-// Device exposes the underlying SSD.
-func (f *Filesystem) Device() *SSDDevice { return f.dev }
 
 // ReadPage reads one file page from storage, returning the IO latency.
 func (f *Filesystem) ReadPage(now vclock.Time) vclock.Duration {
@@ -369,12 +356,8 @@ func (f *Filesystem) ReadPage(now vclock.Time) vclock.Duration {
 // writeback), returning the device-side latency. The bytes count against
 // the device's endurance like any other write.
 func (f *Filesystem) WritePage(now vclock.Time) vclock.Duration {
-	f.writes++
 	return f.dev.Write(now, 4096)
 }
-
-// Writes returns cumulative file writeback count.
-func (f *Filesystem) Writes() int64 { return f.writes }
 
 // Reads returns cumulative file read count (the paper's "SSD read rate"
 // panel in Fig. 13 reports the rate of these).

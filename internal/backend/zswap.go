@@ -80,8 +80,8 @@ type Zswap struct {
 	codec   Codec
 	alloc   Allocator
 	rng     *rand.Rand
-	compLat dist.Sampler
-	decLat  dist.Sampler
+	compLat dist.LogNormal
+	decLat  dist.LogNormal
 }
 
 // newZswap returns the cost model of a pool using codec and alloc, sampling

@@ -52,9 +52,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// IsTax reports whether the kind is one of the memory taxes.
-func (k Kind) IsTax() bool { return k == DatacenterTax || k == MicroserviceTax }
-
 // Group is one cgroup: a name, a memory-control-group, a PSI domain, and a
 // position in the hierarchy.
 type Group struct {
@@ -128,12 +125,6 @@ func (g *Group) Name() string { return g.name }
 
 // Kind returns the group's container kind.
 func (g *Group) Kind() Kind { return g.kind }
-
-// Parent returns the parent group, nil for the root.
-func (g *Group) Parent() *Group { return g.parent }
-
-// Children returns the group's children; callers must not mutate the slice.
-func (g *Group) Children() []*Group { return g.child }
 
 // Path returns the group's absolute cgroupfs-style path.
 func (g *Group) Path() string {

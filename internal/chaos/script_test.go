@@ -60,8 +60,8 @@ func TestParsersRejectNonFinite(t *testing.T) {
 			t.Errorf("AddScript(%q) succeeded, want error", bad)
 		}
 	}
-	if e.Events() != 0 {
-		t.Fatalf("rejected clauses left %d events armed", e.Events())
+	if len(e.events) != 0 {
+		t.Fatalf("rejected clauses left %d events armed", len(e.events))
 	}
 	for _, good := range []string{"t=1m load x2", "t=1m capacity x0.5", "t=1m bloat 4MiB", "t=1m swap-fill 0.2"} {
 		if err := e.AddScript(good); err != nil {

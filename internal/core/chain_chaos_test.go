@@ -53,7 +53,7 @@ func TestTieredChainChaosDeterminism(t *testing.T) {
 		fmt.Fprintf(&b, "demotions=%d promotions=%d skips=%d stalls=%d completed=%d\n",
 			sys.Chain.Demotions(), sys.Chain.Promotions(), sys.Chain.AdmitSkips(),
 			sys.Chain.DemoteBackpressure(), app.Completed())
-		for i := 0; i < sys.Chain.NumTiers(); i++ {
+		for i := 0; i < len(sys.Chain.TierSpecs()); i++ {
 			st := sys.Chain.TierStats(i)
 			fmt.Fprintf(&b, "tier%d pages=%d stored=%d\n", i, st.StoredPages, st.StoredBytes)
 		}

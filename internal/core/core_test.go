@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tmo/internal/backend"
+	"tmo/internal/cgroup"
 	"tmo/internal/psi"
 	"tmo/internal/senpai"
 	"tmo/internal/trace"
@@ -207,7 +208,7 @@ func TestOffModeIsInert(t *testing.T) {
 func TestTaxContainers(t *testing.T) {
 	sys := New(Options{Mode: ModeZswap, CapacityBytes: 512 * MiB, Senpai: fastSenpai(), Seed: 6})
 	dc, micro := sys.AddTax()
-	if !dc.Group.Kind().IsTax() || !micro.Group.Kind().IsTax() {
+	if dc.Group.Kind() != cgroup.DatacenterTax || micro.Group.Kind() != cgroup.MicroserviceTax {
 		t.Fatalf("tax kinds wrong")
 	}
 	sys.Run(2 * vclock.Minute)
@@ -356,7 +357,7 @@ func TestTieredMode(t *testing.T) {
 	if sys.Chain == nil {
 		t.Fatalf("tier chain missing")
 	}
-	if got := sys.Chain.NumTiers(); got != 2 {
+	if got := len(sys.Chain.TierSpecs()); got != 2 {
 		t.Fatalf("default chain has %d tiers, want 2", got)
 	}
 	if sys.Chain.AdmitSkips() == 0 {
@@ -384,7 +385,7 @@ func TestTieredModeExplicitTiers(t *testing.T) {
 	sys.AddWorkload("feed")
 	sys.AddWorkload("ml")
 	sys.Run(12 * vclock.Minute)
-	if sys.Chain == nil || sys.Chain.NumTiers() != 3 {
+	if sys.Chain == nil || len(sys.Chain.TierSpecs()) != 3 {
 		t.Fatalf("explicit 3-tier chain missing")
 	}
 	if sys.Chain.Stats().StoredPages == 0 {

@@ -45,7 +45,6 @@ func TestSoakLongRun(t *testing.T) {
 	killer := oomd.New(oomd.DefaultConfig(), sys.Server.Hierarchy().Root())
 	killer.AddCandidate(oomd.Candidate{Group: web.Group, Priority: 10, Kill: web.Kill})
 	killer.AddCandidate(oomd.Candidate{Group: adsb.Group, Priority: 0, Kill: adsb.Kill})
-	killer.SetTrace(sys.Trace)
 	sys.Server.AddController(killer)
 
 	apps := []*workload.App{web, feed, adsb, dc, micro}

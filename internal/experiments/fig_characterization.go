@@ -57,9 +57,6 @@ type ColdnessRow struct {
 	Cold  float64 // untouched for over five minutes
 }
 
-// Active5 returns the fraction active within five minutes.
-func (r ColdnessRow) Active5() float64 { return r.Used1 + r.Used2 + r.Used5 }
-
 // Figure2Result carries the seven-application coldness survey.
 type Figure2Result struct {
 	Rows    []ColdnessRow

@@ -132,15 +132,6 @@ func Resilience(cfg Config) ResilienceResult {
 	}
 }
 
-// ResilienceClass runs one named fault class (the regression test uses this
-// to keep per-class timing visible).
-func ResilienceClass(cfg Config, name string) (ResilienceOutcome, error) {
-	if outs := runResilience(cfg, name); len(outs) > 0 {
-		return outs[0], nil
-	}
-	return ResilienceOutcome{}, fmt.Errorf("experiments: unknown resilience class %q", name)
-}
-
 // runResilience runs the scenario named only, or every scenario if only is
 // empty — a senpai and a baseline arm each — and pairs the arms into
 // outcomes.

@@ -10,11 +10,11 @@ import "testing"
 func TestResilienceRegression(t *testing.T) {
 	for _, class := range []string{"slow-device", "wear-out", "load-surge", "capacity-loss"} {
 		t.Run(class, func(t *testing.T) {
-			out, err := ResilienceClass(cfg, class)
-			if err != nil {
-				t.Fatal(err)
+			outs := runResilience(cfg, class)
+			if len(outs) == 0 {
+				t.Fatalf("unknown resilience class %q", class)
 			}
-			s, b := out.Senpai, out.Baseline
+			s, b := outs[0].Senpai, outs[0].Baseline
 			if !s.Recovered {
 				t.Errorf("senpai did not recover: steady pressure %.4f (threshold %.4f), %d OOM kills",
 					s.SteadyPressure, resilienceThreshold, s.OOMKills)

@@ -27,7 +27,7 @@ func TestRolloutRegression(t *testing.T) {
 
 	// The Config-B-shaped candidate must be caught by the PSI guardrail at
 	// the canary stage and rolled back.
-	if !r.Aggressive.RolledBack() {
+	if r.Aggressive.State != rollout.StateRolledBack {
 		t.Fatalf("aggressive rollout state = %s, want rolled-back; log:\n%s",
 			r.Aggressive.State, r.Aggressive.EventLog())
 	}

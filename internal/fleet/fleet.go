@@ -185,12 +185,6 @@ type Measurement struct {
 	Refaults                             int64
 }
 
-// TaxSavingsOfTotal is the combined tax savings as a fraction of server
-// memory.
-func (m Measurement) TaxSavingsOfTotal() float64 {
-	return m.DCTaxSavingsOfTotal + m.MicroTaxSavingsOfTotal
-}
-
 // Observer receives each spec, normalized, and its TMO host's final
 // telemetry snapshot. It is invoked from RunArms's worker goroutines —
 // possibly several at once — so an observer must be safe for concurrent use

@@ -213,13 +213,13 @@ func TestMeasureWithTax(t *testing.T) {
 		WithTax: true,
 		Seed:    200,
 	}}, 5*vclock.Minute, 5*vclock.Minute, nil)[0]
-	if m.TaxSavingsOfTotal() <= 0 {
-		t.Fatalf("tax savings = %v, want positive", m.TaxSavingsOfTotal())
+	if tax := m.DCTaxSavingsOfTotal + m.MicroTaxSavingsOfTotal; tax <= 0 {
+		t.Fatalf("tax savings = %v, want positive", tax)
 	}
 	// Tax footprints are a modest share of the server; savings must be
 	// bounded by that share.
-	if m.TaxSavingsOfTotal() > 0.5 {
-		t.Fatalf("tax savings %v exceed plausibility", m.TaxSavingsOfTotal())
+	if tax := m.DCTaxSavingsOfTotal + m.MicroTaxSavingsOfTotal; tax > 0.5 {
+		t.Fatalf("tax savings %v exceed plausibility", tax)
 	}
 }
 

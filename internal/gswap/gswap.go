@@ -67,12 +67,6 @@ func New(cfg Config) *Controller {
 // AddTarget registers a container.
 func (c *Controller) AddTarget(g *cgroup.Group) { c.targets = append(c.targets, g) }
 
-// PromotionRate returns the last measured swap-in rate for g in pages/sec.
-func (c *Controller) PromotionRate(g *cgroup.Group) float64 { return c.lastRate[g] }
-
-// Runs returns how many control intervals have executed.
-func (c *Controller) Runs() int64 { return c.runs }
-
 // Tick drives the controller; call it every simulation tick.
 func (c *Controller) Tick(now vclock.Time) {
 	if !c.started {

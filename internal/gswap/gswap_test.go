@@ -57,19 +57,19 @@ func TestReclaimsWhileBelowTarget(t *testing.T) {
 	c := New(DefaultConfig(50))
 	c.AddTarget(g)
 	c.Tick(0)
-	if c.Runs() != 0 {
+	if c.runs != 0 {
 		t.Fatalf("priming tick acted")
 	}
 	before := g.MemoryCurrent()
 	c.Tick(vclock.Time(6 * vclock.Second))
-	if c.Runs() != 1 {
-		t.Fatalf("runs = %d", c.Runs())
+	if c.runs != 1 {
+		t.Fatalf("runs = %d", c.runs)
 	}
 	if g.MemoryCurrent() >= before {
 		t.Fatalf("no reclaim below promotion target")
 	}
-	if c.PromotionRate(g) != 0 {
-		t.Fatalf("promotion rate = %v, want 0", c.PromotionRate(g))
+	if c.lastRate[g] != 0 {
+		t.Fatalf("promotion rate = %v, want 0", c.lastRate[g])
 	}
 }
 
@@ -100,7 +100,7 @@ func TestHoldsWhileAboveTarget(t *testing.T) {
 	}
 	before := g.MemoryCurrent()
 	c.Tick(vclock.Time(7 * vclock.Second)) // rate = 120/6s = 20/s > 10/s
-	if got := c.PromotionRate(g); got < 15 {
+	if got := c.lastRate[g]; got < 15 {
 		t.Fatalf("promotion rate = %v, want ~20", got)
 	}
 	if g.MemoryCurrent() != before {
@@ -139,7 +139,7 @@ func TestConvergesOnWorkload(t *testing.T) {
 	}
 	// The equilibrium promotion rate must sit near the target, not far
 	// above it (the control law backs off above target).
-	if rate := c.PromotionRate(app.Group); rate > 120 {
+	if rate := c.lastRate[app.Group]; rate > 120 {
 		t.Fatalf("promotion rate %v runaway vs target 20", rate)
 	}
 }

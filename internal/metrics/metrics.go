@@ -183,14 +183,6 @@ func (s *Series) Record(t vclock.Time, v float64) {
 	s.Points = append(s.Points, Point{T: t, V: v})
 }
 
-// Last returns the most recent value, or 0 for an empty series.
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].V
-}
-
 // MeanOver returns the mean of values recorded in [from, to].
 func (s *Series) MeanOver(from, to vclock.Time) float64 {
 	var sum float64

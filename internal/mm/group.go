@@ -82,11 +82,6 @@ func (g *Group) SwappedPages() int64 { return g.swappedPages }
 // FarPages returns how many of the group's pages live on the far node.
 func (g *Group) FarPages() int64 { return g.farPages }
 
-// FarResidentBytes returns the group's bytes placed on the far node. These
-// pages are mapped and Resident but excluded from ResidentBytes — they cost
-// no local DRAM.
-func (g *Group) FarResidentBytes() int64 { return g.farPages * g.mgr.cfg.PageSize }
-
 // SwappedBytes returns the group's current offloaded bytes (uncompressed).
 func (g *Group) SwappedBytes() int64 { return g.swappedPages * g.mgr.cfg.PageSize }
 
@@ -130,12 +125,6 @@ const costHalfLife = 60 * vclock.Second
 
 // Name returns the group's name.
 func (g *Group) Name() string { return g.name }
-
-// Parent returns the group's parent, nil for the root.
-func (g *Group) Parent() *Group { return g.parent }
-
-// Children returns the group's children; callers must not mutate the slice.
-func (g *Group) Children() []*Group { return g.children }
 
 // Stat returns the group's cumulative counters.
 func (g *Group) Stat() GroupStat { return g.stat }

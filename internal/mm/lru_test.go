@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// stateNames renders a page state in checkLRU's errors.
+var stateNames = [...]string{NotPresent: "not-present", Resident: "resident", Offloaded: "offloaded", EvictedFile: "evicted-file"}
+
 // checkLRU walks every inactive, active and far list of every group head to
 // tail and returns the first inconsistency: a back-link that disagrees with
 // the forward walk, a tail, count or refs that disagrees with the walk, a
@@ -67,7 +70,7 @@ func (m *Manager) checkLRU() error {
 		case onList != seen[id]:
 			return fmt.Errorf("page %d: on-list bit %v, but the walk found it on a list: %v", id, onList, seen[id])
 		case onList != (m.State(id) == Resident):
-			return fmt.Errorf("page %d: %v page with on-list bit %v", id, m.State(id), onList)
+			return fmt.Errorf("page %d: %s page with on-list bit %v", id, stateNames[m.State(id)], onList)
 		case !onList && m.links[id] != (pageLink{}):
 			return fmt.Errorf("page %d: on no list but carries links %+v", id, m.links[id])
 		}
@@ -231,7 +234,7 @@ func FuzzLRUOps(f *testing.F) {
 				}
 				ref[2] = append(slices.Clone(ref[2][len(ref[2])-n:]), ref[2][:len(ref[2])-n]...)
 				for _, x := range ref[2][:n] {
-					if m.Referenced(x) || m.farHits[x] != 0 {
+					if m.flags[x]&flagReferenced != 0 || m.farHits[x] != 0 {
 						t.Fatalf("SampleFar left page %d referenced or counted", x)
 					}
 				}

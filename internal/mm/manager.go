@@ -200,9 +200,6 @@ func (m *Manager) ReadaheadIn() int64 { return m.readaheadIn }
 // FarDemotions returns cumulative pages demoted to the far node.
 func (m *Manager) FarDemotions() int64 { return m.farDemotions }
 
-// FarPromotions returns cumulative pages promoted back to local DRAM.
-func (m *Manager) FarPromotions() int64 { return m.farPromotions }
-
 // SetFarInterleave statically places frac of newly resident anonymous pages
 // on the far node — the interleaving baseline. Zero restores demand-local
 // placement.
@@ -312,9 +309,6 @@ func (m *Manager) Root() *Group { return m.root }
 
 // OOMEvents returns how many charges exceeded capacity despite reclaim.
 func (m *Manager) OOMEvents() int64 { return m.oomEvents }
-
-// SwapExhausted reports whether the swap backend last refused a store.
-func (m *Manager) SwapExhausted() bool { return m.swapExhausted }
 
 // NewGroup creates a child memory control group under parent (the root if
 // nil).

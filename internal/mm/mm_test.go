@@ -77,8 +77,8 @@ func TestTouchHitTakesOnlyPlainHits(t *testing.T) {
 
 	// A second touch of an inactive page activates it.
 	hit := pages[0]
-	if !m.touchHit(7, hit) || !m.Active(hit) || m.lastTouch[hit] != 7 {
-		t.Fatalf("touchHit left active=%v lastTouch=%v", m.Active(hit), m.lastTouch[hit])
+	if !m.touchHit(7, hit) || m.flags[hit]&flagActive == 0 || m.lastTouch[hit] != 7 {
+		t.Fatalf("touchHit left active=%v lastTouch=%v", m.flags[hit]&flagActive != 0, m.lastTouch[hit])
 	}
 }
 
@@ -136,11 +136,11 @@ func TestTwoTouchActivation(t *testing.T) {
 	g := m.NewGroup("app", nil)
 	p := m.NewPages(g, Anon, 1, 1)[0]
 	m.Touch(0, p) // faults in: inactive, referenced
-	if m.Active(p) {
+	if m.flags[p]&flagActive != 0 {
 		t.Fatalf("fresh page should start inactive")
 	}
 	m.Touch(1, p) // second access: promote
-	if !m.Active(p) {
+	if m.flags[p]&flagActive == 0 {
 		t.Fatalf("twice-touched page should be active")
 	}
 }
@@ -520,9 +520,11 @@ func TestOracleRespectsSwapAvailability(t *testing.T) {
 }
 
 func TestDirtyFileWriteback(t *testing.T) {
-	m := newTestManager(1024, nil, PolicyTMO)
+	spec, _ := backend.DeviceByModel("C")
+	dev := backend.NewSSDDevice(spec, 99)
+	m := NewManager(Config{CapacityBytes: 1024 * pageSize, PageSize: pageSize,
+		FS: backend.NewFilesystem(dev), Policy: PolicyTMO})
 	g := m.NewGroup("app", nil)
-	dev := m.cfg.FS.Device()
 	pages := m.NewPages(g, File, 8, 1)
 
 	// A buffered write to a fresh page populates it without any read IO.
@@ -530,23 +532,23 @@ func TestDirtyFileWriteback(t *testing.T) {
 	if !res.ZeroFill || res.IOStall || res.Latency != 0 {
 		t.Fatalf("buffered write of fresh page = %+v", res)
 	}
-	if !m.Dirty(pages[0]) {
+	if !m.page(pages[0]).dirty {
 		t.Fatalf("written page not dirty")
 	}
 	// Reading then writing an existing page also dirties it.
 	m.Touch(0, pages[1])
 	m.TouchWrite(vclock.Time(vclock.Millisecond), pages[1])
-	if !m.Dirty(pages[1]) {
+	if !m.page(pages[1]).dirty {
 		t.Fatalf("rewritten page not dirty")
 	}
 	for _, p := range pages[2:] {
 		m.Touch(0, p)
 	}
 
-	writesBefore := dev.Writes()
+	writtenBefore := dev.WrittenBytes()
 	// Evict everything: the two dirty pages must be written back.
 	m.ProactiveReclaim(vclock.Time(vclock.Second), g, 8*pageSize)
-	if got := dev.Writes() - writesBefore; got != 2 {
+	if got := (dev.WrittenBytes() - writtenBefore) / pageSize; got != 2 {
 		t.Fatalf("device writes during eviction = %d, want 2", got)
 	}
 	if g.Stat().FileWritebacks != 2 {
@@ -555,7 +557,7 @@ func TestDirtyFileWriteback(t *testing.T) {
 	// Written-back pages are clean: re-evicting after a read costs
 	// nothing.
 	m.Touch(vclock.Time(2*vclock.Second), pages[0])
-	if m.Dirty(pages[0]) {
+	if m.page(pages[0]).dirty {
 		t.Fatalf("page dirty after writeback and clean reload")
 	}
 }
@@ -568,7 +570,7 @@ func TestTouchWriteOnAnonIsPlainTouch(t *testing.T) {
 	if !res.ZeroFill {
 		t.Fatalf("anon write = %+v", res)
 	}
-	if m.Dirty(p) {
+	if m.page(p).dirty {
 		t.Fatalf("anon pages have no dirty/writeback state")
 	}
 }
@@ -615,7 +617,7 @@ func TestSwapReadahead(t *testing.T) {
 	// them straight back.
 	for _, p := range offloaded {
 		if m.State(p) == Resident && p != offloaded[0] {
-			if m.Referenced(p) {
+			if m.flags[p]&flagReferenced != 0 {
 				t.Fatalf("readahead page arrived referenced")
 			}
 		}
@@ -675,7 +677,7 @@ func TestReadaheadHonoursMemoryMax(t *testing.T) {
 	if n := m.OOMEvents(); n != 0 {
 		t.Errorf("opportunistic readahead caused %d OOM overcharges, want 0", n)
 	}
-	if m.SwapExhausted() {
+	if m.swapExhausted {
 		t.Error("readahead latched swap-exhausted, poisoning future anon reclaim")
 	}
 }
@@ -754,7 +756,7 @@ func TestSwapExhaustionLatchesAndClears(t *testing.T) {
 	if res.ReclaimedAnon != 2 {
 		t.Fatalf("reclaimed %d anon pages, want 2 (swap capacity)", res.ReclaimedAnon)
 	}
-	if !m.SwapExhausted() {
+	if !m.swapExhausted {
 		t.Fatalf("exhaustion not latched")
 	}
 	// Swapping a page back in frees space and clears the latch.
@@ -764,7 +766,7 @@ func TestSwapExhaustionLatchesAndClears(t *testing.T) {
 			break
 		}
 	}
-	if m.SwapExhausted() {
+	if m.swapExhausted {
 		t.Fatalf("exhaustion not cleared by swap-in")
 	}
 }
@@ -968,16 +970,6 @@ func TestColdnessEmptyPopulation(t *testing.T) {
 func TestPolicyAndStateStrings(t *testing.T) {
 	if PolicyTMO.String() != "tmo" || PolicyLegacy.String() != "legacy" {
 		t.Fatalf("policy names")
-	}
-	if Anon.String() != "anon" || File.String() != "file" {
-		t.Fatalf("page type names")
-	}
-	states := []PageState{NotPresent, Resident, Offloaded, EvictedFile}
-	want := []string{"not-present", "resident", "offloaded", "evicted-file"}
-	for i, s := range states {
-		if s.String() != want[i] {
-			t.Fatalf("state %d name %q", i, s.String())
-		}
 	}
 }
 

@@ -39,14 +39,6 @@ const (
 	numPageTypes
 )
 
-// String names the page type.
-func (t PageType) String() string {
-	if t == Anon {
-		return "anon"
-	}
-	return "file"
-}
-
 // PageState describes where a page's content currently lives.
 type PageState uint8
 
@@ -65,21 +57,6 @@ const (
 	// filesystem.
 	EvictedFile
 )
-
-// String names the page state.
-func (s PageState) String() string {
-	switch s {
-	case NotPresent:
-		return "not-present"
-	case Resident:
-		return "resident"
-	case Offloaded:
-		return "offloaded"
-	case EvictedFile:
-		return "evicted-file"
-	}
-	return "invalid"
-}
 
 // PageID names one page of a Manager's arena. For file pages the page
 // stands for a (file, offset) position and persists across evictions; for
@@ -200,15 +177,6 @@ func (m *Manager) Type(id PageID) PageType { return PageType(m.owners[id] & 1) }
 
 // Group returns the memory control group that owns page id.
 func (m *Manager) Group(id PageID) *Group { return m.groups[m.owners[id]>>1] }
-
-// Active reports whether page id is on the active LRU list.
-func (m *Manager) Active(id PageID) bool { return m.flags[id]&flagActive != 0 }
-
-// Referenced reports page id's referenced bit.
-func (m *Manager) Referenced(id PageID) bool { return m.flags[id]&flagReferenced != 0 }
-
-// Dirty reports whether page id awaits writeback.
-func (m *Manager) Dirty(id PageID) bool { return m.page(id).dirty }
 
 // Far reports whether page id's frame lives on the far-memory node.
 func (m *Manager) Far(id PageID) bool { return m.flags[id]&flagFar != 0 }

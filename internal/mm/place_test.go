@@ -68,8 +68,8 @@ func TestReclaimDemotesBeforeSwap(t *testing.T) {
 			t.Fatalf("far page state = %v", m.State(p))
 		}
 	}
-	if g.FarResidentBytes() != int64(len(far))*pageSize {
-		t.Fatalf("FarResidentBytes = %d", g.FarResidentBytes())
+	if g.farPages*pageSize != int64(len(far))*pageSize {
+		t.Fatalf("far resident bytes = %d", g.farPages*pageSize)
 	}
 	if g.HierResidentBytes() != g.ResidentBytes() {
 		t.Fatal("hierarchical and local accounting disagree")
@@ -172,7 +172,7 @@ func TestPromoteFromFarCommit(t *testing.T) {
 	if !m.PromoteFromFar(now, p) {
 		t.Fatal("promotion aborted without cause")
 	}
-	if m.Far(p) || m.Migrating(p) || !m.Active(p) {
+	if m.Far(p) || m.Migrating(p) || m.flags[p]&flagActive == 0 {
 		t.Fatal("promoted page not on the local active list")
 	}
 	if node.UsedBytes() != usedBefore-pageSize {
@@ -181,7 +181,7 @@ func TestPromoteFromFarCommit(t *testing.T) {
 	if g.ResidentBytes() != residentBefore+pageSize {
 		t.Fatal("promotion did not charge local memory")
 	}
-	if m.FarPromotions() != 1 || g.Stat().Promotions != 1 {
+	if m.farPromotions != 1 || g.Stat().Promotions != 1 {
 		t.Fatal("promotion not counted")
 	}
 	checkAccounting(t, m, []*Group{g}, pages)
@@ -206,7 +206,7 @@ func TestAbortPromotionCostsNothing(t *testing.T) {
 	if node.UsedBytes() != usedBefore || g.ResidentBytes() != residentBefore || g.FarPages() != farBefore {
 		t.Fatal("abort changed accounting — a non-exclusive copy must cost nothing")
 	}
-	if m.FarPromotions() != 0 {
+	if m.farPromotions != 0 {
 		t.Fatal("abort counted as a promotion")
 	}
 }
@@ -308,7 +308,7 @@ func TestPromoteFromFarRefusesStaleCopy(t *testing.T) {
 	if m.PromoteFromFar(now, p) {
 		t.Fatal("a copy of the freed page's old content committed")
 	}
-	if !m.Far(p) || m.FarPromotions() != 0 {
+	if !m.Far(p) || m.farPromotions != 0 {
 		t.Fatal("refused commit moved the page")
 	}
 	checkAccounting(t, m, []*Group{g}, pages)

@@ -15,8 +15,6 @@ import (
 
 	"tmo/internal/cgroup"
 	"tmo/internal/psi"
-	"tmo/internal/telemetry"
-	"tmo/internal/trace"
 	"tmo/internal/vclock"
 )
 
@@ -83,16 +81,6 @@ type Controller struct {
 	hasKilled  bool
 
 	kills []KillEvent
-	trace *trace.Recorder
-}
-
-// SetTrace attaches the host's decision recorder; each kill becomes one
-// instant carrying the pressure that triggered it and the bytes it freed.
-func (c *Controller) SetTrace(r *trace.Recorder) { c.trace = r }
-
-// EnableTelemetry registers the kill counter with reg.
-func (c *Controller) EnableTelemetry(reg *telemetry.Registry) {
-	reg.CounterFunc("oomd.kills", func() int64 { return int64(len(c.kills)) })
 }
 
 // New returns a controller monitoring the given domain's memory pressure
@@ -151,16 +139,11 @@ func (c *Controller) Tick(now vclock.Time) {
 		return
 	}
 	if victim, ok := c.pickVictim(); ok {
-		usage := victim.Group.MemoryCurrent()
 		victim.Kill(now)
 		c.kills = append(c.kills, KillEvent{Time: now, Group: victim.Group, Pressure: pressure})
 		c.lastKill = now
 		c.hasKilled = true
 		c.armed = false
-		if c.trace != nil {
-			c.trace.Instant(now, trace.KindOOMKill, "kill "+victim.Group.Name(),
-				"pressure", pressure, "freed_bytes", usage)
-		}
 	}
 }
 

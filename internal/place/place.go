@@ -120,9 +120,6 @@ func New(mgr *mm.Manager, node *backend.CXLNode, interleave float64) *Controller
 // Stats returns the cumulative outcome counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// Inflight returns how many promotion copies are currently in flight.
-func (c *Controller) Inflight() int { return len(c.inflight) }
-
 // SetTrace attaches the host's decision recorder: one instant per promotion
 // outcome and per watermark demotion.
 func (c *Controller) SetTrace(r *trace.Recorder) { c.trace = r }

@@ -96,8 +96,8 @@ func TestPromotionLifecycle(t *testing.T) {
 	if st.AbortStall != 0 {
 		t.Fatalf("abort stall = %v, must be zero", st.AbortStall)
 	}
-	if hn.ctrl.Inflight() != 0 {
-		t.Fatalf("inflight = %d after completion", hn.ctrl.Inflight())
+	if len(hn.ctrl.inflight) != 0 {
+		t.Fatalf("inflight = %d after completion", len(hn.ctrl.inflight))
 	}
 }
 
@@ -111,8 +111,8 @@ func TestPromotionAbortsOnChurn(t *testing.T) {
 		hn.mgr.Touch(base.Add(vclock.Duration(i)), hot)
 	}
 	hn.tickAt(base, vclock.Second) // copy submitted
-	if hn.ctrl.Inflight() != 1 {
-		t.Fatalf("inflight = %d, want 1", hn.ctrl.Inflight())
+	if len(hn.ctrl.inflight) != 1 {
+		t.Fatalf("inflight = %d, want 1", len(hn.ctrl.inflight))
 	}
 	// The page is freed (workload restart) while the copy is in flight.
 	hn.mgr.FreePages([]mm.PageID{hot})
@@ -146,8 +146,8 @@ func TestStaleCopyAbortsAfterChurn(t *testing.T) {
 		hn.mgr.Touch(base.Add(vclock.Duration(i)), hot)
 	}
 	hn.tickAt(base, vclock.Second) // copy submitted at base+1s
-	if hn.ctrl.Inflight() != 1 {
-		t.Fatalf("inflight = %d, want 1", hn.ctrl.Inflight())
+	if len(hn.ctrl.inflight) != 1 {
+		t.Fatalf("inflight = %d, want 1", len(hn.ctrl.inflight))
 	}
 	// Free, refault and demote the page again within the copy window.
 	hn.mgr.FreePages([]mm.PageID{hot})
@@ -323,7 +323,7 @@ func TestTelemetryRegisters(t *testing.T) {
 		t.Fatal("no promotion to observe")
 	}
 	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := reg.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	dump := buf.String()

@@ -52,7 +52,7 @@ func TestForensicsLoop(t *testing.T) {
 	cfg.Guardrails.MaxMemPressure = 0.013
 	c := New(cfg)
 	r := c.Run()
-	if !r.RolledBack() || r.TrippedGuardrail != "psi" {
+	if r.State != StateRolledBack || r.TrippedGuardrail != "psi" {
 		t.Fatalf("state=%s tripped=%q, want psi rollback; log:\n%s",
 			r.State, r.TrippedGuardrail, r.EventLog())
 	}

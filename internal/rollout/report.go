@@ -134,9 +134,6 @@ type Result struct {
 // Completed reports whether a candidate policy reached the full fleet.
 func (r Result) Completed() bool { return r.State == StateCompleted }
 
-// RolledBack reports whether guardrails forced the baseline back.
-func (r Result) RolledBack() bool { return r.State == StateRolledBack }
-
 // OOMKillsOutsideCanary counts OOM kills on hosts beyond the canary cohort —
 // the blast-radius number a staged rollout exists to keep at zero.
 func (r Result) OOMKillsOutsideCanary() int64 {

@@ -282,7 +282,7 @@ func TestSafeRolloutCompletes(t *testing.T) {
 
 func TestAggressiveRolloutRollsBackAtCanary(t *testing.T) {
 	r := New(testConfig(aggressivePolicy())).Run()
-	if !r.RolledBack() {
+	if r.State != StateRolledBack {
 		t.Fatalf("state = %s, want rolled-back; log:\n%s", r.State, r.EventLog())
 	}
 	if r.TrippedGuardrail != "psi" {

@@ -235,17 +235,8 @@ func (c *Controller) targetConfig(g *cgroup.Group) Config {
 	return c.cfg
 }
 
-// Targets returns the registered containers.
-func (c *Controller) Targets() []*cgroup.Group { return c.targets }
-
 // LastAction returns the most recent action applied to g.
 func (c *Controller) LastAction(g *cgroup.Group) Action { return c.last[g] }
-
-// TotalRequested returns cumulative bytes requested for reclaim.
-func (c *Controller) TotalRequested() int64 { return c.totalRequested }
-
-// TotalReclaimed returns cumulative bytes the kernel actually freed.
-func (c *Controller) TotalReclaimed() int64 { return c.totalReclaimed }
 
 // Runs returns how many control intervals have executed.
 func (c *Controller) Runs() int64 { return c.runs }

@@ -22,6 +22,7 @@ type env struct {
 	h    *cgroup.Hierarchy
 	g    *cgroup.Group
 	swap *backend.TierChain
+	dev  *backend.SSDDevice
 }
 
 func newEnv(swapKind string) *env {
@@ -43,7 +44,7 @@ func newEnv(swapKind string) *env {
 		Policy:        mm.PolicyTMO,
 	})
 	h := cgroup.NewHierarchy(mgr, 0)
-	return &env{mgr: mgr, h: h, g: h.NewGroup(nil, "app", cgroup.Workload, 0), swap: swap}
+	return &env{mgr: mgr, h: h, g: h.NewGroup(nil, "app", cgroup.Workload, 0), swap: swap, dev: dev}
 }
 
 // populate gives the group n resident file pages.
@@ -134,7 +135,7 @@ func TestZeroPressureReclaimsFullRatio(t *testing.T) {
 	if act.Reclaimed < act.Requested-pageSize {
 		t.Fatalf("reclaimed %d of requested %d", act.Reclaimed, act.Requested)
 	}
-	if c.TotalRequested() != act.Requested || c.TotalReclaimed() != act.Reclaimed {
+	if c.totalRequested != act.Requested || c.totalReclaimed != act.Reclaimed {
 		t.Fatalf("cumulative counters wrong")
 	}
 }
@@ -155,8 +156,8 @@ func TestOneIntervalRecords(t *testing.T) {
 	c.Tick(0)
 	c.Tick(vclock.Time(6 * vclock.Second))
 	recs := rec.Records()
-	if len(recs) != 1+len(c.Targets()) {
-		t.Fatalf("one interval left %d records, want 1 + %d targets: %+v", len(recs), len(c.Targets()), recs)
+	if len(recs) != 1+len(c.targets) {
+		t.Fatalf("one interval left %d records, want 1 + %d targets: %+v", len(recs), len(c.targets), recs)
 	}
 	if recs[0].Cat != trace.KindSenpaiTick || recs[0].Depth != 0 {
 		t.Fatalf("first record is not the tick span: %+v", recs[0])
@@ -271,10 +272,9 @@ func TestWriteRegulationScalesReclaim(t *testing.T) {
 	c.Tick(0)
 
 	// Saturate the device write meter: 10 MB/s for a few seconds.
-	ssd := e.swap.SSD()
 	now := vclock.Time(0)
 	for i := 0; i < 50; i++ {
-		ssd.Device().Write(now, 1<<20)
+		e.dev.Write(now, 1<<20)
 		now = now.Add(100 * vclock.Millisecond)
 	}
 
@@ -347,7 +347,7 @@ func TestTargetsAccessor(t *testing.T) {
 	e := newEnv("")
 	c := New(ConfigA(), nil)
 	c.AddTarget(e.g)
-	if len(c.Targets()) != 1 || c.Targets()[0] != e.g {
+	if len(c.targets) != 1 || c.targets[0] != e.g {
 		t.Fatalf("targets accessor broken")
 	}
 }

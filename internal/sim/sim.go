@@ -124,9 +124,6 @@ func NewServer(cfg Config) *Server {
 	}
 }
 
-// Clock returns the server's virtual clock.
-func (s *Server) Clock() *vclock.Clock { return s.clock }
-
 // Now returns the current virtual time.
 func (s *Server) Now() vclock.Time { return s.clock.Now() }
 
@@ -139,14 +136,8 @@ func (s *Server) Hierarchy() *cgroup.Hierarchy { return s.h }
 // Filesystem returns the host filesystem backend.
 func (s *Server) Filesystem() *backend.Filesystem { return s.fs }
 
-// Device returns the host SSD.
-func (s *Server) Device() *backend.SSDDevice { return s.cfg.Device }
-
 // Swap returns the swap backend, nil in file-only mode.
 func (s *Server) Swap() *backend.TierChain { return s.cfg.Swap }
-
-// TickLen returns the tick duration.
-func (s *Server) TickLen() vclock.Duration { return s.cfg.TickLen }
 
 // Apps returns the registered applications.
 func (s *Server) Apps() []*workload.App { return s.apps }
@@ -192,9 +183,6 @@ func (s *Server) LastResult(a *workload.App) workload.TickResult {
 	}
 	return workload.TickResult{}
 }
-
-// Ticks returns how many ticks have run.
-func (s *Server) Ticks() int64 { return s.ticks }
 
 // stallEvent is one PSI state transition derived from an app stall interval.
 type stallEvent struct {

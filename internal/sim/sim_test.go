@@ -33,10 +33,10 @@ func newServer(capacityMiB int64, swapModel string) *Server {
 
 func TestServerDefaults(t *testing.T) {
 	s := newServer(256, "")
-	if s.TickLen() != 100*vclock.Millisecond {
-		t.Fatalf("default tick = %v", s.TickLen())
+	if s.cfg.TickLen != 100*vclock.Millisecond {
+		t.Fatalf("default tick = %v", s.cfg.TickLen)
 	}
-	if s.Now() != 0 || s.Ticks() != 0 {
+	if s.Now() != 0 || s.ticks != 0 {
 		t.Fatalf("fresh server not at time zero")
 	}
 	if s.Swap() != nil {
@@ -50,8 +50,8 @@ func TestRunAdvancesClockInTicks(t *testing.T) {
 	if s.Now() != vclock.Time(vclock.Second) {
 		t.Fatalf("Now = %v, want 1s", s.Now())
 	}
-	if s.Ticks() != 10 {
-		t.Fatalf("ticks = %d, want 10", s.Ticks())
+	if s.ticks != 10 {
+		t.Fatalf("ticks = %d, want 10", s.ticks)
 	}
 	// Partial tick rounds up.
 	s.Run(150 * vclock.Millisecond)
@@ -204,7 +204,15 @@ func TestCPUContentionPressure(t *testing.T) {
 	b := s.AddApp(workload.MustCatalog("cache-b"), cgroup.Workload, nil, 2)
 	s.Run(10 * vclock.Second)
 
-	if got := a.CPUShare(); got > 0.55 || got < 0.45 {
+	// Each worker waits off-CPU for the part of the tick it was not granted.
+	var wait vclock.Duration
+	for _, iv := range s.LastResult(a).Stalls {
+		if iv.CPU {
+			wait = iv.End.Sub(iv.Start)
+			break
+		}
+	}
+	if got := 1 - float64(wait)/float64(s.cfg.TickLen); got > 0.55 || got < 0.45 {
 		t.Fatalf("cpu share = %v, want ~0.5", got)
 	}
 	root := s.Hierarchy().Root().PSI()
@@ -235,8 +243,10 @@ func TestNoCPUContentionWhenProvisioned(t *testing.T) {
 	})
 	app := s.AddApp(workload.MustCatalog("cache-a"), cgroup.Workload, nil, 3)
 	s.Run(5 * vclock.Second)
-	if app.CPUShare() != 1 {
-		t.Fatalf("share = %v with ample CPUs", app.CPUShare())
+	for _, iv := range s.LastResult(app).Stalls {
+		if iv.CPU {
+			t.Fatalf("worker waited off-CPU %v with ample CPUs", iv.End.Sub(iv.Start))
+		}
 	}
 	root := s.Hierarchy().Root().PSI()
 	root.Sync(s.Now())

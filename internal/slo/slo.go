@@ -37,18 +37,6 @@ const (
 	Slope
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Upper:
-		return "upper"
-	case Lower:
-		return "lower"
-	case Slope:
-		return "slope"
-	}
-	return "invalid"
-}
-
 // Monitor is one burn-rate rule over a metric's series.
 type Monitor struct {
 	// Name identifies the monitor in alerts and counters.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -206,18 +205,4 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the snapshot as one indented JSON document, the
-// machine-readable companion to the Prometheus dump.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// WritePrometheus snapshots the registry and renders it; a convenience for
-// the CLI dump path.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.Snapshot().WritePrometheus(w)
 }

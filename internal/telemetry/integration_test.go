@@ -35,8 +35,9 @@ func TestRegistryWithSpanNesting(t *testing.T) {
 		now += 1000
 	}
 
-	if rec.OpenSpans() != 0 {
-		t.Fatalf("unbalanced spans: %d open", rec.OpenSpans())
+	// A span is committed when it ends, so all nine begun spans must be.
+	if rec.Len() != 9 {
+		t.Fatalf("unbalanced spans: %d of 9 committed", rec.Len())
 	}
 
 	// Span structure: 3 ticks at depth 0, 6 probes at depth 1, children

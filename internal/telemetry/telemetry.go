@@ -137,20 +137,6 @@ func (h *Histogram) Record(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Mean returns the mean observation, or 0 when empty.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()

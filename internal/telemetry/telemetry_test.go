@@ -49,7 +49,7 @@ func TestCounterFunc(t *testing.T) {
 		t.Fatalf("counter func = %+v ok=%v, want a counter read at snapshot time", m, ok)
 	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if want := "# TYPE mm_refaults counter\nmm_refaults 8\n"; buf.String() != want {
@@ -143,8 +143,8 @@ func TestHistogramStats(t *testing.T) {
 	for _, v := range []float64{10, 20, 30, 40} {
 		h.Record(v)
 	}
-	if h.Count() != 4 || h.Sum() != 100 || h.Mean() != 25 {
-		t.Fatalf("count=%d sum=%v mean=%v", h.Count(), h.Sum(), h.Mean())
+	if h.count != 4 || h.sum != 100 || h.Mean() != 25 {
+		t.Fatalf("count=%d sum=%v mean=%v", h.count, h.sum, h.Mean())
 	}
 	if q := h.Quantile(0); q != 10 {
 		t.Fatalf("q0 = %v", q)
@@ -253,7 +253,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Record(1500)
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -298,7 +298,7 @@ func TestWriteJSON(t *testing.T) {
 	r.Counter("oomd.kills").Inc()
 	r.Histogram("psi.stall_duration_us").Record(250)
 	var buf bytes.Buffer
-	if err := r.Snapshot().WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var snap Snapshot
@@ -348,7 +348,7 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("mm.scans").Value(); got != 8000 {
 		t.Fatalf("scans = %d", got)
 	}
-	if got := r.Histogram("mm.fault_latency_us").Count(); got != 8000 {
+	if got := r.Histogram("mm.fault_latency_us").count; got != 8000 {
 		t.Fatalf("histogram count = %d", got)
 	}
 }

@@ -115,10 +115,6 @@ func (r *Recorder) Len() int { return len(r.records) }
 // Dropped returns how many records were discarded at capacity.
 func (r *Recorder) Dropped() int64 { return r.dropped }
 
-// OpenSpans returns how many spans are begun but not yet ended; exporters
-// ignore them, so callers flush by ending spans before exporting.
-func (r *Recorder) OpenSpans() int { return len(r.stack) }
-
 // Tail renders the newest n retained records (all of them when n <= 0),
 // oldest first, one line each.
 func (r *Recorder) Tail(n int) string { return Lines(Last(r.Records(), n)) }

@@ -20,8 +20,8 @@ func TestSpanNesting(t *testing.T) {
 	r.Instant(26, KindMMSwapFull, "pool full")
 	tick.End(30)
 
-	if r.OpenSpans() != 0 {
-		t.Fatalf("open spans = %d", r.OpenSpans())
+	if len(r.stack) != 0 {
+		t.Fatalf("open spans = %d", len(r.stack))
 	}
 	recs := r.Records()
 	if len(recs) != 4 {
@@ -95,7 +95,7 @@ func TestChromeTraceExport(t *testing.T) {
 	probe.Annotate("requested_bytes", int64(4096))
 	probe.End(1400)
 	tick.End(1500)
-	r.Instant(1600, KindOOMKill, "kill", "victim", "cache-a")
+	r.Instant(1600, KindChaosInject, "ssd-slow", "fault", "ssd-slow")
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {

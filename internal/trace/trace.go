@@ -27,7 +27,6 @@ const (
 	// requested and reclaimed.
 	KindSenpaiTick    Kind = "senpai.tick"
 	KindSenpaiReclaim Kind = "senpai.reclaim"
-	KindOOMKill       Kind = "oomd.kill"
 	// Memory-management and backend events: the swap-full latch (anon scan
 	// turned off after a refused store) and one chain demotion round.
 	KindMMSwapFull    Kind = "mm.swap-full"

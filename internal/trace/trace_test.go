@@ -28,7 +28,7 @@ func TestEmitAndEvents(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	r := NewRecorder(3)
 	for i := 0; i < 10; i++ {
-		r.Instant(vclock.Time(i), KindOOMKill, fmt.Sprintf("x%d", i))
+		r.Instant(vclock.Time(i), KindChaosInject, fmt.Sprintf("x%d", i))
 	}
 	tail := r.Tail(2)
 	if !strings.Contains(tail, "x1") || !strings.Contains(tail, "x2") || strings.Contains(tail, "x0") {
@@ -100,8 +100,8 @@ func TestTotalAcrossManyWraps(t *testing.T) {
 // or over-wide; over-wide names are clipped, not allowed to shift the
 // columns.
 func TestEventStringAlignment(t *testing.T) {
-	short := Note(0, KindOOMKill, "web", "DETAIL").String()
-	long := Note(0, KindOOMKill, "workload-with-an-extremely-long-cgroup-name", "DETAIL").String()
+	short := Note(0, KindChaosInject, "web", "DETAIL").String()
+	long := Note(0, KindChaosInject, "workload-with-an-extremely-long-cgroup-name", "DETAIL").String()
 	si, li := strings.Index(short, "DETAIL"), strings.Index(long, "DETAIL")
 	if si < 0 || si != li {
 		t.Fatalf("detail offsets differ: %d vs %d\n%q\n%q", si, li, short, long)

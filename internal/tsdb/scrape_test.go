@@ -23,10 +23,10 @@ func TestScraperKinds(t *testing.T) {
 	base := []telemetry.Label{{Key: "host", Value: "h0"}}
 	sc.Scrape(1000, base, reg)
 
-	if s := db.Select("reqs"); len(s) != 1 || s[0].Last().V != 7 || s[0].Label("host") != "h0" {
+	if s := db.Select("reqs"); len(s) != 1 || s[0].Last().V != 7 || s[0].ID() != `reqs{host="h0"}` {
 		t.Fatalf("counter scrape: %+v", s)
 	}
-	if s := db.Select("temp"); len(s) != 1 || s[0].Label("zone") != "a" || s[0].Label("host") != "h0" {
+	if s := db.Select("temp"); len(s) != 1 || s[0].ID() != `temp{host="h0",zone="a"}` {
 		t.Fatalf("gauge labels not merged: %+v", s)
 	}
 	for _, m := range []string{"lat_us.count", "lat_us.sum", "lat_us.p50", "lat_us.p99"} {
@@ -56,7 +56,7 @@ func TestScraperFilterAndBaseClash(t *testing.T) {
 		t.Fatalf("filter did not drop metric")
 	}
 	// The metric's own label wins the clash with the scrape base.
-	if s := db.Select("owned"); len(s) != 1 || s[0].Label("host") != "self" {
+	if s := db.Select("owned"); len(s) != 1 || s[0].ID() != `owned{host="self"}` {
 		t.Fatalf("label clash: %+v", s)
 	}
 }

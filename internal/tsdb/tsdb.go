@@ -233,16 +233,6 @@ type Series struct {
 // ID renders the series identity string.
 func (s Series) ID() string { return seriesID(s.Metric, s.Labels) }
 
-// Label returns the value of one label key, or "".
-func (s Series) Label(key string) string {
-	for _, l := range s.Labels {
-		if l.Key == key {
-			return l.Value
-		}
-	}
-	return ""
-}
-
 // Last returns the newest sample, or a zero Point when empty.
 func (s Series) Last() Point {
 	if len(s.Points) == 0 {

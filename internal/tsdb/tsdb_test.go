@@ -213,7 +213,7 @@ func TestSelectAndMetrics(t *testing.T) {
 		t.Fatalf("Metrics() = %v", got)
 	}
 	sel := db.Select("psi", telemetry.Label{Key: "device", Value: "A"})
-	if len(sel) != 1 || sel[0].Label("host") != "h0" {
+	if len(sel) != 1 || sel[0].ID() != `psi{device="A",host="h0"}` {
 		t.Fatalf("Select mismatch: %+v", sel)
 	}
 	if len(db.Select("psi", telemetry.Label{Key: "device", Value: "Z"})) != 0 {

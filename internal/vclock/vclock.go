@@ -47,9 +47,6 @@ func (t Time) String() string { return Duration(t).String() }
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Millis returns the duration as a floating-point number of milliseconds.
-func (d Duration) Millis() float64 { return float64(d) / float64(Millisecond) }
-
 // Micros returns the duration as an integer number of microseconds.
 func (d Duration) Micros() int64 { return int64(d) }
 
@@ -79,17 +76,6 @@ func NewClock() *Clock { return &Clock{} }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
-
-// Advance moves the clock forward by d. It panics if d is negative: virtual
-// time, like the kernel's monotonic clock, never goes backwards, and a
-// negative advance always indicates a simulation-driver bug.
-func (c *Clock) Advance(d Duration) Time {
-	if d < 0 {
-		panic(fmt.Sprintf("vclock: negative advance %d", d))
-	}
-	c.now += Time(d)
-	return c.now
-}
 
 // AdvanceTo moves the clock forward to instant t. It panics if t is in the
 // past.

@@ -280,9 +280,6 @@ func (a *App) SetCPUShare(f float64) {
 	a.cpuShare = f
 }
 
-// CPUShare returns the current scheduler share.
-func (a *App) CPUShare() float64 { return a.cpuShare }
-
 // Completed returns the total number of requests served.
 func (a *App) Completed() int64 { return a.completed }
 
