@@ -86,6 +86,9 @@ func main() {
 	mode := cliutil.MustMode("fleetsim", *modeStr)
 	warm := cliutil.MustDuration("fleetsim", "warm", *warmStr)
 	measure := cliutil.MustDuration("fleetsim", "measure", *measureStr)
+	if err := checkFlags(*replicas); err != nil {
+		cliutil.Fatal("fleetsim", err)
+	}
 
 	mix := fleet.DefaultMix(mode, *seed)
 	if *tiersStr != "" {
@@ -317,4 +320,13 @@ func telemetryTable(ms []fleet.Measurement) string {
 	}
 	return textplot.Table(rows) + "\n" +
 		textplot.Bar("resident-memory savings by class (%)", labels, savings, 40)
+}
+
+// checkFlags rejects the flag values no measurement can run with: every
+// server class needs at least one replica.
+func checkFlags(replicas int) error {
+	if replicas < 1 {
+		return fmt.Errorf("bad -replicas: need at least 1 server per class, got %d", replicas)
+	}
+	return nil
 }

@@ -139,6 +139,27 @@ func (g *guardrailFlags) Set(v string) error {
 	return nil
 }
 
+// checkFlags rejects the flag values no rollout can run with: an empty
+// fleet, no candidate to stage (-tier-config supplies its own), a window
+// that does not advance time, and churn on a host the fleet does not have.
+func checkFlags(hosts, candidates, tierConfigs int, window vclock.Duration, crashes []rollout.Crash) error {
+	if hosts < 1 {
+		return fmt.Errorf("bad -hosts: need at least 1 host, got %d", hosts)
+	}
+	if candidates < 1 && tierConfigs == 0 {
+		return fmt.Errorf("bad -candidates: need at least 1 candidate policy, got %d", candidates)
+	}
+	if window <= 0 {
+		return fmt.Errorf("bad -window: barrier window must be positive, got %v", window)
+	}
+	for _, c := range crashes {
+		if c.Host < 0 || c.Host >= hosts {
+			return fmt.Errorf("bad -crash: host %d outside the %d-host fleet", c.Host, hosts)
+		}
+	}
+	return nil
+}
+
 func main() {
 	hosts := flag.Int("hosts", 12, "fleet population size")
 	modeStr := flag.String("mode", "zswap", "baseline offload mode: file-only, zswap, ssd, tiered, nvm, cxl")
@@ -177,6 +198,9 @@ func main() {
 		candMode = cliutil.MustMode("rolloutsim", *modeChange)
 	}
 	window := cliutil.MustDuration("rolloutsim", "window", *windowStr)
+	if err := checkFlags(*hosts, *candidates, len(tierConfigs), window, crashes); err != nil {
+		cliutil.Fatal("rolloutsim", err)
+	}
 	plan, err := cliutil.ParseStagePlan(*planStr, *bake)
 	if err != nil {
 		cliutil.Fatal("rolloutsim", err)

@@ -68,6 +68,9 @@ func main() {
 	mode := cliutil.MustMode("tmosim", *modeStr)
 	dur := cliutil.MustDuration("tmosim", "duration", *durStr)
 	report := cliutil.MustDuration("tmosim", "report", *reportStr)
+	if err := checkFlags(report, *capMiB); err != nil {
+		fatal(err)
+	}
 	prof, err := workload.Catalog(*appName)
 	if err != nil {
 		fatal(err)
@@ -240,6 +243,19 @@ func writeFile(path string, write func(io.Writer) error) {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
+}
+
+// checkFlags rejects the flag values no simulation can run with: a
+// reporting interval must advance time, and a capacity may be left at 0
+// (twice the app's footprint) but not set negative.
+func checkFlags(report vclock.Duration, capMiB int64) error {
+	if report <= 0 {
+		return fmt.Errorf("bad -report: interval must be positive, got %v", report)
+	}
+	if capMiB < 0 {
+		return fmt.Errorf("bad -capacity: must not be negative, got %d MiB", capMiB)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -17,19 +17,26 @@ const bigSwap = 1 << 30
 // zswapChain returns a one-tier chain: a zstd/zsmalloc pool of capacity
 // bytes whose latency stream derives from seed.
 func zswapChain(capacity int64, seed uint64) *TierChain {
-	return NewTierChain([]TierSpec{{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: capacity}}, nil, WritebackConfig{}, seed)
+	return NewTierChain([]TierSpec{{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: capacity}}, nil, 0, seed)
 }
 
 // ssdChain returns a one-tier chain: a swap partition of capacity bytes on
-// dev, its writeback queue bounded by wb.
-func ssdChain(dev *SSDDevice, capacity int64, wb WritebackConfig) *TierChain {
-	return NewTierChain([]TierSpec{{Kind: TierSSD, CapacityBytes: capacity}}, dev, wb, 0)
+// dev, its writeback queue holding up to wbDepth submissions.
+func ssdChain(dev *SSDDevice, capacity int64, wbDepth int) *TierChain {
+	return NewTierChain([]TierSpec{{Kind: TierSSD, CapacityBytes: capacity}}, dev, wbDepth, 0)
+}
+
+// withWriteIOPS returns a copy of spec whose write-IOPS ceiling, and so
+// its writeback queue's drain rate, is iops.
+func withWriteIOPS(spec DeviceSpec, iops float64) DeviceSpec {
+	spec.WriteIOPS = iops
+	return spec
 }
 
 // nvmChain returns a one-tier chain: an Optane-class NVM device of capacity
 // bytes whose latency stream derives from seed.
 func nvmChain(capacity int64, seed uint64) *TierChain {
-	return NewTierChain([]TierSpec{{Kind: TierNVM, CapacityBytes: capacity}}, nil, WritebackConfig{}, seed)
+	return NewTierChain([]TierSpec{{Kind: TierNVM, CapacityBytes: capacity}}, nil, 0, seed)
 }
 
 // storeOne offloads one page as a one-page batch.
@@ -149,7 +156,7 @@ func TestQueueFactorBounds(t *testing.T) {
 
 func TestSSDSwapStoreLoadFree(t *testing.T) {
 	dev := NewSSDDevice(DeviceCatalog[2], 3)
-	sw := ssdChain(dev, bigSwap, WritebackConfig{})
+	sw := ssdChain(dev, bigSwap, 0)
 	res, err := storeOne(sw, 0, pageSize, 4.0)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +192,7 @@ func TestSSDSwapStoreLoadFree(t *testing.T) {
 
 func TestSSDSwapCapacity(t *testing.T) {
 	dev := NewSSDDevice(DeviceCatalog[2], 4)
-	sw := ssdChain(dev, 2*pageSize, WritebackConfig{})
+	sw := ssdChain(dev, 2*pageSize, 0)
 	if _, err := storeOne(sw, 0, pageSize, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +205,7 @@ func TestSSDSwapCapacity(t *testing.T) {
 }
 
 func TestSSDLoadUnknownHandlePanics(t *testing.T) {
-	sw := ssdChain(NewSSDDevice(DeviceCatalog[0], 5), bigSwap, WritebackConfig{})
+	sw := ssdChain(NewSSDDevice(DeviceCatalog[0], 5), bigSwap, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("no panic for unknown handle")
@@ -432,7 +439,7 @@ func TestBackendStatsInvariant(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		z := zswapChain(bigSwap, 12)
-		s := ssdChain(NewSSDDevice(DeviceCatalog[3], 13), bigSwap, WritebackConfig{})
+		s := ssdChain(NewSSDDevice(DeviceCatalog[3], 13), bigSwap, 0)
 		return check(z, ops) && check(s, ops)
 	}
 	if err := quick.Check(f, nil); err != nil {

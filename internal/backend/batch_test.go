@@ -91,7 +91,7 @@ func TestBatchPaysInjectedStallOnce(t *testing.T) {
 	now := vclock.Time(vclock.Second)
 	mk := func() (*SSDDevice, *TierChain, []Handle) {
 		dev := NewSSDDevice(spec, 11)
-		sw := ssdChain(dev, bigSwap, WritebackConfig{Disabled: true})
+		sw := ssdChain(dev, bigSwap, 0)
 		hs := make([]Handle, 8)
 		for i := range hs {
 			r, err := storeOne(sw, 0, pageSize, 1)
@@ -126,7 +126,7 @@ func TestBatchPaysInjectedStallOnce(t *testing.T) {
 func TestSSDLoadBatchAmortizesFixedCost(t *testing.T) {
 	spec, _ := DeviceByModel("C")
 	mk := func() *TierChain {
-		return ssdChain(NewSSDDevice(spec, 21), bigSwap, WritebackConfig{Disabled: true})
+		return ssdChain(NewSSDDevice(spec, 21), bigSwap, 0)
 	}
 	swB, swS := mk(), mk()
 	var hsB, hsS []Handle
@@ -198,7 +198,7 @@ func TestZswapBatchAmortizesCodecOverhead(t *testing.T) {
 // how many pages fit and stores exactly that prefix.
 func TestStoreBatchStoresPrefixOnFull(t *testing.T) {
 	spec, _ := DeviceByModel("C")
-	sw := ssdChain(NewSSDDevice(spec, 13), 5*pageSize, WritebackConfig{})
+	sw := ssdChain(NewSSDDevice(spec, 13), 5*pageSize, 0)
 	reqs := make([]StoreReq, 8)
 	for i := range reqs {
 		reqs[i] = StoreReq{PageBytes: pageSize, CompressRatio: 1}
@@ -222,8 +222,8 @@ func TestStoreBatchStoresPrefixOnFull(t *testing.T) {
 // as the queue drains on the virtual clock.
 func TestWritebackDeferredUntilDrain(t *testing.T) {
 	spec, _ := DeviceByModel("C")
-	dev := NewSSDDevice(spec, 17)
-	sw := ssdChain(dev, bigSwap, WritebackConfig{MaxIOPS: 100}) // one submission per 10ms
+	dev := NewSSDDevice(withWriteIOPS(spec, 100), 17) // one submission per 10ms
+	sw := ssdChain(dev, bigSwap, 0)
 	for i := 0; i < 4; i++ {
 		r, err := storeOne(sw, 0, pageSize, 1)
 		if err != nil || r.Latency != 0 {
@@ -249,8 +249,8 @@ func TestWritebackDeferredUntilDrain(t *testing.T) {
 // returns a positive stall — the reclaim-side backpressure that feeds PSI.
 func TestWritebackBackpressureStallsReclaimer(t *testing.T) {
 	spec, _ := DeviceByModel("C")
-	dev := NewSSDDevice(spec, 19)
-	sw := ssdChain(dev, bigSwap, WritebackConfig{Depth: 2, MaxIOPS: 10}) // 100ms per submission
+	dev := NewSSDDevice(withWriteIOPS(spec, 10), 19) // 100ms per submission
+	sw := ssdChain(dev, bigSwap, 2)
 	var stalled bool
 	for i := 0; i < 6; i++ {
 		r, err := storeOne(sw, 0, pageSize, 1)
@@ -270,8 +270,8 @@ func TestWritebackBackpressureStallsReclaimer(t *testing.T) {
 // schedule, so a frozen device converts into reclaim backpressure.
 func TestWritebackStallBacksUpQueue(t *testing.T) {
 	spec, _ := DeviceByModel("C")
-	dev := NewSSDDevice(spec, 23)
-	sw := ssdChain(dev, bigSwap, WritebackConfig{Depth: 2, MaxIOPS: 1000})
+	dev := NewSSDDevice(withWriteIOPS(spec, 1000), 23)
+	sw := ssdChain(dev, bigSwap, 2)
 	now := vclock.Time(vclock.Second)
 	dev.InjectStall(now, 500*vclock.Millisecond)
 	var stall vclock.Duration
@@ -290,23 +290,6 @@ func TestWritebackStallBacksUpQueue(t *testing.T) {
 	}
 }
 
-// TestWritebackDisabledWritesInline: Disabled reverts to the synchronous
-// store-time cost model.
-func TestWritebackDisabledWritesInline(t *testing.T) {
-	spec, _ := DeviceByModel("C")
-	dev := NewSSDDevice(spec, 31)
-	sw := ssdChain(dev, bigSwap, WritebackConfig{Disabled: true})
-	if _, err := storeOne(sw, 0, pageSize, 1); err != nil {
-		t.Fatal(err)
-	}
-	if dev.WrittenBytes() != pageSize {
-		t.Fatalf("inline store wrote %d bytes at store time, want %d", dev.WrittenBytes(), pageSize)
-	}
-	if sw.SSD().wb.depth() != 0 {
-		t.Fatalf("disabled queue holds entries")
-	}
-}
-
 // TestTieredLoadBatchPartitionsTiers: a cluster split across pool and SSD
 // loads each tier's share in one submission; block IO is reported iff the
 // SSD served part of it.
@@ -315,7 +298,7 @@ func TestTieredLoadBatchPartitionsTiers(t *testing.T) {
 	mkChain := func() *TierChain {
 		return NewTierChain(
 			DefaultChainSpecs(256*pageSize, 1<<30),
-			NewSSDDevice(spec, 4), WritebackConfig{}, 3)
+			NewSSDDevice(spec, 4), 0, 3)
 	}
 	tr := mkChain()
 	var hs []Handle
@@ -388,7 +371,7 @@ func TestSubstratesRequirePositiveCapacity(t *testing.T) {
 	dev := NewSSDDevice(DeviceCatalog[2], 3)
 	for name, mk := range map[string]func(){
 		"zswap": func() { zswapChain(0, 1) },
-		"ssd":   func() { ssdChain(dev, 0, WritebackConfig{}) },
+		"ssd":   func() { ssdChain(dev, 0, 0) },
 		"nvm":   func() { nvmChain(0, 1) },
 	} {
 		func() {

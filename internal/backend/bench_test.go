@@ -30,7 +30,7 @@ func BenchmarkSSDRead(b *testing.B) {
 }
 
 func BenchmarkTieredStoreLoad(b *testing.B) {
-	tr := NewTierChain(DefaultChainSpecs(64<<20, 1<<30), NewSSDDevice(DeviceCatalog[2], 94), WritebackConfig{}, 93)
+	tr := NewTierChain(DefaultChainSpecs(64<<20, 1<<30), NewSSDDevice(DeviceCatalog[2], 94), 0, 93)
 	req := make([]StoreReq, 1)
 	out := make([]StoreResult, 1)
 	hs := make([]Handle, 1)

@@ -194,9 +194,10 @@ type TierChain struct {
 // NewTierChain builds a chain from specs. Every tier needs a positive
 // CapacityBytes; at most one uncompressed tier (SSD or NVM) is allowed and
 // it must be last. The SSD tier is carved from dev (which the filesystem may
-// share) and its async writeback queue is bounded by wb. seed derives each
-// tier's latency-sampling stream.
-func NewTierChain(specs []TierSpec, dev *SSDDevice, wb WritebackConfig, seed uint64) *TierChain {
+// share) and its async writeback queue holds up to wbDepth submissions
+// (zero selects DefaultWritebackDepth). seed derives each tier's
+// latency-sampling stream.
+func NewTierChain(specs []TierSpec, dev *SSDDevice, wbDepth int, seed uint64) *TierChain {
 	if len(specs) == 0 {
 		panic("backend: tier chain needs at least one tier")
 	}
@@ -225,7 +226,7 @@ func NewTierChain(specs []TierSpec, dev *SSDDevice, wb WritebackConfig, seed uin
 			if dev == nil {
 				panic("backend: chain SSD tier needs a device")
 			}
-			t.ssd = &SSDSwap{dev: dev, wb: newWritebackQueue(dev, wb)}
+			t.ssd = &SSDSwap{dev: dev, wb: newWritebackQueue(dev, wbDepth)}
 		case TierNVM:
 			t.nvm = newNVM(SpecNVMOptane, tierSeed)
 		default:

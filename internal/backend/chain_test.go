@@ -13,13 +13,14 @@ import (
 
 // driftChain builds the canonical two-tier test chain: a zstd dense tier
 // with the paper's 1.5x admission threshold over an SSD tier far larger
-// than any test fills, whose writeback queue is bounded by wb.
-func driftChain(poolBytes int64, wb WritebackConfig) *TierChain {
+// than any test fills, on a device following spec, whose writeback queue
+// holds up to wbDepth submissions.
+func driftChain(poolBytes int64, spec DeviceSpec, wbDepth int) *TierChain {
 	specs := []TierSpec{
 		{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: poolBytes, MinCompressRatio: 1.5},
 		{Kind: TierSSD, CapacityBytes: bigSwap},
 	}
-	return NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 31), wb, 31)
+	return NewTierChain(specs, NewSSDDevice(spec, 31), wbDepth, 31)
 }
 
 // TestChainRetiersDriftedPages: the compress-drift regression. Pages whose
@@ -28,7 +29,7 @@ func driftChain(poolBytes int64, wb WritebackConfig) *TierChain {
 // per store, so the refault round-trip lands them on SSD. The reverse drift
 // pulls them back up.
 func TestChainRetiersDriftedPages(t *testing.T) {
-	c := driftChain(64*pageSize, WritebackConfig{})
+	c := driftChain(64*pageSize, DeviceCatalog[2], 0)
 	now := vclock.Time(vclock.Second)
 
 	const pages = 20
@@ -97,7 +98,7 @@ func TestChainSerialBatchEquivalence(t *testing.T) {
 			{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 48 * pageSize, MinCompressRatio: 1.5},
 			{Kind: TierSSD, CapacityBytes: 1 << 30},
 		}
-		return NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 7), WritebackConfig{}, 7)
+		return NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 7), 0, 7)
 	}
 	batch, serial := build(), build()
 	now := vclock.Time(vclock.Second)
@@ -163,7 +164,7 @@ func TestChainErrFullLastTier(t *testing.T) {
 		{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 8 * pageSize},
 		{Kind: TierSSD, CapacityBytes: 4 * pageSize},
 	}
-	c := NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 13), WritebackConfig{}, 13)
+	c := NewTierChain(specs, NewSSDDevice(DeviceCatalog[2], 13), 0, 13)
 	now := vclock.Time(vclock.Second)
 
 	// Refault stores fill every tier to full capacity (cold stores stop at
@@ -200,7 +201,7 @@ func TestChainErrFullLastTier(t *testing.T) {
 // tier is back inside its band, and every migrated page stays loadable.
 func TestChainWatermarkDemotion(t *testing.T) {
 	const poolBytes = 100 * pageSize
-	c := driftChain(poolBytes, WritebackConfig{})
+	c := driftChain(poolBytes, DeviceCatalog[2], 0)
 	now := vclock.Time(vclock.Second)
 
 	var handles []Handle
@@ -243,7 +244,7 @@ func TestChainWatermarkDemotion(t *testing.T) {
 // onto a device that is already behind — and resumes on later ticks.
 func TestChainDemotionBackpressure(t *testing.T) {
 	const poolBytes = 80 * pageSize
-	c := driftChain(poolBytes, WritebackConfig{Depth: 1, MaxIOPS: 0.001}) // one drain per ~1000s
+	c := driftChain(poolBytes, withWriteIOPS(DeviceCatalog[2], 0.001), 1) // one drain per ~1000s
 	now := vclock.Time(vclock.Second)
 
 	// Occupy the queue's only slot with an incompressible store, then pack
@@ -291,7 +292,7 @@ func TestChainConcurrentHosts(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := driftChain(32*pageSize, WritebackConfig{})
+			c := driftChain(32*pageSize, DeviceCatalog[2], 0)
 			now := vclock.Time(vclock.Second)
 			var handles []Handle
 			for i := 0; i < 200; i++ {
@@ -348,7 +349,7 @@ func TestChainSingleTierForwards(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewTierChain([]TierSpec{tc.spec}, NewSSDDevice(DeviceCatalog[2], seed), WritebackConfig{}, seed)
+			c := NewTierChain([]TierSpec{tc.spec}, NewSSDDevice(DeviceCatalog[2], seed), 0, seed)
 			d := fnv.New64a()
 			rng := rand.New(rand.NewPCG(seed, uint64(len(tc.name))))
 			now := vclock.Time(vclock.Second)
@@ -414,7 +415,7 @@ func TestChainVictimFIFOBounded(t *testing.T) {
 		"lz4+ssd": NewTierChain([]TierSpec{
 			{Kind: TierZswap, Codec: CodecLz4, CapacityBytes: 64 * pageSize},
 			{Kind: TierSSD, CapacityBytes: bigSwap},
-		}, NewSSDDevice(DeviceCatalog[2], 3), WritebackConfig{}, 3),
+		}, NewSSDDevice(DeviceCatalog[2], 3), 0, 3),
 	} {
 		resident := make([]StoreResult, 8)
 		reqs := make([]StoreReq, len(resident))
@@ -462,7 +463,7 @@ func TestChainRejectsBadLayouts(t *testing.T) {
 					t.Errorf("%s: NewTierChain accepted %+v", name, specs)
 				}
 			}()
-			NewTierChain(specs, dev, WritebackConfig{}, 5)
+			NewTierChain(specs, dev, 0, 5)
 		}()
 	}
 }
@@ -474,7 +475,7 @@ func TestChainDemotesIntoNVM(t *testing.T) {
 	c := NewTierChain([]TierSpec{
 		{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: poolBytes},
 		{Kind: TierNVM, CapacityBytes: 1 << 30},
-	}, nil, WritebackConfig{}, 9)
+	}, nil, 0, 9)
 	now := vclock.Time(vclock.Second)
 	var handles []Handle
 	for i := 0; i < 300; i++ {

@@ -19,16 +19,16 @@ var fuzzRatios = [8]float64{1.0, 1.1, 1.4, 1.6, 2.0, 2.6, 3.5, 5.0}
 // within a short op sequence. The other two are the one-tier layouts every
 // non-tiered host runs: a zstd pool and an SSD partition, as small.
 func fuzzChains() []*TierChain {
-	dev := func() *SSDDevice { return NewSSDDevice(DeviceCatalog[2], 5) }
-	wb := WritebackConfig{Depth: 1, MaxIOPS: 1}
+	dev := func() *SSDDevice { return NewSSDDevice(withWriteIOPS(DeviceCatalog[2], 1), 5) }
+	const wbDepth = 1
 	return []*TierChain{
 		NewTierChain([]TierSpec{
 			{Kind: TierZswap, Codec: CodecLz4, CapacityBytes: 4 * pageSize, MinCompressRatio: 2.0},
 			{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 6 * pageSize, MinCompressRatio: 1.5},
 			{Kind: TierSSD, CapacityBytes: 12 * pageSize},
-		}, dev(), wb, 5),
-		NewTierChain([]TierSpec{{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 6 * pageSize}}, nil, wb, 5),
-		NewTierChain([]TierSpec{{Kind: TierSSD, CapacityBytes: 12 * pageSize}}, dev(), wb, 5),
+		}, dev(), wbDepth, 5),
+		NewTierChain([]TierSpec{{Kind: TierZswap, Codec: CodecZstd, CapacityBytes: 6 * pageSize}}, nil, wbDepth, 5),
+		NewTierChain([]TierSpec{{Kind: TierSSD, CapacityBytes: 12 * pageSize}}, dev(), wbDepth, 5),
 	}
 }
 

@@ -315,14 +315,9 @@ func (s *SSDSwap) Writeback() (drained, stalls int64, stallTime vclock.Duration)
 	return s.wb.drained, s.wb.stalls, s.wb.stallTime
 }
 
-// write hands one store submission of pages/bytes to the async queue (or
-// writes inline when the queue is disabled) and returns the
-// reclaimer-visible stall.
+// write hands one store submission of pages/bytes to the async queue and
+// returns the reclaimer-visible stall.
 func (s *SSDSwap) write(now vclock.Time, pages int, bytes int64) vclock.Duration {
-	if s.wb.cfg.Disabled {
-		s.dev.WriteBatch(now, pages, bytes)
-		return 0
-	}
 	return s.wb.push(now, pages, bytes)
 }
 

@@ -25,27 +25,10 @@ import (
 // while the device is frozen, so a stall backs the queue up and converts
 // into reclaim backpressure once the depth limit is hit.
 
-// DefaultWritebackDepth is the queue depth used when WritebackConfig.Depth
-// is zero: 64 in-flight write submissions, a typical NVMe swap-out queue
+// DefaultWritebackDepth is the queue depth used when a chain is built with
+// depth zero: 64 in-flight write submissions, a typical NVMe swap-out queue
 // budget.
 const DefaultWritebackDepth = 64
-
-// WritebackConfig bounds the asynchronous swap-out writeback queue.
-type WritebackConfig struct {
-	// Depth is the maximum number of queued write submissions (a clustered
-	// batch counts once); pushes beyond it stall the reclaimer until a
-	// slot drains. Zero selects DefaultWritebackDepth.
-	Depth int
-	// MaxIOPS caps drain submissions per second; zero derives the cap from
-	// the device's write-IOPS ceiling.
-	MaxIOPS float64
-	// MaxBytesPerSec caps the drain byte rate; zero derives it from the
-	// device's write bandwidth.
-	MaxBytesPerSec float64
-	// Disabled reverts to inline synchronous device writes at store time
-	// (the pre-queue cost model).
-	Disabled bool
-}
 
 // wbEntry is one queued write submission.
 type wbEntry struct {
@@ -54,12 +37,13 @@ type wbEntry struct {
 	ready vclock.Time // enqueue time; cannot issue earlier
 }
 
-// writebackQueue paces queued write submissions onto an SSDDevice.
+// writebackQueue paces queued write submissions onto an SSDDevice at the
+// device's write-IOPS and bandwidth ceilings.
 type writebackQueue struct {
 	dev *SSDDevice
-	cfg WritebackConfig
 
-	// ring buffer of pending submissions; head indexes the oldest.
+	// ring buffer of pending submissions, one slot per unit of queue
+	// depth (a clustered batch counts once); head indexes the oldest.
 	ring []wbEntry
 	head int
 	n    int
@@ -73,29 +57,25 @@ type writebackQueue struct {
 	stallTime vclock.Duration // backpressure those pushes served
 }
 
-// newWritebackQueue returns a queue over dev with cfg's limits resolved.
-func newWritebackQueue(dev *SSDDevice, cfg WritebackConfig) *writebackQueue {
-	if cfg.Depth <= 0 {
-		cfg.Depth = DefaultWritebackDepth
+// newWritebackQueue returns a queue over dev holding up to depth
+// submissions; pushes beyond it stall the reclaimer until a slot drains.
+// Zero selects DefaultWritebackDepth.
+func newWritebackQueue(dev *SSDDevice, depth int) *writebackQueue {
+	if depth <= 0 {
+		depth = DefaultWritebackDepth
 	}
-	return &writebackQueue{dev: dev, cfg: cfg, ring: make([]wbEntry, cfg.Depth)}
+	return &writebackQueue{dev: dev, ring: make([]wbEntry, depth)}
 }
 
 // interval returns how long the device is occupied by one submission of the
 // given size: the larger of the per-op budget and the byte-transfer budget.
 func (q *writebackQueue) interval(bytes int64) vclock.Duration {
-	iops := q.cfg.MaxIOPS
-	if iops <= 0 {
-		iops = q.dev.Spec.WriteIOPS
-	}
+	iops := q.dev.Spec.WriteIOPS
 	var opDur vclock.Duration
 	if iops > 0 {
 		opDur = vclock.Duration(float64(vclock.Second) / iops)
 	}
-	bw := q.cfg.MaxBytesPerSec
-	if bw <= 0 {
-		bw = q.dev.Spec.WriteBWBytesPerSec
-	}
+	bw := q.dev.Spec.WriteBWBytesPerSec
 	var xferDur vclock.Duration
 	if bw > 0 {
 		xferDur = vclock.Duration(float64(bytes) / bw * float64(vclock.Second))

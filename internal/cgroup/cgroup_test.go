@@ -17,7 +17,6 @@ func newHierarchy() *Hierarchy {
 	fs := backend.NewFilesystem(backend.NewSSDDevice(spec, 1))
 	mgr := mm.NewManager(mm.Config{
 		CapacityBytes: 4096 * pageSize,
-		PageSize:      pageSize,
 		FS:            fs,
 		Policy:        mm.PolicyTMO,
 	})

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"tmo/internal/backend"
 	"tmo/internal/cgroup"
 	"tmo/internal/chaos"
 	"tmo/internal/core"
@@ -28,17 +27,17 @@ const chaosScript = "t=30s ssd-stall 300ms every=60s; " +
 // runScripted runs a chaos-perturbed host for six virtual minutes and
 // returns its telemetry snapshot (Prometheus text) and Chrome trace JSON.
 func runScripted(t *testing.T, seed uint64) (string, string) {
-	return runScriptedWB(t, seed, backend.WritebackConfig{})
+	return runScriptedWB(t, seed, 0)
 }
 
-func runScriptedWB(t *testing.T, seed uint64, wb backend.WritebackConfig) (string, string) {
+func runScriptedWB(t *testing.T, seed uint64, wbDepth int) (string, string) {
 	t.Helper()
 	prof := workload.MustCatalog("feed").Scale(0.5)
 	sys := core.New(core.Options{
-		Mode:          core.ModeSSDSwap,
-		CapacityBytes: 2 * prof.FootprintBytes,
-		Seed:          seed,
-		Writeback:     wb,
+		Mode:           core.ModeSSDSwap,
+		CapacityBytes:  2 * prof.FootprintBytes,
+		Seed:           seed,
+		WritebackDepth: wbDepth,
 	})
 	sys.AddProfile(prof, cgroup.Workload)
 	if err := sys.Chaos().AddScript(chaosScript); err != nil {
@@ -87,23 +86,17 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestDeterminismWithWritebackQueue: the async writeback queue is on the
-// deterministic path — a constrained queue under the full chaos script
+// deterministic path — a shallow queue under the full chaos script
 // (including recurring ssd-stalls that gate its drain schedule) still
-// yields byte-identical runs, and the queue's limits genuinely perturb the
-// simulation relative to inline writeback.
+// yields byte-identical runs.
 func TestDeterminismWithWritebackQueue(t *testing.T) {
-	wb := backend.WritebackConfig{Depth: 4, MaxIOPS: 2000, MaxBytesPerSec: 50e6}
-	met1, tr1 := runScriptedWB(t, 7, wb)
-	met2, tr2 := runScriptedWB(t, 7, wb)
+	met1, tr1 := runScriptedWB(t, 7, 4)
+	met2, tr2 := runScriptedWB(t, 7, 4)
 	if met1 != met2 {
 		t.Errorf("telemetry snapshots differ across identical queued runs:\n%s", firstDiffLine(met1, met2))
 	}
 	if tr1 != tr2 {
 		t.Errorf("Chrome traces differ across identical queued runs:\n%s", firstDiffLine(tr1, tr2))
-	}
-	metInline, _ := runScriptedWB(t, 7, backend.WritebackConfig{Disabled: true})
-	if met1 == metInline {
-		t.Error("constrained writeback queue left telemetry identical to inline writeback")
 	}
 }
 
@@ -111,7 +104,7 @@ func TestDeterminismWithWritebackQueue(t *testing.T) {
 // propagate through the writeback queue as reclaim-side backpressure, and
 // queued stores must still drain on the virtual clock.
 func TestChaosStallBacksUpWritebackQueue(t *testing.T) {
-	met, _ := runScriptedWB(t, 7, backend.WritebackConfig{Depth: 2, MaxIOPS: 500})
+	met, _ := runScriptedWB(t, 7, 2)
 	for _, want := range []string{"backend_wb_drained", "backend_wb_backpressure_stalls"} {
 		if !strings.Contains(met, want) {
 			t.Fatalf("telemetry snapshot missing %q", want)

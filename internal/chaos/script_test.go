@@ -18,7 +18,7 @@ func fullHost() Host {
 	cxl := backend.SpecCXLNode
 	cxl.CapacityBytes = 1 << 30
 	swap := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
-		CapacityBytes: 1 << 30}}, nil, backend.WritebackConfig{}, 2)
+		CapacityBytes: 1 << 30}}, nil, 0, 2)
 	return Host{
 		Device:  dev,
 		Manager: mm.NewManager(mm.Config{CapacityBytes: 1 << 30, FS: backend.NewFilesystem(dev)}),

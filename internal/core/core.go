@@ -148,16 +148,13 @@ type Options struct {
 	// pages is placed far at allocation and nothing migrates. Zero runs the
 	// loop. Ignored by other modes.
 	InterleaveFrac float64
-	// NCPU enables CPU contention when worker demand exceeds it; zero
-	// disables.
-	NCPU int
 	// SwapReadahead is the kernel swap-readahead depth; zero disables.
 	SwapReadahead int
-	// Writeback bounds the SSD swap partition's async writeback queue
-	// (depth, IOPS, byte-rate caps); the zero value selects the default
-	// depth-64 queue with device-derived rates. Ignored by modes without
-	// an SSD swap tier.
-	Writeback backend.WritebackConfig
+	// WritebackDepth bounds the SSD swap partition's async writeback
+	// queue, which drains at the device's own write rates; zero selects
+	// backend.DefaultWritebackDepth. Ignored by modes without an SSD swap
+	// tier.
+	WritebackDepth int
 	// Seed derives all of the system's random streams.
 	Seed uint64
 }
@@ -213,7 +210,7 @@ func New(opts Options) *System {
 	sys.Device = backend.NewSSDDevice(spec, opts.Seed^0xdead)
 
 	if specs := chainSpecs(opts); specs != nil {
-		sys.Chain = backend.NewTierChain(specs, sys.Device, opts.Writeback, opts.Seed^0xbeef)
+		sys.Chain = backend.NewTierChain(specs, sys.Device, opts.WritebackDepth, opts.Seed^0xbeef)
 	}
 	if opts.Mode == ModeCXL {
 		// Byte-addressable placement tier: local DRAM over a CXL node,
@@ -233,7 +230,6 @@ func New(opts Options) *System {
 		Swap:          sys.Chain,
 		Far:           sys.CXL,
 		Policy:        opts.Policy,
-		NCPU:          opts.NCPU,
 		SwapReadahead: opts.SwapReadahead,
 	})
 

@@ -31,7 +31,6 @@ func TestSoakLongRun(t *testing.T) {
 		CapacityBytes: 640 * MiB,
 		DeviceModel:   "C",
 		Senpai:        &sc,
-		NCPU:          12,
 		SwapReadahead: 4,
 		Seed:          99,
 	})

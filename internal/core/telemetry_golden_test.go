@@ -29,7 +29,7 @@ func chaosHost(t testing.TB, mode Mode) *System {
 			{Kind: backend.TierZswap, Codec: backend.CodecZstd, CapacityBytes: 4 * MiB, MinCompressRatio: 1.5},
 			{Kind: backend.TierSSD, CapacityBytes: 1024 * MiB},
 		}
-		opts.Writeback = backend.WritebackConfig{Depth: 4}
+		opts.WritebackDepth = 4
 	}
 	sys := New(opts)
 	sys.AddWorkload("feed")

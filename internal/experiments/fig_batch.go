@@ -63,13 +63,13 @@ func AblationBatch(cfg Config) BatchResult {
 		for _, d := range []int{1, backend.DefaultWritebackDepth} {
 			arms = append(arms, fleet.Arm{
 				Opts: core.Options{
-					Mode:          core.ModeSSDSwap,
-					CapacityBytes: capacity,
-					DeviceModel:   "C",
-					SwapReadahead: ra,
-					Writeback:     backend.WritebackConfig{Depth: d},
-					Senpai:        cfg.senpai(senpai.ConfigA()),
-					Seed:          cfg.Seed + 2700,
+					Mode:           core.ModeSSDSwap,
+					CapacityBytes:  capacity,
+					DeviceModel:    "C",
+					SwapReadahead:  ra,
+					WritebackDepth: d,
+					Senpai:         cfg.senpai(senpai.ConfigA()),
+					Seed:           cfg.Seed + 2700,
 				},
 				Services: []workload.Profile{p},
 				Warm:     warm,
@@ -82,7 +82,7 @@ func AblationBatch(cfg Config) BatchResult {
 		drained, stalls, stallTime := h.Chain.SSD().Writeback()
 		return BatchCell{
 			Readahead:       h.Opts.SwapReadahead,
-			WBDepth:         h.Opts.Writeback.Depth,
+			WBDepth:         h.Opts.WritebackDepth,
 			RPS:             w.RPS,
 			MeanFaultUs:     h.Telemetry.Histogram("mm.fault_latency_us").Mean(),
 			MeanMemPressure: w.AppPressure,

@@ -303,7 +303,7 @@ func Figure5(cfg Config) Figure5Result {
 	// Each page is loaded right after its store, so the 1 MiB pool bound is
 	// never reached.
 	z := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
-		CapacityBytes: 1 << 20}}, nil, backend.WritebackConfig{}, cfg.Seed+400)
+		CapacityBytes: 1 << 20}}, nil, 0, cfg.Seed+400)
 	zr := metrics.NewReservoir(4096, dist.NewRand(cfg.Seed+401).Int64N)
 	req := []backend.StoreReq{{PageBytes: 4096, CompressRatio: 3}}
 	out := make([]backend.StoreResult, 1)

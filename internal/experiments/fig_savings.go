@@ -246,7 +246,7 @@ func TableCompression(cfg Config) TableCompressionResult {
 			// Each page is loaded right after its store, so the pool never
 			// holds more than one page; the bound is never reached.
 			z := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: c, Alloc: a,
-				CapacityBytes: 1 << 20}}, nil, backend.WritebackConfig{}, cfg.Seed+600)
+				CapacityBytes: 1 << 20}}, nil, 0, cfg.Seed+600)
 			r := metrics.NewReservoir(4096, dist.NewRand(cfg.Seed+601).Int64N)
 			var stored int64
 			for i := 0; i < pages; i++ {

@@ -155,14 +155,9 @@ func (n *Norm) Ratios(v Vitals) (rps, res float64) {
 // calibration protocol: warm under whatever config the host was built with
 // into a Norm, push the probe as a live config, settle, then average
 // measureWin windows. Calibration and the fidelity gate both measure
-// through this one path.
+// through this one path, with windows twin.CalibrateConfig has already
+// normalised (warmWin >= 2, measureWin >= 1).
 func MeasureResponse(h HostSim, probe senpai.Config, window vclock.Duration, warmWin, settleWin, measureWin int) Response {
-	if warmWin < 2 {
-		warmWin = 2
-	}
-	if measureWin < 1 {
-		measureWin = 1
-	}
 	var norm Norm
 	for i := 0; i < warmWin; i++ {
 		norm.Warm(h.Advance(window), warmWin)

@@ -20,10 +20,9 @@ func newEnv() (*mm.Manager, *cgroup.Group) {
 	spec, _ := backend.DeviceByModel("C")
 	dev := backend.NewSSDDevice(spec, 41)
 	z := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
-		CapacityBytes: 1 << 30}}, nil, backend.WritebackConfig{}, 42)
+		CapacityBytes: 1 << 30}}, nil, 0, 42)
 	mgr := mm.NewManager(mm.Config{
 		CapacityBytes: 512 * MiB,
-		PageSize:      pageSize,
 		Swap:          z,
 		FS:            backend.NewFilesystem(dev),
 		Policy:        mm.PolicyTMO,
@@ -114,7 +113,7 @@ func TestConvergesOnWorkload(t *testing.T) {
 	spec, _ := backend.DeviceByModel("C")
 	dev := backend.NewSSDDevice(spec, 43)
 	z := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
-		CapacityBytes: 1 << 30}}, nil, backend.WritebackConfig{}, 44)
+		CapacityBytes: 1 << 30}}, nil, 0, 44)
 	s := sim.NewServer(sim.Config{
 		CapacityBytes: 512 * MiB,
 		Device:        dev,

@@ -8,21 +8,17 @@ import (
 	"tmo/internal/vclock"
 )
 
-func newSSDSwapWithDev(seed uint64, wb backend.WritebackConfig) (*backend.TierChain, *backend.SSDDevice) {
+func newSSDSwapWithDev(seed uint64, wbDepth int) (*backend.TierChain, *backend.SSDDevice) {
 	spec, _ := backend.DeviceByModel("C")
 	dev := backend.NewSSDDevice(spec, seed)
-	return ssdChain(dev, testSwapBytes, wb), dev
+	return ssdChain(dev, testSwapBytes, wbDepth), dev
 }
-
-// inlineWrites disables the writeback queue: stores write the device inline.
-var inlineWrites = backend.WritebackConfig{Disabled: true}
 
 // newReadaheadManager builds a manager with a full-cluster readahead depth
 // over the given swap backend.
 func newReadaheadManager(swap *backend.TierChain) *Manager {
 	return NewManager(Config{
 		CapacityBytes: 1024 * pageSize,
-		PageSize:      pageSize,
 		Swap:          swap,
 		FS:            newTestFS(88),
 		Policy:        PolicyTMO,
@@ -57,7 +53,7 @@ func offloadClusters(t *testing.T, m *Manager, g *Group, n int) []PageID {
 // waited on. Post-fix the whole cluster is one batched submission: one op
 // on the meter, latency paid by the faulting task.
 func TestReadaheadChargesOneDeviceOp(t *testing.T) {
-	sw, dev := newSSDSwapWithDev(41, inlineWrites)
+	sw, dev := newSSDSwapWithDev(41, 0)
 	m := newReadaheadManager(sw)
 	g := m.NewGroup("app", nil)
 	offloaded := offloadClusters(t, m, g, 4*swapClusterSize)
@@ -92,12 +88,12 @@ func TestReadaheadChargesOneDeviceOp(t *testing.T) {
 // must cost more than a single-page fault on an identical device — the
 // transfer term sees all the bytes the batch moves.
 func TestReadaheadLatencyScalesWithClusterBytes(t *testing.T) {
-	swBatch, _ := newSSDSwapWithDev(43, inlineWrites)
+	swBatch, _ := newSSDSwapWithDev(43, 0)
 	mBatch := newReadaheadManager(swBatch)
 	gB := mBatch.NewGroup("app", nil)
 	offB := offloadClusters(t, mBatch, gB, swapClusterSize)
 
-	swSolo, _ := newSSDSwapWithDev(43, inlineWrites)
+	swSolo, _ := newSSDSwapWithDev(43, 0)
 	mSolo := newTestManager(1024, swSolo, PolicyTMO) // readahead disabled
 	gS := mSolo.NewGroup("app", nil)
 	offS := offloadClusters(t, mSolo, gS, swapClusterSize)
@@ -115,7 +111,7 @@ func TestReadaheadLatencyScalesWithClusterBytes(t *testing.T) {
 // IO is still in flight is a coalesced fault — it waits out the remainder
 // of the inflight submission, not a fresh device round trip.
 func TestCoalescedFaultPaysRemainder(t *testing.T) {
-	sw, _ := newSSDSwapWithDev(47, inlineWrites)
+	sw, _ := newSSDSwapWithDev(47, 0)
 	m := newReadaheadManager(sw)
 	reg := telemetry.NewRegistry()
 	m.EnableTelemetry(reg)
@@ -168,7 +164,7 @@ func TestCoalescedFaultPaysRemainder(t *testing.T) {
 // before its batch lands, the pending stamp must not leak into the page's
 // next life.
 func TestCoalescedWindowClosesOnReclaim(t *testing.T) {
-	sw, _ := newSSDSwapWithDev(53, inlineWrites)
+	sw, _ := newSSDSwapWithDev(53, 0)
 	m := newReadaheadManager(sw)
 	g := m.NewGroup("app", nil)
 	offloaded := offloadClusters(t, m, g, swapClusterSize)
@@ -241,7 +237,7 @@ func TestReclaimStoreBatchAllocFree(t *testing.T) {
 // cost is the queue's backpressure, and the writes surface on the device
 // only as the queue drains.
 func TestReclaimBatchesStoresThroughWritebackQueue(t *testing.T) {
-	sw, dev := newSSDSwapWithDev(59, backend.WritebackConfig{})
+	sw, dev := newSSDSwapWithDev(59, 0)
 	m := newTestManager(1024, sw, PolicyTMO)
 	g := m.NewGroup("app", nil)
 	pages := m.NewPages(g, Anon, 32, 1)
@@ -267,7 +263,7 @@ func TestReclaimBatchesStoresThroughWritebackQueue(t *testing.T) {
 // swap-exhausted latch trips — mirroring the per-page ErrFull contract.
 func TestReclaimSurvivesPartialStoreBatch(t *testing.T) {
 	spec, _ := backend.DeviceByModel("C")
-	sw := ssdChain(backend.NewSSDDevice(spec, 61), 5*pageSize, backend.WritebackConfig{})
+	sw := ssdChain(backend.NewSSDDevice(spec, 61), 5*pageSize, 0)
 	m := newTestManager(1024, sw, PolicyTMO)
 	g := m.NewGroup("app", nil)
 	pages := m.NewPages(g, Anon, 16, 1)

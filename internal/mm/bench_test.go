@@ -123,7 +123,6 @@ func BenchmarkSwapInFaultReadahead(b *testing.B) {
 	z := newZswap()
 	m := NewManager(Config{
 		CapacityBytes: (1 << 18) * pageSize,
-		PageSize:      pageSize,
 		Swap:          z,
 		FS:            newTestFS(99),
 		Policy:        PolicyTMO,

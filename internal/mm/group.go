@@ -83,7 +83,7 @@ func (g *Group) SwappedPages() int64 { return g.swappedPages }
 func (g *Group) FarPages() int64 { return g.farPages }
 
 // SwappedBytes returns the group's current offloaded bytes (uncompressed).
-func (g *Group) SwappedBytes() int64 { return g.swappedPages * g.mgr.cfg.PageSize }
+func (g *Group) SwappedBytes() int64 { return g.swappedPages * PageSize }
 
 // GroupStat holds a group's cumulative memory-management event counters.
 type GroupStat struct {
@@ -169,12 +169,12 @@ func (g *Group) protectedReclaimable() int64 {
 // ResidentBytes returns the group's own resident bytes (excluding
 // descendants).
 func (g *Group) ResidentBytes() int64 {
-	return (g.residentPages[Anon] + g.residentPages[File]) * g.mgr.cfg.PageSize
+	return (g.residentPages[Anon] + g.residentPages[File]) * PageSize
 }
 
 // ResidentBytesOf returns the group's own resident bytes of one page type.
 func (g *Group) ResidentBytesOf(t PageType) int64 {
-	return g.residentPages[t] * g.mgr.cfg.PageSize
+	return g.residentPages[t] * PageSize
 }
 
 // HierResidentBytes returns resident bytes of the group and all descendants

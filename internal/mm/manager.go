@@ -43,12 +43,13 @@ func (p ReclaimPolicy) String() string {
 	return "invalid"
 }
 
+// PageSize is the size of every simulated page in bytes.
+const PageSize int64 = 4096
+
 // Config parameterises a Manager.
 type Config struct {
 	// CapacityBytes is host DRAM size.
 	CapacityBytes int64
-	// PageSize in bytes; 4096 unless a test overrides it.
-	PageSize int64
 	// Swap is the offload backend for anonymous pages; nil runs file-only
 	// mode (§5.1's first deployment phase).
 	Swap *backend.TierChain
@@ -179,9 +180,6 @@ const faultOverhead vclock.Duration = 20 * vclock.Microsecond
 
 // NewManager returns a Manager for a host with the given configuration.
 func NewManager(cfg Config) *Manager {
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = 4096
-	}
 	if cfg.CapacityBytes <= 0 {
 		panic("mm: capacity must be positive")
 	}
@@ -282,7 +280,7 @@ func (m *Manager) gatherReadahead(cl clusterID) {
 		// neighbour is eligible only if its ancestry has room for the
 		// neighbour AND the demand charge still to come — readahead must
 		// never consume the last page of headroom under memory.max.
-		if g.overLimitAncestor(2*m.cfg.PageSize) != nil {
+		if g.overLimitAncestor(2*PageSize) != nil {
 			m.readaheadSkips++
 			q = next
 			continue
@@ -294,7 +292,7 @@ func (m *Manager) gatherReadahead(cl clusterID) {
 		m.flags[q] = m.flags[q]&^(flagState|flagActive|flagReferenced) | flagResident
 		m.pushHead(&g.lists[t][0], q)
 		g.residentPages[t]++
-		g.charge(m.cfg.PageSize)
+		g.charge(PageSize)
 		loaded++
 		q = next
 	}
@@ -422,7 +420,7 @@ func (m *Manager) NewPages(g *Group, t PageType, n int, compressibility float64)
 			// of pages, which most hosts' footprints fit: 20 bytes per
 			// page of DRAM, and no copying while the host builds its
 			// pages.
-			m.reserve(max(need, int(m.cfg.CapacityBytes/m.cfg.PageSize)+1))
+			m.reserve(max(need, int(m.cfg.CapacityBytes/PageSize)+1))
 		} else {
 			m.reserve(max(need, 2*m.reserved))
 		}
@@ -720,7 +718,7 @@ func (m *Manager) makeResident(now vclock.Time, id PageID) {
 	m.lastTouch[id] = now
 	if t == Anon && m.farInterleave > 0 && m.cfg.Far != nil {
 		m.interleaveAcc += m.farInterleave
-		if m.interleaveAcc >= 1 && m.cfg.Far.TryReserve(m.cfg.PageSize) {
+		if m.interleaveAcc >= 1 && m.cfg.Far.TryReserve(PageSize) {
 			m.interleaveAcc--
 			m.flags[id] |= flagFar
 			m.farHits[id] = 0
@@ -731,7 +729,7 @@ func (m *Manager) makeResident(now vclock.Time, id PageID) {
 	}
 	m.pushHead(&g.lists[t][0], id)
 	g.residentPages[t]++
-	g.charge(m.cfg.PageSize)
+	g.charge(PageSize)
 }
 
 // tryCharge makes room for one page if some limit in g's ancestry would be
@@ -740,11 +738,11 @@ func (m *Manager) makeResident(now vclock.Time, id PageID) {
 // recorded; the simulated workloads throttle themselves before this point,
 // as the paper's Web tier does.
 func (m *Manager) tryCharge(now vclock.Time, g *Group) vclock.Duration {
-	worst := g.overLimitAncestor(m.cfg.PageSize)
+	worst := g.overLimitAncestor(PageSize)
 	if worst == nil {
 		return 0
 	}
-	need := worst.usageForLimit() + m.cfg.PageSize - worst.effectiveLimit()
+	need := worst.usageForLimit() + PageSize - worst.effectiveLimit()
 	g.stat.DirectReclaims++
 	res := m.reclaim(now, worst, need, true)
 	if res.ReclaimedBytes < need {
@@ -779,7 +777,7 @@ func (m *Manager) FreePages(ids []PageID) {
 			if m.flags[id]&flagFar != 0 {
 				m.remove(&g.farList, id)
 				g.farPages--
-				m.cfg.Far.Release(m.cfg.PageSize)
+				m.cfg.Far.Release(PageSize)
 				m.flags[id] &^= flagFar
 				p.migrating, m.farHits[id] = false, 0
 				break
@@ -791,7 +789,7 @@ func (m *Manager) FreePages(ids []PageID) {
 				m.remove(&g.lists[t][0], id)
 			}
 			g.residentPages[t]--
-			g.charge(-m.cfg.PageSize)
+			g.charge(-PageSize)
 		case Offloaded:
 			m.cfg.Swap.Free(backend.Handle(p.handle))
 			m.Group(id).swappedPages--

@@ -19,7 +19,6 @@ func newTestFS(seed uint64) *backend.Filesystem {
 func newTestManager(capacityPages int64, swap *backend.TierChain, policy ReclaimPolicy) *Manager {
 	return NewManager(Config{
 		CapacityBytes: capacityPages * pageSize,
-		PageSize:      pageSize,
 		Swap:          swap,
 		FS:            newTestFS(99),
 		Policy:        policy,
@@ -32,20 +31,20 @@ const testSwapBytes = 1 << 30
 // zswapChain returns a one-tier chain: a zstd pool of capacity bytes.
 func zswapChain(capacity int64) *backend.TierChain {
 	return backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
-		CapacityBytes: capacity}}, nil, backend.WritebackConfig{}, 7)
+		CapacityBytes: capacity}}, nil, 0, 7)
 }
 
 // ssdChain returns a one-tier chain: a swap partition of capacity bytes on
-// dev, its writeback queue bounded by wb.
-func ssdChain(dev *backend.SSDDevice, capacity int64, wb backend.WritebackConfig) *backend.TierChain {
-	return backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierSSD, CapacityBytes: capacity}}, dev, wb, 0)
+// dev, its writeback queue holding up to wbDepth submissions.
+func ssdChain(dev *backend.SSDDevice, capacity int64, wbDepth int) *backend.TierChain {
+	return backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierSSD, CapacityBytes: capacity}}, dev, wbDepth, 0)
 }
 
 func newZswap() *backend.TierChain { return zswapChain(testSwapBytes) }
 
 func newSSDSwap() *backend.TierChain {
 	spec, _ := backend.DeviceByModel("C")
-	return ssdChain(backend.NewSSDDevice(spec, 42), testSwapBytes, backend.WritebackConfig{})
+	return ssdChain(backend.NewSSDDevice(spec, 42), testSwapBytes, 0)
 }
 
 // touchAll touches every page once at the given time.
@@ -476,7 +475,6 @@ func TestOraclePolicyEvictsColdestExactly(t *testing.T) {
 	z := newZswap()
 	m := NewManager(Config{
 		CapacityBytes: 1024 * pageSize,
-		PageSize:      pageSize,
 		Swap:          z,
 		FS:            newTestFS(81),
 		Policy:        PolicyOracle,
@@ -522,7 +520,7 @@ func TestOracleRespectsSwapAvailability(t *testing.T) {
 func TestDirtyFileWriteback(t *testing.T) {
 	spec, _ := backend.DeviceByModel("C")
 	dev := backend.NewSSDDevice(spec, 99)
-	m := NewManager(Config{CapacityBytes: 1024 * pageSize, PageSize: pageSize,
+	m := NewManager(Config{CapacityBytes: 1024 * pageSize,
 		FS: backend.NewFilesystem(dev), Policy: PolicyTMO})
 	g := m.NewGroup("app", nil)
 	pages := m.NewPages(g, File, 8, 1)
@@ -579,7 +577,6 @@ func TestSwapReadahead(t *testing.T) {
 	z := newZswap()
 	m := NewManager(Config{
 		CapacityBytes: 1024 * pageSize,
-		PageSize:      pageSize,
 		Swap:          z,
 		FS:            newTestFS(77),
 		Policy:        PolicyTMO,
@@ -646,7 +643,6 @@ func TestReadaheadHonoursMemoryMax(t *testing.T) {
 	z := zswapChain(8 * compStored)
 	m := NewManager(Config{
 		CapacityBytes: 1024 * pageSize,
-		PageSize:      pageSize,
 		Swap:          z,
 		FS:            newTestFS(77),
 		Policy:        PolicyTMO,
@@ -744,7 +740,7 @@ func TestOOMEventWhenNothingReclaimable(t *testing.T) {
 
 func TestSwapExhaustionLatchesAndClears(t *testing.T) {
 	spec, _ := backend.DeviceByModel("C")
-	sw := ssdChain(backend.NewSSDDevice(spec, 5), 2*pageSize, backend.WritebackConfig{})
+	sw := ssdChain(backend.NewSSDDevice(spec, 5), 2*pageSize, 0)
 	m := newTestManager(1024, sw, PolicyTMO)
 	g := m.NewGroup("app", nil)
 	anon := m.NewPages(g, Anon, 10, 1)
@@ -805,7 +801,6 @@ func TestFreePagesDropsClusterMembership(t *testing.T) {
 	z := newZswap()
 	m := NewManager(Config{
 		CapacityBytes: 1024 * pageSize,
-		PageSize:      pageSize,
 		Swap:          z,
 		FS:            newTestFS(77),
 		Policy:        PolicyTMO,
@@ -862,7 +857,6 @@ func TestFaultReadaheadIgnoresRecycledCluster(t *testing.T) {
 	z := newZswap()
 	m := NewManager(Config{
 		CapacityBytes: 1024 * pageSize,
-		PageSize:      pageSize,
 		Swap:          z,
 		FS:            newTestFS(77),
 		Policy:        PolicyTMO,
@@ -1066,7 +1060,6 @@ func TestAccountingInvariants(t *testing.T) {
 		z := newZswap()
 		m := NewManager(Config{
 			CapacityBytes: 256 * pageSize,
-			PageSize:      pageSize,
 			Swap:          z,
 			FS:            newTestFS(99),
 			Policy:        ReclaimPolicy(policy % 3),

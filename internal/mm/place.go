@@ -20,10 +20,10 @@ func (m *Manager) finishDemote(now vclock.Time, g *Group, id PageID, res *Reclai
 	m.pushHead(&g.farList, id)
 	g.farPages++
 	g.residentPages[Anon]--
-	g.charge(-m.cfg.PageSize)
+	g.charge(-PageSize)
 	m.farDemotions++
 	res.DemotedPages++
-	res.StallTime += m.cfg.Far.MigrateCost(now, m.cfg.PageSize)
+	res.StallTime += m.cfg.Far.MigrateCost(now, PageSize)
 }
 
 // SampleFar performs one deterministic access-bit scan over up to budget of
@@ -102,7 +102,7 @@ func (m *Manager) PromoteFromFar(now vclock.Time, id PageID) bool {
 		return false
 	}
 	g := m.Group(id)
-	if g.overLimitAncestor(m.cfg.PageSize) != nil {
+	if g.overLimitAncestor(PageSize) != nil {
 		p.migrating = false
 		return false
 	}
@@ -113,8 +113,8 @@ func (m *Manager) PromoteFromFar(now vclock.Time, id PageID) bool {
 	m.pushHead(&g.lists[Anon][1], id)
 	g.residentPages[Anon]++
 	g.farPages--
-	g.charge(m.cfg.PageSize)
-	m.cfg.Far.Release(m.cfg.PageSize)
+	g.charge(PageSize)
+	m.cfg.Far.Release(PageSize)
 	m.farPromotions++
 	g.stat.Promotions++
 	return true
@@ -130,7 +130,7 @@ func (m *Manager) DemoteCold(now vclock.Time, g *Group, want int64) int64 {
 	if m.cfg.Far == nil || want <= 0 {
 		return 0
 	}
-	target := (want + m.cfg.PageSize - 1) / m.cfg.PageSize
+	target := (want + PageSize - 1) / PageSize
 	scanLimit := target*maxScanFactor + int64(g.lists[Anon][0].refs+g.lists[Anon][1].refs) + scanBatch
 	var res ReclaimResult
 	var moved, scanned int64
@@ -154,7 +154,7 @@ func (m *Manager) DemoteCold(now vclock.Time, g *Group, want int64) int64 {
 			m.pushHead(active, id)
 			continue
 		}
-		if !m.cfg.Far.TryReserve(m.cfg.PageSize) {
+		if !m.cfg.Far.TryReserve(PageSize) {
 			break
 		}
 		m.remove(inactive, id)
@@ -163,5 +163,5 @@ func (m *Manager) DemoteCold(now vclock.Time, g *Group, want int64) int64 {
 	}
 	g.stat.PagesScanned += scanned
 	g.stat.Demotions += res.DemotedPages
-	return moved * m.cfg.PageSize
+	return moved * PageSize
 }

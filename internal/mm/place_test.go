@@ -17,7 +17,6 @@ func newFarManager(capacityPages, farPages int64, swap *backend.TierChain) (*Man
 	node := newTestCXLNode(farPages)
 	m := NewManager(Config{
 		CapacityBytes: capacityPages * pageSize,
-		PageSize:      pageSize,
 		Swap:          swap,
 		Far:           node,
 		FS:            newTestFS(99),

@@ -78,8 +78,8 @@ func (m *Manager) reclaim(now vclock.Time, root *Group, want int64, direct bool)
 					continue
 				}
 				share := remaining * w / weightSum
-				if share < m.cfg.PageSize {
-					share = m.cfg.PageSize
+				if share < PageSize {
+					share = PageSize
 				}
 				if honourLow && g != root && share > w {
 					share = w
@@ -135,7 +135,7 @@ func appendSubtree(out []*Group, g *Group) []*Group {
 // could achieve.
 func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimResult {
 	var res ReclaimResult
-	target := (want + m.cfg.PageSize - 1) / m.cfg.PageSize
+	target := (want + PageSize - 1) / PageSize
 
 	// Collect resident pages, coldest first.
 	var pages []PageID
@@ -161,7 +161,7 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 		lst := m.listOf(id)
 		p := m.page(id)
 		if t == Anon {
-			if m.cfg.Far != nil && m.cfg.Far.TryReserve(m.cfg.PageSize) {
+			if m.cfg.Far != nil && m.cfg.Far.TryReserve(PageSize) {
 				m.remove(lst, id)
 				m.finishDemote(now, g, id, &res)
 				reclaimed++
@@ -173,7 +173,7 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 			// The oracle offloads page by page: each store is a one-page
 			// batch carrying the page's refault bit.
 			oneReq := [1]backend.StoreReq{{
-				PageBytes:     m.cfg.PageSize,
+				PageBytes:     PageSize,
 				CompressRatio: p.compressibility,
 				Refault:       p.refaulted,
 			}}
@@ -191,7 +191,7 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 			p.refaulted = false
 			p.handle = uint64(store.Handle)
 			g.residentPages[Anon]--
-			g.charge(-m.cfg.PageSize)
+			g.charge(-PageSize)
 			g.swappedPages++
 			m.noteSwapOut(id)
 			res.StallTime += store.Latency
@@ -209,7 +209,7 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 		}
 		reclaimed++
 	}
-	res.ReclaimedBytes = reclaimed * m.cfg.PageSize
+	res.ReclaimedBytes = reclaimed * PageSize
 	res.StallTime += vclock.Duration(res.ScannedPages) * scanCPUPerPage / 8 // a table walk, not a list scan
 	g.noteShrink(res, writebacks)
 	return res
@@ -238,7 +238,7 @@ func (m *Manager) evictFile(g *Group, id PageID) {
 	p.hasShadow = true
 	g.evictions++
 	g.residentPages[File]--
-	g.charge(-m.cfg.PageSize)
+	g.charge(-PageSize)
 }
 
 // shrinkGroup runs the per-group LRU scan loop, evicting up to want bytes
@@ -248,7 +248,7 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 		return m.shrinkOracle(now, g, want)
 	}
 	var res ReclaimResult
-	target := (want + m.cfg.PageSize - 1) / m.cfg.PageSize
+	target := (want + PageSize - 1) / PageSize
 	// The scan budget covers the reclaim target plus every second chance
 	// outstanding: clearing referenced bits is bounded work, so reclaim
 	// always makes forward progress even when the whole LRU was recently
@@ -313,7 +313,7 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 			// byte-addressable far node while it has room, so it stays
 			// mapped at link latency instead of faulting; the swap tiers
 			// engage only once the node is full (the third rung).
-			if m.cfg.Far != nil && m.cfg.Far.TryReserve(m.cfg.PageSize) {
+			if m.cfg.Far != nil && m.cfg.Far.TryReserve(PageSize) {
 				m.finishDemote(now, g, id, &res)
 				reclaimed++
 				continue
@@ -331,7 +331,7 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 			p := m.page(id)
 			m.storeVictims[m.nStoreVictims] = id
 			m.storeReqs[m.nStoreVictims] = backend.StoreReq{
-				PageBytes:     m.cfg.PageSize,
+				PageBytes:     PageSize,
 				CompressRatio: p.compressibility,
 				Refault:       p.refaulted,
 			}
@@ -354,7 +354,7 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 		reclaimed++
 	}
 	reclaimed += m.flushSwapOuts(now, g, &res)
-	res.ReclaimedBytes = reclaimed * m.cfg.PageSize
+	res.ReclaimedBytes = reclaimed * PageSize
 	res.StallTime += vclock.Duration(res.ScannedPages) * scanCPUPerPage
 	g.noteShrink(res, writebacks)
 	return res
@@ -395,7 +395,7 @@ func (m *Manager) flushSwapOuts(now vclock.Time, g *Group, res *ReclaimResult) i
 		p.handle = uint64(r.Handle)
 		vg := m.Group(id)
 		vg.residentPages[Anon]--
-		vg.charge(-m.cfg.PageSize)
+		vg.charge(-PageSize)
 		vg.swappedPages++
 		m.noteSwapOut(id)
 		res.StallTime += r.Latency
@@ -441,7 +441,7 @@ func (m *Manager) otherAvailable(g *Group, t PageType) (PageType, bool) {
 // anonScanAllowed reports whether anonymous reclaim is possible at all:
 // either the far node has room for a demotion, or a swap rung can store.
 func (m *Manager) anonScanAllowed() bool {
-	if m.cfg.Far != nil && m.cfg.Far.FreeBytes() >= m.cfg.PageSize {
+	if m.cfg.Far != nil && m.cfg.Far.FreeBytes() >= PageSize {
 		return true
 	}
 	return m.swapScanAllowed()

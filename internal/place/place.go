@@ -166,7 +166,6 @@ func (c *Controller) Tick(now vclock.Time) {
 
 	// Access-bit sampling and promotion submission, per container in
 	// registration order (deterministic).
-	pageSize := c.mgr.Config().PageSize
 	var sampledAll, hotAll int64
 	for _, g := range c.targets {
 		cands, sampled := c.mgr.SampleFar(g.MM(), sampleBudget, promoteThreshold, c.sampleBuf[:0])
@@ -184,7 +183,7 @@ func (c *Controller) Tick(now vclock.Time) {
 				p:     p,
 				g:     g,
 				start: now,
-				done:  now.Add(c.node.MigrateCost(now, pageSize)),
+				done:  now.Add(c.node.MigrateCost(now, mm.PageSize)),
 			})
 		}
 	}

@@ -29,7 +29,6 @@ func newHarness(t testing.TB, capacityPages, farPages int64, interleave float64)
 	dev, _ := backend.DeviceByModel("C")
 	mgr := mm.NewManager(mm.Config{
 		CapacityBytes: capacityPages * pageSize,
-		PageSize:      pageSize,
 		Far:           node,
 		FS:            backend.NewFilesystem(backend.NewSSDDevice(dev, 7)),
 		Policy:        mm.PolicyTMO,

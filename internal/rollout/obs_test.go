@@ -118,14 +118,18 @@ func TestForensicsLoop(t *testing.T) {
 
 	// The cohort pressure series the monitor judged is in the store and
 	// crosses the budget before the trip.
-	sel := db.Select("rollout.cohort.mem_pressure",
-		telemetry.Label{Key: "candidate", Value: "candidate"},
-		telemetry.Label{Key: "stage", Value: "canary"})
-	if len(sel) == 0 {
-		t.Fatalf("cohort pressure series missing; metrics: %v", db.Metrics())
+	const cohortID = `rollout.cohort.mem_pressure{candidate="candidate",stage="canary"}`
+	var cohort *tsdb.Series
+	for _, s := range db.Select("rollout.cohort.mem_pressure") {
+		if s.ID() == cohortID {
+			cohort = &s
+		}
+	}
+	if cohort == nil {
+		t.Fatalf("cohort pressure series %s missing; metrics: %v", cohortID, db.Metrics())
 	}
 	crossed := vclock.Time(-1)
-	for _, p := range sel[0].Points {
+	for _, p := range cohort.Points {
 		if p.V > budget {
 			crossed = p.T
 			break

@@ -122,7 +122,7 @@ type Config struct {
 }
 
 // TwinConfig is the two-fidelity fleet layout: per device class the first
-// FullHead and last FullTail hosts (in index order) run full page-level
+// fullHead and last fullTail hosts (in index order) run full page-level
 // simulations, and every host between them runs a calibrated analytical
 // twin (internal/twin) advancing in O(1) per window. Hosts are enrolled in
 // stage cohorts by index order, so head samples land in the canary prefix
@@ -134,10 +134,14 @@ type TwinConfig struct {
 	// (device class, mode, layout; see twin.Key) a twin host could be asked
 	// to run.
 	Coeffs *twin.CoefficientSet
-	// FullHead and FullTail are the per-device-class full-fidelity sample
-	// counts; defaults 4 and 4.
-	FullHead, FullTail int
 }
+
+// fullHead and fullTail are the per-device-class full-fidelity sample
+// counts of a two-fidelity fleet.
+const (
+	fullHead = 4
+	fullTail = 4
+)
 
 // normalize fills defaults and validates, panicking on unusable configs the
 // way core.New does.
@@ -219,18 +223,10 @@ func (cfg Config) normalize() Config {
 			panic(fmt.Sprintf("rollout: crash host %d out of range", cr.Host))
 		}
 	}
-	if cfg.Twin != nil {
-		t := *cfg.Twin
+	if t := cfg.Twin; t != nil {
 		if t.Coeffs == nil || len(t.Coeffs.Surfaces) == 0 {
 			panic("rollout: Twin.Coeffs required — run a calibration (twin.Calibrate) first")
 		}
-		if t.FullHead <= 0 {
-			t.FullHead = 4
-		}
-		if t.FullTail <= 0 {
-			t.FullTail = 4
-		}
-		cfg.Twin = &t
 		// Fail at construction, not mid-rollout: every spec a twin host
 		// could run — its own, under any policy it could be pushed — must
 		// resolve to a fitted surface.
@@ -256,8 +252,8 @@ func (cfg Config) normalize() Config {
 }
 
 // fidelityLayout assigns each host index its fidelity under the twin
-// layout: per device class (indices in index order) the first FullHead and
-// last FullTail hosts stay full, the span between runs as twins. Classes
+// layout: per device class (indices in index order) the first fullHead and
+// last fullTail hosts stay full, the span between runs as twins. Classes
 // too small to thin out stay entirely full-fidelity.
 func fidelityLayout(cfg Config) []string {
 	out := make([]string, len(cfg.Hosts))
@@ -270,11 +266,10 @@ func fidelityLayout(cfg Config) []string {
 	byDev, devs := fleet.DeviceCohorts(cfg.Hosts)
 	for _, d := range devs {
 		idxs := byDev[d]
-		head, tail := cfg.Twin.FullHead, cfg.Twin.FullTail
-		if head+tail >= len(idxs) {
+		if fullHead+fullTail >= len(idxs) {
 			continue
 		}
-		for _, i := range idxs[head : len(idxs)-tail] {
+		for _, i := range idxs[fullHead : len(idxs)-fullTail] {
 			out[i] = fleet.FidelityTwin
 		}
 	}

@@ -67,7 +67,7 @@ func twinConfig(cands ...Policy) Config {
 		SettleWindows: 1,
 		Workers:       8,
 		Seed:          99,
-		Twin:          &TwinConfig{Coeffs: testCoeffs(), FullHead: 2, FullTail: 2},
+		Twin:          &TwinConfig{Coeffs: testCoeffs()},
 	}
 }
 
@@ -85,18 +85,18 @@ func TestFidelityLayout(t *testing.T) {
 			switch layout[i] {
 			case fleet.FidelityFull:
 				full++
-				if pos >= cfg.Twin.FullHead && pos < len(idxs)-cfg.Twin.FullTail {
+				if pos >= fullHead && pos < len(idxs)-fullTail {
 					t.Fatalf("class %s: middle host %d (pos %d) is full-fidelity", d, i, pos)
 				}
 			case fleet.FidelityTwin:
 				twins++
-				if pos < cfg.Twin.FullHead || pos >= len(idxs)-cfg.Twin.FullTail {
+				if pos < fullHead || pos >= len(idxs)-fullTail {
 					t.Fatalf("class %s: head/tail host %d (pos %d) is a twin", d, i, pos)
 				}
 			}
 		}
-		if full != cfg.Twin.FullHead+cfg.Twin.FullTail {
-			t.Fatalf("class %s: %d full hosts, want %d", d, full, cfg.Twin.FullHead+cfg.Twin.FullTail)
+		if full != fullHead+fullTail {
+			t.Fatalf("class %s: %d full hosts, want %d", d, full, fullHead+fullTail)
 		}
 		if twins != len(idxs)-full {
 			t.Fatalf("class %s: %d twins, want %d", d, twins, len(idxs)-full)
@@ -105,7 +105,7 @@ func TestFidelityLayout(t *testing.T) {
 
 	// A class too small to thin out stays entirely full-fidelity.
 	small := twinConfig(safePolicy())
-	small.Hosts = twinFleet(6) // 3 per class <= head+tail
+	small.Hosts = twinFleet(6) // 3 per class <= fullHead+fullTail
 	small = small.normalize()
 	for i, f := range fidelityLayout(small) {
 		if f != fleet.FidelityFull {
@@ -140,9 +140,11 @@ func TestTwinRolloutDeterminism(t *testing.T) {
 	if !r1.Completed() {
 		t.Fatalf("safe twin rollout ended %s; log:\n%s", r1.State, r1.EventLog())
 	}
+	// twinFleet alternates its two device classes in pairs, so each class's
+	// full-fidelity head and tail span twice as many host indices.
 	for _, h := range r1.Hosts {
 		want := fleet.FidelityFull
-		if h.Index >= 4 && h.Index < len(r1.Hosts)-4 {
+		if h.Index >= 2*fullHead && h.Index < len(r1.Hosts)-2*fullTail {
 			want = fleet.FidelityTwin
 		}
 		if h.Fidelity != want {

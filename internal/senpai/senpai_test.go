@@ -32,13 +32,12 @@ func newEnv(swapKind string) *env {
 	switch swapKind {
 	case "zswap":
 		swap = backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
-			CapacityBytes: 1 << 30}}, nil, backend.WritebackConfig{}, 32)
+			CapacityBytes: 1 << 30}}, nil, 0, 32)
 	case "ssd":
-		swap = backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierSSD, CapacityBytes: 1 << 30}}, dev, backend.WritebackConfig{}, 0)
+		swap = backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierSSD, CapacityBytes: 1 << 30}}, dev, 0, 0)
 	}
 	mgr := mm.NewManager(mm.Config{
 		CapacityBytes: 512 * MiB,
-		PageSize:      pageSize,
 		Swap:          swap,
 		FS:            backend.NewFilesystem(dev),
 		Policy:        mm.PolicyTMO,

@@ -57,7 +57,7 @@ func TestServerTickGolden(t *testing.T) {
 			r := s.LastResult(a)
 			writeInts(h, int64(r.Completed), int64(r.SwapIns), int64(r.Refaults), int64(r.ColdReads), int64(len(r.Stalls)))
 			for _, iv := range r.Stalls {
-				writeInts(h, int64(iv.Start), int64(iv.End), flags(iv.Mem, iv.IO, iv.CPU))
+				writeInts(h, int64(iv.Start), int64(iv.End), flags(iv.Mem, iv.IO, false))
 			}
 		}
 	})

@@ -30,8 +30,6 @@ type Controller interface {
 type Config struct {
 	// CapacityBytes is host DRAM.
 	CapacityBytes int64
-	// PageSize defaults to 4096.
-	PageSize int64
 	// TickLen defaults to 100ms.
 	TickLen vclock.Duration
 	// Device is the host SSD (filesystem, and swap if SSD-backed).
@@ -43,10 +41,6 @@ type Config struct {
 	Far *backend.CXLNode
 	// Policy selects the kernel reclaim algorithm.
 	Policy mm.ReclaimPolicy
-	// NCPU is the host's CPU count; worker demand beyond it is
-	// time-sliced, with the waiting accounted as CPU pressure. Zero
-	// disables CPU contention (every worker gets a full CPU).
-	NCPU int
 	// SwapReadahead is the kernel swap-readahead depth (pages per fault);
 	// zero disables.
 	SwapReadahead int
@@ -98,16 +92,12 @@ func NewServer(cfg Config) *Server {
 	if cfg.TickLen <= 0 {
 		cfg.TickLen = 100 * vclock.Millisecond
 	}
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = 4096
-	}
 	if cfg.Device == nil {
 		panic("sim: host SSD device required")
 	}
 	fs := backend.NewFilesystem(cfg.Device)
 	mgr := mm.NewManager(mm.Config{
 		CapacityBytes: cfg.CapacityBytes,
-		PageSize:      cfg.PageSize,
 		Swap:          cfg.Swap,
 		Far:           cfg.Far,
 		FS:            fs,
@@ -190,7 +180,6 @@ type stallEvent struct {
 	g     *cgroup.Group
 	mem   bool
 	io    bool
-	cpu   bool
 	start bool
 }
 
@@ -231,32 +220,14 @@ func (s *Server) step() {
 		}
 	}
 
-	// CPU scheduling: when worker demand exceeds the host's CPUs, every
-	// worker runs a proportional share and waits the rest.
-	if s.cfg.NCPU > 0 {
-		demand := 0
-		for _, a := range s.apps {
-			if !a.Killed() {
-				demand += a.Profile.Workers
-			}
-		}
-		share := 1.0
-		if demand > s.cfg.NCPU {
-			share = float64(s.cfg.NCPU) / float64(demand)
-		}
-		for _, a := range s.apps {
-			a.SetCPUShare(share)
-		}
-	}
-
 	// Serve the tick and gather stall intervals from all apps.
 	events := s.events[:0]
 	for i, a := range s.apps {
 		res := a.Tick(now, tick)
 		s.lastResults[i] = res
 		for _, iv := range res.Stalls {
-			events = append(events, stallEvent{at: iv.Start, g: a.Group, mem: iv.Mem, io: iv.IO, cpu: iv.CPU, start: true})
-			events = append(events, stallEvent{at: iv.End, g: a.Group, mem: iv.Mem, io: iv.IO, cpu: iv.CPU, start: false})
+			events = append(events, stallEvent{at: iv.Start, g: a.Group, mem: iv.Mem, io: iv.IO, start: true})
+			events = append(events, stallEvent{at: iv.End, g: a.Group, mem: iv.Mem, io: iv.IO, start: false})
 			s.stallIntegrations++
 			d := float64(iv.End.Sub(iv.Start))
 			if iv.Mem {
@@ -296,18 +267,12 @@ func (s *Server) step() {
 			if e.io {
 				e.g.StallStart(e.at, psi.IO)
 			}
-			if e.cpu {
-				e.g.StallStart(e.at, psi.CPU)
-			}
 		} else {
 			if e.mem {
 				e.g.StallStop(e.at, psi.Memory)
 			}
 			if e.io {
 				e.g.StallStop(e.at, psi.IO)
-			}
-			if e.cpu {
-				e.g.StallStop(e.at, psi.CPU)
 			}
 		}
 	}

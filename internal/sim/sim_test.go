@@ -19,9 +19,9 @@ func newServer(capacityMiB int64, swapModel string) *Server {
 	var swap *backend.TierChain
 	if swapModel == "zswap" {
 		swap = backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
-			CapacityBytes: 1 << 30}}, nil, backend.WritebackConfig{}, 22)
+			CapacityBytes: 1 << 30}}, nil, 0, 22)
 	} else if swapModel == "ssd" {
-		swap = backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierSSD, CapacityBytes: 1 << 30}}, dev, backend.WritebackConfig{}, 0)
+		swap = backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierSSD, CapacityBytes: 1 << 30}}, dev, 0, 0)
 	}
 	return NewServer(Config{
 		CapacityBytes: capacityMiB * MiB,
@@ -189,65 +189,18 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestCPUContentionPressure: worker demand beyond NCPU is time-sliced and
-// the waiting shows up as CPU pressure (§3.2.3).
-func TestCPUContentionPressure(t *testing.T) {
-	spec, _ := backend.DeviceByModel("C")
-	dev := backend.NewSSDDevice(spec, 31)
-	s := NewServer(Config{
-		CapacityBytes: 1024 * MiB,
-		Device:        dev,
-		Policy:        mm.PolicyTMO,
-		NCPU:          4, // two 4-worker apps -> 2x CPU overcommit
-	})
-	a := s.AddApp(workload.MustCatalog("cache-a"), cgroup.Workload, nil, 1)
-	b := s.AddApp(workload.MustCatalog("cache-b"), cgroup.Workload, nil, 2)
-	s.Run(10 * vclock.Second)
-
-	// Each worker waits off-CPU for the part of the tick it was not granted.
-	var wait vclock.Duration
-	for _, iv := range s.LastResult(a).Stalls {
-		if iv.CPU {
-			wait = iv.End.Sub(iv.Start)
-			break
-		}
-	}
-	if got := 1 - float64(wait)/float64(s.cfg.TickLen); got > 0.55 || got < 0.45 {
-		t.Fatalf("cpu share = %v, want ~0.5", got)
-	}
-	root := s.Hierarchy().Root().PSI()
-	root.Sync(s.Now())
-	someFrac := float64(root.Total(psi.CPU, psi.Some)) / float64(10*vclock.Second)
-	if someFrac < 0.5 {
-		t.Fatalf("root cpu some = %v of time, want high under 2x overcommit", someFrac)
-	}
-	// Throughput roughly halves versus an uncontended host.
-	free := NewServer(Config{CapacityBytes: 1024 * MiB, Device: backend.NewSSDDevice(spec, 31), Policy: mm.PolicyTMO})
-	a2 := free.AddApp(workload.MustCatalog("cache-a"), cgroup.Workload, nil, 1)
-	free.Run(10 * vclock.Second)
-	ratio := float64(a.Completed()) / float64(a2.Completed())
-	if ratio < 0.4 || ratio > 0.65 {
-		t.Fatalf("contended/uncontended throughput = %v, want ~0.5", ratio)
-	}
-	_ = b
-}
-
-// TestNoCPUContentionWhenProvisioned: enough CPUs -> no CPU pressure.
+// TestNoCPUContentionWhenProvisioned: the simulator gives every worker a
+// full CPU, so CPU pressure, which the cgroup's cpu.pressure file and the
+// psi.cpu series still export, stays zero.
 func TestNoCPUContentionWhenProvisioned(t *testing.T) {
 	spec, _ := backend.DeviceByModel("C")
 	s := NewServer(Config{
 		CapacityBytes: 1024 * MiB,
 		Device:        backend.NewSSDDevice(spec, 32),
 		Policy:        mm.PolicyTMO,
-		NCPU:          16,
 	})
-	app := s.AddApp(workload.MustCatalog("cache-a"), cgroup.Workload, nil, 3)
+	s.AddApp(workload.MustCatalog("cache-a"), cgroup.Workload, nil, 3)
 	s.Run(5 * vclock.Second)
-	for _, iv := range s.LastResult(app).Stalls {
-		if iv.CPU {
-			t.Fatalf("worker waited off-CPU %v with ample CPUs", iv.End.Sub(iv.Start))
-		}
-	}
 	root := s.Hierarchy().Root().PSI()
 	root.Sync(s.Now())
 	if root.Total(psi.CPU, psi.Some) != 0 {

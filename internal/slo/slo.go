@@ -41,62 +41,36 @@ const (
 type Monitor struct {
 	// Name identifies the monitor in alerts and counters.
 	Name string
-	// Metric is the tsdb metric the monitor reads.
+	// Metric is the tsdb metric the monitor reads; every series of it is
+	// judged on its own.
 	Metric string
-	// Match restricts the monitor to series carrying these labels
-	// (subset match); nil watches every series of the metric.
-	Match []telemetry.Label
 	// Kind selects the burn computation.
 	Kind Kind
 	// Budget is the error budget: the threshold value the metric must
 	// stay below (Upper, Slope) or above (Lower). A monitor with
 	// Budget <= 0 is disabled, mirroring guardrail zero semantics.
 	Budget float64
-	// Fast and Slow are window lengths in samples (scrapes). Defaults: 1
-	// and 4. The slow window uses however many samples exist when the
-	// series is younger than Slow.
-	Fast, Slow int
-	// FastBurn and SlowBurn are the burn thresholds; both must be met.
-	// Defaults: 1.0 and 0.5.
-	FastBurn, SlowBurn float64
-	// Horizon is the Slope projection distance. Default: 4 minutes
-	// (eight 30s windows).
+	// Horizon is the Slope projection distance; Slope monitors set it.
 	Horizon vclock.Duration
 }
 
+// Every monitor judges two windows, in samples (scrapes), and alerts when
+// both burn at or past their thresholds. The slow window uses however many
+// samples exist when the series is younger than slowWindow.
+const (
+	fastWindow = 1
+	slowWindow = 4
+	fastBurn   = 1.0
+	slowBurn   = 0.5
+)
+
+// fast returns the monitor's fast window. A Slope burn needs two samples to
+// see a trend, so its fast window is two.
 func (m Monitor) fast() int {
-	if m.Fast <= 0 {
-		return 1
+	if m.Kind == Slope {
+		return 2
 	}
-	return m.Fast
-}
-
-func (m Monitor) slow() int {
-	if m.Slow <= 0 {
-		return 4
-	}
-	return m.Slow
-}
-
-func (m Monitor) fastBurn() float64 {
-	if m.FastBurn <= 0 {
-		return 1.0
-	}
-	return m.FastBurn
-}
-
-func (m Monitor) slowBurn() float64 {
-	if m.SlowBurn <= 0 {
-		return 0.5
-	}
-	return m.SlowBurn
-}
-
-func (m Monitor) horizon() vclock.Duration {
-	if m.Horizon <= 0 {
-		return 4 * vclock.Minute
-	}
-	return m.Horizon
+	return fastWindow
 }
 
 // burn computes the burn rate over the last n samples of pts.
@@ -130,7 +104,7 @@ func (m Monitor) burn(pts []tsdb.Point, n int) float64 {
 		}
 		proj := last.V
 		if slope := (last.V - first.V) / dt; slope > 0 {
-			proj = last.V + slope*m.horizon().Seconds()
+			proj = last.V + slope*m.Horizon.Seconds()
 		}
 		return proj / m.Budget
 	}
@@ -184,14 +158,14 @@ func (e *Evaluator) Eval(now vclock.Time) []Alert {
 		if m.Budget <= 0 {
 			continue
 		}
-		for _, s := range e.DB.Select(m.Metric, m.Match...) {
+		for _, s := range e.DB.Select(m.Metric) {
 			if len(s.Points) < m.fast() {
 				continue
 			}
 			fast := m.burn(s.Points, m.fast())
-			slow := m.burn(s.Points, m.slow())
+			slow := m.burn(s.Points, slowWindow)
 			key := m.Name + "|" + s.ID()
-			hot := fast >= m.fastBurn() && slow >= m.slowBurn()
+			hot := fast >= fastBurn && slow >= slowBurn
 			if hot && !e.burning[key] {
 				alerts = append(alerts, Alert{Monitor: m.Name, Series: s.ID(), T: now, Fast: fast, Slow: slow})
 				if e.Telemetry != nil {

@@ -22,7 +22,7 @@ func TestUpperBurnRisingEdge(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ev := &Evaluator{
 		DB:        db,
-		Monitors:  []Monitor{{Name: "psi-burn", Metric: "psi", Kind: Upper, Budget: 0.01, Fast: 1, Slow: 4}},
+		Monitors:  []Monitor{{Name: "psi-burn", Metric: "psi", Kind: Upper, Budget: 0.01}},
 		Telemetry: reg,
 	}
 
@@ -65,12 +65,9 @@ func TestUpperBurnRisingEdge(t *testing.T) {
 
 func TestSlowWindowDebounce(t *testing.T) {
 	db := tsdb.New(tsdb.Config{})
-	ev := &Evaluator{DB: db, Monitors: []Monitor{{
-		Name: "m", Metric: "psi", Kind: Upper, Budget: 0.01,
-		Fast: 1, Slow: 4, FastBurn: 1, SlowBurn: 0.9,
-	}}}
+	ev := &Evaluator{DB: db, Monitors: []Monitor{{Name: "m", Metric: "psi", Kind: Upper, Budget: 0.01}}}
 	// One-window spike after a long quiet stretch: the slow window (mean
-	// ~0.3x budget) vetoes the alert.
+	// ~0.4x budget, under slowBurn) vetoes the alert.
 	feed(db, "psi", nil, 0, 0.001, 0.001, 0.001, 0.012)
 	if got := ev.Eval(4 * win); len(got) != 0 {
 		t.Fatalf("slow window failed to debounce: %+v", got)
@@ -80,7 +77,7 @@ func TestSlowWindowDebounce(t *testing.T) {
 func TestLowerBurnRPSDip(t *testing.T) {
 	db := tsdb.New(tsdb.Config{})
 	ev := &Evaluator{DB: db, Monitors: []Monitor{{
-		Name: "rps-burn", Metric: "rps_ratio", Kind: Lower, Budget: 0.75, Fast: 1, Slow: 2,
+		Name: "rps-burn", Metric: "rps_ratio", Kind: Lower, Budget: 0.75,
 	}}}
 	feed(db, "rps_ratio", nil, 0, 1.0, 0.98)
 	if got := ev.Eval(2 * win); len(got) != 0 {
@@ -99,11 +96,14 @@ func TestLowerBurnRPSDip(t *testing.T) {
 	}
 }
 
+// TestSlopeProjection builds the monitor the way rollout's defaultMonitors
+// does, with no window of its own: a Slope monitor's fast window must hold
+// the two samples a trend needs, or it could never fire.
 func TestSlopeProjection(t *testing.T) {
 	db := tsdb.New(tsdb.Config{})
 	ev := &Evaluator{DB: db, Monitors: []Monitor{{
 		Name: "swap-slope", Metric: "swap_util", Kind: Slope, Budget: 0.95,
-		Fast: 2, Slow: 4, Horizon: vclock.Duration(12 * win),
+		Horizon: vclock.Duration(12 * win),
 	}}}
 	// Flat and low: projection stays put, no alert.
 	feed(db, "swap_util", nil, 0, 0.30, 0.30, 0.30, 0.30)
@@ -179,7 +179,7 @@ func TestSlopeDegenerateWindows(t *testing.T) {
 		db.Append(win, "swap_util", nil, 0.9)
 	}
 	ev := &Evaluator{DB: db, Monitors: []Monitor{{
-		Name: "s", Metric: "swap_util", Kind: Slope, Budget: 0.5, Fast: 2, Slow: 4,
+		Name: "s", Metric: "swap_util", Kind: Slope, Budget: 0.5, Horizon: vclock.Duration(8 * win),
 	}}}
 	if got := ev.Eval(win); len(got) != 0 {
 		t.Fatalf("degenerate slope series alerted: %+v", got)
@@ -190,25 +190,10 @@ func TestDisabledAndShortSeries(t *testing.T) {
 	db := tsdb.New(tsdb.Config{})
 	ev := &Evaluator{DB: db, Monitors: []Monitor{
 		{Name: "off", Metric: "psi", Kind: Upper, Budget: 0}, // zero budget disables
-		{Name: "long", Metric: "psi", Kind: Upper, Budget: 0.01, Fast: 3},
+		{Name: "trend", Metric: "psi", Kind: Slope, Budget: 0.01, Horizon: vclock.Duration(8 * win)},
 	}}
-	feed(db, "psi", nil, 0, 9.9) // one sample: shorter than Fast=3
+	feed(db, "psi", nil, 0, 9.9) // one sample: shorter than a Slope fast window
 	if got := ev.Eval(win); len(got) != 0 {
 		t.Fatalf("disabled/short monitors alerted: %+v", got)
-	}
-}
-
-func TestMatchRestrictsSeries(t *testing.T) {
-	db := tsdb.New(tsdb.Config{})
-	canary := []telemetry.Label{{Key: "stage", Value: "canary"}}
-	fleetL := []telemetry.Label{{Key: "stage", Value: "fleet"}}
-	feed(db, "psi", canary, 0, 0.5, 0.5)
-	feed(db, "psi", fleetL, 0, 0.5, 0.5)
-	ev := &Evaluator{DB: db, Monitors: []Monitor{{
-		Name: "m", Metric: "psi", Match: canary, Kind: Upper, Budget: 0.01, Fast: 1,
-	}}}
-	got := ev.Eval(2 * win)
-	if len(got) != 1 || got[0].Series != `psi{stage="canary"}` {
-		t.Fatalf("match filter: %+v", got)
 	}
 }

@@ -28,7 +28,7 @@ func BenchmarkScrapeSnapshot(b *testing.B) {
 	sys.AddWorkload("feed")
 	sys.Run(2 * vclock.Minute)
 	snap := sys.TelemetrySnapshot()
-	sc := &Scraper{DB: New(Config{MaxPoints: 64})}
+	sc := &Scraper{DB: New(Config{})}
 	base := []telemetry.Label{{Key: "host", Value: "h0"}}
 	b.ReportAllocs()
 	b.ResetTimer()

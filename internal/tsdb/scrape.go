@@ -13,7 +13,7 @@ var DefaultQuantiles = []float64{0.5, 0.99}
 
 // Scraper snapshots telemetry registries into a DB. Counters and gauges
 // become one series each; histograms become .count, .sum, and one .pNN
-// series per configured quantile (recomputing quantiles later from raw
+// series per DefaultQuantiles entry (recomputing quantiles later from raw
 // buckets would force the store to retain them — the scrape collapses the
 // histogram the way production scrapers ship summaries).
 //
@@ -21,8 +21,6 @@ var DefaultQuantiles = []float64{0.5, 0.99}
 // fleet worker goroutines can share one.
 type Scraper struct {
 	DB *DB
-	// Quantiles overrides DefaultQuantiles when non-nil.
-	Quantiles []float64
 	// Filter, when non-nil, keeps only metrics whose name it accepts.
 	Filter func(name string) bool
 }
@@ -37,10 +35,6 @@ func (sc *Scraper) Scrape(now vclock.Time, base []telemetry.Label, reg *telemetr
 // ScrapeSnapshot ingests an already-taken snapshot (fleet measurements
 // capture one per host at measurement end).
 func (sc *Scraper) ScrapeSnapshot(now vclock.Time, base []telemetry.Label, snap telemetry.Snapshot) {
-	qs := sc.Quantiles
-	if qs == nil {
-		qs = DefaultQuantiles
-	}
 	for _, m := range snap.Metrics {
 		if sc.Filter != nil && !sc.Filter(m.Name) {
 			continue
@@ -50,7 +44,7 @@ func (sc *Scraper) ScrapeSnapshot(now vclock.Time, base []telemetry.Label, snap 
 		case "histogram":
 			sc.DB.Append(now, m.Name+".count", labels, float64(m.Count))
 			sc.DB.Append(now, m.Name+".sum", labels, m.Sum)
-			for _, q := range qs {
+			for _, q := range DefaultQuantiles {
 				sc.DB.Append(now, fmt.Sprintf("%s.p%02d", m.Name, int(q*100)), labels, m.Quantile(q))
 			}
 		default:

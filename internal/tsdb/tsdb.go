@@ -34,18 +34,11 @@ type Point struct {
 	V float64
 }
 
-// Config tunes the store. The zero value keeps every sample forever.
-type Config struct {
-	// Resolution is the minimum spacing between retained samples of one
-	// series; appends closer than this to the last retained sample are
-	// dropped (first-in-bucket wins). Zero keeps every sample.
-	Resolution vclock.Duration
-	// Retention bounds how far behind a series' newest sample older
-	// samples are kept. Zero keeps everything.
-	Retention vclock.Duration
-	// MaxPoints bounds the retained samples per series. Zero is unlimited.
-	MaxPoints int
-}
+// Config is empty: the store keeps every sample of every series for its
+// whole lifetime, with no downsampling or retention. The type stays so
+// that New(Config{}) keeps its signature for the callers that build a
+// store that way, cmd/tmobench among them.
+type Config struct{}
 
 // series is one labeled stream with delta-encoded samples. Timestamps are
 // stored as uvarint deltas from the previous sample; values as zigzag
@@ -58,8 +51,7 @@ type series struct {
 
 	buf   []byte
 	count int
-	first vclock.Time // timestamp of the oldest retained sample
-	last  vclock.Time // timestamp of the newest retained sample
+	last  vclock.Time // timestamp of the newest sample
 	lastV float64
 }
 
@@ -82,7 +74,6 @@ func (s *series) append(t vclock.Time, v float64) {
 	}
 	var dt uint64
 	if s.count == 0 {
-		s.first = t
 		dt = uint64(t)
 	} else {
 		dt = uint64(t - s.last)
@@ -101,7 +92,7 @@ func (s *series) append(t vclock.Time, v float64) {
 	s.count++
 }
 
-// points decodes the retained samples, oldest first.
+// points decodes the samples, oldest first.
 func (s *series) points() []Point {
 	out := make([]Point, 0, s.count)
 	var t vclock.Time
@@ -133,25 +124,15 @@ func (s *series) points() []Point {
 	return out
 }
 
-// rebuild re-encodes the series from pts (used after retention trims).
-func (s *series) rebuild(pts []Point) {
-	s.buf = s.buf[:0]
-	s.count = 0
-	for _, p := range pts {
-		s.append(p.T, p.V)
-	}
-}
-
 // DB is the store. All methods are safe for concurrent use.
 type DB struct {
 	mu     sync.Mutex
-	cfg    Config
 	series map[string]*series
 }
 
-// New returns an empty store with the given config.
-func New(cfg Config) *DB {
-	return &DB{cfg: cfg, series: make(map[string]*series)}
+// New returns an empty store.
+func New(Config) *DB {
+	return &DB{series: make(map[string]*series)}
 }
 
 // seriesID renders a series identity as name{k="v",...} with sorted label
@@ -180,8 +161,7 @@ func sortLabels(labels []telemetry.Label) []telemetry.Label {
 }
 
 // Append records one sample. Labels may arrive in any order; they are
-// sorted into the series identity. Appends within Resolution of the last
-// retained sample of the same series are dropped.
+// sorted into the series identity.
 func (db *DB) Append(t vclock.Time, metric string, labels []telemetry.Label, v float64) {
 	if metric == "" {
 		panic("tsdb: metric name must not be empty")
@@ -195,32 +175,7 @@ func (db *DB) Append(t vclock.Time, metric string, labels []telemetry.Label, v f
 		s = &series{metric: metric, labels: ls}
 		db.series[id] = s
 	}
-	if db.cfg.Resolution > 0 && s.count > 0 && t.Sub(s.last) < db.cfg.Resolution {
-		return
-	}
 	s.append(t, v)
-	db.trimLocked(s)
-}
-
-// trimLocked enforces Retention and MaxPoints. Re-encoding is O(points),
-// so it runs only when the series overshoots its bound by 25% — amortised
-// constant work per append.
-func (db *DB) trimLocked(s *series) {
-	overMax := db.cfg.MaxPoints > 0 && s.count > db.cfg.MaxPoints+db.cfg.MaxPoints/4
-	overAge := db.cfg.Retention > 0 && s.last.Sub(s.first) > db.cfg.Retention+db.cfg.Retention/4
-	if !overMax && !overAge {
-		return
-	}
-	pts := s.points()
-	if db.cfg.Retention > 0 {
-		cut := s.last.Add(-db.cfg.Retention)
-		i := sort.Search(len(pts), func(i int) bool { return pts[i].T >= cut })
-		pts = pts[i:]
-	}
-	if db.cfg.MaxPoints > 0 && len(pts) > db.cfg.MaxPoints {
-		pts = pts[len(pts)-db.cfg.MaxPoints:]
-	}
-	s.rebuild(pts)
 }
 
 // Series is one decoded stream returned by queries.
@@ -266,35 +221,18 @@ func (db *DB) All() []Series {
 	return out
 }
 
-// Select returns the series of one metric whose labels include every pair
-// in match (subset match; nil matches all), in identity order.
-func (db *DB) Select(metric string, match ...telemetry.Label) []Series {
+// Select returns every series of one metric, in identity order.
+func (db *DB) Select(metric string) []Series {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]Series, 0)
 	for _, s := range db.sortedLocked() {
-		if s.metric != metric || !labelsInclude(s.labels, match) {
+		if s.metric != metric {
 			continue
 		}
 		out = append(out, Series{Metric: s.metric, Labels: append([]telemetry.Label(nil), s.labels...), Points: s.points()})
 	}
 	return out
-}
-
-func labelsInclude(have []telemetry.Label, want []telemetry.Label) bool {
-	for _, w := range want {
-		found := false
-		for _, h := range have {
-			if h.Key == w.Key && h.Value == w.Value {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // Metrics returns the distinct metric names, sorted.
@@ -320,7 +258,7 @@ func (db *DB) NumSeries() int {
 	return len(db.series)
 }
 
-// NumSamples returns the total retained samples across all series.
+// NumSamples returns the total samples across all series.
 func (db *DB) NumSamples() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -57,109 +57,6 @@ func TestSeriesMonotoneClamp(t *testing.T) {
 	}
 }
 
-func TestDownsampleResolution(t *testing.T) {
-	db := New(Config{Resolution: 10 * vclock.Second})
-	for i := 0; i < 100; i++ {
-		db.Append(vclock.Time(i)*vclock.Time(vclock.Second), "m", nil, float64(i))
-	}
-	got := db.All()[0].Points
-	if len(got) != 10 {
-		t.Fatalf("retained %d points, want 10 (one per 10s bucket)", len(got))
-	}
-	// First-in-bucket wins.
-	if got[0].V != 0 || got[1].V != 10 {
-		t.Fatalf("unexpected bucket representatives: %v %v", got[0], got[1])
-	}
-}
-
-func TestRetentionAndMaxPoints(t *testing.T) {
-	db := New(Config{Retention: 100 * vclock.Second})
-	for i := 0; i < 1000; i++ {
-		db.Append(vclock.Time(i)*vclock.Time(vclock.Second), "m", nil, float64(i))
-	}
-	pts := db.All()[0].Points
-	span := pts[len(pts)-1].T.Sub(pts[0].T)
-	// Trimming is amortised with 25% slack.
-	if span > 125*vclock.Second {
-		t.Fatalf("retention span %v exceeds bound", span)
-	}
-	if pts[len(pts)-1].V != 999 {
-		t.Fatalf("newest sample lost: %v", pts[len(pts)-1])
-	}
-
-	db = New(Config{MaxPoints: 100})
-	for i := 0; i < 1000; i++ {
-		db.Append(vclock.Time(i), "m", nil, float64(i))
-	}
-	pts = db.All()[0].Points
-	if len(pts) > 125 {
-		t.Fatalf("retained %d points, want <= 125", len(pts))
-	}
-	if pts[len(pts)-1].V != 999 {
-		t.Fatalf("newest sample lost: %v", pts[len(pts)-1])
-	}
-}
-
-// TestTrimAmortizationBoundary pins the 25%-slack amortisation contract
-// exactly at the boundary: a series may overshoot its bound by up to
-// bound/4 retained samples (or retention/4 of span) before one append pays
-// the O(points) re-encode, which then cuts back to the configured bound.
-func TestTrimAmortizationBoundary(t *testing.T) {
-	sec := vclock.Time(vclock.Second)
-
-	// MaxPoints=8 tolerates 8+8/4=10 retained samples; the 11th trims to
-	// the newest 8.
-	db := New(Config{MaxPoints: 8})
-	for i := 0; i < 10; i++ {
-		db.Append(vclock.Time(i)*sec, "m", nil, float64(i))
-	}
-	if pts := db.All()[0].Points; len(pts) != 10 {
-		t.Fatalf("at slack boundary: retained %d points, want 10 untrimmed", len(pts))
-	}
-	db.Append(10*sec, "m", nil, 10)
-	pts := db.All()[0].Points
-	if len(pts) != 8 {
-		t.Fatalf("past slack boundary: retained %d points, want 8", len(pts))
-	}
-	if pts[0].V != 3 || pts[len(pts)-1].V != 10 {
-		t.Fatalf("trim kept wrong window: [%v .. %v], want [3 .. 10]", pts[0], pts[len(pts)-1])
-	}
-
-	// Retention=100s tolerates a 125s span; the append stretching it past
-	// that cuts back to samples within 100s of the newest.
-	db = New(Config{Retention: 100 * vclock.Second})
-	for i := 0; i <= 125; i++ {
-		db.Append(vclock.Time(i)*sec, "m", nil, float64(i))
-	}
-	if pts := db.All()[0].Points; len(pts) != 126 {
-		t.Fatalf("at retention slack boundary: retained %d points, want 126 untrimmed", len(pts))
-	}
-	db.Append(126*sec, "m", nil, 126)
-	pts = db.All()[0].Points
-	if got := pts[len(pts)-1].T.Sub(pts[0].T); got > 100*vclock.Second {
-		t.Fatalf("post-trim span %v exceeds retention", got)
-	}
-	if pts[0].V != 26 || pts[len(pts)-1].V != 126 {
-		t.Fatalf("retention trim kept wrong window: [%v .. %v], want [26 .. 126]", pts[0], pts[len(pts)-1])
-	}
-
-	// Downsampling interacts with the bound on retained samples, not raw
-	// appends: at Resolution=10s only first-in-bucket samples count toward
-	// MaxPoints, and the trim fires on the retained sample crossing the
-	// slack line even when most appends were dropped.
-	db = New(Config{Resolution: 10 * vclock.Second, MaxPoints: 4})
-	for i := 0; i < 60; i++ { // 60 appends -> 6 retained bucket heads: over 4+1
-		db.Append(vclock.Time(i)*sec, "m", nil, float64(i))
-	}
-	pts = db.All()[0].Points
-	if len(pts) != 4 {
-		t.Fatalf("downsampled trim retained %d points, want 4", len(pts))
-	}
-	if pts[0].V != 20 || pts[len(pts)-1].V != 50 {
-		t.Fatalf("downsampled trim kept wrong heads: [%v .. %v], want bucket heads 20..50", pts[0], pts[len(pts)-1])
-	}
-}
-
 // fill writes an identical workload into a DB, with label order shuffled
 // per call site to prove identity normalisation.
 func fill(db *DB, swap bool) {
@@ -212,12 +109,9 @@ func TestSelectAndMetrics(t *testing.T) {
 	if got := db.Metrics(); len(got) != 2 || got[0] != "psi" || got[1] != "rps" {
 		t.Fatalf("Metrics() = %v", got)
 	}
-	sel := db.Select("psi", telemetry.Label{Key: "device", Value: "A"})
+	sel := db.Select("psi")
 	if len(sel) != 1 || sel[0].ID() != `psi{device="A",host="h0"}` {
 		t.Fatalf("Select mismatch: %+v", sel)
-	}
-	if len(db.Select("psi", telemetry.Label{Key: "device", Value: "Z"})) != 0 {
-		t.Fatalf("Select matched absent label")
 	}
 	if db.NumSeries() != 2 || db.NumSamples() != 100 {
 		t.Fatalf("counts: %d series %d samples", db.NumSeries(), db.NumSamples())

@@ -44,7 +44,8 @@ type CalibrateConfig struct {
 	// set's window, Calibrate to 30s.
 	Window vclock.Duration
 	// WarmWindows/SettleWindows/MeasureWindows shape each point's run;
-	// defaults 4/4/6.
+	// defaults 4/4/6. WarmWindows follows rollout.Config's rule: minimum
+	// 2, so 1 becomes 2.
 	WarmWindows, SettleWindows, MeasureWindows int
 	// Seed derives each measured host's seed. The gate derives its seeds
 	// with its own offset and stride, so it never grades the twin against
@@ -73,8 +74,11 @@ func (c CalibrateConfig) normalize() CalibrateConfig {
 	if c.Window <= 0 {
 		c.Window = 30 * vclock.Second
 	}
-	if c.WarmWindows < 2 {
+	switch {
+	case c.WarmWindows <= 0:
 		c.WarmWindows = 4
+	case c.WarmWindows < 2:
+		c.WarmWindows = 2
 	}
 	if c.SettleWindows <= 0 {
 		c.SettleWindows = 4

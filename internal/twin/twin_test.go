@@ -356,3 +356,19 @@ func TestLayoutSurfaces(t *testing.T) {
 		t.Fatalf("gate rows out of layout order:\n%s", rep)
 	}
 }
+
+// TestWarmWindowsRule pins the warm-up rule twin calibration shares with
+// rollout.Config: zero selects 4 windows, and 1 rises to the minimum of 2.
+func TestWarmWindowsRule(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{{0, 4}, {1, 2}, {2, 2}, {5, 5}} {
+		c := CalibrateConfig{
+			Specs:       []fleet.Spec{{App: "web", Device: "C"}},
+			Modes:       []core.Mode{core.ModeZswap},
+			Baseline:    calBaseline(),
+			WarmWindows: tc.in,
+		}.normalize()
+		if c.WarmWindows != tc.want {
+			t.Errorf("WarmWindows %d normalised to %d, want %d", tc.in, c.WarmWindows, tc.want)
+		}
+	}
+}

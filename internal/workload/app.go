@@ -16,7 +16,6 @@ import (
 type StallInterval struct {
 	Start, End vclock.Time
 	Mem, IO    bool
-	CPU        bool
 }
 
 // TickResult reports what an app did during one simulation tick.
@@ -66,7 +65,6 @@ type App struct {
 	carry    []vclock.Duration // per-worker overrun debt
 	stalls   []StallInterval   // Tick's reused TickResult.Stalls buffer
 	admitted float64
-	cpuShare float64 // CPU time share granted by the scheduler, (0, 1]
 	load     float64 // demand multiplier on per-request touch rates
 	compress float64 // current page compressibility (chaos can drift it)
 
@@ -97,7 +95,6 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 		src:      src,
 		rng:      rand.New(src),
 		admitted: 1,
-		cpuShare: 1,
 		load:     1,
 		compress: p.Compressibility,
 		carry:    make([]vclock.Duration, p.Workers),
@@ -106,8 +103,7 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 	a.latencies = metrics.NewReservoir(4096, func(n int64) int64 {
 		return int64(dist.Uint64N(lsrc, uint64(n)))
 	})
-	pageSize := mgr.Config().PageSize
-	totalPages := p.FootprintBytes / pageSize
+	totalPages := p.FootprintBytes / mm.PageSize
 	nominal := p.NominalRPS()
 
 	a.classPages = make([][]mm.PageID, len(p.Classes))
@@ -133,9 +129,9 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 	a.touch.reset()
 
 	if p.StreamFileBytesPerSec > 0 && p.StreamSetBytes > 0 {
-		n := int(p.StreamSetBytes / pageSize)
+		n := int(p.StreamSetBytes / mm.PageSize)
 		a.streamPages = mgr.NewPages(g.MM(), mm.File, n, p.Compressibility)
-		a.streamPerRequest = float64(p.StreamFileBytesPerSec) / float64(pageSize) / nominal
+		a.streamPerRequest = float64(p.StreamFileBytesPerSec) / float64(mm.PageSize) / nominal
 	}
 	return a
 }
@@ -252,8 +248,7 @@ func (a *App) SetBloat(now vclock.Time, bytes int64) {
 	if bytes < 0 {
 		bytes = 0
 	}
-	pageSize := a.mgr.Config().PageSize
-	target := int(bytes / pageSize)
+	target := int(bytes / mm.PageSize)
 	if target > len(a.bloatPages) {
 		grown := a.mgr.NewPages(a.Group.MM(), mm.Anon, target-len(a.bloatPages), a.compress)
 		for _, pg := range grown {
@@ -264,20 +259,6 @@ func (a *App) SetBloat(now vclock.Time, bytes int64) {
 		a.mgr.FreePages(a.bloatPages[target:])
 		a.bloatPages = a.bloatPages[:target]
 	}
-}
-
-// SetCPUShare sets the fraction of CPU time the host scheduler grants each
-// worker this tick; the remainder is runnable-but-waiting time, which PSI
-// accounts as CPU pressure. The simulation layer computes it from host CPU
-// demand.
-func (a *App) SetCPUShare(f float64) {
-	if f <= 0 {
-		f = 0.01
-	}
-	if f > 1 {
-		f = 1
-	}
-	a.cpuShare = f
 }
 
 // Completed returns the total number of requests served.
@@ -454,7 +435,7 @@ func (a *App) frontEndFactor() float64 {
 		return 1
 	}
 	frac := float64(a.Group.MM().ResidentBytesOf(mm.File)) /
-		float64(a.fileFootprintPages*a.mgr.Config().PageSize)
+		float64(a.fileFootprintPages*mm.PageSize)
 	if deficit := p.FrontEndFileFloor - frac; deficit > 0 {
 		return 1 + p.FrontEndPenaltyK*deficit/p.FrontEndFileFloor
 	}
@@ -472,26 +453,7 @@ func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 	var res TickResult
 	a.stalls = a.stalls[:0]
 	frontEnd := a.frontEndFactor()
-	budget := vclock.Duration(float64(tick) * a.admitted * a.cpuShare)
-
-	// CPU contention: each worker is runnable but off-CPU for the share it
-	// was not granted. The waits are staggered across workers (round-robin
-	// scheduling), so container-level CPU full pressure stays rare while
-	// some pressure reflects the contention, as §3.2.3 describes.
-	if a.cpuShare < 1 {
-		wait := vclock.Duration(float64(tick) * (1 - a.cpuShare))
-		for w := 0; w < a.Profile.Workers; w++ {
-			off := vclock.Duration(int64(tick) * int64(w) / int64(a.Profile.Workers))
-			if off+wait > tick {
-				off = tick - wait
-			}
-			a.stalls = append(a.stalls, StallInterval{
-				Start: now.Add(off),
-				End:   now.Add(off + wait),
-				CPU:   true,
-			})
-		}
-	}
+	budget := vclock.Duration(float64(tick) * a.admitted)
 	for w := 0; w < a.Profile.Workers; w++ {
 		busy := a.carry[w]
 		a.carry[w] = 0

@@ -17,7 +17,6 @@ func newEnv(capacityMiB int64) (*mm.Manager, *cgroup.Hierarchy) {
 	fs := backend.NewFilesystem(backend.NewSSDDevice(spec, 11))
 	mgr := mm.NewManager(mm.Config{
 		CapacityBytes: capacityMiB * MiB,
-		PageSize:      pageSize,
 		FS:            fs,
 		Policy:        mm.PolicyTMO,
 	})
@@ -315,8 +314,8 @@ func TestColdClassStaysCold(t *testing.T) {
 }
 
 // newSteadyApp starts analytics (streaming reads, so every tick faults and
-// places IO stalls) on an ample host at half a CPU (so every tick also
-// places CPU waits) and warms it up until the app's buffers stop growing.
+// places IO stalls) on an ample host at half its admitted load and warms it
+// up until the app's buffers stop growing.
 func newSteadyApp(tb testing.TB) (*App, vclock.Time) {
 	tb.Helper()
 	mgr, h := newEnv(512)
@@ -324,7 +323,7 @@ func newSteadyApp(tb testing.TB) (*App, vclock.Time) {
 	g := h.NewGroup(nil, p.Name, cgroup.Workload, 0)
 	app := NewApp(p, g, mgr, 9)
 	app.Start(0)
-	app.SetCPUShare(0.5)
+	app.SetAdmitted(0.5)
 	now := vclock.Time(0)
 	for i := 0; i < 50; i++ {
 		app.Tick(now, 100*vclock.Millisecond)
