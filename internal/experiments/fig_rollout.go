@@ -24,7 +24,7 @@ type RolloutResult struct {
 	// BurnAlerts counts SLO burn-rate alerts the observability plane raised
 	// during the aggressive run before (or as) the guardrail tripped.
 	BurnAlerts int
-	// FlightBundles counts the post-mortem bundles the flight recorder
+	// FlightBundles counts the post-mortem bundles the controller
 	// dumped for the aggressive run's tripped cohort.
 	FlightBundles int
 }
@@ -123,7 +123,7 @@ func rolloutConfigs(c Config) (safe, aggressive rollout.Config) {
 // the wider fleet.
 // The aggressive run carries the observability plane so the scorecard can
 // also report the forensics side of the story: the SLO burn monitors firing
-// ahead of the verdict and the flight recorder shipping post-mortems.
+// ahead of the verdict and the flight bundles shipping post-mortems.
 func RolloutScorecard(c Config) RolloutResult {
 	safe, aggr := rolloutConfigs(c)
 	aggr.Obs = &rollout.ObsConfig{DB: tsdb.New(tsdb.Config{})}

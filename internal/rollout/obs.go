@@ -12,14 +12,15 @@ import (
 	"tmo/internal/trace"
 	"tmo/internal/tsdb"
 	"tmo/internal/twin"
+	"tmo/internal/vclock"
 )
 
 // ObsConfig attaches the observability plane to a rollout: at every window
 // barrier the controller writes per-host vital signs and per-cohort
-// aggregates into the DB, evaluates SLO burn-rate monitors over them, feeds
-// every host's flight recorder, and cuts a flight bundle whenever a host's
-// cohort trips a guardrail, the host OOMs, or it crashes. All of it runs on
-// the single-threaded barrier path, so the exports inherit the event log's
+// aggregates into the DB, evaluates SLO burn-rate monitors over them, and
+// cuts a flight bundle from the DB whenever a host's cohort trips a
+// guardrail, the host OOMs, or it crashes. All of it runs on the
+// single-threaded barrier path, so the exports inherit the event log's
 // byte-identity guarantee.
 type ObsConfig struct {
 	// DB is the sink; a nil DB disables the whole plane.
@@ -29,10 +30,9 @@ type ObsConfig struct {
 	ScrapeHosts bool
 }
 
-// The plane's fixed geometry: each host's flight-recorder ring holds
-// flightWindows barrier windows, each flight bundle carries the last
-// flightEvents decision-log records, and the fault-p99 burn monitor budgets
-// faultP99BudgetUs (50 ms).
+// The plane's fixed geometry: each flight bundle carries the host's last
+// flightWindows barrier windows and the last flightEvents decision-log
+// records, and the fault-p99 burn monitor budgets faultP99BudgetUs (50 ms).
 const (
 	flightWindows    = 32
 	flightEvents     = 64
@@ -59,7 +59,6 @@ type obsState struct {
 	cfg     ObsConfig
 	scraper *tsdb.Scraper
 	eval    *slo.Evaluator
-	fr      []*tsdb.FlightRecorder // by host index
 	// oomDumped tracks the incarnation whose OOM already cut a bundle, so
 	// a host grinding through OOM kills ships one post-mortem per life.
 	oomDumped []int
@@ -75,20 +74,10 @@ func newObsState(cfg Config, reg *telemetry.Registry) *obsState {
 		cfg:       o,
 		scraper:   &tsdb.Scraper{DB: o.DB, Filter: func(name string) bool { return hostMetrics[name] }},
 		eval:      &slo.Evaluator{DB: o.DB, Monitors: defaultMonitors(cfg), Telemetry: reg},
-		fr:        make([]*tsdb.FlightRecorder, len(cfg.Hosts)),
 		oomDumped: make([]int, len(cfg.Hosts)),
 	}
-	// Per-host series and flight recorders only exist for full-fidelity
-	// hosts: a 100k-host twin fleet would otherwise mint ~600k series and
-	// 100k recorder rings for members whose whole point is to be cheap.
-	// Twins are observed through the cohort and per-fidelity aggregates.
-	layout := fidelityLayout(cfg)
-	for i := range st.fr {
+	for i := range st.oomDumped {
 		st.oomDumped[i] = -1
-		if layout[i] == fleet.FidelityTwin {
-			continue
-		}
-		st.fr[i] = tsdb.NewFlightRecorder(flightWindows)
 	}
 	return st
 }
@@ -147,11 +136,11 @@ func (c *Controller) stageLabel() string {
 	}
 }
 
-// observe runs the observability plane at a barrier: per-host vitals into
-// the DB and the flight recorders, per-cohort aggregates (when staging),
-// the controller's own registry, then the SLO monitors. Hosts are visited
-// in index order and candidates/devices in fixed order, keeping the DB's
-// append order — and therefore its export — deterministic.
+// observe runs the observability plane at a barrier: per-host vitals,
+// per-cohort aggregates (when staging) and the controller's own registry
+// into the DB, then the SLO monitors. Hosts are visited in index order and
+// candidates/devices in fixed order, keeping the DB's append order — and
+// therefore its export — deterministic.
 func (c *Controller) observe(cws []candWindow) {
 	if c.obs == nil {
 		return
@@ -160,8 +149,10 @@ func (c *Controller) observe(cws []candWindow) {
 	stage := c.stageLabel()
 
 	for _, h := range c.hosts {
-		// Per-host vitals, registry scrapes, and flight recording are the
-		// full-fidelity anchors' job; twins surface only through aggregates.
+		// Per-host series only exist for full-fidelity hosts: a 100k-host
+		// twin fleet would otherwise mint ~600k series for members whose
+		// whole point is to be cheap. Twins are observed through the cohort
+		// and per-fidelity aggregates.
 		if h.down || h.fidelity != fleet.FidelityFull {
 			continue
 		}
@@ -194,8 +185,6 @@ func (c *Controller) observe(cws []candWindow) {
 		if o.cfg.ScrapeHosts {
 			o.scraper.ScrapeSnapshot(c.now, labels, h.sim.Snapshot())
 		}
-
-		o.fr[h.index].Record(tsdb.FlightSample{T: c.now, Window: c.window, Values: vitals})
 		if h.v.OOMKills > 0 && o.oomDumped[h.index] != h.incarnation {
 			o.oomDumped[h.index] = h.incarnation
 			c.dumpFlight(h, "oom")
@@ -296,11 +285,11 @@ func (c *Controller) observeFidelity(stage string) {
 	}
 }
 
-// dumpFlight cuts one host's flight bundle: the recorder ring plus the tail
-// of the decision log around the trigger. Twin hosts carry no recorder and
-// ship no bundles.
+// dumpFlight cuts one host's flight bundle: its recent vitals plus the
+// tail of the decision log around the trigger. Twin hosts write no
+// per-host series and ship no bundles.
 func (c *Controller) dumpFlight(h *host, reason string) {
-	if c.obs == nil || c.obs.fr[h.index] == nil {
+	if c.obs == nil || h.fidelity == fleet.FidelityTwin {
 		return
 	}
 	b := tsdb.FlightBundle{
@@ -309,10 +298,44 @@ func (c *Controller) dumpFlight(h *host, reason string) {
 		T:           c.now,
 		Window:      c.window,
 		Incarnation: h.incarnation,
-		Samples:     c.obs.fr[h.index].Samples(),
+		Samples:     c.flightSamples(h),
 		Events:      slices.Clone(trace.Last(c.events, flightEvents)),
 	}
 	c.flights = append(c.flights, b)
 	c.record(trace.KindFlightDump, c.hostName(h), "%s: %d samples, %d events",
 		reason, len(b.Samples), len(b.Events))
+}
+
+// flightSamples reads the host's rollout.host.<vital> points for its
+// current incarnation back from the DB — one series per stage and
+// candidate the host ran under — and merges them by time into per-window
+// samples, oldest first, keeping the last flightWindows.
+func (c *Controller) flightSamples(h *host) []tsdb.FlightSample {
+	host := telemetry.Label{Key: "host", Value: fmt.Sprintf("host-%d", h.index)}
+	inc := telemetry.Label{Key: "incarnation", Value: strconv.Itoa(h.incarnation)}
+	byT := make(map[vclock.Time]map[string]float64)
+	var ts []vclock.Time
+	for _, vital := range hostVitalOrder {
+		for _, s := range c.obs.cfg.DB.Select("rollout.host." + vital) {
+			if !slices.Contains(s.Labels, host) || !slices.Contains(s.Labels, inc) {
+				continue
+			}
+			for _, p := range s.Points {
+				if byT[p.T] == nil {
+					byT[p.T] = make(map[string]float64)
+					ts = append(ts, p.T)
+				}
+				byT[p.T][vital] = p.V
+			}
+		}
+	}
+	slices.Sort(ts)
+	if len(ts) > flightWindows {
+		ts = ts[len(ts)-flightWindows:]
+	}
+	var out []tsdb.FlightSample
+	for _, t := range ts {
+		out = append(out, tsdb.FlightSample{T: t, Window: int(t / vclock.Time(c.cfg.Window)), Values: byT[t]})
+	}
+	return out
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"strings"
 	"testing"
 
 	"tmo/internal/chaos"
+	"tmo/internal/core"
 	"tmo/internal/telemetry"
 	"tmo/internal/trace"
 	"tmo/internal/tsdb"
@@ -195,6 +197,63 @@ func TestObsDeterministicUnderChurn(t *testing.T) {
 	}
 	if !strings.HasPrefix(csvA.String(), "metric,labels,t_us,value\n") {
 		t.Fatalf("CSV export malformed")
+	}
+}
+
+// TestFlightBundleWindows pins how a bundle is cut from the store: it ships
+// the host's current incarnation only, as consecutive windows oldest first
+// that end at the dump window, capped at the last flightWindows. Host 1
+// lives longer than the cap before its first crash, then rejoins and
+// crashes again; host 0 is rebuilt by the canary's mode-changing push and
+// then crashes.
+func TestFlightBundleWindows(t *testing.T) {
+	cfg := testConfig(Policy{Name: "tiered", Mode: core.ModeTiered, Config: safeCandidate()})
+	cfg.WarmWindows = flightWindows + 2
+	crash := func(host, at int) Crash {
+		return Crash{Host: host, Schedule: chaos.Schedule{At: vclock.Time(at) * vclock.Time(cfg.Window), Dur: cfg.Window}}
+	}
+	cfg.Crashes = []Crash{crash(1, flightWindows+1), crash(0, flightWindows+4), crash(1, flightWindows+7)}
+	cfg, _ = obsConfig(cfg)
+	r := New(cfg).Run()
+
+	// began[host] lists the rejoin and rebuild events that started each of
+	// the host's incarnations after the first.
+	began := map[string][]trace.Record{}
+	for _, e := range r.Events {
+		if e.Cat == trace.KindHostRejoin || e.Cat == trace.KindHostRebuild {
+			began[e.Name] = append(began[e.Name], e)
+		}
+	}
+	seen := map[string]int{}
+	for _, b := range r.Flights {
+		if b.Reason != "crash" {
+			continue
+		}
+		// An incarnation is first observed at the barrier after the one
+		// that began it; incarnation 0 at window 1.
+		begin, kind := 0, trace.Kind("first life")
+		if b.Incarnation > 0 {
+			e := began[b.Host][b.Incarnation-1]
+			begin, kind = int(e.Start/vclock.Time(cfg.Window)), e.Cat
+		}
+		first := max(begin+1, b.Window-flightWindows+1)
+		if len(b.Samples) != b.Window-first+1 {
+			t.Fatalf("%s: %d samples, want windows %d..%d; log:\n%s",
+				b.Filename(), len(b.Samples), first, b.Window, r.EventLog())
+		}
+		for i, s := range b.Samples {
+			if s.Window != first+i || s.T != vclock.Time(s.Window)*vclock.Time(cfg.Window) {
+				t.Fatalf("%s: sample %d is window %d at %v, want window %d", b.Filename(), i, s.Window, s.T, first+i)
+			}
+		}
+		if first > begin+1 {
+			kind = "capped"
+		}
+		seen[string(kind)]++
+	}
+	want := map[string]int{"capped": 1, string(trace.KindHostRejoin): 1, string(trace.KindHostRebuild): 1}
+	if !maps.Equal(seen, want) {
+		t.Fatalf("crash bundles by incarnation start: %v, want %v; log:\n%s", seen, want, r.EventLog())
 	}
 }
 

@@ -114,7 +114,7 @@ type Config struct {
 	// Crashes is the host-churn schedule.
 	Crashes []Crash
 	// Obs attaches the observability plane (TSDB scraping, SLO burn
-	// monitors, flight recorders); nil runs without one.
+	// monitors, flight bundles); nil runs without one.
 	Obs *ObsConfig
 	// Twin enables the two-fidelity fleet layout for 100k+-host rollouts;
 	// nil runs every host at full fidelity.
@@ -599,12 +599,6 @@ func (c *Controller) buildHost(h *host) {
 	if !h.baselineSet {
 		// A warm-up cut short by a crash starts over with the new life.
 		h.norm = fleet.Norm{}
-	}
-	if c.obs != nil {
-		// A fresh incarnation starts a fresh black box.
-		if fr := c.obs.fr[h.index]; fr != nil {
-			fr.Reset()
-		}
 	}
 }
 

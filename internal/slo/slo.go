@@ -16,6 +16,7 @@ package slo
 import (
 	"fmt"
 
+	"tmo/internal/metrics"
 	"tmo/internal/telemetry"
 	"tmo/internal/tsdb"
 	"tmo/internal/vclock"
@@ -74,7 +75,7 @@ func (m Monitor) fast() int {
 }
 
 // burn computes the burn rate over the last n samples of pts.
-func (m Monitor) burn(pts []tsdb.Point, n int) float64 {
+func (m Monitor) burn(pts []metrics.Point, n int) float64 {
 	if len(pts) == 0 {
 		return 0
 	}
@@ -111,7 +112,7 @@ func (m Monitor) burn(pts []tsdb.Point, n int) float64 {
 	return 0
 }
 
-func mean(pts []tsdb.Point) float64 {
+func mean(pts []metrics.Point) float64 {
 	s := 0.0
 	for _, p := range pts {
 		s += p.V

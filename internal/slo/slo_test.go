@@ -3,6 +3,7 @@ package slo
 import (
 	"testing"
 
+	"tmo/internal/metrics"
 	"tmo/internal/telemetry"
 	"tmo/internal/tsdb"
 	"tmo/internal/vclock"
@@ -129,38 +130,38 @@ func TestSlopeDegenerateWindows(t *testing.T) {
 	m := Monitor{Name: "s", Metric: "swap_util", Kind: Slope, Budget: 0.5, Horizon: vclock.Duration(8 * win)}
 	cases := []struct {
 		name string
-		pts  []tsdb.Point
+		pts  []metrics.Point
 		n    int
 		want float64
 	}{
 		{name: "empty window", pts: nil, n: 4, want: 0},
 		{
 			name: "single sample over budget",
-			pts:  []tsdb.Point{{T: win, V: 0.9}},
+			pts:  []metrics.Point{{T: win, V: 0.9}},
 			n:    4,
 			want: 0,
 		},
 		{
 			name: "fast window trims to one sample",
-			pts:  []tsdb.Point{{T: win, V: 0.1}, {T: 2 * win, V: 0.9}},
+			pts:  []metrics.Point{{T: win, V: 0.1}, {T: 2 * win, V: 0.9}},
 			n:    1,
 			want: 0,
 		},
 		{
 			name: "zero time spread over budget",
-			pts:  []tsdb.Point{{T: win, V: 0.8}, {T: win, V: 0.9}},
+			pts:  []metrics.Point{{T: win, V: 0.8}, {T: win, V: 0.9}},
 			n:    4,
 			want: 0,
 		},
 		{
 			name: "two samples flat over budget still burn on level",
-			pts:  []tsdb.Point{{T: win, V: 0.6}, {T: 2 * win, V: 0.6}},
+			pts:  []metrics.Point{{T: win, V: 0.6}, {T: 2 * win, V: 0.6}},
 			n:    4,
 			want: 1.2,
 		},
 		{
 			name: "two samples climbing project ahead",
-			pts:  []tsdb.Point{{T: win, V: 0.1}, {T: 2 * win, V: 0.2}}, // +0.1/win, 8-win horizon
+			pts:  []metrics.Point{{T: win, V: 0.1}, {T: 2 * win, V: 0.2}}, // +0.1/win, 8-win horizon
 			n:    4,
 			want: 2.0, // (0.2 + 0.8) / 0.5
 		},

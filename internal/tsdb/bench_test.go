@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkScrapeSnapshot times one scrape of a tiered host's registry
-// snapshot into a store that keeps the last 64 samples per series, the
-// per-host cost of a fleet scrape round. The snapshot is taken once, after
+// snapshot into a store that keeps every sample, the per-host cost of a
+// fleet scrape round. The snapshot is taken once, after
 // two virtual minutes, so only the flattening and appends are timed.
 func BenchmarkScrapeSnapshot(b *testing.B) {
 	const mib = 1 << 20

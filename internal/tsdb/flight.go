@@ -10,70 +10,20 @@ import (
 	"tmo/internal/vclock"
 )
 
-// FlightSample is one per-window snapshot of a host's vital signs kept in
-// the flight recorder ring. Values is a small named-scalar map (JSON sorts
-// the keys, keeping dumps deterministic).
+// FlightSample is one window of a host's vital signs in a flight bundle.
+// Values is a small named-scalar map (JSON sorts the keys, keeping dumps
+// deterministic).
 type FlightSample struct {
 	T      vclock.Time        `json:"t_us"`
 	Window int                `json:"window"`
 	Values map[string]float64 `json:"values"`
 }
 
-// FlightRecorder keeps a bounded ring of a host's recent samples — the
-// airplane black box of the rollout plane. It is cheap enough to run on
-// every host all the time; a bundle is cut only when something goes wrong
-// (guardrail trip, OOM, crash, rollback), so every drop in a bandit race
+// FlightBundle is one dumped post-mortem — the airplane black box of the
+// rollout plane: the host's recent samples plus the control plane's recent
+// decision events around the trigger. A bundle is cut only when something
+// goes wrong (guardrail trip, OOM, crash), so every drop in a bandit race
 // ships its own post-mortem.
-//
-// A recorder belongs to one host and is driven from the single-threaded
-// barrier path; it is not safe for concurrent use.
-type FlightRecorder struct {
-	cap     int
-	samples []FlightSample
-	next    int
-	full    bool
-}
-
-// NewFlightRecorder returns a recorder retaining the most recent capacity
-// samples.
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		panic("tsdb: flight recorder capacity must be positive")
-	}
-	return &FlightRecorder{cap: capacity, samples: make([]FlightSample, 0, capacity)}
-}
-
-// Record appends one sample, evicting the oldest at capacity.
-func (f *FlightRecorder) Record(s FlightSample) {
-	if len(f.samples) < f.cap {
-		f.samples = append(f.samples, s)
-		return
-	}
-	f.samples[f.next] = s
-	f.next = (f.next + 1) % f.cap
-	f.full = true
-}
-
-// Samples returns the retained samples in chronological order.
-func (f *FlightRecorder) Samples() []FlightSample {
-	if !f.full {
-		return append([]FlightSample(nil), f.samples...)
-	}
-	out := make([]FlightSample, 0, len(f.samples))
-	out = append(out, f.samples[f.next:]...)
-	out = append(out, f.samples[:f.next]...)
-	return out
-}
-
-// Reset clears the ring (a host rebuild starts a fresh black box).
-func (f *FlightRecorder) Reset() {
-	f.samples = f.samples[:0]
-	f.next = 0
-	f.full = false
-}
-
-// FlightBundle is one dumped post-mortem: the host's recent samples plus
-// the control plane's recent decision events around the trigger.
 type FlightBundle struct {
 	Host        string         `json:"host"`
 	Reason      string         `json:"reason"`

@@ -18,30 +18,6 @@ func sample(w int, psi float64) FlightSample {
 	}
 }
 
-func TestFlightRecorderRing(t *testing.T) {
-	fr := NewFlightRecorder(4)
-	for w := 0; w < 10; w++ {
-		fr.Record(sample(w, float64(w)/100))
-	}
-	got := fr.Samples()
-	if len(got) != 4 {
-		t.Fatalf("retained %d samples, want 4", len(got))
-	}
-	for i, s := range got {
-		if s.Window != 6+i {
-			t.Fatalf("sample %d is window %d, want %d (oldest-first order)", i, s.Window, 6+i)
-		}
-	}
-	fr.Reset()
-	if len(fr.Samples()) != 0 {
-		t.Fatalf("reset did not clear ring")
-	}
-	fr.Record(sample(99, 0))
-	if got := fr.Samples(); len(got) != 1 || got[0].Window != 99 {
-		t.Fatalf("post-reset recording broken: %+v", got)
-	}
-}
-
 func TestFlightBundleJSONL(t *testing.T) {
 	bundle := FlightBundle{
 		Host:        "host-3/web",

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"tmo/internal/metrics"
 	"tmo/internal/vclock"
 )
 
@@ -15,11 +16,11 @@ func codecSample(t uint32, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-// FuzzTSDBCodec appends a decoded sample sequence to one series and checks
-// that points() returns every timestamp and every value bit for bit — NaN
-// payloads, ±Inf, −0 and integers near 2^53 included. Timestamps are arbitrary
-// non-negative uint32s, so some go backwards and must come back clamped to
-// the previous sample's.
+// FuzzTSDBCodec appends a decoded sample sequence to one series through
+// DB.Append and checks that DB.All returns every timestamp and every value
+// bit for bit — NaN payloads, ±Inf, −0 and integers near 2^53 included.
+// Timestamps are arbitrary non-negative uint32s, so some go backwards and
+// must come back clamped to the previous sample's.
 func FuzzTSDBCodec(f *testing.F) {
 	seq := func(vs ...float64) []byte {
 		var b []byte
@@ -34,22 +35,21 @@ func FuzzTSDBCodec(f *testing.F) {
 	f.Add(seq(big, -big, big, 1<<53, -(1 << 53), big-1, 0.5, -big))
 	f.Add(append(codecSample(500, 7), append(codecSample(100, 8), codecSample(900, 9)...)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var want []Point
-		var s series
+		var in, want []metrics.Point
 		for ; len(data) >= 12; data = data[12:] {
-			p := Point{
+			p := metrics.Point{
 				T: vclock.Time(binary.LittleEndian.Uint32(data)),
 				V: math.Float64frombits(binary.LittleEndian.Uint64(data[4:])),
 			}
-			s.append(p.T, p.V)
+			in = append(in, p)
 			if n := len(want); n > 0 && p.T < want[n-1].T {
 				p.T = want[n-1].T
 			}
 			want = append(want, p)
 		}
-		got := s.points()
+		got := points(t, in)
 		if len(got) != len(want) {
-			t.Fatalf("decoded %d points, want %d", len(got), len(want))
+			t.Fatalf("read back %d points, want %d", len(got), len(want))
 		}
 		for i, p := range want {
 			if got[i].T != p.T || math.Float64bits(got[i].V) != math.Float64bits(p.V) {

@@ -34,11 +34,7 @@ func Dashboard(db *DB, metricNames []string, width, height int) string {
 		group := db.Select(name)
 		plot := make([]*metrics.Series, 0, len(group))
 		for _, s := range group {
-			ms := &metrics.Series{Name: shortLabels(s)}
-			for _, p := range s.Points {
-				ms.Points = append(ms.Points, metrics.Point{T: p.T, V: p.V})
-			}
-			plot = append(plot, ms)
+			plot = append(plot, &metrics.Series{Name: shortLabels(s), Points: s.Points})
 		}
 		b.WriteString(textplot.Chart(name, plot, width, height))
 		b.WriteString("\n")

@@ -2,37 +2,32 @@
 // labeled time-series store on the virtual clock. The rollout controller
 // scrapes every host's telemetry registry (plus its own) into it at window
 // barriers, fleet sweeps snapshot each host at measurement end, and the SLO
-// burn-rate monitors and the ROADMAP's two-fidelity response surfaces read
-// from it. It is the simulator's stand-in for the fleet TSDB the paper's
-// methodology leans on — PSI pressure curves, per-device fault latencies,
-// and swap trajectories were all read off production monitoring (TMO §2-3).
+// burn-rate monitors and the rollout's flight bundles read from it. It is
+// the simulator's stand-in for the fleet TSDB the paper's methodology leans
+// on — PSI pressure curves, per-device fault latencies, and swap
+// trajectories were all read off production monitoring (TMO §2-3).
 //
 // Determinism is a contract: series iterate in metric-identity order, and
 // exports of two runs with the same seed and config are byte-identical.
 // The store itself is safe for concurrent appends (a single mutex — writers
 // are scrape points, not hot paths), because fleet.MeasureAll scrapes from
-// its worker goroutines.
+// its worker goroutines; queries return copies made under the lock.
 package tsdb
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"tmo/internal/metrics"
 	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
 )
-
-// Point is one sample of a series.
-type Point struct {
-	T vclock.Time
-	V float64
-}
 
 // Config is empty: the store keeps every sample of every series for its
 // whole lifetime, with no downsampling or retention. The type stays so
@@ -40,88 +35,21 @@ type Point struct {
 // store that way, cmd/tmobench among them.
 type Config struct{}
 
-// series is one labeled stream with delta-encoded samples. Timestamps are
-// stored as uvarint deltas from the previous sample; values as zigzag
-// varint integer deltas when both neighbours are integral, raw float64
-// bits otherwise. At scrape cadence most samples are integral counters and
-// gauges, so the common case is 2-4 bytes per sample.
+// series is one labeled stream of samples, oldest first.
 type series struct {
 	metric string
 	labels []telemetry.Label
-
-	buf   []byte
-	count int
-	last  vclock.Time // timestamp of the newest sample
-	lastV float64
-}
-
-// sample header layout: uvarint(dt<<1 | raw). raw=0 means the value is a
-// zigzag-varint integer delta from the previous sample's value; raw=1 means
-// 8 little-endian bytes of IEEE-754 bits follow.
-
-// integral reports whether v is exactly representable as an int64 delta
-// base, i.e. an integer small enough that int64 arithmetic is exact. −0 is
-// not: int64(−0) decodes as +0, so it takes the raw path.
-func integral(v float64) bool {
-	return v == math.Trunc(v) && math.Abs(v) < (1<<53) && !math.IsInf(v, 0) && !(v == 0 && math.Signbit(v))
+	points []metrics.Point
 }
 
 func (s *series) append(t vclock.Time, v float64) {
-	if s.count > 0 && t < s.last {
+	if n := len(s.points); n > 0 && t < s.points[n-1].T {
 		// The virtual clock is monotone; a backwards append indicates two
-		// scrapers sharing a series. Clamp rather than corrupt the deltas.
-		t = s.last
+		// scrapers sharing a series. Clamp it so every series stays in time
+		// order, which the SLO windows and the exports rely on.
+		t = s.points[n-1].T
 	}
-	var dt uint64
-	if s.count == 0 {
-		dt = uint64(t)
-	} else {
-		dt = uint64(t - s.last)
-	}
-	if s.count > 0 && integral(v) && integral(s.lastV) {
-		s.buf = binary.AppendUvarint(s.buf, dt<<1)
-		s.buf = binary.AppendVarint(s.buf, int64(v)-int64(s.lastV))
-	} else {
-		s.buf = binary.AppendUvarint(s.buf, dt<<1|1)
-		var raw [8]byte
-		binary.LittleEndian.PutUint64(raw[:], math.Float64bits(v))
-		s.buf = append(s.buf, raw[:]...)
-	}
-	s.last = t
-	s.lastV = v
-	s.count++
-}
-
-// points decodes the samples, oldest first.
-func (s *series) points() []Point {
-	out := make([]Point, 0, s.count)
-	var t vclock.Time
-	var v float64
-	i := 0
-	for n := 0; n < s.count; n++ {
-		hdr, w := binary.Uvarint(s.buf[i:])
-		i += w
-		dt := hdr >> 1
-		if n == 0 {
-			t = vclock.Time(dt)
-		} else {
-			t += vclock.Time(dt)
-		}
-		if hdr&1 == 0 {
-			dv, w := binary.Varint(s.buf[i:])
-			i += w
-			if n == 0 {
-				v = float64(dv)
-			} else {
-				v = float64(int64(v) + dv)
-			}
-		} else {
-			v = math.Float64frombits(binary.LittleEndian.Uint64(s.buf[i:]))
-			i += 8
-		}
-		out = append(out, Point{T: t, V: v})
-	}
-	return out
+	s.points = append(s.points, metrics.Point{T: t, V: v})
 }
 
 // DB is the store. All methods are safe for concurrent use.
@@ -178,20 +106,21 @@ func (db *DB) Append(t vclock.Time, metric string, labels []telemetry.Label, v f
 	s.append(t, v)
 }
 
-// Series is one decoded stream returned by queries.
+// Series is one stream returned by queries: a copy, so it stays valid
+// while the store keeps appending.
 type Series struct {
 	Metric string
 	Labels []telemetry.Label
-	Points []Point
+	Points []metrics.Point
 }
 
 // ID renders the series identity string.
 func (s Series) ID() string { return seriesID(s.Metric, s.Labels) }
 
 // Last returns the newest sample, or a zero Point when empty.
-func (s Series) Last() Point {
+func (s Series) Last() metrics.Point {
 	if len(s.Points) == 0 {
-		return Point{}
+		return metrics.Point{}
 	}
 	return s.Points[len(s.Points)-1]
 }
@@ -210,27 +139,32 @@ func (db *DB) sortedLocked() []*series {
 	return out
 }
 
-// All returns every series, decoded, in metric-identity order.
+// clone returns a copy of s that shares no memory with the store, so the
+// caller owns it while appends go on; callers hold db.mu.
+func (s *series) clone() Series {
+	return Series{Metric: s.metric, Labels: slices.Clone(s.labels), Points: slices.Clone(s.points)}
+}
+
+// All returns a copy of every series, in metric-identity order.
 func (db *DB) All() []Series {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]Series, 0, len(db.series))
 	for _, s := range db.sortedLocked() {
-		out = append(out, Series{Metric: s.metric, Labels: append([]telemetry.Label(nil), s.labels...), Points: s.points()})
+		out = append(out, s.clone())
 	}
 	return out
 }
 
-// Select returns every series of one metric, in identity order.
+// Select returns a copy of every series of one metric, in identity order.
 func (db *DB) Select(metric string) []Series {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]Series, 0)
 	for _, s := range db.sortedLocked() {
-		if s.metric != metric {
-			continue
+		if s.metric == metric {
+			out = append(out, s.clone())
 		}
-		out = append(out, Series{Metric: s.metric, Labels: append([]telemetry.Label(nil), s.labels...), Points: s.points()})
 	}
 	return out
 }
@@ -264,7 +198,7 @@ func (db *DB) NumSamples() int {
 	defer db.mu.Unlock()
 	n := 0
 	for _, s := range db.series {
-		n += s.count
+		n += len(s.points)
 	}
 	return n
 }
@@ -328,9 +262,10 @@ func (db *DB) WriteCSV(w io.Writer) error {
 }
 
 // formatValue renders a sample value compactly and deterministically:
-// integral values print without exponent or trailing zeros.
+// integers below 2^53 print without exponent or trailing zeros; −0 keeps
+// its sign through %g.
 func formatValue(v float64) string {
-	if integral(v) {
+	if v == math.Trunc(v) && math.Abs(v) < (1<<53) && !(v == 0 && math.Signbit(v)) {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)

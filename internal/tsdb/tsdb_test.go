@@ -8,28 +8,46 @@ import (
 	"sync"
 	"testing"
 
+	"tmo/internal/metrics"
 	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
 )
 
-func TestSeriesRoundTrip(t *testing.T) {
-	var s series
-	pts := []Point{
-		{0, 0},
-		{30 * 1e6, 100},
-		{60 * 1e6, 97},          // negative integer delta
-		{90 * 1e6, 0.125},       // float after integer
-		{120 * 1e6, 0.25},       // float after float
-		{150 * 1e6, 1 << 40},    // large jump back to integers
-		{180 * 1e6, -42},        // negative value
-		{210 * 1e6, math.NaN()}, // pathological float survives as raw bits
-	}
+// points appends pts to one series through the public path and reads the
+// series back.
+func points(t *testing.T, pts []metrics.Point) []metrics.Point {
+	t.Helper()
+	db := New(Config{})
 	for _, p := range pts {
-		s.append(p.T, p.V)
+		db.Append(p.T, "m", nil, p.V)
 	}
-	got := s.points()
+	all := db.All()
+	if len(pts) == 0 {
+		if len(all) != 0 {
+			t.Fatalf("empty input made %d series", len(all))
+		}
+		return nil
+	}
+	if len(all) != 1 {
+		t.Fatalf("one metric made %d series", len(all))
+	}
+	return all[0].Points
+}
+
+func TestSeriesRoundTrip(t *testing.T) {
+	pts := []metrics.Point{
+		{T: 0, V: 0},
+		{T: 30 * 1e6, V: 100},
+		{T: 60 * 1e6, V: 97},          // negative integer delta
+		{T: 90 * 1e6, V: 0.125},       // float after integer
+		{T: 120 * 1e6, V: 0.25},       // float after float
+		{T: 150 * 1e6, V: 1 << 40},    // large jump back to integers
+		{T: 180 * 1e6, V: -42},        // negative value
+		{T: 210 * 1e6, V: math.NaN()}, // pathological float survives as raw bits
+	}
+	got := points(t, pts)
 	if len(got) != len(pts) {
-		t.Fatalf("decoded %d points, want %d", len(got), len(pts))
+		t.Fatalf("read back %d points, want %d", len(got), len(pts))
 	}
 	for i, p := range pts {
 		if got[i].T != p.T {
@@ -48,10 +66,10 @@ func TestSeriesRoundTrip(t *testing.T) {
 }
 
 func TestSeriesMonotoneClamp(t *testing.T) {
-	var s series
-	s.append(100, 1)
-	s.append(50, 2) // backwards: clamped to t=100
-	got := s.points()
+	db := New(Config{})
+	db.Append(100, "m", nil, 1)
+	db.Append(50, "m", nil, 2) // backwards: clamped to t=100
+	got := db.Select("m")[0].Points
 	if got[1].T != 100 {
 		t.Fatalf("backwards append t=%v, want clamp to 100", got[1].T)
 	}
@@ -122,10 +140,26 @@ func TestSelectAndMetrics(t *testing.T) {
 }
 
 // TestConcurrentAppend drives the store from many goroutines — the shape
-// of fleet scrapes — and is the race-gate witness for the DB itself.
+// of fleet scrapes — and is the race-gate witness for the DB itself. The
+// readers Select the series being appended and overwrite the points they
+// got, which a caller owns: under -race that fails unless queries copy
+// instead of aliasing the store's backing arrays.
 func TestConcurrentAppend(t *testing.T) {
 	db := New(Config{})
 	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				for _, s := range db.Select("shared") {
+					for j := range s.Points {
+						s.Points[j] = metrics.Point{T: -1, V: -1}
+					}
+				}
+			}
+		}()
+	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -146,9 +180,17 @@ func TestConcurrentAppend(t *testing.T) {
 			t.Fatalf("series %s has %d points", s.ID(), len(s.Points))
 		}
 	}
-	// Shared series sees all 1600 appends (timestamps clamp monotone).
-	if got := len(db.Select("shared")[0].Points); got != 1600 {
-		t.Fatalf("shared series has %d points, want 1600", got)
+	// Shared series sees all 1600 appends (timestamps clamp monotone), and
+	// none of the readers' writes.
+	shared := db.Select("shared")[0].Points
+	if len(shared) != 1600 {
+		t.Fatalf("shared series has %d points, want 1600", len(shared))
+	}
+	shared[0].V = -1
+	for i, p := range db.Select("shared")[0].Points {
+		if p.T < 0 || p.V < 0 {
+			t.Fatalf("shared point %d = %+v: a reader's write reached the store", i, p)
+		}
 	}
 }
 
