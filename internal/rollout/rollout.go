@@ -447,6 +447,10 @@ type Controller struct {
 	fleetDevices []string
 	eng          *chaos.Engine
 
+	// up is advance's list of the hosts up this window, reused across
+	// windows; it is written only before fleet.Parallel starts.
+	up []*host
+
 	reg *telemetry.Registry
 
 	now        vclock.Time
@@ -697,12 +701,13 @@ func (c *Controller) lifecycle() {
 // Each worker writes only its own host's fields, and aggregation happens
 // later in index order, so concurrency cannot perturb results.
 func (c *Controller) advance() {
-	var up []*host
+	up := c.up[:0]
 	for _, h := range c.hosts {
 		if !h.down {
 			up = append(up, h)
 		}
 	}
+	c.up = up
 	fleet.Parallel(len(up), c.cfg.Workers, func(i int) { c.advanceHost(up[i]) })
 }
 
@@ -1233,6 +1238,7 @@ func (c *Controller) result() Result {
 		CanaryHosts:      c.cohortSize(c.cfg.Plan[0].Frac),
 		Window:           c.cfg.Window,
 		Duration:         vclock.Duration(c.now),
+		Hosts:            make([]HostReport, 0, len(c.hosts)),
 	}
 	if c.state == StateCompleted && c.winner >= 0 {
 		r.Promoted = c.cands[c.winner].pol.Name

@@ -5,7 +5,6 @@ import (
 
 	"tmo/internal/cgroup"
 	"tmo/internal/dist"
-	"tmo/internal/metrics"
 	"tmo/internal/mm"
 	"tmo/internal/vclock"
 )
@@ -72,9 +71,10 @@ type App struct {
 
 	killed bool
 
-	// latencies samples request wall times (CPU + stalls) for tail-latency
-	// reporting; the paper's Web tier throttles on exactly this signal.
-	latencies *metrics.Reservoir
+	// latencies counts every request's wall time (CPU + stalls) for
+	// tail-latency reporting; the paper's Web tier throttles on exactly this
+	// signal. The counts survive Restart.
+	latencies latencyHist
 
 	completed int64
 	restarts  int64
@@ -99,10 +99,6 @@ func NewApp(p Profile, g *cgroup.Group, mgr *mm.Manager, seed uint64) *App {
 		compress: p.Compressibility,
 		carry:    make([]vclock.Duration, p.Workers),
 	}
-	lsrc := dist.NewPCG(seed ^ 0x5a5a)
-	a.latencies = metrics.NewReservoir(4096, func(n int64) int64 {
-		return int64(dist.Uint64N(lsrc, uint64(n)))
-	})
 	totalPages := p.FootprintBytes / mm.PageSize
 	nominal := p.NominalRPS()
 
@@ -264,11 +260,11 @@ func (a *App) SetBloat(now vclock.Time, bytes int64) {
 // Completed returns the total number of requests served.
 func (a *App) Completed() int64 { return a.completed }
 
-// RequestLatencyQuantile returns the q-th quantile of sampled request wall
-// times (CPU plus fault stalls) — the tail-latency signal production tiers
-// hold their SLOs against.
+// RequestLatencyQuantile returns the q-th quantile of request wall times
+// (CPU plus fault stalls), within 1/32 — the tail-latency signal production
+// tiers hold their SLOs against. It returns 0 before the first request.
 func (a *App) RequestLatencyQuantile(q float64) vclock.Duration {
-	return vclock.Duration(a.latencies.Quantile(q))
+	return a.latencies.quantile(q)
 }
 
 // Restarts returns how many times the app restarted.
@@ -467,7 +463,7 @@ func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 			a.serveRequest(now.Add(busy), &tot)
 			cpu += vclock.Duration(tot.refaults-refaults) * a.Profile.RefaultCPUPenalty
 			wall := cpu + tot.stall() - stalled
-			a.latencies.Add(float64(wall))
+			a.latencies.record(wall)
 			busy += wall
 			a.completed++
 			res.Completed++
