@@ -68,7 +68,7 @@ func main() {
 	mode := cliutil.MustMode("tmosim", *modeStr)
 	dur := cliutil.MustDuration("tmosim", "duration", *durStr)
 	report := cliutil.MustDuration("tmosim", "report", *reportStr)
-	if err := checkFlags(report, *capMiB); err != nil {
+	if err := checkFlags(mode, report, *capMiB, *tiersStr, *cxlMiB, *interleave); err != nil {
 		fatal(err)
 	}
 	prof, err := workload.Catalog(*appName)
@@ -82,9 +82,6 @@ func main() {
 
 	var tiers []backend.TierSpec
 	if *tiersStr != "" {
-		if mode == core.ModeOff || mode == core.ModeFileOnly {
-			fatal(fmt.Errorf("-tiers requires a swap mode (got %s)", mode))
-		}
 		tiers = cliutil.MustTierSpec("tmosim", *tiersStr)
 	}
 	sys := core.New(core.Options{
@@ -247,13 +244,31 @@ func writeFile(path string, write func(io.Writer) error) {
 
 // checkFlags rejects the flag values no simulation can run with: a
 // reporting interval must advance time, and a capacity may be left at 0
-// (twice the app's footprint) but not set negative.
-func checkFlags(report vclock.Duration, capMiB int64) error {
+// (twice the app's footprint) but not set negative. It also rejects the
+// mode-specific flags a mode would ignore: -tiers outside the swap modes,
+// and -cxl-bytes or -place-interleave outside cxl mode, where they must
+// be a non-negative size and a fraction in [0, 1].
+func checkFlags(mode core.Mode, report vclock.Duration, capMiB int64, tiers string, cxlMiB int64, interleave float64) error {
 	if report <= 0 {
 		return fmt.Errorf("bad -report: interval must be positive, got %v", report)
 	}
 	if capMiB < 0 {
 		return fmt.Errorf("bad -capacity: must not be negative, got %d MiB", capMiB)
+	}
+	if tiers != "" && (mode == core.ModeOff || mode == core.ModeFileOnly) {
+		return fmt.Errorf("-tiers requires a swap mode (got %s)", mode)
+	}
+	if cxlMiB < 0 {
+		return fmt.Errorf("bad -cxl-bytes: must not be negative, got %d MiB", cxlMiB)
+	}
+	if !(interleave >= 0 && interleave <= 1) {
+		return fmt.Errorf("bad -place-interleave: must be a fraction in [0, 1], got %v", interleave)
+	}
+	if cxlMiB != 0 && mode != core.ModeCXL {
+		return fmt.Errorf("-cxl-bytes requires -mode cxl (got %s)", mode)
+	}
+	if interleave != 0 && mode != core.ModeCXL {
+		return fmt.Errorf("-place-interleave requires -mode cxl (got %s)", mode)
 	}
 	return nil
 }

@@ -28,12 +28,13 @@ import (
 // Fault is one injectable perturbation. The engine drives it with an
 // intensity level in [0, 1]: 0 is nominal, 1 is the event's configured full
 // strength, and intermediate values occur while a ramp schedule rises. Set
-// is only called when the level changes.
-type Fault interface {
+// is only called when the level changes. Script clauses build theirs from
+// the fault catalog (faultClasses); Go callers schedule their own.
+type Fault struct {
 	// Kind names the fault class for telemetry labels and trace events.
-	Kind() string
+	Kind string
 	// Set applies the given intensity at virtual instant now.
-	Set(now vclock.Time, level float64)
+	Set func(now vclock.Time, level float64)
 }
 
 // Schedule shapes an event's intensity over virtual time. The zero value
@@ -157,7 +158,7 @@ func NewEngine(h Host) *Engine {
 // traces; it defaults to the fault's kind.
 func (e *Engine) Add(name string, f Fault, s Schedule) {
 	if name == "" {
-		name = f.Kind()
+		name = f.Kind
 	}
 	if s.Every > 0 && s.Dur <= 0 {
 		s.Dur = defaultRecurWindow
@@ -170,7 +171,7 @@ func (e *Engine) Add(name string, f Fault, s Schedule) {
 		rng:   dist.NewRand(e.host.Seed + uint64(len(e.events))*0x9e3779b97f4a7c15),
 	}
 	if e.host.Telemetry != nil {
-		lbl := telemetry.Label{Key: "fault", Value: f.Kind()}
+		lbl := telemetry.Label{Key: "fault", Value: f.Kind}
 		ev.telInject = e.host.Telemetry.Counter("chaos.injections", lbl)
 		ev.telRestore = e.host.Telemetry.Counter("chaos.restores", lbl)
 	}
@@ -225,177 +226,6 @@ func (e *Engine) appsNamed(name string) []*workload.App {
 		}
 	}
 	return out
-}
-
-// funcFault adapts a closure to the Fault interface.
-type funcFault struct {
-	kind string
-	set  func(now vclock.Time, level float64)
-}
-
-func (f funcFault) Kind() string                       { return f.kind }
-func (f funcFault) Set(now vclock.Time, level float64) { f.set(now, level) }
-
-// FaultFunc wraps an arbitrary closure as a fault, for experiment-specific
-// perturbations the built-in classes don't cover.
-func FaultFunc(kind string, set func(now vclock.Time, level float64)) Fault {
-	return funcFault{kind: kind, set: set}
-}
-
-// SSDSlow returns a fault scaling the host SSD's service times up to
-// factor (>= 1) at full strength — thermal throttling, a failing die, a
-// noisy neighbour saturating the device.
-func (e *Engine) SSDSlow(factor float64) Fault {
-	if factor < 1 {
-		factor = 1
-	}
-	d := e.host.Device
-	return FaultFunc("ssd-slow", func(now vclock.Time, level float64) {
-		d.SetDegradation(1 + level*(factor-1))
-	})
-}
-
-// SSDWear returns a fault draining the device's endurance budget by frac of
-// its rated pTBW at full strength. Wear is monotonic: levels only ever add
-// the delta to the highest wear already injected, and restoring the level
-// does not heal the device.
-func (e *Engine) SSDWear(frac float64) Fault {
-	d := e.host.Device
-	rated := d.Spec.EndurancePTBW * 1e15
-	injected := int64(0)
-	return FaultFunc("ssd-wear", func(now vclock.Time, level float64) {
-		target := int64(level * frac * rated)
-		if target > injected {
-			d.InjectWear(target - injected)
-			injected = target
-		}
-	})
-}
-
-// SSDStall returns a fault freezing the device for d on each activation —
-// a firmware garbage-collection pause. The stall length is the fault's, not
-// the schedule's: a recurring schedule fires a pause per activation.
-func (e *Engine) SSDStall(d vclock.Duration) Fault {
-	dev := e.host.Device
-	return FaultFunc("ssd-stall", func(now vclock.Time, level float64) {
-		if level > 0 {
-			dev.InjectStall(now, d)
-		}
-	})
-}
-
-// CXLDegrade returns a fault scaling the far-memory link's access and
-// migration latencies up to factor (>= 1) at full strength — link
-// retraining, a congested switch, or a flaky retimer on the CXL path.
-func (e *Engine) CXLDegrade(factor float64) Fault {
-	if factor < 1 {
-		factor = 1
-	}
-	n := e.host.CXL
-	return FaultFunc("cxl-degrade", func(now vclock.Time, level float64) {
-		n.SetLinkDegradation(1 + level*(factor-1))
-	})
-}
-
-// CXLStall returns a fault freezing the far-memory link for d on each
-// activation — a link-level recovery event. Migrations in flight across the
-// stall window are aborted by the placement loop rather than charged.
-func (e *Engine) CXLStall(d vclock.Duration) Fault {
-	n := e.host.CXL
-	return FaultFunc("cxl-stall", func(now vclock.Time, level float64) {
-		if level > 0 {
-			n.InjectLinkStall(now, d)
-		}
-	})
-}
-
-// CompressDrift returns a fault scaling the named app's (or every app's,
-// for "") page compressibility toward base*factor at full strength —
-// content turning less compressible (factor < 1, e.g. pre-compressed
-// media) or more (factor > 1).
-func (e *Engine) CompressDrift(app string, factor float64) Fault {
-	base := map[*workload.App]float64{}
-	return FaultFunc("compress", func(now vclock.Time, level float64) {
-		for _, a := range e.appsNamed(app) {
-			b, ok := base[a]
-			if !ok {
-				b = a.Compressibility()
-				base[a] = b
-			}
-			a.SetCompressibility(b * (1 + level*(factor-1)))
-		}
-	})
-}
-
-// LoadSurge returns a fault scaling the named app's (or every app's, for
-// "") per-request memory demand toward factor at full strength; factor < 1
-// models a lull.
-func (e *Engine) LoadSurge(app string, factor float64) Fault {
-	return FaultFunc("load", func(now vclock.Time, level float64) {
-		for _, a := range e.appsNamed(app) {
-			a.SetLoadFactor(1 + level*(factor-1))
-		}
-	})
-}
-
-// Bloat returns a fault growing cold anonymous memory in the named app (or
-// the host's first app, for "") up to bytes at full strength — a leaking or
-// bloated sidecar. Restoring the level releases the memory.
-func (e *Engine) Bloat(app string, bytes int64) Fault {
-	return FaultFunc("bloat", func(now vclock.Time, level float64) {
-		apps := e.appsNamed(app)
-		if app == "" && len(apps) > 1 {
-			apps = apps[:1]
-		}
-		for _, a := range apps {
-			a.SetBloat(now, int64(level*float64(bytes)))
-		}
-	})
-}
-
-// swapFillChunkBytes is the granularity at which SwapFill occupies the
-// backend; coarse chunks keep injection cheap at large fills.
-const swapFillChunkBytes = 256 << 10
-
-// SwapFill returns a fault occupying frac of the swap backend's capacity at
-// full strength with incompressible filler — another tenant (or a
-// runaway workload) eating the shared swap device. Restoring the level
-// releases the filler.
-func (e *Engine) SwapFill(frac float64) Fault {
-	var handles []backend.Handle
-	sw := e.host.Swap
-	req := []backend.StoreReq{{PageBytes: swapFillChunkBytes, CompressRatio: 1.0}}
-	out := make([]backend.StoreResult, 1)
-	return FaultFunc("swap-fill", func(now vclock.Time, level float64) {
-		if sw == nil {
-			return
-		}
-		target := int64(level * frac * float64(sw.CapacityBytes()))
-		for int64(len(handles))*swapFillChunkBytes < target {
-			if _, err := sw.StoreBatch(now, req, out); err != nil {
-				break // backend full: the fill already achieved its point
-			}
-			handles = append(handles, out[0].Handle)
-		}
-		for len(handles) > 0 && int64(len(handles)-1)*swapFillChunkBytes >= target {
-			sw.Free(handles[len(handles)-1])
-			handles = handles[:len(handles)-1]
-		}
-	})
-}
-
-// CapacityLoss returns a fault shrinking host DRAM toward factor (< 1) of
-// its nominal size at full strength — a ballooning neighbour claiming
-// memory. Restoring the level returns the capacity.
-func (e *Engine) CapacityLoss(factor float64) Fault {
-	mgr := e.host.Manager
-	base := int64(0)
-	return FaultFunc("capacity", func(now vclock.Time, level float64) {
-		if base == 0 {
-			base = mgr.Config().CapacityBytes
-		}
-		mgr.SetCapacity(now, int64(float64(base)*(1+level*(factor-1))))
-	})
 }
 
 // String summarises the engine's schedule for debugging.

@@ -164,9 +164,9 @@ func TestScheduleShapes(t *testing.T) {
 		lvl float64
 	}
 	var calls []call
-	record := chaos.FaultFunc("probe", func(now vclock.Time, level float64) {
+	record := chaos.Fault{Kind: "probe", Set: func(now vclock.Time, level float64) {
 		calls = append(calls, call{now, level})
-	})
+	}}
 
 	t0 := vclock.Time(0)
 	tick := vclock.Second
@@ -227,20 +227,28 @@ func TestScheduleShapes(t *testing.T) {
 }
 
 // TestScriptErrors: malformed clauses and faults lacking their host surface
-// are rejected up front.
+// are rejected up front, each with its own message.
 func TestScriptErrors(t *testing.T) {
-	e := chaos.NewEngine(chaos.Host{}) // no device, no swap, no manager
-	for _, bad := range []string{
-		"t=1m nosuch x2",
-		"ssd-slow x2",
-		"t=1m ssd-slow x2",   // needs an SSD device
-		"t=1m swap-fill 0.5", // needs a swap backend
-		"t=-1m load x2",
-		"t=1m load x2 for=bogus",
-		"t=1m capacity x1.5", // capacity factor must be in (0,1]
+	e := chaos.NewEngine(chaos.Host{}) // no device, CXL node, swap or manager
+	for _, tc := range []struct{ clause, want string }{
+		{"t=1m nosuch x2", `unknown fault "nosuch"`},
+		{"ssd-slow x2", "clause must start with t=<time>"},
+		{"t=-1m load x2", "negative duration"},
+		{"t=1m load x2 for=bogus", "invalid duration"},
+		{"t=1m capacity x1.5", "capacity factor must be in (0, 1]"},
+		{"t=1m ssd-slow x0.5", "slowdown factor must be at least 1"},
+		{"t=1m cxl-degrade x0.9", "slowdown factor must be at least 1"},
+		{"t=1m ssd-slow x2", "ssd-slow requires a host SSD device"},
+		{"t=1m ssd-wear 0.2", "ssd-wear requires a host SSD device"},
+		{"t=1m ssd-stall 1s", "ssd-stall requires a host SSD device"},
+		{"t=1m cxl-degrade x2", "cxl-degrade requires a far-memory node"},
+		{"t=1m cxl-stall 50ms", "cxl-stall requires a far-memory node"},
+		{"t=1m swap-fill 0.5", "swap-fill requires a swap backend"},
+		{"t=1m capacity x0.5", "capacity requires a memory manager"},
 	} {
-		if err := e.AddScript(bad); err == nil {
-			t.Errorf("AddScript(%q) succeeded, want error", bad)
+		err := e.AddScript(tc.clause)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("AddScript(%q) = %v, want an error containing %q", tc.clause, err, tc.want)
 		}
 	}
 	if armed := e.String(); armed != "" {

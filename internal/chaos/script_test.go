@@ -37,6 +37,25 @@ var scriptCases = []string{
 	"t=2m cxl-degrade x4 for=2m; t=5m cxl-stall 50ms app=feed",
 	"t=1m nosuch x2", "ssd-slow x2", "t=-1m load x2", "t=1m load x2 for=bogus", "t=1m capacity x1.5",
 	"t=1m load xNaN", "t=1m compress x+Inf", "t=1m bloat NaNMiB", "t=1m capacity xNaN",
+	"t=1m ssd-slow x0.5", "t=1m cxl-degrade x0.9",
+}
+
+// TestScriptCasesCoverCatalog: the table tests and FuzzAddScript's seeds
+// name every fault class in the catalog, so a new class cannot skip them.
+func TestScriptCasesCoverCatalog(t *testing.T) {
+	named := map[string]bool{}
+	for _, script := range scriptCases {
+		for _, clause := range strings.Split(script, ";") {
+			if f := strings.Fields(clause); len(f) > 1 {
+				named[f[1]] = true
+			}
+		}
+	}
+	for name := range faultClasses {
+		if !named[name] {
+			t.Errorf("scriptCases never names fault class %q", name)
+		}
+	}
 }
 
 // TestParsersRejectNonFinite: NaN, ±Inf, and byte counts past int64 are

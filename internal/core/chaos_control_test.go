@@ -9,11 +9,12 @@ import (
 	"tmo/internal/vclock"
 )
 
-// TestChaosUnitFaultIsControl: the H10 control. A fault at magnitude x1
-// changes nothing, so a run carrying one must be the fault-free run: the
-// same Metrics, per-app completions, root PSI totals and registry series,
-// apart from the chaos engine's own chaos.* series and the wall-clock
-// sim.tick_wall_us histogram. A fault path that consumes randomness or
+// TestChaosUnitFaultIsControl: the H10 control, for every fault class. A
+// fault at unit magnitude (x1, zero wear, fill or bloat, a zero-length
+// stall) changes nothing, so a run carrying one must be the fault-free
+// run: the same Metrics, per-app completions, root PSI totals and registry
+// series, apart from the chaos engine's own chaos.* series and the
+// wall-clock sim.tick_wall_us histogram. A fault path that consumes randomness or
 // perturbs state even when it is a no-op fails here.
 func TestChaosUnitFaultIsControl(t *testing.T) {
 	run := func(mode Mode, script string) string {
@@ -61,8 +62,15 @@ func TestChaosUnitFaultIsControl(t *testing.T) {
 		script string
 	}{
 		{ModeTiered, "t=2m ssd-slow x1 for=4m"},
+		{ModeTiered, "t=2m ssd-wear 0 for=4m"},
+		{ModeTiered, "t=2m ssd-stall 0s every=30s for=1s"},
 		{ModeTiered, "t=2m load x1 for=4m"},
+		{ModeTiered, "t=2m compress x1 for=4m"},
+		{ModeTiered, "t=2m bloat 0B for=4m"},
+		{ModeTiered, "t=2m swap-fill 0 for=4m"},
+		{ModeTiered, "t=2m capacity x1 for=4m"},
 		{ModeCXL, "t=2m cxl-degrade x1 for=4m"},
+		{ModeCXL, "t=2m cxl-stall 0s every=30s for=1s"},
 	} {
 		t.Run(tc.mode.String()+"/"+strings.Fields(tc.script)[1], func(t *testing.T) {
 			control, faulted := run(tc.mode, ""), run(tc.mode, tc.script)

@@ -64,46 +64,32 @@ const (
 	ModeCXL
 )
 
+// modeNames names each Mode, indexed by Mode: String renders these and
+// ParseMode reads them back.
+var modeNames = [...]string{
+	ModeOff: "off", ModeFileOnly: "file-only", ModeZswap: "zswap", ModeSSDSwap: "ssd-swap",
+	ModeTiered: "tiered", ModeNVM: "nvm", ModeCXL: "cxl",
+}
+
 // ParseMode resolves a mode name ("zswap", "tiered", …) to its Mode — the
-// inverse of String. The vocabulary is shared by every command's -mode flag
-// and by rollout policy parsing.
+// inverse of String, plus the alias "ssd" for ssd-swap. The vocabulary is
+// shared by every command's -mode flag and by rollout policy parsing.
 func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "off":
-		return ModeOff, nil
-	case "file-only":
-		return ModeFileOnly, nil
-	case "zswap":
-		return ModeZswap, nil
-	case "ssd", "ssd-swap":
+	if s == "ssd" {
 		return ModeSSDSwap, nil
-	case "tiered":
-		return ModeTiered, nil
-	case "nvm":
-		return ModeNVM, nil
-	case "cxl":
-		return ModeCXL, nil
+	}
+	for m, name := range modeNames {
+		if name == s {
+			return Mode(m), nil
+		}
 	}
 	return 0, fmt.Errorf("unknown mode %q (off, file-only, zswap, ssd, tiered, nvm, cxl)", s)
 }
 
 // String names the mode.
 func (m Mode) String() string {
-	switch m {
-	case ModeOff:
-		return "off"
-	case ModeFileOnly:
-		return "file-only"
-	case ModeZswap:
-		return "zswap"
-	case ModeSSDSwap:
-		return "ssd-swap"
-	case ModeTiered:
-		return "tiered"
-	case ModeNVM:
-		return "nvm"
-	case ModeCXL:
-		return "cxl"
+	if m >= 0 && int(m) < len(modeNames) {
+		return modeNames[m]
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }

@@ -95,7 +95,7 @@ func TestOptionsTiersOverride(t *testing.T) {
 func TestParseMode(t *testing.T) {
 	cases := map[string]Mode{
 		"off": ModeOff, "file-only": ModeFileOnly, "zswap": ModeZswap,
-		"ssd": ModeSSDSwap, "tiered": ModeTiered, "nvm": ModeNVM, "cxl": ModeCXL,
+		"ssd": ModeSSDSwap, "ssd-swap": ModeSSDSwap, "tiered": ModeTiered, "nvm": ModeNVM, "cxl": ModeCXL,
 	}
 	for s, want := range cases {
 		got, err := ParseMode(s)
@@ -103,13 +103,15 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("ParseMode(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseMode("floppy"); err == nil {
-		t.Fatalf("unknown mode accepted")
+	_, err := ParseMode("floppy")
+	if want := `unknown mode "floppy" (off, file-only, zswap, ssd, tiered, nvm, cxl)`; err == nil || err.Error() != want {
+		t.Fatalf("ParseMode(floppy) error = %v, want %q", err, want)
 	}
 }
 
 func TestModeStrings(t *testing.T) {
-	want := map[Mode]string{ModeOff: "off", ModeFileOnly: "file-only", ModeZswap: "zswap", ModeSSDSwap: "ssd-swap"}
+	want := map[Mode]string{ModeOff: "off", ModeFileOnly: "file-only", ModeZswap: "zswap", ModeSSDSwap: "ssd-swap",
+		ModeTiered: "tiered", ModeNVM: "nvm", ModeCXL: "cxl", Mode(7): "mode(7)", Mode(-1): "mode(-1)"}
 	for m, s := range want {
 		if m.String() != s {
 			t.Fatalf("mode %d = %q", m, m.String())

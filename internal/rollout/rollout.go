@@ -538,9 +538,9 @@ func New(cfg Config) *Controller {
 	for _, cr := range cfg.Crashes {
 		h := c.hosts[cr.Host]
 		c.eng.Add(fmt.Sprintf("host-%d", cr.Host),
-			chaos.FaultFunc("host-crash", func(_ vclock.Time, level float64) {
+			chaos.Fault{Kind: "host-crash", Set: func(_ vclock.Time, level float64) {
 				h.wantDown = level > 0
-			}), cr.Schedule)
+			}}, cr.Schedule)
 	}
 	return c
 }
