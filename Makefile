@@ -60,12 +60,6 @@ LIVE_HOOKS += senpai.WorkingSetProfile.OverprovisionFrac           # core: TestS
 LIVE_HOOKS += sim.(*Server).LastResult                             # core: TestSoakLongRun
 LIVE_HOOKS += workload.(*App).Revive                               # core: TestSoakLongRun; oomd: TestEndToEndWithSimulator
 LIVE_HOOKS += cgroup.(*Hierarchy).Manager                          # oomd: TestSustainedFullPressureKills
-# Scorecard predicates that ROADMAP item 1 turns into claims.
-LIVE_HOOKS += experiments.TCOResult.ChainBeatsSinglePool           # experiments: TestTCOShape
-LIVE_HOOKS += experiments.SpectrumResult.FastestBeatsSlowest       # root: BenchmarkBackendSpectrum
-LIVE_HOOKS += experiments.FleetHeterogeneityResult.NewestBeatsOldest # root: BenchmarkFleetHeterogeneity
-LIVE_HOOKS += experiments.AblationControllerResult.GswapDeviceBlind # root: BenchmarkAblationController
-LIVE_HOOKS += experiments.AblationControllerResult.SenpaiAdapts    # root: BenchmarkAblationController
 
 # Reachability: every non-test func under internal/ must be linked into at
 # least one binary (the five CLIs, benchjson, examples/* and cmd/tmobench,

@@ -3,24 +3,38 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-seed N] [-only fig11,fig12]
+//	experiments [-quick] [-seed 42,123,456] [-only fig11,fig12]
 //
 // Without -only, every figure is regenerated in order. -quick runs each
 // experiment at reduced scale (seconds instead of minutes per figure);
-// the full scale is what EXPERIMENTS.md records. An unknown -only name is
-// an error (exit status 2).
+// the full scale is what EXPERIMENTS.md records. An unknown -only name or a
+// malformed -seed list is an error (exit status 2).
+//
+// An exhibit that states claims (experiments.Claim) prints one line per
+// claim after its report: the claim, whether it holds, and its margin.
+// -seed takes a comma-separated list: each exhibit runs once per seed, and
+// with more than one seed the run ends with a claim x seed table of
+// margins. Any claim that fails at any seed is named on stderr and makes
+// the exit status 1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
 	"tmo/internal/experiments"
+	"tmo/internal/textplot"
 )
+
+// claimer is a result that states claims.
+type claimer interface{ Claims() []experiments.Claim }
 
 // exhibit is one named entry of the report.
 type exhibit struct {
@@ -64,25 +78,25 @@ var exhibits = []exhibit{
 	{"tco", func(c experiments.Config) experiments.Result { return experiments.TCO(c) }},
 }
 
-// selectExhibits resolves a comma-separated -only list to exhibits in table
-// order; an empty list selects them all. Any name not in the table is an
-// error that names it and lists the valid names.
-func selectExhibits(only string) ([]exhibit, error) {
+// selectExhibits resolves a comma-separated -only list to entries of table
+// in table order; an empty list selects them all. Any name not in the table
+// is an error that names it and lists the valid names.
+func selectExhibits(table []exhibit, only string) ([]exhibit, error) {
 	if strings.TrimSpace(only) == "" {
-		return exhibits, nil
+		return table, nil
 	}
-	want := make([]bool, len(exhibits))
+	want := make([]bool, len(table))
 	var unknown, valid []string
 	for _, name := range strings.Split(only, ",") {
 		name = strings.TrimSpace(name)
-		if i := slices.IndexFunc(exhibits, func(e exhibit) bool { return e.name == name }); i >= 0 {
+		if i := slices.IndexFunc(table, func(e exhibit) bool { return e.name == name }); i >= 0 {
 			want[i] = true
 		} else {
 			unknown = append(unknown, name)
 		}
 	}
 	var out []exhibit
-	for i, e := range exhibits {
+	for i, e := range table {
 		if want[i] {
 			out = append(out, e)
 		}
@@ -94,21 +108,104 @@ func selectExhibits(only string) ([]exhibit, error) {
 	return out, nil
 }
 
-func main() {
-	quick := flag.Bool("quick", false, "run at reduced scale")
-	seed := flag.Uint64("seed", 42, "experiment seed")
-	only := flag.String("only", "", "comma-separated subset, e.g. fig11,fig12,table51")
-	flag.Parse()
+// parseSeeds parses -seed: a comma-separated list of one or more unsigned
+// integers.
+func parseSeeds(list string) ([]uint64, error) {
+	var seeds []uint64
+	for _, f := range strings.Split(list, ",") {
+		s, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("-seed %q: want a comma-separated list of unsigned integers", list)
+		}
+		seeds = append(seeds, s)
+	}
+	return seeds, nil
+}
 
-	selected, err := selectExhibits(*only)
+// verdict renders a claim as holds or FAILS, then its margin unless it is
+// a yes/no claim.
+func verdict(c experiments.Claim) string {
+	v := "FAILS"
+	if c.Holds {
+		v = "holds"
+	}
+	if math.IsNaN(c.Margin) {
+		return v
+	}
+	return fmt.Sprintf("%s %+.3g", v, c.Margin)
+}
+
+// cell renders a claim for the claim x seed table: just the margin when a
+// claim that has one holds, else its verdict.
+func cell(c experiments.Claim) string {
+	if c.Holds && !math.IsNaN(c.Margin) {
+		return fmt.Sprintf("%+.3g", c.Margin)
+	}
+	return verdict(c)
+}
+
+// run is the command: it parses args, prints the selected exhibits of table
+// to stdout, and returns the exit status — 2 for bad flags, 1 when a claim
+// fails, each failure named on stderr.
+func run(args []string, table []exhibit, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "run at reduced scale")
+	seedList := fs.String("seed", "42", "comma-separated experiment seeds; each exhibit runs once per seed")
+	only := fs.String("only", "", "comma-separated subset, e.g. fig11,fig12,table51")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	seeds, err := parseSeeds(*seedList)
+	if err == nil {
+		table, err = selectExhibits(table, *only)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 2
 	}
-	cfg := experiments.Config{Quick: *quick, Seed: *seed}
-	for _, e := range selected {
-		start := time.Now()
-		res := e.run(cfg)
-		fmt.Printf("==== %s (%.1fs) ====\n%s\n", e.name, time.Since(start).Seconds(), res.Render())
+	status := 0
+	grid := [][]string{{"claim"}} // claim x seed margins
+	for _, s := range seeds {
+		grid[0] = append(grid[0], fmt.Sprintf("seed %d", s))
 	}
+	for _, e := range table {
+		var rows [][]string
+		for i, seed := range seeds {
+			name := e.name
+			if len(seeds) > 1 {
+				name = fmt.Sprintf("%s seed %d", e.name, seed)
+			}
+			start := time.Now()
+			res := e.run(experiments.Config{Quick: *quick, Seed: seed})
+			fmt.Fprintf(stdout, "==== %s (%.1fs) ====\n%s", name, time.Since(start).Seconds(), res.Render())
+			var claims []experiments.Claim
+			if c, ok := res.(claimer); ok {
+				claims = c.Claims()
+			}
+			for j, c := range claims {
+				fmt.Fprintf(stdout, "claim: %s: %s\n", c.Name, verdict(c))
+				if !c.Holds {
+					fmt.Fprintf(stderr, "experiments: %s, seed %d: claim %q %s\n", e.name, seed, c.Name, verdict(c))
+					status = 1
+				}
+				if i == 0 {
+					rows = append(rows, []string{e.name + ": " + c.Name})
+				}
+				rows[j] = append(rows[j], cell(c))
+			}
+			fmt.Fprintln(stdout)
+		}
+		grid = append(grid, rows...)
+	}
+	if len(seeds) > 1 && len(grid) > 1 {
+		fmt.Fprintf(stdout, "==== claims x seeds (margin; FAILS marks a claim that does not hold) ====\n%s", textplot.Table(grid))
+	}
+	return status
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], exhibits, os.Stdout, os.Stderr))
 }

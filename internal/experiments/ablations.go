@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"math"
 
 	"tmo/internal/backend"
 	"tmo/internal/core"
@@ -280,34 +280,18 @@ func (r AblationControllerResult) Render() string {
 			fmt.Sprintf("%.1f", c.PromotionsPerSec),
 		})
 	}
-	var b strings.Builder
-	b.WriteString("Ablation (§4.3): PSI feedback vs static promotion-rate target\n")
-	b.WriteString(textplot.Table(rows))
-	fmt.Fprintf(&b, "g-swap's offload depth is device-blind (savings %.1f%% vs %.1f%%); its RPS cost lands on the slow device.\n",
-		100*r.Cell("gswap", "C").SavingsFrac, 100*r.Cell("gswap", "B").SavingsFrac)
-	fmt.Fprintf(&b, "senpai adapts depth to the device (%.1f%% fast vs %.1f%% slow) while holding pressure — the §4.3 robustness argument.\n",
-		100*r.Cell("senpai", "C").SavingsFrac, 100*r.Cell("senpai", "B").SavingsFrac)
-	return b.String()
+	return "Ablation (§4.3): PSI feedback vs static promotion-rate target\n" + textplot.Table(rows)
 }
 
-// GswapDeviceBlind reports whether the static-target controller ended at
-// the same offload depth on both devices (within 20% relative).
-func (r AblationControllerResult) GswapDeviceBlind() bool {
-	c, bDev := r.Cell("gswap", "C").SavingsFrac, r.Cell("gswap", "B").SavingsFrac
-	if c == 0 {
-		return false
+// Claims states the §4.3 robustness argument: the static target ends at
+// the same offload depth on both devices (within 20% relative), while the
+// PSI controller offloads meaningfully deeper on the fast device.
+func (r AblationControllerResult) Claims() []Claim {
+	gc, gb := r.Cell("gswap", "C").SavingsFrac, r.Cell("gswap", "B").SavingsFrac
+	return []Claim{
+		exceeds("gswap depth device-blind (rel. gap under 0.2)", 0.2, math.Abs(gc-gb)/gc),
+		exceeds("senpai fast-device savings above 1.5x slow", r.Cell("senpai", "C").SavingsFrac, 1.5*r.Cell("senpai", "B").SavingsFrac),
 	}
-	diff := c - bDev
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff/c < 0.2
-}
-
-// SenpaiAdapts reports whether the PSI controller offloaded meaningfully
-// deeper on the fast device than on the slow one.
-func (r AblationControllerResult) SenpaiAdapts() bool {
-	return r.Cell("senpai", "C").SavingsFrac > 1.5*r.Cell("senpai", "B").SavingsFrac
 }
 
 // ---------------------------------------------------------------------------

@@ -6,12 +6,18 @@
 // time each one.
 //
 // Absolute numbers differ from the paper — the substrate is a scaled
-// simulator, not Meta's fleet — so each result also exposes the *shape*
-// checks the reproduction is judged on (who wins, directionality,
-// crossovers). The package tests assert those shapes.
+// simulator, not Meta's fleet — so the reproduction is judged on *shapes*
+// (who wins, directionality, crossovers). The results whose shape is a
+// scorecard verdict or a benchmark gate state it as data: a Claims method
+// next to Render lists each comparison with whether it held and by how
+// much. cmd/experiments prints the claims and exits 1 when one fails, the
+// root benchmarks stop on a failing claim, and TestClaims checks every
+// list at seed 42; the package's other tests assert the remaining shapes.
 package experiments
 
 import (
+	"math"
+
 	"tmo/internal/fleet"
 	"tmo/internal/metrics"
 	"tmo/internal/vclock"
@@ -54,6 +60,25 @@ type Result interface {
 	// Render returns a human-readable report of the regenerated figure.
 	Render() string
 }
+
+// Claim is one comparative statement a result makes about its own numbers.
+type Claim struct {
+	Name  string
+	Holds bool
+	// Margin is how far the measurement cleared its bound, in the claim's
+	// own unit: negative when it missed, and zero on the bound, which only
+	// a strict comparison fails. A yes/no claim has no bound: Margin NaN.
+	Margin float64
+}
+
+// exceeds is the claim that a is strictly greater than b, by a-b.
+func exceeds(name string, a, b float64) Claim { return Claim{name, a > b, a - b} }
+
+// atLeast is the claim that a is no smaller than b, by a-b.
+func atLeast(name string, a, b float64) Claim { return Claim{name, a >= b, a - b} }
+
+// check is a yes/no claim.
+func check(name string, holds bool) Claim { return Claim{name, holds, math.NaN()} }
 
 // sampler records time series from a running system at a fixed cadence.
 type sampler struct {

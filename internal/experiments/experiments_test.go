@@ -12,6 +12,67 @@ import (
 
 var cfg = Config{Quick: true, Seed: 42}
 
+// claimer is a result that states claims.
+type claimer interface {
+	Result
+	Claims() []Claim
+}
+
+// TestClaims checks every claim a result states; the shape tests assert
+// what the claims do not.
+func TestClaims(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() claimer
+	}{
+		{"fig12", func() claimer { return Figure12(cfg) }},
+		{"table51", func() claimer { return TableCompression(cfg) }},
+		{"abl-controller", func() claimer { return AblationController(cfg) }},
+		{"spectrum", func() claimer { return SweepBackends(cfg) }},
+		{"fleet-het", func() claimer { return FleetHeterogeneity(cfg) }},
+		{"rollout", func() claimer { return RolloutScorecard(cfg) }},
+		{"policy", func() claimer { return PolicyScorecard(cfg) }},
+		{"twinscale", func() claimer { return twinScale(cfg, 2000) }}, // the 100k-host fleet is the CLI's
+		{"placement", func() claimer { return PlacementScorecard(cfg) }},
+		{"abl-batch", func() claimer { return AblationBatch(cfg) }},
+		{"tco", func() claimer { return TCO(cfg) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.run()
+			for _, c := range r.Claims() {
+				if !c.Holds {
+					t.Errorf("claim %q fails (margin %g)", c.Name, c.Margin)
+				}
+			}
+			if t.Failed() {
+				t.Log(r.Render())
+			}
+		})
+	}
+}
+
+// TestControllerClaimsReadTheCells: the controller ablation's verdicts are
+// claims over its cells, so a g-swap whose depth differs by half across
+// devices fails the device-blind claim and the render does not assert it.
+func TestControllerClaimsReadTheCells(t *testing.T) {
+	r := AblationControllerResult{Cells: []ControllerCell{
+		{Controller: "senpai", Device: "C", SavingsFrac: 0.30},
+		{Controller: "senpai", Device: "B", SavingsFrac: 0.10},
+		{Controller: "gswap", Device: "C", SavingsFrac: 0.20},
+		{Controller: "gswap", Device: "B", SavingsFrac: 0.10},
+	}}
+	blind, adapts := r.Claims()[0], r.Claims()[1]
+	if blind.Holds || blind.Margin >= 0 {
+		t.Errorf("device-blind claim holds on a 50%% gap: %+v", blind)
+	}
+	if !adapts.Holds {
+		t.Errorf("senpai claim fails on a 3x gap: %+v", adapts)
+	}
+	if strings.Contains(r.Render(), "device-blind") {
+		t.Errorf("render asserts a verdict:\n%s", r.Render())
+	}
+}
+
 func TestFigure1Shape(t *testing.T) {
 	r := Figure1()
 	if len(r.Points) != 6 {
@@ -224,12 +285,6 @@ func TestFigure11Shape(t *testing.T) {
 
 func TestFigure12Shape(t *testing.T) {
 	r := Figure12(cfg)
-	// The headline §4.3 contradiction: the fast device wins on both
-	// promotion rate and RPS simultaneously.
-	if !r.FastWinsBoth() {
-		t.Fatalf("fast SSD must beat slow on BOTH promotion rate (%v vs %v) and RPS (%v vs %v)",
-			r.Fast.MeanPromotionPS, r.Slow.MeanPromotionPS, r.Fast.MeanRPS, r.Slow.MeanRPS)
-	}
 	// The fast device sustains deeper offloading: more swap, less
 	// resident.
 	if r.Fast.MeanSwapBytes <= r.Slow.MeanSwapBytes {
@@ -293,11 +348,6 @@ func TestTableCompressionShape(t *testing.T) {
 	r := TableCompression(cfg)
 	if len(r.Rows) != 9 {
 		t.Fatalf("combinations = %d", len(r.Rows))
-	}
-	// §5.1: the production choice is zstd + zsmalloc (best pool
-	// efficiency).
-	if r.Best.Codec != "zstd" || r.Best.Allocator != "zsmalloc" {
-		t.Fatalf("best combination = %s+%s, want zstd+zsmalloc", r.Best.Codec, r.Best.Allocator)
 	}
 	// lz4 decompresses faster than zstd even though it packs worse.
 	var zstdLoad, lz4Load float64

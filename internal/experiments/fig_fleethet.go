@@ -56,13 +56,10 @@ func FleetHeterogeneity(cfg Config) FleetHeterogeneityResult {
 	return res
 }
 
-// NewestBeatsOldest reports the heterogeneity headline: the newest device
-// extracts strictly more savings than the oldest under identical settings.
-func (r FleetHeterogeneityResult) NewestBeatsOldest() bool {
-	if len(r.Rows) < 2 {
-		return false
-	}
-	return r.Rows[len(r.Rows)-1].SavingsFrac > r.Rows[0].SavingsFrac
+// Claims states the heterogeneity headline: the newest device extracts
+// strictly more savings than the oldest under identical settings.
+func (r FleetHeterogeneityResult) Claims() []Claim {
+	return []Claim{exceeds("newest device saves more than oldest", r.Rows[len(r.Rows)-1].SavingsFrac, r.Rows[0].SavingsFrac)}
 }
 
 // Render implements Result.

@@ -7,10 +7,6 @@ func TestFleetHeterogeneityShape(t *testing.T) {
 	if len(r.Rows) != 7 {
 		t.Fatalf("rows = %d, want 7 devices", len(r.Rows))
 	}
-	if !r.NewestBeatsOldest() {
-		t.Fatalf("newest device (%.1f%%) did not beat oldest (%.1f%%)",
-			100*r.Rows[6].SavingsFrac, 100*r.Rows[0].SavingsFrac)
-	}
 	// The fast generations (C and newer) must extract several times the
 	// savings of the rotational-era-latency device A.
 	if r.Rows[2].SavingsFrac < 3*r.Rows[0].SavingsFrac {

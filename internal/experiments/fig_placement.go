@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"tmo/internal/core"
 	"tmo/internal/fleet"
@@ -163,24 +162,18 @@ func (r PlacementResult) Arms() []PlacementArm {
 	return []PlacementArm{r.TPP, r.LocalSwap, r.Interleave}
 }
 
-// TPPWins reports the scorecard's headline: the placement loop holds lower
-// memory pressure than both baselines at equal-or-better savings.
-func (r PlacementResult) TPPWins() bool {
-	for _, arm := range []PlacementArm{r.LocalSwap, r.Interleave} {
-		if r.TPP.MeanMemPressure >= arm.MeanMemPressure {
-			return false
-		}
-		if r.TPP.SavingsFrac < arm.SavingsFrac {
-			return false
-		}
+// Claims states the scorecard's headline — the placement loop holds lower
+// memory pressure than both baselines at equal-or-better savings — and the
+// Nomad non-exclusive-copy property: churn aborted promotions, and the
+// aborts charged zero host-visible stall.
+func (r PlacementResult) Claims() []Claim {
+	var out []Claim
+	for _, a := range []PlacementArm{r.LocalSwap, r.Interleave} {
+		out = append(out, exceeds("tpp pressure below "+a.Name, a.MeanMemPressure, r.TPP.MeanMemPressure),
+			atLeast("tpp savings at or above "+a.Name, r.TPP.SavingsFrac, a.SavingsFrac))
 	}
-	return true
-}
-
-// AbortsAreFree reports whether churn produced aborted promotions and they
-// charged zero host-visible stall — the Nomad non-exclusive-copy property.
-func (r PlacementResult) AbortsAreFree() bool {
-	return r.TPP.Aborts > 0 && r.TPP.AbortStallUs == 0
+	return append(out, exceeds("churn aborted tpp promotions", float64(r.TPP.Aborts), 0),
+		check("aborts charged no host-visible stall", r.TPP.AbortStallUs == 0))
 }
 
 // Render implements Result.
@@ -199,17 +192,8 @@ func (r PlacementResult) Render() string {
 			fmt.Sprintf("%d", a.AbortStallUs),
 		})
 	}
-	var b strings.Builder
-	b.WriteString("Placement scorecard: TPP loop vs all-local+swap vs static interleave\n")
-	b.WriteString(textplot.Table(rows))
-	fmt.Fprintf(&b, "churn: %d code-push restarts per arm\n", r.Restarts)
-	if r.TPPWins() {
-		b.WriteString("tpp holds the lowest pressure at equal-or-better savings: migration keeps the hot set local\n")
-	}
-	if r.AbortsAreFree() {
-		fmt.Fprintf(&b, "%d promotions aborted under churn at zero host-visible stall (non-exclusive copies)\n", r.TPP.Aborts)
-	}
-	return b.String()
+	return "Placement scorecard: TPP loop vs all-local+swap vs static interleave\n" + textplot.Table(rows) +
+		fmt.Sprintf("churn: %d code-push restarts per arm\n", r.Restarts)
 }
 
 var _ Result = PlacementResult{}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tmo/internal/chaos"
@@ -165,6 +166,22 @@ func PolicyScorecard(c Config) PolicyResult {
 		ModeChange:  rollout.New(mc).Run(),
 		DeviceSplit: rollout.New(ds).Run(),
 		Bandit:      rollout.New(bd).Run(),
+	}
+}
+
+// Claims states what the scorecard pins: the mode change completes through
+// a rebuild of every host, strict per-device guardrails exclude exactly the
+// slow F/G cohorts while the rest complete, and the bandit race drops only
+// the hot candidate, on PSI, and promotes the best survivor.
+func (r PolicyResult) Claims() []Claim {
+	split, race := r.DeviceSplit.Candidates[0], r.Bandit.Candidates // mild, strong, hot
+	return []Claim{
+		check("mode change completed on tiered", r.ModeChange.Completed() && r.ModeChange.Promoted == "tiered"),
+		atLeast("mode change rebuilt every host", float64(r.ModeChange.Rebuilds()), float64(len(r.ModeChange.Hosts))),
+		check("device split completed", r.DeviceSplit.Completed()),
+		check("device split excluded exactly F and G", !split.Dropped && slices.Equal(split.ExcludedDevices, []string{"F", "G"})),
+		check("bandit dropped only cand-hot, on psi", !race[0].Dropped && !race[1].Dropped && race[2].Dropped && race[2].Tripped == "psi"),
+		check("bandit completed on cand-strong", r.Bandit.Completed() && r.Bandit.Promoted == "cand-strong"),
 	}
 }
 

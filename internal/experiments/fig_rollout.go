@@ -140,6 +140,22 @@ func RolloutScorecard(c Config) RolloutResult {
 	return r
 }
 
+// Claims states what the scorecard pins: the safe candidate reaches the
+// whole fleet; the aggressive one trips the PSI guardrail at the canary
+// stage and rolls back with zero OOM kills outside the canary cohort, after
+// out-saving the safe canary — the §4.4 trade the guardrail exists to
+// refuse.
+func (r RolloutResult) Claims() []Claim {
+	aggr, last := r.Aggressive, r.Aggressive.Stages[len(r.Aggressive.Stages)-1]
+	return []Claim{
+		check("safe rollout completed", r.Safe.Completed()),
+		check("aggressive rolled back at canary", aggr.State == rollout.StateRolledBack && last.Stage.Name == "canary" && last.Verdict == "rollback"),
+		check("aggressive tripped the psi guardrail", aggr.TrippedGuardrail == "psi"),
+		check("no OOM kills outside canary", aggr.OOMKillsOutsideCanary() == 0),
+		exceeds("aggressive canary out-saved safe canary", last.Candidates[0].SavingsFrac, r.Safe.Stages[0].Candidates[0].SavingsFrac),
+	}
+}
+
 // Render reports both rollouts with their stage tables.
 func (r RolloutResult) Render() string {
 	var b strings.Builder

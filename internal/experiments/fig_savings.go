@@ -287,6 +287,11 @@ func (r TableCompressionResult) Render() string {
 		fmt.Sprintf("best (production choice): %s + %s\n", r.Best.Codec, r.Best.Allocator)
 }
 
+// Claims states §5.1's selection: zstd + zsmalloc packs smallest.
+func (r TableCompressionResult) Claims() []Claim {
+	return []Claim{check("zstd+zsmalloc has the smallest pool", r.Best.Codec == "zstd" && r.Best.Allocator == "zsmalloc")}
+}
+
 // Compile-time interface checks.
 var (
 	_ Result = Figure8Result{}

@@ -116,13 +116,10 @@ func medianLoadUs(sys *core.System) float64 {
 	return float64(sys.Device.Spec.ReadMedian)
 }
 
-// FastestBeatsSlowest reports whether the fastest tier achieved strictly
-// more savings than the slowest — the spectrum's headline ordering.
-func (r SpectrumResult) FastestBeatsSlowest() bool {
-	if len(r.Points) < 2 {
-		return false
-	}
-	return r.Points[0].SavingsFrac > r.Points[len(r.Points)-1].SavingsFrac
+// Claims states the spectrum's headline ordering: the fastest tier saves
+// strictly more than the slowest.
+func (r SpectrumResult) Claims() []Claim {
+	return []Claim{exceeds("fastest tier saves more than slowest", r.Points[0].SavingsFrac, r.Points[len(r.Points)-1].SavingsFrac)}
 }
 
 // Render implements Result.

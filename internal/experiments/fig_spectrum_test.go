@@ -19,12 +19,8 @@ func TestSweepBackendsShape(t *testing.T) {
 	}
 	// The thesis: faster backends allow deeper offload at the same
 	// pressure target. Allow small inversions between near-equal tiers
-	// (zswap's pool overhead vs a fast SSD) but require the overall
+	// (zswap's pool overhead vs a fast SSD) but require a steep overall
 	// gradient.
-	if !r.FastestBeatsSlowest() {
-		t.Fatalf("fastest tier (%.1f%%) did not beat slowest (%.1f%%)",
-			100*r.Points[0].SavingsFrac, 100*r.Points[len(r.Points)-1].SavingsFrac)
-	}
 	if r.Points[0].SavingsFrac < 2*r.Points[len(r.Points)-1].SavingsFrac {
 		t.Errorf("spectrum gradient too shallow: %v vs %v",
 			r.Points[0].SavingsFrac, r.Points[len(r.Points)-1].SavingsFrac)

@@ -182,6 +182,18 @@ func TwinScaleScorecard(c Config) TwinScaleResult {
 	return twinScale(c, 100_000)
 }
 
+// Claims states what the scorecard pins: the calibration passes its own
+// fidelity gate, twins carry most of the fleet, and the guardrails judged
+// on twin-majority cohorts drop the hot candidate and promote the safe one.
+func (r TwinScaleResult) Claims() []Claim {
+	return []Claim{
+		check("fidelity gate passes", r.Fidelity.Pass()),
+		check("twins outnumber full anchors", r.FullHosts > 0 && r.TwinHosts > r.FullHosts),
+		check("rollout completed on safe", r.Rollout.Completed() && r.Rollout.Promoted == "safe"),
+		check("hot candidate dropped", r.Rollout.Candidates[1].Dropped), // candidates: safe, hot
+	}
+}
+
 // Render reports calibration, the fidelity gate, and the scaled campaign.
 func (r TwinScaleResult) Render() string {
 	var b strings.Builder

@@ -233,10 +233,13 @@ type Figure12Result struct {
 	Fast, Slow Figure12Tier
 }
 
-// FastWinsBoth reports the §4.3 contradiction: the fast tier beats the slow
-// tier on promotion rate AND application throughput at once.
-func (r Figure12Result) FastWinsBoth() bool {
-	return r.Fast.MeanPromotionPS > r.Slow.MeanPromotionPS && r.Fast.MeanRPS > r.Slow.MeanRPS
+// Claims states the §4.3 contradiction: the fast tier beats the slow tier
+// on promotion rate AND application throughput at once.
+func (r Figure12Result) Claims() []Claim {
+	return []Claim{
+		exceeds("fast SSD promotes more than slow (/s)", r.Fast.MeanPromotionPS, r.Slow.MeanPromotionPS),
+		exceeds("fast SSD serves more RPS than slow", r.Fast.MeanRPS, r.Slow.MeanRPS),
+	}
 }
 
 // Figure12 runs the fast/slow SSD comparison.
@@ -302,7 +305,6 @@ func (r Figure12Result) Render() string {
 	add("memory pressure", func(t Figure12Tier) float64 { return t.MeanMemP }, "%.4f")
 	add("io pressure", func(t Figure12Tier) float64 { return t.MeanIOP }, "%.4f")
 	b.WriteString(textplot.Table(rows))
-	fmt.Fprintf(&b, "§4.3 check — fast device wins on BOTH promotion rate and RPS: %v\n", r.FastWinsBoth())
 	return b.String()
 }
 

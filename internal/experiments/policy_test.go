@@ -7,27 +7,13 @@ import (
 	"tmo/internal/trace"
 )
 
-// TestPolicyRolloutRegression pins the policy-artifact control plane: the
-// mode-changing rollout rebuilds hosts at stage barriers and completes with
-// zero OOM kills; strict per-device guardrails trip the slow F/G cohorts
-// while the fast classes carry the policy to completion; and the
-// three-candidate bandit race drops the hot policy and promotes exactly the
-// best guardrail-surviving candidate — all byte-for-byte deterministic
-// under churn.
+// TestPolicyRolloutRegression pins what the scorecard's claims do not: the
+// rebuilds show in the mode change's log, every host ends on the policy its
+// rollout's verdict implies with zero OOM kills, and all three rollouts are
+// byte-for-byte deterministic under churn.
 func TestPolicyRolloutRegression(t *testing.T) {
 	r := PolicyScorecard(cfg)
 
-	// Mode change: zswap -> tiered must complete through host rebuilds.
-	if !r.ModeChange.Completed() {
-		t.Fatalf("mode-change rollout state = %s, want completed; log:\n%s",
-			r.ModeChange.State, r.ModeChange.EventLog())
-	}
-	if r.ModeChange.Promoted != "tiered" {
-		t.Fatalf("mode-change promoted %q, want tiered", r.ModeChange.Promoted)
-	}
-	if n := r.ModeChange.Rebuilds(); n < len(r.ModeChange.Hosts) {
-		t.Fatalf("mode-change rebuilds = %d, want >= one per host (%d)", n, len(r.ModeChange.Hosts))
-	}
 	if !strings.Contains(r.ModeChange.EventLog(), string(trace.KindHostRebuild)) {
 		t.Fatalf("mode-change log lacks %s:\n%s", trace.KindHostRebuild, r.ModeChange.EventLog())
 	}
@@ -46,19 +32,6 @@ func TestPolicyRolloutRegression(t *testing.T) {
 	}
 
 	// Device split: only the strict F/G cohorts revert.
-	if !r.DeviceSplit.Completed() {
-		t.Fatalf("device-split rollout state = %s, want completed; log:\n%s",
-			r.DeviceSplit.State, r.DeviceSplit.EventLog())
-	}
-	out := r.DeviceSplit.Candidates[0]
-	if out.Dropped {
-		t.Fatalf("device-split candidate fully dropped; want only F/G excluded; log:\n%s",
-			r.DeviceSplit.EventLog())
-	}
-	if len(out.ExcludedDevices) != 2 || out.ExcludedDevices[0] != "F" || out.ExcludedDevices[1] != "G" {
-		t.Fatalf("device-split excluded %v, want [F G]; log:\n%s",
-			out.ExcludedDevices, r.DeviceSplit.EventLog())
-	}
 	for _, h := range r.DeviceSplit.Hosts {
 		want := "candidate"
 		if h.Device == "F" || h.Device == "G" {
@@ -69,25 +42,7 @@ func TestPolicyRolloutRegression(t *testing.T) {
 		}
 	}
 
-	// Bandit: the hot policy drops, the best survivor is promoted.
-	if !r.Bandit.Completed() {
-		t.Fatalf("bandit rollout state = %s, want completed; log:\n%s",
-			r.Bandit.State, r.Bandit.EventLog())
-	}
-	byName := map[string]bool{}
-	for _, c := range r.Bandit.Candidates {
-		byName[c.Policy] = c.Dropped
-		if c.Policy == "cand-hot" && c.Tripped != "psi" {
-			t.Errorf("bandit: cand-hot tripped %q, want psi", c.Tripped)
-		}
-	}
-	if !byName["cand-hot"] || byName["cand-mild"] || byName["cand-strong"] {
-		t.Fatalf("bandit drop pattern wrong: %+v; log:\n%s", r.Bandit.Candidates, r.Bandit.EventLog())
-	}
-	if r.Bandit.Promoted != "cand-strong" {
-		t.Fatalf("bandit promoted %q, want cand-strong; outcomes %+v; log:\n%s",
-			r.Bandit.Promoted, r.Bandit.Candidates, r.Bandit.EventLog())
-	}
+	// Bandit: the best survivor is promoted fleet-wide.
 	for _, h := range r.Bandit.Hosts {
 		if h.Policy != "cand-strong" {
 			t.Errorf("bandit: host %d ended on %q, want cand-strong", h.Index, h.Policy)

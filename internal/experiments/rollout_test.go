@@ -7,53 +7,22 @@ import (
 	"tmo/internal/rollout"
 )
 
-// TestRolloutRegression pins the control-plane scorecard: with a fixed seed
-// the safe candidate reaches the whole fleet, the aggressive candidate trips
-// the PSI guardrail at the canary stage and rolls back with zero OOM kills
-// outside the canary cohort, and — despite chaos-injected host churn — the
-// whole rollout is deterministic, byte for byte.
+// TestRolloutRegression pins what the scorecard's claims do not: every
+// host ends on the configuration its rollout's verdict implies, the
+// observability plane rides along, and — despite chaos-injected host churn
+// — the whole rollout is deterministic, byte for byte.
 func TestRolloutRegression(t *testing.T) {
 	r := RolloutScorecard(cfg)
 
-	// The production-shaped candidate must reach 100% of the fleet.
-	if !r.Safe.Completed() {
-		t.Fatalf("safe rollout state = %s, want completed; log:\n%s", r.Safe.State, r.Safe.EventLog())
-	}
 	for _, h := range r.Safe.Hosts {
 		if !h.OnCandidate {
 			t.Errorf("safe rollout: host %d not on candidate at completion", h.Index)
 		}
 	}
-
-	// The Config-B-shaped candidate must be caught by the PSI guardrail at
-	// the canary stage and rolled back.
-	if r.Aggressive.State != rollout.StateRolledBack {
-		t.Fatalf("aggressive rollout state = %s, want rolled-back; log:\n%s",
-			r.Aggressive.State, r.Aggressive.EventLog())
-	}
-	if g := r.Aggressive.TrippedGuardrail; g != "psi" {
-		t.Fatalf("aggressive rollout tripped %q, want psi; log:\n%s", g, r.Aggressive.EventLog())
-	}
-	last := r.Aggressive.Stages[len(r.Aggressive.Stages)-1]
-	if last.Stage.Name != "canary" || last.Verdict != "rollback" {
-		t.Fatalf("aggressive rollback at %q/%q, want canary/rollback", last.Stage.Name, last.Verdict)
-	}
-	// The staged deployment must have contained the blast radius.
-	if n := r.Aggressive.OOMKillsOutsideCanary(); n != 0 {
-		t.Fatalf("aggressive rollout: %d OOM kills outside the canary cohort", n)
-	}
 	for _, h := range r.Aggressive.Hosts {
 		if h.OnCandidate {
 			t.Errorf("aggressive rollout: host %d still on candidate after rollback", h.Index)
 		}
-	}
-	// Its savings before the trip must exceed the safe canary's — the §4.4
-	// trade the guardrail exists to refuse.
-	aggrSavings := last.Candidates[0].SavingsFrac
-	safeSavings := r.Safe.Stages[0].Candidates[0].SavingsFrac
-	if aggrSavings <= safeSavings {
-		t.Errorf("aggressive canary savings %.2f%% not above safe %.2f%%",
-			100*aggrSavings, 100*safeSavings)
 	}
 
 	// Both runs churned a non-canary host and carried on.

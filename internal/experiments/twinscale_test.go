@@ -5,36 +5,13 @@ import (
 	"testing"
 )
 
-// TestTwinScaleRegression pins the scale scorecard's shape at a reduced
-// population: the calibration must pass its own fidelity gate, the
-// guardrails judged on twin-majority cohorts must drop the aggressive
-// candidate and promote the safe one, and the whole campaign must be
-// deterministic — two runs with the same seed produce byte-identical
-// rollout event logs.
+// TestTwinScaleRegression pins what the scale scorecard's claims do not, at
+// a reduced population: the whole campaign is deterministic — two runs with
+// the same seed produce byte-identical rollout event logs — and the render
+// carries the gate and the promotion.
 func TestTwinScaleRegression(t *testing.T) {
-	c := Config{Quick: true, Seed: 42}
-	r1 := twinScale(c, 2000)
-	r2 := twinScale(c, 2000)
-
-	if !r1.Fidelity.Pass() {
-		t.Fatalf("fidelity gate failed:\n%s", r1.Fidelity)
-	}
-	if r1.TwinHosts == 0 || r1.FullHosts == 0 || r1.TwinHosts <= r1.FullHosts {
-		t.Fatalf("fleet not twin-majority: %d full / %d twin", r1.FullHosts, r1.TwinHosts)
-	}
-	if !r1.Rollout.Completed() || r1.Rollout.Promoted != "safe" {
-		t.Fatalf("rollout state=%s promoted=%q, want completed/safe; log:\n%s",
-			r1.Rollout.State, r1.Rollout.Promoted, r1.Rollout.EventLog())
-	}
-	var hotDropped bool
-	for _, cand := range r1.Rollout.Candidates {
-		if cand.Policy == "hot" {
-			hotDropped = cand.Dropped
-		}
-	}
-	if !hotDropped {
-		t.Fatalf("aggressive candidate survived the twin-majority guardrails; log:\n%s", r1.Rollout.EventLog())
-	}
+	r1 := twinScale(cfg, 2000)
+	r2 := twinScale(cfg, 2000)
 
 	if r1.Rollout.EventLog() != r2.Rollout.EventLog() {
 		t.Fatalf("twin-scale event logs diverge between identical runs:\n--- run 1\n%s\n--- run 2\n%s",
