@@ -2,9 +2,11 @@ package rollout
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
-	"hash/fnv"
 	"maps"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -272,11 +274,38 @@ func TestGuardrailTripLabels(t *testing.T) {
 	}
 }
 
-// exportsGolden is the fnv-64a digest of goldenConfig's rendered outputs.
-// Every rollout float reaches the TSDB export through %g, so a refactor
-// that reorders one sum moves this digest; the determinism tests, which
-// compare two runs of the same code, cannot catch that.
-const exportsGolden = "5029861880142c6a"
+var update = flag.Bool("update", false, "rewrite the testdata golden files")
+
+// checkGolden compares got with the golden file testdata/name, or rewrites
+// the file under -update. On a mismatch it reports the first differing line.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(b); got != want {
+		g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		line := func(ls []string) string {
+			if i < len(ls) {
+				return fmt.Sprintf("%q", ls[i])
+			}
+			return "end of output"
+		}
+		t.Errorf("%s: line %d is %s, want %s (go test -run %s -update re-records it)", path, i+1, line(g), line(w), t.Name())
+	}
+}
 
 // goldenConfig is a churned three-candidate race across three device
 // classes.
@@ -297,16 +326,13 @@ func goldenConfig() Config {
 }
 
 // TestRolloutExportsGolden pins the rollout's rendered outputs — event
-// log, scorecard, TSDB export and flight bundles — against a digest
-// recorded before the barrier's aggregation was last restructured.
+// log, scorecard, TSDB export and flight bundles — against
+// testdata/rollout-exports.txt. Every rollout float reaches the TSDB export
+// through %g, so a refactor that reorders one sum moves the file; the
+// determinism tests, which compare two runs of the same code, cannot catch
+// that.
 func TestRolloutExportsGolden(t *testing.T) {
 	cfg, db := obsConfig(goldenConfig())
 	r := New(cfg).Run()
-	h := fnv.New64a()
-	h.Write([]byte(r.EventLog()))
-	h.Write([]byte(r.Render()))
-	h.Write([]byte(exportAll(t, db, r)))
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != exportsGolden {
-		t.Fatalf("rollout exports digest %s, want %s; log:\n%s", got, exportsGolden, r.EventLog())
-	}
+	checkGolden(t, "rollout-exports.txt", r.EventLog()+r.Render()+exportAll(t, db, r))
 }
