@@ -3,13 +3,14 @@ package workload
 import "tmo/internal/mm"
 
 // touchSchedule decides which touchable classes (Period > 0 and at least
-// one page) a request touches. Each class earns fractional touch credit,
-// step per request, and spends each whole unit on one touch. Rather than
-// add to every class on every request, each class precomputes the request
-// number at which its credit next reaches 1, so a request that touches
-// nothing costs one compare. The precomputation performs the very additions
-// a per-request loop would, in the same order on the same float64 values,
-// so the touch sequence is bit-identical to one.
+// one page) a request touches. Each class earns touch credit, step per
+// request, and spends each whole unit on one touch. Credit and step are
+// 32.32 fixed-point integers, so the credit a class holds at any request is
+// exact: credit as of request at plus (request − at)·step. Rather than add
+// to every class on every request, each class computes with one division
+// the request at which its credit next reaches one, so a request that
+// touches nothing costs one compare, and the touch sequence is the one a
+// per-request integer loop gives.
 type touchSchedule struct {
 	classes []toucher // in class order
 	reqs    uint64    // requests served so far
@@ -21,29 +22,43 @@ type touchSchedule struct {
 type toucher struct {
 	pages  []mm.PageID
 	rate   float64 // expected touches per request at load 1
-	step   float64 // credit earned per request: rate times the load factor
-	credit float64 // fractional touch credit as of request at
+	step   uint64  // credit earned per request: fixed(rate times the load factor)
+	credit uint64  // touch credit as of request at, below one
 	at     uint64
-	// due is the next request at which the class settles: its credit has
-	// reached dueCredit, at least 1 unless the lookahead ran out first.
-	due       uint64
-	dueCredit float64
-	owed      int // touches the current request owes, once settled
+	due    uint64 // the first request at which the class's credit reaches one
+	owed   int    // touches the current request owes, once settled
 }
 
-// never is the due request of a class that earns no credit.
-const never = ^uint64(0)
+const (
+	// one is one touch of credit in 32.32 fixed point.
+	one = 1 << 32
+	// maxTouches caps the touches a class owes per request: a rate times
+	// load above it saturates there. At the cap neither a step nor a
+	// class's credit at its due request (below one plus a step) can wrap,
+	// and a surge of any size costs at most maxTouches touches per class
+	// per request.
+	maxTouches = 64
+	// never is the due request of a class that earns no credit.
+	never = ^uint64(0)
+)
 
-// maxLookahead bounds how many requests a schedule computes ahead, so a
-// load change, which a chaos ramp makes every tick, replays and reschedules
-// each class in at most that many additions apiece. A class too slow to
-// reach 1 within it settles without touching every maxLookahead requests.
-const maxLookahead = 256
+// fixed converts touches per request to a 32.32 step, rounded to nearest.
+// It is total: NaN, zero and negative rates earn nothing, and rates from
+// maxTouches up, +Inf included, saturate at maxTouches.
+func fixed(touches float64) uint64 {
+	if !(touches > 0) {
+		return 0
+	}
+	if touches >= maxTouches {
+		return maxTouches * one
+	}
+	return uint64(touches*one + 0.5)
+}
 
 // add appends a class earning rate touches per request at load factor
 // load. Call reset once the classes are added.
 func (s *touchSchedule) add(pages []mm.PageID, rate, load float64) {
-	s.classes = append(s.classes, toucher{pages: pages, rate: rate, step: rate * load})
+	s.classes = append(s.classes, toucher{pages: pages, rate: rate, step: fixed(rate * load)})
 }
 
 // next counts one request and reports whether any class is due at it; if
@@ -62,29 +77,27 @@ func (s *touchSchedule) settle() {
 		t := &s.classes[i]
 		t.owed = 0
 		if t.due == s.reqs {
-			c := t.dueCredit
-			for c >= 1 {
-				c--
-				t.owed++
-			}
-			t.credit = c
+			c := t.credit + (s.reqs-t.at)*t.step
+			t.owed = int(c >> 32)
+			t.credit = c & (one - 1)
 			t.schedule(s.reqs)
 		}
 		s.due = min(s.due, t.due)
 	}
 }
 
-// setLoad rescales every class's step to load from the next request on:
-// credit is first brought up to the current request at the old step.
+// setLoad rescales every class's step to load from the next request on. A
+// class whose step changes first brings its credit up to the current
+// request at the old step; one whose step does not is left as it was.
 func (s *touchSchedule) setLoad(load float64) {
 	s.due = never
 	for i := range s.classes {
 		t := &s.classes[i]
-		if t.step != 0 {
-			_, t.credit = advance(t.credit, t.step, s.reqs-t.at)
+		if step := fixed(t.rate * load); step != t.step {
+			t.credit += (s.reqs - t.at) * t.step
+			t.step = step
+			t.schedule(s.reqs)
 		}
-		t.step = t.rate * load
-		t.schedule(s.reqs)
 		s.due = min(s.due, t.due)
 	}
 }
@@ -100,25 +113,13 @@ func (s *touchSchedule) reset() {
 	}
 }
 
-// schedule computes, from the credit held as of request from, the request
-// at which the class next settles.
+// schedule computes, from the credit held as of request from, the first
+// request at which it reaches one: from + ⌈(one − credit) / step⌉.
 func (t *toucher) schedule(from uint64) {
 	t.at = from
 	if t.step == 0 {
 		t.due = never
 		return
 	}
-	n, c := advance(t.credit, t.step, maxLookahead)
-	t.due, t.dueCredit = from+n, c
-}
-
-// advance adds step s to credit c once per request until c reaches 1 or
-// limit requests have passed, and returns the requests taken and the credit
-// then: the same additions, in the same order, as the per-request loop.
-func advance(c, s float64, limit uint64) (n uint64, _ float64) {
-	for c < 1 && n < limit {
-		c += s
-		n++
-	}
-	return n, c
+	t.due = from + (one-t.credit+t.step-1)/t.step
 }

@@ -386,3 +386,24 @@ func BenchmarkServeRequestIdle(b *testing.B) {
 		app.serveRequest(0, &out)
 	}
 }
+
+// BenchmarkServeRequestRamp serves requests of a resident app while its
+// load alternates between 1 and 1.5 every 100 requests, the way a chaos
+// ramp changes load every tick, so each change reschedules every class.
+func BenchmarkServeRequestRamp(b *testing.B) {
+	mgr, h := newEnv(512)
+	p := MustCatalog("feed")
+	g := h.NewGroup(nil, p.Name, cgroup.Workload, 0)
+	app := NewApp(p, g, mgr, 9)
+	app.Start(0)
+	var out requestOutcome
+	loads := [2]float64{1, 1.5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%100 == 0 {
+			app.SetLoadFactor(loads[i/100%2])
+		}
+		app.serveRequest(0, &out)
+	}
+}
