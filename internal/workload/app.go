@@ -206,7 +206,8 @@ func (a *App) Admitted() float64 { return a.admitted }
 // lazy growth, streaming) by f: a traffic surge touches more of the working
 // set per unit time, a lull touches less. Unlike SetAdmitted it does not
 // change how many requests the workers serve, so RPS stays comparable
-// across the perturbation and the effect is purely on memory heat.
+// across the perturbation and the effect is purely on memory heat. A class's
+// touches saturate at maxTouches per request, however large f is.
 func (a *App) SetLoadFactor(f float64) {
 	if f < 0 {
 		f = 0
