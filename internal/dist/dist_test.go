@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -106,12 +105,29 @@ func TestLogNormalSamplePositive(t *testing.T) {
 	}
 }
 
+// stdPCG is the stdlib generator NewPCG(seed) must reproduce.
+func stdPCG(seed uint64) *rand.PCG {
+	return rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
+}
+
+// sameState reports whether src and ref are in the same state, judged by
+// their next 64 outputs, which it consumes.
+func sameState(src *PCG, ref *rand.PCG) bool {
+	for i := 0; i < 64; i++ {
+		if src.Uint64() != ref.Uint64() {
+			return false
+		}
+	}
+	return true
+}
+
 // TestDrawsMatchRand interleaves Uint64N and Float64 on one source against
-// the stdlib Rand over an identically seeded source: every value and the
-// final source state must agree. n = 2^63+1 forces the rejection loop.
+// the stdlib Rand over math/rand/v2's own PCG, identically seeded: every
+// value and the final source state must agree. n = 2^63+1 forces the
+// rejection loop.
 func TestDrawsMatchRand(t *testing.T) {
 	ns := []uint64{1, 2, 3, 7, 1 << 10, 1 << 40, 1 << 63, 1<<63 + 1}
-	src, ref := NewPCG(7), NewPCG(7)
+	src, ref := NewPCG(7), stdPCG(7)
 	r := rand.New(ref)
 	for i := 0; i < 100000; i++ {
 		n := ns[i%len(ns)]
@@ -124,11 +140,50 @@ func TestDrawsMatchRand(t *testing.T) {
 			}
 		}
 	}
-	a, _ := src.MarshalBinary()
-	b, _ := ref.MarshalBinary()
-	if !bytes.Equal(a, b) {
+	if !sameState(src, ref) {
 		t.Fatalf("source states diverged")
 	}
+}
+
+// FuzzPCGMatchesStdlib drives a PCG and math/rand/v2's PCG from the same
+// seed through n rounds of Uint64, Uint64N (bound from the last draw, so
+// small, power-of-two and rejection-prone bounds all occur), Float64 and a
+// Shuffle through rand.New, and requires equal values and final states.
+func FuzzPCGMatchesStdlib(f *testing.F) {
+	f.Add(uint64(7), uint16(100))
+	f.Add(uint64(0), uint16(1))
+	f.Add(^uint64(0), uint16(1000))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16) {
+		src, ref := NewPCG(seed), stdPCG(seed)
+		r, rr := rand.New(src), rand.New(ref)
+		for i := 0; i < int(n%2048); i++ {
+			a, b := src.Uint64(), ref.Uint64()
+			if a != b {
+				t.Fatalf("seed %d round %d: Uint64 = %d, stdlib %d", seed, i, a, b)
+			}
+			bound := a>>(a%64) | 1<<(a%3)
+			if x, y := Uint64N(src, bound), rr.Uint64N(bound); x != y {
+				t.Fatalf("seed %d round %d: Uint64N(%d) = %d, stdlib %d", seed, i, bound, x, y)
+			}
+			if x, y := Float64(src), rr.Float64(); x != y {
+				t.Fatalf("seed %d round %d: Float64 = %v, stdlib %v", seed, i, x, y)
+			}
+			if i%16 == 0 {
+				var p, q [9]int
+				for k := range p {
+					p[k], q[k] = k, k
+				}
+				r.Shuffle(len(p), func(x, y int) { p[x], p[y] = p[y], p[x] })
+				rr.Shuffle(len(q), func(x, y int) { q[x], q[y] = q[y], q[x] })
+				if p != q {
+					t.Fatalf("seed %d round %d: Shuffle gives %v, stdlib %v", seed, i, p, q)
+				}
+			}
+		}
+		if !sameState(src, ref) {
+			t.Fatalf("seed %d: states diverged after %d rounds", seed, n%2048)
+		}
+	})
 }
 
 func TestUint64NZeroPanics(t *testing.T) {

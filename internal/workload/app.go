@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand/v2"
 
 	"tmo/internal/cgroup"
@@ -37,7 +38,7 @@ type App struct {
 	// src is the app's random stream. The request path draws from it
 	// directly (dist.Uint64N, dist.Float64); rng wraps the same source for
 	// Shuffle and the per-tick phase shift.
-	src *rand.PCG
+	src *dist.PCG
 	rng *rand.Rand
 
 	classPages [][]mm.PageID
@@ -314,8 +315,47 @@ func (o *requestOutcome) absorb(r mm.TouchResult) {
 // stall returns the outcome's total stall time.
 func (o *requestOutcome) stall() vclock.Duration { return o.memOnly + o.both + o.ioOnly }
 
+// growStep returns what lazy growth adds to its page credit per request:
+// growPerRequest times the load, or 0 once every lazy page is resident.
+func (a *App) growStep() float64 {
+	if a.growPerRequest > 0 && a.lazyCursor < len(a.anonLazy) {
+		return a.growPerRequest * a.load
+	}
+	return 0
+}
+
+// streamStep returns what streaming adds to its page credit per request:
+// streamPerRequest times the load, or 0 for an app with no stream.
+func (a *App) streamStep() float64 {
+	if a.streamPerRequest > 0 && len(a.streamPages) > 0 {
+		return a.streamPerRequest * a.load
+	}
+	return 0
+}
+
+// wholePages takes the whole pages a page credit owes: ⌊acc⌋, at most
+// maxTouches, leaving acc − ⌊acc⌋. Below 2^53 each subtraction of one is
+// exact, so this leaves what a `for acc >= 1 { acc-- }` loop would; unlike
+// that loop it ends for any credit, however large a load made it. NaN owes
+// nothing.
+func wholePages(acc *float64) int {
+	if !(*acc >= 1) {
+		return 0
+	}
+	w := math.Floor(*acc)
+	if math.IsInf(w, 1) {
+		*acc = 0
+		return maxTouches
+	}
+	*acc -= w
+	return int(min(w, maxTouches))
+}
+
 // serveRequest simulates the page accesses of one request at time now,
-// accumulating their outcome into out.
+// accumulating their outcome into out. Lazy growth and streaming add their
+// step to their page credit even when the step is 0 (growth done, or no
+// stream): a credit is a sum of non-negative steps less whole pages, never
+// −0, so adding 0 leaves it as it was, below one.
 func (a *App) serveRequest(now vclock.Time, out *requestOutcome) {
 	if a.touch.next() {
 		a.touch.settle()
@@ -328,31 +368,25 @@ func (a *App) serveRequest(now vclock.Time, out *requestOutcome) {
 		}
 	}
 	// Lazy anonymous growth.
-	if a.growPerRequest > 0 && a.lazyCursor < len(a.anonLazy) {
-		a.growAccum += a.growPerRequest * a.load
-		for a.growAccum >= 1 && a.lazyCursor < len(a.anonLazy) {
-			a.growAccum--
-			out.absorb(a.mgr.Touch(now, a.anonLazy[a.lazyCursor]))
-			a.lazyCursor++
-		}
+	a.growAccum += a.growStep()
+	for n := wholePages(&a.growAccum); n > 0 && a.lazyCursor < len(a.anonLazy); n-- {
+		out.absorb(a.mgr.Touch(now, a.anonLazy[a.lazyCursor]))
+		a.lazyCursor++
 	}
 	// File streaming: fresh content replaces the oldest stream slot. A
 	// consuming stream (scans) reads the new content from storage; a
 	// producing stream (logs) writes it, leaving the page dirty so its
 	// eviction costs writeback.
-	if a.streamPerRequest > 0 && len(a.streamPages) > 0 {
-		a.streamAccum += a.streamPerRequest * a.load
-		for a.streamAccum >= 1 {
-			a.streamAccum--
-			i := a.streamCursor
-			pg := a.streamPages[i]
-			a.streamCursor = (i + 1) % len(a.streamPages)
-			a.mgr.FreePages(a.streamPages[i : i+1])
-			if a.Profile.StreamIsWrites {
-				out.absorb(a.mgr.TouchWrite(now, pg))
-			} else {
-				out.absorb(a.mgr.Touch(now, pg))
-			}
+	a.streamAccum += a.streamStep()
+	for n := wholePages(&a.streamAccum); n > 0; n-- {
+		i := a.streamCursor
+		pg := a.streamPages[i]
+		a.streamCursor = (i + 1) % len(a.streamPages)
+		a.mgr.FreePages(a.streamPages[i : i+1])
+		if a.Profile.StreamIsWrites {
+			out.absorb(a.mgr.TouchWrite(now, pg))
+		} else {
+			out.absorb(a.mgr.Touch(now, pg))
 		}
 	}
 }
@@ -441,7 +475,9 @@ func (a *App) frontEndFactor() float64 {
 
 // Tick advances the app by one simulation tick starting at now. Each worker
 // serves requests until its admitted share of the tick is used; fault
-// stalls lengthen requests and are reported as PSI intervals.
+// stalls lengthen requests and are reported as PSI intervals. A worker
+// alternates an idle run (idleRun) with one request at which a touch class,
+// lazy growth or streaming fires, which serveRequest serves.
 func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 	if a.killed {
 		return TickResult{}
@@ -456,10 +492,13 @@ func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 		a.carry[w] = 0
 		var tot requestOutcome
 		for busy < budget {
-			// Front-end-bound workloads run slower when their bytecode
-			// misses the file cache (§4.4); the penalty is CPU time, not
-			// a stall.
-			cpu := vclock.Duration(float64(a.jitterCPU()) * frontEnd)
+			var idle int
+			busy, idle = a.idleRun(busy, budget, frontEnd)
+			res.Completed += idle
+			if busy >= budget {
+				break
+			}
+			cpu := requestCPU(dist.Float64(a.src), float64(a.Profile.ServiceCPU), frontEnd)
 			stalled, refaults := tot.stall(), tot.refaults
 			a.serveRequest(now.Add(busy), &tot)
 			cpu += vclock.Duration(tot.refaults-refaults) * a.Profile.RefaultCPUPenalty
@@ -523,8 +562,47 @@ func (a *App) appendStall(t vclock.Time, d vclock.Duration, mem, io bool) vclock
 	return t.Add(d)
 }
 
-// jitterCPU draws a request's CPU time within +-20% of the profile value.
-func (a *App) jitterCPU() vclock.Duration {
-	f := 0.8 + 0.4*dist.Float64(a.src)
-	return vclock.Duration(float64(a.Profile.ServiceCPU) * f)
+// requestCPU returns a request's CPU time for a uniform draw u in [0, 1):
+// serviceCPU within ±20%, times the front-end factor. Front-end-bound
+// workloads run slower when their bytecode misses the file cache (§4.4);
+// the penalty is CPU time, not a stall.
+func requestCPU(u, serviceCPU, frontEnd float64) vclock.Duration {
+	return vclock.Duration(float64(vclock.Duration(serviceCPU*(0.8+0.4*u))) * frontEnd)
+}
+
+// idleRun serves, from busy on and while busy is below budget, the
+// requests before the next one at which a touch class is due or lazy
+// growth or streaming reaches a whole page. Such a request touches nothing,
+// so its wall time is its CPU time: one draw and one latency bucket. Each
+// request adds the growth and streaming steps to copies of their credits,
+// and the run ends before the first request at which either copy reaches
+// one, leaving that request to serveRequest. The source, busy time, count
+// and credits live in locals and are stored back once, and every draw and
+// float addition is the one serveRequest's path would make. It returns the
+// worker's busy time and the requests served.
+func (a *App) idleRun(busy, budget vclock.Duration, frontEnd float64) (vclock.Duration, int) {
+	src := *a.src
+	cpu := float64(a.Profile.ServiceCPU)
+	counts := &a.latencies.counts
+	grow, stream := a.growAccum, a.streamAccum
+	growStep, streamStep := a.growStep(), a.streamStep()
+	// Between requests the touch schedule's due request is a later one,
+	// so limit, the requests before it, cannot wrap.
+	n, limit := uint64(0), a.touch.due-a.touch.reqs-1
+	for ; n < limit && busy < budget; n++ {
+		g, s := grow+growStep, stream+streamStep
+		if g >= 1 || s >= 1 {
+			break
+		}
+		grow, stream = g, s
+		wall := requestCPU(dist.Float64(&src), cpu, frontEnd)
+		counts[latBucket(uint64(wall))]++
+		busy += wall
+	}
+	*a.src = src
+	a.growAccum, a.streamAccum = grow, stream
+	a.touch.reqs += n
+	a.latencies.n += int64(n)
+	a.completed += int64(n)
+	return busy, int(n)
 }
