@@ -1,8 +1,9 @@
 // Command benchjson runs the repository's benchmark suites — the root
 // figure benchmarks that regenerate the paper's evaluation plus the
 // hot-path microbenchmarks in internal/{mm,place,psi,backend,sim,workload}
-// and the cost of observing in internal/{telemetry,tsdb} (a registry
-// snapshot, a scrape into the time-series store) —
+// and the cost of observing in internal/{metrics,telemetry,tsdb} (a
+// histogram record, a registry snapshot, a scrape into the time-series
+// store) —
 // and writes the parsed results to a single JSON file (BENCH_core.json via
 // `make bench`). The file pins the perf trajectory: every benchmark's ns/op,
 // B/op, and allocs/op, plus each figure's headline metrics, so any PR can
@@ -99,6 +100,7 @@ func main() {
 		{pkg: "./internal/backend", bench: ".", benchtime: *micro},
 		{pkg: "./internal/sim", bench: ".", benchtime: *micro},
 		{pkg: "./internal/workload", bench: ".", benchtime: *micro},
+		{pkg: "./internal/metrics", bench: ".", benchtime: *micro},
 		{pkg: "./internal/telemetry", bench: ".", benchtime: *micro},
 		{pkg: "./internal/tsdb", bench: ".", benchtime: *micro},
 	}

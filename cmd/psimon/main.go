@@ -132,11 +132,11 @@ func telemetrySummary(sys *core.System) string {
 			fmt.Sprintf("%.4g", m.Quantile(0.50)),
 			fmt.Sprintf("%.4g", m.Quantile(0.90)),
 			fmt.Sprintf("%.4g", m.Quantile(0.99)),
-			fmt.Sprintf("%.4g", m.Max),
+			fmt.Sprintf("%.4g", m.Quantile(1)),
 		})
 	}
 	if len(rows) > 1 {
-		b.WriteString("latency and size distributions (registry histograms, µs unless named otherwise)\n")
+		b.WriteString("latency and size distributions (registry histograms, µs unless named otherwise; compress_ratio in hundredths)\n")
 		b.WriteString(textplot.Table(rows))
 	}
 	return b.String()

@@ -180,8 +180,9 @@ func main() {
 		float64(m.ResidentBytes)/workload.MiB, float64(m.CapacityBytes)/workload.MiB,
 		float64(m.PoolBytes)/workload.MiB, float64(m.SwappedBytes)/workload.MiB,
 		float64(m.DeviceWrittenBytes)/workload.MiB, m.OOMEvents)
+	lat, _ := sys.TelemetrySnapshot().Get("workload.request_latency_us", telemetry.Label{Key: "app", Value: app.Profile.Name})
 	fmt.Printf("request latency: p50 %v, p99 %v\n",
-		app.RequestLatencyQuantile(0.50), app.RequestLatencyQuantile(0.99))
+		vclock.Duration(lat.Quantile(0.50)), vclock.Duration(lat.Quantile(0.99)))
 	if sys.Place != nil {
 		st := sys.Place.Stats()
 		fmt.Printf("placement: %.1f MiB far, %d promotions, %d aborts (%v stall), %.1f MiB demoted\n",

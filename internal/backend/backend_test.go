@@ -298,6 +298,30 @@ func TestZswapPoolLimit(t *testing.T) {
 	}
 }
 
+// TestZswapCompressRatioSmallestStore records the compression ratio in
+// hundredths for the smallest stored size: a page below the allocator's
+// packing limit stores as 0 bytes, and its ratio divides by 1 instead.
+func TestZswapCompressRatioSmallestStore(t *testing.T) {
+	z := zswapChain(bigSwap, 11)
+	reg := telemetry.NewRegistry()
+	z.EnableTelemetry(reg)
+	tiny, err := storeOne(z, 0, 1, 4.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiny.StoredBytes != 0 {
+		t.Fatalf("1-byte page stored %d bytes, want 0", tiny.StoredBytes)
+	}
+	page, err := storeOne(z, 0, pageSize, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := reg.Snapshot().Get("backend.zswap.compress_ratio")
+	if want := float64(100 + 100*pageSize/page.StoredBytes); m.Count != 2 || m.Sum != want {
+		t.Fatalf("compress ratio count/sum = %d/%v, want 2/%v", m.Count, m.Sum, want)
+	}
+}
+
 func TestZswapIncompressiblePage(t *testing.T) {
 	// ML model data at ratio 1.0 should save nothing (stored >= page size).
 	z := zswapChain(bigSwap, 10)

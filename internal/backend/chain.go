@@ -3,7 +3,7 @@ package backend
 import (
 	"fmt"
 
-	"tmo/internal/telemetry"
+	"tmo/internal/metrics"
 	"tmo/internal/trace"
 	"tmo/internal/vclock"
 )
@@ -162,9 +162,9 @@ type chainTier struct {
 	// have.
 	demotions, promotions int64
 
-	// telRatio is the compression-ratio histogram, nil until
-	// EnableTelemetry.
-	telRatio *telemetry.Histogram
+	// ratioHist counts a pool tier's per-page compression ratios in
+	// hundredths; EnableTelemetry registers it.
+	ratioHist metrics.Histogram
 }
 
 // TierChain is an ordered chain of offload tiers and the ledger of every page
@@ -490,7 +490,9 @@ func (c *TierChain) StoreBatch(now vclock.Time, reqs []StoreReq, out []StoreResu
 			res := StoreResult{Handle: first + Handle(i), StoredBytes: c.storedSize(t, req.PageBytes, req.CompressRatio)}
 			if tier.zs != nil {
 				res.Latency = tier.zs.compress(j)
-				tier.telRatio.Record(float64(req.PageBytes) / float64(res.StoredBytes))
+				// A page smaller than the allocator's packing limit can
+				// store as 0 bytes, so the ratio divides by at least 1.
+				tier.ratioHist.Record(100 * req.PageBytes / max(res.StoredBytes, 1))
 			} else if tier.ssd != nil {
 				res.DeviceWrite = req.PageBytes
 			}

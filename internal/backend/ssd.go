@@ -6,7 +6,6 @@ import (
 
 	"tmo/internal/dist"
 	"tmo/internal/metrics"
-	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
 )
 
@@ -114,8 +113,8 @@ type SSDDevice struct {
 
 	readObserver func(vclock.Duration)
 
-	// Registry histograms, nil until EnableTelemetry.
-	telReadLat, telWriteLat, telBatchPages *telemetry.Histogram
+	// IO latencies in µs and pages per IO; EnableTelemetry registers them.
+	readHist, writeHist, batchHist metrics.Histogram
 }
 
 // SetDegradation scales the device's service times by factor (>= 1) from
@@ -239,8 +238,8 @@ func (d *SSDDevice) ReadBatch(now vclock.Time, pages int, bytes int64) vclock.Du
 	if d.readObserver != nil {
 		d.readObserver(lat)
 	}
-	d.telReadLat.Record(float64(lat))
-	d.telBatchPages.Record(float64(pages))
+	d.readHist.Record(int64(lat))
+	d.batchHist.Record(int64(pages))
 	return lat
 }
 
@@ -270,10 +269,13 @@ func (d *SSDDevice) WriteBatch(now vclock.Time, pages int, bytes int64) vclock.D
 	lat := vclock.Duration(float64(d.writeLat.Sample(d.rng))*f) +
 		transferTime(bytes, d.Spec.WriteBWBytesPerSec) +
 		d.stallRemainder(now)
-	d.telWriteLat.Record(float64(lat))
-	d.telBatchPages.Record(float64(pages))
+	d.writeHist.Record(int64(lat))
+	d.batchHist.Record(int64(pages))
 	return lat
 }
+
+// ReadLatencies returns the histogram of every read's latency in µs.
+func (d *SSDDevice) ReadLatencies() *metrics.Histogram { return &d.readHist }
 
 // Reads returns the cumulative read count.
 func (d *SSDDevice) Reads() int64 { return d.reads }

@@ -18,9 +18,9 @@ func (d *SSDDevice) EnableTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("backend.ssd.reads", func() int64 { return d.reads }, dev)
 	reg.CounterFunc("backend.ssd.writes", func() int64 { return d.writes }, dev)
 	reg.CounterFunc("backend.ssd.written_bytes", func() int64 { return d.writtenBytes }, dev)
-	d.telReadLat = reg.Histogram("backend.ssd.read_latency_us", dev)
-	d.telWriteLat = reg.Histogram("backend.ssd.write_latency_us", dev)
-	d.telBatchPages = reg.Histogram("backend.ssd.batch_pages", dev)
+	reg.Histogram("backend.ssd.read_latency_us", &d.readHist, dev)
+	reg.Histogram("backend.ssd.write_latency_us", &d.writeHist, dev)
+	reg.Histogram("backend.ssd.batch_pages", &d.batchHist, dev)
 }
 
 // EnableTelemetry registers the swap partition's async writeback-queue
@@ -56,7 +56,7 @@ func (c *TierChain) EnableTelemetry(reg *telemetry.Registry) {
 		reg.CounterFunc("backend.zswap.stores", func() int64 { return st.TotalWrites })
 		reg.CounterFunc("backend.zswap.loads", func() int64 { return st.TotalReads })
 		reg.CounterFunc("backend.zswap.rejects", func() int64 { return c.rejects })
-		t.telRatio = reg.Histogram("backend.zswap.compress_ratio")
+		reg.Histogram("backend.zswap.compress_ratio", &t.ratioHist)
 		reg.GaugeFunc("backend.zswap.pool_bytes", func() float64 { return float64(st.StoredBytes) })
 		reg.GaugeFunc("backend.zswap.logical_bytes", func() float64 { return float64(st.LogicalBytes) })
 		return

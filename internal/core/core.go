@@ -400,6 +400,7 @@ func (s *System) addProfileWithConfig(p workload.Profile, kind cgroup.Kind, over
 	seed := s.nextAppSeed
 	s.nextAppSeed++
 	app := s.Server.AddApp(p, kind, nil, seed)
+	app.EnableTelemetry(s.Telemetry)
 	if s.Senpai != nil {
 		if override != nil {
 			s.Senpai.AddTargetWithConfig(app.Group, *override)

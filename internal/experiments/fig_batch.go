@@ -82,7 +82,7 @@ func AblationBatch(cfg Config) BatchResult {
 			Readahead:       h.Opts.SwapReadahead,
 			WBDepth:         h.Opts.WritebackDepth,
 			RPS:             w.RPS,
-			MeanFaultUs:     h.Telemetry.Histogram("mm.fault_latency_us").Mean(),
+			MeanFaultUs:     mgr.FaultLatency().Mean(),
 			MeanMemPressure: w.AppPressure,
 			ReadaheadIns:    mgr.ReadaheadIn(),
 			Coalesced:       mgr.FaultCoalesced(),

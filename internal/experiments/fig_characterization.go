@@ -7,7 +7,6 @@ import (
 	"tmo/internal/backend"
 	"tmo/internal/cgroup"
 	"tmo/internal/core"
-	"tmo/internal/dist"
 	"tmo/internal/fleet"
 	"tmo/internal/metrics"
 	"tmo/internal/mm"
@@ -284,10 +283,9 @@ func Figure5(cfg Config) Figure5Result {
 	}
 	for i, spec := range backend.DeviceCatalog {
 		dev := backend.NewSSDDevice(spec, cfg.Seed+uint64(200+i))
-		r := metrics.NewReservoir(4096, dist.NewRand(cfg.Seed+uint64(300+i)).Int64N)
 		now := vclock.Time(0)
 		for j := 0; j < samples; j++ {
-			r.Add(float64(dev.Read(now)))
+			dev.Read(now)
 			now = now.Add(10 * vclock.Millisecond) // idle pacing
 		}
 		res.Rows = append(res.Rows, DeviceRow{
@@ -295,7 +293,7 @@ func Figure5(cfg Config) Figure5Result {
 			EndurancePTBW:     spec.EndurancePTBW,
 			ReadIOPS:          spec.ReadIOPS,
 			WriteIOPS:         spec.WriteIOPS,
-			MeasuredReadP99us: r.Quantile(0.99),
+			MeasuredReadP99us: float64(dev.ReadLatencies().Quantile(0.99)),
 			SpecReadP99us:     float64(spec.ReadP99),
 		})
 	}
@@ -304,7 +302,7 @@ func Figure5(cfg Config) Figure5Result {
 	// never reached.
 	z := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: backend.CodecZstd,
 		CapacityBytes: 1 << 20}}, nil, 0, cfg.Seed+400)
-	zr := metrics.NewReservoir(4096, dist.NewRand(cfg.Seed+401).Int64N)
+	var zr metrics.Histogram
 	req := []backend.StoreReq{{PageBytes: 4096, CompressRatio: 3}}
 	out := make([]backend.StoreResult, 1)
 	for j := 0; j < samples; j++ {
@@ -312,9 +310,9 @@ func Figure5(cfg Config) Figure5Result {
 			panic(err)
 		}
 		lr := z.LoadBatch(0, []backend.Handle{out[0].Handle})
-		zr.Add(float64(lr.Latency))
+		zr.Record(int64(lr.Latency))
 	}
-	res.ZswapP90us = zr.Quantile(0.90)
+	res.ZswapP90us = float64(zr.Quantile(0.90))
 	return res
 }
 

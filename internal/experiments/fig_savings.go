@@ -6,7 +6,6 @@ import (
 
 	"tmo/internal/backend"
 	"tmo/internal/core"
-	"tmo/internal/dist"
 	"tmo/internal/fleet"
 	"tmo/internal/metrics"
 	"tmo/internal/senpai"
@@ -247,7 +246,7 @@ func TableCompression(cfg Config) TableCompressionResult {
 			// holds more than one page; the bound is never reached.
 			z := backend.NewTierChain([]backend.TierSpec{{Kind: backend.TierZswap, Codec: c, Alloc: a,
 				CapacityBytes: 1 << 20}}, nil, 0, cfg.Seed+600)
-			r := metrics.NewReservoir(4096, dist.NewRand(cfg.Seed+601).Int64N)
+			var r metrics.Histogram
 			var stored int64
 			for i := 0; i < pages; i++ {
 				req[0] = backend.StoreReq{PageBytes: 4096, CompressRatio: ratios[i%len(ratios)]}
@@ -256,7 +255,7 @@ func TableCompression(cfg Config) TableCompressionResult {
 				}
 				stored += out[0].StoredBytes
 				lr := z.LoadBatch(0, []backend.Handle{out[0].Handle})
-				r.Add(float64(lr.Latency))
+				r.Record(int64(lr.Latency))
 			}
 			row := CompressionRow{
 				Codec:           c.Name,

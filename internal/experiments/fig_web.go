@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"tmo/internal/core"
-	"tmo/internal/dist"
 	"tmo/internal/fleet"
 	"tmo/internal/metrics"
 	"tmo/internal/mm"
@@ -77,19 +76,18 @@ func attachWebRecorder(sys *core.System, app *workload.App, label string, every 
 	s.add(newPressureRate(p.MemP, func() vclock.Duration { return fleet.SomeTotal(sys, app.Group, psi.Memory) }).sample)
 	s.add(newPressureRate(p.IOP, func() vclock.Duration { return fleet.SomeTotal(sys, app.Group, psi.IO) }).sample)
 
-	// Windowed p90 of SSD reads via a per-window reservoir.
+	// Windowed p90 of SSD reads: each window starts a zeroed histogram.
 	capacity := float64(sys.Opts.CapacityBytes)
-	drained := metrics.NewReservoir(2048, dist.NewRand(sys.Opts.Seed+999).Int64N)
-	sys.Device.ObserveReads(func(lat vclock.Duration) { drained.Add(float64(lat)) })
+	var window metrics.Histogram
+	sys.Device.ObserveReads(func(lat vclock.Duration) { window.Record(int64(lat)) })
 	s.add(func(now vclock.Time) {
 		p.Resident.Record(now, float64(sys.NetResidentBytes())/capacity)
 		p.SwapBytes.Record(now, float64(app.Group.MM().SwappedBytes()))
 		p.FileCache.Record(now, float64(app.Group.MM().ResidentBytesOf(mm.File)))
-		if drained.Count() > 0 {
-			p.ReadP90ms.Record(now, drained.Quantile(0.90)/1000)
+		if window.Count() > 0 {
+			p.ReadP90ms.Record(now, float64(window.Quantile(0.90))/1000)
 		}
-		drained = metrics.NewReservoir(2048, dist.NewRand(uint64(now)).Int64N)
-		sys.Device.ObserveReads(func(lat vclock.Duration) { drained.Add(float64(lat)) })
+		window = metrics.Histogram{}
 	})
 	sys.Server.OnTick(s.onTick)
 	return p

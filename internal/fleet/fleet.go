@@ -222,13 +222,14 @@ func MeasureAll(specs []Spec, warm, measure vclock.Duration, obs Observer) []Mea
 }
 
 // readTMO fills the measurement's readings of the TMO host at run end: the
-// whole-run OOM count and the registry's fault, stall and refault figures.
+// whole-run OOM count and the fault, stall and refault figures.
 func (m *Measurement) readTMO(h Host) {
-	m.OOMEvents = h.Server.Manager().OOMEvents()
-	fl := h.Telemetry.Histogram("mm.fault_latency_us")
-	m.FaultLatencyP50Us, m.FaultLatencyP99Us = fl.Quantile(0.50), fl.Quantile(0.99)
-	m.MemStallP99Us = h.Telemetry.Histogram("psi.stall_duration_us", telemetry.Label{Key: "resource", Value: "memory"}).Quantile(0.99)
-	m.Refaults = h.Server.Manager().Stat().Refaults
+	mgr := h.Server.Manager()
+	m.OOMEvents = mgr.OOMEvents()
+	fl := mgr.FaultLatency()
+	m.FaultLatencyP50Us, m.FaultLatencyP99Us = float64(fl.Quantile(0.50)), float64(fl.Quantile(0.99))
+	m.MemStallP99Us = float64(h.Server.MemStalls().Quantile(0.99))
+	m.Refaults = mgr.Stat().Refaults
 }
 
 // compare fills the savings and throughput fields from the baseline and TMO

@@ -73,7 +73,7 @@ func (h *SimHost) Advance(window vclock.Duration) Vitals {
 		RPS:           w.RPS,
 		OOMKills:      w.OOMs,
 		ResidentBytes: float64(h.NetResidentBytes()),
-		FaultP99Us:    h.Telemetry.Histogram("mm.fault_latency_us").Quantile(0.99),
+		FaultP99Us:    float64(h.Server.Manager().FaultLatency().Quantile(0.99)),
 	}
 	if sw := h.Server.Swap(); sw != nil {
 		v.SwapStoredBytes = sw.Stats().StoredBytes

@@ -1,16 +1,16 @@
 // Package metrics provides the small set of online estimators the simulator
-// and controllers use: windowed rate meters, percentile reservoirs, and
+// and controllers use: windowed rate meters, the log-linear histogram, and
 // time-series recorders for experiment output.
 //
 // The Senpai controller consumes rate meters (SSD write MB/s for endurance
-// regulation, Fig. 14) and the experiment harness consumes time series and
-// percentile sketches (P50/P90 across a cluster, p99 latencies in Fig. 5).
+// regulation, Fig. 14), every layer counts its latencies and sizes in a
+// Histogram (p99 latencies in Fig. 5, fault and stall distributions in the
+// telemetry registry), and the experiment harness consumes time series.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"tmo/internal/vclock"
 )
@@ -98,71 +98,6 @@ func (m *RateMeter) roll(now vclock.Time) {
 		m.times[m.cur] = m.curStart
 		m.valid[m.cur] = true
 	}
-}
-
-// Reservoir is a bounded-size uniform sampling reservoir for percentile
-// estimation (Vitter's algorithm R). With the simulator's sample volumes a
-// few thousand slots give percentile error well under the effects being
-// measured.
-type Reservoir struct {
-	cap     int
-	samples []float64
-	seen    int64
-	rnd     func(n int64) int64
-}
-
-// NewReservoir returns a reservoir holding at most capacity samples. The
-// rnd function must return a uniform integer in [0, n); pass
-// (*rand.Rand).Int64N from a seeded source for determinism.
-func NewReservoir(capacity int, rnd func(n int64) int64) *Reservoir {
-	if capacity <= 0 {
-		panic("metrics: reservoir capacity must be positive")
-	}
-	return &Reservoir{cap: capacity, rnd: rnd}
-}
-
-// Add records one observation.
-func (r *Reservoir) Add(v float64) {
-	r.seen++
-	if len(r.samples) < r.cap {
-		r.samples = append(r.samples, v)
-		return
-	}
-	if j := r.rnd(r.seen); j < int64(r.cap) {
-		r.samples[j] = v
-	}
-}
-
-// Count returns the number of observations seen (not retained).
-func (r *Reservoir) Count() int64 { return r.seen }
-
-// Quantile returns the q-th sample quantile, or 0 if empty.
-func (r *Reservoir) Quantile(q float64) float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), r.samples...)
-	sort.Float64s(s)
-	idx := int(q * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
-// Mean returns the mean of retained samples, or 0 if empty.
-func (r *Reservoir) Mean() float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range r.samples {
-		sum += v
-	}
-	return sum / float64(len(r.samples))
 }
 
 // Point is one (time, value) observation in a recorded series.

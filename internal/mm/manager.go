@@ -6,7 +6,7 @@ import (
 	"slices"
 
 	"tmo/internal/backend"
-	"tmo/internal/telemetry"
+	"tmo/internal/metrics"
 	"tmo/internal/trace"
 	"tmo/internal/vclock"
 )
@@ -158,9 +158,9 @@ type Manager struct {
 	// swap-ins that coalesced onto a batch in flight.
 	activations, swapRejects, readaheadSkips, zeroFills, faultCoalesced int64
 
-	// faultLatency records every fault's stall when telemetry is enabled;
-	// trace records the swap-full latch. Both are optional.
-	faultLatency *telemetry.Histogram
+	// faultLatency counts every fault's stall in µs; trace, when set,
+	// records the swap-full latch.
+	faultLatency metrics.Histogram
 	trace        *trace.Recorder
 }
 

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"tmo/internal/metrics"
 	"tmo/internal/telemetry"
 	"tmo/internal/trace"
 	"tmo/internal/vclock"
@@ -8,8 +9,8 @@ import (
 
 // EnableTelemetry registers the memory manager's series with reg. The
 // counter names mirror the kernel's memory.stat / vmstat vocabulary; each
-// reads a count the manager or its groups already keep. Only the fault
-// latency histogram is pushed.
+// reads a count the manager or its groups already keep, and the fault
+// latency histogram is a field of the manager's own.
 func (m *Manager) EnableTelemetry(reg *telemetry.Registry) {
 	for _, c := range []struct {
 		name string
@@ -33,8 +34,11 @@ func (m *Manager) EnableTelemetry(reg *telemetry.Registry) {
 	} {
 		reg.CounterFunc(c.name, c.fn)
 	}
-	m.faultLatency = reg.Histogram("mm.fault_latency_us")
+	reg.Histogram("mm.fault_latency_us", &m.faultLatency)
 }
+
+// FaultLatency returns the histogram of every fault's stall in µs.
+func (m *Manager) FaultLatency() *metrics.Histogram { return &m.faultLatency }
 
 // Stat returns the host-wide event counts: the sum of every group's
 // GroupStat. Groups are never removed, so the sum is cumulative.
@@ -70,7 +74,7 @@ func (m *Manager) SetTrace(r *trace.Recorder) { m.trace = r }
 // noteFault counts one fault's classification where no group stat does,
 // and records its latency.
 func (m *Manager) noteFault(res TouchResult) {
-	m.faultLatency.Record(float64(res.TotalStall()))
+	m.faultLatency.Record(int64(res.TotalStall()))
 	switch {
 	case res.Coalesced:
 		m.faultCoalesced++

@@ -25,6 +25,7 @@ package senpai
 import (
 	"tmo/internal/backend"
 	"tmo/internal/cgroup"
+	"tmo/internal/metrics"
 	"tmo/internal/psi"
 	"tmo/internal/telemetry"
 	"tmo/internal/trace"
@@ -149,8 +150,9 @@ type Controller struct {
 
 	trace *trace.Recorder
 
-	// telProbe is the probe-size histogram, nil until EnableTelemetry.
-	telProbe *telemetry.Histogram
+	// probeHist counts the bytes of every probe that requested reclaim;
+	// EnableTelemetry registers it.
+	probeHist metrics.Histogram
 }
 
 // SetTrace attaches the host's decision recorder: each control interval
@@ -168,7 +170,7 @@ func (c *Controller) EnableTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("senpai.write_regulated_decisions", func() int64 { return c.writeRegulated })
 	reg.CounterFunc("senpai.requested_bytes", func() int64 { return c.totalRequested })
 	reg.CounterFunc("senpai.reclaimed_bytes", func() int64 { return c.totalReclaimed })
-	c.telProbe = reg.Histogram("senpai.probe_bytes")
+	reg.Histogram("senpai.probe_bytes", &c.probeHist)
 }
 
 // New returns a controller with the given configuration. swap may be nil
@@ -352,7 +354,7 @@ func (c *Controller) Tick(now vclock.Time) {
 			c.reclaims++
 		}
 		if act.Requested > 0 {
-			c.telProbe.Record(float64(act.Requested))
+			c.probeHist.Record(act.Requested)
 		}
 		if probe != nil {
 			probe.Annotate("requested_bytes", act.Requested)

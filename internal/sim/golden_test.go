@@ -10,6 +10,7 @@ import (
 
 	"tmo/internal/cgroup"
 	"tmo/internal/senpai"
+	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
 	"tmo/internal/workload"
 )
@@ -110,8 +111,14 @@ func TestServerTickGolden(t *testing.T) {
 	})
 	s.Run(2 * vclock.Minute)
 	checkGolden(t, "server-tick.txt", b.String())
+	reg := telemetry.NewRegistry()
+	for _, a := range apps {
+		a.EnableTelemetry(reg)
+	}
+	snap := reg.Snapshot()
 	for i, a := range apps {
-		got := [2]vclock.Duration{a.RequestLatencyQuantile(0.5), a.RequestLatencyQuantile(0.99)}
+		lat, _ := snap.Get("workload.request_latency_us", telemetry.Label{Key: "app", Value: a.Profile.Name})
+		got := [2]vclock.Duration{vclock.Duration(lat.Quantile(0.5)), vclock.Duration(lat.Quantile(0.99))}
 		if got != serverTickLatencies[i] {
 			t.Errorf("%s p50/p99 = %d/%d µs, want %d/%d", a.Profile.Name, got[0], got[1], serverTickLatencies[i][0], serverTickLatencies[i][1])
 		}

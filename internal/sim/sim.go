@@ -13,6 +13,7 @@ import (
 
 	"tmo/internal/backend"
 	"tmo/internal/cgroup"
+	"tmo/internal/metrics"
 	"tmo/internal/mm"
 	"tmo/internal/psi"
 	"tmo/internal/telemetry"
@@ -71,8 +72,9 @@ type Server struct {
 	// the steady-state tick loop performs no event allocations.
 	events []stallEvent
 
-	// Registry histograms, nil until EnableTelemetry.
-	telTickWall, telMemStall, telIOStall *telemetry.Histogram
+	// Each tick's wall time in real µs and the memory and IO stall
+	// intervals' durations in µs; EnableTelemetry registers them.
+	tickWall, memStalls, ioStalls metrics.Histogram
 }
 
 // EnableTelemetry registers the simulator's instruments with reg: tick
@@ -81,11 +83,15 @@ type Server struct {
 // per-task stall intervals as they are integrated into the trackers.
 func (s *Server) EnableTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("sim.ticks", func() int64 { return s.ticks })
-	s.telTickWall = reg.Histogram("sim.tick_wall_us")
-	s.telMemStall = reg.Histogram("psi.stall_duration_us", telemetry.Label{Key: "resource", Value: "memory"})
-	s.telIOStall = reg.Histogram("psi.stall_duration_us", telemetry.Label{Key: "resource", Value: "io"})
+	reg.Histogram("sim.tick_wall_us", &s.tickWall)
+	reg.Histogram("psi.stall_duration_us", &s.memStalls, telemetry.Label{Key: "resource", Value: "memory"})
+	reg.Histogram("psi.stall_duration_us", &s.ioStalls, telemetry.Label{Key: "resource", Value: "io"})
 	reg.CounterFunc("psi.stall_integrations", func() int64 { return s.stallIntegrations })
 }
+
+// MemStalls returns the histogram of every memory stall interval's
+// duration in µs.
+func (s *Server) MemStalls() *metrics.Histogram { return &s.memStalls }
 
 // NewServer builds a server from cfg.
 func NewServer(cfg Config) *Server {
@@ -229,12 +235,12 @@ func (s *Server) step() {
 			events = append(events, stallEvent{at: iv.Start, g: a.Group, mem: iv.Mem, io: iv.IO, start: true})
 			events = append(events, stallEvent{at: iv.End, g: a.Group, mem: iv.Mem, io: iv.IO, start: false})
 			s.stallIntegrations++
-			d := float64(iv.End.Sub(iv.Start))
+			d := int64(iv.End.Sub(iv.Start))
 			if iv.Mem {
-				s.telMemStall.Record(d)
+				s.memStalls.Record(d)
 			}
 			if iv.IO {
-				s.telIOStall.Record(d)
+				s.ioStalls.Record(d)
 			}
 		}
 	}
@@ -293,7 +299,7 @@ func (s *Server) step() {
 		fn(next)
 	}
 	s.ticks++
-	s.telTickWall.Record(float64(time.Since(wallStart).Microseconds()))
+	s.tickWall.Record(time.Since(wallStart).Microseconds())
 }
 
 // throttleFactor maps host free-memory fraction to the admitted-load factor

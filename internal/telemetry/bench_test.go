@@ -3,6 +3,8 @@ package telemetry
 import (
 	"fmt"
 	"testing"
+
+	"tmo/internal/metrics"
 )
 
 // BenchmarkSnapshot times one snapshot of a registry shaped like a tiered
@@ -18,10 +20,11 @@ func BenchmarkSnapshot(b *testing.B) {
 		r.GaugeFunc(fmt.Sprintf("layer.level_%02d", i), func() float64 { return 1.5 },
 			Label{Key: "tier", Value: fmt.Sprint(i % 3)})
 	}
-	for i := 0; i < 8; i++ {
-		h := r.Histogram(fmt.Sprintf("layer.latency_us_%d", i))
-		for v := 1.0; v < 1e6; v *= 2 {
-			h.Record(v)
+	hs := make([]metrics.Histogram, 8)
+	for i := range hs {
+		r.Histogram(fmt.Sprintf("layer.latency_us_%d", i), &hs[i])
+		for v := int64(1); v < 1e6; v *= 2 {
+			hs[i].Record(v)
 		}
 	}
 	b.ReportAllocs()

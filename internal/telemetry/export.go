@@ -6,14 +6,9 @@ import (
 	"math"
 	"sort"
 	"strings"
-)
 
-// Bucket is one histogram bucket in a snapshot: the count of observations
-// at or below UpperBound and above the previous bucket's bound.
-type Bucket struct {
-	UpperBound float64 `json:"le"`
-	Count      int64   `json:"count"`
-}
+	"tmo/internal/metrics"
+)
 
 // Metric is one instrument's state at snapshot time.
 type Metric struct {
@@ -24,26 +19,17 @@ type Metric struct {
 	// Value holds the counter or gauge reading.
 	Value float64 `json:"value,omitempty"`
 
-	// Histogram state; Buckets holds per-bucket (not cumulative) counts
-	// for the allocated range.
-	Count   int64    `json:"count,omitempty"`
-	Sum     float64  `json:"sum,omitempty"`
-	Min     float64  `json:"min,omitempty"`
-	Max     float64  `json:"max,omitempty"`
-	Buckets []Bucket `json:"buckets,omitempty"`
+	// Histogram state; Buckets holds the non-empty buckets' per-bucket
+	// (not cumulative) counts.
+	Count   int64            `json:"count,omitempty"`
+	Sum     float64          `json:"sum,omitempty"`
+	Buckets []metrics.Bucket `json:"buckets,omitempty"`
 }
 
-// Quantile returns the q-th quantile of a histogram metric from its bucket
-// counts; 0 for non-histograms or empty histograms.
+// Quantile returns the q-th quantile of a histogram metric by
+// metrics.Quantile's rule; 0 for non-histograms or empty histograms.
 func (m Metric) Quantile(q float64) float64 {
-	if m.Kind != "histogram" || m.Count == 0 {
-		return 0
-	}
-	buckets := make([]int64, len(m.Buckets))
-	for i, b := range m.Buckets {
-		buckets[i] = b.Count
-	}
-	return quantileFromBuckets(buckets, m.Count, m.Min, m.Max, q)
+	return float64(metrics.Quantile(m.Buckets, m.Count, q))
 }
 
 // Snapshot is a consistent point-in-time copy of a registry, ordered by
@@ -53,7 +39,8 @@ type Snapshot struct {
 }
 
 // Snapshot captures every instrument's current state. Counter and gauge
-// functions are evaluated during the call, on the calling goroutine.
+// functions are evaluated, and histograms copied, during the call, on the
+// calling goroutine.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	ids := make([]string, 0, len(r.entries))
@@ -80,17 +67,9 @@ func (r *Registry) Snapshot() Snapshot {
 		case kindGaugeFunc:
 			m.Value = e.gaugeFn()
 		case kindHistogram:
-			h := e.histogram
-			h.mu.Lock()
-			m.Count = h.count
-			m.Sum = h.sum
-			m.Min = h.min
-			m.Max = h.max
-			m.Buckets = make([]Bucket, len(h.buckets))
-			for i, n := range h.buckets {
-				m.Buckets[i] = Bucket{UpperBound: bucketUpperBound(i), Count: n}
-			}
-			h.mu.Unlock()
+			m.Count = e.histogram.Count()
+			m.Sum = float64(e.histogram.Sum())
+			m.Buckets = e.histogram.Buckets()
 		}
 		snap.Metrics = append(snap.Metrics, m)
 	}
@@ -175,17 +154,12 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 		switch m.Kind {
 		case "histogram":
+			// Only the non-empty buckets' edges carry information.
 			var cum int64
-			for i, b := range m.Buckets {
+			for _, b := range m.Buckets {
 				cum += b.Count
-				// Only materialise the bucket boundary samples that
-				// carry information: edges where the cumulative count
-				// changes, plus the first and last allocated bucket.
-				if b.Count == 0 && i != 0 && i != len(m.Buckets)-1 {
-					continue
-				}
 				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-					name, promLabels(m.Labels, "le", promFloat(b.UpperBound)), cum); err != nil {
+					name, promLabels(m.Labels, "le", fmt.Sprint(b.Le)), cum); err != nil {
 					return err
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tmo/internal/metrics"
 	"tmo/internal/telemetry"
 	"tmo/internal/trace"
 	"tmo/internal/vclock"
@@ -17,6 +18,8 @@ import (
 // decision spans, then both are exported.
 func TestRegistryWithSpanNesting(t *testing.T) {
 	reg := telemetry.NewRegistry()
+	var probeBytes metrics.Histogram
+	reg.Histogram("senpai.probe_bytes", &probeBytes)
 	rec := trace.NewRecorder(64)
 
 	now := vclock.Time(0)
@@ -26,7 +29,7 @@ func TestRegistryWithSpanNesting(t *testing.T) {
 		for _, g := range []string{"web", "feed"} {
 			probe := rec.Begin(now, trace.KindSenpaiReclaim, "probe "+g)
 			reg.Counter("senpai.reclaim_decisions").Inc()
-			reg.Histogram("senpai.probe_bytes").Record(1 << 20)
+			probeBytes.Record(1 << 20)
 			probe.Annotate("group", g)
 			now += 500
 			probe.End(now)

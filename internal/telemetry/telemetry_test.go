@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"sort"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"tmo/internal/metrics"
 )
 
 func TestCounter(t *testing.T) {
@@ -68,8 +70,6 @@ func TestNilInstrumentsIgnoreUpdates(t *testing.T) {
 	var c *Counter
 	c.Inc()
 	c.Add(3)
-	var h *Histogram
-	h.Record(42)
 }
 
 func TestGaugeFunc(t *testing.T) {
@@ -116,99 +116,84 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.GaugeFunc("x", func() float64 { return 0 })
 }
 
+// TestHistogramBuckets checks that a snapshot copies a registered
+// histogram's non-empty buckets and that a metric's quantiles read from
+// them agree with the histogram's own at every q.
 func TestHistogramBuckets(t *testing.T) {
-	// Bucket upper bounds must be monotone and bucketIndex consistent with
-	// them: v must land in the first bucket whose upper bound is >= v.
-	prev := 0.0
-	for i := 0; i < histMaxBuckets; i++ {
-		ub := bucketUpperBound(i)
-		if ub <= prev {
-			t.Fatalf("bucket %d bound %v not above %v", i, ub, prev)
-		}
-		prev = ub
+	r := NewRegistry()
+	var h metrics.Histogram
+	r.Histogram("mm.fault_latency_us", &h)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		h.Record(int64(math.Exp(rng.Float64() * 12))) // log-uniform in [1, ~162k]
 	}
-	for _, v := range []float64{0, 0.5, 1, 1.5, 2, 3, 4, 7, 8, 100, 1e6, 1e12} {
-		idx := bucketIndex(v)
-		if v > bucketUpperBound(idx) {
-			t.Fatalf("v=%v above its bucket bound %v (idx %d)", v, bucketUpperBound(idx), idx)
-		}
-		if idx > 0 && v <= bucketUpperBound(idx-1) {
-			t.Fatalf("v=%v fits the previous bucket %v (idx %d)", v, bucketUpperBound(idx-1), idx)
+	m, _ := r.Snapshot().Get("mm.fault_latency_us")
+	if !reflect.DeepEqual(m.Buckets, h.Buckets()) || m.Count != h.Count() || m.Sum != float64(h.Sum()) {
+		t.Fatalf("snapshot %d/%v/%v, want the histogram's %d/%d/%v", m.Count, m.Sum, m.Buckets, h.Count(), h.Sum(), h.Buckets())
+	}
+	for q := 0.0; q <= 1; q += 0.01 {
+		if got, want := m.Quantile(q), float64(h.Quantile(q)); got != want {
+			t.Fatalf("snapshot Quantile(%v) = %v, histogram's %v", q, got, want)
 		}
 	}
 }
 
+// TestHistogramStats checks that the registry holds the histogram by
+// pointer: each snapshot reads the exact count and sum recorded so far.
 func TestHistogramStats(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{10, 20, 30, 40} {
+	r := NewRegistry()
+	var h metrics.Histogram
+	r.Histogram("psi.stall_duration_us", &h, Label{"resource", "memory"})
+	for _, v := range []int64{10, 20, 30, 40} {
 		h.Record(v)
 	}
-	if h.count != 4 || h.sum != 100 || h.Mean() != 25 {
-		t.Fatalf("count=%d sum=%v mean=%v", h.count, h.sum, h.Mean())
+	m, _ := r.Snapshot().Get("psi.stall_duration_us", Label{"resource", "memory"})
+	if m.Count != 4 || m.Sum != 100 || m.Kind != "histogram" {
+		t.Fatalf("count=%d sum=%v kind=%s, want 4, 100, histogram", m.Count, m.Sum, m.Kind)
 	}
-	if q := h.Quantile(0); q != 10 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := h.Quantile(1); q != 40 {
-		t.Fatalf("q1 = %v", q)
-	}
-	var empty Histogram
-	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
-		t.Fatalf("empty histogram not zero-valued")
+	h.Record(1000)
+	if m, _ := r.Snapshot().Get("psi.stall_duration_us", Label{"resource", "memory"}); m.Count != 5 || m.Sum != 1100 {
+		t.Fatalf("count=%d sum=%v after a later record, want 5, 1100", m.Count, m.Sum)
 	}
 }
 
 // TestHistogramQuantileEdges pins the contract the scraper and the burn
-// monitors lean on: empty histograms read zero everywhere, out-of-range
-// quantiles clamp to the exact min/max, and a single sample answers every
-// quantile with itself.
+// monitors lean on: non-histograms and empty histograms read zero, a
+// single observation answers every quantile with its bucket's midpoint,
+// and out-of-range quantiles clamp to the lowest and highest buckets.
 func TestHistogramQuantileEdges(t *testing.T) {
-	var empty, one, many Histogram
+	r := NewRegistry()
+	var empty, one, many metrics.Histogram
+	r.Histogram("empty", &empty)
+	r.Histogram("one", &one)
+	r.Histogram("many", &many)
+	r.CounterFunc("count", func() int64 { return 7 })
 	one.Record(37)
-	for _, v := range []float64{5, 10, 15} {
+	for _, v := range []int64{5, 10, 15} {
 		many.Record(v)
 	}
+	snap := r.Snapshot()
 	cases := []struct {
 		name string
-		h    *Histogram
 		q    float64
 		want float64
 	}{
-		{"empty q0.5", &empty, 0.5, 0},
-		{"empty q0", &empty, 0, 0},
-		{"empty q1", &empty, 1, 0},
-		{"single q0", &one, 0, 37},
-		{"single q0.5", &one, 0.5, 37},
-		{"single q0.99", &one, 0.99, 37},
-		{"single q1", &one, 1, 37},
-		{"q<=0 is min", &many, -0.5, 5},
-		{"q>=1 is max", &many, 1.7, 15},
-		{"q NaN-adjacent low", &many, 1e-9, 5}, // rank clamps to 1: still min
+		{"count", 0.5, 0},
+		{"empty", 0.5, 0},
+		{"empty", 0, 0},
+		{"empty", 1, 0},
+		{"one", 0, 37},
+		{"one", 0.5, 37},
+		{"one", 0.99, 37},
+		{"one", 1, 37},
+		{"many", -0.5, 5},
+		{"many", 0.5, 10},
+		{"many", 1.7, 15},
 	}
 	for _, tc := range cases {
-		if got := tc.h.Quantile(tc.q); got != tc.want {
+		m, _ := snap.Get(tc.name)
+		if got := m.Quantile(tc.q); got != tc.want {
 			t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, tc.q, got, tc.want)
-		}
-	}
-}
-
-// Quantile estimates must stay within one sub-bucket's relative width of the
-// exact sample quantile — the log-linear design's error bound.
-func TestHistogramQuantileAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var h Histogram
-	samples := make([]float64, 10000)
-	for i := range samples {
-		v := math.Exp(rng.Float64()*12) + 1 // log-uniform in [2, ~162k]
-		samples[i] = v
-		h.Record(v)
-	}
-	sort.Float64s(samples)
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		exact := samples[int(math.Ceil(q*float64(len(samples))))-1]
-		got := h.Quantile(q)
-		if rel := math.Abs(got-exact) / exact; rel > 1.0/histSubBuckets {
-			t.Fatalf("q%v: got %v exact %v rel err %v", q, got, exact, rel)
 		}
 	}
 }
@@ -216,7 +201,9 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 func TestSnapshotAndGet(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("senpai.runs").Add(3)
-	r.Histogram("mm.fault_latency_us").Record(120)
+	var fl metrics.Histogram
+	r.Histogram("mm.fault_latency_us", &fl)
+	fl.Record(120)
 	snap := r.Snapshot()
 	if len(snap.Metrics) != 2 {
 		t.Fatalf("metrics = %d", len(snap.Metrics))
@@ -229,11 +216,11 @@ func TestSnapshotAndGet(t *testing.T) {
 	if !ok || h.Kind != "histogram" || h.Count != 1 || h.Sum != 120 {
 		t.Fatalf("histogram snapshot = %+v ok=%v", h, ok)
 	}
-	if q := h.Quantile(0.5); q != 120 {
-		t.Fatalf("snapshot quantile = %v", q)
+	if q := h.Quantile(0.5); q != 122 {
+		t.Fatalf("snapshot quantile = %v, want 122, the midpoint of [120, 123]", q)
 	}
 	// Snapshot is a copy: later recording must not leak in.
-	r.Histogram("mm.fault_latency_us").Record(500)
+	fl.Record(500)
 	if h2, _ := snap.Get("mm.fault_latency_us"); h2.Count != 1 {
 		t.Fatalf("snapshot mutated by later Record")
 	}
@@ -247,7 +234,8 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter("mm.refaults").Add(12)
 	r.GaugeFunc("host.used_bytes", func() float64 { return 4096 })
 	r.Counter("backend.ssd.reads", Label{"device", "tlc-1"}).Add(2)
-	h := r.Histogram("backend.ssd.read_latency_us", Label{"device", "tlc-1"})
+	var h metrics.Histogram
+	r.Histogram("backend.ssd.read_latency_us", &h, Label{"device", "tlc-1"})
 	h.Record(80)
 	h.Record(95)
 	h.Record(1500)
@@ -296,7 +284,9 @@ func TestWritePrometheus(t *testing.T) {
 func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("oomd.kills").Inc()
-	r.Histogram("psi.stall_duration_us").Record(250)
+	var h metrics.Histogram
+	r.Histogram("psi.stall_duration_us", &h)
+	h.Record(250)
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(r.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -328,18 +318,25 @@ func TestPromName(t *testing.T) {
 }
 
 // The registry must be safe for concurrent publication — exercised with
-// -race in the CI tier-1 gate.
+// -race in the CI tier-1 gate. Lookups, push counters, GaugeFunc
+// registration and Snapshot race freely on one registry; a histogram has no
+// lock, so each goroutine records into its own registry's histogram, which
+// is snapshotted after the barrier.
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
+	regs := make([]*Registry, 8)
+	hs := make([]metrics.Histogram, len(regs))
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := range regs {
+		regs[i] = NewRegistry()
+		regs[i].Histogram("mm.fault_latency_us", &hs[i])
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("mm.scans").Inc()
 				r.GaugeFunc("host.free", func() float64 { return 1 })
-				r.Histogram("mm.fault_latency_us").Record(float64(j%97 + 1))
+				hs[i].Record(int64(j%97 + 1))
 			}
 			_ = r.Snapshot()
 		}(i)
@@ -348,7 +345,9 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("mm.scans").Value(); got != 8000 {
 		t.Fatalf("scans = %d", got)
 	}
-	if got := r.Histogram("mm.fault_latency_us").count; got != 8000 {
-		t.Fatalf("histogram count = %d", got)
+	for _, reg := range regs {
+		if m, _ := reg.Snapshot().Get("mm.fault_latency_us"); m.Count != 1000 {
+			t.Fatalf("histogram count = %d", m.Count)
+		}
 	}
 }

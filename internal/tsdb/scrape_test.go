@@ -5,6 +5,7 @@ import (
 
 	"tmo/internal/core"
 	"tmo/internal/fleet"
+	"tmo/internal/metrics"
 	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
 )
@@ -13,9 +14,10 @@ func TestScraperKinds(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("reqs").Add(7)
 	reg.GaugeFunc("temp", func() float64 { return 1.5 }, telemetry.Label{Key: "zone", Value: "a"})
-	h := reg.Histogram("lat_us")
-	for i := 1; i <= 100; i++ {
-		h.Record(float64(i))
+	var h metrics.Histogram
+	reg.Histogram("lat_us", &h)
+	for i := int64(1); i <= 100; i++ {
+		h.Record(i)
 	}
 
 	db := New(Config{})

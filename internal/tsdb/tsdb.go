@@ -21,6 +21,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -69,22 +70,21 @@ func seriesID(metric string, labels []telemetry.Label) string {
 	if len(labels) == 0 {
 		return metric
 	}
-	var b strings.Builder
-	b.WriteString(metric)
-	b.WriteByte('{')
+	b := append(make([]byte, 0, 128), metric...)
+	b = append(b, '{')
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b = append(append(b, l.Key...), '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }
 
 func sortLabels(labels []telemetry.Label) []telemetry.Label {
-	ls := append([]telemetry.Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	ls := slices.Clone(labels)
+	slices.SortFunc(ls, func(a, b telemetry.Label) int { return strings.Compare(a.Key, b.Key) })
 	return ls
 }
 

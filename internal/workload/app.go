@@ -6,7 +6,9 @@ import (
 
 	"tmo/internal/cgroup"
 	"tmo/internal/dist"
+	"tmo/internal/metrics"
 	"tmo/internal/mm"
+	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
 )
 
@@ -75,7 +77,7 @@ type App struct {
 	// latencies counts every request's wall time (CPU + stalls) for
 	// tail-latency reporting; the paper's Web tier throttles on exactly this
 	// signal. The counts survive Restart.
-	latencies latencyHist
+	latencies metrics.Histogram
 
 	completed int64
 	restarts  int64
@@ -262,11 +264,11 @@ func (a *App) SetBloat(now vclock.Time, bytes int64) {
 // Completed returns the total number of requests served.
 func (a *App) Completed() int64 { return a.completed }
 
-// RequestLatencyQuantile returns the q-th quantile of request wall times
-// (CPU plus fault stalls), within 1/32 — the tail-latency signal production
-// tiers hold their SLOs against. It returns 0 before the first request.
-func (a *App) RequestLatencyQuantile(q float64) vclock.Duration {
-	return a.latencies.quantile(q)
+// EnableTelemetry registers the app's request wall times (CPU plus fault
+// stalls) with reg as workload.request_latency_us{app}: the tail-latency
+// signal production tiers hold their SLOs against.
+func (a *App) EnableTelemetry(reg *telemetry.Registry) {
+	reg.Histogram("workload.request_latency_us", &a.latencies, telemetry.Label{Key: "app", Value: a.Profile.Name})
 }
 
 // Restarts returns how many times the app restarted.
@@ -503,7 +505,7 @@ func (a *App) Tick(now vclock.Time, tick vclock.Duration) TickResult {
 			a.serveRequest(now.Add(busy), &tot)
 			cpu += vclock.Duration(tot.refaults-refaults) * a.Profile.RefaultCPUPenalty
 			wall := cpu + tot.stall() - stalled
-			a.latencies.record(wall)
+			a.latencies.Record(int64(wall))
 			busy += wall
 			a.completed++
 			res.Completed++
@@ -583,7 +585,6 @@ func requestCPU(u, serviceCPU, frontEnd float64) vclock.Duration {
 func (a *App) idleRun(busy, budget vclock.Duration, frontEnd float64) (vclock.Duration, int) {
 	src := *a.src
 	cpu := float64(a.Profile.ServiceCPU)
-	counts := &a.latencies.counts
 	grow, stream := a.growAccum, a.streamAccum
 	growStep, streamStep := a.growStep(), a.streamStep()
 	// Between requests the touch schedule's due request is a later one,
@@ -596,13 +597,12 @@ func (a *App) idleRun(busy, budget vclock.Duration, frontEnd float64) (vclock.Du
 		}
 		grow, stream = g, s
 		wall := requestCPU(dist.Float64(&src), cpu, frontEnd)
-		counts[latBucket(uint64(wall))]++
+		a.latencies.Record(int64(wall))
 		busy += wall
 	}
 	*a.src = src
 	a.growAccum, a.streamAccum = grow, stream
 	a.touch.reqs += n
-	a.latencies.n += int64(n)
 	a.completed += int64(n)
 	return busy, int(n)
 }

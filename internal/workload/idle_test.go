@@ -34,7 +34,7 @@ func (a *App) tickPerRequest(now vclock.Time, tick vclock.Duration) TickResult {
 			a.serveRequest(now.Add(busy), &tot)
 			cpu += vclock.Duration(tot.refaults-refaults) * a.Profile.RefaultCPUPenalty
 			wall := cpu + tot.stall() - stalled
-			a.latencies.record(wall)
+			a.latencies.Record(int64(wall))
 			busy += wall
 			a.completed++
 			res.Completed++

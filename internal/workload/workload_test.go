@@ -249,8 +249,8 @@ func TestRequestLatencyQuantiles(t *testing.T) {
 		app.Tick(now, 100*vclock.Millisecond)
 		now = now.Add(100 * vclock.Millisecond)
 	}
-	p50 := app.RequestLatencyQuantile(0.5)
-	p99 := app.RequestLatencyQuantile(0.99)
+	p50 := vclock.Duration(app.latencies.Quantile(0.5))
+	p99 := vclock.Duration(app.latencies.Quantile(0.99))
 	// Service CPU is 2ms +-20%; with ample memory the tail should sit
 	// near the jitter ceiling.
 	if p50 < 1500*vclock.Microsecond || p50 > 2500*vclock.Microsecond {
