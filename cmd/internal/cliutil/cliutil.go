@@ -55,8 +55,9 @@ func MustMode(tool, s string) core.Mode {
 
 // ParseStagePlan parses a rollout plan flag: comma-separated stages of the
 // form name=frac/bake, with /bake optional (defaulting per stage to
-// defBake). frac is a fleet fraction in (0, 1] and bake a non-negative
-// window count. Example: "canary=0.1/4,stage-2=0.5/4,fleet=1".
+// defBake). frac is a cumulative fleet fraction in (0, 1] that no later
+// stage may shrink, and bake a non-negative window count.
+// Example: "canary=0.1/4,stage-2=0.5/4,fleet=1".
 func ParseStagePlan(value string, defBake int) ([]rollout.Stage, error) {
 	var plan []rollout.Stage
 	for _, part := range strings.Split(value, ",") {
@@ -75,6 +76,9 @@ func ParseStagePlan(value string, defBake int) ([]rollout.Stage, error) {
 		}
 		if !(frac > 0 && frac <= 1) {
 			return nil, fmt.Errorf("bad stage %q: frac %v outside (0, 1]", part, frac)
+		}
+		if n := len(plan); n > 0 && frac < plan[n-1].Frac {
+			return nil, fmt.Errorf("bad stage %q: frac %v shrinks the cohort of stage %q", part, frac, plan[n-1].Name)
 		}
 		bake := defBake
 		if hasBake {

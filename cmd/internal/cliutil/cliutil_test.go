@@ -25,10 +25,12 @@ func TestParseDuration(t *testing.T) {
 }
 
 // stagePlanBad are plans ParseStagePlan must refuse: malformed stages,
-// non-finite fractions, fractions outside (0, 1], and negative bakes.
+// non-finite fractions, fractions outside (0, 1], negative bakes, and a
+// stage that shrinks the cohort before it.
 var stagePlanBad = []string{
 	"", "canary", "canary=x", "canary=0.1/x", "=0.5",
 	"canary=NaN,fleet=1", "canary=Inf", "canary=-Inf", "canary=0", "canary=1.5", "canary=0.1/-1",
+	"canary=0.5,fleet=0.2",
 }
 
 func TestParseStagePlan(t *testing.T) {
@@ -203,7 +205,7 @@ func FuzzParseTierSpec(f *testing.F) {
 }
 
 // FuzzParseStagePlan: the plan parser never panics, and an accepted plan
-// has finite fractions in (0, 1] and non-negative bakes.
+// has finite fractions in (0, 1] that never shrink and non-negative bakes.
 func FuzzParseStagePlan(f *testing.F) {
 	f.Add("canary=0.1/4,stage-2=0.5, fleet=1")
 	for _, s := range stagePlanBad {
@@ -214,9 +216,12 @@ func FuzzParseStagePlan(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, st := range plan {
+		for i, st := range plan {
 			if !(st.Frac > 0 && st.Frac <= 1) || st.Bake < 0 {
 				t.Fatalf("%q: stage out of range: %+v", s, st)
+			}
+			if i > 0 && st.Frac < plan[i-1].Frac {
+				t.Fatalf("%q: stage %d shrinks the cohort: %+v", s, i, plan)
 			}
 		}
 	})

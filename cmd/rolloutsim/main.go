@@ -140,14 +140,35 @@ func (g *guardrailFlags) Set(v string) error {
 }
 
 // checkFlags rejects the flag values no rollout can run with: an empty
-// fleet, no candidate to stage (-tier-config supplies its own), a window
-// that does not advance time, and churn on a host the fleet does not have.
-func checkFlags(hosts, candidates, tierConfigs int, window vclock.Duration, crashes []rollout.Crash) error {
+// fleet, no candidate to stage (-tier-config supplies its own), more
+// candidates than hosts to race them on, a baseline or candidate mode that
+// does not offload, an SSD class outside the catalog, a window that does
+// not advance time, and churn on a host the fleet does not have.
+func checkFlags(hosts, candidates, tierConfigs int, mode, candMode core.Mode, devices []string,
+	window vclock.Duration, crashes []rollout.Crash) error {
 	if hosts < 1 {
 		return fmt.Errorf("bad -hosts: need at least 1 host, got %d", hosts)
 	}
 	if candidates < 1 && tierConfigs == 0 {
 		return fmt.Errorf("bad -candidates: need at least 1 candidate policy, got %d", candidates)
+	}
+	races, raceFlag := candidates, "-candidates"
+	if tierConfigs > 0 {
+		races, raceFlag = tierConfigs, "-tier-config"
+	}
+	if races > hosts {
+		return fmt.Errorf("bad %s: %d candidates cannot race across %d hosts", raceFlag, races, hosts)
+	}
+	if mode == core.ModeOff {
+		return fmt.Errorf("bad -mode: the baseline policy needs an offloading mode, got %s", mode)
+	}
+	if candMode == core.ModeOff {
+		return fmt.Errorf("bad -mode-change: a candidate policy needs an offloading mode, got %s", candMode)
+	}
+	for _, d := range devices {
+		if _, err := backend.DeviceByModel(d); d != "" && err != nil {
+			return fmt.Errorf("bad -devices: %w", err)
+		}
 	}
 	if window <= 0 {
 		return fmt.Errorf("bad -window: barrier window must be positive, got %v", window)
@@ -197,8 +218,15 @@ func main() {
 	if *modeChange != "" {
 		candMode = cliutil.MustMode("rolloutsim", *modeChange)
 	}
+	var devices []string
+	if *devicesStr != "" {
+		devices = strings.Split(*devicesStr, ",")
+		for i := range devices {
+			devices[i] = strings.TrimSpace(devices[i])
+		}
+	}
 	window := cliutil.MustDuration("rolloutsim", "window", *windowStr)
-	if err := checkFlags(*hosts, *candidates, len(tierConfigs), window, crashes); err != nil {
+	if err := checkFlags(*hosts, *candidates, len(tierConfigs), mode, candMode, devices, window, crashes); err != nil {
 		cliutil.Fatal("rolloutsim", err)
 	}
 	plan, err := cliutil.ParseStagePlan(*planStr, *bake)
@@ -243,10 +271,6 @@ func main() {
 	}
 
 	mix := fleet.DefaultMix(mode, *seed)
-	var devices []string
-	if *devicesStr != "" {
-		devices = strings.Split(*devicesStr, ",")
-	}
 	var fleetTiers []backend.TierSpec
 	if *tiersStr != "" {
 		fleetTiers = cliutil.MustTierSpec("rolloutsim", *tiersStr)
@@ -259,7 +283,7 @@ func main() {
 		s.Seed = *seed + uint64(i)*7919
 		s.Tiers = fleetTiers
 		if len(devices) > 0 {
-			s.Device = strings.TrimSpace(devices[i%len(devices)])
+			s.Device = devices[i%len(devices)]
 		}
 		specs[i] = s
 	}

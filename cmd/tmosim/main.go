@@ -68,7 +68,7 @@ func main() {
 	mode := cliutil.MustMode("tmosim", *modeStr)
 	dur := cliutil.MustDuration("tmosim", "duration", *durStr)
 	report := cliutil.MustDuration("tmosim", "report", *reportStr)
-	if err := checkFlags(mode, report, *capMiB, *tiersStr, *cxlMiB, *interleave); err != nil {
+	if err := checkFlags(mode, report, *capMiB, *device, *tiersStr, *cxlMiB, *interleave); err != nil {
 		fatal(err)
 	}
 	prof, err := workload.Catalog(*appName)
@@ -244,17 +244,21 @@ func writeFile(path string, write func(io.Writer) error) {
 }
 
 // checkFlags rejects the flag values no simulation can run with: a
-// reporting interval must advance time, and a capacity may be left at 0
-// (twice the app's footprint) but not set negative. It also rejects the
-// mode-specific flags a mode would ignore: -tiers outside the swap modes,
-// and -cxl-bytes or -place-interleave outside cxl mode, where they must
-// be a non-negative size and a fraction in [0, 1].
-func checkFlags(mode core.Mode, report vclock.Duration, capMiB int64, tiers string, cxlMiB int64, interleave float64) error {
+// reporting interval must advance time, a capacity may be left at 0
+// (twice the app's footprint) but not set negative, and the SSD model must
+// be in the catalog. It also rejects the mode-specific flags a mode would
+// ignore: -tiers outside the swap modes, and -cxl-bytes or
+// -place-interleave outside cxl mode, where they must be a non-negative
+// size and a fraction in [0, 1].
+func checkFlags(mode core.Mode, report vclock.Duration, capMiB int64, device, tiers string, cxlMiB int64, interleave float64) error {
 	if report <= 0 {
 		return fmt.Errorf("bad -report: interval must be positive, got %v", report)
 	}
 	if capMiB < 0 {
 		return fmt.Errorf("bad -capacity: must not be negative, got %d MiB", capMiB)
+	}
+	if _, err := backend.DeviceByModel(device); device != "" && err != nil {
+		return fmt.Errorf("bad -device: %w", err)
 	}
 	if tiers != "" && (mode == core.ModeOff || mode == core.ModeFileOnly) {
 		return fmt.Errorf("-tiers requires a swap mode (got %s)", mode)

@@ -15,6 +15,7 @@ func TestCheckFlags(t *testing.T) {
 		mode       core.Mode
 		report     vclock.Duration
 		capMiB     int64
+		device     string
 		tiers      string
 		cxlMiB     int64
 		interleave float64
@@ -24,6 +25,8 @@ func TestCheckFlags(t *testing.T) {
 		{name: "explicit capacity", mode: core.ModeZswap, report: vclock.Minute, capMiB: 512},
 		{name: "-report 0", mode: core.ModeZswap, report: 0, wantErr: "-report"},
 		{name: "-capacity -5", mode: core.ModeZswap, report: 2 * vclock.Minute, capMiB: -5, wantErr: "-capacity"},
+		{name: "-device G", mode: core.ModeZswap, report: vclock.Minute, device: "G"},
+		{name: "-device Z", mode: core.ModeZswap, report: vclock.Minute, device: "Z", wantErr: "-device"},
 		{name: "-tiers in a swap mode", mode: core.ModeZswap, report: vclock.Minute, tiers: "lz4:2m,ssd"},
 		{name: "-tiers in off mode", mode: core.ModeOff, report: vclock.Minute, tiers: "lz4:2m,ssd", wantErr: "-tiers"},
 		{name: "cxl sizing", mode: core.ModeCXL, report: vclock.Minute, cxlMiB: 64, interleave: 0.5},
@@ -36,7 +39,7 @@ func TestCheckFlags(t *testing.T) {
 		{name: "-cxl-bytes in zswap", mode: core.ModeZswap, report: vclock.Minute, cxlMiB: 64, wantErr: "-cxl-bytes"},
 	}
 	for _, tc := range cases {
-		err := checkFlags(tc.mode, tc.report, tc.capMiB, tc.tiers, tc.cxlMiB, tc.interleave)
+		err := checkFlags(tc.mode, tc.report, tc.capMiB, tc.device, tc.tiers, tc.cxlMiB, tc.interleave)
 		switch {
 		case tc.wantErr == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)

@@ -5,12 +5,8 @@ import (
 	"slices"
 	"strings"
 
-	"tmo/internal/chaos"
 	"tmo/internal/core"
-	"tmo/internal/fleet"
 	"tmo/internal/rollout"
-	"tmo/internal/senpai"
-	"tmo/internal/vclock"
 )
 
 // PolicyResult carries the three policy-artifact rollouts of the scorecard.
@@ -27,130 +23,59 @@ type PolicyResult struct {
 	Bandit rollout.Result
 }
 
-// policyFleet builds a population with the given device-class cycle.
-func policyFleet(c Config, n int, devices []string) []fleet.Spec {
-	apps := []string{"feed", "cache-a", "ads-b", "web", "analytics", "cache-b"}
-	specs := make([]fleet.Spec, n)
-	for i := range specs {
-		specs[i] = fleet.Spec{
-			App:   apps[i%len(apps)],
-			Mode:  core.ModeZswap,
-			Scale: c.scale(),
-			Seed:  c.Seed + 4000 + uint64(i)*173,
-		}
-		if len(devices) > 0 {
-			specs[i].Device = devices[i%len(devices)]
-		}
-	}
-	return specs
-}
-
 // policyConfigs builds the scorecard's three control-plane configurations.
 func policyConfigs(c Config) (modeChange, deviceSplit, bandit rollout.Config) {
-	idle := senpai.ConfigA()
-	idle.ReclaimRatio = 0
-	baseline := rollout.Policy{Name: "baseline", Mode: core.ModeZswap, Config: idle}
-
-	safe := senpai.ConfigA()
-	safe.ReclaimRatio = 0.005
-
-	aggr := safe
-	aggr.ReclaimRatio *= 12
-	aggr.MemPressureThreshold *= 50
-	aggr.IOPressureThreshold *= 10
-	aggr.MaxProbeFrac *= 5
-
-	window := c.dur(vclock.Minute, 30*vclock.Second)
-	bake, warm := 4, 4
-	if c.Quick {
-		bake, warm = 3, 2
-	}
+	_, safe, aggr := scorecardPolicies()
+	shell := scorecardRollout(c)
 	n := 12
 	if c.Quick {
 		n = 6
-	}
-	plan := []rollout.Stage{
-		{Name: "canary", Frac: 0.2, Bake: bake},
-		{Name: "stage-2", Frac: 0.6, Bake: bake},
-		{Name: "fleet", Frac: 1.0, Bake: bake},
-	}
-	guardrails := rollout.Guardrails{
-		MaxMemPressure:       0.005,
-		MaxRPSDip:            0.25,
-		MaxOOMKills:          0,
-		SwapUtilizationLatch: 0.95,
-		MaxSwapLatched:       0,
 	}
 
 	// §5's mode migration as a staged rollout: the policy changes what the
 	// host runs (zswap → tiered), so every push rebuilds through the
 	// crash/rejoin path at a stage barrier. Churn a tail host mid-rollout
 	// to keep the determinism pin honest across rebuild and rejoin.
-	modeChange = rollout.Config{
-		Hosts:       policyFleet(c, n, nil),
-		Baseline:    baseline,
-		Candidates:  []rollout.Policy{{Name: "tiered", Mode: core.ModeTiered, Config: safe}},
-		Plan:        plan,
-		Guardrails:  guardrails,
-		Window:      window,
-		WarmWindows: warm,
-		Seed:        c.Seed + 11,
-		Crashes: []rollout.Crash{{
-			Host:     n - 1,
-			Schedule: chaos.Schedule{At: vclock.Time(0).Add(vclock.Duration(warm) * window), Dur: window},
-		}},
-	}
+	modeChange = shell
+	modeChange.Hosts = scorecardFleet(c, n, 4000, 173, nil)
+	modeChange.Candidates = []rollout.Policy{{Name: "tiered", Mode: core.ModeTiered, Config: safe}}
+	modeChange.Seed = c.Seed + 11
+	modeChange.Crashes = tailCrash(modeChange, shell.WarmWindows)
 
 	// §4.2's device heterogeneity as guardrail policy: the old F/G SSD
 	// classes cannot absorb what the fast classes can, so their cohorts
 	// carry much stricter PSI limits. The aggressive policy trips them —
 	// and only them.
-	lax := rollout.Guardrails{MaxMemPressure: 0.9, MaxOOMKills: rollout.Unlimited, MaxSwapLatched: rollout.Unlimited}
-	strict := guardrails
+	strict := shell.Guardrails
 	// An order of magnitude under the fleet-wide PSI limit: the slow
 	// classes must reject the aggressive policy within their first bake.
 	strict.MaxMemPressure = 0.0005
-	deviceSplit = rollout.Config{
-		Hosts:      policyFleet(c, n, []string{"A", "B", "C", "F", "G", "C"}),
-		Baseline:   baseline,
-		Candidates: []rollout.Policy{{Name: "candidate", Mode: core.ModeZswap, Config: aggr}},
-		Plan:       plan,
-		Guardrails: lax,
-		DeviceGuardrails: map[string]rollout.Guardrails{
-			"F": strict,
-			"G": strict,
-		},
-		Window:      window,
-		WarmWindows: warm,
-		Seed:        c.Seed + 13,
-	}
+	deviceSplit = shell
+	deviceSplit.Hosts = scorecardFleet(c, n, 4000, 173, []string{"A", "B", "C", "F", "G", "C"})
+	deviceSplit.Candidates = []rollout.Policy{{Name: "candidate", Mode: core.ModeZswap, Config: aggr}}
+	deviceSplit.Guardrails = rollout.Guardrails{MaxMemPressure: 0.9, MaxOOMKills: rollout.Unlimited, MaxSwapLatched: rollout.Unlimited}
+	deviceSplit.DeviceGuardrails = map[string]rollout.Guardrails{"F": strict, "G": strict}
+	deviceSplit.Seed = c.Seed + 13
 
 	// §4.4's tuning question as a bandit race: three candidates on disjoint
 	// cohorts; the hot Config-B shape must drop on the PSI guardrail and
 	// the stronger of the two safe shapes must win promotion on savings.
 	mild := safe
 	mild.ReclaimRatio = 0.002
-	bandit = rollout.Config{
-		Hosts:    policyFleet(c, n, nil),
-		Baseline: baseline,
-		Candidates: []rollout.Policy{
-			{Name: "cand-mild", Mode: core.ModeZswap, Config: mild},
-			{Name: "cand-strong", Mode: core.ModeZswap, Config: safe},
-			{Name: "cand-hot", Mode: core.ModeZswap, Config: aggr},
-		},
-		Plan: []rollout.Stage{
-			{Name: "race", Frac: 0.5, Bake: bake},
-			{Name: "fleet", Frac: 1.0, Bake: bake},
-		},
-		Guardrails:  guardrails,
-		Window:      window,
-		WarmWindows: warm,
-		Seed:        c.Seed + 17,
-		Crashes: []rollout.Crash{{
-			Host:     n - 1,
-			Schedule: chaos.Schedule{At: vclock.Time(0).Add(vclock.Duration(warm+1) * window), Dur: window},
-		}},
+	bake := shell.Plan[0].Bake
+	bandit = shell
+	bandit.Hosts = scorecardFleet(c, n, 4000, 173, nil)
+	bandit.Candidates = []rollout.Policy{
+		{Name: "cand-mild", Mode: core.ModeZswap, Config: mild},
+		{Name: "cand-strong", Mode: core.ModeZswap, Config: safe},
+		{Name: "cand-hot", Mode: core.ModeZswap, Config: aggr},
 	}
+	bandit.Plan = []rollout.Stage{
+		{Name: "race", Frac: 0.5, Bake: bake},
+		{Name: "fleet", Frac: 1.0, Bake: bake},
+	}
+	bandit.Seed = c.Seed + 17
+	bandit.Crashes = tailCrash(bandit, shell.WarmWindows+1)
 	return modeChange, deviceSplit, bandit
 }
 

@@ -29,15 +29,33 @@ type RolloutResult struct {
 	FlightBundles int
 }
 
-// rolloutConfigs builds the scorecard's two control-plane configurations.
-// They share the fleet, plan, guardrails, and churn schedule; only the
-// candidate differs. Both runs crash a non-canary host mid-rollout to
-// exercise lifecycle handling under the determinism pin.
-func rolloutConfigs(c Config) (safe, aggressive rollout.Config) {
-	n := 12
-	if c.Quick {
-		n = 5
-	}
+// scorecardPolicies are the Senpai configurations the control-plane
+// scorecards (rollout, policy, twinscale) stage. idle is Config A with
+// reclaim off: as the baseline it leaves offloading idle, so stage savings
+// measure candidates against untouched control hosts. safe keeps Config
+// A's pressure threshold and probe cap, boosted only in convergence speed
+// so experiment-scale windows see it act (the same compression fleetsim
+// applies). hot is Config B's shape taken to where it is unambiguously
+// unsafe: far higher pressure tolerance and a probe cap five times
+// production, so its cohort settles above the PSI guardrail instead of
+// being rescued by Config A's conservative cap.
+func scorecardPolicies() (idle, safe, hot senpai.Config) {
+	idle = senpai.ConfigA()
+	idle.ReclaimRatio = 0
+	safe = senpai.ConfigA()
+	safe.ReclaimRatio = 0.005
+	hot = safe
+	hot.ReclaimRatio *= 12
+	hot.MemPressureThreshold *= 50
+	hot.IOPressureThreshold *= 10
+	hot.MaxProbeFrac *= 5
+	return idle, safe, hot
+}
+
+// scorecardFleet builds an n-host population cycling the scorecard apps
+// (and the given device classes, if any), host i seeded seed+i·stride
+// past the experiment's seed.
+func scorecardFleet(c Config, n int, seed, stride uint64, devices []string) []fleet.Spec {
 	apps := []string{"feed", "cache-a", "ads-b", "web", "analytics", "cache-b"}
 	specs := make([]fleet.Spec, n)
 	for i := range specs {
@@ -45,40 +63,27 @@ func rolloutConfigs(c Config) (safe, aggressive rollout.Config) {
 			App:   apps[i%len(apps)],
 			Mode:  core.ModeZswap,
 			Scale: c.scale(),
-			Seed:  c.Seed + 2000 + uint64(i)*131,
+			Seed:  c.Seed + seed + uint64(i)*stride,
+		}
+		if len(devices) > 0 {
+			specs[i].Device = devices[i%len(devices)]
 		}
 	}
+	return specs
+}
 
-	// The baseline leaves offloading idle so stage savings measure the
-	// candidate against untouched control hosts.
-	baseline := senpai.ConfigA()
-	baseline.ReclaimRatio = 0
-
-	// The safe candidate keeps Config A's pressure threshold and probe cap,
-	// boosted only in convergence speed so experiment-scale windows see it
-	// act (the same compression fleetsim applies).
-	safeCand := senpai.ConfigA()
-	safeCand.ReclaimRatio = 0.005
-
-	// The aggressive candidate is Config B's shape taken to where it is
-	// unambiguously unsafe: far higher pressure tolerance and a probe cap
-	// five times production, so the treated cohort settles above the PSI
-	// guardrail instead of being rescued by Config A's conservative cap.
-	aggrCand := safeCand
-	aggrCand.ReclaimRatio *= 12
-	aggrCand.MemPressureThreshold *= 50
-	aggrCand.IOPressureThreshold *= 10
-	aggrCand.MaxProbeFrac *= 5
-
-	window := c.dur(vclock.Minute, 30*vclock.Second)
-	bake := 4
-	warm := 4
+// scorecardRollout is the rollout the rollout and policy scorecards share
+// before hosts, candidates, seed and churn are added: the idle zswap
+// baseline, a canary → stage-2 → fleet plan, the fleet-wide guardrails,
+// and the window, warm-up and bake at the experiment's scale.
+func scorecardRollout(c Config) rollout.Config {
+	idle, _, _ := scorecardPolicies()
+	bake, warm := 4, 4
 	if c.Quick {
 		bake, warm = 3, 2
 	}
-	base := rollout.Config{
-		Hosts:    specs,
-		Baseline: rollout.Policy{Name: "baseline", Mode: core.ModeZswap, Config: baseline},
+	return rollout.Config{
+		Baseline: rollout.Policy{Name: "baseline", Mode: core.ModeZswap, Config: idle},
 		Plan: []rollout.Stage{
 			{Name: "canary", Frac: 0.2, Bake: bake},
 			{Name: "stage-2", Frac: 0.6, Bake: bake},
@@ -91,19 +96,38 @@ func rolloutConfigs(c Config) (safe, aggressive rollout.Config) {
 			SwapUtilizationLatch: 0.95,
 			MaxSwapLatched:       0,
 		},
-		Window:      window,
+		Window:      c.dur(vclock.Minute, 30*vclock.Second),
 		WarmWindows: warm,
-		Seed:        c.Seed + 9,
-		// Knock out the fleet's last host (never in the canary cohort) for
-		// one window as the canary starts baking; it must rejoin with its
-		// cohort's current configuration before either rollout ends —
-		// including the aggressive one, which rolls back early — without
-		// perturbing the event log's determinism.
-		Crashes: []rollout.Crash{{
-			Host:     n - 1,
-			Schedule: chaos.Schedule{At: vclock.Time(0).Add(vclock.Duration(warm) * window), Dur: window},
-		}},
 	}
+}
+
+// tailCrash knocks the fleet's last host (never in a canary cohort) out
+// for one window, starting after the given number of windows.
+func tailCrash(cfg rollout.Config, after int) []rollout.Crash {
+	return []rollout.Crash{{
+		Host:     len(cfg.Hosts) - 1,
+		Schedule: chaos.Schedule{At: vclock.Time(0).Add(vclock.Duration(after) * cfg.Window), Dur: cfg.Window},
+	}}
+}
+
+// rolloutConfigs builds the scorecard's two control-plane configurations.
+// They share the fleet, plan, guardrails, and churn schedule; only the
+// candidate differs. Both runs crash a non-canary host mid-rollout to
+// exercise lifecycle handling under the determinism pin.
+func rolloutConfigs(c Config) (safe, aggressive rollout.Config) {
+	n := 12
+	if c.Quick {
+		n = 5
+	}
+	_, safeCand, aggrCand := scorecardPolicies()
+	base := scorecardRollout(c)
+	base.Hosts = scorecardFleet(c, n, 2000, 131, nil)
+	base.Seed = c.Seed + 9
+	// The tail host goes down as the canary starts baking; it must rejoin
+	// with its cohort's current configuration before either rollout ends —
+	// including the aggressive one, which rolls back early — without
+	// perturbing the event log's determinism.
+	base.Crashes = tailCrash(base, base.WarmWindows)
 
 	safe = base
 	safe.Candidates = []rollout.Policy{{Name: "candidate", Mode: core.ModeZswap, Config: safeCand}}

@@ -69,16 +69,7 @@ func twinScale(c Config, n int) TwinScaleResult {
 		replicas = 2
 	}
 
-	baseline := senpai.ConfigA()
-	baseline.ReclaimRatio = 0 // idle: stage savings measure against untouched controls
-
-	safeCand := senpai.ConfigA()
-	safeCand.ReclaimRatio = 0.005
-	hotCand := safeCand
-	hotCand.ReclaimRatio *= 12
-	hotCand.MemPressureThreshold *= 50
-	hotCand.IOPressureThreshold *= 10
-	hotCand.MaxProbeFrac *= 5
+	baseline, safeCand, hotCand := scorecardPolicies()
 
 	calSpecs := []fleet.Spec{
 		{App: "web", Device: "C", Scale: scale},

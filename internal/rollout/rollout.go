@@ -12,8 +12,11 @@
 // the treated prefix, judges every (candidate, device-class) cohort against
 // that class's guardrails, drops cohorts and candidates that trip (hosts
 // revert to baseline where — and only where — they must), and promotes the
-// best surviving candidate by weighted savings when the final stage begins.
+// best surviving candidate by weighted savings when the final stage begins
+// (a single-stage plan races through its stage and promotes at its end).
 // The classic one-candidate-vs-baseline rollout is the K=1 special case.
+// Which policy a host runs is decided in one place, entitled, and applied
+// by one loop, reassign.
 //
 // The controller owns the hosts (built from fleet.Spec) and advances them in
 // fixed virtual-time windows. Hosts within a window run concurrently on a
@@ -346,8 +349,12 @@ type host struct {
 	rebuilds    int
 	upWindows   int
 
-	// assigned is the candidate index whose policy the host is entitled
-	// to; -1 means baseline (control cohort).
+	// slot is the candidate the current stage's rotation gave the host, -1
+	// when every racing candidate is barred from its device class.
+	slot int
+	// assigned is the candidate index whose policy the host runs, or boots
+	// with while down; -1 means baseline (control cohort). reassign keeps
+	// it equal to entitled(h) at every barrier.
 	assigned int
 
 	// v is the last window's vitals.
@@ -459,7 +466,9 @@ type Controller struct {
 	stageIdx   int
 	treated    int
 	settleLeft int
-	tripped    string
+	// tripped names the guardrail that forced the rollback: that of the
+	// last candidate to drop.
+	tripped string
 	// winner is the promoted candidate index; -1 until promotion.
 	winner int
 
@@ -549,7 +558,7 @@ func New(cfg Config) *Controller {
 // rollback/push/drop/promotion/lifecycle counters, chaos injections).
 func (c *Controller) Telemetry() *telemetry.Registry { return c.reg }
 
-// policyFor resolves the policy the host is entitled to right now.
+// policyFor resolves the policy of the host's assigned candidate.
 func (c *Controller) policyFor(h *host) Policy {
 	if h.assigned >= 0 {
 		return c.cands[h.assigned].pol
@@ -640,33 +649,60 @@ func (c *Controller) record(kind trace.Kind, subject, format string, args ...any
 // Run executes the whole plan — warm-up, stages, and the settle tail after
 // completion or rollback — and returns the scorecard.
 func (c *Controller) Run() Result {
-	for {
-		c.lifecycle()
-		c.advance()
-		c.now = c.now.Add(c.cfg.Window)
-		c.window++
-		if c.barrier() {
-			return c.result()
-		}
+	for !c.step() {
 	}
+	return c.result()
 }
 
-// entitlement resolves which candidate (or baseline, -1) a host is entitled
-// to right now — the policy a rejoining host boots with.
-func (c *Controller) entitlement(h *host) int {
+// step runs one window up to and through its barrier; it returns true when
+// the rollout (including its settle tail) is over.
+func (c *Controller) step() bool {
+	c.lifecycle()
+	c.advance()
+	c.now = c.now.Add(c.cfg.Window)
+	c.window++
+	return c.barrier()
+}
+
+// entitled is the one rule for which candidate (or baseline, -1) a host
+// runs: baseline after a rollback or outside the treated prefix; otherwise
+// the promoted winner or, before promotion, the candidate the stage's
+// rotation gave it — and baseline again if that candidate is dropped or
+// barred from the host's device class.
+func (c *Controller) entitled(h *host) int {
 	if c.state == StateRolledBack || h.index >= c.treated {
 		return -1
 	}
+	k := h.slot
 	if c.winner >= 0 {
-		if c.cands[c.winner].excluded[h.device] {
-			return -1
+		k = c.winner
+	}
+	if k < 0 || c.cands[k].dropped || c.cands[k].excluded[h.device] {
+		return -1
+	}
+	return k
+}
+
+// reassign applies entitled to every host in index order: a host whose
+// entitlement changed takes it, and is pushed the new policy if it is up
+// (a down host boots with it when it rejoins). It returns the hosts pushed
+// and how many of those pushes rebuilt the host.
+func (c *Controller) reassign() (pushed []*host, rebuilt int) {
+	for _, h := range c.hosts {
+		k := c.entitled(h)
+		if k == h.assigned {
+			continue
 		}
-		return c.winner
+		h.assigned = k
+		if h.down {
+			continue
+		}
+		if c.pushPolicy(h) {
+			rebuilt++
+		}
+		pushed = append(pushed, h)
 	}
-	if k := h.assigned; k >= 0 && !c.cands[k].dropped && !c.cands[k].excluded[h.device] {
-		return k
-	}
-	return -1
+	return pushed, rebuilt
 }
 
 // lifecycle evaluates the crash schedules at the current barrier and applies
@@ -688,7 +724,7 @@ func (c *Controller) lifecycle() {
 			h.down = false
 			h.incarnation++
 			h.rejoins++
-			h.assigned = c.entitlement(h)
+			h.assigned = c.entitled(h)
 			c.buildHost(h)
 			c.telRejoin.Inc()
 			c.record(trace.KindHostRejoin, c.hostName(h), "incarnation %d up, policy=%s",
@@ -923,9 +959,9 @@ func (c *Controller) judge() {
 	}
 }
 
-// dropDevice rolls one (candidate, device-class) cohort back to baseline —
-// only where the guardrail says it must — and bars the candidate from that
-// class for the rest of the rollout.
+// dropDevice bars the candidate from one device class for the rest of the
+// rollout, which rolls that (candidate, device-class) cohort back to
+// baseline — only where the guardrail says it must.
 func (c *Controller) dropDevice(cand *candState, device, guardrail, detail string) {
 	cand.excluded[device] = true
 	cand.tripped = guardrail
@@ -935,48 +971,27 @@ func (c *Controller) dropDevice(cand *candState, device, guardrail, detail strin
 		telemetry.Label{Key: "candidate", Value: cand.pol.Name},
 		telemetry.Label{Key: "device", Value: device}).Inc()
 	c.record(trace.KindRolloutTrip, cand.pol.Name+"@"+device, "%s: %s", guardrail, detail)
-	var dropped []*host
-	for _, h := range c.hosts {
-		if h.assigned == cand.idx && h.device == device {
-			dropped = append(dropped, h)
-		}
-	}
-	restored := 0
-	for _, h := range dropped {
-		h.assigned = -1
-		if !h.down {
-			c.pushPolicy(h)
-			restored++
-		}
-	}
+	pushed, _ := c.reassign()
 	c.record(trace.KindRolloutDrop, cand.pol.Name+"@"+device,
-		"device cohort dropped, baseline restored on %d hosts", restored)
+		"device cohort dropped, baseline restored on %d hosts", len(pushed))
 	// Every host of the tripped cohort ships its post-mortem (crashed
 	// hosts dumped theirs when they went down).
-	for _, h := range dropped {
-		if !h.down {
-			c.dumpFlight(h, "guardrail-"+guardrail)
-		}
+	for _, h := range pushed {
+		c.dumpFlight(h, "guardrail-"+guardrail)
 	}
 }
 
-// dropCandidate takes a candidate out of the race everywhere.
+// dropCandidate takes a candidate out of the race everywhere; the last one
+// racing names the rollback its drop forces.
 func (c *Controller) dropCandidate(cand *candState) {
 	cand.dropped = true
-	c.telDrop.Inc()
-	restored := 0
-	for _, h := range c.hosts {
-		if h.assigned != cand.idx {
-			continue
-		}
-		h.assigned = -1
-		if !h.down {
-			c.pushPolicy(h)
-			restored++
-		}
+	if c.aliveCount() == 0 {
+		c.tripped = cand.tripped
 	}
+	c.telDrop.Inc()
+	pushed, _ := c.reassign()
 	c.record(trace.KindRolloutDrop, cand.pol.Name,
-		"candidate dropped (%s), baseline restored on %d hosts", cand.tripped, restored)
+		"candidate dropped (%s), baseline restored on %d hosts", cand.tripped, len(pushed))
 }
 
 // bakeDone reports whether every live candidate with hosts in the race has
@@ -1013,9 +1028,10 @@ func (c *Controller) cohortSize(frac float64) int {
 	return max(1, min(len(c.hosts), int(math.Ceil(frac*float64(len(c.hosts))))))
 }
 
-// beginStage enrolls the stage's cohort, partitions it among the surviving
-// candidates (or the promoted winner at the final stage), and pushes each
-// newly entitled policy — rebuilding hosts whose mode changes.
+// beginStage enrolls the stage's cohort, rotates it among the surviving
+// candidates (the promoted winner takes the final stage of a multi-stage
+// plan alone), and pushes each newly entitled policy — rebuilding hosts
+// whose mode changes.
 func (c *Controller) beginStage(i int) {
 	c.stageIdx = i
 	c.state = StateStaging
@@ -1023,49 +1039,27 @@ func (c *Controller) beginStage(i int) {
 		cand.acc, cand.dev = accum{}, map[string]*accum{}
 	}
 	st := c.cfg.Plan[i]
-	want := c.cohortSize(st.Frac)
-	c.treated = want
-	if i == len(c.cfg.Plan)-1 && c.winner < 0 {
+	c.treated = c.cohortSize(st.Frac)
+	if i > 0 && i == len(c.cfg.Plan)-1 && c.winner < 0 {
 		c.promote()
 	}
-	var alive []int
-	for k, cand := range c.cands {
+	var alive []*candState
+	for _, cand := range c.cands {
 		if !cand.dropped {
-			alive = append(alive, k)
+			alive = append(alive, cand)
 		}
 	}
-	pushed, rebuilt := 0, 0
-	counts := make([]int, len(c.cands))
-	for _, h := range c.hosts[:want] {
-		k := -1
-		switch {
-		case c.winner >= 0:
-			if !c.cands[c.winner].excluded[h.device] {
-				k = c.winner
+	for _, h := range c.hosts[:c.treated] {
+		h.slot = -1
+		for j := range alive {
+			if cand := alive[(h.index+j)%len(alive)]; !cand.excluded[h.device] {
+				h.slot = cand.idx
+				break
 			}
-		default:
-			for j := 0; j < len(alive); j++ {
-				cand := c.cands[alive[(h.index+j)%len(alive)]]
-				if !cand.excluded[h.device] {
-					k = cand.idx
-					break
-				}
-			}
-		}
-		if k >= 0 {
-			counts[k]++
-		}
-		if k == h.assigned {
-			continue
-		}
-		h.assigned = k
-		if !h.down {
-			if c.pushPolicy(h) {
-				rebuilt++
-			}
-			pushed++
 		}
 	}
+	pushed, rebuilt := c.reassign()
+	counts := c.assignedCounts()
 	var cohorts strings.Builder
 	for k, cand := range c.cands {
 		if cand.dropped {
@@ -1075,9 +1069,9 @@ func (c *Controller) beginStage(i int) {
 	}
 	c.record(trace.KindRolloutStage, st.Name,
 		"begin: %d/%d hosts treated;%s (%d pushed, %d rebuilt)",
-		want, len(c.hosts), cohorts.String(), pushed, rebuilt)
-	if pushed > 0 {
-		c.record(trace.KindRolloutPush, st.Name, "policies pushed to %d hosts", pushed)
+		c.treated, len(c.hosts), cohorts.String(), len(pushed), rebuilt)
+	if len(pushed) > 0 {
+		c.record(trace.KindRolloutPush, st.Name, "policies pushed to %d hosts", len(pushed))
 	}
 }
 
@@ -1175,21 +1169,7 @@ func (c *Controller) finishStage() {
 	if last {
 		// Converge the treated prefix on the winner: hosts still carrying a
 		// losing candidate (single-stage plans promote only now) move over.
-		if c.winner >= 0 {
-			for _, h := range c.hosts[:c.treated] {
-				k := -1
-				if !c.cands[c.winner].excluded[h.device] {
-					k = c.winner
-				}
-				if k == h.assigned {
-					continue
-				}
-				h.assigned = k
-				if !h.down {
-					c.pushPolicy(h)
-				}
-			}
-		}
+		c.reassign()
 		c.state = StateCompleted
 		c.settleLeft = c.cfg.SettleWindows
 		name, on := "", 0
@@ -1208,12 +1188,6 @@ func (c *Controller) finishStage() {
 // on baseline), so this just records the terminal verdict.
 func (c *Controller) rollback() {
 	st := c.cfg.Plan[c.stageIdx]
-	// The last dropped candidate's guardrail names the rollback.
-	for _, cand := range c.cands {
-		if cand.tripped != "" {
-			c.tripped = cand.tripped
-		}
-	}
 	c.reports = append(c.reports, StageReport{
 		Stage:      st,
 		Verdict:    "rollback",

@@ -500,6 +500,88 @@ func TestBanditDeterministicUnderChurn(t *testing.T) {
 	}
 }
 
+// TestSingleStageRaceConvergesOnWinner pins that a one-stage plan races its
+// candidates through the stage, promotes at its end, and moves every
+// treated host the winner is not barred from onto the winner.
+func TestSingleStageRaceConvergesOnWinner(t *testing.T) {
+	cfg := banditConfig()
+	cfg.Candidates = cfg.Candidates[:2] // cand-mild, cand-strong
+	cfg.Plan = []Stage{{Name: "fleet", Frac: 1, Bake: 3}}
+	r := New(cfg).Run()
+	if !r.Completed() || r.Promoted == "" {
+		t.Fatalf("state = %s, promoted %q; log:\n%s", r.State, r.Promoted, r.EventLog())
+	}
+	barred := map[string]bool{}
+	for _, cand := range r.Candidates {
+		if cand.Windows == 0 {
+			t.Fatalf("%s never raced; outcomes: %+v; log:\n%s", cand.Policy, r.Candidates, r.EventLog())
+		}
+		if cand.Promoted {
+			for _, d := range cand.ExcludedDevices {
+				barred[d] = true
+			}
+		}
+	}
+	for _, h := range r.Hosts {
+		if !barred[h.Device] && h.Policy != r.Promoted {
+			t.Fatalf("host %d ended on %q, want the promoted %q; log:\n%s", h.Index, h.Policy, r.Promoted, r.EventLog())
+		}
+	}
+}
+
+// TestAssignmentFollowsEntitlement steps a churned three-candidate race
+// over three device classes, one candidate changing the offload mode, and
+// checks after every barrier that each host is assigned what entitled
+// gives it and that each up host runs its assigned policy's mode.
+func TestAssignmentFollowsEntitlement(t *testing.T) {
+	cfg := goldenConfig()
+	cfg.Candidates[0].Mode = core.ModeTiered
+	c := New(cfg)
+	for done := false; !done; {
+		done = c.step()
+		for _, h := range c.hosts {
+			if k := c.entitled(h); h.assigned != k {
+				t.Fatalf("window %d: host %d assigned %d, entitled to %d; log:\n%s",
+					c.window, h.index, h.assigned, k, trace.Lines(c.events))
+			}
+			if pol := c.policyFor(h); !h.down && h.runMode != pol.Mode {
+				t.Fatalf("window %d: host %d runs %s under policy %s (%s)",
+					c.window, h.index, h.runMode, pol.Name, pol.Mode)
+			}
+		}
+	}
+	r := c.result()
+	if r.Rebuilds() == 0 || !strings.Contains(r.EventLog(), "device cohort dropped") {
+		t.Fatalf("race neither rebuilt a host nor dropped a cohort; log:\n%s", r.EventLog())
+	}
+}
+
+// TestRollbackNamesLastDroppedGuardrail pins that a rollback reports the
+// guardrail of the candidate dropped last, whatever its index.
+func TestRollbackNamesLastDroppedGuardrail(t *testing.T) {
+	cfg := testConfig(safePolicy())
+	cfg.Candidates = []Policy{
+		{Name: "a", Mode: core.ModeZswap, Config: safeCandidate()},
+		{Name: "b", Mode: core.ModeZswap, Config: safeCandidate()},
+	}
+	c := New(cfg)
+	c.beginStage(0)
+	a, b := c.cands[0], c.cands[1]
+	for _, drop := range []struct {
+		cand      *candState
+		guardrail string
+	}{{b, "psi"}, {a, "rps"}} {
+		for _, d := range c.fleetDevices {
+			c.dropDevice(drop.cand, d, drop.guardrail, "forced")
+		}
+		c.dropCandidate(drop.cand)
+	}
+	c.rollback()
+	if r := c.result(); r.TrippedGuardrail != "rps" {
+		t.Fatalf("rollback names guardrail %q, want rps (a dropped last); log:\n%s", r.TrippedGuardrail, r.EventLog())
+	}
+}
+
 func TestRolloutTelemetryCounters(t *testing.T) {
 	c := New(testConfig(aggressivePolicy()))
 	c.Run()
