@@ -134,7 +134,7 @@ func main() {
 	}
 
 	var lastCompleted, lastSwapIns int64
-	var lastMem, lastIO vclock.Duration
+	var memPSI, ioPSI psi.Baseline
 	step := report
 	for elapsed := vclock.Duration(0); elapsed < dur; elapsed += step {
 		sys.Run(step)
@@ -145,8 +145,6 @@ func main() {
 		m := sys.Metrics()
 		tr := app.Group.PSI()
 		tr.Sync(now)
-		memTot := tr.Total(psi.Memory, psi.Some)
-		ioTot := tr.Total(psi.IO, psi.Some)
 		st := app.Group.MM().Stat()
 		completed := app.Completed()
 		fmt.Printf("%-8s %7.1fMiB %7.1fMiB %7.1fMiB %8.4f%% %8.4f%% %8.0f %8.1f\n",
@@ -154,13 +152,12 @@ func main() {
 			float64(m.ResidentBytes)/workload.MiB,
 			float64(m.PoolBytes)/workload.MiB,
 			float64(m.SwappedBytes)/workload.MiB,
-			100*psi.WindowedPressure(lastMem, memTot, step),
-			100*psi.WindowedPressure(lastIO, ioTot, step),
+			100*memPSI.Read(tr.Total(psi.Memory, psi.Some), step),
+			100*ioPSI.Read(tr.Total(psi.IO, psi.Some), step),
 			float64(completed-lastCompleted)/step.Seconds(),
 			float64(st.SwapIns-lastSwapIns)/step.Seconds(),
 		)
 		lastCompleted, lastSwapIns = completed, st.SwapIns
-		lastMem, lastIO = memTot, ioTot
 	}
 
 	if *cpuprofile != "" {

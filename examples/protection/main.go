@@ -48,24 +48,23 @@ func main() {
 	killer := oomd.New(cfg, server.Hierarchy().Root())
 	killer.AddCandidate(oomd.Candidate{Group: frontend.Group, Priority: 10, Kill: frontend.Kill})
 	killer.AddCandidate(oomd.Candidate{Group: batch.Group, Priority: 0, Kill: batch.Kill})
-	server.AddController(killer)
+	server.OnTick(killer.Tick)
 
 	fmt.Println("time     frontend-res  batch-res   mem-psi   frontend-rps")
 	var lastCompleted int64
-	var lastPSI vclock.Duration
+	var memPSI psi.Baseline
 	for i := 0; i < 8; i++ {
 		server.Run(30 * vclock.Second)
 		tr := server.Hierarchy().Root().PSI()
 		tr.Sync(server.Now())
-		tot := tr.Total(psi.Memory, psi.Some)
 		completed := frontend.Completed()
 		fmt.Printf("%-8s %9.1fMiB %9.1fMiB %8.3f%% %10.0f\n",
 			server.Now(),
 			float64(frontend.Group.MemoryCurrent())/workload.MiB,
 			float64(batch.Group.MemoryCurrent())/workload.MiB,
-			100*psi.WindowedPressure(lastPSI, tot, 30*vclock.Second),
+			100*memPSI.Read(tr.Total(psi.Memory, psi.Some), 30*vclock.Second),
 			float64(completed-lastCompleted)/30)
-		lastCompleted, lastPSI = completed, tot
+		lastCompleted = completed
 		for _, k := range killer.Kills() {
 			if k.Time > server.Now().Add(-30*vclock.Second) {
 				fmt.Printf("  !! oomd killed %q at %.1f%% pressure\n", k.Group.Name(), 100*k.Pressure)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tmo/internal/psi"
+	"tmo/internal/senpai"
 	"tmo/internal/vclock"
 )
 
@@ -35,14 +36,7 @@ func TestChaosUnitFaultIsControl(t *testing.T) {
 		sys.Run(8 * vclock.Minute)
 
 		var b strings.Builder
-		fmt.Fprintf(&b, "%+v\n", sys.Metrics())
-		for _, app := range sys.Server.Apps() {
-			fmt.Fprintf(&b, "%s completed=%d\n", app.Profile.Name, app.Completed())
-		}
-		root := sys.Server.Hierarchy().Root().PSI()
-		for r := psi.Resource(0); r < psi.NumResources; r++ {
-			fmt.Fprintf(&b, "psi %v some=%d full=%d\n", r, root.Total(r, psi.Some), root.Total(r, psi.Full))
-		}
+		b.WriteString(outcome(sys))
 		var raw strings.Builder
 		if err := sys.TelemetrySnapshot().WritePrometheus(&raw); err != nil {
 			t.Fatal(err)
@@ -79,6 +73,52 @@ func TestChaosUnitFaultIsControl(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSenpaiZeroRatioIsControl: the H10 control for the controller. Senpai
+// with a zero ReclaimRatio requests no reclaim, so its host must run as one
+// without Senpai: the same Metrics, per-app completions and root PSI totals.
+// A control interval that reclaims anything without a request fails here;
+// a zero-byte memory.reclaim is a no-op, so this cannot see one.
+func TestSenpaiZeroRatioIsControl(t *testing.T) {
+	run := func(mode Mode, cfg *senpai.Config) string {
+		sys := New(Options{
+			Mode:          mode,
+			CapacityBytes: 384 * MiB,
+			Senpai:        cfg,
+			DisableSenpai: cfg == nil,
+			Seed:          1,
+		})
+		sys.AddWorkload("feed")
+		sys.AddTax()
+		sys.Run(8 * vclock.Minute)
+		return outcome(sys)
+	}
+	idle := senpai.ConfigA()
+	idle.ReclaimRatio = 0
+	for _, mode := range []Mode{ModeSSDSwap, ModeZswap, ModeTiered} {
+		t.Run(mode.String(), func(t *testing.T) {
+			control, idled := run(mode, nil), run(mode, &idle)
+			if control != idled {
+				t.Fatalf("an idle Senpai diverged from no Senpai:\n%s", firstDiff(control, idled))
+			}
+		})
+	}
+}
+
+// outcome renders what a control run must leave unchanged: the host's
+// Metrics, each app's completions and the root PSI totals.
+func outcome(sys *System) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%+v\n", sys.Metrics())
+	for _, app := range sys.Server.Apps() {
+		fmt.Fprintf(&b, "%s completed=%d\n", app.Profile.Name, app.Completed())
+	}
+	root := sys.Server.Hierarchy().Root().PSI()
+	for r := psi.Resource(0); r < psi.NumResources; r++ {
+		fmt.Fprintf(&b, "psi %v some=%d full=%d\n", r, root.Total(r, psi.Some), root.Total(r, psi.Full))
+	}
+	return b.String()
 }
 
 // firstDiff returns the first differing line pair of two fingerprints.

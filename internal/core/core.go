@@ -229,13 +229,13 @@ func New(opts Options) *System {
 		sys.Senpai = senpai.New(cfg, sys.Chain)
 		sys.Senpai.SetTrace(sys.Trace)
 		sys.Senpai.EnableTelemetry(sys.Telemetry)
-		sys.Server.AddController(sys.Senpai)
+		sys.Server.OnTick(sys.Senpai.Tick)
 	}
 	if sys.CXL != nil {
 		sys.Place = place.New(sys.Server.Manager(), sys.CXL, opts.InterleaveFrac)
 		sys.Place.SetTrace(sys.Trace)
 		sys.Place.EnableTelemetry(sys.Telemetry)
-		sys.Server.AddController(sys.Place)
+		sys.Server.OnTick(sys.Place.Tick)
 	}
 	sys.wireTelemetry()
 	return sys

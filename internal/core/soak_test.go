@@ -44,7 +44,7 @@ func TestSoakLongRun(t *testing.T) {
 	killer := oomd.New(oomd.DefaultConfig(), sys.Server.Hierarchy().Root())
 	killer.AddCandidate(oomd.Candidate{Group: web.Group, Priority: 10, Kill: web.Kill})
 	killer.AddCandidate(oomd.Candidate{Group: adsb.Group, Priority: 0, Kill: adsb.Kill})
-	sys.Server.AddController(killer)
+	sys.Server.OnTick(killer.Tick)
 
 	apps := []*workload.App{web, feed, adsb, dc, micro}
 	checkpoint := func(stage string) {

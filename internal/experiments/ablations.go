@@ -252,7 +252,7 @@ func AblationController(cfg Config) AblationControllerResult {
 					}
 					gctl := gswap.New(c)
 					gctl.AddTarget(h.Apps[0].Group)
-					h.Server.AddController(gctl)
+					h.Server.OnTick(gctl.Tick)
 				}
 			}
 			arms = append(arms, a)

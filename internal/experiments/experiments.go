@@ -82,21 +82,21 @@ func check(name string, holds bool) Claim { return Claim{name, holds, math.NaN()
 
 // sampler records time series from a running system at a fixed cadence.
 type sampler struct {
-	every vclock.Duration
-	last  vclock.Time
-	fns   []func(now vclock.Time)
+	every   vclock.Duration
+	cadence vclock.Cadence
+	fns     []func(now vclock.Time)
 }
 
 func newSampler(every vclock.Duration) *sampler { return &sampler{every: every} }
 
 func (s *sampler) add(fn func(now vclock.Time)) { s.fns = append(s.fns, fn) }
 
-// onTick is registered as a sim observer.
+// onTick is registered as a sim tick hook; it samples at the first tick
+// and then every period.
 func (s *sampler) onTick(now vclock.Time) {
-	if s.last != 0 && now.Sub(s.last) < s.every {
+	if _, ok := s.cadence.Due(now, s.every); !ok {
 		return
 	}
-	s.last = now
 	for _, fn := range s.fns {
 		fn(now)
 	}

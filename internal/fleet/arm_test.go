@@ -39,7 +39,7 @@ func testArms() []Arm {
 			Hook: func(h *Host) {
 				g := gswap.New(gswap.DefaultConfig(60))
 				g.AddTarget(h.Apps[0].Group)
-				h.Server.AddController(g)
+				h.Server.OnTick(g.Tick)
 			},
 		},
 		{

@@ -39,16 +39,21 @@ func DefaultConfig(target float64) Config {
 	}
 }
 
+// target is one container and its promotion-rate reading.
+type target struct {
+	g *cgroup.Group
+	// swapIns is the container's swap-in count at the last reading, and
+	// rate the promotions per second measured there.
+	swapIns int64
+	rate    float64
+}
+
 // Controller drives one or more containers by promotion-rate feedback.
 type Controller struct {
 	cfg Config
 
-	targets     []*cgroup.Group
-	lastSwapIns map[*cgroup.Group]int64
-	lastRate    map[*cgroup.Group]float64
-
-	lastRun vclock.Time
-	started bool
+	targets []*target
+	cadence vclock.Cadence
 	runs    int64
 }
 
@@ -57,43 +62,34 @@ func New(cfg Config) *Controller {
 	if cfg.Interval <= 0 {
 		panic("gswap: interval must be positive")
 	}
-	return &Controller{
-		cfg:         cfg,
-		lastSwapIns: make(map[*cgroup.Group]int64),
-		lastRate:    make(map[*cgroup.Group]float64),
-	}
+	return &Controller{cfg: cfg}
 }
 
 // AddTarget registers a container.
-func (c *Controller) AddTarget(g *cgroup.Group) { c.targets = append(c.targets, g) }
+func (c *Controller) AddTarget(g *cgroup.Group) { c.targets = append(c.targets, &target{g: g}) }
 
 // Tick drives the controller; call it every simulation tick.
 func (c *Controller) Tick(now vclock.Time) {
-	if !c.started {
-		c.started = true
-		c.lastRun = now
-		for _, g := range c.targets {
-			c.lastSwapIns[g] = g.MM().Stat().SwapIns
+	interval, ok := c.cadence.Due(now, c.cfg.Interval)
+	if !ok {
+		return
+	}
+	if interval == 0 { // the prime: record baselines, do not act
+		for _, t := range c.targets {
+			t.swapIns = t.g.MM().Stat().SwapIns
 		}
 		return
 	}
-	interval := now.Sub(c.lastRun)
-	if interval < c.cfg.Interval {
-		return
-	}
-	c.lastRun = now
 	c.runs++
-
-	for _, g := range c.targets {
-		swapIns := g.MM().Stat().SwapIns
-		rate := float64(swapIns-c.lastSwapIns[g]) / interval.Seconds()
-		c.lastSwapIns[g] = swapIns
-		c.lastRate[g] = rate
+	for _, t := range c.targets {
+		swapIns := t.g.MM().Stat().SwapIns
+		t.rate = float64(swapIns-t.swapIns) / interval.Seconds()
+		t.swapIns = swapIns
 
 		// Below the profiled ceiling: offload another step. At or above:
 		// hold off so the rate falls back under the target.
-		if rate < c.cfg.TargetPromotionsPerSec {
-			g.MemoryReclaim(now, int64(float64(g.MemoryCurrent())*c.cfg.StepFrac))
+		if t.rate < c.cfg.TargetPromotionsPerSec {
+			t.g.MemoryReclaim(now, int64(float64(t.g.MemoryCurrent())*c.cfg.StepFrac))
 		}
 	}
 }

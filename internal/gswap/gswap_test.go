@@ -67,8 +67,8 @@ func TestReclaimsWhileBelowTarget(t *testing.T) {
 	if g.MemoryCurrent() >= before {
 		t.Fatalf("no reclaim below promotion target")
 	}
-	if c.lastRate[g] != 0 {
-		t.Fatalf("promotion rate = %v, want 0", c.lastRate[g])
+	if c.targets[0].rate != 0 {
+		t.Fatalf("promotion rate = %v, want 0", c.targets[0].rate)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestHoldsWhileAboveTarget(t *testing.T) {
 	}
 	before := g.MemoryCurrent()
 	c.Tick(vclock.Time(7 * vclock.Second)) // rate = 120/6s = 20/s > 10/s
-	if got := c.lastRate[g]; got < 15 {
+	if got := c.targets[0].rate; got < 15 {
 		t.Fatalf("promotion rate = %v, want ~20", got)
 	}
 	if g.MemoryCurrent() != before {
@@ -127,7 +127,7 @@ func TestConvergesOnWorkload(t *testing.T) {
 		StepFrac:               0.01,
 	})
 	c.AddTarget(app.Group)
-	s.AddController(c)
+	s.OnTick(c.Tick)
 
 	s.Run(2 * vclock.Minute)
 	before := app.Group.MemoryCurrent()
@@ -138,7 +138,39 @@ func TestConvergesOnWorkload(t *testing.T) {
 	}
 	// The equilibrium promotion rate must sit near the target, not far
 	// above it (the control law backs off above target).
-	if rate := c.lastRate[app.Group]; rate > 120 {
+	if rate := c.targets[0].rate; rate > 120 {
 		t.Fatalf("promotion rate %v runaway vs target 20", rate)
+	}
+}
+
+// The first window starts at the controller's first tick: swap-ins the
+// container took before then do not count toward the promotion rate.
+func TestFirstWindowExcludesEarlierSwapIns(t *testing.T) {
+	mgr, g := newEnv()
+	anon := mgr.NewPages(g.MM(), mm.Anon, 2000, 2)
+	for _, p := range anon {
+		mgr.Touch(0, p)
+	}
+	mgr.ProactiveReclaim(vclock.Time(vclock.Second), g.MM(), 500*pageSize)
+	swappedBack := 0
+	for _, p := range anon {
+		if mgr.State(p) == mm.Offloaded && swappedBack < 120 {
+			mgr.Touch(vclock.Time(2*vclock.Second), p)
+			swappedBack++
+		}
+	}
+	if g.MM().Stat().SwapIns == 0 {
+		t.Fatal("setup swapped nothing in")
+	}
+	c := New(DefaultConfig(10))
+	c.AddTarget(g)
+	c.Tick(vclock.Time(3 * vclock.Second))
+	before := g.MemoryCurrent()
+	c.Tick(vclock.Time(9 * vclock.Second))
+	if rate := c.targets[0].rate; rate != 0 {
+		t.Fatalf("first window's promotion rate = %v, want 0", rate)
+	}
+	if g.MemoryCurrent() >= before {
+		t.Fatal("held off on swap-ins from before the first tick")
 	}
 }

@@ -72,9 +72,8 @@ type Controller struct {
 
 	candidates []Candidate
 
-	lastTotal  vclock.Duration
-	lastPoll   vclock.Time
-	started    bool
+	cadence    vclock.Cadence
+	pressure   psi.Baseline
 	armedSince vclock.Time
 	armed      bool
 	lastKill   vclock.Time
@@ -105,25 +104,15 @@ func (c *Controller) Kills() []KillEvent { return c.kills }
 
 // Tick drives the controller; call it every simulation tick.
 func (c *Controller) Tick(now vclock.Time) {
-	if !c.started {
-		c.started = true
-		c.lastPoll = now
-		c.snapshot(now)
+	interval, ok := c.cadence.Due(now, c.cfg.PollInterval)
+	if !ok {
 		return
 	}
-	interval := now.Sub(c.lastPoll)
-	if interval < c.cfg.PollInterval {
-		return
-	}
-	c.lastPoll = now
-
 	tr := c.domain.PSI()
 	tr.Sync(now)
-	total := tr.Total(psi.Memory, c.cfg.Kind)
-	pressure := psi.WindowedPressure(c.lastTotal, total, interval)
-	c.lastTotal = total
-
-	if pressure < c.cfg.Threshold {
+	// The cadence's prime (a zero interval) only records the baseline.
+	pressure := c.pressure.Read(tr.Total(psi.Memory, c.cfg.Kind), interval)
+	if interval == 0 || pressure < c.cfg.Threshold {
 		c.armed = false
 		return
 	}
@@ -167,11 +156,4 @@ func (c *Controller) pickVictim() (Candidate, bool) {
 		return live[i].Group.MemoryCurrent() > live[j].Group.MemoryCurrent()
 	})
 	return live[0], true
-}
-
-// snapshot primes the pressure baseline.
-func (c *Controller) snapshot(now vclock.Time) {
-	tr := c.domain.PSI()
-	tr.Sync(now)
-	c.lastTotal = tr.Total(psi.Memory, c.cfg.Kind)
 }

@@ -219,7 +219,7 @@ func TestEndToEndWithSimulator(t *testing.T) {
 	ctl := New(cfg, s.Hierarchy().Root())
 	ctl.AddCandidate(Candidate{Group: main.Group, Priority: 10, Kill: main.Kill})
 	ctl.AddCandidate(Candidate{Group: batch.Group, Priority: 0, Kill: batch.Kill})
-	s.AddController(ctl)
+	s.OnTick(ctl.Tick)
 
 	s.Run(3 * vclock.Minute)
 	if len(ctl.Kills()) == 0 {
@@ -242,5 +242,20 @@ func TestEndToEndWithSimulator(t *testing.T) {
 	s.Run(10 * vclock.Second)
 	if batch.Completed() == 0 {
 		t.Fatalf("revived container did not serve")
+	}
+}
+
+// The first window starts at the killer's first tick: stall time the domain
+// carried before the killer was registered does not arm it.
+func TestFirstWindowExcludesEarlierStalls(t *testing.T) {
+	h, root := newDomain()
+	g := h.NewGroup(nil, "app", cgroup.Workload, 0)
+	g.TaskStart(0)
+	start := (&pressureDriver{g: g}).stallFor(0, 1, 30*vclock.Second)
+	c := New(DefaultConfig(), root)
+	c.Tick(start)
+	c.Tick(start.Add(vclock.Second))
+	if c.armed {
+		t.Fatal("stalls before the first tick armed the killer")
 	}
 }

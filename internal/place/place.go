@@ -76,8 +76,15 @@ type Stats struct {
 // Aborts returns the total aborted promotions.
 func (s Stats) Aborts() int64 { return s.AbortsChurn + s.AbortsStall + s.AbortsPressure }
 
-// Controller drives placement for a set of containers. It implements
-// sim.Controller; like Senpai it self-gates on its own interval.
+// target is one container under placement and its memory-pressure
+// baseline.
+type target struct {
+	g   *cgroup.Group
+	mem psi.Baseline
+}
+
+// Controller drives placement for a set of containers. Like Senpai it runs
+// every simulation tick and self-gates on its own interval.
 type Controller struct {
 	// interleave, when positive, selects the static-interleave baseline
 	// (see New).
@@ -85,16 +92,13 @@ type Controller struct {
 	mgr        *mm.Manager
 	node       *backend.CXLNode
 
-	targets []*cgroup.Group
-	lastMem map[*cgroup.Group]vclock.Duration
+	targets []*target
+	cadence vclock.Cadence
 
 	// inflight holds promotion copies in submission order — a slice, not a
 	// map, so completion order is deterministic.
 	inflight  []migration
 	sampleBuf []mm.PageID
-
-	lastRun vclock.Time
-	started bool
 
 	stats    Stats
 	hotRatio float64 // of the last interval that sampled any far page
@@ -109,12 +113,7 @@ type Controller struct {
 // production setting.
 func New(mgr *mm.Manager, node *backend.CXLNode, interleave float64) *Controller {
 	mgr.SetFarInterleave(interleave)
-	return &Controller{
-		interleave: interleave,
-		mgr:        mgr,
-		node:       node,
-		lastMem:    make(map[*cgroup.Group]vclock.Duration),
-	}
+	return &Controller{interleave: interleave, mgr: mgr, node: node}
 }
 
 // Stats returns the cumulative outcome counters.
@@ -125,7 +124,7 @@ func (c *Controller) Stats() Stats { return c.stats }
 func (c *Controller) SetTrace(r *trace.Recorder) { c.trace = r }
 
 // AddTarget registers a container for placement.
-func (c *Controller) AddTarget(g *cgroup.Group) { c.targets = append(c.targets, g) }
+func (c *Controller) AddTarget(g *cgroup.Group) { c.targets = append(c.targets, &target{g: g}) }
 
 // EnableTelemetry registers the place.* series with reg.
 func (c *Controller) EnableTelemetry(reg *telemetry.Registry) {
@@ -143,31 +142,30 @@ func (c *Controller) EnableTelemetry(reg *telemetry.Registry) {
 
 // Tick drives the controller; call it every simulation tick.
 func (c *Controller) Tick(now vclock.Time) {
-	if !c.started {
-		c.started = true
-		c.lastRun = now
-		c.snapshot(now)
+	elapsed, ok := c.cadence.Due(now, interval)
+	if !ok {
 		return
 	}
-	elapsed := now.Sub(c.lastRun)
-	if elapsed < interval {
+	if elapsed == 0 { // the prime: record baselines, do not act
+		for _, t := range c.targets {
+			t.pressure(now, 0)
+		}
 		return
 	}
-	c.lastRun = now
 
 	c.completePromotions(now)
 
 	if c.interleave > 0 {
 		// Static-interleave baseline: placement is fixed at allocation;
 		// no sampling, no migration.
-		c.snapshot(now)
 		return
 	}
 
 	// Access-bit sampling and promotion submission, per container in
 	// registration order (deterministic).
 	var sampledAll, hotAll int64
-	for _, g := range c.targets {
+	for _, t := range c.targets {
+		g := t.g
 		cands, sampled := c.mgr.SampleFar(g.MM(), sampleBudget, promoteThreshold, c.sampleBuf[:0])
 		c.sampleBuf = cands[:0]
 		sampledAll += int64(sampled)
@@ -207,12 +205,8 @@ func (c *Controller) Tick(now vclock.Time) {
 	if freeFrac < demoteWatermarkFrac {
 		hostUrgency = (demoteWatermarkFrac - freeFrac) / demoteWatermarkFrac
 	}
-	for _, g := range c.targets {
-		tr := g.PSI()
-		tr.Sync(now)
-		memTot := tr.Total(psi.Memory, psi.Some)
-		memP := psi.WindowedPressure(c.lastMem[g], memTot, elapsed)
-		c.lastMem[g] = memTot
+	for _, t := range c.targets {
+		g, memP := t.g, t.pressure(now, elapsed)
 		urgency := hostUrgency
 		if lim := g.MM().Limit(); lim > 0 {
 			headFrac := float64(lim-g.MemoryCurrent()) / float64(lim)
@@ -238,13 +232,12 @@ func (c *Controller) Tick(now vclock.Time) {
 	}
 }
 
-// snapshot primes the PSI baselines without acting.
-func (c *Controller) snapshot(now vclock.Time) {
-	for _, g := range c.targets {
-		tr := g.PSI()
-		tr.Sync(now)
-		c.lastMem[g] = tr.Total(psi.Memory, psi.Some)
-	}
+// pressure reads the container's memory some-pressure over the interval
+// since the previous read.
+func (t *target) pressure(now vclock.Time, interval vclock.Duration) float64 {
+	tr := t.g.PSI()
+	tr.Sync(now)
+	return t.mem.Read(tr.Total(psi.Memory, psi.Some), interval)
 }
 
 // completePromotions resolves in-flight copies whose transfer is due. A

@@ -7,6 +7,7 @@ import (
 	"tmo/internal/backend"
 	"tmo/internal/cgroup"
 	"tmo/internal/mm"
+	"tmo/internal/psi"
 	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
 )
@@ -330,5 +331,23 @@ func TestTelemetryRegisters(t *testing.T) {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("telemetry missing %s:\n%s", want, dump)
 		}
+	}
+}
+
+// The first window starts at the controller's first tick: stall time the
+// container carried before then does not hold back watermark demotion.
+func TestFirstWindowExcludesEarlierStalls(t *testing.T) {
+	hn := newHarness(t, 64, 64, 0)
+	pages := hn.mgr.NewPages(hn.g.MM(), mm.Anon, 61, 1)
+	for i, p := range pages {
+		hn.mgr.Touch(vclock.Time(i), p)
+	}
+	hn.g.TaskStart(0)
+	hn.g.StallStart(0, psi.Memory)
+	base := vclock.Time(vclock.Minute)
+	hn.g.StallStop(base, psi.Memory)
+	hn.tickAt(base, vclock.Second)
+	if hn.ctrl.Stats().DemotedBytes == 0 {
+		t.Fatal("stalls before the first tick held back demotion")
 	}
 }

@@ -241,10 +241,7 @@ func (t *Tracker) PressureFile(r Resource) string {
 }
 
 // WindowedPressure reports the average pressure fraction for (r, k) between
-// two total readings taken interval apart. This is how the Senpai controller
-// consumes PSI: it samples Total at its own cadence and differences the
-// readings, exactly like the production senpai daemon does with the
-// pressure-file total field.
+// two total readings taken interval apart.
 func WindowedPressure(prev, cur vclock.Duration, interval vclock.Duration) float64 {
 	if interval <= 0 {
 		return 0
@@ -256,5 +253,20 @@ func WindowedPressure(prev, cur vclock.Duration, interval vclock.Duration) float
 	if p > 1 {
 		return 1
 	}
+	return p
+}
+
+// Baseline is the previous reading of one cumulative stall total. This is
+// how the userspace agents consume PSI: each samples Total at its own
+// cadence and differences the readings, exactly like the production senpai
+// daemon does with the pressure-file total field.
+type Baseline struct{ last vclock.Duration }
+
+// Read returns the pressure fraction of total since the previous read,
+// taken interval ago, and keeps total as the next read's baseline. A read
+// with a zero interval only records the baseline.
+func (b *Baseline) Read(total, interval vclock.Duration) float64 {
+	p := WindowedPressure(b.last, total, interval)
+	b.last = total
 	return p
 }

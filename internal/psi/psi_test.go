@@ -237,6 +237,28 @@ func TestWindowedPressure(t *testing.T) {
 	}
 }
 
+// A Baseline differences successive reads; a zero-interval read records the
+// total without reporting pressure, so the next window starts there.
+func TestBaselineDifferencesReads(t *testing.T) {
+	var b Baseline
+	if p := b.Read(vclock.Duration(4*sec), 0); p != 0 {
+		t.Fatalf("zero-interval read reported %v, want 0", p)
+	}
+	if p := b.Read(vclock.Duration(5*sec), 10*sec); math.Abs(p-0.1) > 1e-12 {
+		t.Fatalf("pressure = %v, want 0.1 over the recorded baseline", p)
+	}
+	if p := b.Read(vclock.Duration(5*sec), 0); p != 0 {
+		t.Fatalf("second zero-interval read reported %v, want 0", p)
+	}
+	if p := b.Read(vclock.Duration(7*sec), 4*sec); p != 0.5 {
+		t.Fatalf("pressure = %v, want 0.5", p)
+	}
+	var fresh Baseline
+	if p := fresh.Read(vclock.Duration(sec), 10*sec); math.Abs(p-0.1) > 1e-12 {
+		t.Fatalf("unprimed baseline read %v, want 0.1 from zero", p)
+	}
+}
+
 // Property: full never exceeds some, and neither exceeds elapsed time, for
 // arbitrary interleavings of stall events from up to three tasks.
 func TestSomeFullInvariant(t *testing.T) {

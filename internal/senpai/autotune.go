@@ -36,32 +36,19 @@ type tuneState struct {
 }
 
 // EnableAutoTune switches the controller's online parameter tuning on.
-func (c *Controller) EnableAutoTune() {
-	if c.tune == nil {
-		c.tune = make(map[*cgroup.Group]*tuneState)
-	}
-}
+func (c *Controller) EnableAutoTune() { c.autoTune = true }
 
 // TuneMultiplier reports the current ratio multiplier for g (1 when the
 // tuner is off or has not acted).
-func (c *Controller) TuneMultiplier(g *cgroup.Group) float64 {
-	if st, ok := c.tune[g]; ok {
-		return st.mult
-	}
-	return 1
-}
+func (c *Controller) TuneMultiplier(g *cgroup.Group) float64 { return c.find(g).tune.mult }
 
 // tunedRatio applies the AIMD update for one interval and returns the
-// effective reclaim ratio for g.
-func (c *Controller) tunedRatio(g *cgroup.Group, cfg Config, memP, ioP float64) float64 {
-	if c.tune == nil {
+// effective reclaim ratio for t.
+func (c *Controller) tunedRatio(t *target, cfg Config, memP, ioP float64) float64 {
+	if !c.autoTune {
 		return cfg.ReclaimRatio
 	}
-	st, ok := c.tune[g]
-	if !ok {
-		st = &tuneState{mult: 1}
-		c.tune[g] = st
-	}
+	st := &t.tune
 	breach := memP >= cfg.MemPressureThreshold ||
 		(cfg.IOPressureThreshold > 0 && ioP >= cfg.IOPressureThreshold)
 	calm := memP < cfg.MemPressureThreshold/2 &&

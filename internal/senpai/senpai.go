@@ -112,24 +112,28 @@ type Action struct {
 	WriteLimited bool
 }
 
+// target is one container under the controller and everything the
+// controller keeps about it.
+type target struct {
+	g *cgroup.Group
+	// cfg, when set, overrides the controller configuration: §2.3 notes
+	// the memory taxes have more relaxed SLAs than workload containers,
+	// and §3.3 plans distinct Senpai configurations per SLO class.
+	// Overrides share the controller's Interval.
+	cfg     *Config
+	mem, io psi.Baseline
+	last    Action
+	ws      WorkingSetProfile
+	tune    tuneState
+}
+
 // Controller is one Senpai instance driving a set of containers.
 type Controller struct {
 	cfg  Config
 	swap *backend.TierChain // may be nil in file-only mode
 
-	targets []*cgroup.Group
-	// perTarget overrides the controller configuration for individual
-	// containers: §2.3 notes the memory taxes have more relaxed SLAs than
-	// workload containers, and §3.3 plans distinct Senpai configurations
-	// per SLO class. Overrides share the controller's Interval.
-	perTarget  map[*cgroup.Group]Config
-	lastMem    map[*cgroup.Group]vclock.Duration
-	lastIO     map[*cgroup.Group]vclock.Duration
-	last       map[*cgroup.Group]Action
-	workingSet map[*cgroup.Group]WorkingSetProfile
-
-	lastRun vclock.Time
-	started bool
+	targets []*target
+	cadence vclock.Cadence
 
 	// writeScale is the endurance regulator's persistent gain in (0, 1]:
 	// multiplicative decrease while the device write rate exceeds the
@@ -144,9 +148,9 @@ type Controller struct {
 	// request), and write-regulated probes.
 	reclaims, backoffs, writeRegulated int64
 
-	// Online parameter tuning (§3.3 future work), nil while off; see
+	// autoTune switches on online parameter tuning (§3.3 future work); see
 	// autotune.go.
-	tune map[*cgroup.Group]*tuneState
+	autoTune bool
 
 	trace *trace.Recorder
 
@@ -179,16 +183,7 @@ func New(cfg Config, swap *backend.TierChain) *Controller {
 	if cfg.Interval <= 0 {
 		panic("senpai: interval must be positive")
 	}
-	return &Controller{
-		cfg:        cfg,
-		swap:       swap,
-		writeScale: 1,
-		perTarget:  make(map[*cgroup.Group]Config),
-		lastMem:    make(map[*cgroup.Group]vclock.Duration),
-		lastIO:     make(map[*cgroup.Group]vclock.Duration),
-		last:       make(map[*cgroup.Group]Action),
-		workingSet: make(map[*cgroup.Group]WorkingSetProfile),
-	}
+	return &Controller{cfg: cfg, swap: swap, writeScale: 1}
 }
 
 // Config returns the controller's configuration.
@@ -217,7 +212,7 @@ func (c *Controller) SetWriteBudget(bytesPerSec float64) {
 // AddTarget registers a container for offloading under the controller's
 // global configuration.
 func (c *Controller) AddTarget(g *cgroup.Group) {
-	c.targets = append(c.targets, g)
+	c.targets = append(c.targets, &target{g: g, tune: tuneState{mult: 1}})
 }
 
 // AddTargetWithConfig registers a container with its own configuration —
@@ -225,20 +220,30 @@ func (c *Controller) AddTarget(g *cgroup.Group) {
 // override's Interval is ignored; the controller runs all targets on one
 // cadence.
 func (c *Controller) AddTargetWithConfig(g *cgroup.Group, cfg Config) {
-	c.targets = append(c.targets, g)
-	c.perTarget[g] = cfg
+	c.AddTarget(g)
+	c.targets[len(c.targets)-1].cfg = &cfg
 }
 
-// targetConfig resolves the configuration for one container.
-func (c *Controller) targetConfig(g *cgroup.Group) Config {
-	if cfg, ok := c.perTarget[g]; ok {
-		return cfg
+// config resolves the configuration for one container.
+func (c *Controller) config(t *target) Config {
+	if t.cfg != nil {
+		return *t.cfg
 	}
 	return c.cfg
 }
 
+// find returns g's record, or an empty one when g is not a target.
+func (c *Controller) find(g *cgroup.Group) *target {
+	for _, t := range c.targets {
+		if t.g == g {
+			return t
+		}
+	}
+	return &target{tune: tuneState{mult: 1}}
+}
+
 // LastAction returns the most recent action applied to g.
-func (c *Controller) LastAction(g *cgroup.Group) Action { return c.last[g] }
+func (c *Controller) LastAction(g *cgroup.Group) Action { return c.find(g).last }
 
 // Runs returns how many control intervals have executed.
 func (c *Controller) Runs() int64 { return c.runs }
@@ -246,17 +251,16 @@ func (c *Controller) Runs() int64 { return c.runs }
 // Tick drives the controller; it acts only when a full interval has elapsed
 // since the last action, so it can be called every simulation tick.
 func (c *Controller) Tick(now vclock.Time) {
-	if !c.started {
-		c.started = true
-		c.lastRun = now
-		c.snapshot(now)
+	interval, ok := c.cadence.Due(now, c.cfg.Interval)
+	if !ok {
 		return
 	}
-	interval := now.Sub(c.lastRun)
-	if interval < c.cfg.Interval {
+	if interval == 0 { // the prime: record baselines, do not act
+		for _, t := range c.targets {
+			t.pressures(now, 0)
+		}
 		return
 	}
-	c.lastRun = now
 	c.runs++
 
 	// Update the endurance regulator once per interval from the device's
@@ -293,22 +297,14 @@ func (c *Controller) Tick(now vclock.Time) {
 		tickSpan.Annotate("write_scale", c.writeScale)
 	}
 
-	for _, g := range c.targets {
-		cfg := c.targetConfig(g)
-		tr := g.PSI()
-		tr.Sync(now)
-		memTot := tr.Total(psi.Memory, psi.Some)
-		ioTot := tr.Total(psi.IO, psi.Some)
-		memP := psi.WindowedPressure(c.lastMem[g], memTot, interval)
-		ioP := psi.WindowedPressure(c.lastIO[g], ioTot, interval)
-		c.lastMem[g] = memTot
-		c.lastIO[g] = ioTot
-
+	for _, t := range c.targets {
+		g, cfg := t.g, c.config(t)
+		memP, ioP := t.pressures(now, interval)
 		act := Action{Time: now, MemPressure: memP, IOPressure: ioP}
 
 		current := g.MemoryCurrent()
-		c.observeWorkingSet(g, cfg, now, current, memP)
-		cfg.ReclaimRatio = c.tunedRatio(g, cfg, memP, ioP)
+		t.ws.observe(cfg, now, current, memP)
+		cfg.ReclaimRatio = c.tunedRatio(t, cfg, memP, ioP)
 		reclaim := ReclaimAmount(cfg, current, memP, ioP)
 
 		// Endurance regulation (§4.5): apply the regulator's gain.
@@ -343,7 +339,7 @@ func (c *Controller) Tick(now vclock.Time) {
 		}
 		c.totalRequested += act.Requested
 		c.totalReclaimed += act.Reclaimed
-		c.last[g] = act
+		t.last = act
 
 		switch {
 		case act.WriteLimited:
@@ -378,14 +374,12 @@ func (c *Controller) Tick(now vclock.Time) {
 	}
 }
 
-// snapshot primes the PSI baselines without acting.
-func (c *Controller) snapshot(now vclock.Time) {
-	for _, g := range c.targets {
-		tr := g.PSI()
-		tr.Sync(now)
-		c.lastMem[g] = tr.Total(psi.Memory, psi.Some)
-		c.lastIO[g] = tr.Total(psi.IO, psi.Some)
-	}
+// pressures reads the container's memory and IO some-pressure over the
+// interval since the previous read.
+func (t *target) pressures(now vclock.Time, interval vclock.Duration) (mem, io float64) {
+	tr := t.g.PSI()
+	tr.Sync(now)
+	return t.mem.Read(tr.Total(psi.Memory, psi.Some), interval), t.io.Read(tr.Total(psi.IO, psi.Some), interval)
 }
 
 // ReclaimAmount is the paper's control law (§3.3) as a pure function:

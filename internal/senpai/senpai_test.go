@@ -84,10 +84,10 @@ func TestSetConfigSwapsGlobalKeepsOverrides(t *testing.T) {
 	if got := c.Config().ReclaimRatio; got != next.ReclaimRatio {
 		t.Fatalf("global config not replaced: ratio = %v, want %v", got, next.ReclaimRatio)
 	}
-	if got := c.targetConfig(e.g).ReclaimRatio; got != next.ReclaimRatio {
+	if got := c.config(c.targets[0]).ReclaimRatio; got != next.ReclaimRatio {
 		t.Fatalf("plain target not on new config: ratio = %v", got)
 	}
-	if got := c.targetConfig(g2).ReclaimRatio; got != override.ReclaimRatio {
+	if got := c.config(c.targets[1]).ReclaimRatio; got != override.ReclaimRatio {
 		t.Fatalf("per-target override lost: ratio = %v, want %v", got, override.ReclaimRatio)
 	}
 
@@ -346,7 +346,7 @@ func TestTargetsAccessor(t *testing.T) {
 	e := newEnv("")
 	c := New(ConfigA(), nil)
 	c.AddTarget(e.g)
-	if len(c.targets) != 1 || c.targets[0] != e.g {
+	if len(c.targets) != 1 || c.targets[0].g != e.g {
 		t.Fatalf("targets accessor broken")
 	}
 }
@@ -378,5 +378,34 @@ func TestPerTargetConfigOverride(t *testing.T) {
 	want := 5 * strict.Requested
 	if diff := loose.Requested - want; diff < -2*pageSize || diff > 2*pageSize {
 		t.Fatalf("override ratio wrong: %d, want ~%d", loose.Requested, want)
+	}
+}
+
+// The first window starts at the controller's first tick: stall time a
+// container carried before then is not pressure Senpai caused. A container
+// added after that tick has no baseline yet, so its first window counts
+// from zero.
+func TestFirstWindowExcludesEarlierStalls(t *testing.T) {
+	e := newEnv("")
+	e.populate(10000)
+	late := e.h.NewGroup(nil, "late", cgroup.Workload, 0)
+	start := vclock.Time(30 * vclock.Second)
+	for _, g := range []*cgroup.Group{e.g, late} {
+		g.TaskStart(0)
+		g.StallStart(0, psi.Memory)
+	}
+	for _, g := range []*cgroup.Group{e.g, late} {
+		g.StallStop(start, psi.Memory)
+	}
+	c := New(ConfigA(), nil)
+	c.AddTarget(e.g)
+	c.Tick(start)
+	c.AddTarget(late)
+	c.Tick(start.Add(6 * vclock.Second))
+	if act := c.LastAction(e.g); act.MemPressure != 0 || act.Requested == 0 {
+		t.Fatalf("first window read earlier stalls: %+v", act)
+	}
+	if p := c.LastAction(late).MemPressure; p != 1 {
+		t.Fatalf("late target's first window = %v, want 1 from a zero baseline", p)
 	}
 }

@@ -39,12 +39,11 @@ func (w WorkingSetProfile) OverprovisionFrac() float64 {
 	return 1 - float64(w.MinBytes)/float64(w.MaxBytes)
 }
 
-// observeWorkingSet folds one control interval's observation into the
+// observe folds one control interval's observation into the
 // profile. Only healthy intervals (pressure under threshold) update the
 // minimum: a resident size reached while the workload was already hurting
 // is not a safe provisioning target.
-func (c *Controller) observeWorkingSet(g *cgroup.Group, cfg Config, now vclock.Time, current int64, memP float64) {
-	w := c.workingSet[g]
+func (w *WorkingSetProfile) observe(cfg Config, now vclock.Time, current int64, memP float64) {
 	w.Samples++
 	w.CurrentBytes = current
 	w.LastUpdate = now
@@ -56,10 +55,7 @@ func (c *Controller) observeWorkingSet(g *cgroup.Group, cfg Config, now vclock.T
 			w.MinBytes = current
 		}
 	}
-	c.workingSet[g] = w
 }
 
 // WorkingSet returns the profile accumulated for g.
-func (c *Controller) WorkingSet(g *cgroup.Group) WorkingSetProfile {
-	return c.workingSet[g]
-}
+func (c *Controller) WorkingSet(g *cgroup.Group) WorkingSetProfile { return c.find(g).ws }

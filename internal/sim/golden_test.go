@@ -79,7 +79,7 @@ func TestServerTickGolden(t *testing.T) {
 	for _, a := range apps {
 		sp.AddTarget(a.Group)
 	}
-	s.AddController(sp)
+	s.OnTick(sp.Tick)
 
 	surge := apps[1]
 	s.OnTickStart(func(now vclock.Time) {

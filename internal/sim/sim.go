@@ -2,8 +2,11 @@
 // on. It advances a virtual clock in fixed ticks; within each tick the
 // registered applications serve requests against the memory-management
 // substrate, their fault stalls are merged in global time order and fed to
-// the cgroup PSI trackers, and the registered controllers (Senpai, the
-// g-swap baseline) get a chance to act.
+// the cgroup PSI trackers, and then the tick hooks run in registration
+// order. The userspace agents (Senpai, the placement loop, oomd, the g-swap
+// baseline) register their Tick as a hook, each gating on its own
+// vclock.Cadence; experiment harnesses register theirs after to record
+// series.
 package sim
 
 import (
@@ -20,12 +23,6 @@ import (
 	"tmo/internal/vclock"
 	"tmo/internal/workload"
 )
-
-// Controller is a userspace agent driven once per tick; implementations
-// self-gate on their own cadence (Senpai acts every 6 s).
-type Controller interface {
-	Tick(now vclock.Time)
-}
 
 // Config parameterises a simulated server.
 type Config struct {
@@ -56,7 +53,6 @@ type Server struct {
 	fs    *backend.Filesystem
 
 	apps         []*workload.App
-	controllers  []Controller
 	observers    []func(now vclock.Time)
 	preObservers []func(now vclock.Time)
 
@@ -156,11 +152,9 @@ func (s *Server) AddApp(p workload.Profile, kind cgroup.Kind, parent *cgroup.Gro
 	return app
 }
 
-// AddController registers a userspace agent.
-func (s *Server) AddController(c Controller) { s.controllers = append(s.controllers, c) }
-
-// OnTick registers an observer called after each completed tick; experiment
-// harnesses record their panel series from these.
+// OnTick registers a hook called after each completed tick, in
+// registration order: a userspace agent's Tick, or an experiment harness
+// recording its panel series.
 func (s *Server) OnTick(fn func(now vclock.Time)) { s.observers = append(s.observers, fn) }
 
 // OnTickStart registers an observer called at the start of each tick,
@@ -292,9 +286,6 @@ func (s *Server) step() {
 		s.lastAvgTime = next
 	}
 
-	for _, c := range s.controllers {
-		c.Tick(next)
-	}
 	for _, fn := range s.observers {
 		fn(next)
 	}

@@ -147,20 +147,23 @@ func TestThrottleFactorShape(t *testing.T) {
 	}
 }
 
+// An agent's Tick and an observer are both tick hooks: each runs once per
+// tick, in registration order.
 func TestObserversAndControllers(t *testing.T) {
 	s := newServer(256, "")
-	var obs, ctl int
-	s.OnTick(func(now vclock.Time) { obs++ })
-	s.AddController(controllerFunc(func(now vclock.Time) { ctl++ }))
+	var calls []string
+	s.OnTick(func(now vclock.Time) { calls = append(calls, "agent") })
+	s.OnTick(func(now vclock.Time) { calls = append(calls, "observer") })
 	s.Run(1 * vclock.Second)
-	if obs != 10 || ctl != 10 {
-		t.Fatalf("observer=%d controller=%d calls, want 10 each", obs, ctl)
+	if len(calls) != 20 {
+		t.Fatalf("%d hook calls over 10 ticks, want 20", len(calls))
+	}
+	for i, c := range calls {
+		if want := []string{"agent", "observer"}[i%2]; c != want {
+			t.Fatalf("call %d ran %s, want %s: %v", i, c, want, calls)
+		}
 	}
 }
-
-type controllerFunc func(vclock.Time)
-
-func (f controllerFunc) Tick(now vclock.Time) { f(now) }
 
 func TestPSIAveragesUpdatedPeriodically(t *testing.T) {
 	s := newServer(96, "")

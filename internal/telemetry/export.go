@@ -138,6 +138,17 @@ func promFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
+// JSONFloat returns v for encoding/json, which has no number for NaN or an
+// infinity: those become the strings "NaN", "+Inf" and "-Inf", the
+// spelling the Prometheus text format gives them. Every JSON export spells
+// them this way, so one non-finite value cannot cut an export short.
+func JSONFloat(v float64) any {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return promFloat(v)
+	}
+	return v
+}
+
 // WritePrometheus renders the snapshot in Prometheus text exposition format
 // (the format production scrapers ingest). Histograms emit cumulative
 // le-bucketed series plus _sum and _count, counters emit a single monotone

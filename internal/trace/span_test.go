@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -171,5 +172,53 @@ func TestArgsMarshalLikeMap(t *testing.T) {
 	want, _ := json.Marshal(m)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("Args encode as %s, map as %s", got, want)
+	}
+}
+
+// A non-finite argument exports as its Prometheus spelling, and the records
+// after it are still written, in both formats.
+func TestNonFiniteArgsExportInFull(t *testing.T) {
+	r := NewRecorder(16)
+	r.Instant(1, KindPlaceDemote, "a", "v", math.NaN())
+	r.Instant(2, KindPlaceDemote, "b", "v", math.Inf(1))
+	r.Instant(3, KindPlaceDemote, "c", "v", math.Inf(-1))
+	r.Instant(4, KindPlaceDemote, "d", "v", 0.25)
+	want := []any{"NaN", "+Inf", "-Inf", 0.25}
+
+	var jsonl bytes.Buffer
+	if err := r.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(jsonl.String()), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("JSONL holds %d of %d records:\n%s", len(lines), len(want), jsonl.String())
+	}
+	for i, line := range lines {
+		var rec struct{ Args map[string]any }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Args["v"] != want[i] {
+			t.Fatalf("JSONL record %d has v=%v, want %v", i, rec.Args["v"], want[i])
+		}
+	}
+
+	var chrome bytes.Buffer
+	if err := r.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct{ Args map[string]any }
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.TraceEvents) != len(want) {
+		t.Fatalf("Chrome trace holds %d of %d records", len(doc.TraceEvents), len(want))
+	}
+	for i, ev := range doc.TraceEvents {
+		if ev.Args["v"] != want[i] {
+			t.Fatalf("Chrome event %d has v=%v, want %v", i, ev.Args["v"], want[i])
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 
+	"tmo/internal/telemetry"
 	"tmo/internal/vclock"
 )
 
@@ -95,8 +96,17 @@ func (a Args) Map() map[string]any {
 	return m
 }
 
-// MarshalJSON renders the pairs as one JSON object in key order.
-func (a Args) MarshalJSON() ([]byte, error) { return json.Marshal(a.Map()) }
+// MarshalJSON renders the pairs as one JSON object in key order, a
+// non-finite float64 value spelled as telemetry.JSONFloat gives it.
+func (a Args) MarshalJSON() ([]byte, error) {
+	m := a.Map()
+	for k, v := range m {
+		if f, ok := v.(float64); ok {
+			m[k] = telemetry.JSONFloat(f)
+		}
+	}
+	return json.Marshal(m)
+}
 
 // detailArg is the arg under which Note stores preformatted text.
 const detailArg = "detail"

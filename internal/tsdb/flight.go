@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"tmo/internal/telemetry"
 	"tmo/internal/trace"
 	"tmo/internal/vclock"
 )
@@ -17,6 +18,20 @@ type FlightSample struct {
 	T      vclock.Time        `json:"t_us"`
 	Window int                `json:"window"`
 	Values map[string]float64 `json:"values"`
+}
+
+// MarshalJSON renders the sample with each non-finite value spelled as
+// telemetry.JSONFloat gives it.
+func (s FlightSample) MarshalJSON() ([]byte, error) {
+	values := make(map[string]any, len(s.Values))
+	for k, v := range s.Values {
+		values[k] = telemetry.JSONFloat(v)
+	}
+	return json.Marshal(struct {
+		T      vclock.Time    `json:"t_us"`
+		Window int            `json:"window"`
+		Values map[string]any `json:"values"`
+	}{s.T, s.Window, values})
 }
 
 // FlightBundle is one dumped post-mortem — the airplane black box of the

@@ -205,11 +205,12 @@ func (db *DB) NumSamples() int {
 
 // jsonlSeries is the export schema: one self-contained series per line.
 // Labels render as a JSON object (encoding/json sorts map keys) and points
-// as [t_us, value] pairs, so identical stores export identical bytes.
+// as [t_us, value] pairs, so identical stores export identical bytes. A
+// non-finite value is spelled as telemetry.JSONFloat gives it.
 type jsonlSeries struct {
 	Metric string            `json:"metric"`
 	Labels map[string]string `json:"labels,omitempty"`
-	Points [][2]float64      `json:"points"`
+	Points [][2]any          `json:"points"`
 }
 
 func labelMap(labels []telemetry.Label) map[string]string {
@@ -228,9 +229,9 @@ func labelMap(labels []telemetry.Label) map[string]string {
 func (db *DB) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, s := range db.All() {
-		line := jsonlSeries{Metric: s.Metric, Labels: labelMap(s.Labels), Points: make([][2]float64, len(s.Points))}
+		line := jsonlSeries{Metric: s.Metric, Labels: labelMap(s.Labels), Points: make([][2]any, len(s.Points))}
 		for i, p := range s.Points {
-			line.Points[i] = [2]float64{float64(p.T), p.V}
+			line.Points[i] = [2]any{float64(p.T), telemetry.JSONFloat(p.V)}
 		}
 		if err := enc.Encode(line); err != nil {
 			return err

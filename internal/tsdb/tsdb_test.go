@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -211,5 +212,56 @@ func TestDashboardAndSummary(t *testing.T) {
 	// Explicit metric list with an absent metric renders "(no data)".
 	if !strings.Contains(Dashboard(db, []string{"absent"}, 40, 6), "(no data)") {
 		t.Fatalf("absent metric should chart as no data")
+	}
+}
+
+// A non-finite sample exports as its Prometheus spelling, and the series
+// and bundle samples after it are still written.
+func TestNonFiniteSamplesExportInFull(t *testing.T) {
+	db := New(Config{})
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.5}
+	want := []any{"NaN", "+Inf", "-Inf", 0.5}
+	bundle := FlightBundle{Host: "h"}
+	for i, v := range vals {
+		db.Append(vclock.Time(i), fmt.Sprintf("m%d", i), nil, v)
+		bundle.Samples = append(bundle.Samples, FlightSample{T: vclock.Time(i), Window: i, Values: map[string]float64{"v": v}})
+	}
+
+	var store bytes.Buffer
+	if err := db.WriteJSONL(&store); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(store.String()), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("store export holds %d of %d series:\n%s", len(lines), len(want), store.String())
+	}
+	for i, line := range lines {
+		var s struct{ Points [][2]any }
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Points) != 1 || s.Points[0][1] != want[i] {
+			t.Fatalf("series %d exported %v, want value %v", i, s.Points, want[i])
+		}
+	}
+
+	var flight bytes.Buffer
+	if err := bundle.WriteJSONL(&flight); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSpace(flight.String()), "\n")
+	if len(lines) != 1+len(want) {
+		t.Fatalf("bundle export holds %d lines, want a header and %d samples:\n%s", len(lines), len(want), flight.String())
+	}
+	for i, line := range lines[1:] {
+		var raw struct {
+			Sample struct{ Values map[string]any }
+		}
+		if err := json.Unmarshal([]byte(line), &raw); err != nil {
+			t.Fatal(err)
+		}
+		if raw.Sample.Values["v"] != want[i] {
+			t.Fatalf("bundle sample %d exported %v, want %v", i, raw.Sample.Values, want[i])
+		}
 	}
 }

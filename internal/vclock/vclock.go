@@ -85,3 +85,29 @@ func (c *Clock) AdvanceTo(t Time) {
 	}
 	c.now = t
 }
+
+// Cadence gates a periodic agent that is called every simulation tick but
+// acts only once its period has elapsed, the way Senpai, oomd and the
+// placement loop run on their own schedule.
+type Cadence struct {
+	last    Time
+	started bool
+}
+
+// Due reports whether the agent acts at now, and the time elapsed since it
+// last did. The first call primes the cadence: it returns (0, true), so the
+// agent reads its baselines without acting on them. Later calls return true
+// once period has elapsed. The period is passed on each call because an
+// agent's configuration may change it at run time.
+func (c *Cadence) Due(now Time, period Duration) (Duration, bool) {
+	if !c.started {
+		c.started, c.last = true, now
+		return 0, true
+	}
+	elapsed := now.Sub(c.last)
+	if elapsed < period {
+		return 0, false
+	}
+	c.last = now
+	return elapsed, true
+}

@@ -122,3 +122,35 @@ func TestClockMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCadencePrimesThenFiresAtPeriod(t *testing.T) {
+	var c Cadence
+	if d, ok := c.Due(Time(3*Second), Second); !ok || d != 0 {
+		t.Fatalf("first call = (%v, %v), want the prime (0, true)", d, ok)
+	}
+	if _, ok := c.Due(Time(3*Second+999*Millisecond), Second); ok {
+		t.Fatalf("fired before the period elapsed")
+	}
+	if d, ok := c.Due(Time(4*Second), Second); !ok || d != Second {
+		t.Fatalf("call at exactly one period = (%v, %v), want (1s, true)", d, ok)
+	}
+	if d, ok := c.Due(Time(5500*Millisecond), Second); !ok || d != 1500*Millisecond {
+		t.Fatalf("late call = (%v, %v), want (1.5s, true)", d, ok)
+	}
+}
+
+// A period changed between calls applies to the very next call, measured
+// from the last firing.
+func TestCadencePeriodChangeAppliesNextCall(t *testing.T) {
+	var c Cadence
+	c.Due(0, 6*Second)
+	if _, ok := c.Due(Time(3*Second), 6*Second); ok {
+		t.Fatalf("fired at 3s with a 6s period")
+	}
+	if d, ok := c.Due(Time(3*Second), 2*Second); !ok || d != 3*Second {
+		t.Fatalf("after shortening the period to 2s: (%v, %v), want (3s, true)", d, ok)
+	}
+	if _, ok := c.Due(Time(8*Second), 6*Second); ok {
+		t.Fatalf("fired 5s after the last firing with a 6s period")
+	}
+}
