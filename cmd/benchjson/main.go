@@ -1,9 +1,10 @@
 // Command benchjson runs the repository's benchmark suites — the root
 // figure benchmarks that regenerate the paper's evaluation plus the
-// hot-path microbenchmarks in internal/{mm,place,psi,backend,sim,workload}
-// and the cost of observing in internal/{metrics,telemetry,tsdb} (a
+// hot-path microbenchmarks in internal/{mm,place,psi,backend,sim,workload},
+// the cost of observing in internal/{metrics,telemetry,tsdb} (a
 // histogram record, a registry snapshot, a scrape into the time-series
-// store) —
+// store) and the rollout window in internal/{twin,rollout} (one twin's
+// advance, one advance over a warmed twin fleet) —
 // and writes the parsed results to a single JSON file (BENCH_core.json via
 // `make bench`). The file pins the perf trajectory: every benchmark's ns/op,
 // B/op, and allocs/op, plus each figure's headline metrics, so any PR can
@@ -103,6 +104,8 @@ func main() {
 		{pkg: "./internal/metrics", bench: ".", benchtime: *micro},
 		{pkg: "./internal/telemetry", bench: ".", benchtime: *micro},
 		{pkg: "./internal/tsdb", bench: ".", benchtime: *micro},
+		{pkg: "./internal/twin", bench: ".", benchtime: *micro},
+		{pkg: "./internal/rollout", bench: ".", benchtime: *micro},
 	}
 	if !*skipFigures {
 		suites = append([]suite{

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strconv"
 
-	"tmo/internal/fleet"
 	"tmo/internal/slo"
 	"tmo/internal/telemetry"
 	"tmo/internal/trace"
@@ -141,19 +140,19 @@ func (c *Controller) stageLabel() string {
 // into the DB, then the SLO monitors. Hosts are visited in index order and
 // candidates/devices in fixed order, keeping the DB's append order — and
 // therefore its export — deterministic.
-func (c *Controller) observe(cws []candWindow) {
+func (c *Controller) observe(cws []candWindow, wt *windowTally) {
 	if c.obs == nil {
 		return
 	}
 	o := c.obs
 	stage := c.stageLabel()
 
-	for _, h := range c.hosts {
-		// Per-host series only exist for full-fidelity hosts: a 100k-host
-		// twin fleet would otherwise mint ~600k series for members whose
-		// whole point is to be cheap. Twins are observed through the cohort
-		// and per-fidelity aggregates.
-		if h.down || h.fidelity != fleet.FidelityFull {
+	// Per-host series only exist for full-fidelity hosts: a 100k-host twin
+	// fleet would otherwise mint ~600k series for members whose whole point
+	// is to be cheap. Twins are observed through the cohort and
+	// per-fidelity aggregates.
+	for _, h := range c.full {
+		if h.down {
 			continue
 		}
 		vitals := map[string]float64{
@@ -191,7 +190,7 @@ func (c *Controller) observe(cws []candWindow) {
 		}
 	}
 
-	c.observeFidelity(stage)
+	c.observeFidelity(stage, wt)
 
 	for k := range cws {
 		cw := &cws[k]
@@ -239,28 +238,17 @@ var hostVitalOrder = []string{
 	"pressure", "rps", "resident_bytes", "ooms", "swap_util", "fault_p99_us",
 }
 
-// fidelities fixes the per-fidelity series order.
-var fidelities = []string{fleet.FidelityFull, fleet.FidelityTwin}
-
 // observeFidelity writes the two-fidelity health series: per (device class,
 // fidelity) mean pressure and host count over the treated cohort, and the
 // |full − twin| pressure gap per class wherever both fidelities have treated
 // hosts. The gap feeds the twin-drift burn monitor — the live check that the
 // calibration still tracks the full-fidelity anchors riding along in the
 // same cohorts.
-func (c *Controller) observeFidelity(stage string) {
+func (c *Controller) observeFidelity(stage string, wt *windowTally) {
 	if c.obs == nil || c.cfg.Twin == nil {
 		return
 	}
-	// cells[2*d+f] tallies device class d at fidelities[f] with unit
-	// weights, so its stats are plain means.
-	cells := make([]tally, 2*len(c.fleetDevices))
-	for _, h := range c.hosts {
-		if h.assigned < 0 || !h.eligible(c.cfg.WarmWindows) {
-			continue
-		}
-		cells[2*h.dev+slices.Index(fidelities, h.fidelity)].sample(1, h.v.Pressure, 0, 0)
-	}
+	cells := wt.fid
 	for d, device := range c.fleetDevices {
 		var mean [2]float64
 		for f, fid := range fidelities {
@@ -289,7 +277,7 @@ func (c *Controller) observeFidelity(stage string) {
 // tail of the decision log around the trigger. Twin hosts write no
 // per-host series and ship no bundles.
 func (c *Controller) dumpFlight(h *host, reason string) {
-	if c.obs == nil || h.fidelity == fleet.FidelityTwin {
+	if c.obs == nil || h.fid == fidTwin {
 		return
 	}
 	b := tsdb.FlightBundle{

@@ -32,8 +32,10 @@
 package rollout
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -230,53 +232,60 @@ func (cfg Config) normalize() Config {
 		if t.Coeffs == nil || len(t.Coeffs.Surfaces) == 0 {
 			panic("rollout: Twin.Coeffs required — run a calibration (twin.Calibrate) first")
 		}
-		// Fail at construction, not mid-rollout: every spec a twin host
-		// could run — its own, under any policy it could be pushed — must
-		// resolve to a fitted surface.
-		pols := append([]Policy{cfg.Baseline}, cfg.Candidates...)
-		seen := map[string]bool{}
-		for i, f := range fidelityLayout(cfg) {
-			if f != fleet.FidelityTwin {
-				continue
-			}
-			for _, p := range pols {
-				k := twin.Key(hostSpec(cfg.Hosts[i], p))
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				if _, ok := t.Coeffs.Surfaces[k]; !ok {
-					panic(fmt.Sprintf("rollout: twin calibration has no surface for %s — recalibrate covering this class, mode and layout", k))
-				}
-			}
-		}
 	}
 	return cfg
 }
 
-// fidelityLayout assigns each host index its fidelity under the twin
-// layout: per device class (indices in index order) the first fullHead and
-// last fullTail hosts stay full, the span between runs as twins. Classes
-// too small to thin out stay entirely full-fidelity.
-func fidelityLayout(cfg Config) []string {
-	out := make([]string, len(cfg.Hosts))
-	for i := range out {
-		out[i] = fleet.FidelityFull
-	}
+// fidelities names the layout's two fidelities; a host's fid indexes it,
+// and it fixes the per-fidelity series order.
+var fidelities = []string{fleet.FidelityFull, fleet.FidelityTwin}
+
+// fidTwin is the fid of an analytical twin; full-fidelity hosts have fid 0.
+const fidTwin = 1
+
+// fidelityLayout assigns each host index its fid under the twin layout,
+// given the fleet's device cohorts (fleet.DeviceCohorts): per device class
+// (indices in index order) the first fullHead and last fullTail hosts stay
+// full, the span between runs as twins. Classes too small to thin out stay
+// entirely full-fidelity.
+func fidelityLayout(cfg Config, byDev map[string][]int, devs []string) []int {
+	out := make([]int, len(cfg.Hosts))
 	if cfg.Twin == nil {
 		return out
 	}
-	byDev, devs := fleet.DeviceCohorts(cfg.Hosts)
 	for _, d := range devs {
 		idxs := byDev[d]
 		if fullHead+fullTail >= len(idxs) {
 			continue
 		}
 		for _, i := range idxs[fullHead : len(idxs)-fullTail] {
-			out[i] = fleet.FidelityTwin
+			out[i] = fidTwin
 		}
 	}
 	return out
+}
+
+// checkSurfaces fails at construction, not mid-rollout: every spec a twin
+// host could run — its own, under any policy it could be pushed — must
+// resolve to a fitted surface.
+func checkSurfaces(cfg Config, layout []int) {
+	pols := append([]Policy{cfg.Baseline}, cfg.Candidates...)
+	seen := map[string]bool{}
+	for i, f := range layout {
+		if f != fidTwin {
+			continue
+		}
+		for _, p := range pols {
+			k := twin.Key(hostSpec(cfg.Hosts[i], p))
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			if _, ok := cfg.Twin.Coeffs.Surfaces[k]; !ok {
+				panic(fmt.Sprintf("rollout: twin calibration has no surface for %s — recalibrate covering this class, mode and layout", k))
+			}
+		}
+	}
 }
 
 // guardrailsFor resolves the bundle judging a device class's cohorts.
@@ -327,9 +336,9 @@ type host struct {
 	// dev indexes device in Controller.fleetDevices.
 	dev    int
 	weight float64
-	// fidelity is the host's layout assignment (fleet.FidelityFull or
-	// fleet.FidelityTwin); fixed for the host's lifetime.
-	fidelity string
+	// fid indexes the host's layout fidelity in fidelities; fixed for the
+	// host's lifetime.
+	fid int
 
 	sim     fleet.HostSim
 	swapCap int64
@@ -354,7 +363,8 @@ type host struct {
 	slot int
 	// assigned is the candidate index whose policy the host runs, or boots
 	// with while down; -1 means baseline (control cohort). reassign keeps
-	// it equal to entitled(h) at every barrier.
+	// it equal to entitled(h) at every barrier; only Controller.assign
+	// writes it.
 	assigned int
 
 	// v is the last window's vitals.
@@ -384,6 +394,8 @@ type candState struct {
 	pol Policy
 	// dropped means the candidate is out of the race everywhere.
 	dropped bool
+	// assigned counts the hosts assigned the candidate, up or down.
+	assigned int
 	// tripped/detail record the (last) guardrail that dropped a cohort.
 	tripped string
 	detail  string
@@ -454,9 +466,12 @@ type Controller struct {
 	fleetDevices []string
 	eng          *chaos.Engine
 
-	// up is advance's list of the hosts up this window, reused across
-	// windows; it is written only before fleet.Parallel starts.
-	up []*host
+	// up lists the hosts up, in index order; lifecycle keeps it current,
+	// never while fleet.Parallel runs. full lists the full-fidelity hosts
+	// in index order, and crashHosts those Config.Crashes names.
+	up, full, crashHosts []*host
+	// footprints holds each twin's twin.Footprint by (app, scale).
+	footprints map[appScale]int64
 
 	reg *telemetry.Registry
 
@@ -512,7 +527,8 @@ func New(cfg Config) *Controller {
 	c.reg.GaugeFunc("rollout.treated_hosts", func() float64 { return float64(c.treated) })
 	c.reg.GaugeFunc("rollout.candidates_alive", func() float64 { return float64(c.aliveCount()) })
 
-	_, c.fleetDevices = fleet.DeviceCohorts(cfg.Hosts)
+	byDev, devs := fleet.DeviceCohorts(cfg.Hosts)
+	c.fleetDevices = devs
 	devIdx := map[string]int{}
 	for i, d := range c.fleetDevices {
 		devIdx[d] = i
@@ -520,25 +536,44 @@ func New(cfg Config) *Controller {
 	for i, pol := range cfg.Candidates {
 		c.cands = append(c.cands, &candState{idx: i, pol: pol, excluded: map[string]bool{}})
 	}
-	layout := fidelityLayout(cfg)
+	layout := fidelityLayout(cfg, byDev, devs)
+	if cfg.Twin != nil {
+		checkSurfaces(cfg, layout)
+	}
+	// The records are laid out serially; the simulations, each seeded from
+	// its own host, are built on the worker pool.
+	recs := make([]host, len(cfg.Hosts))
+	c.hosts = make([]*host, len(cfg.Hosts))
+	c.footprints = map[appScale]int64{}
 	for i, s := range cfg.Hosts {
 		w := s.Weight
 		if w <= 0 {
 			w = 1
 		}
-		h := &host{
+		device := s.DeviceClass()
+		h := &recs[i]
+		*h = host{
 			index:     i,
 			spec:      s,
-			device:    s.DeviceClass(),
-			dev:       devIdx[s.DeviceClass()],
+			device:    device,
+			dev:       devIdx[device],
 			weight:    w,
-			fidelity:  layout[i],
+			fid:       layout[i],
 			assigned:  -1,
-			latchFrac: cfg.guardrailsFor(s.DeviceClass()).SwapUtilizationLatch,
+			latchFrac: cfg.guardrailsFor(device).SwapUtilizationLatch,
 		}
-		c.buildHost(h)
-		c.hosts = append(c.hosts, h)
+		c.hosts[i] = h
+		if h.fid == fidTwin {
+			k := appScale{s.App, s.Scale}
+			if _, ok := c.footprints[k]; !ok {
+				c.footprints[k] = twin.Footprint(s)
+			}
+		} else {
+			c.full = append(c.full, h)
+		}
 	}
+	fleet.Parallel(len(c.hosts), cfg.Workers, func(i int) { c.buildHost(c.hosts[i]) })
+	c.up = slices.Clone(c.hosts)
 
 	c.eng = chaos.NewEngine(chaos.Host{
 		Seed:      cfg.Seed ^ 0x5011011, // distinct stream from any host's own seed
@@ -550,9 +585,22 @@ func New(cfg Config) *Controller {
 			chaos.Fault{Kind: "host-crash", Set: func(_ vclock.Time, level float64) {
 				h.wantDown = level > 0
 			}}, cr.Schedule)
+		if !slices.Contains(c.crashHosts, h) {
+			c.crashHosts = append(c.crashHosts, h)
+		}
 	}
+	slices.SortFunc(c.crashHosts, byIndex)
 	return c
 }
+
+// appScale keys twin footprints, which depend only on the app and scale.
+type appScale struct {
+	app   string
+	scale float64
+}
+
+// byIndex orders hosts by index.
+func byIndex(a, b *host) int { return cmp.Compare(a.index, b.index) }
 
 // Telemetry exposes the control plane's metrics registry (stage gauges,
 // rollback/push/drop/promotion/lifecycle counters, chaos injections).
@@ -599,10 +647,10 @@ func (c *Controller) buildHost(h *host) {
 	pol := c.policyFor(h)
 	spec := hostSpec(h.spec, pol)
 	spec.Seed = h.spec.Seed + uint64(h.incarnation)*0x9e3779b9
-	if h.fidelity == fleet.FidelityTwin {
+	if h.fid == fidTwin {
 		// Surface presence was validated at construction.
 		sur, _ := c.cfg.Twin.Coeffs.Lookup(spec)
-		h.sim = twin.NewHost(spec, sur, spec.Seed)
+		h.sim = twin.NewHost(spec, sur, spec.Seed, c.footprints[appScale{h.spec.App, h.spec.Scale}])
 	} else {
 		h.sim = fleet.NewSimHost(spec)
 	}
@@ -683,6 +731,18 @@ func (c *Controller) entitled(h *host) int {
 	return k
 }
 
+// assign sets the candidate the host is assigned, keeping each candidate's
+// assigned count.
+func (c *Controller) assign(h *host, k int) {
+	if h.assigned >= 0 {
+		c.cands[h.assigned].assigned--
+	}
+	if k >= 0 {
+		c.cands[k].assigned++
+	}
+	h.assigned = k
+}
+
 // reassign applies entitled to every host in index order: a host whose
 // entitlement changed takes it, and is pushed the new policy if it is up
 // (a down host boots with it when it rejoins). It returns the hosts pushed
@@ -693,7 +753,7 @@ func (c *Controller) reassign() (pushed []*host, rebuilt int) {
 		if k == h.assigned {
 			continue
 		}
-		h.assigned = k
+		c.assign(h, k)
 		if h.down {
 			continue
 		}
@@ -706,17 +766,20 @@ func (c *Controller) reassign() (pushed []*host, rebuilt int) {
 }
 
 // lifecycle evaluates the crash schedules at the current barrier and applies
-// pending transitions: a crashing host's simulation is discarded; a
-// rejoining host boots a fresh incarnation under the policy its cohort is
-// entitled to right now.
+// pending transitions to the hosts they name, in index order: a crashing
+// host's simulation is discarded and it leaves the up list; a rejoining
+// host boots a fresh incarnation under the policy its cohort is entitled to
+// right now and takes its place in the up list again.
 func (c *Controller) lifecycle() {
 	c.eng.Tick(c.now)
-	for _, h := range c.hosts {
+	for _, h := range c.crashHosts {
+		pos, _ := slices.BinarySearchFunc(c.up, h, byIndex)
 		switch {
 		case h.wantDown && !h.down:
 			h.down = true
 			h.crashes++
 			h.sim = nil
+			c.up = slices.Delete(c.up, pos, pos+1)
 			c.telCrash.Inc()
 			c.record(trace.KindHostCrash, c.hostName(h), "incarnation %d down", h.incarnation)
 			c.dumpFlight(h, "crash")
@@ -724,8 +787,9 @@ func (c *Controller) lifecycle() {
 			h.down = false
 			h.incarnation++
 			h.rejoins++
-			h.assigned = c.entitled(h)
+			c.assign(h, c.entitled(h))
 			c.buildHost(h)
+			c.up = slices.Insert(c.up, pos, h)
 			c.telRejoin.Inc()
 			c.record(trace.KindHostRejoin, c.hostName(h), "incarnation %d up, policy=%s",
 				h.incarnation, c.policyFor(h).Name)
@@ -733,18 +797,36 @@ func (c *Controller) lifecycle() {
 	}
 }
 
-// advance runs every live host through the next window on the worker pool.
-// Each worker writes only its own host's fields, and aggregation happens
-// later in index order, so concurrency cannot perturb results.
+// twinBlock is how many consecutive up hosts one worker-pool unit of
+// advance walks for twins.
+const twinBlock = 1024
+
+// advance runs every live host through the next window on the worker pool:
+// each full-fidelity host is a unit of its own (empty while the host is
+// down), handed out first so the slowest units start earliest, and the
+// twins follow in blocks of twinBlock up hosts (a block skips the anchors
+// in it). Each worker writes only its own hosts' fields, and aggregation
+// happens later in index order, so concurrency cannot perturb results.
 func (c *Controller) advance() {
-	up := c.up[:0]
-	for _, h := range c.hosts {
-		if !h.down {
-			up = append(up, h)
-		}
+	blocks := 0
+	if c.cfg.Twin != nil {
+		blocks = (len(c.up) + twinBlock - 1) / twinBlock
 	}
-	c.up = up
-	fleet.Parallel(len(up), c.cfg.Workers, func(i int) { c.advanceHost(up[i]) })
+	full, up := c.full, c.up
+	fleet.Parallel(len(full)+blocks, c.cfg.Workers, func(i int) {
+		if i < len(full) {
+			if h := full[i]; !h.down {
+				c.advanceHost(h)
+			}
+			return
+		}
+		lo := (i - len(full)) * twinBlock
+		for _, h := range up[lo:min(lo+twinBlock, len(up))] {
+			if h.fid == fidTwin {
+				c.advanceHost(h)
+			}
+		}
+	})
 }
 
 // advanceHost runs one host for a window and samples its vitals. Both
@@ -819,24 +901,28 @@ func (t *tally) stats(device string, ctrlRPS float64) CohortStats {
 	return s
 }
 
-// windowStats aggregates the window just completed, per candidate and per
-// device-class cohort: weighted mean pressure, norm-relative throughput
-// against the control cohort (device-matched where control hosts of the
-// class exist), OOM kills, swap latches, and weighted resident savings vs
-// control. Hosts are tallied in index order into one cell per (cohort,
-// device class); a candidate-wide tally is its cells added in fleetDevices
-// order, while the fleet-wide control tally is summed host by host. The
-// float order is therefore fixed, and results are deterministic.
-func (c *Controller) windowStats() []candWindow {
+// windowTally is the window just completed, summed in one pass over the
+// up hosts in index order: one cohort cell per (cohort, device class), the
+// fleet-wide control cohort host by host, and one fidelity cell per
+// (device class, fidelity) over the treated hosts. Each cell adds its hosts
+// in index order, so the float order is fixed and results are
+// deterministic.
+type windowTally struct {
+	// cells[(k+1)*nd+d] is cohort k's (control: -1) device class d, where
+	// nd is the number of fleet device classes.
+	cells []tally
+	ctrl  tally
+	// fid[2*d+f] tallies device class d's eligible treated hosts at
+	// fidelities[f] with unit weights, so its stats are plain means.
+	fid []tally
+}
+
+// tallyWindow makes the window's one pass over the up hosts.
+func (c *Controller) tallyWindow() *windowTally {
 	nd := len(c.fleetDevices)
-	// cells[(k+1)*nd+d] is cohort k's (control: -1) device class d.
-	cells := make([]tally, (len(c.cands)+1)*nd)
-	var ctrl tally
-	for _, h := range c.hosts {
-		if h.down {
-			continue
-		}
-		t := &cells[(h.assigned+1)*nd+h.dev]
+	wt := &windowTally{cells: make([]tally, (len(c.cands)+1)*nd), fid: make([]tally, 2*nd)}
+	for _, h := range c.up {
+		t := &wt.cells[(h.assigned+1)*nd+h.dev]
 		t.up++
 		t.ooms += h.v.OOMKills
 		if h.swapLatched {
@@ -848,9 +934,22 @@ func (c *Controller) windowStats() []candWindow {
 		rps, res := h.norm.Ratios(h.v)
 		t.sample(h.weight, h.v.Pressure, rps, res)
 		if h.assigned < 0 {
-			ctrl.sample(h.weight, h.v.Pressure, rps, res)
+			wt.ctrl.sample(h.weight, h.v.Pressure, rps, res)
+		} else {
+			wt.fid[2*h.dev+h.fid].sample(1, h.v.Pressure, 0, 0)
 		}
 	}
+	return wt
+}
+
+// windowStats aggregates the window's tally per candidate and per
+// device-class cohort: weighted mean pressure, norm-relative throughput
+// against the control cohort (device-matched where control hosts of the
+// class exist), OOM kills, swap latches, and weighted resident savings vs
+// control. A candidate-wide tally is its cells added in fleetDevices order.
+func (c *Controller) windowStats(wt *windowTally) []candWindow {
+	nd := len(c.fleetDevices)
+	cells, ctrl := wt.cells, wt.ctrl
 
 	// Fleet-wide control means; 1.0 (the host's own norm) when the control
 	// cohort is empty.
@@ -885,13 +984,19 @@ func (c *Controller) windowStats() []candWindow {
 // barrier is the single-threaded decision point after every window. It
 // returns true when the rollout (including its settle tail) is over.
 func (c *Controller) barrier() bool {
+	// The fidelity series want the tally in every state, the verdict only
+	// while staging.
+	var wt *windowTally
+	if c.state == StateStaging || (c.obs != nil && c.cfg.Twin != nil) {
+		wt = c.tallyWindow()
+	}
 	var cws []candWindow
 	if c.state == StateStaging {
-		cws = c.windowStats()
+		cws = c.windowStats(wt)
 	}
 	// The observability plane sees the window before the verdict does, so
 	// a burn alert always precedes the guardrail trip it anticipates.
-	c.observe(cws)
+	c.observe(cws, wt)
 	switch c.state {
 	case StateWarming:
 		if c.window >= c.cfg.WarmWindows {
@@ -999,9 +1104,8 @@ func (c *Controller) dropCandidate(cand *candState) {
 // hosts this stage (e.g. a canary smaller than the field) do not gate.
 func (c *Controller) bakeDone() bool {
 	bake := c.cfg.Plan[c.stageIdx].Bake
-	assigned := c.assignedCounts()
-	for k, cand := range c.cands {
-		if cand.dropped || assigned[k] == 0 {
+	for _, cand := range c.cands {
+		if cand.dropped || cand.assigned == 0 {
 			continue
 		}
 		if cand.acc.windows < bake {
@@ -1009,17 +1113,6 @@ func (c *Controller) bakeDone() bool {
 		}
 	}
 	return true
-}
-
-// assignedCounts is how many hosts each candidate is assigned.
-func (c *Controller) assignedCounts() []int {
-	n := make([]int, len(c.cands))
-	for _, h := range c.hosts {
-		if h.assigned >= 0 {
-			n[h.assigned]++
-		}
-	}
-	return n
 }
 
 // cohortSize is how many hosts, in index order, a stage enrolling the
@@ -1059,13 +1152,12 @@ func (c *Controller) beginStage(i int) {
 		}
 	}
 	pushed, rebuilt := c.reassign()
-	counts := c.assignedCounts()
 	var cohorts strings.Builder
-	for k, cand := range c.cands {
+	for _, cand := range c.cands {
 		if cand.dropped {
 			continue
 		}
-		fmt.Fprintf(&cohorts, " %s=%d", cand.pol.Name, counts[k])
+		fmt.Fprintf(&cohorts, " %s=%d", cand.pol.Name, cand.assigned)
 	}
 	c.record(trace.KindRolloutStage, st.Name,
 		"begin: %d/%d hosts treated;%s (%d pushed, %d rebuilt)",
@@ -1107,9 +1199,8 @@ func (c *Controller) promote() {
 // candReports snapshots every candidate's stage accumulators into reports,
 // in candidate order with device cohorts sorted.
 func (c *Controller) candReports(terminal string) []CandidateStageReport {
-	assigned := c.assignedCounts()
 	out := make([]CandidateStageReport, 0, len(c.cands))
-	for k, cand := range c.cands {
+	for _, cand := range c.cands {
 		r := CandidateStageReport{
 			Policy:         cand.pol.Name,
 			Windows:        cand.acc.windows,
@@ -1127,7 +1218,7 @@ func (c *Controller) candReports(terminal string) []CandidateStageReport {
 		switch {
 		case cand.dropped:
 			r.Verdict = "dropped"
-		case assigned[k] == 0:
+		case cand.assigned == 0:
 			r.Verdict = "idle"
 		default:
 			r.Verdict = terminal
@@ -1174,7 +1265,7 @@ func (c *Controller) finishStage() {
 		c.settleLeft = c.cfg.SettleWindows
 		name, on := "", 0
 		if c.winner >= 0 {
-			name, on = c.cands[c.winner].pol.Name, c.assignedCounts()[c.winner]
+			name, on = c.cands[c.winner].pol.Name, c.cands[c.winner].assigned
 		}
 		c.record(trace.KindRolloutComplete, "fleet",
 			"policy %s on %d/%d hosts", name, on, len(c.hosts))
@@ -1235,7 +1326,7 @@ func (c *Controller) result() Result {
 			Index:       h.index,
 			App:         h.spec.App,
 			Device:      h.device,
-			Fidelity:    h.fidelity,
+			Fidelity:    fidelities[h.fid],
 			Crashes:     h.crashes,
 			Rejoins:     h.rejoins,
 			Rebuilds:    h.rebuilds,
@@ -1244,7 +1335,7 @@ func (c *Controller) result() Result {
 			Policy:      c.policyFor(h).Name,
 			OnCandidate: h.assigned >= 0,
 		})
-		if h.fidelity == fleet.FidelityTwin {
+		if h.fid == fidTwin {
 			r.TwinHosts++
 		} else {
 			r.FullHosts++

@@ -2,6 +2,7 @@ package rollout
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -532,13 +533,16 @@ func TestSingleStageRaceConvergesOnWinner(t *testing.T) {
 // TestAssignmentFollowsEntitlement steps a churned three-candidate race
 // over three device classes, one candidate changing the offload mode, and
 // checks after every barrier that each host is assigned what entitled
-// gives it and that each up host runs its assigned policy's mode.
+// gives it, that each up host runs its assigned policy's mode, and that the
+// state the controller keeps incrementally matches a recount. The churned
+// two-fidelity race gets the recount too.
 func TestAssignmentFollowsEntitlement(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Candidates[0].Mode = core.ModeTiered
 	c := New(cfg)
 	for done := false; !done; {
 		done = c.step()
+		checkRecount(t, c)
 		for _, h := range c.hosts {
 			if k := c.entitled(h); h.assigned != k {
 				t.Fatalf("window %d: host %d assigned %d, entitled to %d; log:\n%s",
@@ -553,6 +557,40 @@ func TestAssignmentFollowsEntitlement(t *testing.T) {
 	r := c.result()
 	if r.Rebuilds() == 0 || !strings.Contains(r.EventLog(), "device cohort dropped") {
 		t.Fatalf("race neither rebuilt a host nor dropped a cohort; log:\n%s", r.EventLog())
+	}
+
+	twinCfg, _ := churnedTwinRace(2)
+	c = New(twinCfg)
+	for done := false; !done; {
+		done = c.step()
+		checkRecount(t, c)
+	}
+	if r := c.result(); r.Hosts[1].Rejoins == 0 {
+		t.Fatalf("host 1 never rejoined; log:\n%s", r.EventLog())
+	}
+}
+
+// checkRecount holds each candidate's assigned count to a recount over the
+// hosts, and the up list to the up hosts in index order.
+func checkRecount(t *testing.T, c *Controller) {
+	t.Helper()
+	n := make([]int, len(c.cands))
+	var up []*host
+	for _, h := range c.hosts {
+		if h.assigned >= 0 {
+			n[h.assigned]++
+		}
+		if !h.down {
+			up = append(up, h)
+		}
+	}
+	for k, cand := range c.cands {
+		if cand.assigned != n[k] {
+			t.Fatalf("window %d: %s counts %d assigned hosts, recount %d", c.window, cand.pol.Name, cand.assigned, n[k])
+		}
+	}
+	if !slices.Equal(c.up, up) {
+		t.Fatalf("window %d: up list holds %d hosts, want the %d up hosts in index order", c.window, len(c.up), len(up))
 	}
 }
 

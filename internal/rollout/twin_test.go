@@ -1,15 +1,18 @@
 package rollout
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"tmo/internal/backend"
+	"tmo/internal/chaos"
 	"tmo/internal/core"
 	"tmo/internal/fleet"
 	"tmo/internal/trace"
+	"tmo/internal/tsdb"
 	"tmo/internal/twin"
 	"tmo/internal/vclock"
 )
@@ -73,8 +76,8 @@ func twinConfig(cands ...Policy) Config {
 
 func TestFidelityLayout(t *testing.T) {
 	cfg := twinConfig(safePolicy()).normalize()
-	layout := fidelityLayout(cfg)
 	byDev, devs := fleet.DeviceCohorts(cfg.Hosts)
+	layout := fidelityLayout(cfg, byDev, devs)
 	if len(devs) != 2 {
 		t.Fatalf("test fleet has %d device classes, want 2", len(devs))
 	}
@@ -82,7 +85,7 @@ func TestFidelityLayout(t *testing.T) {
 		idxs := byDev[d]
 		full, twins := 0, 0
 		for pos, i := range idxs {
-			switch layout[i] {
+			switch fidelities[layout[i]] {
 			case fleet.FidelityFull:
 				full++
 				if pos >= fullHead && pos < len(idxs)-fullTail {
@@ -107,17 +110,19 @@ func TestFidelityLayout(t *testing.T) {
 	small := twinConfig(safePolicy())
 	small.Hosts = twinFleet(6) // 3 per class <= fullHead+fullTail
 	small = small.normalize()
-	for i, f := range fidelityLayout(small) {
-		if f != fleet.FidelityFull {
-			t.Fatalf("small class host %d assigned %s, want full", i, f)
+	byDev, devs = fleet.DeviceCohorts(small.Hosts)
+	for i, f := range fidelityLayout(small, byDev, devs) {
+		if fidelities[f] != fleet.FidelityFull {
+			t.Fatalf("small class host %d assigned %s, want full", i, fidelities[f])
 		}
 	}
 
 	// Without Twin the whole fleet is full-fidelity.
 	plain := testConfig(safePolicy()).normalize()
-	for i, f := range fidelityLayout(plain) {
-		if f != fleet.FidelityFull {
-			t.Fatalf("non-twin host %d assigned %s", i, f)
+	byDev, devs = fleet.DeviceCohorts(plain.Hosts)
+	for i, f := range fidelityLayout(plain, byDev, devs) {
+		if fidelities[f] != fleet.FidelityFull {
+			t.Fatalf("non-twin host %d assigned %s", i, fidelities[f])
 		}
 	}
 }
@@ -269,5 +274,81 @@ func TestTwinDriftAdvisesRecalibration(t *testing.T) {
 	if rh.RecalibrationAdvised != 0 {
 		t.Fatalf("healthy run advised %d recalibrations; log:\n%s",
 			rh.RecalibrationAdvised, rh.EventLog())
+	}
+}
+
+// churnedTwinRace is a safe-vs-hot race over the two-fidelity fleet with the
+// observability plane on: the hot candidate changes the offload mode, so its
+// pushes and its drop rebuild hosts, and a treated anchor crashes and
+// rejoins mid-race. The tiered surfaces alias the zswap fits, which is
+// enough for a run that only has to exercise every path.
+func churnedTwinRace(workers int) (Config, *tsdb.DB) {
+	safe := safePolicy()
+	safe.Name = "safe"
+	hot := aggressivePolicy()
+	hot.Name = "hot"
+	hot.Mode = core.ModeTiered
+	cfg := twinConfig(safe, hot)
+	cs := *testCoeffs()
+	cs.Surfaces = maps.Clone(cs.Surfaces)
+	for k, sur := range testCoeffs().Surfaces {
+		cs.Surfaces[strings.Replace(k, "|zswap", "|tiered", 1)] = sur
+	}
+	cfg.Twin = &TwinConfig{Coeffs: &cs}
+	cfg.Guardrails.MaxMemPressure = 0.002
+	cfg.Plan = []Stage{{Name: "canary", Frac: 0.2, Bake: 6}, {Name: "fleet", Frac: 0.9, Bake: 4}}
+	cfg.Workers = workers
+	cfg.Crashes = []Crash{{
+		Host:     1,
+		Schedule: chaos.Schedule{At: vclock.Time(4 * cfg.Window), Dur: 2 * cfg.Window},
+	}}
+	return obsConfig(cfg)
+}
+
+// TestWorkerCountChangesNothing pins that the worker pool's size never
+// reaches the outputs: the churned two-fidelity race on one worker and on
+// eight yields the same event log, scorecard, TSDB export and flight
+// bundles.
+func TestWorkerCountChangesNothing(t *testing.T) {
+	run := func(workers int) string {
+		cfg, db := churnedTwinRace(workers)
+		r := New(cfg).Run()
+		log := r.EventLog()
+		if r.Rebuilds() == 0 || !strings.Contains(log, "candidate dropped") ||
+			!strings.Contains(log, string(trace.KindHostRejoin)) {
+			t.Fatalf("workers=%d: race did not rebuild, drop and rejoin; log:\n%s", workers, log)
+		}
+		return log + r.Render() + exportAll(t, db, r)
+	}
+	if one, eight := run(1), run(8); one != eight {
+		lo, le := strings.Split(one, "\n"), strings.Split(eight, "\n")
+		for i := range min(len(lo), len(le)) {
+			if lo[i] != le[i] {
+				t.Fatalf("outputs diverge at line %d:\n1 worker:  %s\n8 workers: %s", i+1, lo[i], le[i])
+			}
+		}
+		t.Fatalf("outputs differ in length: %d vs %d lines", len(lo), len(le))
+	}
+}
+
+// BenchmarkRolloutAdvance times one window of advance over a warmed
+// 2048-host two-fidelity fleet, its full-fidelity anchors taken down so
+// the run times the twins' fan-out over the worker pool alone.
+func BenchmarkRolloutAdvance(b *testing.B) {
+	cfg := twinConfig(safePolicy())
+	cfg.Hosts = twinFleet(2048)
+	cfg.Workers = 2
+	c := New(cfg)
+	for _, h := range c.full {
+		h.down = true
+	}
+	c.up = slices.DeleteFunc(c.up, func(h *host) bool { return h.down })
+	for range cfg.WarmWindows {
+		c.advance()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.advance()
 	}
 }

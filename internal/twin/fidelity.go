@@ -150,7 +150,7 @@ func CheckFidelity(cs *CoefficientSet, cfg FidelityConfig) FidelityReport {
 	fleet.Parallel(len(todo), cfg.Workers, func(j int) {
 		p := pts[todo[j]]
 		full[todo[j]] = cfg.measure(fleet.NewSimHost(p.spec), p.probe)
-		tw[todo[j]] = cfg.measure(NewHost(p.spec, cs.Surfaces[p.key], p.spec.Seed^0x7717), p.probe)
+		tw[todo[j]] = cfg.measure(NewHost(p.spec, cs.Surfaces[p.key], p.spec.Seed^0x7717, Footprint(p.spec)), p.probe)
 	})
 
 	rep := FidelityReport{Tol: DefaultTolerance()}

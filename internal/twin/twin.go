@@ -203,6 +203,11 @@ type Host struct {
 	// a is the aggressiveness of the config currently in force.
 	a float64
 
+	// alpha and alphaSwap are the EWMA steps 1 − exp(−window/τ) for the
+	// window length last advanced by.
+	window           vclock.Duration
+	alpha, alphaSwap float64
+
 	// ageSec is virtual seconds since boot, driving the surface's fitted
 	// baseline resident drift.
 	ageSec float64
@@ -211,21 +216,28 @@ type Host struct {
 	pressure, rpsRatio, savings, faultP99, swapUtil float64
 }
 
-// NewHost builds a twin for the spec under its boot-time Senpai config
-// (rollout policy pushes arrive via SetSenpaiConfig; mode changes rebuild
-// the twin just like a full host). The seed argument is the *perturbed*
-// seed — callers fold incarnations in exactly as they do for full hosts, so
-// a rebooted twin does not replay its previous life.
-func NewHost(spec fleet.Spec, sur Surface, seed uint64) *Host {
+// Footprint is the spec's primary-app footprint in bytes at the spec's
+// scale (1 when unset): the anchor NewHost takes. It depends only on the
+// app and scale, so a fleet resolves it once per distinct pair.
+func Footprint(spec fleet.Spec) int64 {
 	scale := spec.Scale
 	if scale <= 0 {
 		scale = 1
 	}
-	fp := float64(workload.MustCatalog(spec.App).Scale(scale).FootprintBytes)
+	return workload.MustCatalog(spec.App).Scale(scale).FootprintBytes
+}
+
+// NewHost builds a twin for the spec under its boot-time Senpai config
+// (rollout policy pushes arrive via SetSenpaiConfig; mode changes rebuild
+// the twin just like a full host). The seed argument is the *perturbed*
+// seed — callers fold incarnations in exactly as they do for full hosts, so
+// a rebooted twin does not replay its previous life. footprintBytes is
+// Footprint(spec).
+func NewHost(spec fleet.Spec, sur Surface, seed uint64, footprintBytes int64) *Host {
 	h := &Host{
 		sur:       sur,
 		rng:       seed ^ 0x9e3779b97f4a7c15,
-		footprint: fp,
+		footprint: float64(footprintBytes),
 	}
 	// Base RPS carries per-host spread so cohort aggregates over twins have
 	// realistic variance even before any policy acts.
@@ -267,13 +279,16 @@ func (h *Host) gauss() float64 {
 // targets for the policy in force, jitter, and report vitals.
 func (h *Host) Advance(window vclock.Duration) fleet.Vitals {
 	t := h.sur.Eval(h.a)
-	alpha := 1 - math.Exp(-float64(window)/tauSurface)
-	h.pressure += alpha * (t.Pressure - h.pressure)
-	h.rpsRatio += alpha * (t.RPSRatio - h.rpsRatio)
-	h.savings += alpha * (t.Savings - h.savings)
-	h.faultP99 += alpha * (t.FaultP99Us - h.faultP99)
-	alphaSwap := 1 - math.Exp(-float64(window)/tauSwap)
-	h.swapUtil += alphaSwap * (t.SwapUtil - h.swapUtil)
+	if window != h.window {
+		h.window = window
+		h.alpha = 1 - math.Exp(-float64(window)/tauSurface)
+		h.alphaSwap = 1 - math.Exp(-float64(window)/tauSwap)
+	}
+	h.pressure += h.alpha * (t.Pressure - h.pressure)
+	h.rpsRatio += h.alpha * (t.RPSRatio - h.rpsRatio)
+	h.savings += h.alpha * (t.Savings - h.savings)
+	h.faultP99 += h.alpha * (t.FaultP99Us - h.faultP99)
+	h.swapUtil += h.alphaSwap * (t.SwapUtil - h.swapUtil)
 	if h.swapUtil < 0 {
 		h.swapUtil = 0
 	} else if h.swapUtil > 1 {

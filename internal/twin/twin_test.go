@@ -110,18 +110,18 @@ func TestHostSeedDeterminism(t *testing.T) {
 	cfg := senpai.ConfigA()
 	spec := fleet.Spec{App: "web", Device: "C", Scale: 0.3, Mode: core.ModeZswap, Senpai: &cfg}
 
-	a := vitalsLog(NewHost(spec, sur, 42), 50)
-	b := vitalsLog(NewHost(spec, sur, 42), 50)
+	a := vitalsLog(NewHost(spec, sur, 42, Footprint(spec)), 50)
+	b := vitalsLog(NewHost(spec, sur, 42, Footprint(spec)), 50)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same seed produced diverging twin vitals logs")
 	}
-	c := vitalsLog(NewHost(spec, sur, 43), 50)
+	c := vitalsLog(NewHost(spec, sur, 43, Footprint(spec)), 50)
 	if bytes.Equal(a, c) {
 		t.Fatalf("different seeds produced identical twin vitals logs")
 	}
 
 	// A live config push must not desync two same-seed twins.
-	h1, h2 := NewHost(spec, sur, 7), NewHost(spec, sur, 7)
+	h1, h2 := NewHost(spec, sur, 7, Footprint(spec)), NewHost(spec, sur, 7, Footprint(spec))
 	hot := senpai.ConfigB()
 	_ = vitalsLog(h1, 5)
 	_ = vitalsLog(h2, 5)
@@ -143,8 +143,8 @@ func TestHostOOMHazardKeepsStreamAligned(t *testing.T) {
 
 	cfg := senpai.ConfigB()
 	spec := fleet.Spec{App: "web", Device: "C", Scale: 0.3, Mode: core.ModeZswap, Senpai: &cfg}
-	hq := NewHost(spec, quiet, 11)
-	hh := NewHost(spec, hazard, 11)
+	hq := NewHost(spec, quiet, 11, Footprint(spec))
+	hh := NewHost(spec, hazard, 11, Footprint(spec))
 	for i := 0; i < 30; i++ {
 		vq := hq.Advance(30 * vclock.Second)
 		vh := hh.Advance(30 * vclock.Second)
@@ -370,5 +370,25 @@ func TestWarmWindowsRule(t *testing.T) {
 		if c.WarmWindows != tc.want {
 			t.Errorf("WarmWindows %d normalised to %d, want %d", tc.in, c.WarmWindows, tc.want)
 		}
+	}
+}
+
+// vitalsSink keeps BenchmarkTwinAdvance's result live.
+var vitalsSink fleet.Vitals
+
+// BenchmarkTwinAdvance times one twin window: a surface evaluation, the
+// EWMA relax and the jittered vitals. It must not allocate.
+func BenchmarkTwinAdvance(b *testing.B) {
+	sur := Surface{Rungs: []ProbePoint{
+		{A: 0, Response: fleet.Response{RPSRatio: 1}},
+		{A: 20, Response: fleet.Response{Pressure: 0.004, RPSRatio: 0.95, Savings: 0.2, FaultP99Us: 300, SwapUtil: 0.1, OOMRate: 0.001}},
+	}}
+	cfg := senpai.ConfigA()
+	spec := fleet.Spec{App: "web", Device: "C", Scale: 0.3, Mode: core.ModeZswap, Senpai: &cfg}
+	h := NewHost(spec, sur, 42, Footprint(spec))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vitalsSink = h.Advance(30 * vclock.Second)
 	}
 }
