@@ -7,6 +7,7 @@ import (
 
 	"tmo/internal/psi"
 	"tmo/internal/senpai"
+	"tmo/internal/trace"
 	"tmo/internal/vclock"
 )
 
@@ -101,6 +102,42 @@ func TestSenpaiZeroRatioIsControl(t *testing.T) {
 			control, idled := run(mode, nil), run(mode, &idle)
 			if control != idled {
 				t.Fatalf("an idle Senpai diverged from no Senpai:\n%s", firstDiff(control, idled))
+			}
+		})
+	}
+}
+
+// TestEmptyFarNodeIsControl: the H10 control for the placement tier. A far
+// node with no room for a page can take no demotion, so a ModeCXL host over
+// it must run as the ModeSSDSwap host with the same swap chain, both under
+// the TPP placement loop and under static interleave: the same Metrics,
+// per-app completions and root PSI totals, and the same decision trace. The
+// trace carries proactive reclaim's stall (in Senpai's spans), which no
+// other output sees, so a reclaim that prices a migration the node refused
+// fails here too.
+func TestEmptyFarNodeIsControl(t *testing.T) {
+	run := func(mode Mode, interleave float64) string {
+		sys := New(Options{
+			Mode:           mode,
+			CapacityBytes:  384 * MiB,
+			CXLBytes:       1,
+			InterleaveFrac: interleave,
+			Senpai:         fastSenpai(),
+			Seed:           1,
+		})
+		sys.AddWorkload("feed")
+		sys.AddTax()
+		sys.Run(8 * vclock.Minute)
+		return outcome(sys) + trace.Lines(sys.Trace.Records())
+	}
+	control := run(ModeSSDSwap, 0)
+	for _, tc := range []struct {
+		name       string
+		interleave float64
+	}{{"tpp", 0}, {"interleave", 0.5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if empty := run(ModeCXL, tc.interleave); empty != control {
+				t.Fatalf("an empty far node diverged from ssd swap:\n%s", firstDiff(control, empty))
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package mm
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -573,6 +572,7 @@ func (m *Manager) touch(now vclock.Time, id PageID) TouchResult {
 	}
 	g := m.Group(id)
 	p := m.page(id)
+	var res TouchResult
 	switch PageState(f & flagState) {
 	case Resident:
 		// The page is still in flight on a batched load another fault
@@ -597,7 +597,6 @@ func (m *Manager) touch(now vclock.Time, id PageID) TouchResult {
 		}
 
 	case NotPresent:
-		var res TouchResult
 		if m.Type(id) == File {
 			// First read of a file page: block IO, not a memory stall.
 			res.Fault, res.ColdRead, res.IOStall = true, true, true
@@ -607,9 +606,6 @@ func (m *Manager) touch(now vclock.Time, id PageID) TouchResult {
 			// First touch of anon memory: zero-fill, no IO.
 			res.Fault, res.ZeroFill = true, true
 		}
-		res.DirectReclaimStall = m.tryCharge(now, g)
-		m.makeResident(now, id)
-		return res
 
 	case Offloaded:
 		cl := p.cluster
@@ -646,20 +642,17 @@ func (m *Manager) touch(now vclock.Time, id PageID) TouchResult {
 		// A demand swap-in is a refault: the page's reuse distance proved
 		// shorter than its offload. The flag rides to the next offload so
 		// the backend can bias this page toward a faster tier.
-		m.page(id).refaulted = true
-		res := TouchResult{
+		p.refaulted = true
+		res = TouchResult{
 			Fault:    true,
 			SwapIn:   true,
 			Latency:  load.Latency + faultOverhead,
 			MemStall: true,
 			IOStall:  load.BlockIO,
 		}
-		res.DirectReclaimStall = m.tryCharge(now, g)
-		m.makeResident(now, id)
-		return res
 
 	case EvictedFile:
-		res := TouchResult{Fault: true, IOStall: true}
+		res = TouchResult{Fault: true, IOStall: true}
 		res.Latency = m.cfg.FS.ReadPage(now) + faultOverhead
 		if p.hasShadow {
 			distance := g.evictions - p.shadow
@@ -679,11 +672,12 @@ func (m *Manager) touch(now vclock.Time, id PageID) TouchResult {
 			res.ColdRead = true
 			g.stat.ColdFileReads++
 		}
-		res.DirectReclaimStall = m.tryCharge(now, g)
-		m.makeResident(now, id)
-		return res
 	}
-	panic(fmt.Sprintf("mm: touch of page in invalid state %v", m.State(id)))
+	// Every other state faults the page in: charge it, then make it
+	// resident.
+	res.DirectReclaimStall = m.tryCharge(now, g)
+	m.makeResident(now, id)
+	return res
 }
 
 // markAccessed implements mark_page_accessed: the first touch sets the
@@ -720,10 +714,7 @@ func (m *Manager) makeResident(now vclock.Time, id PageID) {
 		m.interleaveAcc += m.farInterleave
 		if m.interleaveAcc >= 1 && m.cfg.Far.TryReserve(PageSize) {
 			m.interleaveAcc--
-			m.flags[id] |= flagFar
-			m.farHits[id] = 0
-			m.pushHead(&g.farList, id)
-			g.farPages++
+			m.placeFar(g, id)
 			return
 		}
 	}
@@ -775,20 +766,11 @@ func (m *Manager) FreePages(ids []PageID) {
 		case Resident:
 			g := m.Group(id)
 			if m.flags[id]&flagFar != 0 {
-				m.remove(&g.farList, id)
-				g.farPages--
-				m.cfg.Far.Release(PageSize)
-				m.flags[id] &^= flagFar
-				p.migrating, m.farHits[id] = false, 0
+				m.leaveFar(g, id)
 				break
 			}
-			t := m.Type(id)
-			if m.flags[id]&flagActive != 0 {
-				m.remove(&g.lists[t][1], id)
-			} else {
-				m.remove(&g.lists[t][0], id)
-			}
-			g.residentPages[t]--
+			m.remove(m.listOf(id), id)
+			g.residentPages[m.Type(id)]--
 			g.charge(-PageSize)
 		case Offloaded:
 			m.cfg.Swap.Free(backend.Handle(p.handle))

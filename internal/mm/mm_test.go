@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -517,6 +518,47 @@ func TestOracleRespectsSwapAvailability(t *testing.T) {
 	}
 }
 
+// TestOracleSwapFullLeavesPageInPlace: the oracle stores one page per
+// batch, and the page the chain refuses stays where it was — Resident, on
+// its own list, even the active one — while the swap-full latch trips and
+// stops further anon scanning.
+func TestOracleSwapFullLeavesPageInPlace(t *testing.T) {
+	// Size a one-tier zswap chain to hold exactly two of the test's pages.
+	var probe [1]backend.StoreResult
+	req := []backend.StoreReq{{PageBytes: pageSize, CompressRatio: 1}}
+	if _, err := newZswap().StoreBatch(0, req, probe[:]); err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(1024, zswapChain(2*probe[0].StoredBytes), PolicyOracle)
+	g := m.NewGroup("app", nil)
+	pages := m.NewPages(g, Anon, 4, 1)
+	for i, p := range pages {
+		m.Touch(vclock.Time(i+1)*vclock.Time(vclock.Second), p)
+	}
+	// The third coldest page, the first the chain refuses, is the only
+	// active page.
+	refused := pages[2]
+	m.Touch(vclock.Time(3*vclock.Second), refused)
+	active := &g.lists[Anon][1]
+	if active.count != 1 || active.head != refused {
+		t.Fatal("setup: refused page not alone on the active list")
+	}
+	res := m.ProactiveReclaim(vclock.Time(10*vclock.Second), g, 4*pageSize)
+	if !res.SwapFull || !m.swapExhausted {
+		t.Fatalf("swap-full not reported or latched: %+v", res)
+	}
+	if m.swapRejects != 1 || res.ReclaimedAnon != 2 {
+		t.Fatalf("swap rejects %d, swapped out %d; want 1 and 2", m.swapRejects, res.ReclaimedAnon)
+	}
+	if m.State(pages[0]) != Offloaded || m.State(pages[1]) != Offloaded {
+		t.Fatal("the two coldest pages were not swapped out")
+	}
+	if m.State(refused) != Resident || active.count != 1 || active.head != refused {
+		t.Fatalf("refused page moved: state %v, active list %+v", m.State(refused), *active)
+	}
+	checkAccounting(t, m, []*Group{m.Root(), g}, pages)
+}
+
 func TestDirtyFileWriteback(t *testing.T) {
 	spec, _ := backend.DeviceByModel("C")
 	dev := backend.NewSSDDevice(spec, 99)
@@ -967,13 +1009,20 @@ func TestPolicyAndStateStrings(t *testing.T) {
 	}
 }
 
-// checkAccounting verifies the structural invariants that must hold after
-// any sequence of operations: the LRU walk of checkLRU, and counters,
-// charges and swap-cluster membership against the page states.
+// checkAccounting fails t unless accountingErr finds nothing.
 func checkAccounting(t *testing.T, m *Manager, groups []*Group, pages []PageID) {
 	t.Helper()
-	if err := m.checkLRU(); err != nil {
+	if err := accountingErr(m, groups, pages); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// accountingErr verifies the structural invariants that must hold after any
+// sequence of operations: the LRU walk of checkLRU, and counters, charges
+// and swap-cluster membership against the page states.
+func accountingErr(m *Manager, groups []*Group, pages []PageID) error {
+	if err := m.checkLRU(); err != nil {
+		return err
 	}
 	perGroup := map[*Group][2]int64{}
 	perGroupFar := map[*Group]int64{}
@@ -992,33 +1041,33 @@ func checkAccounting(t *testing.T, m *Manager, groups []*Group, pages []PageID) 
 	for _, g := range groups {
 		c := perGroup[g]
 		if g.residentPages[Anon] != c[Anon] || g.residentPages[File] != c[File] {
-			t.Fatalf("group %s resident counters (%d,%d) != page states (%d,%d)",
+			return fmt.Errorf("group %s resident counters (%d,%d) != page states (%d,%d)",
 				g.Name(), g.residentPages[Anon], g.residentPages[File], c[Anon], c[File])
 		}
 		if got := int64(g.lists[Anon][0].count + g.lists[Anon][1].count); got != c[Anon] {
-			t.Fatalf("group %s anon list count %d != %d", g.Name(), got, c[Anon])
+			return fmt.Errorf("group %s anon list count %d != %d", g.Name(), got, c[Anon])
 		}
 		if got := int64(g.lists[File][0].count + g.lists[File][1].count); got != c[File] {
-			t.Fatalf("group %s file list count %d != %d", g.Name(), got, c[File])
+			return fmt.Errorf("group %s file list count %d != %d", g.Name(), got, c[File])
 		}
 		far := perGroupFar[g]
 		if g.farPages != far {
-			t.Fatalf("group %s far counter %d != far page states %d", g.Name(), g.farPages, far)
+			return fmt.Errorf("group %s far counter %d != far page states %d", g.Name(), g.farPages, far)
 		}
 		if got := int64(g.farList.count); got != far {
-			t.Fatalf("group %s far list count %d != %d", g.Name(), got, far)
+			return fmt.Errorf("group %s far list count %d != %d", g.Name(), got, far)
 		}
 		totalResident += (c[Anon] + c[File]) * pageSize
 		totalFar += far * pageSize
 	}
 	if m.Root().HierResidentBytes() != totalResident {
-		t.Fatalf("root usage %d != total resident %d", m.Root().HierResidentBytes(), totalResident)
+		return fmt.Errorf("root usage %d != total resident %d", m.Root().HierResidentBytes(), totalResident)
 	}
 	if m.cfg.Far != nil && m.cfg.Far.UsedBytes() != totalFar {
-		t.Fatalf("far node occupancy %d != far page states %d", m.cfg.Far.UsedBytes(), totalFar)
+		return fmt.Errorf("far node occupancy %d != far page states %d", m.cfg.Far.UsedBytes(), totalFar)
 	}
 	if m.cfg.Far == nil && totalFar != 0 {
-		t.Fatalf("far pages without a far node")
+		return fmt.Errorf("far pages without a far node")
 	}
 	// Swap-cluster membership must track the Offloaded state exactly: a
 	// cluster entry for a page in any other state is stale (the leak class
@@ -1028,12 +1077,12 @@ func checkAccounting(t *testing.T, m *Manager, groups []*Group, pages []PageID) 
 		cp := m.page(p)
 		if cp.cluster == 0 {
 			if cp.clusterNext != 0 || cp.clusterPrev != 0 {
-				t.Fatalf("page without cluster retains cluster links")
+				return fmt.Errorf("page without cluster retains cluster links")
 			}
 			continue
 		}
 		if m.State(p) != Offloaded {
-			t.Fatalf("%v page still linked into a swap cluster", m.State(p))
+			return fmt.Errorf("%v page still linked into a swap cluster", m.State(p))
 		}
 		found := false
 		for q := m.clusters[cp.cluster].head; q != 0; q = m.page(q).clusterNext {
@@ -1043,28 +1092,42 @@ func checkAccounting(t *testing.T, m *Manager, groups []*Group, pages []PageID) 
 			}
 		}
 		if !found {
-			t.Fatalf("offloaded page points at a cluster that does not contain it")
+			return fmt.Errorf("offloaded page points at a cluster that does not contain it")
 		}
 	}
+	return nil
 }
 
-// TestAccountingInvariants drives random touch/reclaim/free sequences and
-// checks that page states, list counts, and hierarchical charges agree.
+// TestAccountingInvariants drives random touch/reclaim/free sequences, and
+// the placement tier's demote/promote/interleave moves, and checks that page
+// states, list counts, hierarchical charges and the far node's occupancy
+// agree. Generated flags add a far node smaller than the anon footprint and
+// shrink the zswap chain to a few pages, so stores fail with ErrFull under
+// every policy.
 func TestAccountingInvariants(t *testing.T) {
 	type op struct {
-		Kind uint8 // 0-4 touch, 5 write, 6 reclaim, 7 free, 8 set low
+		// Kind mod 12: 0-4 touch a run, 5 write, 6 reclaim, 7 free, 8 set low,
+		// 9 demote cold, 10 one promotion round, 11 far interleave.
+		Kind uint8
 		Idx  uint16
 		Amt  uint8
 	}
-	f := func(ops []op, readahead bool, policy uint8) bool {
-		z := newZswap()
-		m := NewManager(Config{
+	f := func(ops []op, readahead bool, policy uint8, far, smallSwap bool) bool {
+		swapBytes := int64(testSwapBytes)
+		if smallSwap {
+			swapBytes = 4 * pageSize
+		}
+		cfg := Config{
 			CapacityBytes: 256 * pageSize,
-			Swap:          z,
+			Swap:          zswapChain(swapBytes),
 			FS:            newTestFS(99),
 			Policy:        ReclaimPolicy(policy % 3),
 			SwapReadahead: map[bool]int{false: 0, true: 4}[readahead],
-		})
+		}
+		if far {
+			cfg.Far = newTestCXLNode(24) // the groups hold 80 anon pages
+		}
+		m := NewManager(cfg)
 		parent := m.NewGroup("w", nil)
 		g1 := m.NewGroup("a", parent)
 		g2 := m.NewGroup("b", parent)
@@ -1075,31 +1138,49 @@ func TestAccountingInvariants(t *testing.T) {
 		pages = append(pages, m.NewPages(g2, File, 40, 1)...)
 		groups := []*Group{m.Root(), parent, g1, g2}
 		now := vclock.Time(0)
+		var cands []PageID
 		for _, o := range ops {
 			now = now.Add(10 * vclock.Millisecond)
-			switch {
-			case o.Kind < 5:
-				p := pages[int(o.Idx)%len(pages)]
-				m.Touch(now, p)
-			case o.Kind == 5:
-				p := pages[int(o.Idx)%len(pages)]
+			p := pages[int(o.Idx)%len(pages)]
+			g := groups[1+int(o.Idx)%3]
+			switch o.Kind % 12 {
+			case 0, 1, 2, 3, 4:
+				// A run of pages, so reclaim has enough to fill the small
+				// chain and the far node.
+				for k := range 1 + int(o.Amt%32) {
+					m.Touch(now, pages[(int(o.Idx)+k)%len(pages)])
+				}
+			case 5:
 				m.TouchWrite(now, p)
-			case o.Kind == 6:
-				g := groups[1+int(o.Idx)%3]
+			case 6:
 				m.ProactiveReclaim(now, g, int64(o.Amt)*pageSize)
-			case o.Kind == 7:
-				p := pages[int(o.Idx)%len(pages)]
+			case 7:
 				m.FreePages([]PageID{p})
-			default:
-				g := groups[1+int(o.Idx)%3]
+			case 8:
 				g.SetLow(int64(o.Amt) * pageSize)
+			case 9:
+				m.DemoteCold(now, g, int64(o.Amt)*pageSize)
+			case 10:
+				cands, _ = m.SampleFar(g, int(o.Amt), 1, cands[:0])
+				for _, c := range cands {
+					if m.BeginPromotion(c) && o.Amt%2 == 0 {
+						m.PromoteFromFar(now, c)
+					} else {
+						m.AbortPromotion(c)
+					}
+				}
+			case 11:
+				m.SetFarInterleave(float64(o.Amt%2) / 2)
 			}
 		}
-		checkAccounting(t, m, groups, pages)
+		if err := accountingErr(m, groups, pages); err != nil {
+			t.Log(err)
+			return false
+		}
 		st := m.HostStat()
 		return st.ResidentBytes >= 0 && st.PoolBytes >= 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

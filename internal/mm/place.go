@@ -14,11 +14,9 @@ import "tmo/internal/vclock"
 // copy over the link is synchronous in reclaim context, so its cost lands
 // on the run's StallTime.
 func (m *Manager) finishDemote(now vclock.Time, g *Group, id PageID, res *ReclaimResult) {
-	m.flags[id] = m.flags[id]&^(flagActive|flagReferenced) | flagFar
-	m.farHits[id] = 0
+	m.flags[id] &^= flagActive | flagReferenced
 	m.clearPending(id)
-	m.pushHead(&g.farList, id)
-	g.farPages++
+	m.placeFar(g, id)
 	g.residentPages[Anon]--
 	g.charge(-PageSize)
 	m.farDemotions++
@@ -106,15 +104,11 @@ func (m *Manager) PromoteFromFar(now vclock.Time, id PageID) bool {
 		p.migrating = false
 		return false
 	}
-	m.remove(&g.farList, id)
-	m.flags[id] = m.flags[id]&^(flagFar|flagReferenced) | flagActive
-	p.migrating = false
-	m.farHits[id] = 0
+	m.leaveFar(g, id)
+	m.flags[id] = m.flags[id]&^flagReferenced | flagActive
 	m.pushHead(&g.lists[Anon][1], id)
 	g.residentPages[Anon]++
-	g.farPages--
 	g.charge(PageSize)
-	m.cfg.Far.Release(PageSize)
 	m.farPromotions++
 	g.stat.Promotions++
 	return true
@@ -123,35 +117,22 @@ func (m *Manager) PromoteFromFar(now vclock.Time, id PageID) bool {
 // DemoteCold is the placement loop's watermark demoter: it scans g's
 // inactive anon tail and moves up to want bytes of unreferenced pages to
 // the far node, keeping local allocation headroom without engaging swap.
-// Referenced pages get the same second chance reclaim gives them. Unlike
-// reclaim-context demotion the copies run from a background loop, so no
-// stall is charged. Returns the bytes moved.
+// Referenced pages get the same second chance reclaim gives them; a victim
+// stays at the tail when the node is full. Unlike reclaim-context demotion
+// the copies run from a background loop, so no stall is charged. Returns
+// the bytes moved.
 func (m *Manager) DemoteCold(now vclock.Time, g *Group, want int64) int64 {
 	if m.cfg.Far == nil || want <= 0 {
 		return 0
 	}
 	target := (want + PageSize - 1) / PageSize
-	scanLimit := target*maxScanFactor + int64(g.lists[Anon][0].refs+g.lists[Anon][1].refs) + scanBatch
+	inactive, active := &g.lists[Anon][0], &g.lists[Anon][1]
+	scanLimit := target*maxScanFactor + int64(inactive.refs+active.refs) + scanBatch
 	var res ReclaimResult
-	var moved, scanned int64
-	inactive := &g.lists[Anon][0]
-	active := &g.lists[Anon][1]
-	for moved < target && scanned < scanLimit {
-		if g.inactiveLow(Anon) {
-			m.deactivate(active, inactive)
-		}
-		id := inactive.tail
+	for res.DemotedPages < target && res.ScannedPages < scanLimit && inactive.count+active.count > 0 {
+		res.ScannedPages++
+		id := m.scanTail(g, Anon)
 		if id == 0 {
-			if active.count == 0 {
-				break
-			}
-			continue
-		}
-		scanned++
-		if m.flags[id]&flagReferenced != 0 {
-			m.remove(inactive, id)
-			m.flags[id] = m.flags[id]&^flagReferenced | flagActive
-			m.pushHead(active, id)
 			continue
 		}
 		if !m.cfg.Far.TryReserve(PageSize) {
@@ -159,9 +140,27 @@ func (m *Manager) DemoteCold(now vclock.Time, g *Group, want int64) int64 {
 		}
 		m.remove(inactive, id)
 		m.finishDemote(now, g, id, &res)
-		moved++
 	}
-	g.stat.PagesScanned += scanned
-	g.stat.Demotions += res.DemotedPages
-	return moved * PageSize
+	g.noteShrink(res, 0)
+	return res.DemotedPages * PageSize
+}
+
+// placeFar puts Resident page id of g, off every list and with its other
+// flags final, on g's far list. The far frame must already be reserved.
+func (m *Manager) placeFar(g *Group, id PageID) {
+	m.flags[id] |= flagFar
+	m.farHits[id] = 0
+	m.pushHead(&g.farList, id)
+	g.farPages++
+}
+
+// leaveFar takes far page id off g's far list and releases its frame,
+// ending any promotion copy in flight. The page keeps its other flags.
+func (m *Manager) leaveFar(g *Group, id PageID) {
+	m.remove(&g.farList, id)
+	m.flags[id] &^= flagFar
+	m.page(id).migrating = false
+	m.farHits[id] = 0
+	g.farPages--
+	m.cfg.Far.Release(PageSize)
 }

@@ -158,54 +158,34 @@ func (m *Manager) shrinkOracle(now vclock.Time, g *Group, want int64) ReclaimRes
 		if t == Anon && !m.anonScanAllowed() {
 			continue
 		}
-		lst := m.listOf(id)
-		p := m.page(id)
-		if t == Anon {
-			if m.cfg.Far != nil && m.cfg.Far.TryReserve(PageSize) {
-				m.remove(lst, id)
-				m.finishDemote(now, g, id, &res)
-				reclaimed++
-				continue
-			}
-			if !m.swapScanAllowed() {
-				continue
-			}
+		switch {
+		case t == File:
+			m.remove(m.listOf(id), id)
+			writebacks += m.evictFile(now, g, id)
+			res.ReclaimedFile++
+		case m.cfg.Far != nil && m.cfg.Far.TryReserve(PageSize):
+			m.remove(m.listOf(id), id)
+			m.finishDemote(now, g, id, &res)
+		case !m.swapScanAllowed():
+			continue
+		default:
 			// The oracle offloads page by page: each store is a one-page
-			// batch carrying the page's refault bit.
+			// batch carrying the page's refault bit. A page the chain
+			// refuses stays where it is, on whichever list holds it.
+			p := m.page(id)
 			oneReq := [1]backend.StoreReq{{
 				PageBytes:     PageSize,
 				CompressRatio: p.compressibility,
 				Refault:       p.refaulted,
 			}}
 			var oneRes [1]backend.StoreResult
-			_, err := m.cfg.Swap.StoreBatch(now, oneReq[:], oneRes[:])
-			if err != nil {
+			if _, err := m.cfg.Swap.StoreBatch(now, oneReq[:], oneRes[:]); err != nil {
 				m.latchSwapFull(now, g)
 				res.SwapFull = true
 				continue
 			}
-			store := oneRes[0]
-			m.remove(lst, id)
-			m.flags[id] &^= flagActive
-			m.setState(id, Offloaded)
-			p.refaulted = false
-			p.handle = uint64(store.Handle)
-			g.residentPages[Anon]--
-			g.charge(-PageSize)
-			g.swappedPages++
-			m.noteSwapOut(id)
-			res.StallTime += store.Latency
-			res.ReclaimedAnon++
-		} else {
-			m.remove(lst, id)
-			if p.dirty {
-				m.cfg.FS.WritePage(now)
-				p.dirty = false
-				writebacks++
-			}
-			m.flags[id] &^= flagActive
-			m.evictFile(g, id)
-			res.ReclaimedFile++
+			m.remove(m.listOf(id), id)
+			m.swappedOut(id, oneRes[0], &res)
 		}
 		reclaimed++
 	}
@@ -228,17 +208,44 @@ func (m *Manager) sortByAge(pages []PageID) {
 	})
 }
 
-// evictFile drops file page id, already off its list, from the cache: a
+// evictFile drops file page id of g, already off its list, from the cache
+// and returns how many writebacks that took (0 or 1). A dirty page is
+// written back first; writeback consumes device endurance and IOPS but
+// completes asynchronously (flusher threads), so no stall is charged. A
 // shadow entry remembers the group's eviction counter for refault
 // detection.
-func (m *Manager) evictFile(g *Group, id PageID) {
-	m.setState(id, EvictedFile)
+func (m *Manager) evictFile(now vclock.Time, g *Group, id PageID) (writebacks int64) {
 	p := m.page(id)
+	if p.dirty {
+		m.cfg.FS.WritePage(now)
+		p.dirty = false
+		writebacks = 1
+	}
+	m.flags[id] = m.flags[id]&^(flagState|flagActive) | pageFlags(EvictedFile)
 	p.shadow = g.evictions
 	p.hasShadow = true
 	g.evictions++
 	g.residentPages[File]--
 	g.charge(-PageSize)
+	return writebacks
+}
+
+// swappedOut completes the swap-out of anonymous page id, already off its
+// list, into the backend slot r names: the page becomes Offloaded, its
+// group uncharges it, and its store latency lands on res.
+func (m *Manager) swappedOut(id PageID, r backend.StoreResult, res *ReclaimResult) {
+	m.flags[id] &^= flagActive
+	m.setState(id, Offloaded)
+	p := m.page(id)
+	p.refaulted = false
+	p.handle = uint64(r.Handle)
+	g := m.Group(id)
+	g.residentPages[Anon]--
+	g.charge(-PageSize)
+	g.swappedPages++
+	m.noteSwapOut(id)
+	res.StallTime += r.Latency
+	res.ReclaimedAnon++
 }
 
 // shrinkGroup runs the per-group LRU scan loop, evicting up to want bytes
@@ -262,102 +269,90 @@ func (m *Manager) shrinkGroup(now vclock.Time, g *Group, want int64) ReclaimResu
 	var reclaimed, writebacks int64
 
 	for reclaimed+int64(m.nStoreVictims) < target && res.ScannedPages < scanLimit {
+		// pickScanType names only a type whose lists hold a page, so each
+		// scan step looks at exactly one.
 		t, ok := m.pickScanType(now, g)
 		if !ok {
 			break
 		}
-		inactive := &g.lists[t][0]
-		active := &g.lists[t][1]
-
-		// Refill the inactive list from the active tail when it runs
-		// low, clearing referenced bits as the kernel's deactivation
-		// does.
-		if g.inactiveLow(t) {
-			m.deactivate(active, inactive)
-		}
-		id := inactive.tail
-		if id == 0 {
-			// Nothing inactive and nothing to refill: this type is
-			// empty; try the other or give up via pickScanType's
-			// availability checks next iteration.
-			if active.count == 0 {
-				if other, ok := m.otherAvailable(g, t); ok {
-					t = other
-					continue
-				}
-				break
-			}
-			continue
-		}
 		res.ScannedPages++
-
-		if m.flags[id]&flagReferenced != 0 {
-			// Second chance, kernel-style: a referenced anonymous page
-			// is activated; a once-referenced file page is rotated back
-			// to the inactive head (the use-once heuristic) and only
-			// activation through a second access protects it further.
-			m.remove(inactive, id)
-			m.flags[id] &^= flagReferenced
-			if t == Anon {
-				m.flags[id] |= flagActive
-				m.pushHead(active, id)
-			} else {
-				m.pushHead(inactive, id)
-			}
+		id := m.scanTail(g, t)
+		if id == 0 {
 			continue
 		}
-
+		inactive := &g.lists[t][0]
 		m.remove(inactive, id)
-		if t == Anon {
-			// Demotion before swap: a cold anon victim moves to the
-			// byte-addressable far node while it has room, so it stays
-			// mapped at link latency instead of faulting; the swap tiers
-			// engage only once the node is full (the third rung).
-			if m.cfg.Far != nil && m.cfg.Far.TryReserve(PageSize) {
-				m.finishDemote(now, g, id, &res)
-				reclaimed++
-				continue
-			}
-			if !m.swapScanAllowed() {
-				// Far node full and no swap rung available: give the page
-				// back; pickScanType stops selecting anon now that neither
-				// rung has room.
-				m.pushHead(inactive, id)
-				continue
-			}
-			// Gather the victim; victims flush as one batched store per
-			// swap cluster, so the device sees clustered submissions and
-			// the queue/backpressure cost is paid once per batch.
-			p := m.page(id)
-			m.storeVictims[m.nStoreVictims] = id
-			m.storeReqs[m.nStoreVictims] = backend.StoreReq{
-				PageBytes:     PageSize,
-				CompressRatio: p.compressibility,
-				Refault:       p.refaulted,
-			}
-			m.nStoreVictims++
-			if m.nStoreVictims == swapClusterSize {
-				reclaimed += m.flushSwapOuts(now, g, &res)
-			}
+		if t == File {
+			writebacks += m.evictFile(now, g, id)
+			res.ReclaimedFile++
+			reclaimed++
 			continue
 		}
-		// A dirty page must be written back before it can be dropped;
-		// writeback consumes device endurance and IOPS but completes
-		// asynchronously (flusher threads), so no stall is charged here.
-		if p := m.page(id); p.dirty {
-			m.cfg.FS.WritePage(now)
-			p.dirty = false
-			writebacks++
+		// Demotion before swap: a cold anon victim moves to the
+		// byte-addressable far node while it has room, so it stays mapped
+		// at link latency instead of faulting; the swap tiers engage only
+		// once the node is full (the third rung).
+		if m.cfg.Far != nil && m.cfg.Far.TryReserve(PageSize) {
+			m.finishDemote(now, g, id, &res)
+			reclaimed++
+			continue
 		}
-		m.evictFile(g, id)
-		res.ReclaimedFile++
-		reclaimed++
+		if !m.swapScanAllowed() {
+			// Far node full and no swap rung available: give the page
+			// back; pickScanType stops selecting anon now that neither
+			// rung has room.
+			m.pushHead(inactive, id)
+			continue
+		}
+		// Gather the victim; victims flush as one batched store per swap
+		// cluster, so the device sees clustered submissions and the
+		// queue/backpressure cost is paid once per batch.
+		p := m.page(id)
+		m.storeVictims[m.nStoreVictims] = id
+		m.storeReqs[m.nStoreVictims] = backend.StoreReq{
+			PageBytes:     PageSize,
+			CompressRatio: p.compressibility,
+			Refault:       p.refaulted,
+		}
+		m.nStoreVictims++
+		if m.nStoreVictims == swapClusterSize {
+			reclaimed += m.flushSwapOuts(now, g, &res)
+		}
 	}
 	reclaimed += m.flushSwapOuts(now, g, &res)
 	res.ReclaimedBytes = reclaimed * PageSize
 	res.StallTime += vclock.Duration(res.ScannedPages) * scanCPUPerPage
 	g.noteShrink(res, writebacks)
 	return res
+}
+
+// scanTail is the scan step reclaim and the placement demoter share; g's t
+// lists must hold a page. It refills the inactive list from the active
+// tail when the inactive list runs low, then looks at the inactive tail.
+// A referenced tail page gets its second chance, kernel-style, and
+// scanTail returns 0: an anonymous page is activated, while a file page
+// rotates back to the inactive head (the use-once heuristic) and only
+// activation through a second access protects it further. An
+// unreferenced tail page is the victim: it stays on the list, and the
+// caller removes it.
+func (m *Manager) scanTail(g *Group, t PageType) PageID {
+	inactive, active := &g.lists[t][0], &g.lists[t][1]
+	if g.inactiveLow(t) {
+		m.deactivate(active, inactive)
+	}
+	id := inactive.tail
+	if m.flags[id]&flagReferenced == 0 {
+		return id
+	}
+	m.remove(inactive, id)
+	m.flags[id] &^= flagReferenced
+	if t == Anon {
+		m.flags[id] |= flagActive
+		m.pushHead(active, id)
+	} else {
+		m.pushHead(inactive, id)
+	}
+	return 0
 }
 
 // deactivate moves up to scanBatch pages from the tail of active to the
@@ -386,20 +381,8 @@ func (m *Manager) flushSwapOuts(now vclock.Time, g *Group, res *ReclaimResult) i
 	}
 	m.nStoreVictims = 0
 	stored, err := m.cfg.Swap.StoreBatch(now, m.storeReqs[:n], m.storeRes[:n])
-	for i := 0; i < stored; i++ {
-		id := m.storeVictims[i]
-		r := m.storeRes[i]
-		m.setState(id, Offloaded)
-		p := m.page(id)
-		p.refaulted = false
-		p.handle = uint64(r.Handle)
-		vg := m.Group(id)
-		vg.residentPages[Anon]--
-		vg.charge(-PageSize)
-		vg.swappedPages++
-		m.noteSwapOut(id)
-		res.StallTime += r.Latency
-		res.ReclaimedAnon++
+	for i, id := range m.storeVictims[:stored] {
+		m.swappedOut(id, m.storeRes[i], res)
 	}
 	if err != nil {
 		if !errors.Is(err, backend.ErrFull) {
@@ -423,19 +406,6 @@ func (g *Group) noteShrink(res ReclaimResult, writebacks int64) {
 	g.stat.FileEvictions += res.ReclaimedFile
 	g.stat.FileWritebacks += writebacks
 	g.stat.Demotions += res.DemotedPages
-}
-
-// otherAvailable reports whether the LRU of the type other than t has pages
-// and is allowed to be scanned.
-func (m *Manager) otherAvailable(g *Group, t PageType) (PageType, bool) {
-	other := File
-	if t == File {
-		other = Anon
-	}
-	if other == Anon && !m.anonScanAllowed() {
-		return other, false
-	}
-	return other, g.lists[other][0].count+g.lists[other][1].count > 0
 }
 
 // anonScanAllowed reports whether anonymous reclaim is possible at all:
