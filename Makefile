@@ -60,15 +60,16 @@ LIVE_HOOKS += senpai.WorkingSetProfile.OverprovisionFrac           # core: TestS
 LIVE_HOOKS += sim.(*Server).LastResult                             # core: TestSoakLongRun
 LIVE_HOOKS += workload.(*App).Revive                               # core: TestSoakLongRun; oomd: TestEndToEndWithSimulator
 LIVE_HOOKS += cgroup.(*Hierarchy).Manager                          # oomd: TestSustainedFullPressureKills
+LIVE_HOOKS += workload.(*App).Admitted                             # sim: TestSelfThrottleEngagesWhenMemoryTight
 
 # Reachability: every non-test func under internal/ must be linked into at
-# least one binary (the five CLIs, benchjson, examples/* and cmd/tmobench,
-# built with inlining off so no call folds away), or be listed in
+# least one binary (the five CLIs, benchjson and cmd/tmobench, built with
+# inlining off so no call folds away), or be listed in
 # LIVE_HOOKS above. Generic instantiations count for their declaration.
 # Prints each unexplained function and fails if there is one.
 live:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -gcflags=all=-l -o "$$tmp/" ./cmd/... ./examples/... && \
+	$(GO) build -gcflags=all=-l -o "$$tmp/" ./cmd/... && \
 	(cd cmd/tmobench && $(GO) build -gcflags=all=-l -o "$$tmp/tmobench" .) && \
 	for b in "$$tmp"/*; do $(GO) tool nm "$$b"; done | \
 		sed -n 's|^ *[0-9a-f]* [Tt] tmo/internal/||p' | \

@@ -76,6 +76,7 @@ var exhibits = []exhibit{
 	{"placement", func(c experiments.Config) experiments.Result { return experiments.PlacementScorecard(c) }},
 	{"abl-batch", func(c experiments.Config) experiments.Result { return experiments.AblationBatch(c) }},
 	{"tco", func(c experiments.Config) experiments.Result { return experiments.TCO(c) }},
+	{"protection", func(c experiments.Config) experiments.Result { return experiments.Protection(c) }},
 }
 
 // selectExhibits resolves a comma-separated -only list to entries of table

@@ -36,6 +36,7 @@ func TestClaims(t *testing.T) {
 		{"placement", func() claimer { return PlacementScorecard(cfg) }},
 		{"abl-batch", func() claimer { return AblationBatch(cfg) }},
 		{"tco", func() claimer { return TCO(cfg) }},
+		{"protection", func() claimer { return Protection(cfg) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := tc.run()

@@ -768,8 +768,9 @@ func (c *Controller) reassign() (pushed []*host, rebuilt int) {
 // lifecycle evaluates the crash schedules at the current barrier and applies
 // pending transitions to the hosts they name, in index order: a crashing
 // host's simulation is discarded and it leaves the up list; a rejoining
-// host boots a fresh incarnation under the policy its cohort is entitled to
-// right now and takes its place in the up list again.
+// host boots a fresh incarnation under the policy it is assigned, which
+// reassign kept current while it was down, and takes its place in the up
+// list again.
 func (c *Controller) lifecycle() {
 	c.eng.Tick(c.now)
 	for _, h := range c.crashHosts {
@@ -787,7 +788,6 @@ func (c *Controller) lifecycle() {
 			h.down = false
 			h.incarnation++
 			h.rejoins++
-			c.assign(h, c.entitled(h))
 			c.buildHost(h)
 			c.up = slices.Insert(c.up, pos, h)
 			c.telRejoin.Inc()
